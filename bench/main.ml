@@ -35,6 +35,8 @@
                                                           dynamic race-checker gates;
                                                           default BENCH_race_explore.json)
           dune exec bench/main.exe -- trace              (JSONL span dump)
+
+   Any other argument, or a second mode, exits 2 with a usage line.
 *)
 
 module Clock = Simnet.Clock
@@ -1650,8 +1652,44 @@ let run_bechamel () =
 
 (* ------------------------------------------------------------------ *)
 
+let modes =
+  [
+    "fault_sweep"; "latency_breakdown"; "hotpath"; "cache_ablation"; "concurrency_scaling"; "slo";
+    "topology"; "race_explore"; "trace";
+  ]
+
+let switches = [ "--quick"; "--no-bechamel"; "--smoke" ]
+let int_options = [ "--size"; "--seeds" ]
+
+let usage =
+  "usage: dune exec bench/main.exe -- [MODE] [--quick] [--no-bechamel] [--smoke] [--size MB] \
+   [--seeds N] [--json PATH]\nmodes: " ^ String.concat " " modes
+
+(* Every argument must be a known switch, an option with its value, or
+   at most one mode; anything else exits 2 before any work starts,
+   rather than falling through to the full figure suite. *)
+let check_args args =
+  let reject fmt =
+    Printf.ksprintf (fun msg -> prerr_endline ("bench: " ^ msg); prerr_endline usage; exit 2) fmt
+  in
+  let rec go mode = function
+    | [] -> ()
+    | s :: rest when List.mem s switches -> go mode rest
+    | o :: v :: rest when List.mem o int_options ->
+      if int_of_string_opt v = None then reject "%s expects an integer, got %S" o v;
+      go mode rest
+    | "--json" :: _ :: rest -> go mode rest
+    | o :: [] when o = "--json" || List.mem o int_options -> reject "%s expects a value" o
+    | m :: rest when List.mem m modes ->
+      Option.iter (fun prev -> reject "two modes given: %s and %s" prev m) mode;
+      go (Some m) rest
+    | a :: _ -> reject "unknown argument %S" a
+  in
+  go None args
+
 let () =
   let argv = Array.to_list Sys.argv in
+  check_args (List.tl argv);
   let has f = List.mem f argv in
   let size_mb =
     let rec find = function

@@ -9,8 +9,11 @@ val sub : m:Nat.t -> Nat.t -> Nat.t -> Nat.t
 val mul : m:Nat.t -> Nat.t -> Nat.t -> Nat.t
 
 val pow : m:Nat.t -> Nat.t -> Nat.t -> Nat.t
-(** [pow ~m b e] is [b^e mod m] by left-to-right square and multiply.
-    [pow ~m b Nat.zero = Nat.one] (for [m > 1]). *)
+(** [pow ~m b e] is [b^e mod m]. Odd moduli of more than one limb go
+    through {!Mont} (sliding window); even and one-limb moduli use
+    left-to-right square and multiply. [b] need not be reduced;
+    [pow ~m b Nat.zero = Nat.one] for [m > 1], and [pow ~m:Nat.one]
+    is [Nat.zero]. *)
 
 val gcd : Nat.t -> Nat.t -> Nat.t
 

@@ -3,9 +3,9 @@
    the empty array and structural equality coincides with numeric
    equality. *)
 
-let limb_bits = 26
+let limb_bits = Limbs.bits
 let limb_base = 1 lsl limb_bits
-let limb_mask = limb_base - 1
+let limb_mask = Limbs.mask
 
 type t = int array
 
@@ -16,6 +16,10 @@ let normalize (a : int array) : t =
   let n = ref (Array.length a) in
   while !n > 0 && a.(!n - 1) = 0 do decr n done;
   if !n = Array.length a then a else Array.sub a 0 !n
+
+let of_limbs (a : int array) : t =
+  Array.iter (fun l -> if l < 0 || l > limb_mask then invalid_arg "Nat.of_limbs: limb out of range") a;
+  normalize a
 
 let of_int n =
   if n < 0 then invalid_arg "Nat.of_int: negative";
@@ -172,9 +176,9 @@ let pred a = sub a one
 let is_even a = Array.length a = 0 || a.(0) land 1 = 0
 let is_odd a = not (is_even a)
 
-(* Division: Knuth Algorithm D on 26-bit limbs, with the standard
-   normalization so the divisor's top limb has its high bit set.
-   Single-limb divisors take a fast path. *)
+(* Division: Knuth's Algorithm D on a scratch copy of the operands
+   (Limbs.divrem normalizes the divisor in place). Single-limb
+   divisors take a short-division fast path. *)
 
 let divmod_small (a : t) (b : int) : t * int =
   let la = Array.length a in
@@ -195,81 +199,63 @@ let divmod (a : t) (b : t) : t * t =
     (q, of_int r)
   end
   else begin
-    (* Normalize: shift so divisor top limb >= base/2. *)
-    let shift = limb_bits - (num_bits b - (Array.length b - 1) * limb_bits) in
-    let u = shift_left a shift and v = shift_left b shift in
-    let n = Array.length v in
-    let m = Array.length u - n in
-    let u = Array.append u (Array.make (m + n + 1 - Array.length u + 1) 0) in
-    let q = Array.make (m + 1) 0 in
-    let vtop = v.(n - 1) and vsec = v.(n - 2) in
-    for j = m downto 0 do
-      (* Estimate q_hat from the top two limbs of the current remainder. *)
-      let top2 = (u.(j + n) lsl limb_bits) lor u.(j + n - 1) in
-      let qhat = ref (top2 / vtop) and rhat = ref (top2 mod vtop) in
-      if !qhat >= limb_base then begin qhat := limb_base - 1; rhat := top2 - !qhat * vtop end;
-      let continue = ref true in
-      while !continue && !rhat < limb_base
-            && !qhat * vsec > (!rhat lsl limb_bits) lor u.(j + n - 2) do
-        decr qhat;
-        rhat := !rhat + vtop;
-        if !rhat >= limb_base then continue := false
-      done;
-      (* Multiply and subtract: u[j..j+n] -= qhat * v. *)
-      let borrow = ref 0 and carry = ref 0 in
-      for i = 0 to n - 1 do
-        let p = !qhat * v.(i) + !carry in
-        carry := p lsr limb_bits;
-        let d = u.(i + j) - (p land limb_mask) - !borrow in
-        if d < 0 then begin u.(i + j) <- d + limb_base; borrow := 1 end
-        else begin u.(i + j) <- d; borrow := 0 end
-      done;
-      let d = u.(j + n) - !carry - !borrow in
-      if d < 0 then begin
-        (* qhat was one too large: add back. *)
-        u.(j + n) <- d + limb_base;
-        decr qhat;
-        let c = ref 0 in
-        for i = 0 to n - 1 do
-          let s = u.(i + j) + v.(i) + !c in
-          u.(i + j) <- s land limb_mask;
-          c := s lsr limb_bits
-        done;
-        u.(j + n) <- (u.(j + n) + !c) land limb_mask
-      end
-      else u.(j + n) <- d;
-      q.(j) <- !qhat
-    done;
-    let r = normalize (Array.sub u 0 n) in
-    (normalize q, shift_right r shift)
+    let la = Array.length a and lb = Array.length b in
+    let u = Array.make (la + 1) 0 in
+    Array.blit a 0 u 0 la;
+    let q = Array.make (la - lb + 1) 0 in
+    Limbs.divrem u la (Array.copy b) lb q;
+    (normalize q, normalize (Array.sub u 0 lb))
   end
 
 let div a b = fst (divmod a b)
 let rem a b = snd (divmod a b)
 
+(* The codecs below move whole bytes or nibbles between a string and
+   the limbs: [w]-bit digit [k] (least significant first) sits at bit
+   [w * k], possibly straddling two limbs. *)
+
+let digit (a : t) ~w k =
+  let pos = w * k in
+  let limb = pos / limb_bits and off = pos mod limb_bits in
+  let lo = a.(limb) lsr off in
+  let hi = if off + w > limb_bits && limb + 1 < Array.length a then a.(limb + 1) lsl (limb_bits - off) else 0 in
+  (lo lor hi) land ((1 lsl w) - 1)
+
+(* Packs the [w]-bit digits [get i] for [i] in [first, last], most
+   significant first, into a normalized value. *)
+let of_digits ~w ~first ~last get : t =
+  let r = Array.make (((last - first + 1) * w + limb_bits - 1) / limb_bits) 0 in
+  let acc = ref 0 and nbits = ref 0 and k = ref 0 in
+  for i = last downto first do
+    acc := !acc lor (get i lsl !nbits);
+    nbits := !nbits + w;
+    if !nbits >= limb_bits then begin
+      r.(!k) <- !acc land limb_mask;
+      incr k;
+      acc := !acc lsr limb_bits;
+      nbits := !nbits - limb_bits
+    end
+  done;
+  if !nbits > 0 then r.(!k) <- !acc;
+  normalize r
+
 let of_bytes_be (s : string) : t =
-  let n = ref zero in
-  String.iter (fun c -> n := add (shift_left !n 8) (of_int (Char.code c))) s;
-  !n
+  let first = ref 0 in
+  while !first < String.length s && s.[!first] = '\000' do incr first done;
+  of_digits ~w:8 ~first:!first ~last:(String.length s - 1) (fun i -> Char.code s.[i])
 
 let to_bytes_be ?len (a : t) : string =
   let nbytes = (num_bits a + 7) / 8 in
-  let nbytes = max nbytes 1 in
   let out_len = match len with
-    | None -> nbytes
+    | None -> max nbytes 1
     | Some l ->
-      if l < nbytes && not (is_zero a && l >= 0) then
+      if l < max nbytes 1 && not (is_zero a && l >= 0) then
         invalid_arg "Nat.to_bytes_be: length too small";
       l
   in
   let b = Bytes.make out_len '\000' in
-  let v = ref a in
-  let i = ref (out_len - 1) in
-  while not (is_zero !v) && !i >= 0 do
-    let q, r = divmod_small !v 256 in
-    Bytes.set b !i (Char.chr r);
-    v := q;
-    decr i
+  for k = 0 to nbytes - 1 do
+    Bytes.set b (out_len - 1 - k) (Char.chr (digit a ~w:8 k))
   done;
   Bytes.to_string b
 
@@ -282,23 +268,13 @@ let hex_digit c =
 
 let of_hex (s : string) : t =
   if String.length s = 0 then invalid_arg "Nat.of_hex: empty";
-  let n = ref zero in
-  String.iter (fun c -> n := add (shift_left !n 4) (of_int (hex_digit c))) s;
-  !n
+  of_digits ~w:4 ~first:0 ~last:(String.length s - 1) (fun i -> hex_digit s.[i])
 
 let to_hex (a : t) : string =
   if is_zero a then "0"
   else begin
-    let buf = Buffer.create 32 in
-    let rec go v =
-      if not (is_zero v) then begin
-        let q, r = divmod_small v 16 in
-        go q;
-        Buffer.add_char buf "0123456789abcdef".[r]
-      end
-    in
-    go a;
-    Buffer.contents buf
+    let n = (num_bits a + 3) / 4 in
+    String.init n (fun i -> "0123456789abcdef".[digit a ~w:4 (n - 1 - i)])
   end
 
 let of_decimal (s : string) : t =

@@ -4,9 +4,14 @@
     products and long accumulations fit comfortably in OCaml's native
     63-bit integers. Values are always normalized (no high zero
     limbs); [zero] is the empty array. All operations are functional:
-    inputs are never mutated. *)
+    inputs are never mutated.
 
-type t
+    The representation is visible read-only, so {!Mont} and
+    {!Modarith} can run fixed-width kernels over the limbs without a
+    copy; values are built only through this interface. *)
+
+type t = private int array
+(** Little-endian 26-bit limbs, highest limb nonzero. *)
 
 val zero : t
 val one : t
@@ -15,6 +20,12 @@ val two : t
 val of_int : int -> t
 (** [of_int n] converts a non-negative [int]. Raises
     [Invalid_argument] if [n < 0]. *)
+
+val of_limbs : int array -> t
+(** [of_limbs a] is the value of the little-endian 26-bit limbs [a],
+    which may carry high zero limbs. The result may share [a]; the
+    caller must not mutate [a] afterwards. Raises [Invalid_argument]
+    if a limb is outside [0, 2^26). *)
 
 val to_int : t -> int
 (** [to_int n] converts back to [int]. Raises [Failure] if the value

@@ -7,7 +7,7 @@ type share = Nat.t
 let gen ?params drbg =
   let params = match params with Some p -> p | None -> Dsa.default_params () in
   let x = Nat.succ (Drbg.nat_below drbg (Nat.pred params.q)) in
-  let share = Modarith.pow ~m:params.p params.g x in
+  let share = Dsa.pow_g params x in
   ({ x; params }, share)
 
 let shared ?params secret peer =

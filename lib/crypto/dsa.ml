@@ -1,6 +1,7 @@
 module Nat = Bignum.Nat
 module Modarith = Bignum.Modarith
 module Prime = Bignum.Prime
+module Mont = Bignum.Mont
 
 type params = { p : Nat.t; q : Nat.t; g : Nat.t }
 type public = { params : params; y : Nat.t }
@@ -28,21 +29,39 @@ let generate_params ?(pbits = 512) drbg =
   in
   { p; q; g = find_g 2 }
 
-let default_params_cache = ref None
+(* [generate_params] run on Drbg seed "discfs-default-dsa-group-v1",
+   committed so no process pays for the search; test_crypto regenerates
+   it and checks these digits. *)
+let default =
+  {
+    p =
+      Nat.of_hex
+        "acd0bcf48e5bf8072c8921a7e75eac1606d66e59cee62305781092bb0fd172a6\
+         c4acbf277092d1b1d13e9363e91d158f69eb554fa4e621ca9dba4440dabcceff";
+    q = Nat.of_hex "d74251d8487795f77b04e17554f67f57872e70e9";
+    g =
+      Nat.of_hex
+        "4e2c428da42af560de9fca4dd0718a09dbc6b8180c73ba6007172229150dc167\
+         67ccab6aa37a6dc8b1cfc831bd93f6d596fb6c9df69f3515a52cb5c69d2052d9";
+  }
 
-let default_params () =
-  match !default_params_cache with
-  | Some params -> params
-  | None ->
-    let drbg = Drbg.create ~seed:"discfs-default-dsa-group-v1" in
-    let params = generate_params drbg in
-    default_params_cache := Some params;
-    params
+let default_params () = default
+
+(* One fixed-base table, for the committed group every identity uses.
+   It is found by value, so parameters decoded off the wire share it;
+   any other group, whatever its q, takes the general path and keeps
+   nothing. *)
+let default_table = lazy (Mont.fixed_base (Mont.create default.p) default.g ~bits:qbits)
+
+let pow_g params e =
+  if Nat.equal params.p default.p && Nat.equal params.g default.g then
+    Mont.pow_fixed (Lazy.force default_table) e
+  else Modarith.pow ~m:params.p params.g e
 
 let generate_key ?params drbg =
   let params = match params with Some p -> p | None -> default_params () in
   let x = Nat.succ (Drbg.nat_below drbg (Nat.pred params.q)) in
-  let y = Modarith.pow ~m:params.p params.g x in
+  let y = pow_g params x in
   { pub = { params; y }; x }
 
 let hash_to_nat ~hash ~q msg =
@@ -54,11 +73,12 @@ let hash_to_nat ~hash ~q msg =
   if qb >= hbits then h else Nat.shift_right h (hbits - qb)
 
 let sign ?(hash = Sha1.digest) ~key drbg msg =
-  let { p; q; g } = key.pub.params in
+  let params = key.pub.params in
+  let q = params.q in
   let z = hash_to_nat ~hash ~q msg in
   let rec attempt () =
     let k = Nat.succ (Drbg.nat_below drbg (Nat.pred q)) in
-    let r = Nat.rem (Modarith.pow ~m:p g k) q in
+    let r = Nat.rem (pow_g params k) q in
     if Nat.is_zero r then attempt ()
     else begin
       let kinv = Modarith.inv ~m:q k in
@@ -69,7 +89,7 @@ let sign ?(hash = Sha1.digest) ~key drbg msg =
   attempt ()
 
 let verify ?(hash = Sha1.digest) ~key msg { r; s } =
-  let { p; q; g } = key.params in
+  let { p; q; _ } = key.params in
   let in_range v = not (Nat.is_zero v) && Nat.compare v q < 0 in
   if not (in_range r && in_range s) then false
   else begin
@@ -80,7 +100,7 @@ let verify ?(hash = Sha1.digest) ~key msg { r; s } =
       let u1 = Modarith.mul ~m:q z w in
       let u2 = Modarith.mul ~m:q r w in
       let v =
-        Nat.rem (Modarith.mul ~m:p (Modarith.pow ~m:p g u1) (Modarith.pow ~m:p key.y u2)) q
+        Nat.rem (Modarith.mul ~m:p (pow_g key.params u1) (Modarith.pow ~m:p key.y u2)) q
       in
       Nat.equal v r
   end

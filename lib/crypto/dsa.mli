@@ -11,12 +11,21 @@ type signature = { r : Bignum.Nat.t; s : Bignum.Nat.t }
 
 val generate_params : ?pbits:int -> Drbg.t -> params
 (** Generate fresh parameters ([pbits] defaults to 512, as fits the
-    paper's 2001-era prototype). Slow: seconds of CPU. *)
+    paper's 2001-era prototype). Costly: a prime search of some
+    tens of milliseconds. *)
 
 val default_params : unit -> params
-(** Shared parameters generated once from a fixed seed and cached;
-    all example identities use this group (like a site-wide DSA group
+(** The shared 512-bit group: {!generate_params} on the fixed seed
+    ["discfs-default-dsa-group-v1"], committed as constants. All
+    example identities use this group (like a site-wide DSA group
     file). *)
+
+val pow_g : params -> Bignum.Nat.t -> Bignum.Nat.t
+(** [pow_g params e] is [g^e mod p]. For the {!default_params} group,
+    matched by value so decoded wire parameters count, it goes through
+    a fixed-base table built on first use and sized for 160-bit
+    exponents; wider exponents and every other group take
+    {!Bignum.Modarith.pow}. *)
 
 val generate_key : ?params:params -> Drbg.t -> private_key
 (** Generate a key pair in the given group (default

@@ -126,6 +126,222 @@ let test_gen_prime () =
   Alcotest.(check bool) "prime" true (Prime.is_probably_prime ~rand_bits:test_rand p);
   Alcotest.(check bool) "odd" true (Nat.is_odd p)
 
+(* --- reference implementations -------------------------------------- *)
+
+(* The square-and-multiply [Modarith.pow] used before the Montgomery
+   path, kept as the reference the fast paths must match. *)
+let pow_ref ~m b e =
+  if Nat.equal m Nat.one then Nat.zero
+  else begin
+    let b = Nat.rem b m in
+    let result = ref Nat.one in
+    for i = Nat.num_bits e - 1 downto 0 do
+      result := Modarith.mul ~m !result !result;
+      if Nat.bit e i then result := Modarith.mul ~m !result b
+    done;
+    !result
+  end
+
+(* The byte-at-a-time codecs used before the limb-packing ones. *)
+let of_bytes_ref s =
+  let n = ref Nat.zero in
+  String.iter (fun c -> n := Nat.add (Nat.shift_left !n 8) (Nat.of_int (Char.code c))) s;
+  !n
+
+let to_bytes_ref ?len a =
+  let nbytes = max ((Nat.num_bits a + 7) / 8) 1 in
+  let out_len = match len with
+    | None -> nbytes
+    | Some l ->
+      if l < nbytes && not (Nat.is_zero a && l >= 0) then
+        invalid_arg "Nat.to_bytes_be: length too small";
+      l
+  in
+  let b = Bytes.make out_len '\000' in
+  let v = ref a and i = ref (out_len - 1) in
+  while not (Nat.is_zero !v) && !i >= 0 do
+    let q, r = Nat.divmod !v (Nat.of_int 256) in
+    Bytes.set b !i (Char.chr (Nat.to_int r));
+    v := q;
+    decr i
+  done;
+  Bytes.to_string b
+
+let of_hex_ref s =
+  if String.length s = 0 then invalid_arg "Nat.of_hex: empty";
+  let digit c = match c with
+    | '0' .. '9' -> Char.code c - Char.code '0'
+    | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+    | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+    | _ -> invalid_arg "Nat.of_hex: bad digit"
+  in
+  let n = ref Nat.zero in
+  String.iter (fun c -> n := Nat.add (Nat.shift_left !n 4) (Nat.of_int (digit c))) s;
+  !n
+
+let to_hex_ref a =
+  if Nat.is_zero a then "0"
+  else begin
+    let buf = Buffer.create 32 in
+    let rec go v =
+      if not (Nat.is_zero v) then begin
+        let q, r = Nat.divmod v (Nat.of_int 16) in
+        go q;
+        Buffer.add_char buf "0123456789abcdef".[Nat.to_int r]
+      end
+    in
+    go a;
+    Buffer.contents buf
+  end
+
+let outcome f = match f () with v -> Ok v | exception Invalid_argument msg -> Error msg
+
+(* --- generators ------------------------------------------------------ *)
+
+let all_ones bits = Nat.pred (Nat.shift_left Nat.one bits)
+
+(* A uniformly random value of at most [bits] bits. *)
+let gen_nat bits =
+  QCheck.Gen.map
+    (fun s -> Nat.shift_right (Nat.of_bytes_be s) ((8 * String.length s) - bits))
+    (QCheck.Gen.string_size ~gen:QCheck.Gen.char (QCheck.Gen.return ((bits + 7) / 8)))
+
+let gen_modulus =
+  let open QCheck.Gen in
+  let odd n = Nat.logor n Nat.one and even n = Nat.shift_left n 1 in
+  let limb_power k = Nat.shift_left Nat.one (26 * k) in
+  frequency
+    [
+      (4, map odd (int_range 30 600 >>= gen_nat) |> map (fun m -> if Nat.num_bits m > 26 then m else odd (Nat.shift_left m 40)));
+      (1, map (fun n -> odd (Nat.of_int (n lor 2))) (int_bound ((1 lsl 26) - 1)));
+      (2, map even (int_range 2 520 >>= gen_nat) |> map (fun m -> if Nat.is_zero m then Nat.two else m));
+      (1, return Nat.one);
+      (1, map (fun k -> all_ones (26 * k)) (int_range 1 20));
+      (1, map (fun k -> Nat.succ (limb_power k)) (int_range 1 20));
+      (1, map (fun k -> Nat.pred (limb_power k)) (int_range 1 20));
+    ]
+
+let gen_exponent =
+  let open QCheck.Gen in
+  oneof
+    [
+      return Nat.zero; return Nat.one; return (all_ones 160); return (all_ones 512);
+      gen_nat 160; gen_nat 512; map Nat.of_int (int_bound 1000);
+    ]
+
+let gen_base m =
+  let open QCheck.Gen in
+  oneof
+    [
+      return Nat.zero;
+      return (Nat.pred m);
+      map (fun r -> Nat.add m r) (gen_nat 64);
+      map (fun r -> Nat.rem r m) (gen_nat (Nat.num_bits m + 8));
+    ]
+
+let arb_pow =
+  QCheck.make
+    ~print:(fun (m, b, e) -> Printf.sprintf "m=%s b=%s e=%s" (Nat.to_hex m) (Nat.to_hex b) (Nat.to_hex e))
+    QCheck.Gen.(gen_modulus >>= fun m -> triple (return m) (gen_base m) gen_exponent)
+
+let prop_pow_ref =
+  QCheck.Test.make ~name:"pow = square-and-multiply reference" ~count:150 arb_pow (fun (m, b, e) ->
+      Nat.equal (Modarith.pow ~m b e) (pow_ref ~m b e))
+
+let test_pow_edges () =
+  List.iter
+    (fun (name, m) ->
+      let b = Nat.add m (Nat.of_int 12345) in
+      List.iter
+        (fun e ->
+          Alcotest.check nat (name ^ " b>=m") (pow_ref ~m b e) (Modarith.pow ~m b e);
+          Alcotest.check nat (name ^ " b=m-1") (pow_ref ~m (Nat.pred m) e) (Modarith.pow ~m (Nat.pred m) e);
+          Alcotest.check nat (name ^ " b=0") (pow_ref ~m Nat.zero e) (Modarith.pow ~m Nat.zero e))
+        [ Nat.zero; Nat.one; all_ones 160; all_ones 512 ])
+    [
+      ("m=1", Nat.one);
+      ("m=3", Nat.of_int 3);
+      ("m=2^52-1", all_ones 52);
+      ("m=2^520-1", all_ones 520);
+      ("m=2^52+1", Nat.succ (Nat.shift_left Nat.one 52));
+      ("m=2^78+1", Nat.succ (Nat.shift_left Nat.one 78));
+      ("even m=2^100", Nat.shift_left Nat.one 100);
+    ];
+  Alcotest.check nat "m=1, e=0" Nat.zero (Modarith.pow ~m:Nat.one Nat.two Nat.zero);
+  Alcotest.check_raises "even modulus" (Invalid_argument "Mont.create: modulus must be odd, > 1 and at most 256 limbs")
+    (fun () -> ignore (Bignum.Mont.create (Nat.shift_left Nat.one 100)))
+
+(* The fixed-base table for g against plain exponentiation, over
+   every digit boundary up to q and past it (the fallback), for the
+   default group and for the same group decoded off the wire. *)
+let test_g_table () =
+  let params = Dcrypto.Dsa.default_params () in
+  let { Dcrypto.Dsa.p; q; g } = params in
+  let wire =
+    let key = { Dcrypto.Dsa.params; y = g } in
+    (Dcrypto.Dsa.pub_decode (Dcrypto.Dsa.pub_encode key)).Dcrypto.Dsa.params
+  in
+  let exps =
+    [ Nat.zero; Nat.one; Nat.of_int 15; Nat.of_int 16; Nat.of_int 0xffff; Nat.pred q; q;
+      all_ones 160; Nat.shift_left Nat.one 159; all_ones 161; Nat.shift_left q 40 ]
+    @ List.init 16 (fun i -> Nat.rem (test_rand 200) (if i < 12 then q else p))
+  in
+  List.iter
+    (fun e ->
+      let want = pow_ref ~m:p g e in
+      Alcotest.check nat ("g^" ^ Nat.to_hex e) want (Dcrypto.Dsa.pow_g params e);
+      Alcotest.check nat ("wire g^" ^ Nat.to_hex e) want (Dcrypto.Dsa.pow_g wire e))
+    exps;
+  (* A group whose p is even cannot use Montgomery: the general path. *)
+  let even_p = { params with Dcrypto.Dsa.p = Nat.shift_left p 1 } in
+  Alcotest.check nat "even p" (pow_ref ~m:even_p.Dcrypto.Dsa.p g q) (Dcrypto.Dsa.pow_g even_p q)
+
+let test_codec_edges () =
+  Alcotest.(check string) "zero hex" "0" (Nat.to_hex Nat.zero);
+  Alcotest.(check string) "zero bytes" "\000" (Nat.to_bytes_be Nat.zero);
+  Alcotest.(check string) "zero len 0" "" (Nat.to_bytes_be ~len:0 Nat.zero);
+  Alcotest.check nat "empty bytes" Nat.zero (Nat.of_bytes_be "");
+  Alcotest.check nat "zero byte" Nat.zero (Nat.of_bytes_be "\000");
+  Alcotest.check nat "hex 0" Nat.zero (Nat.of_hex "0");
+  Alcotest.check nat "hex 000" Nat.zero (Nat.of_hex "000");
+  Alcotest.check_raises "too small" (Invalid_argument "Nat.to_bytes_be: length too small") (fun () ->
+      ignore (Nat.to_bytes_be ~len:1 (Nat.of_int 256)));
+  Alcotest.check_raises "zero, negative len" (Invalid_argument "Nat.to_bytes_be: length too small")
+    (fun () -> ignore (Nat.to_bytes_be ~len:(-1) Nat.zero));
+  Alcotest.check_raises "empty hex" (Invalid_argument "Nat.of_hex: empty") (fun () ->
+      ignore (Nat.of_hex ""));
+  Alcotest.check_raises "bad hex" (Invalid_argument "Nat.of_hex: bad digit") (fun () ->
+      ignore (Nat.of_hex "12g4"));
+  Alcotest.check_raises "bad limb" (Invalid_argument "Nat.of_limbs: limb out of range") (fun () ->
+      ignore (Nat.of_limbs [| 1 lsl 26 |]))
+
+let prop_bytes_codec =
+  QCheck.Test.make ~name:"byte codecs = byte-at-a-time reference" ~count:300
+    QCheck.(pair (string_gen_of_size Gen.(int_range 0 80) Gen.(frequency [ (1, return '\000'); (3, char) ])) (int_range (-2) 90))
+    (fun (s, len) ->
+      let n = Nat.of_bytes_be s in
+      Nat.equal n (of_bytes_ref s)
+      && Nat.to_bytes_be n = to_bytes_ref n
+      && outcome (fun () -> Nat.to_bytes_be ~len n) = outcome (fun () -> to_bytes_ref ~len n))
+
+let prop_hex_codec =
+  QCheck.Test.make ~name:"hex codecs = nibble-at-a-time reference" ~count:300
+    QCheck.(string_gen_of_size Gen.(int_range 0 140) Gen.(oneofl [ '0'; '0'; '1'; '9'; 'a'; 'F'; 'c'; 'x' ]))
+    (fun s ->
+      match (outcome (fun () -> Nat.of_hex s), outcome (fun () -> of_hex_ref s)) with
+      | Ok n, Ok r -> Nat.equal n r && Nat.to_hex n = to_hex_ref n
+      | Error a, Error b -> a = b
+      | _ -> false)
+
+let prop_inv_multi_limb =
+  QCheck.Test.make ~name:"modular inverse (multi-limb, any parity)" ~count:200
+    (QCheck.make QCheck.Gen.(pair (int_range 30 300 >>= gen_nat) (int_range 1 300 >>= gen_nat)))
+    (fun (m, a) ->
+      let m = Nat.add m Nat.two in
+      match Modarith.inv ~m a with
+      | x -> Nat.compare x m < 0 && Nat.equal Nat.one (Modarith.mul ~m a x)
+      | exception Not_found -> not (Nat.equal (Modarith.gcd m (Nat.rem a m)) Nat.one))
+
 let prop_add_commutes =
   QCheck.Test.make ~name:"add commutes" ~count:200 arb_pair (fun (a, b) ->
       Nat.equal (Nat.add (Nat.of_int a) (Nat.of_int b)) (Nat.add (Nat.of_int b) (Nat.of_int a)))
@@ -209,4 +425,11 @@ let suite =
     QCheck_alcotest.to_alcotest prop_hex_roundtrip;
     QCheck_alcotest.to_alcotest prop_modinv;
     QCheck_alcotest.to_alcotest prop_pow_mul;
+    Alcotest.test_case "pow edge moduli" `Quick test_pow_edges;
+    Alcotest.test_case "g table = plain pow" `Quick test_g_table;
+    Alcotest.test_case "codec edge cases" `Quick test_codec_edges;
+    QCheck_alcotest.to_alcotest prop_pow_ref;
+    QCheck_alcotest.to_alcotest prop_bytes_codec;
+    QCheck_alcotest.to_alcotest prop_hex_codec;
+    QCheck_alcotest.to_alcotest prop_inv_multi_limb;
   ]

@@ -262,6 +262,16 @@ let test_dsa_tampered_sig () =
   let zero = { Dsa.r = Bignum.Nat.zero; s = signature.Dsa.s } in
   Alcotest.(check bool) "zero r rejected" false (Dsa.verify ~key:key.Dsa.pub "msg" zero)
 
+(* The committed default group is what its seed generates. *)
+let test_default_group_seed () =
+  let regenerated = Dsa.generate_params (Drbg.create ~seed:"discfs-default-dsa-group-v1") in
+  let committed = Dsa.default_params () in
+  List.iter2
+    (fun name (a, b) -> Alcotest.(check string) name (Bignum.Nat.to_hex a) (Bignum.Nat.to_hex b))
+    [ "p"; "q"; "g" ]
+    [ (regenerated.Dsa.p, committed.Dsa.p); (regenerated.Dsa.q, committed.Dsa.q);
+      (regenerated.Dsa.g, committed.Dsa.g) ]
+
 let test_dsa_fingerprint () =
   let key = Lazy.force test_key in
   let fp = Dsa.fingerprint key.Dsa.pub in
@@ -371,6 +381,7 @@ let suite =
     Alcotest.test_case "dsa encoding" `Quick test_dsa_encoding;
     Alcotest.test_case "dsa tampered signature" `Quick test_dsa_tampered_sig;
     Alcotest.test_case "dsa fingerprint" `Quick test_dsa_fingerprint;
+    Alcotest.test_case "default group = its seed" `Slow test_default_group_seed;
     Alcotest.test_case "dh agreement" `Quick test_dh_agreement;
     Alcotest.test_case "des fips vector" `Quick test_des_vector;
     Alcotest.test_case "3des degenerate = des" `Quick test_3des_degenerate;
