@@ -99,7 +99,7 @@ let search_figure spec =
   say "  %-8s %10.2f" "DisCFS" s_dis;
   (match Backend.discfs_deploy b_dis with
   | Some d ->
-    let cache = Discfs.Server.cache d.Discfs.Deploy.server in
+    let cache = Discfs.Server.cache (Discfs.Deploy.server d) in
     say "  policy cache (size %d): %d hits, %d misses"
       (Discfs.Policy_cache.capacity cache)
       (Discfs.Policy_cache.hits cache) (Discfs.Policy_cache.misses cache)
@@ -122,7 +122,7 @@ let cache_sweep spec =
       let _, seconds = Search.run b in
       match Backend.discfs_deploy b with
       | Some d ->
-        let cache = Discfs.Server.cache d.Discfs.Deploy.server in
+        let cache = Discfs.Server.cache (Discfs.Deploy.server d) in
         say "  %-8d %12.2f %10d %10d" size seconds (Discfs.Policy_cache.hits cache)
           (Discfs.Policy_cache.misses cache)
       | None -> ())
@@ -197,11 +197,11 @@ let scalability () =
          initial delegation, ever. Server state before any user
          arrives: none. *)
       let d = Discfs.Deploy.make ~seed:"scale-discfs" () in
-      let owner_key = Discfs.Deploy.new_identity d in
+      let owner_key = Discfs.Cluster.new_identity d in
       let owner = Discfs.Deploy.attach d ~identity:owner_key ~uid:100 () in
       let root = Discfs.Client.root owner in
       let initial =
-        Discfs.Deploy.admin_issue d
+        Discfs.Cluster.admin_issue d
           ~licensees:(Printf.sprintf "\"%s\"" (Discfs.Client.principal owner))
           ~conditions:
             (Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"RWX\";"
@@ -217,7 +217,7 @@ let scalability () =
       (* Users are onboarded with owner-issued credentials only; no
          admin, no server preconfiguration. Exercise one user per 10
          to keep the loop honest but fast. *)
-      let drbg = d.Discfs.Deploy.drbg in
+      let drbg = Discfs.Cluster.drbg d in
       for i = 0 to n - 1 do
         let u = Dcrypto.Dsa.generate_key drbg in
         let u_principal = Keynote.Assertion.principal_of_pub u.Dcrypto.Dsa.pub in
@@ -379,9 +379,9 @@ let breakdown_config ~label ~attr_cache ~compound ~warm spec =
   match Backend.discfs_deploy b with
   | None -> failwith "latency_breakdown: discfs backend has no deployment"
   | Some d ->
-    Ffs.Blockdev.drop_cache d.Discfs.Deploy.dev;
-    let trace = d.Discfs.Deploy.trace in
-    let metrics = d.Discfs.Deploy.metrics in
+    Ffs.Blockdev.drop_cache (Discfs.Cluster.dev d);
+    let trace = Discfs.Cluster.trace d in
+    let metrics = Discfs.Cluster.metrics d in
     if warm then ignore (Search.run b);
     (* The tree build (and any warm-up pass) is setup; measure only
        the final walk. *)
@@ -696,9 +696,9 @@ let ablation_config ~config ~cache_blocks ~cache_size ~attr_cache spec =
   match Backend.discfs_deploy b with
   | None -> failwith "cache_ablation: discfs backend has no deployment"
   | Some d ->
-    Ffs.Blockdev.drop_cache d.Discfs.Deploy.dev;
-    let metrics = d.Discfs.Deploy.metrics in
-    let trace = d.Discfs.Deploy.trace in
+    Ffs.Blockdev.drop_cache (Discfs.Cluster.dev d);
+    let metrics = Discfs.Cluster.metrics d in
+    let trace = Discfs.Cluster.trace d in
     let pass name =
       Trace.Metrics.reset metrics;
       Trace.reset trace;
@@ -840,17 +840,17 @@ let conc_ops_per_client = 12
    and the at-least-once retry absorbs it. *)
 let conc_run ~clients ~workers ~depth =
   let d = Discfs.Deploy.make ~workers ~queue_depth:depth ~seed:"conc-scaling" () in
-  let sched = Option.get d.Discfs.Deploy.sched in
+  let sched = Option.get (Discfs.Cluster.sched d) in
   let conns =
     List.init clients (fun i ->
-        let c = Discfs.Deploy.attach d ~identity:d.Discfs.Deploy.admin ~uid:i () in
+        let c = Discfs.Deploy.attach d ~identity:(Discfs.Cluster.admin_identity d) ~uid:i () in
         let fh, _, _ =
           Discfs.Client.create c ~dir:(Discfs.Client.root c) (Printf.sprintf "c%d.dat" i) ()
         in
         Nfs.Client.write_all (Discfs.Client.nfs c) fh (String.make 8192 'x');
         (c, fh))
   in
-  let clock = d.Discfs.Deploy.clock in
+  let clock = Discfs.Cluster.clock d in
   let t0 = Clock.now clock in
   let done_ops = ref 0 and failures = ref 0 in
   let lat_sum = ref 0.0 and lat_max = ref 0.0 in
@@ -875,8 +875,8 @@ let conc_run ~clients ~workers ~depth =
     conns;
   Sched.run sched;
   let seconds = Clock.now clock -. t0 in
-  let get k = Simnet.Stats.get d.Discfs.Deploy.stats k in
-  let wait = Trace.Metrics.histogram d.Discfs.Deploy.metrics "rpc.queue.wait" in
+  let get k = Simnet.Stats.get (Discfs.Cluster.stats d) k in
+  let wait = Trace.Metrics.histogram (Discfs.Cluster.metrics d) "rpc.queue.wait" in
   let wait_n = Trace.Metrics.count wait in
   {
     cn_clients = clients;
@@ -888,7 +888,7 @@ let conc_run ~clients ~workers ~depth =
     cn_throughput = (if seconds = 0.0 then 0.0 else float_of_int !done_ops /. seconds);
     cn_mean_lat = (if !done_ops = 0 then 0.0 else !lat_sum /. float_of_int !done_ops);
     cn_max_lat = !lat_max;
-    cn_qpeak = Oncrpc.Rpc.queue_peak d.Discfs.Deploy.rpc;
+    cn_qpeak = Oncrpc.Rpc.queue_peak (Discfs.Deploy.rpc d);
     cn_rejects = get "rpc.queue_rejects";
     cn_retrans = get "rpc.retransmits";
     cn_mean_wait =
@@ -1172,7 +1172,7 @@ let trace_dump () =
   match Backend.discfs_deploy b with
   | None -> failwith "trace: discfs backend has no deployment"
   | Some d ->
-    let trace = d.Discfs.Deploy.trace in
+    let trace = Discfs.Cluster.trace d in
     Trace.reset trace;
     ignore (Search.run b);
     List.iter (fun s -> print_endline (Trace.span_to_jsonl s)) (Trace.spans trace);
@@ -1590,23 +1590,23 @@ let micro_tests () =
     Ipsec.Sa.create ~clock ~cost:Simnet.Cost.default ~stats ~spi:9 ~key:(String.make 32 'k') ()
   in
   let d = Discfs.Deploy.make ~seed:"micro-deploy" ~cache_size:128 () in
-  let bob = Discfs.Deploy.new_identity d in
+  let bob = Discfs.Cluster.new_identity d in
   let client = Discfs.Deploy.attach d ~identity:bob () in
   let root = Discfs.Client.root client in
   (match
      Discfs.Client.submit_credential client
-       (Discfs.Deploy.admin_issue d
+       (Discfs.Cluster.admin_issue d
           ~licensees:(Printf.sprintf "\"%s\"" (Discfs.Client.principal client))
           ~conditions:"app_domain == \"DisCFS\" -> \"RWX\";" ())
    with
   | Ok _ -> ()
   | Error e -> failwith e);
   let peer = Discfs.Client.principal client in
-  let server = d.Discfs.Deploy.server in
+  let server = Discfs.Deploy.server d in
   let cache = Discfs.Server.cache server in
   (* Warm the cache for the hot-path test. *)
   ignore (Discfs.Server.query_level server ~peer ~ino:root.Nfs.Proto.ino);
-  let link = d.Discfs.Deploy.link in
+  let link = Discfs.Deploy.link d in
   let ike_drbg = Dcrypto.Drbg.create ~seed:"micro-ike" in
   let responder = Dcrypto.Dsa.generate_key ike_drbg in
   let open Bechamel in

@@ -70,12 +70,12 @@ let demo seed =
   let d = Discfs.Deploy.make ~seed () in
   say "== DisCFS demonstration (deterministic seed %S) ==@." seed;
   say "1. Server deployed. Policy trusts the administrator key %s..."
-    (String.sub (Discfs.Deploy.admin_principal d) 0 30);
+    (String.sub (Discfs.Cluster.admin_principal d) 0 30);
 
-  let bob = Discfs.Deploy.new_identity d in
+  let bob = Discfs.Cluster.new_identity d in
   let client = Discfs.Deploy.attach d ~identity:bob ~uid:100 () in
   say "2. Bob attaches. IKE authenticated both ends in %.0f ms of virtual time;"
-    (Simnet.Clock.now d.Discfs.Deploy.clock *. 1000.);
+    (Simnet.Clock.now (Discfs.Cluster.clock d) *. 1000.);
   say "   the server now binds this connection to Bob's key %s..."
     (String.sub (Discfs.Client.principal client) 0 30);
 
@@ -88,7 +88,7 @@ let demo seed =
   | _ -> ());
 
   let cred =
-    Discfs.Deploy.admin_issue d
+    Discfs.Cluster.admin_issue d
       ~licensees:(Printf.sprintf "\"%s\"" (Discfs.Client.principal client))
       ~conditions:
         (Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"RWX\";"
@@ -109,17 +109,17 @@ let demo seed =
   let _, data = Nfs.Client.read (Discfs.Client.nfs client) fh ~off:0 ~count:64 in
   say "7. Write + read back: %S" data;
 
-  let mallory = Discfs.Deploy.attach d ~identity:(Discfs.Deploy.new_identity d) ~uid:666 () in
+  let mallory = Discfs.Deploy.attach d ~identity:(Discfs.Cluster.new_identity d) ~uid:666 () in
   (match Nfs.Client.read (Discfs.Client.nfs mallory) fh ~off:0 ~count:4 with
   | exception Nfs.Proto.Nfs_error s ->
     say "8. A second user without credentials is refused: %s" (Nfs.Proto.status_to_string s)
   | _ -> failwith "unexpected grant");
 
-  say "@.-- statistics (virtual time %.3f s) --" (Simnet.Clock.now d.Discfs.Deploy.clock);
+  say "@.-- statistics (virtual time %.3f s) --" (Simnet.Clock.now (Discfs.Cluster.clock d));
   List.iter
     (fun (k, v) -> say "   %-24s %d" k v)
-    (Simnet.Stats.to_list d.Discfs.Deploy.stats);
-  let cache = Discfs.Server.cache d.Discfs.Deploy.server in
+    (Simnet.Stats.to_list (Discfs.Cluster.stats d));
+  let cache = Discfs.Server.cache (Discfs.Deploy.server d) in
   say "   %-24s %d hits / %d misses" "policy cache"
     (Discfs.Policy_cache.hits cache) (Discfs.Policy_cache.misses cache);
   0
@@ -214,13 +214,13 @@ let snapshot seed out =
   (* Run a small deployment and dump its volume to a real disk image
      file, for fsck below. *)
   let d = Discfs.Deploy.make ~seed () in
-  let admin = Discfs.Deploy.attach d ~identity:d.Discfs.Deploy.admin ~uid:0 () in
+  let admin = Discfs.Deploy.attach d ~identity:(Discfs.Cluster.admin_identity d) ~uid:0 () in
   let root = Discfs.Client.root admin in
   let docs, _, _ = Discfs.Client.mkdir admin ~dir:root "docs" () in
   let fh, _, _ = Discfs.Client.create admin ~dir:docs "paper.tex" () in
   Nfs.Client.write_all (Discfs.Client.nfs admin) fh
     "\\title{Secure and Flexible Global File Sharing}\n";
-  write_file out (Ffs.Fs.save d.Discfs.Deploy.fs);
+  write_file out (Ffs.Fs.save (Discfs.Cluster.fs d));
   say "wrote volume image to %s" out;
   0
 
@@ -232,53 +232,63 @@ let snapshot_cmd =
 
 let fsck image_path =
   let image = read_file image_path in
-  (* Geometry lives right after the magic in the image header. *)
-  let d = Xdr.Dec.of_string image in
-  (match Xdr.Dec.string d with
-  | "DISCFS-FFS-IMAGE-1" -> ()
-  | _ | (exception Xdr.Decode_error _) ->
+  let not_an_image () =
     prerr_endline "not a DisCFS volume image";
-    exit 2);
-  let block_size = Xdr.Dec.uint32 d in
-  let nblocks = Xdr.Dec.uint32 d in
-  let clock = Simnet.Clock.create () in
-  let stats = Simnet.Stats.create () in
-  let dev =
-    Ffs.Blockdev.create ~clock ~cost:Simnet.Cost.local_only ~stats ~nblocks ~block_size ()
+    2
   in
-  match Ffs.Fs.load ~dev image with
-  | exception Ffs.Fs.Bad_image m ->
+  let corrupt m =
     Printf.eprintf "corrupt image: %s\n" m;
     2
-  | fs ->
-    let s = Ffs.Fs.statfs fs in
-    say "volume: %d blocks x %d B (%d free), %d inodes (%d free)" s.Ffs.Fs.f_total_blocks
-      block_size s.Ffs.Fs.f_free_blocks s.Ffs.Fs.f_total_inodes s.Ffs.Fs.f_free_inodes;
-    let files = ref 0 and dirs = ref 0 and bytes = ref 0 in
-    let rec walk ino depth =
-      List.iter
-        (fun (name, child) ->
-          if name <> "." && name <> ".." then begin
-            let attr = Ffs.Fs.getattr fs child in
-            say "%s%-30s %6d B  ino %d gen %d"
-              (String.make (depth * 2) ' ')
-              name attr.Ffs.Inode.a_size child attr.Ffs.Inode.a_gen;
-            match attr.Ffs.Inode.a_kind with
-            | Ffs.Inode.Dir ->
-              incr dirs;
-              walk child (depth + 1)
-            | Ffs.Inode.Reg ->
-              incr files;
-              bytes := !bytes + attr.Ffs.Inode.a_size;
-              (* Verify every block is readable. *)
-              ignore (Ffs.Fs.read fs child ~off:0 ~len:attr.Ffs.Inode.a_size)
-            | Ffs.Inode.Symlink -> ignore (Ffs.Fs.readlink fs child)
-          end)
-        (Ffs.Fs.readdir fs ino)
-    in
-    walk (Ffs.Fs.root fs) 0;
-    say "clean: %d dirs, %d files, %d bytes verified readable" !dirs !files !bytes;
-    0
+  in
+  let d = Xdr.Dec.of_string image in
+  match Xdr.Dec.string d with
+  | exception Xdr.Decode_error _ -> not_an_image ()
+  | magic when magic <> "DISCFS-FFS-IMAGE-1" -> not_an_image ()
+  | _ -> (
+    (* Geometry lives right after the magic in the image header. *)
+    match
+      let block_size = Xdr.Dec.uint32 d in
+      let nblocks = Xdr.Dec.uint32 d in
+      if block_size = 0 || nblocks = 0 then
+        raise (Ffs.Fs.Bad_image (Printf.sprintf "geometry %d x %d B" nblocks block_size));
+      let clock = Simnet.Clock.create () in
+      let stats = Simnet.Stats.create () in
+      let dev =
+        Ffs.Blockdev.create ~clock ~cost:Simnet.Cost.local_only ~stats ~nblocks ~block_size ()
+      in
+      (block_size, Ffs.Fs.load ~dev image)
+    with
+    | exception Xdr.Decode_error m -> corrupt ("header: " ^ m)
+    | exception (Ffs.Fs.Bad_image m | Invalid_argument m) -> corrupt m
+    | block_size, fs ->
+      let s = Ffs.Fs.statfs fs in
+      say "volume: %d blocks x %d B (%d free), %d inodes (%d free)" s.Ffs.Fs.f_total_blocks
+        block_size s.Ffs.Fs.f_free_blocks s.Ffs.Fs.f_total_inodes s.Ffs.Fs.f_free_inodes;
+      let files = ref 0 and dirs = ref 0 and bytes = ref 0 in
+      let rec walk ino depth =
+        List.iter
+          (fun (name, child) ->
+            if name <> "." && name <> ".." then begin
+              let attr = Ffs.Fs.getattr fs child in
+              say "%s%-30s %6d B  ino %d gen %d"
+                (String.make (depth * 2) ' ')
+                name attr.Ffs.Inode.a_size child attr.Ffs.Inode.a_gen;
+              match attr.Ffs.Inode.a_kind with
+              | Ffs.Inode.Dir ->
+                incr dirs;
+                walk child (depth + 1)
+              | Ffs.Inode.Reg ->
+                incr files;
+                bytes := !bytes + attr.Ffs.Inode.a_size;
+                (* Verify every block is readable. *)
+                ignore (Ffs.Fs.read fs child ~off:0 ~len:attr.Ffs.Inode.a_size)
+              | Ffs.Inode.Symlink -> ignore (Ffs.Fs.readlink fs child)
+            end)
+          (Ffs.Fs.readdir fs ino)
+      in
+      walk (Ffs.Fs.root fs) 0;
+      say "clean: %d dirs, %d files, %d bytes verified readable" !dirs !files !bytes;
+      0)
 
 let fsck_cmd =
   let image = Arg.(required & pos 0 (some file) None & info [] ~docv:"IMAGE") in

@@ -7,6 +7,7 @@
    Run with: dune exec examples/cvs_repository.exe *)
 
 module Deploy = Discfs.Deploy
+module Cluster = Discfs.Cluster
 module Client = Discfs.Client
 module Assertion = Keynote.Assertion
 module Proto = Nfs.Proto
@@ -20,12 +21,12 @@ let () =
   let d = Deploy.make ~seed:"cvs" () in
 
   (* Miltchev owns the repository. *)
-  let owner_key = Deploy.new_identity d in
+  let owner_key = Cluster.new_identity d in
   let owner = Deploy.attach d ~identity:owner_key ~uid:100 () in
   let root = Client.root owner in
   (match
      Client.submit_credential owner
-       (Deploy.admin_issue d
+       (Cluster.admin_issue d
           ~licensees:(Printf.sprintf "\"%s\"" (Client.principal owner))
           ~conditions:(grant root "RWX") ())
    with
@@ -42,10 +43,10 @@ let () =
   let author_clients =
     List.mapi
       (fun i name ->
-        let key = Deploy.new_identity d in
+        let key = Cluster.new_identity d in
         let c = Deploy.attach d ~identity:key ~uid:(200 + i) () in
         let cred =
-          Assertion.issue ~key:owner_key ~drbg:d.Deploy.drbg
+          Assertion.issue ~key:owner_key ~drbg:(Cluster.drbg d)
             ~licensees:(Printf.sprintf "\"%s\"" (Client.principal c))
             ~conditions:(grant repo "RWX" ^ "\n\t" ^ grant paper "RW")
             ~comment:(Printf.sprintf "cvs access for %s" name) ()
@@ -76,7 +77,7 @@ let () =
 
   (* The failure the paper describes is gone: a stranger on the same
      server gets nothing, because nothing was made world-writable. *)
-  let stranger = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:666 () in
+  let stranger = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:666 () in
   (match Nfs.Client.read (Client.nfs stranger) paper ~off:0 ~count:4 with
   | exception Proto.Nfs_error s -> say "stranger refused: %s" (Proto.status_to_string s)
   | _ -> failwith "stranger should be refused");

@@ -7,6 +7,7 @@
    Run with: dune exec examples/office_hours.exe *)
 
 module Deploy = Discfs.Deploy
+module Cluster = Discfs.Cluster
 module Client = Discfs.Client
 module Proto = Nfs.Proto
 
@@ -16,7 +17,7 @@ let () =
   (* The simulated wall clock hour is adjustable from the outside. *)
   let hour = ref 9 in
   let d = Deploy.make ~seed:"office-hours" ~hour:(fun () -> !hour) () in
-  let admin = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
+  let admin = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = Client.root admin in
 
   (* Two files: one for work, one decidedly not. *)
@@ -25,9 +26,9 @@ let () =
   let games, _, _ = Client.create admin ~dir:root "adventure-walkthrough.txt" () in
   Nfs.Client.write_all (Client.nfs admin) games "XYZZY. Then head north.\n";
 
-  let employee = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:300 () in
+  let employee = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:300 () in
   let cred =
-    Deploy.admin_issue d
+    Cluster.admin_issue d
       ~licensees:(Printf.sprintf "\"%s\"" (Client.principal employee))
       ~conditions:
         (Printf.sprintf
@@ -51,7 +52,7 @@ let () =
     (* The policy cache memoises per-handle results; a real deployment
        flushes it on policy-relevant environment changes (the paper's
        prototype simply kept cached results briefly). *)
-    Discfs.Policy_cache.flush (Discfs.Server.cache d.Deploy.server);
+    Discfs.Policy_cache.flush (Discfs.Server.cache (Deploy.server d));
     try_read "quarterly-report.txt" report;
     try_read "adventure-walkthrough.txt" games
   in

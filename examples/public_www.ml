@@ -11,6 +11,7 @@
    Run with: dune exec examples/public_www.exe *)
 
 module Deploy = Discfs.Deploy
+module Cluster = Discfs.Cluster
 module Client = Discfs.Client
 module Proto = Nfs.Proto
 
@@ -18,7 +19,7 @@ let say fmt = Format.printf (fmt ^^ "@.")
 
 let () =
   let d = Deploy.make ~seed:"public-www" () in
-  let admin = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
+  let admin = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = Client.root admin in
 
   (* The site content: a public area and a private area. *)
@@ -32,14 +33,14 @@ let () =
 
   (* The published guest identity — the key pair itself is posted on
      the website, like the 'anonymous' password convention. *)
-  let guest_key = Deploy.new_identity d in
+  let guest_key = Cluster.new_identity d in
   let guest_principal = Keynote.Assertion.principal_of_pub guest_key.Dcrypto.Dsa.pub in
   say "Site publishes a guest key (%s...)." (String.sub guest_principal 0 28);
 
   (* One administrative act, ever: guest may read the public subtree.
      The PATH-based condition covers pages added later, too. *)
   let guest_cred =
-    Deploy.admin_issue d
+    Cluster.admin_issue d
       ~licensees:(Printf.sprintf "\"%s\"" guest_principal)
       ~conditions:"(app_domain == \"DisCFS\") && (PATH ~= \"^/public(/|$)\") -> \"RX\";"
       ~comment:"world-readable web area" ()

@@ -8,6 +8,7 @@
    Run with: dune exec examples/quickstart.exe *)
 
 module Deploy = Discfs.Deploy
+module Cluster = Discfs.Cluster
 module Client = Discfs.Client
 module Assertion = Keynote.Assertion
 
@@ -18,15 +19,15 @@ let () =
      name machines after their users here) with an administrator. *)
   let d = Deploy.make ~seed:"quickstart" () in
   say "DisCFS server up; administrator key %s..."
-    (String.sub (Deploy.admin_principal d) 0 28);
+    (String.sub (Cluster.admin_principal d) 0 28);
 
   (* Bob is an internal user: the administrator delegates the root
      directory to him. *)
-  let bob_key = Deploy.new_identity d in
+  let bob_key = Cluster.new_identity d in
   let bob = Deploy.attach d ~identity:bob_key ~uid:100 () in
   let root = Client.root bob in
   let bob_cred =
-    Deploy.admin_issue d
+    Cluster.admin_issue d
       ~licensees:(Printf.sprintf "\"%s\"" (Client.principal bob))
       ~conditions:
         (Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"RWX\";"
@@ -48,7 +49,7 @@ let () =
 
   (* Alice is EXTERNAL: no account, unknown to the server. Bob issues
      her a read-only credential — no administrator involved. *)
-  let alice_key = Deploy.new_identity d in
+  let alice_key = Cluster.new_identity d in
   let alice = Deploy.attach d ~identity:alice_key ~uid:2001 () in
   say "Alice attached; server only sees her public key %s..."
     (String.sub (Client.principal alice) 0 28);
@@ -58,7 +59,7 @@ let () =
   say "Before credentials, Alice sees paper.tex as mode %03o" (attr.Nfs.Proto.mode land 0o777);
 
   let for_alice =
-    Assertion.issue ~key:bob_key ~drbg:d.Deploy.drbg
+    Assertion.issue ~key:bob_key ~drbg:(Cluster.drbg d)
       ~licensees:(Printf.sprintf "\"%s\"" (Client.principal alice))
       ~conditions:
         (Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"R\";"
@@ -85,7 +86,7 @@ let () =
   | _ -> failwith "write should have been denied");
 
   (* The server logged who did what, by key. *)
-  let log = Discfs.Server.audit_log d.Deploy.server in
+  let log = Discfs.Server.audit_log (Deploy.server d) in
   say "@.Server audit trail (%d entries), most recent first:" (List.length log);
   List.iteri
     (fun i e ->

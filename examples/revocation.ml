@@ -8,6 +8,7 @@
    Run with: dune exec examples/revocation.exe *)
 
 module Deploy = Discfs.Deploy
+module Cluster = Discfs.Cluster
 module Client = Discfs.Client
 module Assertion = Keynote.Assertion
 module Proto = Nfs.Proto
@@ -21,23 +22,23 @@ let must = function Ok _ -> () | Error e -> failwith e
 
 let () =
   let d = Deploy.make ~seed:"revocation" () in
-  let admin = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
+  let admin = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = Client.root admin in
   let plans, _, _ = Client.create admin ~dir:root "plans.txt" () in
   Nfs.Client.write_all (Client.nfs admin) plans "The five-year plan.\n";
 
   (* Contractor gets RW; contractor delegates R to a subcontractor. *)
-  let contractor_key = Deploy.new_identity d in
+  let contractor_key = Cluster.new_identity d in
   let contractor = Deploy.attach d ~identity:contractor_key ~uid:400 () in
   let c_cred =
-    Deploy.admin_issue d
+    Cluster.admin_issue d
       ~licensees:(Printf.sprintf "\"%s\"" (Client.principal contractor))
       ~conditions:(grant plans "RW") ~comment:"contractor access" ()
   in
   must (Client.submit_credential contractor c_cred);
-  let sub = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:401 () in
+  let sub = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:401 () in
   let s_cred =
-    Assertion.issue ~key:contractor_key ~drbg:d.Deploy.drbg
+    Assertion.issue ~key:contractor_key ~drbg:(Cluster.drbg d)
       ~licensees:(Printf.sprintf "\"%s\"" (Client.principal sub))
       ~conditions:(grant plans "R") ~comment:"subcontractor read" ()
   in
@@ -83,12 +84,12 @@ let () =
   say "@.-- alternative: short-lived credentials via an expiry condition";
   let hour = ref 10 in
   let d2 = Deploy.make ~seed:"expiry" ~hour:(fun () -> !hour) () in
-  let admin2 = Deploy.attach d2 ~identity:d2.Deploy.admin ~uid:0 () in
+  let admin2 = Deploy.attach d2 ~identity:(Cluster.admin_identity d2) ~uid:0 () in
   let f, _, _ = Client.create admin2 ~dir:(Client.root admin2) "temp.txt" () in
   Nfs.Client.write_all (Client.nfs admin2) f "temporary";
-  let visitor = Deploy.attach d2 ~identity:(Deploy.new_identity d2) ~uid:500 () in
+  let visitor = Deploy.attach d2 ~identity:(Cluster.new_identity d2) ~uid:500 () in
   let day_pass =
-    Deploy.admin_issue d2
+    Cluster.admin_issue d2
       ~licensees:(Printf.sprintf "\"%s\"" (Client.principal visitor))
       ~conditions:
         (Printf.sprintf
@@ -100,7 +101,7 @@ let () =
   ignore (Nfs.Client.read (Client.nfs visitor) f ~off:0 ~count:4);
   say "   10:00 visitor reads fine";
   hour := 18;
-  Discfs.Policy_cache.flush (Discfs.Server.cache d2.Deploy.server);
+  Discfs.Policy_cache.flush (Discfs.Server.cache (Deploy.server d2));
   (match Nfs.Client.read (Client.nfs visitor) f ~off:0 ~count:4 with
   | exception Proto.Nfs_error s -> say "   18:00 day pass expired: %s" (Proto.status_to_string s)
   | _ -> failwith "expired pass still grants");

@@ -7,6 +7,7 @@
    Run with: dune exec examples/sales_delegation.exe *)
 
 module Deploy = Discfs.Deploy
+module Cluster = Discfs.Cluster
 module Client = Discfs.Client
 module Assertion = Keynote.Assertion
 module Proto = Nfs.Proto
@@ -21,10 +22,10 @@ let () =
 
   (* One-time administrator action: delegate the corporate tree root
      to Bob. After this the administrators are out of the loop. *)
-  let bob_key = Deploy.new_identity d in
+  let bob_key = Cluster.new_identity d in
   let bob = Deploy.attach d ~identity:bob_key ~uid:100 () in
   let root = Client.root bob in
-  let to_bob = Deploy.admin_issue d
+  let to_bob = Cluster.admin_issue d
       ~licensees:(Printf.sprintf "\"%s\"" (Client.principal bob))
       ~conditions:(handle_grant root "RWX") ~comment:"corporate tree -> Bob (sales)" ()
   in
@@ -44,7 +45,7 @@ let () =
      with a credential. Nothing is configured on the server. *)
   let clients =
     List.init 10 (fun i ->
-        let key = Deploy.new_identity d in
+        let key = Cluster.new_identity d in
         let c = Deploy.attach d ~identity:key ~uid:(5000 + i) () in
         (Printf.sprintf "client-%02d" i, key, c))
   in
@@ -60,7 +61,7 @@ let () =
           dir_fh.Proto.ino brochure.Proto.ino specs.Proto.ino
       in
       let cred =
-        Assertion.issue ~key:bob_key ~drbg:d.Deploy.drbg
+        Assertion.issue ~key:bob_key ~drbg:(Cluster.drbg d)
           ~licensees:(Printf.sprintf "\"%s\"" (Client.principal c))
           ~conditions ~comment:("product-x access for " ^ name) ()
       in
@@ -87,7 +88,7 @@ let () =
   (match Nfs.Client.write (Client.nfs first_client) brochure ~off:0 "defaced" with
   | exception Proto.Nfs_error s -> say "client write refused: %s" (Proto.status_to_string s)
   | _ -> failwith "client write should fail");
-  let outsider = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:9999 () in
+  let outsider = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:9999 () in
   (match Nfs.Client.read (Client.nfs outsider) brochure ~off:0 ~count:4 with
   | exception Proto.Nfs_error s -> say "outsider read refused: %s" (Proto.status_to_string s)
   | _ -> failwith "outsider read should fail");
@@ -95,9 +96,9 @@ let () =
   (* A client delegates to a colleague — capability-style sharing,
      still with no server configuration. *)
   let _, c0_key, _ = List.hd clients in
-  let colleague = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:5100 () in
+  let colleague = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:5100 () in
   let sub_delegation =
-    Assertion.issue ~key:c0_key ~drbg:d.Deploy.drbg
+    Assertion.issue ~key:c0_key ~drbg:(Cluster.drbg d)
       ~licensees:(Printf.sprintf "\"%s\"" (Client.principal colleague))
       ~conditions:(handle_grant brochure "R") ~comment:"fwd: brochure" ()
   in

@@ -10,6 +10,7 @@
    Run with: dune exec examples/two_servers.exe *)
 
 module Deploy = Discfs.Deploy
+module Cluster = Discfs.Cluster
 module Client = Discfs.Client
 module Proto = Nfs.Proto
 
@@ -26,16 +27,16 @@ let () =
   let penn = Deploy.make ~seed:"upenn.edu" () in
   let cam = Deploy.make ~seed:"cam.ac.uk" () in
   say "Two servers, two administrative domains:";
-  say "  upenn.edu   admin %s..." (String.sub (Deploy.admin_principal penn) 0 26);
-  say "  cam.ac.uk   admin %s..." (String.sub (Deploy.admin_principal cam) 0 26);
+  say "  upenn.edu   admin %s..." (String.sub (Cluster.admin_principal penn) 0 26);
+  say "  cam.ac.uk   admin %s..." (String.sub (Cluster.admin_principal cam) 0 26);
 
   (* The traveling researcher has ONE key pair. *)
-  let researcher = Deploy.new_identity penn in
+  let researcher = Cluster.new_identity penn in
   say "Researcher generates one key pair; no account exists anywhere.";
 
   (* Each domain hosts a paper draft. *)
   let setup d name text =
-    let admin = Deploy.attach d ~identity:d.Discfs.Deploy.admin ~uid:0 () in
+    let admin = Deploy.attach d ~identity:(Discfs.Cluster.admin_identity d) ~uid:0 () in
     let fh, _, _ = Client.create admin ~dir:(Client.root admin) name () in
     Nfs.Client.write_all (Client.nfs admin) fh text;
     fh
@@ -52,12 +53,12 @@ let () =
      independently, using only the researcher's public key. *)
   must
     (Client.submit_credential at_penn
-       (Deploy.admin_issue penn
+       (Cluster.admin_issue penn
           ~licensees:(Printf.sprintf "\"%s\"" (Client.principal at_penn))
           ~conditions:(grant penn_file "RW") ~comment:"penn collaboration" ()));
   must
     (Client.submit_credential at_cam
-       (Deploy.admin_issue cam
+       (Cluster.admin_issue cam
           ~licensees:(Printf.sprintf "\"%s\"" (Client.principal at_cam))
           ~conditions:(grant cam_file "R") ~comment:"cam visitor, read only" ()));
   say "Each domain issued its own credential; no NIS, no realm merging,";
@@ -79,7 +80,7 @@ let () =
   (* Credentials do not leak across domains: the Penn credential is
      useless at Cambridge (different policy roots, different handles). *)
   let penn_cred =
-    Deploy.admin_issue penn
+    Cluster.admin_issue penn
       ~licensees:(Printf.sprintf "\"%s\"" (Client.principal at_penn))
       ~conditions:(grant cam_file "RWX") ~comment:"confused deputy attempt" ()
   in

@@ -151,9 +151,13 @@ let cfs_ne ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192) () =
 
 (* --- DisCFS ------------------------------------------------------------ *)
 
-(* Deployments are remembered by their (physically unique) clock so
-   ablation benches can reach cache statistics. *)
-let deployments : (Clock.t * Discfs.Deploy.t) list ref = ref []
+(* DisCFS testbeds are remembered by their (physically unique) clock
+   so ablation benches and tests can reach what sits behind the
+   uniform surface. *)
+type testbed = Single of Discfs.Deploy.t | Sharded of Discfs.Cluster.t * Discfs.Cluster_client.t
+
+let testbeds : (Clock.t * testbed) list ref = ref []
+let testbed t = List.find_opt (fun (clock, _) -> clock == t.clock) !testbeds |> Option.map snd
 let attr_caches : (Clock.t * Nfs.Cache.t) list ref = ref []
 
 let discfs ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192) ?(cache_size = 128)
@@ -163,23 +167,23 @@ let discfs ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192) ?(cache_siz
     Discfs.Deploy.make ~nblocks ~block_size ~ninodes ~cache_size ?cache_blocks ?readahead
       ?fault ?tracing ()
   in
-  let bob = Discfs.Deploy.new_identity d in
+  let bob = Discfs.Cluster.new_identity d in
   let client = Discfs.Deploy.attach d ~identity:bob ?cipher ?retry () in
   (* The administrator grants the benchmark user full rights over the
      volume, as the paper's evaluation setup does implicitly. *)
   let cred =
-    Discfs.Deploy.admin_issue d
+    Discfs.Cluster.admin_issue d
       ~licensees:(Printf.sprintf "\"%s\"" (Discfs.Client.principal client))
       ~conditions:"app_domain == \"DisCFS\" -> \"RWX\";" ~comment:"benchmark user" ()
   in
   (match Discfs.Client.submit_credential client cred with
   | Ok _ -> ()
   | Error e -> failwith ("credential submission failed: " ^ e));
-  deployments := (d.Discfs.Deploy.clock, d) :: !deployments;
+  testbeds := (Discfs.Cluster.clock d, Single d) :: !testbeds;
   let nfs = Discfs.Client.nfs client in
   let ops =
-    remote_ops ~label:"DisCFS" ~clock:d.Discfs.Deploy.clock ~stats:d.Discfs.Deploy.stats
-      ~cost:Cost.default ~fs:d.Discfs.Deploy.fs ~nfs
+    remote_ops ~label:"DisCFS" ~clock:(Discfs.Cluster.clock d) ~stats:(Discfs.Cluster.stats d)
+      ~cost:Cost.default ~fs:(Discfs.Cluster.fs d) ~nfs
       ~root:(Fh (Discfs.Client.root client))
   in
   if not attr_cache then ops
@@ -187,11 +191,13 @@ let discfs ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192) ?(cache_siz
     (* Route name resolution and reads through the client-side NFS
        cache: repeated lookups within the TTL skip the wire (and the
        server's policy check) entirely. *)
-    let cache = Nfs.Cache.create ~client:nfs ~clock:d.Discfs.Deploy.clock ?attr_ttl ?name_ttl () in
-    Nfs.Cache.set_trace cache d.Discfs.Deploy.trace;
-    Nfs.Cache.set_race cache (Discfs.Deploy.race_monitor d "nfs.cache");
-    attr_caches := (d.Discfs.Deploy.clock, cache) :: !attr_caches;
-    let syscall () = Clock.advance d.Discfs.Deploy.clock Cost.default.Cost.syscall in
+    let cache =
+      Nfs.Cache.create ~client:nfs ~clock:(Discfs.Cluster.clock d) ?attr_ttl ?name_ttl ()
+    in
+    Nfs.Cache.set_trace cache (Discfs.Cluster.trace d);
+    Nfs.Cache.set_race cache (Discfs.Cluster.race_monitor d "nfs.cache");
+    attr_caches := (Discfs.Cluster.clock d, cache) :: !attr_caches;
+    let syscall () = Clock.advance (Discfs.Cluster.clock d) Cost.default.Cost.syscall in
     let to_fh fs = function
       | Fh fh -> fh
       | Ino ino -> { Proto.ino; gen = Ffs.Fs.generation fs ino }
@@ -245,8 +251,6 @@ let discfs ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192) ?(cache_siz
 
 (* --- DisCFS cluster --------------------------------------------------- *)
 
-let clusters : (Clock.t * (Discfs.Cluster.t * Discfs.Cluster_client.t)) list ref = ref []
-
 (* The sharded server set behind the same uniform surface: ops route
    by handle through the cluster client (owner for mutations, owner
    or leased replica for reads, home frontend for metadata), so a
@@ -271,7 +275,7 @@ let discfs_cluster ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192)
   | Error e -> failwith ("credential submission failed: " ^ e));
   let clock = Discfs.Cluster.clock cluster in
   let fs = Discfs.Cluster.fs cluster in
-  clusters := (clock, (cluster, cc)) :: !clusters;
+  testbeds := (clock, Sharded (cluster, cc)) :: !testbeds;
   let syscall () = Clock.advance clock Cost.default.Cost.syscall in
   let to_fh = function
     | Fh fh -> fh
@@ -342,11 +346,8 @@ let discfs_cluster ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192)
         Discfs.Cluster_client.remove cc (to_fh dir) name);
   }
 
-let discfs_deploy t =
-  List.find_opt (fun (clock, _) -> clock == t.clock) !deployments |> Option.map snd
-
-let discfs_cluster_parts t =
-  List.find_opt (fun (clock, _) -> clock == t.clock) !clusters |> Option.map snd
+let discfs_deploy t = match testbed t with Some (Single d) -> Some d | _ -> None
+let discfs_cluster_parts t = match testbed t with Some (Sharded (c, cc)) -> Some (c, cc) | _ -> None
 
 let discfs_attr_cache t =
   List.find_opt (fun (clock, _) -> clock == t.clock) !attr_caches |> Option.map snd

@@ -50,6 +50,7 @@ type t = {
   workers : int option;
   queue_depth : int;
   lease_duration : float;
+  race : Race.ctx option;
 }
 
 let clock t = t.clock
@@ -62,6 +63,12 @@ let fs t = t.fs
 let map t = t.map
 let nservers t = Array.length t.nodes
 let lease_duration t = t.lease_duration
+let dev t = t.dev
+let drbg t = t.drbg
+let race_ctx t = t.race
+
+let race_monitor t name =
+  match t.race with None -> Race.null | Some ctx -> Race.monitor ctx name
 
 let node t i =
   if i < 0 || i >= Array.length t.nodes then invalid_arg "Cluster.node: no such server";
@@ -281,7 +288,16 @@ let handle_cluster t node ~(conn : Rpc.conn_info) ~proc ~args =
   end
   else Error Rpc.Proc_unavail
 
+(* A node's process-local shared structures (duplicate-request cache,
+   in-flight coalescing map, policy cache) are fresh objects in every
+   incarnation, so their race monitors are (re)attached here. *)
 let wire_node t node =
+  (match t.race with
+  | None -> ()
+  | Some ctx ->
+    Rpc.set_race node.n_rpc ~drc:(Race.monitor ctx "drc")
+      ~in_flight:(Race.monitor ctx "rpc.inflight");
+    Policy_cache.set_race (Server.cache node.n_server) (Race.monitor ctx "policy"));
   Server.attach_rpc node.n_server node.n_rpc;
   Rpc.register node.n_rpc ~prog:cluster_prog ~vers:cluster_vers (fun ~conn ~proc ~args ->
       handle_cluster t node ~conn ~proc ~args);
@@ -353,10 +369,29 @@ let note_write t ~ino =
 let default_queue_depth = 64
 let default_nshards = 32
 
+(* One incarnation of a frontend process: a fresh RPC endpoint on the
+   shared clock (and worker pool, when concurrent) and a fresh DisCFS
+   server over the shared volume. Construction and crash recovery both
+   boot through these. *)
+let boot_rpc t =
+  let rpc = Rpc.server ~clock:t.clock ~cost:t.cost ~stats:t.stats in
+  Rpc.set_trace rpc t.trace;
+  Rpc.set_metrics rpc (Some t.metrics);
+  (match (t.sched, t.workers) with
+  | Some sched, Some w -> Rpc.set_pool rpc ~sched ~workers:w ~queue_depth:t.queue_depth
+  | _ -> ());
+  rpc
+
+let boot_server t ~keys i ~label =
+  Server.create ~fs:t.fs ~admin:t.admin.Dsa.pub ~server_key:keys.(i)
+    ~drbg:(Drbg.fork t.drbg ~label) ~cache_size:t.cache_size
+    ~extra_policy:(extra_policy_for keys i) ?hour:t.hour ?strict_handles:t.strict_handles ()
+
 let make ?(cost = Cost.default) ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192)
     ?(cache_size = 128) ?(cache_blocks = 0) ?readahead ?hour ?strict_handles
-    ?(seed = "discfs-cluster") ?(tracing = false) ?workers ?(queue_depth = default_queue_depth)
-    ?switch_latency ?(nshards = default_nshards) ?(lease_duration = 3600.) ~servers () =
+    ?(seed = "discfs-cluster") ?fault ?(tracing = false) ?workers
+    ?(queue_depth = default_queue_depth) ?(racecheck = false) ?tie_seed ?switch_latency
+    ?(nshards = default_nshards) ?(lease_duration = 3600.) ~servers () =
   if servers < 1 then invalid_arg "Cluster.make: servers < 1";
   let clock = Clock.create () in
   let stats = Stats.create () in
@@ -370,6 +405,10 @@ let make ?(cost = Cost.default) ?(nblocks = 16384) ?(block_size = 8192) ?(ninode
     Ffs.Blockdev.create ~cache_blocks ?readahead ~clock ~cost ~stats ~nblocks ~block_size ()
   in
   Ffs.Blockdev.set_trace dev trace;
+  (* One injector for every wire and the disk: hosts added below
+     inherit the topology's. *)
+  Topo.set_fault topo fault;
+  Ffs.Blockdev.set_fault dev fault;
   let fs = Ffs.Fs.create ~dev ~ninodes in
   let drbg = Drbg.create ~seed in
   let admin = Dsa.generate_key drbg in
@@ -377,44 +416,39 @@ let make ?(cost = Cost.default) ?(nblocks = 16384) ?(block_size = 8192) ?(ninode
      every principal before any server exists, and pinning the DRBG
      order keeps the whole construction deterministic. *)
   let keys = Array.init servers (fun _ -> Dsa.generate_key drbg) in
+  (* A worker count turns the cluster concurrent: a scheduler owns the
+     clock and every frontend's RPC server runs a bounded queue.
+     Serial clusters get no scheduler. *)
   let sched =
     match workers with
     | None -> None
     | Some _ ->
       let sched = Simnet.Sched.create ~clock in
       Simnet.Sched.attach_clock sched;
+      Simnet.Sched.set_tie_seed sched tie_seed;
       Some sched
   in
-  let make_rpc () =
-    let rpc = Rpc.server ~clock ~cost ~stats in
-    Rpc.set_trace rpc trace;
-    Rpc.set_metrics rpc (Some metrics);
-    (match (sched, workers) with
-    | Some sched, Some w -> Rpc.set_pool rpc ~sched ~workers:w ~queue_depth
-    | _ -> ());
-    rpc
+  (* Race checking needs a scheduler (pids and yield epochs come from
+     it); a serial cluster has no interleaving to check. *)
+  let race =
+    match (racecheck, sched) with
+    | true, Some sched ->
+      Some
+        (Race.create
+           ~pid:(fun () -> Simnet.Sched.current_pid sched)
+           ~epoch:(fun () -> Simnet.Sched.events_run sched)
+           ~annotate:(fun () -> Trace.current trace)
+           ())
+    | _ -> None
   in
-  let nodes =
-    Array.init servers (fun i ->
-        let host = Topo.add_host ~name:(Printf.sprintf "server%d" i) topo in
-        let server =
-          Server.create ~fs ~admin:admin.Dsa.pub ~server_key:keys.(i)
-            ~drbg:(Drbg.fork drbg ~label:(Printf.sprintf "server-%d" i))
-            ~cache_size ~extra_policy:(extra_policy_for keys i) ?hour ?strict_handles ()
-        in
-        {
-          n_index = i;
-          n_host = host;
-          n_link = Topo.link topo host;
-          n_key = keys.(i);
-          n_server = server;
-          n_rpc = make_rpc ();
-          n_lease_until = Array.make nshards 0.0;
-          n_peers = Array.make servers None;
-          n_restarts = 0;
-        })
-  in
-  let t =
+  (* The buffer cache is shared storage and outlives every crash, so
+     its monitor is attached once; drops wipe it. *)
+  Option.iter
+    (fun ctx -> Ffs.Bcache.set_race (Ffs.Blockdev.bcache dev) (Race.monitor ctx "bcache"))
+    race;
+  (* The boot helpers read only cluster-wide fields, so they can run
+     against this node-less shell while the nodes are built. *)
+  let shell =
     {
       clock;
       stats;
@@ -422,7 +456,7 @@ let make ?(cost = Cost.default) ?(nblocks = 16384) ?(block_size = 8192) ?(ninode
       topo;
       dev;
       fs;
-      nodes;
+      nodes = [||];
       map = Shard_map.make ~nservers:servers ~nshards;
       admin;
       drbg;
@@ -435,43 +469,64 @@ let make ?(cost = Cost.default) ?(nblocks = 16384) ?(block_size = 8192) ?(ninode
       workers;
       queue_depth;
       lease_duration;
+      race;
     }
   in
+  let nodes =
+    Array.init servers (fun i ->
+        let host = Topo.add_host ~name:(Printf.sprintf "server%d" i) topo in
+        let server = boot_server shell ~keys i ~label:(Printf.sprintf "server-%d" i) in
+        {
+          n_index = i;
+          n_host = host;
+          n_link = Topo.link topo host;
+          n_key = keys.(i);
+          n_server = server;
+          n_rpc = boot_rpc shell;
+          n_lease_until = Array.make nshards 0.0;
+          n_peers = Array.make servers None;
+          n_restarts = 0;
+        })
+  in
+  let t = { shell with nodes } in
   Array.iter (fun n -> wire_node t n) nodes;
   t
 
-(* Kill one frontend and boot a fresh incarnation. Shared storage
-   (the volume and its array-side cache) survives; the node's
-   credential session and audit trail ride through [Server.save_state]
-   as on a single-server crash; its SAs, policy cache, DRC and every
-   lease it held die with the process. Other nodes' connections to it
-   are dropped so the next control message reconnects to the new
+(* Kill one frontend and boot a fresh incarnation. The node's
+   credential session and audit trail ride through [Server.save_state];
+   its SAs, policy cache, DRC and every lease it held die with the
+   process. The old RPC endpoint keeps absorbing datagrams into the
+   void, so in-flight clients time out exactly as against a dead host.
+
+   The shared volume reboots with it: the file system reboots in place
+   (every frontend keeps its handle on the one [Fs.t], which comes
+   back with a cold pointer-block cache) and the buffer cache is
+   dropped. With one frontend this is exactly a server reboot; with
+   several it cold-boots the volume's memory under the survivors too
+   (docs/TOPOLOGY.md). Other nodes' connections to the crashed one are
+   dropped so the next control message reconnects to the new
    incarnation. *)
 let crash_and_restart t i =
   let n = node t i in
   let state = Server.save_state n.n_server in
   Rpc.shutdown n.n_rpc;
+  (* Packets parked in the link's reorder hold slots die with the
+     process — flush them now so they are accounted as drops instead
+     of lingering (invisibly) into the next incarnation. *)
   ignore (Link.quiesce n.n_link);
+  Ffs.Fs.reboot t.fs;
+  Ffs.Blockdev.drop_cache t.dev;
   n.n_restarts <- n.n_restarts + 1;
   Stats.incr t.stats "server.restarts";
-  let rpc = Rpc.server ~clock:t.clock ~cost:t.cost ~stats:t.stats in
-  Rpc.set_trace rpc t.trace;
-  Rpc.set_metrics rpc (Some t.metrics);
-  (match (t.sched, t.workers) with
-  | Some sched, Some w -> Rpc.set_pool rpc ~sched ~workers:w ~queue_depth:t.queue_depth
-  | _ -> ());
   let keys = Array.map (fun n -> n.n_key) t.nodes in
   let server =
-    Server.create ~fs:t.fs ~admin:t.admin.Dsa.pub ~server_key:n.n_key
-      ~drbg:(Drbg.fork t.drbg ~label:(Printf.sprintf "server-%d-restart-%d" i n.n_restarts))
-      ~cache_size:t.cache_size ~extra_policy:(extra_policy_for keys i) ?hour:t.hour
-      ?strict_handles:t.strict_handles ()
+    boot_server t ~keys i ~label:(Printf.sprintf "server-%d-restart-%d" i n.n_restarts)
   in
   (match Server.load_state server state with
   | Ok _ -> ()
   | Error m -> invalid_arg ("Cluster.crash_and_restart: state reload failed: " ^ m));
   n.n_server <- server;
-  n.n_rpc <- rpc;
+  n.n_rpc <- boot_rpc t;
   Array.fill n.n_lease_until 0 (Array.length n.n_lease_until) 0.0;
   wire_node t n;
   (* Everyone else must reconnect to the new incarnation. *)

@@ -47,9 +47,12 @@ val make :
   ?hour:(unit -> int) ->
   ?strict_handles:bool ->
   ?seed:string ->
+  ?fault:Simnet.Fault.t ->
   ?tracing:bool ->
   ?workers:int ->
   ?queue_depth:int ->
+  ?racecheck:bool ->
+  ?tie_seed:int64 ->
   ?switch_latency:float ->
   ?nshards:int ->
   ?lease_duration:float ->
@@ -57,12 +60,52 @@ val make :
   unit ->
   t
 (** Build [servers] frontends, each with its own host (access link),
-    RPC endpoint, worker pool (when [workers] is given — one shared
-    {!Simnet.Sched} owns the clock, as in [Deploy.make]) and DisCFS
-    server over the one shared volume. [nshards] (default 32) sizes
-    the shard space; [lease_duration] (default one virtual hour) is
-    the replica lease term. Deterministic for a fixed [seed]: host
-    keys are drawn from the DRBG in index order. *)
+    RPC endpoint and DisCFS server over the one shared volume.
+    [nshards] (default 32) sizes the shard space; [lease_duration]
+    (default one virtual hour) is the replica lease term;
+    [switch_latency] is the fabric hop added to every access link
+    (see {!Simnet.Topo.create}). Deterministic for a fixed [seed]
+    (default ["discfs-cluster"]): host keys are drawn from the DRBG in
+    index order. [Deploy.make] is this at [~servers:1
+    ~switch_latency:0.].
+
+    [cache_blocks] (default [0] — off, the paper-faithful baseline)
+    sizes the shared volume's buffer cache in blocks and [readahead]
+    its sequential-prefetch window (see {!Ffs.Blockdev.create}); both
+    are server memory and are dropped by {!crash_and_restart}.
+
+    [fault] attaches one fault injector to every host's link and to
+    the block device. [tracing] (default off) creates a {!Trace.t}
+    keyed to the virtual clock and threads it through every layer
+    (links, disk, RPC, ESP, NFS, KeyNote, policy cache), backed by the
+    [metrics] registry; with it off, [trace] is {!Trace.null} and
+    instrumentation is free.
+
+    [workers] (default off) makes the cluster {e concurrent}: a
+    {!Simnet.Sched} discrete-event scheduler takes ownership of the
+    clock and every frontend's RPC server runs a bounded request queue
+    ([queue_depth], default 64) drained by that many worker processes
+    with per-client FIFO fairness and queue-full backpressure (see
+    {!Oncrpc.Rpc.set_pool}). Client calls issued from inside
+    scheduler processes ([Simnet.Sched.spawn] + [Simnet.Sched.run])
+    then overlap in virtual time; calls made from plain code keep the
+    serial semantics. Survives {!crash_and_restart} (the new
+    incarnation gets a fresh, empty queue on the same scheduler).
+
+    [racecheck] (default off) arms the happens-before race checker: a
+    {!Race.ctx} keyed to the scheduler's pids and yield epochs is
+    created and its monitors are wired into the shared buffer cache
+    and every frontend's duplicate-request cache, in-flight
+    coalescing map and policy cache (re-attached on each restart);
+    client-side caches pick theirs up through {!race_monitor}.
+    Requires [workers] (a serial cluster has no interleaving to
+    check) — without a scheduler the flag is ignored and every
+    monitor stays {!Race.null}, so the disabled mode is
+    byte-identical to a build without the checker.
+
+    [tie_seed] perturbs the scheduler's tie order among same-time
+    events ({!Simnet.Sched.set_tie_seed}): schedule exploration for
+    the race harness. [None] (default) preserves FIFO order. *)
 
 val clock : t -> Simnet.Clock.t
 val stats : t -> Simnet.Stats.t
@@ -73,6 +116,22 @@ val topo : t -> Simnet.Topo.t
 val fs : t -> Ffs.Fs.t
 val nservers : t -> int
 val lease_duration : t -> float
+
+val dev : t -> Ffs.Blockdev.t
+(** The shared volume's block device. *)
+
+val drbg : t -> Dcrypto.Drbg.t
+(** The cluster DRBG itself; prefer {!fork_drbg} for new consumers. *)
+
+val race_ctx : t -> Race.ctx option
+(** The happens-before checker context, when the cluster was made with
+    [~racecheck:true] and a scheduler. Read its reports after a run
+    ({!Race.reports}) or hand it to a renderer. *)
+
+val race_monitor : t -> string -> Race.monitor
+(** A monitor over the cluster's race context for a client-side
+    structure (e.g. the NFS attribute cache) — {!Race.null} when race
+    checking is off, so callers can attach unconditionally. *)
 
 val map : t -> Shard_map.t
 (** The authoritative map. Clients must not alias this — they cache
@@ -89,8 +148,7 @@ val admin_principal : t -> string
 
 val admin_identity : t -> Dcrypto.Dsa.private_key
 (** The administrator's key pair — what the benches attach a
-    bootstrap client with, as [Deploy.make] exposes via its [admin]
-    field. *)
+    bootstrap client with. *)
 
 val new_identity : t -> Dcrypto.Dsa.private_key
 
@@ -125,8 +183,16 @@ val note_write : t -> ino:int -> unit
     write path; charged to the owner's server-to-server wire. *)
 
 val crash_and_restart : t -> int -> unit
-(** Kill frontend [i] and boot a fresh incarnation: shared storage
-    survives, the node's credential/audit state rides through
-    [Server.save_state], its SAs, caches and held leases die, and
-    peers reconnect lazily. Clients attached to it time out and
-    recover via [Cluster_client]. Counted under ["server.restarts"]. *)
+(** Kill frontend [i] and boot a fresh incarnation: the node's
+    credential/audit state rides through [Server.save_state], its SAs,
+    caches and held leases die, and peers reconnect lazily. Clients
+    attached to it time out and recover ([Deploy.reattach],
+    [Cluster_client]). Counted under ["server.restarts"].
+
+    The shared volume reboots with the node, in place: the file
+    system's pointer-block cache goes cold ({!Ffs.Fs.reboot}) and the
+    buffer cache is dropped. No data is lost: the buffer cache is
+    write-through, and no in-memory object is replaced, so a
+    survivor's write in flight across the crash still lands. With
+    several frontends the survivors also find the volume's memory
+    cold. *)

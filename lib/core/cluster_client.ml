@@ -27,6 +27,7 @@ type t = {
   path : string;
   retry : Rpc.retry option;
   conns : Client.t option array;
+  incarnations : int array; (* each connection's frontend restart count at (re)attach *)
   mutable map : Shard_map.t;
   mutable creds : string list; (* newest first; replayed oldest-first on lazy attach *)
   mutable attaches : int; (* labels the DRBG fork of each attach *)
@@ -70,15 +71,34 @@ let conn t i =
     let c = attach_node t i in
     if not (Int.equal i t.home) then Stats.incr (stats t) "topo.lazy_attaches";
     t.conns.(i) <- Some c;
+    t.incarnations.(i) <- Cluster.node_restarts t.cluster i;
     c
+
+(* A timeout means some frontend on the call's path died. Every open
+   connection to a frontend that has rebooted since it was opened is
+   re-homed onto the current incarnation (replaying the call it had in
+   flight); connections to live frontends are left alone. *)
+let recover t =
+  Array.iteri
+    (fun i slot ->
+      match slot with
+      | Some c when t.incarnations.(i) < Cluster.node_restarts t.cluster i ->
+        Stats.incr (stats t) "topo.reattaches";
+        Client.reattach c
+          ~rpc:(Cluster.node_rpc t.cluster i)
+          ~server:(Cluster.node_server t.cluster i)
+          ();
+        t.incarnations.(i) <- Cluster.node_restarts t.cluster i
+      | _ -> ())
+    t.conns
 
 (* --- the shard map --------------------------------------------------- *)
 
-let refresh_map_via t c =
+let refresh_map t =
   let e = Xdr.Enc.create () in
   Xdr.Enc.uint32 e (Shard_map.version t.map);
   let reply =
-    Client.call c ~prog:Cluster.cluster_prog ~vers:Cluster.cluster_vers
+    Client.call (conn t t.home) ~prog:Cluster.cluster_prog ~vers:Cluster.cluster_vers
       ~proc:Cluster.clusterproc_getmap (Xdr.Enc.to_string e)
   in
   let d = Xdr.Dec.of_string reply in
@@ -86,8 +106,6 @@ let refresh_map_via t c =
     t.map <- Shard_map.decode d;
     Stats.incr (stats t) "topo.map_refreshes"
   end
-
-let refresh_map t = refresh_map_via t (conn t t.home)
 
 (* --- routing --------------------------------------------------------- *)
 
@@ -127,41 +145,50 @@ let verify_redirect t c (r : Proto.redirect) ~ino ~gen =
     | exception _ -> false
     | s -> Dsa.verify ~key:pub preimage s)
 
+(* Check a redirect and return the frontend to re-issue at. *)
+let follow t c (r : Proto.redirect) ~ino ~gen ~hops =
+  Stats.incr (stats t) "redirect.received";
+  if not (verify_redirect t c r ~ino ~gen) then begin
+    Stats.incr (stats t) "redirect.bad_sig";
+    raise (Client.Discfs_error "redirect signature verification failed")
+  end;
+  if r.Proto.r_target < 0 || r.Proto.r_target >= Cluster.nservers t.cluster then
+    raise (Client.Discfs_error "redirect target out of range");
+  if hops + 1 >= max_hops then begin
+    Stats.incr (stats t) "redirect.loops";
+    raise (Client.Discfs_error "redirect loop: hop bound exceeded")
+  end;
+  if r.Proto.r_version > Shard_map.version t.map then refresh_map t;
+  let c' = conn t r.Proto.r_target in
+  if not (String.equal (Client.server_principal c') r.Proto.r_principal) then
+    raise (Client.Discfs_error "redirect principal mismatch");
+  Stats.incr (stats t) "redirect.followed";
+  r.Proto.r_target
+
 let rec issue : 'a. t -> ino:int -> gen:int -> cls:rclass -> hops:int -> int
     -> (Client.t -> 'a) -> 'a =
  fun t ~ino ~gen ~cls ~hops target f ->
-  let c = conn t target in
-  match f c with
-  | v -> v
-  | exception Proto.Nfs_moved r ->
-    Stats.incr (stats t) "redirect.received";
-    if not (verify_redirect t c r ~ino ~gen) then begin
-      Stats.incr (stats t) "redirect.bad_sig";
-      raise (Client.Discfs_error "redirect signature verification failed")
-    end;
-    if r.Proto.r_target < 0 || r.Proto.r_target >= Cluster.nservers t.cluster then
-      raise (Client.Discfs_error "redirect target out of range");
-    if hops + 1 >= max_hops then begin
-      Stats.incr (stats t) "redirect.loops";
-      raise (Client.Discfs_error "redirect loop: hop bound exceeded")
-    end;
-    if r.Proto.r_version > Shard_map.version t.map then refresh_map t;
-    let c' = conn t r.Proto.r_target in
-    if not (String.equal (Client.server_principal c') r.Proto.r_principal) then
-      raise (Client.Discfs_error "redirect principal mismatch");
-    Stats.incr (stats t) "redirect.followed";
-    issue t ~ino ~gen ~cls ~hops:(hops + 1) r.Proto.r_target f
-  | exception Rpc.Rpc_timeout _ when hops + 1 < max_hops ->
-    (* The frontend died under us. Recover against its current
-       incarnation, pull a fresh map (the membership change may have
-       moved shards), and re-route. *)
-    Stats.incr (stats t) "topo.reattaches";
-    Client.reattach c
-      ~rpc:(Cluster.node_rpc t.cluster target)
-      ~server:(Cluster.node_server t.cluster target)
-      ();
-    refresh_map_via t c;
-    issue t ~ino ~gen ~cls ~hops:(hops + 1) (target_for t ~ino cls) f
+  let live = hops + 1 < max_hops in
+  match conn t target with
+  | exception Rpc.Rpc_timeout _ when live -> reroute t ~ino ~gen ~cls ~hops f
+  | c -> (
+    match f c with
+    | v -> v
+    | exception Proto.Nfs_moved r -> (
+      match follow t c r ~ino ~gen ~hops with
+      | next -> issue t ~ino ~gen ~cls ~hops:(hops + 1) next f
+      | exception Rpc.Rpc_timeout _ when live -> reroute t ~ino ~gen ~cls ~hops f)
+    | exception Rpc.Rpc_timeout _ when live -> reroute t ~ino ~gen ~cls ~hops f)
+
+(* A frontend died under us — on the call itself, a lazy attach or a
+   map refresh. Recover against the current incarnations, pull a
+   fresh map (the membership change may have moved shards), and
+   re-route. *)
+and reroute : 'a. t -> ino:int -> gen:int -> cls:rclass -> hops:int -> (Client.t -> 'a) -> 'a =
+ fun t ~ino ~gen ~cls ~hops f ->
+  recover t;
+  refresh_map t;
+  issue t ~ino ~gen ~cls ~hops:(hops + 1) (target_for t ~ino cls) f
 
 let routed t ~(fh : Proto.fh) ~cls f =
   issue t ~ino:fh.Proto.ino ~gen:fh.Proto.gen ~cls ~hops:0
@@ -182,6 +209,7 @@ let attach cluster ~identity ?(uid = 1000) ?(home = 0) ?(path = "/") ?retry () =
       path;
       retry;
       conns = Array.make (Cluster.nservers cluster) None;
+      incarnations = Array.make (Cluster.nservers cluster) 0;
       map = Shard_map.placeholder ~nservers:(Cluster.nservers cluster);
       creds = [];
       attaches = 0;

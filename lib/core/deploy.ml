@@ -1,209 +1,44 @@
-module Clock = Simnet.Clock
 module Stats = Simnet.Stats
-module Link = Simnet.Link
-module Rpc = Oncrpc.Rpc
-module Drbg = Dcrypto.Drbg
-module Dsa = Dcrypto.Dsa
-module Assertion = Keynote.Assertion
 
-type t = {
-  clock : Clock.t;
-  stats : Stats.t;
-  cost : Simnet.Cost.t;
-  link : Link.t;
-  dev : Ffs.Blockdev.t;
-  mutable fs : Ffs.Fs.t;
-  mutable rpc : Rpc.server;
-  mutable server : Server.t;
-  admin : Dsa.private_key;
-  drbg : Drbg.t;
-  cache_size : int;
-  hour : (unit -> int) option;
-  strict_handles : bool option;
-  trace : Trace.t;
-  metrics : Trace.Metrics.t;
-  sched : Simnet.Sched.t option;
-  workers : int option;
-  queue_depth : int;
-  race : Race.ctx option;
-  mutable restarts : int;
-}
+(* The single-server testbed is the one-node cluster: one host, no
+   switch hop; the shortcuts below name node 0. *)
+type t = Cluster.t
 
-let default_queue_depth = 64
+let make ?cost ?nblocks ?block_size ?ninodes ?cache_size ?cache_blocks ?readahead ?hour
+    ?strict_handles ?(seed = "discfs-deploy") ?fault ?tracing ?workers ?queue_depth ?racecheck
+    ?tie_seed () =
+  Cluster.make ?cost ?nblocks ?block_size ?ninodes ?cache_size ?cache_blocks ?readahead ?hour
+    ?strict_handles ~seed ?fault ?tracing ?workers ?queue_depth ?racecheck ?tie_seed
+    ~switch_latency:0. ~servers:1 ()
 
-(* The monitors a race-checked deployment wires into the server-side
-   shared structures; client-side caches attach through
-   {!race_monitor} as they are created. *)
-let wire_race_server race ~dev ~rpc ~server =
-  match race with
-  | None -> ()
-  | Some ctx ->
-    Ffs.Bcache.set_race (Ffs.Blockdev.bcache dev) (Race.monitor ctx "bcache");
-    Rpc.set_race rpc ~drc:(Race.monitor ctx "drc") ~in_flight:(Race.monitor ctx "rpc.inflight");
-    Policy_cache.set_race (Server.cache server) (Race.monitor ctx "policy")
-
-let make ?(cost = Simnet.Cost.default) ?(nblocks = 16384) ?(block_size = 8192)
-    ?(ninodes = 8192) ?(cache_size = 128) ?(cache_blocks = 0) ?readahead ?hour
-    ?strict_handles ?(seed = "discfs-deploy") ?fault ?(tracing = false) ?workers
-    ?(queue_depth = default_queue_depth) ?(racecheck = false) ?tie_seed () =
-  let clock = Clock.create () in
-  let stats = Stats.create () in
-  let metrics = Trace.Metrics.create () in
-  let trace =
-    if tracing then Trace.create ~metrics ~now:(fun () -> Clock.now clock) ()
-    else Trace.null
-  in
-  let link = Link.create ~clock ~cost ~stats in
-  Link.set_trace link trace;
-  let dev = Ffs.Blockdev.create ~cache_blocks ?readahead ~clock ~cost ~stats ~nblocks ~block_size () in
-  Ffs.Blockdev.set_trace dev trace;
-  (match fault with
-  | None -> ()
-  | Some f ->
-    Link.set_fault link (Some f);
-    Ffs.Blockdev.set_fault dev (Some f));
-  let fs = Ffs.Fs.create ~dev ~ninodes in
-  let drbg = Drbg.create ~seed in
-  let admin = Dsa.generate_key drbg in
-  let server_key = Dsa.generate_key drbg in
-  let server =
-    Server.create ~fs ~admin:admin.Dsa.pub ~server_key ~drbg:(Drbg.fork drbg ~label:"server")
-      ~cache_size ?hour ?strict_handles ()
-  in
-  let rpc = Rpc.server ~clock ~cost ~stats in
-  Rpc.set_trace rpc trace;
-  Rpc.set_metrics rpc (Some metrics);
-  (* A worker count turns the deployment concurrent: a scheduler owns
-     the clock and the RPC server runs a bounded queue. Serial
-     deployments get no scheduler and behave exactly as before. *)
-  let sched =
-    match workers with
-    | None -> None
-    | Some w ->
-      let sched = Simnet.Sched.create ~clock in
-      Simnet.Sched.attach_clock sched;
-      Simnet.Sched.set_tie_seed sched tie_seed;
-      Rpc.set_pool rpc ~sched ~workers:w ~queue_depth;
-      Some sched
-  in
-  (* Race checking needs a scheduler (pids and yield epochs come from
-     it); a serial deployment has no interleaving to check. *)
-  let race =
-    match (racecheck, sched) with
-    | true, Some sched ->
-      Some
-        (Race.create
-           ~pid:(fun () -> Simnet.Sched.current_pid sched)
-           ~epoch:(fun () -> Simnet.Sched.events_run sched)
-           ~annotate:(fun () -> Trace.current trace)
-           ())
-    | _ -> None
-  in
-  wire_race_server race ~dev ~rpc ~server;
-  Server.attach_rpc server rpc;
-  {
-    clock;
-    stats;
-    cost;
-    link;
-    dev;
-    fs;
-    rpc;
-    server;
-    admin;
-    drbg;
-    cache_size;
-    hour;
-    strict_handles;
-    trace;
-    metrics;
-    sched;
-    workers;
-    queue_depth;
-    race;
-    restarts = 0;
-  }
-
-let race_ctx t = t.race
-
-let race_monitor t name =
-  match t.race with None -> Race.null | Some ctx -> Race.monitor ctx name
-
-let new_identity t = Dsa.generate_key t.drbg
+let link t = Cluster.node_link t 0
+let rpc t = Cluster.node_rpc t 0
+let server t = Cluster.node_server t 0
+let restarts t = Cluster.node_restarts t 0
+let crash_and_restart t = Cluster.crash_and_restart t 0
 
 let attach t ~identity ?uid ?path ?cipher ?sa_lifetime ?retry () =
-  Stats.incr t.stats "client.attaches";
-  Client.attach ~link:t.link ~rpc:t.rpc ~server:t.server ~identity
-    ~drbg:(Drbg.fork t.drbg ~label:"attach") ?uid ?path ?cipher ?sa_lifetime ?retry ()
+  Stats.incr (Cluster.stats t) "client.attaches";
+  Client.attach ~link:(link t) ~rpc:(rpc t) ~server:(server t) ~identity
+    ~drbg:(Cluster.fork_drbg t ~label:"attach") ?uid ?path ?cipher ?sa_lifetime ?retry ()
 
 (* Churn hooks: a client leaving the deployment, and one rejoining the
    current server incarnation after a crash. Both are thin — the work
    lives in {!Client} — but counting them here gives the long-horizon
    scenarios one stats namespace for membership events. *)
 let detach t c =
-  Stats.incr t.stats "client.detaches";
+  Stats.incr (Cluster.stats t) "client.detaches";
   Client.detach c
 
 let reattach t c =
-  Stats.incr t.stats "client.reattaches";
-  Client.reattach c ~rpc:t.rpc ~server:t.server ()
+  Stats.incr (Cluster.stats t) "client.reattaches";
+  Client.reattach c ~rpc:(rpc t) ~server:(server t) ()
 
-(* Kill the server process and boot a fresh incarnation from stable
-   storage. The disk image and the credential/audit state survive (the
-   paper's server persists credentials with the files they govern);
-   SAs, the policy cache, the buffer cache and the duplicate-request
-   cache are process-local and die. The old RPC endpoint keeps
-   absorbing datagrams into the void so in-flight clients time out
-   exactly as against a dead host. *)
-let crash_and_restart t =
-  let image = Ffs.Fs.save t.fs in
-  let state = Server.save_state t.server in
-  let server_key = Server.server_key t.server in
-  Rpc.shutdown t.rpc;
-  (* Packets parked in the link's reorder hold slots die with the
-     process — flush them now so they are accounted as drops instead
-     of lingering (invisibly) into the next incarnation. *)
-  ignore (Link.quiesce t.link);
-  (* The buffer cache is server memory: a new incarnation boots cold.
-     (Fs.load drops it again via Blockdev.restore; this makes the
-     semantics explicit and independent of the load path.) *)
-  Ffs.Blockdev.drop_cache t.dev;
-  t.restarts <- t.restarts + 1;
-  Stats.incr t.stats "server.restarts";
-  t.fs <- Ffs.Fs.load ~dev:t.dev image;
-  let server =
-    Server.create ~fs:t.fs ~admin:t.admin.Dsa.pub ~server_key
-      ~drbg:(Drbg.fork t.drbg ~label:(Printf.sprintf "server-restart-%d" t.restarts))
-      ~cache_size:t.cache_size ?hour:t.hour ?strict_handles:t.strict_handles ()
-  in
-  (match Server.load_state server state with
-  | Ok _ -> ()
-  | Error m -> failwith ("crash_and_restart: state reload failed: " ^ m));
-  let rpc = Rpc.server ~clock:t.clock ~cost:t.cost ~stats:t.stats in
-  Rpc.set_trace rpc t.trace;
-  Rpc.set_metrics rpc (Some t.metrics);
-  (match (t.sched, t.workers) with
-  | Some sched, Some w -> Rpc.set_pool rpc ~sched ~workers:w ~queue_depth:t.queue_depth
-  | _ -> ());
-  (* The new incarnation's DRC, in-flight map and policy cache are
-     fresh objects — re-attach the monitors (the buffer cache object
-     survives the crash, its monitor with it). *)
-  wire_race_server t.race ~dev:t.dev ~rpc ~server;
-  Server.attach_rpc server rpc;
-  t.server <- server;
-  t.rpc <- rpc
-
-let admin_principal t = Assertion.principal_of_pub t.admin.Dsa.pub
-
-let admin_issue t ~licensees ~conditions ?comment () =
-  Assertion.issue ~key:t.admin ~drbg:t.drbg ?comment ~licensees ~conditions ()
-
-(* Server-set + client-set construction: the N-frontend testbed.
-   {!make} stays the one-pair fast path; this builds a {!Cluster}
-   (its own topology, shard map and lease machinery) and attaches
-   [clients] cluster-aware clients homed round-robin across the
-   frontends. Identities are drawn from the cluster DRBG in client
-   order, so the whole fleet is a pure function of [seed]. *)
+(* Server-set + client-set construction: the N-frontend testbed. A
+   {!Cluster} of [servers] frontends plus [clients] cluster-aware
+   clients homed round-robin across them. Identities are drawn from
+   the cluster DRBG in client order, so the whole fleet is a pure
+   function of [seed]. *)
 let make_cluster ?cost ?nblocks ?block_size ?ninodes ?cache_size ?cache_blocks ?readahead
     ?hour ?strict_handles ?seed ?tracing ?workers ?queue_depth ?switch_latency ?nshards
     ?lease_duration ?retry ~servers ~clients () =

@@ -4,33 +4,22 @@
     Alice (server) / Bob (client) machines (Figure 6). Used by the
     examples, tests and the benchmark harness.
 
+    A deployment {e is} the one-node {!Cluster}: [make] is
+    [Cluster.make ~servers:1 ~switch_latency:0.] (one host has no
+    switch hop), so the clock, stats, volume, DRBG, administrator and
+    race checker are read with the {!Cluster} accessors
+    ([Cluster.fs d], [Cluster.admin_issue d], ...). This module adds
+    only the node-0 shortcuts and the counted client membership
+    calls. The cluster layer is inert at one node — every handle is
+    served locally, so no GETMAP, redirect, lease or server-to-server
+    traffic ever happens.
+
     The testbed can be made hostile: pass [fault] to {!make} to
     attach a fault injector to both the link and the disk, and call
     {!crash_and_restart} to kill the server mid-run and boot a new
     incarnation from stable storage. *)
 
-type t = {
-  clock : Simnet.Clock.t;
-  stats : Simnet.Stats.t;
-  cost : Simnet.Cost.t;
-  link : Simnet.Link.t;
-  dev : Ffs.Blockdev.t;
-  mutable fs : Ffs.Fs.t;
-  mutable rpc : Oncrpc.Rpc.server;
-  mutable server : Server.t;
-  admin : Dcrypto.Dsa.private_key;
-  drbg : Dcrypto.Drbg.t;
-  cache_size : int;
-  hour : (unit -> int) option;
-  strict_handles : bool option;
-  trace : Trace.t;
-  metrics : Trace.Metrics.t;
-  sched : Simnet.Sched.t option;
-  workers : int option;
-  queue_depth : int;
-  race : Race.ctx option;
-  mutable restarts : int;
-}
+type t = Cluster.t
 
 val make :
   ?cost:Simnet.Cost.t ->
@@ -51,49 +40,23 @@ val make :
   ?tie_seed:int64 ->
   unit ->
   t
-(** Defaults: 2001-era cost model, 8 K blocks, 16 Ki blocks (128 MB
-    volume), 8 Ki inodes, policy cache of 128, seed
-    ["discfs-deploy"]. Deterministic: same seed, same keys, same
-    results.
+(** [Cluster.make ~servers:1 ~switch_latency:0.] with seed
+    ["discfs-deploy"]; every option means what it means there
+    (defaults: 2001-era cost model, 8 K blocks, 16 Ki blocks (128 MB
+    volume), 8 Ki inodes, policy cache of 128, buffer cache off).
+    Deterministic: same seed, same keys, same results. *)
 
-    [cache_blocks] (default [0] — off, the paper-faithful baseline)
-    sizes the server's buffer cache in blocks and [readahead] its
-    sequential-prefetch window (see {!Ffs.Blockdev.create}); both are
-    process memory and are invalidated by {!crash_and_restart}.
+val link : t -> Simnet.Link.t
+(** The server host's access link. *)
 
-    [fault] attaches a fault injector to the link and the block
-    device. [tracing] (default off) creates a {!Trace.t} keyed to the
-    deployment's virtual clock and threads it through every layer
-    (link, disk, RPC, ESP, NFS, KeyNote, policy cache), backed by
-    the [metrics] registry; with it off, [trace] is {!Trace.null}
-    and instrumentation is free.
+val rpc : t -> Oncrpc.Rpc.server
+(** The current server incarnation's RPC endpoint. *)
 
-    [workers] (default off) makes the deployment {e concurrent}: a
-    {!Simnet.Sched} discrete-event scheduler takes ownership of the
-    clock and the RPC server runs a bounded request queue
-    ([queue_depth], default 64) drained by that many worker
-    processes with per-client FIFO fairness and queue-full
-    backpressure (see {!Oncrpc.Rpc.set_pool}). Client calls issued
-    from inside scheduler processes ([Simnet.Sched.spawn] +
-    [Simnet.Sched.run]) then overlap in virtual time; calls made
-    from plain code keep the serial semantics, so setup and
-    single-client workloads are unchanged. Survives
-    {!crash_and_restart} (the new incarnation gets a fresh, empty
-    queue on the same scheduler).
+val server : t -> Server.t
+(** The current server incarnation. *)
 
-    [racecheck] (default off) arms the happens-before race checker:
-    a {!Race.ctx} keyed to the scheduler's pids and yield epochs is
-    created and its monitors are wired into the server-side shared
-    structures (buffer cache, duplicate-request cache, in-flight
-    coalescing map, policy cache); client-side caches pick theirs up
-    through {!race_monitor}. Requires [workers] (a serial deployment
-    has no interleaving to check) — without a scheduler the flag is
-    ignored and every monitor stays {!Race.null}, so the disabled
-    mode is byte-identical to a build without the checker.
-
-    [tie_seed] perturbs the scheduler's tie order among same-time
-    events ({!Simnet.Sched.set_tie_seed}): schedule exploration for
-    the race harness. [None] (default) preserves FIFO order. *)
+val restarts : t -> int
+(** Completed {!crash_and_restart}s. *)
 
 val make_cluster :
   ?cost:Simnet.Cost.t ->
@@ -121,21 +84,8 @@ val make_cluster :
     [servers] frontends (N-host topology, sharded namespace, lease
     machinery) plus [clients] {!Cluster_client}s homed round-robin
     across them, uids 1000.., identities drawn from the cluster DRBG
-    in client order. {!make} remains the single-pair fast path; see
-    [docs/TOPOLOGY.md] for the cluster layer map. *)
-
-val race_ctx : t -> Race.ctx option
-(** The happens-before checker context, when the deployment was made
-    with [~racecheck:true] and a scheduler. Read its reports after a
-    run ({!Race.reports}) or hand it to a renderer. *)
-
-val race_monitor : t -> string -> Race.monitor
-(** A monitor over the deployment's race context for a client-side
-    structure (e.g. the NFS attribute cache) — {!Race.null} when
-    race checking is off, so callers can attach unconditionally. *)
-
-val new_identity : t -> Dcrypto.Dsa.private_key
-(** Generate a fresh user key pair from the testbed's DRBG. *)
+    in client order. {!make} is the same construction at one node;
+    see [docs/TOPOLOGY.md] for the cluster layer map. *)
 
 val attach :
   t ->
@@ -158,22 +108,16 @@ val detach : t -> Client.t -> unit
 
 val reattach : t -> Client.t -> unit
 (** Re-home a client onto the current server incarnation after
-    {!crash_and_restart}: {!Client.reattach} against [t.rpc]/
-    [t.server], counted under ["client.reattaches"]. *)
+    {!crash_and_restart}: {!Client.reattach} against {!rpc} /
+    {!server}, counted under ["client.reattaches"]. *)
 
 val crash_and_restart : t -> unit
-(** Simulate a server crash and reboot: the disk image and the
-    credential store / revocation list / audit trail are carried
-    through stable storage ({!Ffs.Fs.save} and [Server.save_state]);
-    SAs, the policy cache, the buffer cache and the RPC
-    duplicate-request cache are lost with the process (the buffer
-    cache is write-through, so dropping it loses no data — the new
-    incarnation merely boots cold). Existing clients' next call
+(** [Cluster.crash_and_restart t 0]: a server crash and reboot. The
+    volume ({!Ffs.Fs.reboot}) and the credential store / revocation
+    list / audit trail ([Server.save_state]) are carried through
+    stable storage; SAs, the policy cache, the buffer cache
+    and the RPC duplicate-request cache are lost with the process (the
+    buffer cache is write-through, so dropping it loses no data — the
+    new incarnation merely boots cold). Existing clients' next call
     times out ({!Oncrpc.Rpc.Rpc_timeout}); recover them with
-    {!Client.reattach}. Counted under ["server.restarts"]. *)
-
-val admin_principal : t -> string
-
-val admin_issue :
-  t -> licensees:string -> conditions:string -> ?comment:string -> unit -> Keynote.Assertion.t
-(** Issue a credential signed by the administrator's key. *)
+    {!reattach}. Counted under ["server.restarts"]. *)

@@ -31,8 +31,12 @@ let err e fmt = Printf.ksprintf (fun msg -> raise (Error (e, msg))) fmt
 
 (* Pointer-block cache: real FFS keeps indirect blocks in the buffer
    cache, so repeated updates to the same pointer block cost one read
-   on first touch and one write-back, not one I/O per update. *)
-type ptr_block = { ptrs : int array; mutable dirty : bool }
+   on first touch and one write-back, not one I/O per update. The
+   write-back charged on dirtying carries placeholder bytes, so the
+   cached pointers are the authoritative copy until [flush_metadata].
+   A [cold] entry survived a {!reboot}: its pointers are current, but
+   its next touch pays the disk read a freshly booted server would. *)
+type ptr_block = { ptrs : int array; mutable dirty : bool; mutable cold : bool }
 
 type t = {
   dev : Blockdev.t;
@@ -88,7 +92,11 @@ let ptrs_per_block t = block_size t / 4
 
 let load_ptr_block t b =
   match Hashtbl.find_opt t.ptr_cache b with
-  | Some pb -> pb
+  | Some pb when not pb.cold -> pb
+  | Some pb ->
+    ignore (Blockdev.read t.dev b);
+    pb.cold <- false;
+    pb
   | None ->
     let raw = Blockdev.read t.dev b in
     let n = ptrs_per_block t in
@@ -100,7 +108,7 @@ let load_ptr_block t b =
         lor (Char.code (Bytes.get raw ((4 * i) + 2)) lsl 8)
         lor Char.code (Bytes.get raw ((4 * i) + 3))
     done;
-    let pb = { ptrs; dirty = false } in
+    let pb = { ptrs; dirty = false; cold = false } in
     Hashtbl.replace t.ptr_cache b pb;
     pb
 
@@ -730,3 +738,15 @@ let load ~dev image =
       root = first_ino;
     }
   with Xdr.Decode_error m -> raise (Bad_image m)
+
+(* A reboot keeps every in-memory object (an operation in flight
+   across it may hold an inode or a pointer block) and leaves the
+   volume as [load (save t)] would: stable storage current, every
+   pointer block cold and clean. *)
+let reboot t =
+  flush_metadata t;
+  Hashtbl.iter
+    (fun _ pb ->
+      pb.dirty <- false;
+      pb.cold <- true)
+    t.ptr_cache

@@ -115,3 +115,11 @@ val load : dev:Blockdev.t -> string -> t
 (** Rebuild a filesystem from an image onto a fresh device of the
     same geometry. Raises {!Bad_image} on a corrupt image and
     [Invalid_argument] if the device geometry does not match. *)
+
+val reboot : t -> unit
+(** A server reboot, in place: metadata is flushed to the device and
+    every cached pointer block goes cold, so the volume behaves (and
+    is charged) as [load ~dev (save t)] would, while every holder of
+    [t] — including an operation in flight across the reboot — keeps
+    working on the same inodes. The server crash path; the caller
+    drops the buffer cache ({!Blockdev.drop_cache}). *)

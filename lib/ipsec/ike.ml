@@ -143,8 +143,7 @@ let rekey ~link ~drbg ~client ~server () =
 
 let rpc_channel ~client ~server =
   {
-    Oncrpc.Rpc.client_seal = Esp.seal client.tx;
-    server_open = Esp.open_ server.rx;
+    Oncrpc.Rpc.server_open = Esp.open_ server.rx;
     server_seal = Esp.seal server.tx;
     client_open = Esp.open_ client.rx;
     client_message =

@@ -11,6 +11,7 @@ module Stats = Simnet.Stats
 module Arrival = Simnet.Arrival
 module Metrics = Trace.Metrics
 module Deploy = Discfs.Deploy
+module Cluster = Discfs.Cluster
 module Client = Discfs.Client
 
 (* The shared op mix, same 1:2:1 GETATTR/READ/WRITE blend as the
@@ -55,10 +56,10 @@ let fs_fingerprint fs =
   Dcrypto.Sha1.hex (Buffer.contents buf)
 
 let race_total d =
-  match Deploy.race_ctx d with None -> 0 | Some ctx -> Race.total_reports ctx
+  match Cluster.race_ctx d with None -> 0 | Some ctx -> Race.total_reports ctx
 
 let attach_with_file d ~uid ?sa_lifetime ?retry name =
-  let c = Deploy.attach d ~identity:d.Deploy.admin ~uid ?sa_lifetime ?retry () in
+  let c = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid ?sa_lifetime ?retry () in
   let fh, _, _ = Client.create c ~dir:(Client.root c) name () in
   Nfs.Client.write_all (Client.nfs c) fh (String.make 8192 'x');
   (c, fh)
@@ -82,7 +83,7 @@ type sweep_point = {
 
 let sweep_one ~seed ~clients ~workers ~queue_depth ~duration rate =
   let d = Deploy.make ~workers ~queue_depth ~seed () in
-  let sched = Option.get d.Deploy.sched in
+  let sched = Option.get (Cluster.sched d) in
   let conns =
     Array.init clients (fun i ->
         attach_with_file d ~uid:i (Printf.sprintf "c%d.dat" i))
@@ -104,7 +105,7 @@ let sweep_one ~seed ~clients ~workers ~queue_depth ~duration rate =
       ()
   in
   Sched.run sched;
-  let get k = Stats.get d.Deploy.stats k in
+  let get k = Stats.get (Cluster.stats d) k in
   {
     sp_rate = rate;
     sp_offered = gen.Gen.offered;
@@ -113,7 +114,7 @@ let sweep_one ~seed ~clients ~workers ~queue_depth ~duration rate =
     sp_makespan = Gen.makespan gen;
     sp_throughput = Gen.throughput gen;
     sp_summary = Slo.of_histogram gen.Gen.latencies;
-    sp_qpeak = Oncrpc.Rpc.queue_peak d.Deploy.rpc;
+    sp_qpeak = Oncrpc.Rpc.queue_peak (Deploy.rpc d);
     sp_rejects = get "rpc.queue_rejects";
     sp_retrans = get "rpc.retransmits";
   }
@@ -164,10 +165,10 @@ let boot_storm ?(seed = "slo-storm") ?(clients = 200) ?(dirs = 4)
     Deploy.make ~workers ~queue_depth ~seed ~cache_blocks:4096 ~readahead:8
       ~cache_size:256 ?tie_seed ~racecheck ()
   in
-  let sched = Option.get d.Deploy.sched in
-  let clock = d.Deploy.clock in
+  let sched = Option.get (Cluster.sched d) in
+  let clock = Cluster.clock d in
   (* The admin builds the shared tree once, serially. *)
-  let admin = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
+  let admin = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   for dir = 0 to dirs - 1 do
     let dh, _, _ =
       Client.mkdir admin ~dir:(Client.root admin) (Printf.sprintf "d%d" dir) ()
@@ -178,7 +179,8 @@ let boot_storm ?(seed = "slo-storm") ?(clients = 200) ?(dirs = 4)
     done
   done;
   let walkers =
-    Array.init clients (fun i -> Deploy.attach d ~identity:d.Deploy.admin ~uid:(1 + i) ())
+    Array.init clients (fun i ->
+        Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:(1 + i) ())
   in
   let hist = Metrics.make_histogram Metrics.default_buckets in
   let ops = ref 0 and failed = ref 0 in
@@ -227,7 +229,7 @@ let boot_storm ?(seed = "slo-storm") ?(clients = 200) ?(dirs = 4)
           if fin > !last_finish then last_finish := fin))
     walkers;
   Sched.run sched;
-  let get k = Stats.get d.Deploy.stats k in
+  let get k = Stats.get (Cluster.stats d) k in
   {
     st_clients = clients;
     st_tree_files = dirs * files_per_dir;
@@ -241,10 +243,10 @@ let boot_storm ?(seed = "slo-storm") ?(clients = 200) ?(dirs = 4)
     st_bcache_misses = get "bcache.misses";
     st_policy_hits = get "keynote.cache_hits";
     st_policy_queries = get "keynote.queries";
-    st_qpeak = Oncrpc.Rpc.queue_peak d.Deploy.rpc;
+    st_qpeak = Oncrpc.Rpc.queue_peak (Deploy.rpc d);
     st_rejects = get "rpc.queue_rejects";
     st_retrans = get "rpc.retransmits";
-    st_fingerprint = fs_fingerprint d.Deploy.fs;
+    st_fingerprint = fs_fingerprint (Cluster.fs d);
     st_races = race_total d;
   }
 
@@ -324,8 +326,8 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
     Deploy.make ~workers:s.cs_workers ~queue_depth:s.cs_queue_depth
       ~seed:s.cs_seed ?tie_seed ~racecheck ()
   in
-  let sched = Option.get d.Deploy.sched in
-  let clock = d.Deploy.clock in
+  let sched = Option.get (Cluster.sched d) in
+  let clock = Cluster.clock d in
   let ids = ref [] in
   let joins = ref 0 and leaves = ref 0 in
   let active : member list ref = ref [] in
@@ -334,8 +336,8 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
       attach_with_file d ~uid ?sa_lifetime:s.cs_sa_lifetime ?retry:s.cs_retry
         name
     in
-    ids := (d.Deploy.restarts, Client.client_id c) :: !ids;
-    { m_client = c; m_fh = fh; m_box = Sched.Mailbox.create (); m_epoch = d.Deploy.restarts }
+    ids := (Deploy.restarts d, Client.client_id c) :: !ids;
+    { m_client = c; m_fh = fh; m_box = Sched.Mailbox.create (); m_epoch = Deploy.restarts d }
   in
   let ops = max 1 (int_of_float (s.cs_rate *. s.cs_duration)) in
   let arrivals =
@@ -355,11 +357,11 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
            attached to is gone: re-home, then retry once (the replay
            plus this retry are both absorbed by at-least-once
            semantics — the mix is idempotent). *)
-        if d.Deploy.restarts > m.m_epoch then (
+        if Deploy.restarts d > m.m_epoch then (
           try
             Deploy.reattach d m.m_client;
-            m.m_epoch <- d.Deploy.restarts;
-            ids := (d.Deploy.restarts, Client.client_id m.m_client) :: !ids;
+            m.m_epoch <- Deploy.restarts d;
+            ids := (Deploy.restarts d, Client.client_id m.m_client) :: !ids;
             run_op m i;
             true
           with Oncrpc.Rpc.Rpc_timeout _ | Client.Discfs_error _ -> false)
@@ -466,8 +468,8 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
     (Sched.spawn_at sched (last_arrival +. 59.0) (fun () ->
          final_active := List.length !active));
   Sched.run sched;
-  let get k = Stats.get d.Deploy.stats k in
-  let service = Metrics.histogram d.Deploy.metrics "rpc.queue.service" in
+  let get k = Stats.get (Cluster.stats d) k in
+  let service = Metrics.histogram (Cluster.metrics d) "rpc.queue.service" in
   {
     ch_offered = gen.Gen.offered;
     ch_completed = gen.Gen.completed;
@@ -486,6 +488,6 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
     ch_executed = Metrics.count service;
     ch_client_ids = List.rev !ids;
     ch_final_active = !final_active;
-    ch_fingerprint = fs_fingerprint d.Deploy.fs;
+    ch_fingerprint = fs_fingerprint (Cluster.fs d);
     ch_races = race_total d;
   }

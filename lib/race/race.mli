@@ -10,7 +10,7 @@
     scheduler's total event order {e is} the happens-before order.
 
     Instrumented structures hold a {!monitor}; {!null} (the default,
-    wired unless [Deploy.make ~racecheck:true]) makes every operation
+    wired unless [Cluster.make ~racecheck:true]) makes every operation
     a constructor-match no-op with zero observable effect, so
     disabled runs are byte-identical to uninstrumented ones.
 

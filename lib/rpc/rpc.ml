@@ -181,7 +181,6 @@ let is_dead t = t.dead
 type message = { msg_enc : Xdr.Enc.t; msg_seal : unit -> string }
 
 type channel = {
-  client_seal : string -> string;
   server_open : string -> string;
   server_seal : string -> string;
   client_open : string -> string;
@@ -190,7 +189,6 @@ type channel = {
 
 let plaintext =
   {
-    client_seal = Fun.id;
     server_open = Fun.id;
     server_seal = Fun.id;
     client_open = Fun.id;

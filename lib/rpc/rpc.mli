@@ -113,7 +113,6 @@ type message = { msg_enc : Xdr.Enc.t; msg_seal : unit -> string }
     fresh one. *)
 
 type channel = {
-  client_seal : string -> string;
   server_open : string -> string;
   server_seal : string -> string;
   client_open : string -> string;
@@ -122,10 +121,11 @@ type channel = {
 (** Directional wire transforms (the ESP layer): requests are sealed
     by the client and opened by the server, replies the reverse. The
     transforms run "inside" the simulated hosts, so any virtual time
-    they charge lands on the right side. [client_message] is the
-    fused request path — one arena from XDR encode through seal; the
-    string transforms remain for replies (cached plain in the DRC and
-    sealed per transmission) and for tests. *)
+    they charge lands on the right side. Requests are sealed only
+    through [client_message], the fused path — one arena from XDR
+    encode through seal; the string transforms serve replies (cached
+    plain in the DRC and sealed per transmission) and the server's
+    open. *)
 
 val plaintext : channel
 (** Identity transforms. *)

@@ -123,28 +123,12 @@ let merge a b =
   m.h_sum <- a.h_sum +. b.h_sum;
   m
 
-let quantile h q =
-  if h.h_count = 0 then 0.
-  else
-    let q = Float.min 1. (Float.max 0. q) in
-    let target =
-      let t = int_of_float (Float.round (q *. float_of_int h.h_count)) in
-      Stdlib.max 1 t
-    in
-    let cum = cumulative h in
-    let n = Array.length h.h_bounds in
-    let rec find i = if i >= n || cum.(i) >= target then i else find (i + 1) in
-    let i = find 0 in
-    if i >= n then infinity else h.h_bounds.(i)
-
 let overflow h = h.h_counts.(Array.length h.h_bounds)
 
-(* Interpolated quantiles with explicit saturation. The legacy
-   {!quantile} silently rounds a quantile up to its bucket's upper
-   bound and collapses the whole overflow bucket to [infinity]; for
-   SLO reporting both are wrong: p99 of a latency histogram must be a
-   value, and a p99 that lands past the last edge must say "at least
-   <edge>", not a clamped finite number. *)
+(* Interpolated quantiles with explicit saturation: p99 of a latency
+   histogram must be a value, not its bucket's upper bound, and a p99
+   that lands past the last edge must say "at least <edge>", not a
+   clamped finite number or [infinity]. *)
 type quantile_estimate =
   | Q_empty
   | Q_at of float

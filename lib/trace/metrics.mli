@@ -64,13 +64,6 @@ val merge : histogram -> histogram -> histogram
 (** Fresh histogram combining both operands.  Raises
     [Invalid_argument] if the bucket bounds differ. *)
 
-val quantile : histogram -> float -> float
-(** Upper bound of the bucket containing quantile [q] (clamped to
-    [0,1]); [infinity] when it falls in the overflow bucket, [0.] on
-    an empty histogram.  Legacy coarse API — SLO extraction wants
-    {!quantile_est}, which interpolates and keeps saturation
-    explicit. *)
-
 val overflow : histogram -> int
 (** Observations that landed past the last bucket edge (the count in
     the explicit overflow bucket). *)

@@ -8,6 +8,7 @@
 module Proto = Nfs.Proto
 module Assertion = Keynote.Assertion
 module Deploy = Discfs.Deploy
+module Cluster = Discfs.Cluster
 module Client = Discfs.Client
 module Server = Discfs.Server
 module Bcache = Ffs.Bcache
@@ -135,34 +136,36 @@ let test_crash_mid_write_no_stale_blocks () =
      crashes, and the rebooted incarnation must serve current data
      from a cold cache — never a stale or phantom cached block. *)
   let d = Deploy.make ~cache_blocks:64 ~seed:"test-cache-crash" () in
-  let admin = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
+  let admin = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let fh, _, _ = Client.create admin ~dir:(Client.root admin) "journal.txt" () in
   Nfs.Client.write_all (Client.nfs admin) fh "version-1";
   (* Warm the buffer cache with the freshly written block. *)
   ignore (Nfs.Client.read (Client.nfs admin) fh ~off:0 ~count:9);
   Alcotest.(check bool) "cache warm before crash" true
-    (Bcache.size (Blockdev.bcache d.Deploy.dev) > 0);
+    (Bcache.size (Blockdev.bcache (Cluster.dev d)) > 0);
   Deploy.crash_and_restart d;
   Alcotest.(check int) "buffer cache dropped by crash" 0
-    (Bcache.size (Blockdev.bcache d.Deploy.dev));
-  let admin2 = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
-  let misses0 = Blockdev.cache_misses d.Deploy.dev in
+    (Bcache.size (Blockdev.bcache (Cluster.dev d)));
+  let admin2 = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  let misses0 = Blockdev.cache_misses (Cluster.dev d) in
   let _, data = Nfs.Client.read (Client.nfs admin2) fh ~off:0 ~count:9 in
   Alcotest.(check string) "write-through data survives the crash" "version-1" data;
   Alcotest.(check bool) "first post-crash read misses (cold cache)" true
-    (Blockdev.cache_misses d.Deploy.dev > misses0)
+    (Blockdev.cache_misses (Cluster.dev d) > misses0)
 
 (* --- policy memo cache ----------------------------------------------- *)
 
 let test_revoked_credential_misses_memo_cache () =
   let d = Deploy.make ~seed:"test-cache-revoke" () in
-  let admin = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
+  let admin = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let fh, _, _ = Client.create admin ~dir:(Client.root admin) "secret.txt" () in
   Nfs.Client.write_all (Client.nfs admin) fh "classified";
-  let bob = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:100 () in
-  let cred = Deploy.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions fh "R") () in
+  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
+  let cred =
+    Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions fh "R") ()
+  in
   (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
-  let cache = Server.cache d.Deploy.server in
+  let cache = Server.cache (Deploy.server d) in
   (* Warm the memo cache with Bob's grant. *)
   ignore (Nfs.Client.read (Client.nfs bob) fh ~off:0 ~count:4);
   ignore (Nfs.Client.read (Client.nfs bob) fh ~off:0 ~count:4);

@@ -10,6 +10,7 @@ module Cost = Simnet.Cost
 module Sched = Simnet.Sched
 module Rpc = Oncrpc.Rpc
 module Deploy = Discfs.Deploy
+module Cluster = Discfs.Cluster
 module Client = Discfs.Client
 
 let feq = Alcotest.(check (float 1e-9))
@@ -316,12 +317,12 @@ let test_queue_metrics_populated () =
 
 let test_deploy_concurrent_end_to_end () =
   let d = Deploy.make ~workers:2 ~queue_depth:8 ~seed:"test-conc" () in
-  let sched = Option.get d.Deploy.sched in
+  let sched = Option.get (Cluster.sched d) in
   (* Setup runs serially, as ordinary code: attach three ESP clients
      (IKE handshake and mount) and create one file each. *)
   let clients =
     List.init 3 (fun i ->
-        let c = Deploy.attach d ~identity:d.Deploy.admin ~uid:i () in
+        let c = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:i () in
         let name = Printf.sprintf "f%d.txt" i in
         let fh, _, _ = Client.create c ~dir:(Client.root c) name () in
         (i, c, fh))
@@ -348,7 +349,7 @@ let test_deploy_concurrent_end_to_end () =
         (Some (Printf.sprintf "client-%d-body" i))
         (Hashtbl.find_opt reads i))
     clients;
-  let wait = Trace.Metrics.histogram d.Deploy.metrics "rpc.queue.wait" in
+  let wait = Trace.Metrics.histogram (Cluster.metrics d) "rpc.queue.wait" in
   Alcotest.(check bool) "requests flowed through the queue" true
     (Trace.Metrics.count wait > 0)
 

@@ -4,6 +4,7 @@
 module Proto = Nfs.Proto
 module Assertion = Keynote.Assertion
 module Deploy = Discfs.Deploy
+module Cluster = Discfs.Cluster
 module Client = Discfs.Client
 module Server = Discfs.Server
 
@@ -19,7 +20,7 @@ let quoted c = Printf.sprintf "\"%s\"" (Client.principal c)
 (* A deployment with a file created by the admin, for access tests. *)
 let setup ?cache_size ?hour () =
   let d = Deploy.make ?cache_size ?hour ~seed:"test-discfs" () in
-  let admin_client = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
+  let admin_client = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let file_fh, _, _ = Client.create admin_client ~dir:(Client.root admin_client) "paper.tex" () in
   Nfs.Client.write_all (Client.nfs admin_client) file_fh "Secure and Flexible Global File Sharing";
   (d, admin_client, file_fh)
@@ -36,7 +37,7 @@ let test_admin_has_full_access () =
 
 let test_stranger_denied_and_sees_000 () =
   let d, _, file_fh = setup () in
-  let mallory = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:777 () in
+  let mallory = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:777 () in
   (* Reads and writes are refused... *)
   expect_nfs_error Proto.nfserr_acces (fun () ->
       ignore (Nfs.Client.read (Client.nfs mallory) file_fh ~off:0 ~count:10));
@@ -50,9 +51,9 @@ let test_stranger_denied_and_sees_000 () =
 
 let test_figure5_credential_grants_access () =
   let d, _, file_fh = setup () in
-  let bob = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:100 () in
+  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   let cred =
-    Deploy.admin_issue d ~licensees:(quoted bob)
+    Cluster.admin_issue d ~licensees:(quoted bob)
       ~conditions:(handle_conditions file_fh "RWX") ~comment:"testdir" ()
   in
   (match Client.submit_credential bob cred with
@@ -67,9 +68,9 @@ let test_figure5_credential_grants_access () =
 
 let test_read_only_credential () =
   let d, _, file_fh = setup () in
-  let bob = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:100 () in
+  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   let cred =
-    Deploy.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
+    Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
   in
   (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
   let _, data = Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:6 in
@@ -83,15 +84,15 @@ let test_figure1_delegation () =
   (* Administrator -> Bob (RW) -> Alice (R); Alice's access requires
      both credentials at the server. *)
   let d, _, file_fh = setup () in
-  let bob_key = Deploy.new_identity d in
-  let alice_key = Deploy.new_identity d in
+  let bob_key = Cluster.new_identity d in
+  let alice_key = Cluster.new_identity d in
   let bob = Deploy.attach d ~identity:bob_key ~uid:100 () in
   let alice = Deploy.attach d ~identity:alice_key ~uid:200 () in
   let cred_bob =
-    Deploy.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "RW") ()
+    Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "RW") ()
   in
   let cred_alice =
-    Assertion.issue ~key:bob_key ~drbg:d.Deploy.drbg ~licensees:(quoted alice)
+    Assertion.issue ~key:bob_key ~drbg:(Cluster.drbg d) ~licensees:(quoted alice)
       ~conditions:(handle_conditions file_fh "R") ()
   in
   (* Alice submits only her credential: the chain to POLICY is broken. *)
@@ -110,11 +111,11 @@ let test_figure1_delegation () =
 
 let test_create_returns_credential () =
   let d, _, _ = setup () in
-  let bob = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:100 () in
+  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   (* Bob needs W+X on the root directory to create files in it. *)
   let root = Client.root bob in
   let cred =
-    Deploy.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions root "RWX") ()
+    Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions root "RWX") ()
   in
   (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
   (* Plain NFS CREATE succeeds but leaves Bob without access to the
@@ -134,7 +135,7 @@ let test_create_returns_credential () =
   let _, data = Nfs.Client.read (Client.nfs bob) fh ~off:0 ~count:100 in
   Alcotest.(check string) "roundtrip" "mine to write" data;
   (* And Bob can delegate the new file onward. *)
-  let carol_key = Deploy.new_identity d in
+  let carol_key = Cluster.new_identity d in
   let carol = Deploy.attach d ~identity:carol_key ~uid:300 () in
   let bob_key_unused = () in
   ignore bob_key_unused;
@@ -145,21 +146,21 @@ let test_create_returns_credential () =
 
 let test_delegation_of_created_file () =
   let d, _, _ = setup () in
-  let bob_key = Deploy.new_identity d in
+  let bob_key = Cluster.new_identity d in
   let bob = Deploy.attach d ~identity:bob_key ~uid:100 () in
   let root = Client.root bob in
   let cred =
-    Deploy.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions root "RWX") ()
+    Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions root "RWX") ()
   in
   (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
   let fh, _, _file_cred = Client.create bob ~dir:root "shared.txt" () in
   Nfs.Client.write_all (Client.nfs bob) fh "from bob with love";
   (* Bob delegates R on his new file to Alice by issuing a credential
      against the server-issued one. *)
-  let alice_key = Deploy.new_identity d in
+  let alice_key = Cluster.new_identity d in
   let alice = Deploy.attach d ~identity:alice_key ~uid:200 () in
   let delegation =
-    Assertion.issue ~key:bob_key ~drbg:d.Deploy.drbg ~licensees:(quoted alice)
+    Assertion.issue ~key:bob_key ~drbg:(Cluster.drbg d) ~licensees:(quoted alice)
       ~conditions:(handle_conditions fh "R") ~comment:"for alice" ()
   in
   (match Client.submit_credential alice delegation with Ok _ -> () | Error e -> Alcotest.fail e);
@@ -172,9 +173,9 @@ let test_delegation_of_created_file () =
 
 let test_revocation () =
   let d, _, file_fh = setup () in
-  let bob = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:100 () in
+  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   let cred =
-    Deploy.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
+    Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
   in
   (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
   ignore (Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:6);
@@ -183,7 +184,7 @@ let test_revocation () =
   | Error _ -> ()
   | Ok () -> Alcotest.fail "bob revoked admin's credential");
   (* The admin connection revokes it; the policy cache is flushed. *)
-  let admin_conn = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
+  let admin_conn = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   (match Client.revoke_credential admin_conn ~fingerprint:(Assertion.fingerprint cred) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -192,15 +193,15 @@ let test_revocation () =
 
 let test_key_revocation () =
   let d, _, file_fh = setup () in
-  let bob_key = Deploy.new_identity d in
+  let bob_key = Cluster.new_identity d in
   let bob = Deploy.attach d ~identity:bob_key ~uid:100 () in
-  let alice_key = Deploy.new_identity d in
+  let alice_key = Cluster.new_identity d in
   let alice = Deploy.attach d ~identity:alice_key ~uid:200 () in
   let cred_bob =
-    Deploy.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "RW") ()
+    Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "RW") ()
   in
   let cred_alice =
-    Assertion.issue ~key:bob_key ~drbg:d.Deploy.drbg ~licensees:(quoted alice)
+    Assertion.issue ~key:bob_key ~drbg:(Cluster.drbg d) ~licensees:(quoted alice)
       ~conditions:(handle_conditions file_fh "R") ()
   in
   (match Client.submit_credential alice cred_bob with Ok _ -> () | Error e -> Alcotest.fail e);
@@ -212,7 +213,7 @@ let test_key_revocation () =
   | Ok () -> Alcotest.fail "alice revoked a key");
   (* Admin declares Bob's key bad: credentials authored by it vanish,
      and new submissions of them are refused. *)
-  let admin_conn = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
+  let admin_conn = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   (match Client.revoke_key admin_conn ~principal:(Client.principal bob) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
@@ -229,10 +230,10 @@ let test_key_revocation () =
 
 let test_cross_user_isolation () =
   let d, _, file_fh = setup () in
-  let bob = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:100 () in
-  let carol = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:300 () in
+  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
+  let carol = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:300 () in
   let cred =
-    Deploy.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "RWX") ()
+    Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "RWX") ()
   in
   (* Carol gets hold of Bob's credential and submits it — but her
      requests are signed by her own key, so it grants her nothing. *)
@@ -246,9 +247,9 @@ let test_cross_user_isolation () =
 let test_time_of_day_policy () =
   let hour = ref 11 in
   let d, _, file_fh = setup ~hour:(fun () -> !hour) () in
-  let bob = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:100 () in
+  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   let cred =
-    Deploy.admin_issue d ~licensees:(quoted bob)
+    Cluster.admin_issue d ~licensees:(quoted bob)
       ~conditions:
         (Printf.sprintf
            "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") && (hour < 9 || hour >= 17) -> \"R\";"
@@ -264,18 +265,18 @@ let test_time_of_day_policy () =
      credential submission, as the prototype would on any policy
      change. *)
   hour := 20;
-  Discfs.Policy_cache.flush (Server.cache d.Deploy.server);
+  Discfs.Policy_cache.flush (Server.cache (Deploy.server d));
   let _, data = Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:6 in
   Alcotest.(check string) "evening access" "Secure" data
 
 let test_policy_cache_behaviour () =
   let d, _, file_fh = setup ~cache_size:128 () in
-  let bob = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:100 () in
+  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   let cred =
-    Deploy.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
+    Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
   in
   (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
-  let cache = Server.cache d.Deploy.server in
+  let cache = Server.cache (Deploy.server d) in
   let h0 = Discfs.Policy_cache.hits cache in
   for _ = 1 to 50 do
     ignore (Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:8)
@@ -284,17 +285,17 @@ let test_policy_cache_behaviour () =
   Alcotest.(check bool) "repeated reads mostly hit" true (hits >= 90);
   (* Submitting a credential flushes the cache. *)
   let other =
-    Deploy.admin_issue d ~licensees:(quoted bob) ~conditions:"app_domain == \"x\" -> \"R\";" ()
+    Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:"app_domain == \"x\" -> \"R\";" ()
   in
   (match Client.submit_credential bob other with Ok _ -> () | Error e -> Alcotest.fail e);
   Alcotest.(check int) "flushed" 0 (Discfs.Policy_cache.size cache)
 
 let test_audit_log () =
   let d, _, file_fh = setup () in
-  let bob = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:100 () in
+  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   expect_nfs_error Proto.nfserr_acces (fun () ->
       ignore (Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:6));
-  let log = Server.audit_log d.Deploy.server in
+  let log = Server.audit_log (Deploy.server d) in
   Alcotest.(check bool) "denial recorded" true
     (List.exists
        (fun e ->
@@ -302,11 +303,11 @@ let test_audit_log () =
          && not e.Server.au_granted)
        log);
   let cred =
-    Deploy.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
+    Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
   in
   (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
   ignore (Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:6);
-  let log = Server.audit_log d.Deploy.server in
+  let log = Server.audit_log (Deploy.server d) in
   Alcotest.(check bool) "grant recorded with value" true
     (List.exists
        (fun e -> e.Server.au_op = "read" && e.Server.au_granted && e.Server.au_value = "R")
@@ -314,19 +315,19 @@ let test_audit_log () =
 
 let test_esp_on_the_wire () =
   let d, admin_client, file_fh = setup () in
-  let before = Simnet.Stats.get d.Deploy.stats "esp.packets" in
+  let before = Simnet.Stats.get (Cluster.stats d) "esp.packets" in
   ignore (Nfs.Client.read (Client.nfs admin_client) file_fh ~off:0 ~count:8);
   Alcotest.(check bool) "reads travel inside ESP" true
-    (Simnet.Stats.get d.Deploy.stats "esp.packets" > before)
+    (Simnet.Stats.get (Cluster.stats d) "esp.packets" > before)
 
 let test_lookup_needs_execute () =
   let d, _, _ = setup () in
-  let bob = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:100 () in
+  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   let root = Client.root bob in
   expect_nfs_error Proto.nfserr_acces (fun () ->
       ignore (Nfs.Client.lookup (Client.nfs bob) root "paper.tex"));
   let cred =
-    Deploy.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions root "X") ()
+    Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions root "X") ()
   in
   (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
   (* X alone allows lookup but not readdir. *)
@@ -340,17 +341,17 @@ let test_access_procedure_uses_keynote () =
      failing) the operations - the "standard NFS authentication
      framework" integration the paper aims for (Â§1). *)
   let d, _, file_fh = setup () in
-  let bob = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:100 () in
+  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   Alcotest.(check int) "nothing before credentials" 0
     (Nfs.Client.access (Client.nfs bob) file_fh Proto.access_all);
   let cred =
-    Deploy.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
+    Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
   in
   (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
   Alcotest.(check int) "R credential -> ACCESS_READ only" Proto.access_read
     (Nfs.Client.access (Client.nfs bob) file_fh Proto.access_all);
   let cred2 =
-    Deploy.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "RWX") ()
+    Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "RWX") ()
   in
   (match Client.submit_credential bob cred2 with Ok _ -> () | Error e -> Alcotest.fail e);
   Alcotest.(check int) "RWX credential -> everything" Proto.access_all
@@ -368,9 +369,9 @@ let test_subtree_credential_via_path () =
   Nfs.Client.write_all (Client.nfs admin_client) inside "in the docs subtree";
   let outside, _, _ = Client.create admin_client ~dir:root "outside.txt" () in
   Nfs.Client.write_all (Client.nfs admin_client) outside "not shared";
-  let bob = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:100 () in
+  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   let cred =
-    Deploy.admin_issue d ~licensees:(quoted bob)
+    Cluster.admin_issue d ~licensees:(quoted bob)
       ~conditions:"(app_domain == \"DisCFS\") && (PATH ~= \"^/docs(/|$)\") -> \"RX\";"
       ~comment:"the whole docs subtree" ()
   in
@@ -400,12 +401,12 @@ let handle_reuse ~strict () =
   (* A tiny inode table so the freed inode is recycled within a few
      allocations (the allocator's cursor must wrap around). *)
   let d = Deploy.make ~strict_handles:strict ~ninodes:8 ~seed:"handle-reuse" () in
-  let admin_client = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
+  let admin_client = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = Client.root admin_client in
-  let bob = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:100 () in
+  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   (match
      Client.submit_credential bob
-       (Deploy.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions root "RWX") ())
+       (Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions root "RWX") ())
    with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);

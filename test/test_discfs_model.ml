@@ -12,6 +12,7 @@
 
 module Proto = Nfs.Proto
 module Deploy = Discfs.Deploy
+module Cluster = Discfs.Cluster
 module Client = Discfs.Client
 
 type op =
@@ -52,10 +53,11 @@ let grant m ~peer ~ino bits =
 
 let run_scenario ops =
   let d = Deploy.make ~seed:"model-test" () in
-  let admin = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
+  let admin = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = Client.root admin in
   let users =
-    Array.init n_users (fun i -> Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:(100 + i) ())
+    Array.init n_users (fun i ->
+        Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:(100 + i) ())
   in
   let m = { rights = []; files = Array.make 10 (0, "") } in
   let counter = ref 0 in
@@ -76,7 +78,7 @@ let run_scenario ops =
         if ino <> 0 then begin
           let value = List.nth Discfs.Server.values bits in
           let cred =
-            Deploy.admin_issue d
+            Cluster.admin_issue d
               ~licensees:(Printf.sprintf "\"%s\"" (peer u))
               ~conditions:
                 (Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"%s\";"
@@ -110,14 +112,14 @@ let run_scenario ops =
       | Read (u, slot) ->
         let ino, _ = m.files.(slot) in
         if ino <> 0 then begin
-          let fh = { Proto.ino; gen = Ffs.Fs.generation d.Deploy.fs ino } in
+          let fh = { Proto.ino; gen = Ffs.Fs.generation (Cluster.fs d) ino } in
           check_access (model_bits m ~peer:(peer u) ~ino) 4 (fun () ->
               Nfs.Client.read (Client.nfs users.(u)) fh ~off:0 ~count:8)
         end
       | Write (u, slot) ->
         let ino, _ = m.files.(slot) in
         if ino <> 0 then begin
-          let fh = { Proto.ino; gen = Ffs.Fs.generation d.Deploy.fs ino } in
+          let fh = { Proto.ino; gen = Ffs.Fs.generation (Cluster.fs d) ino } in
           check_access (model_bits m ~peer:(peer u) ~ino) 2 (fun () ->
               Nfs.Client.write (Client.nfs users.(u)) fh ~off:0 "data")
         end
@@ -135,7 +137,7 @@ let run_scenario ops =
       if ino <> 0 then
         for u = 0 to n_users - 1 do
           let server_level =
-            Discfs.Server.query_level d.Deploy.server ~peer:(peer u) ~ino
+            Discfs.Server.query_level (Deploy.server d) ~peer:(peer u) ~ino
           in
           let model_level = model_bits m ~peer:(peer u) ~ino in
           if server_level <> model_level then

@@ -10,6 +10,7 @@ module Fault = Simnet.Fault
 module Rpc = Oncrpc.Rpc
 module Proto = Nfs.Proto
 module Deploy = Discfs.Deploy
+module Cluster = Discfs.Cluster
 module Client = Discfs.Client
 module Server = Discfs.Server
 
@@ -249,7 +250,7 @@ let test_esp_corruption_dropped () =
   (* A quarter of packets corrupted means ~44% of attempts fail; give
      the client enough retransmissions to ride it out. *)
   let retry = { Rpc.default_retry with Rpc.max_attempts = 12 } in
-  let alice = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 ~retry () in
+  let alice = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 ~retry () in
   let root = Client.root alice in
   let fh, _, _ = Client.create alice ~dir:root "noisy.txt" () in
   Nfs.Client.write_all (Client.nfs alice) fh "intact despite the noise";
@@ -257,7 +258,7 @@ let test_esp_corruption_dropped () =
     let _, data = Nfs.Client.read (Client.nfs alice) fh ~off:0 ~count:100 in
     Alcotest.(check string) "reads stay correct" "intact despite the noise" data
   done;
-  let get k = Stats.get d.Deploy.stats k in
+  let get k = Stats.get (Cluster.stats d) k in
   Alcotest.(check bool) "corruptions occurred" true (get "link.corruptions" > 0);
   Alcotest.(check bool) "boundary dropped bad packets" true
     (get "rpc.server_rx_drops" + get "rpc.client_rx_drops" > 0);
@@ -301,7 +302,7 @@ let test_client_auto_rekey () =
   (* A client attached with a small SA lifetime re-keys transparently
      mid-workload; traffic is uninterrupted. *)
   let d = Deploy.make ~seed:"auto-rekey" () in
-  let alice = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 ~sa_lifetime:6 () in
+  let alice = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 ~sa_lifetime:6 () in
   let root = Client.root alice in
   let fh, _, _ = Client.create alice ~dir:root "r.txt" () in
   Nfs.Client.write_all (Client.nfs alice) fh "rekey survives";
@@ -309,14 +310,14 @@ let test_client_auto_rekey () =
     let _, data = Nfs.Client.read (Client.nfs alice) fh ~off:0 ~count:100 in
     Alcotest.(check string) "content across rekeys" "rekey survives" data
   done;
-  Alcotest.(check bool) "rekeys happened" true (Stats.get d.Deploy.stats "ike.rekeys" >= 2)
+  Alcotest.(check bool) "rekeys happened" true (Stats.get (Cluster.stats d) "ike.rekeys" >= 2)
 
 (* --- disk faults surface as NFS EIO ----------------------------------- *)
 
 let test_disk_fault_maps_to_eio () =
   let fault = Fault.create ~seed:"disk-eio" () in
   let d = Deploy.make ~seed:"disk-eio" ~fault () in
-  let alice = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
+  let alice = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = Client.root alice in
   let fh, _, _ = Client.create alice ~dir:root "frail.txt" () in
   Nfs.Client.write_all (Client.nfs alice) fh "fragile data";
@@ -352,7 +353,7 @@ let e2e_tree =
 let run_e2e ~lossy ~crash_at () =
   let fault = Fault.create ~seed:"e2e-fault" () in
   let d = Deploy.make ~seed:"e2e" ~fault () in
-  let alice = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
+  let alice = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let nfs () = Client.nfs alice in
   (* Build the tree over NFS on a clean network. *)
   let dirs = Hashtbl.create 4 in
@@ -385,7 +386,7 @@ let run_e2e ~lossy ~crash_at () =
           with Rpc.Rpc_timeout _ ->
             (* Server not responding: re-attach to the new incarnation
                (fresh IKE + MOUNT, in-flight op replayed) and redo. *)
-            Client.reattach alice ~rpc:d.Deploy.rpc ~server:d.Deploy.server ();
+            Client.reattach alice ~rpc:(Deploy.rpc d) ~server:(Deploy.server d) ();
             read_one ()
         in
         (dir, file, data))
@@ -401,12 +402,12 @@ let test_e2e_loss_and_crash () =
     e2e_tree clean;
   let faulty, d = run_e2e ~lossy:true ~crash_at:(Some 6) () in
   Alcotest.(check bool) "byte-identical to fault-free run" true (clean = faulty);
-  let get k = Stats.get d.Deploy.stats k in
+  let get k = Stats.get (Cluster.stats d) k in
   Alcotest.(check bool) "packets were dropped" true (get "link.drops" > 0);
   Alcotest.(check bool) "client retransmitted" true (get "rpc.retransmits" > 0);
   Alcotest.(check int) "exactly one restart" 1 (get "server.restarts");
   Alcotest.(check bool) "audit trail survived the crash" true
-    (List.length (Server.audit_log d.Deploy.server) > 0)
+    (List.length (Server.audit_log (Deploy.server d)) > 0)
 
 (* --- lossy profile normalization (regression) ------------------------- *)
 
@@ -512,15 +513,15 @@ let test_crash_flushes_held_packets () =
      into the next incarnation, neither delivered nor counted. *)
   let fault = Fault.create ~seed:"crash-flush" () in
   let d = Deploy.make ~fault ~seed:"crash-flush-deploy" () in
-  let alice = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
+  let alice = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   ignore alice;
   Fault.set_net fault { Fault.drop = 0.0; duplicate = 0.0; reorder = 1.0; corrupt = 0.0 };
   Alcotest.(check (list string)) "packet held at crash time" []
-    (Link.send d.Deploy.link ~flow:5 "in-flight");
+    (Link.send (Deploy.link d) ~flow:5 "in-flight");
   Fault.set_net fault Fault.no_net;
   Deploy.crash_and_restart d;
   Alcotest.(check int) "held packet flushed as a drop" 1
-    (Stats.get d.Deploy.stats "link.quiesce_drops")
+    (Stats.get (Cluster.stats d) "link.quiesce_drops")
 
 let suite =
   [

@@ -136,9 +136,7 @@ let test_quantile_edges () =
   Alcotest.check qe "all-overflow histogram saturates every quantile"
     (Metrics.Q_ge 1.0) (Metrics.quantile_est over 0.1);
   let s = Slo.of_histogram over in
-  Alcotest.(check int) "summary counts saturation" 2 s.Slo.saturated;
-  (* The legacy coarse API keeps its pinned behaviour. *)
-  feq "legacy quantile still bucket-top" 4.0 (Metrics.quantile single 0.5)
+  Alcotest.(check int) "summary counts saturation" 2 s.Slo.saturated
 
 (* --- the open-loop property ------------------------------------------- *)
 

@@ -4,6 +4,7 @@
 
 module Proto = Nfs.Proto
 module Deploy = Discfs.Deploy
+module Cluster = Discfs.Cluster
 module Client = Discfs.Client
 module Server = Discfs.Server
 
@@ -54,7 +55,28 @@ let test_fs_image_roundtrip () =
   (* Free-space accounting carried over consistently. *)
   let s1 = Ffs.Fs.statfs fs and s2 = Ffs.Fs.statfs fs2 in
   Alcotest.(check bool) "free blocks consistent" true
-    (s2.Ffs.Fs.f_free_blocks <= s1.Ffs.Fs.f_free_blocks)
+    (s2.Ffs.Fs.f_free_blocks <= s1.Ffs.Fs.f_free_blocks);
+  (* A reboot happens in place: whoever holds [fs] sees identical
+     state, with a cold pointer-block cache that warms on first touch. *)
+  let image = Ffs.Fs.save fs in
+  Ffs.Fs.reboot fs;
+  Alcotest.(check bool) "reboot preserves the image" true (String.equal image (Ffs.Fs.save fs));
+  let reads = Ffs.Blockdev.reads dev in
+  Alcotest.(check string) "indirect data readable after reboot" chunk
+    (Ffs.Fs.read fs f ~off:(19 * 8192) ~len:8192);
+  Alcotest.(check int) "pointer block and data block both from disk" (reads + 2)
+    (Ffs.Blockdev.reads dev);
+  ignore (Ffs.Fs.read fs f ~off:(18 * 8192) ~len:8192);
+  Alcotest.(check int) "pointer block warm again" (reads + 3) (Ffs.Blockdev.reads dev);
+  (* The next update to the once-cold pointer block is charged as a
+     fresh dirtying, as on a freshly loaded volume. *)
+  let writes = Ffs.Blockdev.writes dev in
+  Ffs.Fs.write fs f ~off:(20 * 8192) chunk;
+  Alcotest.(check int) "data block and pointer write-back" (writes + 2)
+    (Ffs.Blockdev.writes dev);
+  let fs3 = Ffs.Fs.load ~dev:(make_dev ()) (Ffs.Fs.save fs) in
+  Alcotest.(check string) "post-reboot growth survives a save" chunk
+    (Ffs.Fs.read fs3 f ~off:(20 * 8192) ~len:8192)
 
 let test_fs_image_errors () =
   let dev = make_dev () in
@@ -74,14 +96,14 @@ let test_fs_image_errors () =
 let test_server_restart () =
   (* Day 1: a server accumulates files and credentials. *)
   let d = Deploy.make ~seed:"restart" () in
-  let admin_client = Deploy.attach d ~identity:d.Deploy.admin ~uid:0 () in
+  let admin_client = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = Client.root admin_client in
   let fh, _, _ = Client.create admin_client ~dir:root "durable.txt" () in
   Nfs.Client.write_all (Client.nfs admin_client) fh "survives restarts";
-  let bob_key = Deploy.new_identity d in
+  let bob_key = Cluster.new_identity d in
   let bob = Deploy.attach d ~identity:bob_key ~uid:100 () in
   let cred =
-    Deploy.admin_issue d
+    Cluster.admin_issue d
       ~licensees:(Printf.sprintf "\"%s\"" (Client.principal bob))
       ~conditions:
         (Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"R\";"
@@ -89,15 +111,15 @@ let test_server_restart () =
       ()
   in
   (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
-  let mallory_key = Deploy.new_identity d in
+  let mallory_key = Cluster.new_identity d in
   (match
      Client.revoke_key admin_client
        ~principal:(Keynote.Assertion.principal_of_pub mallory_key.Dcrypto.Dsa.pub)
    with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  let disk_image = Ffs.Fs.save d.Deploy.fs in
-  let server_state = Server.save_state d.Deploy.server in
+  let disk_image = Ffs.Fs.save (Cluster.fs d) in
+  let server_state = Server.save_state (Deploy.server d) in
 
   (* Day 2: new process. Same keys (from disk in reality), same disk
      image, same credential store. *)
@@ -109,8 +131,8 @@ let test_server_restart () =
   in
   let fs = Ffs.Fs.load ~dev disk_image in
   let server =
-    Server.create ~fs ~admin:d.Deploy.admin.Dcrypto.Dsa.pub
-      ~server_key:(Server.server_key d.Deploy.server)
+    Server.create ~fs ~admin:(Cluster.admin_identity d).Dcrypto.Dsa.pub
+      ~server_key:(Server.server_key (Deploy.server d))
       ~drbg:(Dcrypto.Drbg.create ~seed:"restart-day2") ()
   in
   (match Server.load_state server server_state with
@@ -143,7 +165,7 @@ let test_server_restart () =
 
 let test_server_state_corruption () =
   let d = Deploy.make ~seed:"corrupt" () in
-  (match Server.load_state d.Deploy.server "not xdr" with
+  (match Server.load_state (Deploy.server d) "not xdr" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupt state accepted")
 

@@ -15,11 +15,14 @@
    Schedule exploration: QCheck properties assert that N tie-seed
    perturbations of the figure-12-style walk (boot storm) and a
    crashless churn leave the logical end state byte-identical, and
-   that a disabled tie seed preserves FIFO order exactly. *)
+   that a disabled tie seed preserves FIFO order exactly. The same
+   checker and perturbations run on a 4-frontend `Cluster` whose
+   lease, invalidate, redirect and crash paths race client traffic. *)
 
 module Clock = Simnet.Clock
 module Sched = Simnet.Sched
 module Deploy = Discfs.Deploy
+module Cluster = Discfs.Cluster
 module Client = Discfs.Client
 
 let mk_sched () =
@@ -157,11 +160,11 @@ let test_deploy_atomicity_proof () =
     Deploy.make ~workers:3 ~queue_depth:16 ~cache_blocks:64 ~readahead:4
       ~racecheck:true ()
   in
-  let sched = Option.get d.Deploy.sched in
-  let ctx = Option.get (Deploy.race_ctx d) in
+  let sched = Option.get (Cluster.sched d) in
+  let ctx = Option.get (Cluster.race_ctx d) in
   let clients =
     List.init 3 (fun i ->
-        let c = Deploy.attach d ~identity:d.Deploy.admin ~uid:i () in
+        let c = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:i () in
         let name = Printf.sprintf "f%d.txt" i in
         let fh, _, _ = Client.create c ~dir:(Client.root c) name () in
         (i, c, fh))
@@ -311,6 +314,126 @@ let prop_churn_equivalence =
       && p.Load.Scenario.ch_offered
          = p.Load.Scenario.ch_completed + p.Load.Scenario.ch_failed)
 
+(* --- the cluster under the checker and perturbed schedules -------------- *)
+
+module Cluster_client = Discfs.Cluster_client
+module Shard_map = Discfs.Shard_map
+
+type cluster_run = {
+  cr_fingerprint : string;
+  cr_reports : string list;
+  cr_accesses : int;
+  cr_stat : string -> int;
+}
+
+let cluster_retry =
+  { Oncrpc.Rpc.base_timeout = 0.5; backoff = 2.0; max_attempts = 4; jitter = 0.1 }
+
+(* Four frontends, four writers (one file each, so the end state is a
+   pure function of the data) and four readers homed across the
+   frontends. Every file's shard gets a read replica, so owner writes
+   INVALIDATE and reader picks land on replicas; mid-run a lease
+   renewal, a reshard (stale maps are corrected by signed redirects)
+   and a frontend crash all race the traffic. *)
+let cluster_run ?tie_seed () =
+  let nservers = 4 in
+  let c =
+    Cluster.make ~servers:nservers ~workers:3 ~queue_depth:16 ~cache_blocks:64 ~readahead:4
+      ~racecheck:true ?tie_seed ~seed:"race-cluster" ()
+  in
+  let sched = Option.get (Cluster.sched c) in
+  let attach i =
+    Cluster_client.attach c ~identity:(Cluster.admin_identity c) ~uid:i ~home:(i mod nservers)
+      ~retry:cluster_retry ()
+  in
+  let setup = attach 0 in
+  let files =
+    List.init 4 (fun i ->
+        let fh, _, _ =
+          Cluster_client.create setup ~dir:(Cluster_client.root setup) (Printf.sprintf "f%d" i) ()
+        in
+        fh)
+  in
+  let shard_of (fh : Nfs.Proto.fh) = Shard_map.shard_of (Cluster.map c) ~ino:fh.Nfs.Proto.ino in
+  let owner shard = (Shard_map.shard (Cluster.map c) shard).Shard_map.owner in
+  let shards = List.sort_uniq compare (List.map shard_of files) in
+  List.iter
+    (fun shard ->
+      match Cluster.add_replica c ~shard ~server:((owner shard + 1) mod nservers) with
+      | Ok () -> ()
+      | Error e -> Alcotest.failf "add_replica: %s" e)
+    shards;
+  let writers = List.mapi (fun i fh -> (i, attach (1 + i), fh)) files in
+  let readers = List.init 4 (fun i -> attach (5 + i)) in
+  let base = Clock.now (Cluster.clock c) in
+  List.iter
+    (fun (i, cc, fh) ->
+      (* discfs-lint: allow races "each writer owns its client and file end to end" *)
+      Sched.spawn sched (fun () ->
+          for round = 0 to 2 do
+            ignore
+              (Cluster_client.write cc fh ~off:(round * 4096)
+                 (String.make 4096 (Char.chr (97 + (4 * i) + round))));
+            Sched.sleep sched 0.05
+          done))
+    writers;
+  List.iter
+    (fun cc ->
+      (* discfs-lint: allow races "each reader owns its client; the handles are immutable" *)
+      Sched.spawn sched (fun () ->
+          for _ = 0 to 2 do
+            List.iter (fun fh -> ignore (Cluster_client.read cc fh ~off:0 ~count:4096)) files;
+            Sched.sleep sched 0.04
+          done))
+    readers;
+  ignore
+    (* discfs-lint: allow races "operator actions on the cluster under test; its shared state is exactly what the armed checker and the fingerprint observe" *)
+    (Sched.spawn_at sched (base +. 0.03) (fun () ->
+         List.iter
+           (fun shard ->
+             List.iter
+               (fun server -> ignore (Cluster.renew_lease c ~shard ~server))
+               (Shard_map.shard (Cluster.map c) shard).Shard_map.replicas)
+           shards));
+  let moved = shard_of (List.hd files) in
+  ignore
+    (* discfs-lint: allow races "operator actions on the cluster under test; its shared state is exactly what the armed checker and the fingerprint observe" *)
+    (Sched.spawn_at sched (base +. 0.06) (fun () ->
+         Cluster.reshard c ~shard:moved ~owner:((owner moved + 2) mod nservers)));
+  ignore
+    (* discfs-lint: allow races "operator actions on the cluster under test; its shared state is exactly what the armed checker and the fingerprint observe" *)
+    (Sched.spawn_at sched (base +. 0.08) (fun () -> Cluster.crash_and_restart c 1));
+  Sched.run sched;
+  let ctx = Option.get (Cluster.race_ctx c) in
+  {
+    cr_fingerprint = Load.Scenario.fs_fingerprint (Cluster.fs c);
+    cr_reports = List.map Race.render_report (Race.reports ctx);
+    cr_accesses = Race.accesses ctx;
+    cr_stat = Simnet.Stats.get (Cluster.stats c);
+  }
+
+let test_cluster_exploration () =
+  let baseline = cluster_run () in
+  List.iter
+    (fun (what, key) ->
+      Alcotest.(check bool) (what ^ " exercised") true (baseline.cr_stat key > 0))
+    [
+      ("replica leases", "topo.lease.grants");
+      ("owner-write INVALIDATE", "topo.lease.invalidations");
+      ("signed redirects", "redirect.followed");
+      ("reshard", "topo.reshards");
+      ("frontend crash", "server.restarts");
+    ];
+  Alcotest.(check (list string)) "default schedule: zero race reports" [] baseline.cr_reports;
+  List.iter
+    (fun seed ->
+      let r = cluster_run ~tie_seed:seed () in
+      let tag = Printf.sprintf "tie seed %Ld: " seed in
+      Alcotest.(check (list string)) (tag ^ "zero race reports") [] r.cr_reports;
+      Alcotest.(check bool) (tag ^ "monitors saw accesses") true (r.cr_accesses > 0);
+      Alcotest.(check string) (tag ^ "end state") baseline.cr_fingerprint r.cr_fingerprint)
+    (List.init nseeds (fun i -> Int64.of_int (0xc1 + i)))
+
 let suite =
   [
     ("synthetic check-then-act caught", `Quick, test_synthetic_check_then_act);
@@ -325,4 +448,5 @@ let suite =
     ("tie seed: deterministic, perturbing", `Quick, test_tie_seed_deterministic_and_perturbing);
     QCheck_alcotest.to_alcotest prop_walk_equivalence;
     QCheck_alcotest.to_alcotest prop_churn_equivalence;
+    ("cluster: 8 perturbed schedules, leases + redirects + crash", `Quick, test_cluster_exploration);
   ]

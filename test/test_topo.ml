@@ -18,6 +18,7 @@ module CC = Discfs.Cluster_client
 module Shard_map = Discfs.Shard_map
 module Stats = Simnet.Stats
 module Clock = Simnet.Clock
+module Sched = Simnet.Sched
 module Dsa = Dcrypto.Dsa
 
 let quoted p = Printf.sprintf "\"%s\"" p
@@ -317,6 +318,76 @@ let test_stale_map_crash_recovery () =
   CC.write_all cc fh "rewritten after it";
   Alcotest.(check string) "post-crash write visible" "rewritten after it" (CC.read_all cc fh)
 
+(* --- a crash under a survivor's in-flight write ------------------------ *)
+
+(* A frontend crash reboots the shared volume under every frontend. A
+   survivor's extending write that is waiting on the disk at that
+   moment must still land: the reboot replaces no inode and no cached
+   pointer block, so the write finishes on the objects it started
+   with. A poller steps through virtual time and crashes frontend 1 at
+   the first instant the chosen window is open: the data write of a
+   direct block, then the pointer-block write-back of the first
+   indirect block (whose placeholder bytes must not clobber the
+   pointers the reboot flushed). *)
+let test_crash_under_survivor_write () =
+  let c = Cluster.make ~servers:2 ~workers:2 ~nblocks:1024 ~seed:"topo-crash-inflight" () in
+  let sched = Option.get (Cluster.sched c) in
+  let fs = Cluster.fs c and dev = Cluster.dev c in
+  let cc = CC.attach c ~identity:(Cluster.admin_identity c) ~uid:0 ~home:0 () in
+  let rec mk i =
+    if i > 64 then Alcotest.fail "no file landed on frontend 0"
+    else
+      let fh, _, _ = CC.create cc ~dir:(CC.root cc) (Printf.sprintf "g%d.dat" i) () in
+      if Shard_map.owner (Cluster.map c) ~ino:fh.Proto.ino = 0 then fh else mk (i + 1)
+  in
+  let fh = mk 0 in
+  let bs = Ffs.Fs.block_size fs in
+  let block i = String.make bs (Char.chr (97 + i)) in
+  let size () = (Ffs.Fs.getattr fs fh.Proto.ino).Ffs.Inode.a_size in
+  let free () = (Ffs.Fs.statfs fs).Ffs.Fs.f_free_blocks in
+  let write_crashing what i ~window =
+    let free0 = free () and writes0 = Ffs.Blockdev.writes dev and size0 = size () in
+    let hit = ref false and reply = ref None in
+    (* discfs-lint: allow races "the writer alone sets [reply]; the poller only reads it, between scheduler steps" *)
+    Sched.spawn sched (fun () -> reply := Some (CC.write cc fh ~off:(i * bs) (block i)));
+    (* discfs-lint: allow races "the poller alone sets [hit]; the volume it watches is what the test asserts on" *)
+    Sched.spawn sched (fun () ->
+        while (not !hit) && Option.is_none !reply do
+          if window ~free0 ~writes0 ~size0 then begin
+            hit := true;
+            Cluster.crash_and_restart c 1
+          end
+          else Sched.sleep sched 1e-5
+        done);
+    Sched.run sched;
+    Alcotest.(check bool) (what ^ ": crash hit the window") true !hit;
+    match !reply with
+    | None -> Alcotest.failf "%s: write never returned" what
+    | Some attr ->
+      Alcotest.(check int) (what ^ ": reply size") ((i + 1) * bs) attr.Proto.size;
+      Alcotest.(check int) (what ^ ": volume size") ((i + 1) * bs) (size ())
+  in
+  (* The data block is allocated, the size not yet grown. *)
+  write_crashing "direct block" 0 ~window:(fun ~free0 ~writes0:_ ~size0 ->
+      free () < free0 && size () = size0);
+  for i = 1 to Ffs.Inode.n_direct - 1 do
+    ignore (CC.write cc fh ~off:(i * bs) (block i))
+  done;
+  (* The indirect and data blocks are allocated, no write done yet. *)
+  write_crashing "first indirect block" Ffs.Inode.n_direct
+    ~window:(fun ~free0 ~writes0 ~size0:_ ->
+      free () = free0 - 2 && Ffs.Blockdev.writes dev = writes0);
+  Alcotest.(check int) "two restarts" 2 (Stats.get (Cluster.stats c) "server.restarts");
+  let expect = String.concat "" (List.init (Ffs.Inode.n_direct + 1) block) in
+  Alcotest.(check bool) "every block reads back" true (String.equal expect (CC.read_all cc fh));
+  let copy =
+    Ffs.Blockdev.create ~clock:(Clock.create ()) ~cost:Simnet.Cost.default
+      ~stats:(Stats.create ()) ~nblocks:1024 ~block_size:bs ()
+  in
+  let fs' = Ffs.Fs.load ~dev:copy (Ffs.Fs.save fs) in
+  Alcotest.(check bool) "every block survives a save" true
+    (String.equal expect (Ffs.Fs.read fs' fh.Proto.ino ~off:0 ~len:(String.length expect)))
+
 (* --- QCheck: sharded == single-server --------------------------------- *)
 
 (* One abstract world: the same op interpreter runs against the
@@ -340,10 +411,10 @@ let nfs_result f =
 
 let single_world seed =
   let d = Deploy.make ~seed () in
-  let u = Deploy.attach d ~identity:(Deploy.new_identity d) ~uid:1000 () in
+  let u = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:1000 () in
   let root = Client.root u in
   let cred =
-    Deploy.admin_issue d
+    Cluster.admin_issue d
       ~licensees:(quoted (Client.principal u))
       ~conditions:(root_conditions root "RWX") ()
   in
@@ -523,6 +594,29 @@ let test_cluster_backend () =
     (Stats.get (Cluster.stats cluster) "redirect.followed" >= 1);
   Alcotest.(check int) "map caught up" (Shard_map.version (Cluster.map cluster)) (CC.map_version cc)
 
+(* --- one node: the cluster layer is inert ------------------------------ *)
+
+(* [Deploy] is the one-node cluster with no special case: every handle
+   is served locally, so a full single-server life (create, write,
+   read, crash, reattach) must never touch the shard-map, redirect,
+   lease or server-to-server machinery. *)
+let test_one_node_inert () =
+  let d = Deploy.make ~seed:"topo-one-node" () in
+  let c = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  let fh, _, _ = Client.create c ~dir:(Client.root c) "solo.dat" () in
+  Nfs.Client.write_all (Client.nfs c) fh "one node, no cluster traffic";
+  let read () = Nfs.Client.read_all (Client.nfs c) fh in
+  Alcotest.(check string) "read back" "one node, no cluster traffic" (read ());
+  Deploy.crash_and_restart d;
+  Deploy.reattach d c;
+  Alcotest.(check string) "read after crash" "one node, no cluster traffic" (read ());
+  let stats = Cluster.stats d in
+  Alcotest.(check int) "one host" 1 (Stats.get stats "topo.hosts");
+  Alcotest.(check int) "one restart" 1 (Deploy.restarts d);
+  List.iter
+    (fun k -> Alcotest.(check int) (k ^ " stays 0") 0 (Stats.get stats k))
+    [ "topo.getmap"; "redirect.sent"; "topo.lease.grants"; "topo.s2s_connects" ]
+
 let suite =
   [
     Alcotest.test_case "shard map: striping, serving, codec" `Quick test_shard_map_unit;
@@ -535,7 +629,11 @@ let suite =
       test_replica_serves_only_reads;
     Alcotest.test_case "crash + reshard: timeout, reattach, refreshed map" `Quick
       test_stale_map_crash_recovery;
+    Alcotest.test_case "crash under a survivor's in-flight write" `Quick
+      test_crash_under_survivor_write;
     QCheck_alcotest.to_alcotest ~long:false prop_equivalence;
     Alcotest.test_case "byte determinism across fresh runs" `Quick test_byte_determinism;
     Alcotest.test_case "bonnie backend over the cluster" `Quick test_cluster_backend;
+    Alcotest.test_case "one node: cluster layer inert through a crash" `Quick
+      test_one_node_inert;
   ]

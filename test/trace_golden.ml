@@ -10,12 +10,12 @@
 
 let () =
   let d = Discfs.Deploy.make ~tracing:true () in
-  let bob = Discfs.Deploy.new_identity d in
+  let bob = Discfs.Cluster.new_identity d in
   let client = Discfs.Deploy.attach d ~identity:bob () in
   (* Setup: the administrator grants the user RWX over the volume
      (one discfs.submit RPC), as in the paper's evaluation. *)
   let cred =
-    Discfs.Deploy.admin_issue d
+    Discfs.Cluster.admin_issue d
       ~licensees:(Printf.sprintf "%S" (Discfs.Client.principal client))
       ~conditions:"app_domain == \"DisCFS\" -> \"RWX\";" ()
   in
@@ -26,8 +26,8 @@ let () =
   let _attr, data = Nfs.Client.read (Discfs.Client.nfs client) fh ~off:0 ~count:4096 in
   assert (data = "");
   print_string "# golden trace: attach + create + read (names and nesting only)\n";
-  print_string (Trace.render_forest (Trace.forest (Trace.spans d.Discfs.Deploy.trace)));
+  print_string (Trace.render_forest (Trace.forest (Trace.spans (Discfs.Cluster.trace d))));
   Printf.printf "# spans: %d, open: %d, dropped: %d\n"
-    (List.length (Trace.spans d.Discfs.Deploy.trace))
-    (Trace.depth d.Discfs.Deploy.trace)
-    (Trace.dropped d.Discfs.Deploy.trace)
+    (List.length (Trace.spans (Discfs.Cluster.trace d)))
+    (Trace.depth (Discfs.Cluster.trace d))
+    (Trace.dropped (Discfs.Cluster.trace d))
