@@ -43,6 +43,7 @@ module Clock = Simnet.Clock
 module Backend = Bonnie.Backend
 module Bench = Bonnie.Bench
 module Search = Bonnie.Search
+module CC = Discfs.Cluster_client
 
 let say fmt = Format.printf (fmt ^^ "@.")
 
@@ -97,8 +98,8 @@ let search_figure spec =
   say "  %-8s %10.2f" "FFS" s_ffs;
   say "  %-8s %10.2f" "CFS-NE" s_cfs;
   say "  %-8s %10.2f" "DisCFS" s_dis;
-  (match Backend.discfs_deploy b_dis with
-  | Some d ->
+  (match Backend.discfs_parts b_dis with
+  | Some (d, _) ->
     let cache = Discfs.Server.cache (Discfs.Deploy.server d) in
     say "  policy cache (size %d): %d hits, %d misses"
       (Discfs.Policy_cache.capacity cache)
@@ -120,8 +121,8 @@ let cache_sweep spec =
       let b = Backend.discfs ~cache_size:size () in
       Search.build b spec;
       let _, seconds = Search.run b in
-      match Backend.discfs_deploy b with
-      | Some d ->
+      match Backend.discfs_parts b with
+      | Some (d, _) ->
         let cache = Discfs.Server.cache (Discfs.Deploy.server d) in
         say "  %-8d %12.2f %10d %10d" size seconds (Discfs.Policy_cache.hits cache)
           (Discfs.Policy_cache.misses cache)
@@ -198,20 +199,20 @@ let scalability () =
          arrives: none. *)
       let d = Discfs.Deploy.make ~seed:"scale-discfs" () in
       let owner_key = Discfs.Cluster.new_identity d in
-      let owner = Discfs.Deploy.attach d ~identity:owner_key ~uid:100 () in
-      let root = Discfs.Client.root owner in
+      let owner = CC.attach d ~identity:owner_key ~uid:100 () in
+      let root = CC.root owner in
       let initial =
         Discfs.Cluster.admin_issue d
-          ~licensees:(Printf.sprintf "\"%s\"" (Discfs.Client.principal owner))
+          ~licensees:(Printf.sprintf "\"%s\"" (CC.principal owner))
           ~conditions:
             (Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"RWX\";"
                root.Nfs.Proto.ino)
           ()
       in
-      (match Discfs.Client.submit_credential owner initial with
+      (match CC.submit_credential owner initial with
       | Ok _ -> ()
       | Error e -> failwith e);
-      let fh, _, _ = Discfs.Client.create owner ~dir:root "shared.txt" () in
+      let fh, _, _ = CC.create owner ~dir:root "shared.txt" () in
       let discfs_admin_ops = 1 (* the single initial delegation *) in
       let discfs_apriori_state = 0 in
       (* Users are onboarded with owner-issued credentials only; no
@@ -230,11 +231,11 @@ let scalability () =
             ()
         in
         if i mod 10 = 0 then begin
-          let uc = Discfs.Deploy.attach d ~identity:u ~uid:(2000 + i) () in
-          (match Discfs.Client.submit_credential uc cred with
+          let uc = CC.attach d ~identity:u ~uid:(2000 + i) () in
+          (match CC.submit_credential uc cred with
           | Ok _ -> ()
           | Error e -> failwith e);
-          ignore (Nfs.Client.read (Discfs.Client.nfs uc) fh ~off:0 ~count:1)
+          ignore (CC.read uc fh ~off:0 ~count:1)
         end
       done;
       (* --- ACL system: each user needs registration + a grant by the
@@ -376,9 +377,9 @@ let breakdown_config ~label ~attr_cache ~compound ~warm spec =
     else Backend.discfs ~tracing:true ()
   in
   Search.build b spec;
-  match Backend.discfs_deploy b with
+  match Backend.discfs_parts b with
   | None -> failwith "latency_breakdown: discfs backend has no deployment"
-  | Some d ->
+  | Some (d, _) ->
     Ffs.Blockdev.drop_cache (Discfs.Cluster.dev d);
     let trace = Discfs.Cluster.trace d in
     let metrics = Discfs.Cluster.metrics d in
@@ -693,9 +694,9 @@ let ablation_config ~config ~cache_blocks ~cache_size ~attr_cache spec =
       ~name_ttl:120.0 ()
   in
   Search.build b spec;
-  match Backend.discfs_deploy b with
+  match Backend.discfs_parts b with
   | None -> failwith "cache_ablation: discfs backend has no deployment"
-  | Some d ->
+  | Some (d, _) ->
     Ffs.Blockdev.drop_cache (Discfs.Cluster.dev d);
     let metrics = Discfs.Cluster.metrics d in
     let trace = Discfs.Cluster.trace d in
@@ -843,11 +844,9 @@ let conc_run ~clients ~workers ~depth =
   let sched = Option.get (Discfs.Cluster.sched d) in
   let conns =
     List.init clients (fun i ->
-        let c = Discfs.Deploy.attach d ~identity:(Discfs.Cluster.admin_identity d) ~uid:i () in
-        let fh, _, _ =
-          Discfs.Client.create c ~dir:(Discfs.Client.root c) (Printf.sprintf "c%d.dat" i) ()
-        in
-        Nfs.Client.write_all (Discfs.Client.nfs c) fh (String.make 8192 'x');
+        let c = CC.attach d ~identity:(Discfs.Cluster.admin_identity d) ~uid:i () in
+        let fh, _, _ = CC.create c ~dir:(CC.root c) (Printf.sprintf "c%d.dat" i) () in
+        CC.write_all c fh (String.make 8192 'x');
         (c, fh))
   in
   let clock = Discfs.Cluster.clock d in
@@ -857,15 +856,13 @@ let conc_run ~clients ~workers ~depth =
   List.iter
     (fun (c, fh) ->
       Sched.spawn sched (fun () ->
-          let nfs = Discfs.Client.nfs c in
           for op = 0 to conc_ops_per_client - 1 do
             let t = Clock.now clock in
             (try
                (match op mod 4 with
-               | 0 ->
-                 ignore (Nfs.Client.write nfs fh ~off:(op * 1024 mod 8192) (String.make 1024 'y'))
-               | 1 -> ignore (Nfs.Client.getattr nfs fh)
-               | _ -> ignore (Nfs.Client.read nfs fh ~off:(op * 2048 mod 8192) ~count:2048));
+               | 0 -> ignore (CC.write c fh ~off:(op * 1024 mod 8192) (String.make 1024 'y'))
+               | 1 -> ignore (CC.getattr c fh)
+               | _ -> ignore (CC.read c fh ~off:(op * 2048 mod 8192) ~count:2048));
                incr done_ops
              with Oncrpc.Rpc.Rpc_timeout _ -> incr failures);
             let dt = Clock.now clock -. t in
@@ -984,7 +981,6 @@ let concurrency_scaling ?json () =
 (* ------------------------------------------------------------------ *)
 
 module Cluster = Discfs.Cluster
-module CC = Discfs.Cluster_client
 module Shard_map = Discfs.Shard_map
 
 type topo_row = {
@@ -1169,9 +1165,9 @@ let topology ?(smoke = false) ?json () =
 let trace_dump () =
   let b = Backend.discfs ~tracing:true () in
   Search.build b { Search.dirs = 2; files_per_dir = 3; mean_file_size = 1024; seed = "trace-dump" };
-  match Backend.discfs_deploy b with
+  match Backend.discfs_parts b with
   | None -> failwith "trace: discfs backend has no deployment"
-  | Some d ->
+  | Some (d, _) ->
     let trace = Discfs.Cluster.trace d in
     Trace.reset trace;
     ignore (Search.run b);
@@ -1591,17 +1587,17 @@ let micro_tests () =
   in
   let d = Discfs.Deploy.make ~seed:"micro-deploy" ~cache_size:128 () in
   let bob = Discfs.Cluster.new_identity d in
-  let client = Discfs.Deploy.attach d ~identity:bob () in
-  let root = Discfs.Client.root client in
+  let client = CC.attach d ~identity:bob () in
+  let root = CC.root client in
   (match
-     Discfs.Client.submit_credential client
+     CC.submit_credential client
        (Discfs.Cluster.admin_issue d
-          ~licensees:(Printf.sprintf "\"%s\"" (Discfs.Client.principal client))
+          ~licensees:(Printf.sprintf "\"%s\"" (CC.principal client))
           ~conditions:"app_domain == \"DisCFS\" -> \"RWX\";" ())
    with
   | Ok _ -> ()
   | Error e -> failwith e);
-  let peer = Discfs.Client.principal client in
+  let peer = CC.principal client in
   let server = Discfs.Deploy.server d in
   let cache = Discfs.Server.cache server in
   (* Warm the cache for the hot-path test. *)

@@ -7,6 +7,7 @@
      denied NFS operations, with wire/crypto/KeyNote statistics. *)
 
 open Cmdliner
+module CC = Discfs.Cluster_client
 
 let read_file path =
   let ic = open_in_bin path in
@@ -73,23 +74,23 @@ let demo seed =
     (String.sub (Discfs.Cluster.admin_principal d) 0 30);
 
   let bob = Discfs.Cluster.new_identity d in
-  let client = Discfs.Deploy.attach d ~identity:bob ~uid:100 () in
+  let client = CC.attach d ~identity:bob ~uid:100 () in
   say "2. Bob attaches. IKE authenticated both ends in %.0f ms of virtual time;"
     (Simnet.Clock.now (Discfs.Cluster.clock d) *. 1000.);
   say "   the server now binds this connection to Bob's key %s..."
-    (String.sub (Discfs.Client.principal client) 0 30);
+    (String.sub (CC.principal client) 0 30);
 
-  let root = Discfs.Client.root client in
+  let root = CC.root client in
   say "3. Without credentials the tree is mode 000:";
-  let attr = Nfs.Client.getattr (Discfs.Client.nfs client) root in
+  let attr = CC.getattr client root in
   say "   getattr / -> mode %03o uid %d" (attr.Nfs.Proto.mode land 0o777) attr.Nfs.Proto.uid;
-  (match Nfs.Client.readdir (Discfs.Client.nfs client) root with
+  (match CC.readdir client root with
   | exception Nfs.Proto.Nfs_error s -> say "   readdir / -> %s" (Nfs.Proto.status_to_string s)
   | _ -> ());
 
   let cred =
     Discfs.Cluster.admin_issue d
-      ~licensees:(Printf.sprintf "\"%s\"" (Discfs.Client.principal client))
+      ~licensees:(Printf.sprintf "\"%s\"" (CC.principal client))
       ~conditions:
         (Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"RWX\";"
            root.Nfs.Proto.ino)
@@ -97,20 +98,20 @@ let demo seed =
   in
   say "4. The administrator mails Bob a credential:";
   print_string (Keynote.Assertion.to_text cred);
-  (match Discfs.Client.submit_credential client cred with
+  (match CC.submit_credential client cred with
   | Ok fp -> say "5. Bob submits it over RPC; server accepts (fingerprint %s)." fp
   | Error e -> failwith e);
 
-  let fh, _, file_cred = Discfs.Client.create client ~dir:root "demo.txt" () in
+  let fh, _, file_cred = CC.create client ~dir:root "demo.txt" () in
   say "6. Bob creates demo.txt with the DisCFS create call; the server";
   say "   returns a fresh RWX credential (fingerprint %s)."
     (Keynote.Assertion.fingerprint file_cred);
-  Nfs.Client.write_all (Discfs.Client.nfs client) fh "credentials, not accounts\n";
-  let _, data = Nfs.Client.read (Discfs.Client.nfs client) fh ~off:0 ~count:64 in
+  CC.write_all client fh "credentials, not accounts\n";
+  let _, data = CC.read client fh ~off:0 ~count:64 in
   say "7. Write + read back: %S" data;
 
-  let mallory = Discfs.Deploy.attach d ~identity:(Discfs.Cluster.new_identity d) ~uid:666 () in
-  (match Nfs.Client.read (Discfs.Client.nfs mallory) fh ~off:0 ~count:4 with
+  let mallory = CC.attach d ~identity:(Discfs.Cluster.new_identity d) ~uid:666 () in
+  (match CC.read mallory fh ~off:0 ~count:4 with
   | exception Nfs.Proto.Nfs_error s ->
     say "8. A second user without credentials is refused: %s" (Nfs.Proto.status_to_string s)
   | _ -> failwith "unexpected grant");
@@ -148,20 +149,20 @@ let cluster servers seed =
       (Discfs.Shard_map.version (Discfs.Cluster.map c));
     say "%s" (Discfs.Shard_map.to_string (Discfs.Cluster.map c));
 
-    let root = Discfs.Cluster_client.root cc in
+    let root = CC.root cc in
     let cred =
       Discfs.Cluster.admin_issue c
-        ~licensees:(Printf.sprintf "\"%s\"" (Discfs.Cluster_client.principal cc))
+        ~licensees:(Printf.sprintf "\"%s\"" (CC.principal cc))
         ~conditions:
           (Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"RWX\";"
              root.Nfs.Proto.ino)
         ~comment:"root for the demo user" ()
     in
-    (match Discfs.Cluster_client.submit_credential cc cred with
+    (match CC.submit_credential cc cred with
     | Ok _ -> ()
     | Error e -> failwith e);
-    let fh, _, _ = Discfs.Cluster_client.create cc ~dir:root "demo.txt" () in
-    Discfs.Cluster_client.write_all cc fh "authority travels with the credential\n";
+    let fh, _, _ = CC.create cc ~dir:root "demo.txt" () in
+    CC.write_all cc fh "authority travels with the credential\n";
     let m = Discfs.Cluster.map c in
     let shard = Discfs.Shard_map.shard_of m ~ino:fh.Nfs.Proto.ino in
     let owner = Discfs.Shard_map.owner m ~ino:fh.Nfs.Proto.ino in
@@ -175,12 +176,12 @@ let cluster servers seed =
       (Discfs.Shard_map.version (Discfs.Cluster.map c));
     say "   cached map is now stale; its next read is answered by a SIGNED";
     say "   redirect, verified against the old owner's IKE-authenticated key:";
-    let data = Discfs.Cluster_client.read_all cc fh in
+    let data = CC.read_all cc fh in
     let get k = Simnet.Stats.get (Discfs.Cluster.stats c) k in
     say "   read -> %S" data;
     say "   redirects: sent %d, followed %d, bad signatures %d; client map v%d"
       (get "redirect.sent") (get "redirect.followed") (get "redirect.bad_sig")
-      (Discfs.Cluster_client.map_version cc);
+      (CC.map_version cc);
 
     (match Discfs.Cluster.add_replica c ~shard ~server:owner with
     | Ok () ->
@@ -188,7 +189,7 @@ let cluster servers seed =
       say "   lease from the owner (grants so far: %d). A write through the"
         (get "topo.lease.grants");
       say "   owner INVALIDATEs it before the write is acknowledged:";
-      Discfs.Cluster_client.write_all cc fh "writes invalidate replica leases first\n";
+      CC.write_all cc fh "writes invalidate replica leases first\n";
       say "   lease invalidations: %d" (get "topo.lease.invalidations")
     | Error e -> say "   (replica setup failed: %s)" e);
 
@@ -214,11 +215,11 @@ let snapshot seed out =
   (* Run a small deployment and dump its volume to a real disk image
      file, for fsck below. *)
   let d = Discfs.Deploy.make ~seed () in
-  let admin = Discfs.Deploy.attach d ~identity:(Discfs.Cluster.admin_identity d) ~uid:0 () in
-  let root = Discfs.Client.root admin in
-  let docs, _, _ = Discfs.Client.mkdir admin ~dir:root "docs" () in
-  let fh, _, _ = Discfs.Client.create admin ~dir:docs "paper.tex" () in
-  Nfs.Client.write_all (Discfs.Client.nfs admin) fh
+  let admin = CC.attach d ~identity:(Discfs.Cluster.admin_identity d) ~uid:0 () in
+  let root = CC.root admin in
+  let docs, _, _ = CC.mkdir admin ~dir:root "docs" () in
+  let fh, _, _ = CC.create admin ~dir:docs "paper.tex" () in
+  CC.write_all admin fh
     "\\title{Secure and Flexible Global File Sharing}\n";
   write_file out (Ffs.Fs.save (Discfs.Cluster.fs d));
   say "wrote volume image to %s" out;

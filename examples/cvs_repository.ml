@@ -8,7 +8,7 @@
 
 module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
-module Client = Discfs.Client
+module CC = Discfs.Cluster_client
 module Assertion = Keynote.Assertion
 module Proto = Nfs.Proto
 
@@ -22,19 +22,19 @@ let () =
 
   (* Miltchev owns the repository. *)
   let owner_key = Cluster.new_identity d in
-  let owner = Deploy.attach d ~identity:owner_key ~uid:100 () in
-  let root = Client.root owner in
+  let owner = CC.attach d ~identity:owner_key ~uid:100 () in
+  let root = CC.root owner in
   (match
-     Client.submit_credential owner
+     CC.submit_credential owner
        (Cluster.admin_issue d
-          ~licensees:(Printf.sprintf "\"%s\"" (Client.principal owner))
+          ~licensees:(Printf.sprintf "\"%s\"" (CC.principal owner))
           ~conditions:(grant root "RWX") ())
    with
   | Ok _ -> ()
   | Error e -> failwith e);
-  let repo, _, _repo_cred = Client.mkdir owner ~dir:root "cvsroot" () in
-  let paper, _, _ = Client.create owner ~dir:repo "discfs-paper.tex,v" () in
-  Nfs.Client.write_all (Client.nfs owner) paper "head 1.1;\n1.1\nlog\n@initial@\ntext\n@...@\n";
+  let repo, _, _repo_cred = CC.mkdir owner ~dir:root "cvsroot" () in
+  let paper, _, _ = CC.create owner ~dir:repo "discfs-paper.tex,v" () in
+  CC.write_all owner paper "head 1.1;\n1.1\nlog\n@initial@\ntext\n@...@\n";
   say "miltchev created cvsroot/ and checked in discfs-paper.tex,v";
 
   (* The co-authors, each with their own key, each getting a
@@ -44,14 +44,14 @@ let () =
     List.mapi
       (fun i name ->
         let key = Cluster.new_identity d in
-        let c = Deploy.attach d ~identity:key ~uid:(200 + i) () in
+        let c = CC.attach d ~identity:key ~uid:(200 + i) () in
         let cred =
           Assertion.issue ~key:owner_key ~drbg:(Cluster.drbg d)
-            ~licensees:(Printf.sprintf "\"%s\"" (Client.principal c))
+            ~licensees:(Printf.sprintf "\"%s\"" (CC.principal c))
             ~conditions:(grant repo "RWX" ^ "\n\t" ^ grant paper "RW")
             ~comment:(Printf.sprintf "cvs access for %s" name) ()
         in
-        (match Client.submit_credential c cred with Ok _ -> () | Error e -> failwith e);
+        (match CC.submit_credential c cred with Ok _ -> () | Error e -> failwith e);
         (name, c))
       coauthors
   in
@@ -60,14 +60,14 @@ let () =
   (* Each author commits a revision — a read-modify-write cycle. *)
   List.iter
     (fun (name, c) ->
-      let current = Nfs.Client.read_all (Client.nfs c) paper in
+      let current = CC.read_all c paper in
       let revision = Printf.sprintf "%s%% revision by %s\n" current name in
-      Nfs.Client.write_all (Client.nfs c) paper revision;
+      CC.write_all c paper revision;
       say "  %s committed (file now %d bytes)" name (String.length revision))
     author_clients;
 
   (* Everyone sees everyone's work. *)
-  let final = Nfs.Client.read_all (Client.nfs owner) paper in
+  let final = CC.read_all owner paper in
   List.iter
     (fun (name, _) ->
       if not (Rex.matches ("revision by " ^ name) final) then
@@ -77,8 +77,8 @@ let () =
 
   (* The failure the paper describes is gone: a stranger on the same
      server gets nothing, because nothing was made world-writable. *)
-  let stranger = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:666 () in
-  (match Nfs.Client.read (Client.nfs stranger) paper ~off:0 ~count:4 with
+  let stranger = CC.attach d ~identity:(Cluster.new_identity d) ~uid:666 () in
+  (match CC.read stranger paper ~off:0 ~count:4 with
   | exception Proto.Nfs_error s -> say "stranger refused: %s" (Proto.status_to_string s)
   | _ -> failwith "stranger should be refused");
   say "@.cvs_repository: OK"

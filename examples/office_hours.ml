@@ -8,7 +8,7 @@
 
 module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
-module Client = Discfs.Client
+module CC = Discfs.Cluster_client
 module Proto = Nfs.Proto
 
 let say fmt = Format.printf (fmt ^^ "@.")
@@ -17,19 +17,19 @@ let () =
   (* The simulated wall clock hour is adjustable from the outside. *)
   let hour = ref 9 in
   let d = Deploy.make ~seed:"office-hours" ~hour:(fun () -> !hour) () in
-  let admin = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let root = Client.root admin in
+  let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  let root = CC.root admin in
 
   (* Two files: one for work, one decidedly not. *)
-  let report, _, _ = Client.create admin ~dir:root "quarterly-report.txt" () in
-  Nfs.Client.write_all (Client.nfs admin) report "Q2 numbers: up and to the right.\n";
-  let games, _, _ = Client.create admin ~dir:root "adventure-walkthrough.txt" () in
-  Nfs.Client.write_all (Client.nfs admin) games "XYZZY. Then head north.\n";
+  let report, _, _ = CC.create admin ~dir:root "quarterly-report.txt" () in
+  CC.write_all admin report "Q2 numbers: up and to the right.\n";
+  let games, _, _ = CC.create admin ~dir:root "adventure-walkthrough.txt" () in
+  CC.write_all admin games "XYZZY. Then head north.\n";
 
-  let employee = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:300 () in
+  let employee = CC.attach d ~identity:(Cluster.new_identity d) ~uid:300 () in
   let cred =
     Cluster.admin_issue d
-      ~licensees:(Printf.sprintf "\"%s\"" (Client.principal employee))
+      ~licensees:(Printf.sprintf "\"%s\"" (CC.principal employee))
       ~conditions:
         (Printf.sprintf
            "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"R\";\n\
@@ -38,11 +38,11 @@ let () =
            report.Proto.ino games.Proto.ino)
       ~comment:"work files always; leisure files outside 09:00-17:00" ()
   in
-  (match Client.submit_credential employee cred with Ok _ -> () | Error e -> failwith e);
+  (match CC.submit_credential employee cred with Ok _ -> () | Error e -> failwith e);
   say "Credential: report readable always, walkthrough only off-hours.";
 
   let try_read label fh =
-    match Nfs.Client.read (Client.nfs employee) fh ~off:0 ~count:16 with
+    match CC.read employee fh ~off:0 ~count:16 with
     | _, data -> say "  %02d:00 %-26s -> %S" !hour label data
     | exception Proto.Nfs_error s ->
       say "  %02d:00 %-26s -> %s" !hour label (Proto.status_to_string s)

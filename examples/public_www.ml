@@ -12,24 +12,24 @@
 
 module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
-module Client = Discfs.Client
+module CC = Discfs.Cluster_client
 module Proto = Nfs.Proto
 
 let say fmt = Format.printf (fmt ^^ "@.")
 
 let () =
   let d = Deploy.make ~seed:"public-www" () in
-  let admin = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let root = Client.root admin in
+  let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  let root = CC.root admin in
 
   (* The site content: a public area and a private area. *)
-  let pub, _, _ = Client.mkdir admin ~dir:root "public" () in
-  let index, _, _ = Client.create admin ~dir:pub "index.html" () in
-  Nfs.Client.write_all (Client.nfs admin) index "<h1>Welcome to dsl.cis.upenn.edu</h1>\n";
-  let papers, _, _ = Client.create admin ~dir:pub "papers.html" () in
-  Nfs.Client.write_all (Client.nfs admin) papers "<a href=discfs.ps>DisCFS TR</a>\n";
-  let secret, _, _ = Client.create admin ~dir:root "grades.txt" () in
-  Nfs.Client.write_all (Client.nfs admin) secret "definitely not public\n";
+  let pub, _, _ = CC.mkdir admin ~dir:root "public" () in
+  let index, _, _ = CC.create admin ~dir:pub "index.html" () in
+  CC.write_all admin index "<h1>Welcome to dsl.cis.upenn.edu</h1>\n";
+  let papers, _, _ = CC.create admin ~dir:pub "papers.html" () in
+  CC.write_all admin papers "<a href=discfs.ps>DisCFS TR</a>\n";
+  let secret, _, _ = CC.create admin ~dir:root "grades.txt" () in
+  CC.write_all admin secret "definitely not public\n";
 
   (* The published guest identity — the key pair itself is posted on
      the website, like the 'anonymous' password convention. *)
@@ -48,30 +48,30 @@ let () =
 
   (* Three anonymous visitors, none known to the server. *)
   for visitor = 1 to 3 do
-    let v = Deploy.attach d ~identity:guest_key ~uid:(60000 + visitor) () in
+    let v = CC.attach d ~identity:guest_key ~uid:(60000 + visitor) () in
     (* First request ships the guest credential (cached thereafter). *)
-    (match Client.submit_credential v guest_cred with
+    (match CC.submit_credential v guest_cred with
     | Ok _ -> ()
     | Error e -> failwith e);
-    let page, _ = Nfs.Client.lookup (Client.nfs v) pub "index.html" in
-    let _, html = Nfs.Client.read (Client.nfs v) page ~off:0 ~count:38 in
+    let page, _ = CC.lookup v pub "index.html" in
+    let _, html = CC.read v page ~off:0 ~count:38 in
     say "visitor %d fetched %S" visitor html;
     (* The private area stays dark. *)
-    (match Nfs.Client.read (Client.nfs v) secret ~off:0 ~count:4 with
+    (match CC.read v secret ~off:0 ~count:4 with
     | exception Proto.Nfs_error s ->
       if visitor = 1 then say "visitor %d denied on grades.txt: %s" visitor (Proto.status_to_string s)
     | _ -> failwith "anonymous visitor read a private file");
     (* Guests cannot deface the site either. *)
-    match Nfs.Client.write (Client.nfs v) page ~off:0 "<h1>pwned" with
+    match CC.write v page ~off:0 "<h1>pwned" with
     | exception Proto.Nfs_error _ -> ()
     | _ -> failwith "guest write accepted"
   done;
 
   (* New content is public immediately — no per-page ACL work. *)
-  let news, _, _ = Client.create admin ~dir:pub "news.html" () in
-  Nfs.Client.write_all (Client.nfs admin) news "New: USENIX camera-ready posted.\n";
-  let v = Deploy.attach d ~identity:guest_key ~uid:60099 () in
-  (match Client.submit_credential v guest_cred with Ok _ -> () | Error e -> failwith e);
-  let _, html = Nfs.Client.read (Client.nfs v) news ~off:0 ~count:4 in
+  let news, _, _ = CC.create admin ~dir:pub "news.html" () in
+  CC.write_all admin news "New: USENIX camera-ready posted.\n";
+  let v = CC.attach d ~identity:guest_key ~uid:60099 () in
+  (match CC.submit_credential v guest_cred with Ok _ -> () | Error e -> failwith e);
+  let _, html = CC.read v news ~off:0 ~count:4 in
   say "a later visitor reads fresh content: %S (no extra configuration)" html;
   say "@.public_www: OK"

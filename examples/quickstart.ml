@@ -9,7 +9,7 @@
 
 module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
-module Client = Discfs.Client
+module CC = Discfs.Cluster_client
 module Assertion = Keynote.Assertion
 
 let say fmt = Format.printf (fmt ^^ "@.")
@@ -24,24 +24,24 @@ let () =
   (* Bob is an internal user: the administrator delegates the root
      directory to him. *)
   let bob_key = Cluster.new_identity d in
-  let bob = Deploy.attach d ~identity:bob_key ~uid:100 () in
-  let root = Client.root bob in
+  let bob = CC.attach d ~identity:bob_key ~uid:100 () in
+  let root = CC.root bob in
   let bob_cred =
     Cluster.admin_issue d
-      ~licensees:(Printf.sprintf "\"%s\"" (Client.principal bob))
+      ~licensees:(Printf.sprintf "\"%s\"" (CC.principal bob))
       ~conditions:
         (Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"RWX\";"
            root.Nfs.Proto.ino)
       ~comment:"root dir for Bob" ()
   in
-  (match Client.submit_credential bob bob_cred with
+  (match CC.submit_credential bob bob_cred with
   | Ok fp -> say "Bob submitted his credential (fingerprint %s)" fp
   | Error e -> failwith e);
 
   (* Bob writes his paper using the DisCFS create call, which hands
      back a credential for the new file. *)
-  let fh, _, paper_cred = Client.create bob ~dir:root "paper.tex" () in
-  Nfs.Client.write_all (Client.nfs bob)
+  let fh, _, paper_cred = CC.create bob ~dir:root "paper.tex" () in
+  CC.write_all bob
     fh
     "\\title{Secure and Flexible Global File Sharing}\n\\begin{abstract}...\n";
   say "Bob stored paper.tex (inode %d) and holds an RWX credential for it"
@@ -50,17 +50,17 @@ let () =
   (* Alice is EXTERNAL: no account, unknown to the server. Bob issues
      her a read-only credential — no administrator involved. *)
   let alice_key = Cluster.new_identity d in
-  let alice = Deploy.attach d ~identity:alice_key ~uid:2001 () in
+  let alice = CC.attach d ~identity:alice_key ~uid:2001 () in
   say "Alice attached; server only sees her public key %s..."
-    (String.sub (Client.principal alice) 0 28);
+    (String.sub (CC.principal alice) 0 28);
 
   (* Before any credential: the tree presents itself as mode 000. *)
-  let attr = Nfs.Client.getattr (Client.nfs alice) fh in
+  let attr = CC.getattr alice fh in
   say "Before credentials, Alice sees paper.tex as mode %03o" (attr.Nfs.Proto.mode land 0o777);
 
   let for_alice =
     Assertion.issue ~key:bob_key ~drbg:(Cluster.drbg d)
-      ~licensees:(Printf.sprintf "\"%s\"" (Client.principal alice))
+      ~licensees:(Printf.sprintf "\"%s\"" (CC.principal alice))
       ~conditions:
         (Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"R\";"
            fh.Nfs.Proto.ino)
@@ -70,18 +70,18 @@ let () =
 
   (* Alice presents Bob's chain: his server-issued credential is
      already at the server; she submits her delegation. *)
-  (match Client.submit_credential alice for_alice with
+  (match CC.submit_credential alice for_alice with
   | Ok _ -> say "Alice's credential accepted"
   | Error e -> failwith e);
   (* Bob's own paper credential also travels with the chain; it was
      admitted when the server issued it at create time. *)
   ignore paper_cred;
 
-  let _, contents = Nfs.Client.read (Client.nfs alice) fh ~off:0 ~count:100 in
+  let _, contents = CC.read alice fh ~off:0 ~count:100 in
   say "Alice reads: %S" (String.sub contents 0 46);
 
   (* But she cannot write... *)
-  (match Nfs.Client.write (Client.nfs alice) fh ~off:0 "scribble" with
+  (match CC.write alice fh ~off:0 "scribble" with
   | exception Nfs.Proto.Nfs_error s -> say "Alice's write is refused: %s" (Nfs.Proto.status_to_string s)
   | _ -> failwith "write should have been denied");
 

@@ -11,7 +11,7 @@
 
 module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
-module Client = Discfs.Client
+module CC = Discfs.Cluster_client
 module Proto = Nfs.Proto
 
 let say fmt = Format.printf (fmt ^^ "@.")
@@ -36,42 +36,42 @@ let () =
 
   (* Each domain hosts a paper draft. *)
   let setup d name text =
-    let admin = Deploy.attach d ~identity:(Discfs.Cluster.admin_identity d) ~uid:0 () in
-    let fh, _, _ = Client.create admin ~dir:(Client.root admin) name () in
-    Nfs.Client.write_all (Client.nfs admin) fh text;
+    let admin = CC.attach d ~identity:(Discfs.Cluster.admin_identity d) ~uid:0 () in
+    let fh, _, _ = CC.create admin ~dir:(CC.root admin) name () in
+    CC.write_all admin fh text;
     fh
   in
   let penn_file = setup penn "draft-penn.tex" "The Philadelphia draft.\n" in
   let cam_file = setup cam "draft-cam.tex" "The Cambridge draft.\n" in
 
   (* The researcher attaches to both with the same identity. *)
-  let at_penn = Deploy.attach penn ~identity:researcher ~uid:1000 () in
-  let at_cam = Deploy.attach cam ~identity:researcher ~uid:2000 () in
+  let at_penn = CC.attach penn ~identity:researcher ~uid:1000 () in
+  let at_cam = CC.attach cam ~identity:researcher ~uid:2000 () in
   say "Researcher attaches to both servers with the same key.";
 
   (* Each admin issues a credential for their own server's file —
      independently, using only the researcher's public key. *)
   must
-    (Client.submit_credential at_penn
+    (CC.submit_credential at_penn
        (Cluster.admin_issue penn
-          ~licensees:(Printf.sprintf "\"%s\"" (Client.principal at_penn))
+          ~licensees:(Printf.sprintf "\"%s\"" (CC.principal at_penn))
           ~conditions:(grant penn_file "RW") ~comment:"penn collaboration" ()));
   must
-    (Client.submit_credential at_cam
+    (CC.submit_credential at_cam
        (Cluster.admin_issue cam
-          ~licensees:(Printf.sprintf "\"%s\"" (Client.principal at_cam))
+          ~licensees:(Printf.sprintf "\"%s\"" (CC.principal at_cam))
           ~conditions:(grant cam_file "R") ~comment:"cam visitor, read only" ()));
   say "Each domain issued its own credential; no NIS, no realm merging,";
   say "no cross-domain configuration of any kind.";
 
   (* Work proceeds on both, under each domain's own policy. *)
-  let _, penn_text = Nfs.Client.read (Client.nfs at_penn) penn_file ~off:0 ~count:64 in
+  let _, penn_text = CC.read at_penn penn_file ~off:0 ~count:64 in
   say "  at upenn.edu: reads %S" (String.trim penn_text);
-  ignore (Nfs.Client.write (Client.nfs at_penn) penn_file ~off:0 "Rev 2:");
+  ignore (CC.write at_penn penn_file ~off:0 "Rev 2:");
   say "  at upenn.edu: write accepted (RW credential)";
-  let _, cam_text = Nfs.Client.read (Client.nfs at_cam) cam_file ~off:0 ~count:64 in
+  let _, cam_text = CC.read at_cam cam_file ~off:0 ~count:64 in
   say "  at cam.ac.uk: reads %S" (String.trim cam_text);
-  (match Nfs.Client.write (Client.nfs at_cam) cam_file ~off:0 "no" with
+  (match CC.write at_cam cam_file ~off:0 "no" with
   | exception Proto.Nfs_error s ->
     say "  at cam.ac.uk: write refused (%s) - that domain granted R only"
       (Proto.status_to_string s)
@@ -81,11 +81,11 @@ let () =
      useless at Cambridge (different policy roots, different handles). *)
   let penn_cred =
     Cluster.admin_issue penn
-      ~licensees:(Printf.sprintf "\"%s\"" (Client.principal at_penn))
+      ~licensees:(Printf.sprintf "\"%s\"" (CC.principal at_penn))
       ~conditions:(grant cam_file "RWX") ~comment:"confused deputy attempt" ()
   in
-  must (Client.submit_credential at_cam penn_cred);
-  (match Nfs.Client.write (Client.nfs at_cam) cam_file ~off:0 "no" with
+  must (CC.submit_credential at_cam penn_cred);
+  (match CC.write at_cam cam_file ~off:0 "no" with
   | exception Proto.Nfs_error s ->
     say "  a upenn-signed credential submitted at cam.ac.uk grants nothing (%s):"
       (Proto.status_to_string s);

@@ -18,9 +18,9 @@ type t = {
   write : handle -> off:int -> string -> unit;
   read : handle -> off:int -> len:int -> string; (** short read at EOF *)
   read_whole : handle -> string;
-      (** Whole-file read. Backends with a batched read procedure
-          (DisCFS with [attr_cache], the cluster) transfer the file as
-          MULTI_READ compounds; the rest loop page-sized {!read}s. *)
+      (** Whole-file read. DisCFS with [attr_cache] and [compound]
+          transfers the file as MULTI_READ compounds; the rest loop
+          page-sized {!read}s. *)
   readdir : handle -> string list; (** without ["."] and [".."] *)
   lookup : handle -> string -> handle;
   remove : handle -> string -> unit;
@@ -38,6 +38,10 @@ val ffs_local : ?nblocks:int -> ?block_size:int -> ?ninodes:int -> unit -> t
 val cfs_ne : ?nblocks:int -> ?block_size:int -> ?ninodes:int -> unit -> t
 (** Plain NFS over the simulated Ethernet (the CFS-NE rows). *)
 
+module Cache : module type of Nfs.Cache.Make (Discfs.Cluster_client)
+(** The client-side attribute/name cache of DisCFS with
+    [attr_cache:true]: {!Nfs.Cache} over the routed cluster client. *)
+
 val discfs :
   ?nblocks:int ->
   ?block_size:int ->
@@ -49,6 +53,8 @@ val discfs :
   ?attr_ttl:float ->
   ?name_ttl:float ->
   ?compound:bool ->
+  ?servers:int ->
+  ?nshards:int ->
   ?cipher:Ipsec.Sa.cipher ->
   ?fault:Simnet.Fault.t ->
   ?retry:Oncrpc.Rpc.retry ->
@@ -56,51 +62,36 @@ val discfs :
   unit ->
   t
 (** Full DisCFS: IKE attach, ESP on every RPC, KeyNote authorization
-    with the policy cache (the DisCFS rows). The test user holds an
-    administrator-issued credential granting RWX over the volume,
-    mirroring the paper's benchmark setup.
+    with the policy cache (the DisCFS rows). The test user is one
+    {!Discfs.Cluster_client} holding an administrator-issued
+    credential granting RWX over the volume, mirroring the paper's
+    benchmark setup; workload creates and mkdirs are the plain NFS
+    procedures.
 
-    [cache_size] sizes the server's policy memo cache, [cache_blocks]
-    / [readahead] its buffer cache (default off, see
-    {!Discfs.Deploy.make}). [attr_cache] (default off) routes lookup
-    / read / write / remove through a client-side {!Nfs.Cache} with
-    the given TTLs — repeated lookups within [name_ttl] then skip the
-    wire entirely. With [compound] (default on, only meaningful under
-    [attr_cache]) listings go over READDIRPLUS — one round trip that
-    also prefetches both caches — and [read_whole] over batched
-    MULTI_READ; [compound:false] keeps the per-op NFSv2 pipeline, the
-    A/B the latency-breakdown bench measures. [fault] makes the link
-    and disk lossy (see
-    {!Simnet.Fault}); [retry] tunes the at-least-once RPC
-    retransmission profile; [tracing] turns on the per-layer
-    span/metrics instrumentation (see {!Discfs.Deploy.make}). *)
-
-val discfs_cluster :
-  ?nblocks:int ->
-  ?block_size:int ->
-  ?ninodes:int ->
-  ?cache_size:int ->
-  ?servers:int ->
-  ?nshards:int ->
-  ?tracing:bool ->
-  unit ->
-  t
-(** DisCFS over a sharded [servers]-frontend cluster (default 3; see
-    {!Discfs.Cluster}): the same uniform surface, but every op is
+    [servers] (default 1) sizes the server set: one is
+    {!Discfs.Deploy.make}, more is a sharded {!Discfs.Cluster} of
+    [nshards] shards whose label is ["DisCFS-<n>srv"]. Every op is
     routed by handle — mutations to the shard owner, reads to the
     owner or a leased replica, metadata to the home frontend — with
-    signed redirects correcting a stale shard map in flight. Lets any
-    Bonnie/search workload run unchanged against the server set. *)
+    signed redirects correcting a stale shard map in flight, so any
+    Bonnie/search workload runs unchanged against the server set.
 
-val discfs_deploy : t -> Discfs.Deploy.t option
-(** The underlying testbed when the backend is DisCFS (for cache
-    statistics in the ablation benches). *)
+    [cache_size] sizes each server's policy memo cache,
+    [cache_blocks] / [readahead] the buffer cache (default off).
+    [attr_cache] (default off) routes lookup / read / write / remove
+    through a client-side {!Cache} with the given TTLs — repeated
+    lookups within [name_ttl] then skip the wire entirely. With
+    [compound] (default on, only meaningful under [attr_cache])
+    listings go over READDIRPLUS — one round trip that also
+    prefetches both caches — and [read_whole] over batched
+    MULTI_READ; [compound:false] keeps the per-op NFSv2 pipeline, the
+    A/B the latency-breakdown bench measures. [cipher] picks the ESP
+    transform; [fault] makes the links and disk lossy (see
+    {!Simnet.Fault}); [retry] tunes the at-least-once RPC
+    retransmission profile; [tracing] turns on the per-layer
+    span/metrics instrumentation (see {!Discfs.Cluster.make}). *)
 
-val discfs_attr_cache : t -> Nfs.Cache.t option
-(** The client-side NFS cache when the backend is DisCFS with
-    [attr_cache:true]. *)
-
-val discfs_cluster_parts : t -> (Discfs.Cluster.t * Discfs.Cluster_client.t) option
-(** The cluster and its client when the backend came from
-    {!discfs_cluster} (for shard-map surgery and stats in tests and
-    the ctl tool). *)
+val discfs_parts : t -> (Discfs.Cluster.t * Discfs.Cluster_client.t) option
+(** The server set and the client behind a {!discfs} backend ([None]
+    for the others): cache statistics for the ablation benches,
+    shard-map surgery in the tests. *)

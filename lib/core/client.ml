@@ -8,7 +8,6 @@ type t = {
   mutable nfs : Nfs.Client.t;
   mutable rpc : Rpc.client;
   mutable root : Proto.fh;
-  principal : string;
   mutable server_principal : string;
   (* Everything needed to redo IKE + MOUNT after a server restart. *)
   link : Simnet.Link.t;
@@ -39,33 +38,21 @@ let maybe_rekey t =
   | None -> ()
   | Some (client_ep, _) -> if Ipsec.Sa.soft_expired client_ep.Ipsec.Ike.tx then rekey t
 
-(* IKE: authenticate both ends, derive the ESP channel. The server
-   learns our public key and associates it with this connection. *)
-let establish_rpc t ~rpc ~server =
-  let client_ep, server_ep =
-    Ipsec.Ike.establish ~link:t.link ~drbg:t.drbg ~initiator:t.identity
-      ~responder:(Server.server_key server) ?cipher:t.cipher ?lifetime:t.sa_lifetime ()
-  in
-  let channel = Ipsec.Ike.rpc_channel ~client:client_ep ~server:server_ep in
-  let rpc_client =
-    Rpc.connect ~link:t.link ~channel ~peer:server_ep.Ipsec.Ike.peer ~uid:t.uid ?retry:t.retry
-      rpc
-  in
-  t.rpc <- rpc_client;
-  t.nfs <- Nfs.Client.create rpc_client;
-  t.endpoints <- Some (client_ep, server_ep);
-  t.server_principal <- client_ep.Ipsec.Ike.peer;
-  Rpc.set_before_call rpc_client (fun () -> maybe_rekey t)
-
-let attach ~link ~rpc ~server ~identity ~drbg ?(uid = 1000) ?(path = "/") ?cipher ?sa_lifetime
-    ?retry () =
+(* IKE: authenticate both ends, derive the ESP channel and connect
+   RPC over it. The server learns our public key and associates it
+   with this connection. *)
+let establish ~link ~drbg ~identity ~server ~uid ?cipher ?sa_lifetime ?retry rpc =
   let client_ep, server_ep =
     Ipsec.Ike.establish ~link ~drbg ~initiator:identity
       ~responder:(Server.server_key server) ?cipher ?lifetime:sa_lifetime ()
   in
   let channel = Ipsec.Ike.rpc_channel ~client:client_ep ~server:server_ep in
-  let rpc_client =
-    Rpc.connect ~link ~channel ~peer:server_ep.Ipsec.Ike.peer ~uid ?retry rpc
+  (Rpc.connect ~link ~channel ~peer:server_ep.Ipsec.Ike.peer ~uid ?retry rpc, client_ep, server_ep)
+
+let attach ~link ~rpc ~server ~identity ~drbg ?(uid = 1000) ?(path = "/") ?cipher ?sa_lifetime
+    ?retry () =
+  let rpc_client, client_ep, server_ep =
+    establish ~link ~drbg ~identity ~server ~uid ?cipher ?sa_lifetime ?retry rpc
   in
   let nfs = Nfs.Client.create rpc_client in
   let root = Nfs.Client.mount nfs path in
@@ -74,7 +61,6 @@ let attach ~link ~rpc ~server ~identity ~drbg ?(uid = 1000) ?(path = "/") ?ciphe
       nfs;
       rpc = rpc_client;
       root;
-      principal = Assertion.principal_of_pub identity.Dcrypto.Dsa.pub;
       server_principal = client_ep.Ipsec.Ike.peer;
       link;
       identity;
@@ -93,29 +79,36 @@ let attach ~link ~rpc ~server ~identity ~drbg ?(uid = 1000) ?(path = "/") ?ciphe
 let reattach t ~rpc ~server () =
   (* The operation that was in flight when the server died, if any. *)
   let pending = Rpc.take_timeout t.rpc in
-  establish_rpc t ~rpc ~server;
+  let rpc_client, client_ep, server_ep =
+    establish ~link:t.link ~drbg:t.drbg ~identity:t.identity ~server ~uid:t.uid ?cipher:t.cipher
+      ?sa_lifetime:t.sa_lifetime ?retry:t.retry rpc
+  in
+  t.rpc <- rpc_client;
+  t.nfs <- Nfs.Client.create rpc_client;
+  t.endpoints <- Some (client_ep, server_ep);
+  t.server_principal <- client_ep.Ipsec.Ike.peer;
+  Rpc.set_before_call rpc_client (fun () -> maybe_rekey t);
   t.root <- Nfs.Client.mount t.nfs t.path;
   (* Replay it: at-least-once semantics make this safe — if it did
      execute before the crash, re-executing an NFS op or being
      answered from the new incarnation's cache both converge. *)
-  (match pending with
+  match pending with
   | None -> ()
   | Some (prog, vers, proc, args) -> (
-    try ignore (Rpc.call t.rpc ~prog ~vers ~proc args) with Rpc.Rpc_error _ -> ()))
+    try ignore (Rpc.call t.rpc ~prog ~vers ~proc args) with Rpc.Rpc_error _ -> ())
 
 (* Leaving is client-initiated and needs no server cooperation: the
-   SAs are forgotten on this side, and any later use of the handle is
-   a bug poisoned at the call gate. The server's per-connection state
-   (DRC entries, policy-memo rows) ages out on its own — exactly the
-   lazily-shed state the paper credits DisCFS for. *)
+   SAs are forgotten on this side, and any later use of the
+   connection is a bug poisoned at the call gate. The server's
+   per-connection state (DRC entries, policy-memo rows) ages out on
+   its own — exactly the lazily-shed state the paper credits DisCFS
+   for. *)
 let detach t =
   t.endpoints <- None;
-  Rpc.set_before_call t.rpc (fun () ->
-      raise (Discfs_error "client is detached"))
+  Rpc.set_before_call t.rpc (fun () -> raise (Discfs_error "client is detached"))
 
 let nfs t = t.nfs
 let root t = t.root
-let principal t = t.principal
 let server_principal t = t.server_principal
 let client_id t = Rpc.client_id t.rpc
 
@@ -130,8 +123,6 @@ let submit_credential_text t text =
   let reply = discfs_call t ~proc:Server.discfsproc_submit (fun e -> Xdr.Enc.string e text) in
   let d = Xdr.Dec.of_string reply in
   if Xdr.Dec.uint32 d = 0 then Ok (Xdr.Dec.string d) else Error (Xdr.Dec.string d)
-
-let submit_credential t cred = submit_credential_text t (Assertion.to_text cred)
 
 let make_node proc t ~dir name ?(perms = 0o644) () =
   let reply =

@@ -1,12 +1,16 @@
-(** The DisCFS client: the paper's modified [cattach] plus the
-    credential-submission utility.
+(** One authenticated connection to one DisCFS frontend: the paper's
+    modified [cattach] plus the credential-submission utility.
 
+    Private to the [discfs] library: {!Cluster_client} holds up to one
+    of these per frontend and is the only DisCFS client callers see.
     {!attach} runs the IKE exchange with the server (binding the
-    user's public key to the connection), mounts the exported
-    directory over NFS-in-ESP, and returns a handle carrying both the
-    plain NFS stubs and the DisCFS-specific procedures. *)
+    user's public key to the connection) and mounts the exported
+    directory over NFS-in-ESP. *)
 
 type t
+
+exception Discfs_error of string
+(** Re-exported as {!Cluster_client.Discfs_error}. *)
 
 val attach :
   link:Simnet.Link.t ->
@@ -32,43 +36,30 @@ val reattach : t -> rpc:Oncrpc.Rpc.server -> server:Server.t -> unit -> unit
 (** Recover from a server crash: redo IKE and MOUNT against the
     restarted server's RPC endpoint, then replay the operation that
     was in flight (timed out) when the server died, if any. The
-    handle's [nfs]/[root] are refreshed in place; file handles stay
-    valid because inode generations survive in the disk image. *)
-
-val rekey : t -> unit
-(** Force an immediate SA refresh (normally automatic once
-    [sa_lifetime] packets have been sealed). *)
+    connection's [nfs]/[root] are refreshed in place; file handles
+    stay valid because inode generations survive in the disk image. *)
 
 val detach : t -> unit
-(** Leave: drop the SAs and poison the handle — any further call
+(** Leave: drop the SAs and poison the connection — any further call
     raises {!Discfs_error}.  Purely client-side (no unmount protocol
     exists, as with real NFS clients that just go away); the server's
     per-connection state ages out of its caches. *)
 
 val client_id : t -> int
 (** The RPC-layer client id of the current connection
-    ({!Oncrpc.Rpc.client_id}): the xid band this client stamps on
-    every call.  Changes on {!reattach} (the new server incarnation
-    allocates afresh); unique among live connections to one
-    incarnation. *)
+    ({!Oncrpc.Rpc.client_id}). *)
 
 val nfs : t -> Nfs.Client.t
 val root : t -> Nfs.Proto.fh
-val principal : t -> string
-(** This client's own key, in credential form. *)
 
 val server_principal : t -> string
+(** The key this connection authenticated in IKE. *)
 
 val call : t -> prog:int -> vers:int -> proc:int -> string -> string
-(** A raw RPC on this client's authenticated connection. The cluster
-    client uses it for the cluster control program (GETMAP,
-    PROTOCOL.md §11.1) without growing this module a stub per
-    procedure. *)
-
-val submit_credential : t -> Keynote.Assertion.t -> (string, string) result
-(** Submit over RPC; [Ok fingerprint] on success. *)
+(** A raw RPC on this connection (the cluster control program). *)
 
 val submit_credential_text : t -> string -> (string, string) result
+(** Submit over RPC; [Ok fingerprint] on success. *)
 
 val create : t -> dir:Nfs.Proto.fh -> string -> ?perms:int ->
   unit -> Nfs.Proto.fh * Nfs.Proto.fattr * Keynote.Assertion.t
@@ -80,5 +71,3 @@ val mkdir : t -> dir:Nfs.Proto.fh -> string -> ?perms:int ->
 
 val revoke_credential : t -> fingerprint:string -> (unit, string) result
 val revoke_key : t -> principal:string -> (unit, string) result
-
-exception Discfs_error of string

@@ -186,8 +186,8 @@ val crash_and_restart : t -> int -> unit
 (** Kill frontend [i] and boot a fresh incarnation: the node's
     credential/audit state rides through [Server.save_state], its SAs,
     caches and held leases die, and peers reconnect lazily. Clients
-    attached to it time out and recover ([Deploy.reattach],
-    [Cluster_client]). Counted under ["server.restarts"].
+    attached to it time out and re-home inside that call
+    ([Cluster_client]). Counted under ["server.restarts"].
 
     The shared volume reboots with the node, in place: the file
     system's pointer-block cache goes cold ({!Ffs.Fs.reboot}) and the

@@ -19,18 +19,23 @@ module Proto = Nfs.Proto
    hop bound, so a pathological map can only bounce a call
    [max_hops] times before surfacing an error instead of looping. *)
 
+exception Discfs_error = Client.Discfs_error
+
 type t = {
   cluster : Cluster.t;
   identity : Dsa.private_key;
   uid : int;
   home : int;
   path : string;
+  cipher : Ipsec.Sa.cipher option;
+  sa_lifetime : int option;
   retry : Rpc.retry option;
   conns : Client.t option array;
   incarnations : int array; (* each connection's frontend restart count at (re)attach *)
   mutable map : Shard_map.t;
   mutable creds : string list; (* newest first; replayed oldest-first on lazy attach *)
   mutable attaches : int; (* labels the DRBG fork of each attach *)
+  mutable detached : bool;
 }
 
 let max_hops = 4
@@ -44,6 +49,7 @@ let map_version t = Shard_map.version t.map
 
 let attach_node t i =
   t.attaches <- t.attaches + 1;
+  Stats.incr (stats t) "client.attaches";
   let c =
     Client.attach
       ~link:(Cluster.node_link t.cluster i)
@@ -53,9 +59,8 @@ let attach_node t i =
       ~drbg:
         (Cluster.fork_drbg t.cluster
            ~label:(Printf.sprintf "attach-%s-%d" (principal t) t.attaches))
-      ~uid:t.uid ~path:t.path ?retry:t.retry ()
+      ~uid:t.uid ~path:t.path ?cipher:t.cipher ?sa_lifetime:t.sa_lifetime ?retry:t.retry ()
   in
-  Stats.incr (stats t) "client.attaches";
   (* The frontends share trust but not sessions: every credential
      this client relies on must be present wherever its calls can
      land. *)
@@ -63,8 +68,9 @@ let attach_node t i =
   c
 
 let conn t i =
+  if t.detached then raise (Discfs_error "client is detached");
   if i < 0 || i >= Array.length t.conns then
-    raise (Client.Discfs_error "cluster client: server index out of range");
+    raise (Discfs_error "cluster client: server index out of range");
   match t.conns.(i) with
   | Some c -> c
   | None ->
@@ -74,37 +80,45 @@ let conn t i =
     t.incarnations.(i) <- Cluster.node_restarts t.cluster i;
     c
 
-(* A timeout means some frontend on the call's path died. Every open
-   connection to a frontend that has rebooted since it was opened is
-   re-homed onto the current incarnation (replaying the call it had in
-   flight); connections to live frontends are left alone. *)
+(* A timeout may mean some frontend on the call's path died. Every
+   open connection to a frontend that has rebooted since it was opened
+   is re-homed onto the current incarnation (replaying the call it had
+   in flight); connections to live frontends are left alone. True when
+   anything was re-homed. *)
 let recover t =
+  let rehomed = ref false in
   Array.iteri
     (fun i slot ->
       match slot with
       | Some c when t.incarnations.(i) < Cluster.node_restarts t.cluster i ->
-        Stats.incr (stats t) "topo.reattaches";
+        Stats.incr (stats t) "client.reattaches";
         Client.reattach c
           ~rpc:(Cluster.node_rpc t.cluster i)
           ~server:(Cluster.node_server t.cluster i)
           ();
-        t.incarnations.(i) <- Cluster.node_restarts t.cluster i
+        t.incarnations.(i) <- Cluster.node_restarts t.cluster i;
+        rehomed := true
       | _ -> ())
-    t.conns
+    t.conns;
+  !rehomed
 
 (* --- the shard map --------------------------------------------------- *)
 
+(* One frontend serves every shard, which is exactly what the
+   placeholder map says: there is nothing to fetch. *)
 let refresh_map t =
-  let e = Xdr.Enc.create () in
-  Xdr.Enc.uint32 e (Shard_map.version t.map);
-  let reply =
-    Client.call (conn t t.home) ~prog:Cluster.cluster_prog ~vers:Cluster.cluster_vers
-      ~proc:Cluster.clusterproc_getmap (Xdr.Enc.to_string e)
-  in
-  let d = Xdr.Dec.of_string reply in
-  if Xdr.Dec.uint32 d = 0 && Xdr.Dec.bool d then begin
-    t.map <- Shard_map.decode d;
-    Stats.incr (stats t) "topo.map_refreshes"
+  if Cluster.nservers t.cluster > 1 then begin
+    let e = Xdr.Enc.create () in
+    Xdr.Enc.uint32 e (Shard_map.version t.map);
+    let reply =
+      Client.call (conn t t.home) ~prog:Cluster.cluster_prog ~vers:Cluster.cluster_vers
+        ~proc:Cluster.clusterproc_getmap (Xdr.Enc.to_string e)
+    in
+    let d = Xdr.Dec.of_string reply in
+    if Xdr.Dec.uint32 d = 0 && Xdr.Dec.bool d then begin
+      t.map <- Shard_map.decode d;
+      Stats.incr (stats t) "topo.map_refreshes"
+    end
   end
 
 (* --- routing --------------------------------------------------------- *)
@@ -150,54 +164,69 @@ let follow t c (r : Proto.redirect) ~ino ~gen ~hops =
   Stats.incr (stats t) "redirect.received";
   if not (verify_redirect t c r ~ino ~gen) then begin
     Stats.incr (stats t) "redirect.bad_sig";
-    raise (Client.Discfs_error "redirect signature verification failed")
+    raise (Discfs_error "redirect signature verification failed")
   end;
   if r.Proto.r_target < 0 || r.Proto.r_target >= Cluster.nservers t.cluster then
-    raise (Client.Discfs_error "redirect target out of range");
+    raise (Discfs_error "redirect target out of range");
   if hops + 1 >= max_hops then begin
     Stats.incr (stats t) "redirect.loops";
-    raise (Client.Discfs_error "redirect loop: hop bound exceeded")
+    raise (Discfs_error "redirect loop: hop bound exceeded")
   end;
   if r.Proto.r_version > Shard_map.version t.map then refresh_map t;
   let c' = conn t r.Proto.r_target in
   if not (String.equal (Client.server_principal c') r.Proto.r_principal) then
-    raise (Client.Discfs_error "redirect principal mismatch");
+    raise (Discfs_error "redirect principal mismatch");
   Stats.incr (stats t) "redirect.followed";
   r.Proto.r_target
 
-let rec issue : 'a. t -> ino:int -> gen:int -> cls:rclass -> hops:int -> int
+(* Frontend restarts so far, over the whole cluster. *)
+let rec sum_restarts c i acc =
+  if i < 0 then acc else sum_restarts c (i - 1) (acc + Cluster.node_restarts c i)
+
+let restarts t = sum_restarts t.cluster (Cluster.nservers t.cluster - 1) 0
+
+(* [since] is {!restarts} when this attempt began. *)
+let rec issue : 'a. t -> ino:int -> gen:int -> cls:rclass -> hops:int -> since:int -> int
     -> (Client.t -> 'a) -> 'a =
- fun t ~ino ~gen ~cls ~hops target f ->
+ fun t ~ino ~gen ~cls ~hops ~since target f ->
   let live = hops + 1 < max_hops in
   match conn t target with
-  | exception Rpc.Rpc_timeout _ when live -> reroute t ~ino ~gen ~cls ~hops f
+  | exception (Rpc.Rpc_timeout _ as e) when live -> reroute t e ~ino ~gen ~cls ~hops ~since f
   | c -> (
     match f c with
     | v -> v
     | exception Proto.Nfs_moved r -> (
       match follow t c r ~ino ~gen ~hops with
-      | next -> issue t ~ino ~gen ~cls ~hops:(hops + 1) next f
-      | exception Rpc.Rpc_timeout _ when live -> reroute t ~ino ~gen ~cls ~hops f)
-    | exception Rpc.Rpc_timeout _ when live -> reroute t ~ino ~gen ~cls ~hops f)
+      | next -> issue t ~ino ~gen ~cls ~hops:(hops + 1) ~since next f
+      | exception (Rpc.Rpc_timeout _ as e) when live -> reroute t e ~ino ~gen ~cls ~hops ~since f)
+    | exception (Rpc.Rpc_timeout _ as e) when live -> reroute t e ~ino ~gen ~cls ~hops ~since f)
 
-(* A frontend died under us — on the call itself, a lazy attach or a
-   map refresh. Recover against the current incarnations, pull a
-   fresh map (the membership change may have moved shards), and
-   re-route. *)
-and reroute : 'a. t -> ino:int -> gen:int -> cls:rclass -> hops:int -> (Client.t -> 'a) -> 'a =
- fun t ~ino ~gen ~cls ~hops f ->
-  recover t;
+(* A timeout on the call itself, a lazy attach or a map refresh. If a
+   frontend died under us — an open connection needed re-homing, or
+   one being opened met a reboot — recover against the current
+   incarnations, pull a fresh map (the membership change may have
+   moved shards) and re-route. Otherwise it was the network: the
+   timeout [e] is the caller's, exactly as from a single connection —
+   retrying whole operations here would hide packet loss. *)
+and reroute :
+      'a. t -> exn -> ino:int -> gen:int -> cls:rclass -> hops:int -> since:int ->
+      (Client.t -> 'a) -> 'a =
+ fun t e ~ino ~gen ~cls ~hops ~since f ->
+  let rehomed = recover t in
+  let now = restarts t in
+  if not (rehomed || now > since) then raise e;
   refresh_map t;
-  issue t ~ino ~gen ~cls ~hops:(hops + 1) (target_for t ~ino cls) f
+  issue t ~ino ~gen ~cls ~hops:(hops + 1) ~since:now (target_for t ~ino cls) f
 
 let routed t ~(fh : Proto.fh) ~cls f =
-  issue t ~ino:fh.Proto.ino ~gen:fh.Proto.gen ~cls ~hops:0
+  issue t ~ino:fh.Proto.ino ~gen:fh.Proto.gen ~cls ~hops:0 ~since:(restarts t)
     (target_for t ~ino:fh.Proto.ino cls)
     f
 
 (* --- construction ---------------------------------------------------- *)
 
-let attach cluster ~identity ?(uid = 1000) ?(home = 0) ?(path = "/") ?retry () =
+let attach cluster ~identity ?(uid = 1000) ?(home = 0) ?(path = "/") ?cipher ?sa_lifetime
+    ?retry () =
   if home < 0 || home >= Cluster.nservers cluster then
     invalid_arg "Cluster_client.attach: home out of range";
   let t =
@@ -207,12 +236,15 @@ let attach cluster ~identity ?(uid = 1000) ?(home = 0) ?(path = "/") ?retry () =
       uid;
       home;
       path;
+      cipher;
+      sa_lifetime;
       retry;
       conns = Array.make (Cluster.nservers cluster) None;
       incarnations = Array.make (Cluster.nservers cluster) 0;
       map = Shard_map.placeholder ~nservers:(Cluster.nservers cluster);
       creds = [];
       attaches = 0;
+      detached = false;
     }
   in
   ignore (conn t home);
@@ -220,16 +252,16 @@ let attach cluster ~identity ?(uid = 1000) ?(home = 0) ?(path = "/") ?retry () =
   t
 
 let root t = Client.root (conn t t.home)
+let client_id t = Client.client_id (conn t t.home)
 
 let detach t =
-  Array.iteri
-    (fun i c ->
-      match c with
+  t.detached <- true;
+  Array.iter
+    (function
       | None -> ()
       | Some c ->
         Client.detach c;
-        Stats.incr (stats t) "client.detaches";
-        t.conns.(i) <- None)
+        Stats.incr (stats t) "client.detaches")
     t.conns
 
 (* --- credentials ----------------------------------------------------- *)
@@ -252,12 +284,27 @@ let submit_credential_text t text =
 
 let submit_credential t cred = submit_credential_text t (Assertion.to_text cred)
 
-let record_issued t cred =
+(* A credential minted by [issuer] is already in that frontend's
+   session; every other open connection gets it now, later ones on
+   attach. *)
+let record_issued t ~issuer cred =
   let text = Assertion.to_text cred in
   t.creds <- text :: t.creds;
   Array.iter
-    (fun c -> match c with None -> () | Some c -> ignore (Client.submit_credential_text c text))
+    (function
+      | Some c when c != issuer -> ignore (Client.submit_credential_text c text)
+      | _ -> ())
     t.conns
+
+(* A revoked key must be refused even where the revoker never
+   connected; a credential lives only in the sessions it reached, so
+   one frontend's success is the revocation's. *)
+let revoke t f =
+  let results = List.init (Cluster.nservers t.cluster) (fun i -> f (conn t i)) in
+  if List.mem (Ok ()) results then Ok () else List.hd results
+
+let revoke_credential t ~fingerprint = revoke t (Client.revoke_credential ~fingerprint)
+let revoke_key t ~principal = revoke t (Client.revoke_key ~principal)
 
 (* --- operations ------------------------------------------------------ *)
 
@@ -307,18 +354,27 @@ let rename t ~src:(src_fh, src_name) ~dst =
 let symlink t fh name ~target =
   routed t ~fh ~cls:Wr (with_nfs (fun n -> Nfs.Client.symlink n fh name ~target))
 
+let nfs_create t dir name sattr =
+  routed t ~fh:dir ~cls:Wr (with_nfs (fun n -> Nfs.Client.create_file n dir name sattr))
+
+let nfs_mkdir t dir name sattr =
+  routed t ~fh:dir ~cls:Wr (with_nfs (fun n -> Nfs.Client.mkdir n dir name sattr))
+
+let link t ~target ~dir name =
+  routed t ~fh:dir ~cls:Wr (with_nfs (fun n -> Nfs.Client.link n ~target ~dir name))
+
 (* DisCFS create/mkdir route like any other namespace mutation — by
    the directory's shard — and the returned credential is fanned out
    so the new file is readable wherever its own shard lives. *)
-let create t ~dir name ?perms () =
-  let fh, attr, cred = routed t ~fh:dir ~cls:Wr (fun c -> Client.create c ~dir name ?perms ()) in
-  record_issued t cred;
+let make_node node t ~dir name ?perms () =
+  let issuer, (fh, attr, cred) =
+    routed t ~fh:dir ~cls:Wr (fun c -> (c, node c ~dir name ?perms ()))
+  in
+  record_issued t ~issuer cred;
   (fh, attr, cred)
 
-let mkdir t ~dir name ?perms () =
-  let fh, attr, cred = routed t ~fh:dir ~cls:Wr (fun c -> Client.mkdir c ~dir name ?perms ()) in
-  record_issued t cred;
-  (fh, attr, cred)
+let create t = make_node Client.create t
+let mkdir t = make_node Client.mkdir t
 
 let resolve t path =
   let parts = List.filter (fun s -> s <> "" && s <> ".") (String.split_on_char '/' path) in

@@ -1,7 +1,9 @@
-(** The cluster-aware DisCFS client: one identity, a cached
-    {!Shard_map}, and up to one authenticated connection per frontend
-    — opened lazily, since IKE dominates attach cost and a client
-    only needs the frontends its working set touches.
+(** The DisCFS client — the paper's [cattach] plus the
+    credential-submission utility (§5), over a server set of any
+    size: one identity, a cached {!Shard_map}, and up to one
+    authenticated connection per frontend — opened lazily, since IKE
+    dominates attach cost and a client only needs the frontends its
+    working set touches.
 
     Routing: reads go to the handle's owner or a replica (a pure
     function of handle and home, so the pick is reproducible), every
@@ -11,14 +13,22 @@
     the cached map when it names a newer version, and re-issues the
     call — at most {!max_hops} times, so a corrupt map bounds at an
     error instead of a loop. A frontend crash surfaces as an RPC
-    timeout; the client reattaches to the current incarnation,
-    refreshes its map, and re-routes.
+    timeout; the client reattaches to the current incarnation
+    (replaying the call in flight), refreshes its map, and re-routes.
+    A timeout with no restart behind it is the caller's.
 
     Credentials submitted here fan out to every open connection and
     replay onto lazy attaches: authorization never depends on which
-    frontend a redirect lands on. *)
+    frontend a redirect lands on. At one frontend ([Deploy.make]) the
+    client sends exactly a single-server client's traffic (see
+    [docs/TOPOLOGY.md]). *)
 
 type t
+
+exception Discfs_error of string
+(** A DisCFS-level failure: an error reply to {!create}/{!mkdir}, a
+    redirect that fails verification or exceeds the hop bound, or any
+    call on a {!detach}ed handle. *)
 
 val max_hops : int
 (** Redirect hop bound per logical operation (4). *)
@@ -29,25 +39,41 @@ val attach :
   ?uid:int ->
   ?home:int ->
   ?path:string ->
+  ?cipher:Ipsec.Sa.cipher ->
+  ?sa_lifetime:int ->
   ?retry:Oncrpc.Rpc.retry ->
   unit ->
   t
 (** IKE + mount against the [home] frontend (default 0), then an
-    initial GETMAP. Counted under ["client.attaches"]; later
-    on-demand connections also count ["topo.lazy_attaches"]. *)
+    initial GETMAP (none at one frontend). [uid] (default 1000) is
+    presented at attach; [path] selects the exported subtree (default
+    ["/"]); [sa_lifetime] is the ESP soft lifetime in packets, after
+    which the next call first runs {!Ipsec.Ike.rekey}; [retry]
+    overrides the retransmission profile. Every connection opened is
+    counted under ["client.attaches"], the lazy ones also under
+    ["topo.lazy_attaches"], each crash re-home under
+    ["client.reattaches"]. *)
 
 val detach : t -> unit
-(** Drop every open connection. *)
+(** Leave: drop every connection's SAs (each counted under
+    ["client.detaches"]) and poison the handle — any later call
+    raises {!Discfs_error}. *)
 
 val home : t -> int
+
 val principal : t -> string
+(** This client's own key, in credential form. *)
+
+val client_id : t -> int
+(** The home connection's {!Oncrpc.Rpc.client_id}; a crash re-home
+    allocates a fresh one from the new incarnation. *)
 
 val map_version : t -> int
 (** The cached map's version — lags the cluster's after a reshard
     until a redirect or GETMAP catches it up. *)
 
 val refresh_map : t -> unit
-(** Explicit GETMAP through the home frontend. *)
+(** GETMAP through the home frontend; a no-op at one frontend. *)
 
 val root : t -> Nfs.Proto.fh
 
@@ -55,13 +81,23 @@ val root : t -> Nfs.Proto.fh
 
 val submit_credential : t -> Keynote.Assertion.t -> (string, string) result
 val submit_credential_text : t -> string -> (string, string) result
+(** Submit to every open connection, and replay on later ones; the
+    home frontend's answer. *)
+
+val revoke_credential : t -> fingerprint:string -> (unit, string) result
+(** Sent to every frontend, attaching as needed; [Ok] when some
+    frontend dropped the credential, else the first error. *)
+
+val revoke_key : t -> principal:string -> (unit, string) result
+(** Administrator only; sent to every frontend like
+    {!revoke_credential}. *)
 
 (** {1 Operations}
 
     The NFS surface of {!Nfs.Client}, routed. All raise
     {!Nfs.Proto.Nfs_error} on failure status and
-    {!Client.Discfs_error} on redirect-verification failure or an
-    exceeded hop bound. *)
+    {!Discfs_error} on redirect-verification failure or an exceeded
+    hop bound. *)
 
 val getattr : t -> Nfs.Proto.fh -> Nfs.Proto.fattr
 val setattr : t -> Nfs.Proto.fh -> Nfs.Proto.sattr -> Nfs.Proto.fattr
@@ -92,11 +128,22 @@ val rmdir : t -> Nfs.Proto.fh -> string -> unit
 val rename : t -> src:Nfs.Proto.fh * string -> dst:Nfs.Proto.fh * string -> unit
 val symlink : t -> Nfs.Proto.fh -> string -> target:string -> unit
 
+val nfs_create :
+  t -> Nfs.Proto.fh -> string -> Nfs.Proto.sattr -> Nfs.Proto.fh * Nfs.Proto.fattr
+(** Plain NFS CREATE: no credential comes back (the paper's create
+    problem, §5, which {!create} solves). *)
+
+val nfs_mkdir :
+  t -> Nfs.Proto.fh -> string -> Nfs.Proto.sattr -> Nfs.Proto.fh * Nfs.Proto.fattr
+
+val link : t -> target:Nfs.Proto.fh -> dir:Nfs.Proto.fh -> string -> unit
+
 val create :
   t -> dir:Nfs.Proto.fh -> string -> ?perms:int -> unit ->
   Nfs.Proto.fh * Nfs.Proto.fattr * Keynote.Assertion.t
-(** DisCFS create on the directory's owner; the returned credential
-    is fanned out to every open connection. *)
+(** DisCFS create on the directory's owner: the file plus a fresh RWX
+    credential for it, issued to this client, which is fanned out to
+    every other open connection. *)
 
 val mkdir :
   t -> dir:Nfs.Proto.fh -> string -> ?perms:int -> unit ->

@@ -1,5 +1,3 @@
-module Stats = Simnet.Stats
-
 (* The single-server testbed is the one-node cluster: one host, no
    switch hop; the shortcuts below name node 0. *)
 type t = Cluster.t
@@ -16,23 +14,6 @@ let rpc t = Cluster.node_rpc t 0
 let server t = Cluster.node_server t 0
 let restarts t = Cluster.node_restarts t 0
 let crash_and_restart t = Cluster.crash_and_restart t 0
-
-let attach t ~identity ?uid ?path ?cipher ?sa_lifetime ?retry () =
-  Stats.incr (Cluster.stats t) "client.attaches";
-  Client.attach ~link:(link t) ~rpc:(rpc t) ~server:(server t) ~identity
-    ~drbg:(Cluster.fork_drbg t ~label:"attach") ?uid ?path ?cipher ?sa_lifetime ?retry ()
-
-(* Churn hooks: a client leaving the deployment, and one rejoining the
-   current server incarnation after a crash. Both are thin — the work
-   lives in {!Client} — but counting them here gives the long-horizon
-   scenarios one stats namespace for membership events. *)
-let detach t c =
-  Stats.incr (Cluster.stats t) "client.detaches";
-  Client.detach c
-
-let reattach t c =
-  Stats.incr (Cluster.stats t) "client.reattaches";
-  Client.reattach c ~rpc:(rpc t) ~server:(server t) ()
 
 (* Server-set + client-set construction: the N-frontend testbed. A
    {!Cluster} of [servers] frontends plus [clients] cluster-aware

@@ -9,10 +9,10 @@
     switch hop), so the clock, stats, volume, DRBG, administrator and
     race checker are read with the {!Cluster} accessors
     ([Cluster.fs d], [Cluster.admin_issue d], ...). This module adds
-    only the node-0 shortcuts and the counted client membership
-    calls. The cluster layer is inert at one node — every handle is
-    served locally, so no GETMAP, redirect, lease or server-to-server
-    traffic ever happens.
+    only the node-0 shortcuts; clients attach with
+    {!Cluster_client.attach}. The cluster layer is inert at one node
+    — every handle is served locally, so no GETMAP, redirect, lease
+    or server-to-server traffic ever happens.
 
     The testbed can be made hostile: pass [fault] to {!make} to
     attach a fault injector to both the link and the disk, and call
@@ -87,30 +87,6 @@ val make_cluster :
     in client order. {!make} is the same construction at one node;
     see [docs/TOPOLOGY.md] for the cluster layer map. *)
 
-val attach :
-  t ->
-  identity:Dcrypto.Dsa.private_key ->
-  ?uid:int ->
-  ?path:string ->
-  ?cipher:Ipsec.Sa.cipher ->
-  ?sa_lifetime:int ->
-  ?retry:Oncrpc.Rpc.retry ->
-  unit ->
-  Client.t
-(** IKE + mount, as the paper's cattach. Counted under
-    ["client.attaches"]. *)
-
-val detach : t -> Client.t -> unit
-(** A client leaves: {!Client.detach} plus the ["client.detaches"]
-    stat. The churn scenarios drive membership through this and
-    {!attach}/{!reattach} so joins/leaves/recoveries share one
-    counter namespace. *)
-
-val reattach : t -> Client.t -> unit
-(** Re-home a client onto the current server incarnation after
-    {!crash_and_restart}: {!Client.reattach} against {!rpc} /
-    {!server}, counted under ["client.reattaches"]. *)
-
 val crash_and_restart : t -> unit
 (** [Cluster.crash_and_restart t 0]: a server crash and reboot. The
     volume ({!Ffs.Fs.reboot}) and the credential store / revocation
@@ -119,5 +95,6 @@ val crash_and_restart : t -> unit
     and the RPC duplicate-request cache are lost with the process (the
     buffer cache is write-through, so dropping it loses no data — the
     new incarnation merely boots cold). Existing clients' next call
-    times out ({!Oncrpc.Rpc.Rpc_timeout}); recover them with
-    {!reattach}. Counted under ["server.restarts"]. *)
+    times out ({!Oncrpc.Rpc.Rpc_timeout}) and re-homes onto the new
+    incarnation inside that call ({!Cluster_client}). Counted under
+    ["server.restarts"]. *)

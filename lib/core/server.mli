@@ -84,7 +84,7 @@ val server_principal : t -> string
 
 val server_key : t -> Dcrypto.Dsa.private_key
 (** The server's own signing key. Exposed because client and server
-    run in one process here: the client's {!Client.attach} needs it
+    run in one process here: the client's {!Cluster_client.attach} needs it
     to play the responder side of the IKE exchange. *)
 
 val audit_log : t -> audit_entry list

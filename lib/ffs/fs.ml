@@ -97,20 +97,26 @@ let load_ptr_block t b =
     ignore (Blockdev.read t.dev b);
     pb.cold <- false;
     pb
-  | None ->
+  | None -> (
     let raw = Blockdev.read t.dev b in
-    let n = ptrs_per_block t in
-    let ptrs = Array.make n 0 in
-    for i = 0 to n - 1 do
-      ptrs.(i) <-
-        (Char.code (Bytes.get raw (4 * i)) lsl 24)
-        lor (Char.code (Bytes.get raw ((4 * i) + 1)) lsl 16)
-        lor (Char.code (Bytes.get raw ((4 * i) + 2)) lsl 8)
-        lor Char.code (Bytes.get raw ((4 * i) + 3))
-    done;
-    let pb = { ptrs; dirty = false; cold = false } in
-    Hashtbl.replace t.ptr_cache b pb;
-    pb
+    (* The read yields under a scheduler: a process that missed on the
+       same block may have installed it meanwhile, and updated it.
+       Theirs wins; this decode is stale. *)
+    match Hashtbl.find_opt t.ptr_cache b with
+    | Some pb -> pb
+    | None ->
+      let n = ptrs_per_block t in
+      let ptrs = Array.make n 0 in
+      for i = 0 to n - 1 do
+        ptrs.(i) <-
+          (Char.code (Bytes.get raw (4 * i)) lsl 24)
+          lor (Char.code (Bytes.get raw ((4 * i) + 1)) lsl 16)
+          lor (Char.code (Bytes.get raw ((4 * i) + 2)) lsl 8)
+          lor Char.code (Bytes.get raw ((4 * i) + 3))
+      done;
+      let pb = { ptrs; dirty = false; cold = false } in
+      Hashtbl.replace t.ptr_cache b pb;
+      pb)
 
 let set_ptr t b idx v =
   let pb = load_ptr_block t b in

@@ -12,15 +12,15 @@ module Arrival = Simnet.Arrival
 module Metrics = Trace.Metrics
 module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
-module Client = Discfs.Client
+module CC = Discfs.Cluster_client
 
 (* The shared op mix, same 1:2:1 GETATTR/READ/WRITE blend as the
    concurrency benchmark, against a per-client 8 KB file. *)
-let mixed_op nfs fh i =
+let mixed_op c fh i =
   match i mod 4 with
-  | 0 -> ignore (Nfs.Client.write nfs fh ~off:(i * 1024 mod 8192) (String.make 1024 'y'))
-  | 1 -> ignore (Nfs.Client.getattr nfs fh)
-  | _ -> ignore (Nfs.Client.read nfs fh ~off:(i * 2048 mod 8192) ~count:2048)
+  | 0 -> ignore (CC.write c fh ~off:(i * 1024 mod 8192) (String.make 1024 'y'))
+  | 1 -> ignore (CC.getattr c fh)
+  | _ -> ignore (CC.read c fh ~off:(i * 2048 mod 8192) ~count:2048)
 
 (* Logical end-state fingerprint: the directory tree walked directly
    on the server's filesystem — names, kinds, sizes and content
@@ -59,9 +59,9 @@ let race_total d =
   match Cluster.race_ctx d with None -> 0 | Some ctx -> Race.total_reports ctx
 
 let attach_with_file d ~uid ?sa_lifetime ?retry name =
-  let c = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid ?sa_lifetime ?retry () in
-  let fh, _, _ = Client.create c ~dir:(Client.root c) name () in
-  Nfs.Client.write_all (Client.nfs c) fh (String.make 8192 'x');
+  let c = CC.attach d ~identity:(Cluster.admin_identity d) ~uid ?sa_lifetime ?retry () in
+  let fh, _, _ = CC.create c ~dir:(CC.root c) name () in
+  CC.write_all c fh (String.make 8192 'x');
   (c, fh)
 
 (* ------------------------------------------------------------------ *)
@@ -99,7 +99,7 @@ let sweep_one ~seed ~clients ~workers ~queue_depth ~duration rate =
       ~op:(fun i ->
         let c, fh = conns.(i mod clients) in
         try
-          mixed_op (Client.nfs c) fh i;
+          mixed_op c fh i;
           true
         with Oncrpc.Rpc.Rpc_timeout _ -> false)
       ()
@@ -168,19 +168,16 @@ let boot_storm ?(seed = "slo-storm") ?(clients = 200) ?(dirs = 4)
   let sched = Option.get (Cluster.sched d) in
   let clock = Cluster.clock d in
   (* The admin builds the shared tree once, serially. *)
-  let admin = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   for dir = 0 to dirs - 1 do
-    let dh, _, _ =
-      Client.mkdir admin ~dir:(Client.root admin) (Printf.sprintf "d%d" dir) ()
-    in
+    let dh, _, _ = CC.mkdir admin ~dir:(CC.root admin) (Printf.sprintf "d%d" dir) () in
     for f = 0 to files_per_dir - 1 do
-      let fh, _, _ = Client.create admin ~dir:dh (Printf.sprintf "f%d.dat" f) () in
-      Nfs.Client.write_all (Client.nfs admin) fh (String.make 2048 'b')
+      let fh, _, _ = CC.create admin ~dir:dh (Printf.sprintf "f%d.dat" f) () in
+      CC.write_all admin fh (String.make 2048 'b')
     done
   done;
   let walkers =
-    Array.init clients (fun i ->
-        Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:(1 + i) ())
+    Array.init clients (fun i -> CC.attach d ~identity:(Cluster.admin_identity d) ~uid:(1 + i) ())
   in
   let hist = Metrics.make_histogram Metrics.default_buckets in
   let ops = ref 0 and failed = ref 0 in
@@ -190,7 +187,6 @@ let boot_storm ?(seed = "slo-storm") ?(clients = 200) ?(dirs = 4)
     (fun c ->
       (* discfs-lint: allow races "each walker owns its client; the shared counters and min/max marks are read-modify-written inside one slice, never across a yield" *)
       Sched.spawn sched (fun () ->
-          let nfs = Client.nfs c in
           let step f =
             let t = Clock.now clock in
             (try
@@ -202,26 +198,22 @@ let boot_storm ?(seed = "slo-storm") ?(clients = 200) ?(dirs = 4)
           for dir = 0 to dirs - 1 do
             let dh = ref None in
             step (fun () ->
-                let fh, _ =
-                  Nfs.Client.lookup nfs (Client.root c) (Printf.sprintf "d%d" dir)
-                in
+                let fh, _ = CC.lookup c (CC.root c) (Printf.sprintf "d%d" dir) in
                 dh := Some fh);
             match !dh with
             | None -> ()
             | Some dh ->
-              step (fun () -> ignore (Nfs.Client.readdir nfs dh));
+              step (fun () -> ignore (CC.readdir c dh));
               for f = 0 to files_per_dir - 1 do
                 let fh = ref None in
                 step (fun () ->
-                    let h, _ =
-                      Nfs.Client.lookup nfs dh (Printf.sprintf "f%d.dat" f)
-                    in
+                    let h, _ = CC.lookup c dh (Printf.sprintf "f%d.dat" f) in
                     fh := Some h);
                 match !fh with
                 | None -> ()
                 | Some fh ->
-                  step (fun () -> ignore (Nfs.Client.getattr nfs fh));
-                  step (fun () -> ignore (Nfs.Client.read nfs fh ~off:0 ~count:2048))
+                  step (fun () -> ignore (CC.getattr c fh));
+                  step (fun () -> ignore (CC.read c fh ~off:0 ~count:2048))
               done
           done;
           let fin = Clock.now clock in
@@ -306,7 +298,7 @@ type churn_report = {
 }
 
 type member = {
-  m_client : Client.t;
+  m_client : CC.t;
   m_fh : Nfs.Proto.fh;
   m_box : (unit -> unit) option Sched.Mailbox.t;
   mutable m_epoch : int;
@@ -316,9 +308,10 @@ type member = {
    client mid-run, leaves drain a member's queued work then detach it,
    and the optional crash kills the server under traffic — members
    discover the new incarnation lazily, on their first timeout, and
-   re-home with {!Deploy.reattach}. Client-id allocation is
-   per-incarnation, so the uniqueness law the tests pin is over
-   (incarnation, id) pairs, recorded here in allocation order. *)
+   re-home inside that call (the cluster client's recovery). Client-id
+   allocation is per-incarnation, so the uniqueness law the tests pin
+   is over (incarnation, id) pairs, each recorded when its connection
+   first completes an op. *)
 let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
   let s = spec in
   if s.cs_initial_clients < 1 then invalid_arg "churn: need a client";
@@ -336,7 +329,7 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
       attach_with_file d ~uid ?sa_lifetime:s.cs_sa_lifetime ?retry:s.cs_retry
         name
     in
-    ids := (Deploy.restarts d, Client.client_id c) :: !ids;
+    ids := (Deploy.restarts d, CC.client_id c) :: !ids;
     { m_client = c; m_fh = fh; m_box = Sched.Mailbox.create (); m_epoch = Deploy.restarts d }
   in
   let ops = max 1 (int_of_float (s.cs_rate *. s.cs_duration)) in
@@ -345,28 +338,20 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
   in
   let times = Arrival.times arrivals ~n:ops in
   let gen = Gen.create ~ops () in
-  let run_op m i = mixed_op (Client.nfs m.m_client) m.m_fh i in
   let do_op m i started =
     let ok =
+      (* A timeout against a newer incarnation re-homes the member and
+         retries the op inside the call (the replay plus the retry are
+         both absorbed by at-least-once semantics — the mix is
+         idempotent); only a success proves the new connection. *)
       try
-        run_op m i;
+        mixed_op m.m_client m.m_fh i;
+        if Deploy.restarts d > m.m_epoch then begin
+          m.m_epoch <- Deploy.restarts d;
+          ids := (m.m_epoch, CC.client_id m.m_client) :: !ids
+        end;
         true
-      with
-      | Oncrpc.Rpc.Rpc_timeout _ ->
-        (* A timeout against a newer incarnation means the server we
-           attached to is gone: re-home, then retry once (the replay
-           plus this retry are both absorbed by at-least-once
-           semantics — the mix is idempotent). *)
-        if Deploy.restarts d > m.m_epoch then (
-          try
-            Deploy.reattach d m.m_client;
-            m.m_epoch <- Deploy.restarts d;
-            ids := (Deploy.restarts d, Client.client_id m.m_client) :: !ids;
-            run_op m i;
-            true
-          with Oncrpc.Rpc.Rpc_timeout _ | Client.Discfs_error _ -> false)
-        else false
-      | Client.Discfs_error _ -> false
+      with Oncrpc.Rpc.Rpc_timeout _ | CC.Discfs_error _ -> false
     in
     Gen.complete gen clock ~started ok
   in
@@ -388,7 +373,7 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
           | Some (Some job) ->
             job ();
             loop ()
-          | Some None -> Deploy.detach d m.m_client
+          | Some None -> CC.detach m.m_client
           | None -> failwith "Scenario.churn: drain starved"
         in
         loop ())
@@ -421,7 +406,7 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
                try
                  Some
                    (mk_member ~uid:(1000 + j) (Printf.sprintf "j%d.dat" j))
-               with Oncrpc.Rpc.Rpc_timeout _ | Client.Discfs_error _ -> None
+               with Oncrpc.Rpc.Rpc_timeout _ | CC.Discfs_error _ -> None
              with
              | None -> ()
              | Some m ->

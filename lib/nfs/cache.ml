@@ -4,173 +4,189 @@
 
 module Clock = Simnet.Clock
 
-type entry_key = int * int (* ino, gen *)
+module type CLIENT = sig
+  type t
 
-type t = {
-  client : Client.t;
-  clock : Clock.t;
-  attr_ttl : float;
-  name_ttl : float;
-  attrs : (entry_key, Proto.fattr * float) Hashtbl.t; (* value, expiry *)
-  names : (entry_key * string, (Proto.fh * Proto.fattr) * float) Hashtbl.t;
-  mutable hits : int;
-  mutable misses : int;
-  mutable expiries : int;
-  mutable trace : Trace.t;
-  mutable race : Race.monitor;
-}
+  val getattr : t -> Proto.fh -> Proto.fattr
+  val lookup : t -> Proto.fh -> string -> Proto.fh * Proto.fattr
+  val readdirplus : t -> Proto.fh -> Proto.direntplus list
+  val read_whole : t -> Proto.fh -> size:int -> string
+  val read : t -> Proto.fh -> off:int -> count:int -> Proto.fattr * string
+  val write : t -> Proto.fh -> off:int -> string -> Proto.fattr
+  val remove : t -> Proto.fh -> string -> unit
+end
 
-let create ~client ~clock ?(attr_ttl = 3.0) ?(name_ttl = 30.0) () =
-  {
-    client;
-    clock;
-    attr_ttl;
-    name_ttl;
-    attrs = Hashtbl.create 64;
-    names = Hashtbl.create 64;
-    hits = 0;
-    misses = 0;
-    expiries = 0;
-    trace = Trace.null;
-    race = Race.null;
+module Make (C : CLIENT) = struct
+  type entry_key = int * int (* ino, gen *)
+
+  type t = {
+    client : C.t;
+    clock : Clock.t;
+    attr_ttl : float;
+    name_ttl : float;
+    attrs : (entry_key, Proto.fattr * float) Hashtbl.t; (* value, expiry *)
+    names : (entry_key * string, (Proto.fh * Proto.fattr) * float) Hashtbl.t;
+    mutable hits : int;
+    mutable misses : int;
+    mutable expiries : int;
+    mutable trace : Trace.t;
+    mutable race : Race.monitor;
   }
 
-let set_trace t trace = t.trace <- trace
-let set_race t m = t.race <- m
+  let create ~client ~clock ?(attr_ttl = 3.0) ?(name_ttl = 30.0) () =
+    {
+      client;
+      clock;
+      attr_ttl;
+      name_ttl;
+      attrs = Hashtbl.create 64;
+      names = Hashtbl.create 64;
+      hits = 0;
+      misses = 0;
+      expiries = 0;
+      trace = Trace.null;
+      race = Race.null;
+    }
 
-let metric t name =
-  match Trace.metrics t.trace with
-  | Some m -> Trace.Metrics.incr m name
-  | None -> ()
+  let set_trace t trace = t.trace <- trace
+  let set_race t m = t.race <- m
 
-let key (fh : Proto.fh) = (fh.Proto.ino, fh.Proto.gen)
+  let metric t name =
+    match Trace.metrics t.trace with
+    | Some m -> Trace.Metrics.incr m name
+    | None -> ()
 
-(* Race-monitor key renderings: the attr and name tables share one
-   monitor, disambiguated by prefix. *)
-let akey (ino, gen) = Printf.sprintf "a:%d.%d" ino gen
-let nkey ((ino, gen), name) = Printf.sprintf "n:%d.%d/%s" ino gen name
+  let key (fh : Proto.fh) = (fh.Proto.ino, fh.Proto.gen)
 
-let attr_value attr =
-  let e = Xdr.Enc.create () in
-  Proto.fattr_encode e attr;
-  Xdr.Enc.to_string e
+  (* Race-monitor key renderings: the attr and name tables share one
+     monitor, disambiguated by prefix. *)
+  let akey (ino, gen) = Printf.sprintf "a:%d.%d" ino gen
+  let nkey ((ino, gen), name) = Printf.sprintf "n:%d.%d/%s" ino gen name
 
-let fresh t expiry = Clock.now t.clock < expiry
+  let attr_value attr =
+    let e = Xdr.Enc.create () in
+    Proto.fattr_encode e attr;
+    Xdr.Enc.to_string e
 
-(* The aggregate counters (t.hits / t.misses / t.expiries) cover both
-   caches; the metrics registry splits them by kind ("attr" for
-   getattr traffic, "name" for lookup traffic) so the two caches'
-   behaviour can be tuned independently. *)
-let hit t ~kind =
-  t.hits <- t.hits + 1;
-  metric t (Printf.sprintf "cache.%s.hits" kind)
+  let fresh t expiry = Clock.now t.clock < expiry
 
-(* A miss is either cold (never cached) or an expiry (cached but past
-   its TTL); the distinction matters when tuning TTLs, so count both. *)
-let miss t ~kind ~expired =
-  t.misses <- t.misses + 1;
-  metric t (Printf.sprintf "cache.%s.misses" kind);
-  if expired then begin
-    t.expiries <- t.expiries + 1;
-    metric t (Printf.sprintf "cache.%s.expiries" kind)
-  end
+  (* The aggregate counters (t.hits / t.misses / t.expiries) cover both
+     caches; the metrics registry splits them by kind ("attr" for
+     getattr traffic, "name" for lookup traffic) so the two caches'
+     behaviour can be tuned independently. *)
+  let hit t ~kind =
+    t.hits <- t.hits + 1;
+    metric t (Printf.sprintf "cache.%s.hits" kind)
 
-let store_attr t fh attr =
-  Race.act t.race ~value:(attr_value attr) ~key:(akey (key fh)) ();
-  Hashtbl.replace t.attrs (key fh) (attr, Clock.now t.clock +. t.attr_ttl)
+  (* A miss is either cold (never cached) or an expiry (cached but past
+     its TTL); the distinction matters when tuning TTLs, so count both. *)
+  let miss t ~kind ~expired =
+    t.misses <- t.misses + 1;
+    metric t (Printf.sprintf "cache.%s.misses" kind);
+    if expired then begin
+      t.expiries <- t.expiries + 1;
+      metric t (Printf.sprintf "cache.%s.expiries" kind)
+    end
 
-let getattr t fh =
-  match Hashtbl.find_opt t.attrs (key fh) with
-  | Some (attr, expiry) when fresh t expiry ->
-    hit t ~kind:"attr";
-    Race.read t.race ~key:(akey (key fh));
-    attr
-  | found ->
-    miss t ~kind:"attr" ~expired:(found <> None);
-    (* The GETATTR round trip yields; the window closes when
-       [store_attr] installs the reply. *)
-    Race.check t.race ~key:(akey (key fh));
-    let attr = Client.getattr t.client fh in
-    store_attr t fh attr;
-    attr
+  let store_attr t fh attr =
+    Race.act t.race ~value:(attr_value attr) ~key:(akey (key fh)) ();
+    Hashtbl.replace t.attrs (key fh) (attr, Clock.now t.clock +. t.attr_ttl)
 
-let lookup t dir name =
-  match Hashtbl.find_opt t.names (key dir, name) with
-  | Some (result, expiry) when fresh t expiry ->
-    hit t ~kind:"name";
-    Race.read t.race ~key:(nkey (key dir, name));
-    result
-  | found ->
-    miss t ~kind:"name" ~expired:(found <> None);
-    Race.check t.race ~key:(nkey (key dir, name));
-    let fh, attr = Client.lookup t.client dir name in
-    Race.act t.race
-      ~value:(Printf.sprintf "%d.%d" fh.Proto.ino fh.Proto.gen)
-      ~key:(nkey (key dir, name)) ();
-    Hashtbl.replace t.names ((key dir, name)) ((fh, attr), Clock.now t.clock +. t.name_ttl);
-    store_attr t fh attr;
-    (fh, attr)
+  let getattr t fh =
+    match Hashtbl.find_opt t.attrs (key fh) with
+    | Some (attr, expiry) when fresh t expiry ->
+      hit t ~kind:"attr";
+      Race.read t.race ~key:(akey (key fh));
+      attr
+    | found ->
+      miss t ~kind:"attr" ~expired:(found <> None);
+      (* The GETATTR round trip yields; the window closes when
+         [store_attr] installs the reply. *)
+      Race.check t.race ~key:(akey (key fh));
+      let attr = C.getattr t.client fh in
+      store_attr t fh attr;
+      attr
 
-(* READDIRPLUS both answers the directory listing and prefetches the
-   name and attribute caches: every entry installs exactly what a
-   LOOKUP miss would have, so the walk's subsequent lookups hit. *)
-let readdirplus t dir =
-  let entries = Client.readdirplus t.client dir in
-  List.iter
-    (fun de ->
-      let fh = de.Proto.p_fh and attr = de.Proto.p_attr and name = de.Proto.p_name in
+  let lookup t dir name =
+    match Hashtbl.find_opt t.names (key dir, name) with
+    | Some (result, expiry) when fresh t expiry ->
+      hit t ~kind:"name";
+      Race.read t.race ~key:(nkey (key dir, name));
+      result
+    | found ->
+      miss t ~kind:"name" ~expired:(found <> None);
+      Race.check t.race ~key:(nkey (key dir, name));
+      let fh, attr = C.lookup t.client dir name in
       Race.act t.race
         ~value:(Printf.sprintf "%d.%d" fh.Proto.ino fh.Proto.gen)
         ~key:(nkey (key dir, name)) ();
       Hashtbl.replace t.names ((key dir, name)) ((fh, attr), Clock.now t.clock +. t.name_ttl);
-      store_attr t fh attr)
-    entries;
-  entries
+      store_attr t fh attr;
+      (fh, attr)
 
-(* Whole-file read sized by the attribute cache: after READDIRPLUS
-   the size is a cache hit, so the file transfers as a handful of
-   MULTI_READ batches with no extra attribute round trip. *)
-let read_whole t fh =
-  let attr = getattr t fh in
-  Client.read_whole t.client fh ~size:attr.Proto.size
+  (* READDIRPLUS both answers the directory listing and prefetches the
+     name and attribute caches: every entry installs exactly what a
+     LOOKUP miss would have, so the walk's subsequent lookups hit. *)
+  let readdirplus t dir =
+    let entries = C.readdirplus t.client dir in
+    List.iter
+      (fun de ->
+        let fh = de.Proto.p_fh and attr = de.Proto.p_attr and name = de.Proto.p_name in
+        Race.act t.race
+          ~value:(Printf.sprintf "%d.%d" fh.Proto.ino fh.Proto.gen)
+          ~key:(nkey (key dir, name)) ();
+        Hashtbl.replace t.names ((key dir, name)) ((fh, attr), Clock.now t.clock +. t.name_ttl);
+        store_attr t fh attr)
+      entries;
+    entries
 
-let read t fh ~off ~count =
-  let attr, data = Client.read t.client fh ~off ~count in
-  store_attr t fh attr;
-  (attr, data)
+  (* Whole-file read sized by the attribute cache: after READDIRPLUS
+     the size is a cache hit, so the file transfers as a handful of
+     MULTI_READ batches with no extra attribute round trip. *)
+  let read_whole t fh =
+    let attr = getattr t fh in
+    C.read_whole t.client fh ~size:attr.Proto.size
 
-let write t fh ~off data =
-  let attr = Client.write t.client fh ~off data in
-  store_attr t fh attr;
-  attr
+  let read t fh ~off ~count =
+    let attr, data = C.read t.client fh ~off ~count in
+    store_attr t fh attr;
+    (attr, data)
 
-let invalidate t fh =
-  Race.write t.race ~key:(akey (key fh)) ();
-  Hashtbl.remove t.attrs (key fh);
-  (* Drop any name entries resolving to this handle. *)
-  let doomed =
-    Hashtbl.fold
-      (fun k ((target, _), _) acc -> if key target = key fh then k :: acc else acc)
-      t.names []
-  in
-  List.iter
-    (fun k ->
-      Race.write t.race ~key:(nkey k) ();
-      Hashtbl.remove t.names k)
-    doomed
+  let write t fh ~off data =
+    let attr = C.write t.client fh ~off data in
+    store_attr t fh attr;
+    attr
 
-let remove t dir name =
-  Client.remove t.client dir name;
-  Race.write t.race ~key:(nkey (key dir, name)) ();
-  Race.write t.race ~key:(akey (key dir)) ();
-  Hashtbl.remove t.names (key dir, name);
-  Hashtbl.remove t.attrs (key dir)
+  let invalidate t fh =
+    Race.write t.race ~key:(akey (key fh)) ();
+    Hashtbl.remove t.attrs (key fh);
+    (* Drop any name entries resolving to this handle. *)
+    let doomed =
+      Hashtbl.fold
+        (fun k ((target, _), _) acc -> if key target = key fh then k :: acc else acc)
+        t.names []
+    in
+    List.iter
+      (fun k ->
+        Race.write t.race ~key:(nkey k) ();
+        Hashtbl.remove t.names k)
+      doomed
 
-let invalidate_all t =
-  Hashtbl.reset t.attrs;
-  Hashtbl.reset t.names;
-  Race.wipe t.race
+  let remove t dir name =
+    C.remove t.client dir name;
+    Race.write t.race ~key:(nkey (key dir, name)) ();
+    Race.write t.race ~key:(akey (key dir)) ();
+    Hashtbl.remove t.names (key dir, name);
+    Hashtbl.remove t.attrs (key dir)
 
-let hits t = t.hits
-let misses t = t.misses
-let expiries t = t.expiries
+  let invalidate_all t =
+    Hashtbl.reset t.attrs;
+    Hashtbl.reset t.names;
+    Race.wipe t.race
+
+  let hits t = t.hits
+  let misses t = t.misses
+  let expiries t = t.expiries
+end
+
+include Make (Client)

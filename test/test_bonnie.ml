@@ -84,11 +84,11 @@ let test_search_cache_effect () =
 
 let test_deploy_registry () =
   let b = Bonnie.Backend.discfs () in
-  (match Bonnie.Backend.discfs_deploy b with
+  (match Bonnie.Backend.discfs_parts b with
   | Some _ -> ()
   | None -> Alcotest.fail "discfs deployment not registered");
   let ffs = Bonnie.Backend.ffs_local () in
-  Alcotest.(check bool) "ffs has no deployment" true (Bonnie.Backend.discfs_deploy ffs = None)
+  Alcotest.(check bool) "ffs has no deployment" true (Bonnie.Backend.discfs_parts ffs = None)
 
 let suite =
   [

@@ -9,7 +9,7 @@ module Proto = Nfs.Proto
 module Assertion = Keynote.Assertion
 module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
-module Client = Discfs.Client
+module CC = Discfs.Cluster_client
 module Server = Discfs.Server
 module Bcache = Ffs.Bcache
 module Blockdev = Ffs.Blockdev
@@ -24,7 +24,7 @@ let expect_nfs_error status f =
     Alcotest.failf "expected %s, got %s" (Proto.status_to_string status) (Proto.status_to_string s)
   | _ -> Alcotest.failf "expected %s" (Proto.status_to_string status)
 
-let quoted c = Printf.sprintf "\"%s\"" (Client.principal c)
+let quoted c = Printf.sprintf "\"%s\"" (CC.principal c)
 
 let handle_conditions fh value =
   Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"%s\";" fh.Proto.ino value
@@ -136,19 +136,19 @@ let test_crash_mid_write_no_stale_blocks () =
      crashes, and the rebooted incarnation must serve current data
      from a cold cache — never a stale or phantom cached block. *)
   let d = Deploy.make ~cache_blocks:64 ~seed:"test-cache-crash" () in
-  let admin = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let fh, _, _ = Client.create admin ~dir:(Client.root admin) "journal.txt" () in
-  Nfs.Client.write_all (Client.nfs admin) fh "version-1";
+  let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  let fh, _, _ = CC.create admin ~dir:(CC.root admin) "journal.txt" () in
+  CC.write_all admin fh "version-1";
   (* Warm the buffer cache with the freshly written block. *)
-  ignore (Nfs.Client.read (Client.nfs admin) fh ~off:0 ~count:9);
+  ignore (CC.read admin fh ~off:0 ~count:9);
   Alcotest.(check bool) "cache warm before crash" true
     (Bcache.size (Blockdev.bcache (Cluster.dev d)) > 0);
   Deploy.crash_and_restart d;
   Alcotest.(check int) "buffer cache dropped by crash" 0
     (Bcache.size (Blockdev.bcache (Cluster.dev d)));
-  let admin2 = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  let admin2 = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let misses0 = Blockdev.cache_misses (Cluster.dev d) in
-  let _, data = Nfs.Client.read (Client.nfs admin2) fh ~off:0 ~count:9 in
+  let _, data = CC.read admin2 fh ~off:0 ~count:9 in
   Alcotest.(check string) "write-through data survives the crash" "version-1" data;
   Alcotest.(check bool) "first post-crash read misses (cold cache)" true
     (Blockdev.cache_misses (Cluster.dev d) > misses0)
@@ -157,28 +157,28 @@ let test_crash_mid_write_no_stale_blocks () =
 
 let test_revoked_credential_misses_memo_cache () =
   let d = Deploy.make ~seed:"test-cache-revoke" () in
-  let admin = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let fh, _, _ = Client.create admin ~dir:(Client.root admin) "secret.txt" () in
-  Nfs.Client.write_all (Client.nfs admin) fh "classified";
-  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
+  let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  let fh, _, _ = CC.create admin ~dir:(CC.root admin) "secret.txt" () in
+  CC.write_all admin fh "classified";
+  let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   let cred =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions fh "R") ()
   in
-  (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
+  (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
   let cache = Server.cache (Deploy.server d) in
   (* Warm the memo cache with Bob's grant. *)
-  ignore (Nfs.Client.read (Client.nfs bob) fh ~off:0 ~count:4);
-  ignore (Nfs.Client.read (Client.nfs bob) fh ~off:0 ~count:4);
+  ignore (CC.read bob fh ~off:0 ~count:4);
+  ignore (CC.read bob fh ~off:0 ~count:4);
   Alcotest.(check bool) "memoised while credential stands" true
     (Discfs.Policy_cache.hits cache > 0);
   (* Revocation flushes the memo cache and rotates the epoch. *)
-  (match Client.revoke_credential admin ~fingerprint:(Assertion.fingerprint cred) with
+  (match CC.revoke_credential admin ~fingerprint:(Assertion.fingerprint cred) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   Alcotest.(check int) "flush on revocation" 0 (Discfs.Policy_cache.size cache);
   let hits0 = Discfs.Policy_cache.hits cache in
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.read (Client.nfs bob) fh ~off:0 ~count:4));
+      ignore (CC.read bob fh ~off:0 ~count:4));
   Alcotest.(check int) "revoked request served no memoised grant" hits0
     (Discfs.Policy_cache.hits cache);
   Alcotest.(check bool) "it re-ran the compliance checker" true

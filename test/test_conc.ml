@@ -11,7 +11,7 @@ module Sched = Simnet.Sched
 module Rpc = Oncrpc.Rpc
 module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
-module Client = Discfs.Client
+module CC = Discfs.Cluster_client
 
 let feq = Alcotest.(check (float 1e-9))
 
@@ -322,9 +322,9 @@ let test_deploy_concurrent_end_to_end () =
      (IKE handshake and mount) and create one file each. *)
   let clients =
     List.init 3 (fun i ->
-        let c = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:i () in
+        let c = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:i () in
         let name = Printf.sprintf "f%d.txt" i in
-        let fh, _, _ = Client.create c ~dir:(Client.root c) name () in
+        let fh, _, _ = CC.create c ~dir:(CC.root c) name () in
         (i, c, fh))
   in
   (* The workload overlaps: each client writes then reads its own
@@ -335,9 +335,9 @@ let test_deploy_concurrent_end_to_end () =
       (* discfs-lint: allow races "each process owns its client and its own Hashtbl key; the table is read only after Sched.run returns" *)
       Sched.spawn sched (fun () ->
           let body = Printf.sprintf "client-%d-body" i in
-          Nfs.Client.write_all (Client.nfs c) fh body;
+          CC.write_all c fh body;
           let _, data =
-            Nfs.Client.read (Client.nfs c) fh ~off:0 ~count:(String.length body)
+            CC.read c fh ~off:0 ~count:(String.length body)
           in
           Hashtbl.replace reads i data))
     clients;

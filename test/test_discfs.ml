@@ -5,7 +5,7 @@ module Proto = Nfs.Proto
 module Assertion = Keynote.Assertion
 module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
-module Client = Discfs.Client
+module CC = Discfs.Cluster_client
 module Server = Discfs.Server
 
 let expect_nfs_error status f =
@@ -15,14 +15,14 @@ let expect_nfs_error status f =
     Alcotest.failf "expected %s, got %s" (Proto.status_to_string status) (Proto.status_to_string s)
   | _ -> Alcotest.failf "expected %s" (Proto.status_to_string status)
 
-let quoted c = Printf.sprintf "\"%s\"" (Client.principal c)
+let quoted c = Printf.sprintf "\"%s\"" (CC.principal c)
 
 (* A deployment with a file created by the admin, for access tests. *)
 let setup ?cache_size ?hour () =
   let d = Deploy.make ?cache_size ?hour ~seed:"test-discfs" () in
-  let admin_client = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let file_fh, _, _ = Client.create admin_client ~dir:(Client.root admin_client) "paper.tex" () in
-  Nfs.Client.write_all (Client.nfs admin_client) file_fh "Secure and Flexible Global File Sharing";
+  let admin_client = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  let file_fh, _, _ = CC.create admin_client ~dir:(CC.root admin_client) "paper.tex" () in
+  CC.write_all admin_client file_fh "Secure and Flexible Global File Sharing";
   (d, admin_client, file_fh)
 
 let handle_conditions fh value =
@@ -31,53 +31,53 @@ let handle_conditions fh value =
 let test_admin_has_full_access () =
   let _, admin_client, file_fh = setup () in
   (* POLICY trusts the admin key directly: no credentials needed. *)
-  let _, data = Nfs.Client.read (Client.nfs admin_client) file_fh ~off:0 ~count:100 in
+  let _, data = CC.read admin_client file_fh ~off:0 ~count:100 in
   Alcotest.(check string) "admin reads" "Secure and Flexible Global File Sharing" data;
-  ignore (Nfs.Client.write (Client.nfs admin_client) file_fh ~off:0 "X")
+  ignore (CC.write admin_client file_fh ~off:0 "X")
 
 let test_stranger_denied_and_sees_000 () =
   let d, _, file_fh = setup () in
-  let mallory = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:777 () in
+  let mallory = CC.attach d ~identity:(Cluster.new_identity d) ~uid:777 () in
   (* Reads and writes are refused... *)
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.read (Client.nfs mallory) file_fh ~off:0 ~count:10));
+      ignore (CC.read mallory file_fh ~off:0 ~count:10));
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.write (Client.nfs mallory) file_fh ~off:0 "overwrite"));
+      ignore (CC.write mallory file_fh ~off:0 "overwrite"));
   (* ...and the attached tree presents itself as mode 000 owned by the
      attach uid (paper §5). *)
-  let attr = Nfs.Client.getattr (Client.nfs mallory) (Client.root mallory) in
+  let attr = CC.getattr mallory (CC.root mallory) in
   Alcotest.(check int) "mode 000" 0 (attr.Proto.mode land 0o777);
   Alcotest.(check int) "uid from attach" 777 attr.Proto.uid
 
 let test_figure5_credential_grants_access () =
   let d, _, file_fh = setup () in
-  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
+  let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   let cred =
     Cluster.admin_issue d ~licensees:(quoted bob)
       ~conditions:(handle_conditions file_fh "RWX") ~comment:"testdir" ()
   in
-  (match Client.submit_credential bob cred with
+  (match CC.submit_credential bob cred with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  let _, data = Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:6 in
+  let _, data = CC.read bob file_fh ~off:0 ~count:6 in
   Alcotest.(check string) "bob reads after credential" "Secure" data;
-  ignore (Nfs.Client.write (Client.nfs bob) file_fh ~off:0 "Shared");
+  ignore (CC.write bob file_fh ~off:0 "Shared");
   (* Permissions now present as rwx for this connection. *)
-  let attr = Nfs.Client.getattr (Client.nfs bob) file_fh in
+  let attr = CC.getattr bob file_fh in
   Alcotest.(check int) "mode rwx" 0o777 (attr.Proto.mode land 0o777)
 
 let test_read_only_credential () =
   let d, _, file_fh = setup () in
-  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
+  let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   let cred =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
   in
-  (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
-  let _, data = Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:6 in
+  (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
+  let _, data = CC.read bob file_fh ~off:0 ~count:6 in
   Alcotest.(check string) "read ok" "Secure" data;
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.write (Client.nfs bob) file_fh ~off:0 "nope"));
-  let attr = Nfs.Client.getattr (Client.nfs bob) file_fh in
+      ignore (CC.write bob file_fh ~off:0 "nope"));
+  let attr = CC.getattr bob file_fh in
   Alcotest.(check int) "mode r--" 0o444 (attr.Proto.mode land 0o777)
 
 let test_figure1_delegation () =
@@ -86,8 +86,8 @@ let test_figure1_delegation () =
   let d, _, file_fh = setup () in
   let bob_key = Cluster.new_identity d in
   let alice_key = Cluster.new_identity d in
-  let bob = Deploy.attach d ~identity:bob_key ~uid:100 () in
-  let alice = Deploy.attach d ~identity:alice_key ~uid:200 () in
+  let bob = CC.attach d ~identity:bob_key ~uid:100 () in
+  let alice = CC.attach d ~identity:alice_key ~uid:200 () in
   let cred_bob =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "RW") ()
   in
@@ -96,107 +96,107 @@ let test_figure1_delegation () =
       ~conditions:(handle_conditions file_fh "R") ()
   in
   (* Alice submits only her credential: the chain to POLICY is broken. *)
-  (match Client.submit_credential alice cred_alice with Ok _ -> () | Error e -> Alcotest.fail e);
+  (match CC.submit_credential alice cred_alice with Ok _ -> () | Error e -> Alcotest.fail e);
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.read (Client.nfs alice) file_fh ~off:0 ~count:6));
+      ignore (CC.read alice file_fh ~off:0 ~count:6));
   (* With Bob's credential also present, the chain closes. *)
-  (match Client.submit_credential alice cred_bob with Ok _ -> () | Error e -> Alcotest.fail e);
-  let _, data = Nfs.Client.read (Client.nfs alice) file_fh ~off:0 ~count:6 in
+  (match CC.submit_credential alice cred_bob with Ok _ -> () | Error e -> Alcotest.fail e);
+  let _, data = CC.read alice file_fh ~off:0 ~count:6 in
   Alcotest.(check string) "alice reads via chain" "Secure" data;
   (* Alice got R only: writes stay denied (no amplification). *)
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.write (Client.nfs alice) file_fh ~off:0 "nope"));
+      ignore (CC.write alice file_fh ~off:0 "nope"));
   (* Bob himself can write with his RW credential. *)
-  ignore (Nfs.Client.write (Client.nfs bob) file_fh ~off:0 "Bob was here")
+  ignore (CC.write bob file_fh ~off:0 "Bob was here")
 
 let test_create_returns_credential () =
   let d, _, _ = setup () in
-  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
+  let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   (* Bob needs W+X on the root directory to create files in it. *)
-  let root = Client.root bob in
+  let root = CC.root bob in
   let cred =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions root "RWX") ()
   in
-  (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
+  (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
   (* Plain NFS CREATE succeeds but leaves Bob without access to the
      new file — the paper's create problem (§5). *)
   let orphan_fh, _ =
-    Nfs.Client.create_file (Client.nfs bob) root "orphan.txt" Proto.sattr_none
+    CC.nfs_create bob root "orphan.txt" Proto.sattr_none
   in
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.write (Client.nfs bob) orphan_fh ~off:0 "locked out"));
+      ignore (CC.write bob orphan_fh ~off:0 "locked out"));
   (* The DisCFS create procedure returns a fresh RWX credential. *)
-  let fh, attr, new_cred = Client.create bob ~dir:root "report.txt" () in
+  let fh, attr, new_cred = CC.create bob ~dir:root "report.txt" () in
   Alcotest.(check bool) "file created" true (attr.Proto.ftype = Proto.NFREG);
   Alcotest.(check bool) "credential verifies" true (Assertion.verify new_cred);
   Alcotest.(check (option string)) "comment names the file" (Some "report.txt")
     new_cred.Assertion.comment;
-  ignore (Nfs.Client.write (Client.nfs bob) fh ~off:0 "mine to write");
-  let _, data = Nfs.Client.read (Client.nfs bob) fh ~off:0 ~count:100 in
+  ignore (CC.write bob fh ~off:0 "mine to write");
+  let _, data = CC.read bob fh ~off:0 ~count:100 in
   Alcotest.(check string) "roundtrip" "mine to write" data;
   (* And Bob can delegate the new file onward. *)
   let carol_key = Cluster.new_identity d in
-  let carol = Deploy.attach d ~identity:carol_key ~uid:300 () in
+  let carol = CC.attach d ~identity:carol_key ~uid:300 () in
   let bob_key_unused = () in
   ignore bob_key_unused;
   Alcotest.(check bool) "mkdir also returns credential" true
-    (let _, _, c = Client.mkdir bob ~dir:root "subdir" () in
+    (let _, _, c = CC.mkdir bob ~dir:root "subdir" () in
      Assertion.verify c);
   ignore carol
 
 let test_delegation_of_created_file () =
   let d, _, _ = setup () in
   let bob_key = Cluster.new_identity d in
-  let bob = Deploy.attach d ~identity:bob_key ~uid:100 () in
-  let root = Client.root bob in
+  let bob = CC.attach d ~identity:bob_key ~uid:100 () in
+  let root = CC.root bob in
   let cred =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions root "RWX") ()
   in
-  (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
-  let fh, _, _file_cred = Client.create bob ~dir:root "shared.txt" () in
-  Nfs.Client.write_all (Client.nfs bob) fh "from bob with love";
+  (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
+  let fh, _, _file_cred = CC.create bob ~dir:root "shared.txt" () in
+  CC.write_all bob fh "from bob with love";
   (* Bob delegates R on his new file to Alice by issuing a credential
      against the server-issued one. *)
   let alice_key = Cluster.new_identity d in
-  let alice = Deploy.attach d ~identity:alice_key ~uid:200 () in
+  let alice = CC.attach d ~identity:alice_key ~uid:200 () in
   let delegation =
     Assertion.issue ~key:bob_key ~drbg:(Cluster.drbg d) ~licensees:(quoted alice)
       ~conditions:(handle_conditions fh "R") ~comment:"for alice" ()
   in
-  (match Client.submit_credential alice delegation with Ok _ -> () | Error e -> Alcotest.fail e);
+  (match CC.submit_credential alice delegation with Ok _ -> () | Error e -> Alcotest.fail e);
   (* The server-issued credential is already in the server's session,
      so Alice's chain is complete: server_key -> bob -> alice. *)
-  let _, data = Nfs.Client.read (Client.nfs alice) fh ~off:0 ~count:8 in
+  let _, data = CC.read alice fh ~off:0 ~count:8 in
   Alcotest.(check string) "alice reads bob's file" "from bob" data;
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.write (Client.nfs alice) fh ~off:0 "no"))
+      ignore (CC.write alice fh ~off:0 "no"))
 
 let test_revocation () =
   let d, _, file_fh = setup () in
-  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
+  let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   let cred =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
   in
-  (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
-  ignore (Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:6);
+  (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
+  ignore (CC.read bob file_fh ~off:0 ~count:6);
   (* Only the authorizer (or server) may revoke. *)
-  (match Client.revoke_credential bob ~fingerprint:(Assertion.fingerprint cred) with
+  (match CC.revoke_credential bob ~fingerprint:(Assertion.fingerprint cred) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "bob revoked admin's credential");
   (* The admin connection revokes it; the policy cache is flushed. *)
-  let admin_conn = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  (match Client.revoke_credential admin_conn ~fingerprint:(Assertion.fingerprint cred) with
+  let admin_conn = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  (match CC.revoke_credential admin_conn ~fingerprint:(Assertion.fingerprint cred) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:6))
+      ignore (CC.read bob file_fh ~off:0 ~count:6))
 
 let test_key_revocation () =
   let d, _, file_fh = setup () in
   let bob_key = Cluster.new_identity d in
-  let bob = Deploy.attach d ~identity:bob_key ~uid:100 () in
+  let bob = CC.attach d ~identity:bob_key ~uid:100 () in
   let alice_key = Cluster.new_identity d in
-  let alice = Deploy.attach d ~identity:alice_key ~uid:200 () in
+  let alice = CC.attach d ~identity:alice_key ~uid:200 () in
   let cred_bob =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "RW") ()
   in
@@ -204,50 +204,50 @@ let test_key_revocation () =
     Assertion.issue ~key:bob_key ~drbg:(Cluster.drbg d) ~licensees:(quoted alice)
       ~conditions:(handle_conditions file_fh "R") ()
   in
-  (match Client.submit_credential alice cred_bob with Ok _ -> () | Error e -> Alcotest.fail e);
-  (match Client.submit_credential alice cred_alice with Ok _ -> () | Error e -> Alcotest.fail e);
-  ignore (Nfs.Client.read (Client.nfs alice) file_fh ~off:0 ~count:6);
+  (match CC.submit_credential alice cred_bob with Ok _ -> () | Error e -> Alcotest.fail e);
+  (match CC.submit_credential alice cred_alice with Ok _ -> () | Error e -> Alcotest.fail e);
+  ignore (CC.read alice file_fh ~off:0 ~count:6);
   (* Non-admin cannot revoke keys. *)
-  (match Client.revoke_key alice ~principal:(Client.principal bob) with
+  (match CC.revoke_key alice ~principal:(CC.principal bob) with
   | Error _ -> ()
   | Ok () -> Alcotest.fail "alice revoked a key");
   (* Admin declares Bob's key bad: credentials authored by it vanish,
      and new submissions of them are refused. *)
-  let admin_conn = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  (match Client.revoke_key admin_conn ~principal:(Client.principal bob) with
+  let admin_conn = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  (match CC.revoke_key admin_conn ~principal:(CC.principal bob) with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.read (Client.nfs alice) file_fh ~off:0 ~count:6));
-  (match Client.submit_credential alice cred_alice with
+      ignore (CC.read alice file_fh ~off:0 ~count:6));
+  (match CC.submit_credential alice cred_alice with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "revoked authorizer accepted");
   (* The revoked key itself has no authority either, even though the
      admin-issued credential licensing it is still in the session
      (regression: revocation must cover the requester role too). *)
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:6))
+      ignore (CC.read bob file_fh ~off:0 ~count:6))
 
 let test_cross_user_isolation () =
   let d, _, file_fh = setup () in
-  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
-  let carol = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:300 () in
+  let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
+  let carol = CC.attach d ~identity:(Cluster.new_identity d) ~uid:300 () in
   let cred =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "RWX") ()
   in
   (* Carol gets hold of Bob's credential and submits it — but her
      requests are signed by her own key, so it grants her nothing. *)
-  (match Client.submit_credential carol cred with Ok _ -> () | Error e -> Alcotest.fail e);
+  (match CC.submit_credential carol cred with Ok _ -> () | Error e -> Alcotest.fail e);
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.read (Client.nfs carol) file_fh ~off:0 ~count:6));
+      ignore (CC.read carol file_fh ~off:0 ~count:6));
   (* Bob, of course, can use it (it is already in the session). *)
-  let _, data = Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:6 in
+  let _, data = CC.read bob file_fh ~off:0 ~count:6 in
   Alcotest.(check string) "bob ok" "Secure" data
 
 let test_time_of_day_policy () =
   let hour = ref 11 in
   let d, _, file_fh = setup ~hour:(fun () -> !hour) () in
-  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
+  let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   let cred =
     Cluster.admin_issue d ~licensees:(quoted bob)
       ~conditions:
@@ -256,30 +256,30 @@ let test_time_of_day_policy () =
            file_fh.Proto.ino)
       ~comment:"leisure file: office hours blocked" ()
   in
-  (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
+  (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
   (* 11:00 — denied. *)
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:6));
+      ignore (CC.read bob file_fh ~off:0 ~count:6));
   (* 20:00 — the cached "false" result must not leak across the hour
      change... the cache is keyed per handle, so we flush via a fresh
      credential submission, as the prototype would on any policy
      change. *)
   hour := 20;
   Discfs.Policy_cache.flush (Server.cache (Deploy.server d));
-  let _, data = Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:6 in
+  let _, data = CC.read bob file_fh ~off:0 ~count:6 in
   Alcotest.(check string) "evening access" "Secure" data
 
 let test_policy_cache_behaviour () =
   let d, _, file_fh = setup ~cache_size:128 () in
-  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
+  let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   let cred =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
   in
-  (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
+  (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
   let cache = Server.cache (Deploy.server d) in
   let h0 = Discfs.Policy_cache.hits cache in
   for _ = 1 to 50 do
-    ignore (Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:8)
+    ignore (CC.read bob file_fh ~off:0 ~count:8)
   done;
   let hits = Discfs.Policy_cache.hits cache - h0 in
   Alcotest.(check bool) "repeated reads mostly hit" true (hits >= 90);
@@ -287,14 +287,14 @@ let test_policy_cache_behaviour () =
   let other =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:"app_domain == \"x\" -> \"R\";" ()
   in
-  (match Client.submit_credential bob other with Ok _ -> () | Error e -> Alcotest.fail e);
+  (match CC.submit_credential bob other with Ok _ -> () | Error e -> Alcotest.fail e);
   Alcotest.(check int) "flushed" 0 (Discfs.Policy_cache.size cache)
 
 let test_audit_log () =
   let d, _, file_fh = setup () in
-  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
+  let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:6));
+      ignore (CC.read bob file_fh ~off:0 ~count:6));
   let log = Server.audit_log (Deploy.server d) in
   Alcotest.(check bool) "denial recorded" true
     (List.exists
@@ -305,8 +305,8 @@ let test_audit_log () =
   let cred =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
   in
-  (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
-  ignore (Nfs.Client.read (Client.nfs bob) file_fh ~off:0 ~count:6);
+  (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
+  ignore (CC.read bob file_fh ~off:0 ~count:6);
   let log = Server.audit_log (Deploy.server d) in
   Alcotest.(check bool) "grant recorded with value" true
     (List.exists
@@ -316,24 +316,24 @@ let test_audit_log () =
 let test_esp_on_the_wire () =
   let d, admin_client, file_fh = setup () in
   let before = Simnet.Stats.get (Cluster.stats d) "esp.packets" in
-  ignore (Nfs.Client.read (Client.nfs admin_client) file_fh ~off:0 ~count:8);
+  ignore (CC.read admin_client file_fh ~off:0 ~count:8);
   Alcotest.(check bool) "reads travel inside ESP" true
     (Simnet.Stats.get (Cluster.stats d) "esp.packets" > before)
 
 let test_lookup_needs_execute () =
   let d, _, _ = setup () in
-  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
-  let root = Client.root bob in
+  let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
+  let root = CC.root bob in
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.lookup (Client.nfs bob) root "paper.tex"));
+      ignore (CC.lookup bob root "paper.tex"));
   let cred =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions root "X") ()
   in
-  (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
+  (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
   (* X alone allows lookup but not readdir. *)
-  ignore (Nfs.Client.lookup (Client.nfs bob) root "paper.tex");
+  ignore (CC.lookup bob root "paper.tex");
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.readdir (Client.nfs bob) root))
+      ignore (CC.readdir bob root))
 
 let test_access_procedure_uses_keynote () =
   (* The ACCESS extension answers straight from the compliance
@@ -341,21 +341,21 @@ let test_access_procedure_uses_keynote () =
      failing) the operations - the "standard NFS authentication
      framework" integration the paper aims for (Â§1). *)
   let d, _, file_fh = setup () in
-  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
+  let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   Alcotest.(check int) "nothing before credentials" 0
-    (Nfs.Client.access (Client.nfs bob) file_fh Proto.access_all);
+    (CC.access bob file_fh Proto.access_all);
   let cred =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
   in
-  (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
+  (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
   Alcotest.(check int) "R credential -> ACCESS_READ only" Proto.access_read
-    (Nfs.Client.access (Client.nfs bob) file_fh Proto.access_all);
+    (CC.access bob file_fh Proto.access_all);
   let cred2 =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "RWX") ()
   in
-  (match Client.submit_credential bob cred2 with Ok _ -> () | Error e -> Alcotest.fail e);
+  (match CC.submit_credential bob cred2 with Ok _ -> () | Error e -> Alcotest.fail e);
   Alcotest.(check int) "RWX credential -> everything" Proto.access_all
-    (Nfs.Client.access (Client.nfs bob) file_fh Proto.access_all)
+    (CC.access bob file_fh Proto.access_all)
 
 let test_subtree_credential_via_path () =
   (* Extension: instead of one credential per handle, a single
@@ -363,35 +363,35 @@ let test_subtree_credential_via_path () =
      language's regex operator over the PATH attribute — including
      files created after the credential was issued. *)
   let d, admin_client, _ = setup () in
-  let root = Client.root admin_client in
-  let docs, _, _ = Client.mkdir admin_client ~dir:root "docs" () in
-  let inside, _, _ = Client.create admin_client ~dir:docs "inside.txt" () in
-  Nfs.Client.write_all (Client.nfs admin_client) inside "in the docs subtree";
-  let outside, _, _ = Client.create admin_client ~dir:root "outside.txt" () in
-  Nfs.Client.write_all (Client.nfs admin_client) outside "not shared";
-  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
+  let root = CC.root admin_client in
+  let docs, _, _ = CC.mkdir admin_client ~dir:root "docs" () in
+  let inside, _, _ = CC.create admin_client ~dir:docs "inside.txt" () in
+  CC.write_all admin_client inside "in the docs subtree";
+  let outside, _, _ = CC.create admin_client ~dir:root "outside.txt" () in
+  CC.write_all admin_client outside "not shared";
+  let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   let cred =
     Cluster.admin_issue d ~licensees:(quoted bob)
       ~conditions:"(app_domain == \"DisCFS\") && (PATH ~= \"^/docs(/|$)\") -> \"RX\";"
       ~comment:"the whole docs subtree" ()
   in
-  (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
+  (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
   (* Inside: listable and readable. *)
-  let _, data = Nfs.Client.read (Client.nfs bob) inside ~off:0 ~count:11 in
+  let _, data = CC.read bob inside ~off:0 ~count:11 in
   Alcotest.(check string) "reads inside subtree" "in the docs" data;
-  ignore (Nfs.Client.lookup (Client.nfs bob) docs "inside.txt");
+  ignore (CC.lookup bob docs "inside.txt");
   (* Outside: denied. *)
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.read (Client.nfs bob) outside ~off:0 ~count:4));
+      ignore (CC.read bob outside ~off:0 ~count:4));
   (* A file created in the subtree *later* is covered automatically. *)
-  let later, _, _ = Client.create admin_client ~dir:docs "later.txt" () in
-  Nfs.Client.write_all (Client.nfs admin_client) later "late arrival";
-  let _, data = Nfs.Client.read (Client.nfs bob) later ~off:0 ~count:4 in
+  let later, _, _ = CC.create admin_client ~dir:docs "later.txt" () in
+  CC.write_all admin_client later "late arrival";
+  let _, data = CC.read bob later ~off:0 ~count:4 in
   Alcotest.(check string) "new file covered" "late" data;
   (* Moving a file out of the subtree withdraws access. *)
-  Nfs.Client.rename (Client.nfs admin_client) ~src:(docs, "later.txt") ~dst:(root, "moved.txt");
+  CC.rename admin_client ~src:(docs, "later.txt") ~dst:(root, "moved.txt");
   expect_nfs_error Proto.nfserr_acces (fun () ->
-      ignore (Nfs.Client.read (Client.nfs bob) later ~off:0 ~count:4))
+      ignore (CC.read bob later ~off:0 ~count:4))
 
 (* The paper (§5) notes that bare inode numbers are not globally
    unique handles: a credential for a deleted file would cover
@@ -401,31 +401,31 @@ let handle_reuse ~strict () =
   (* A tiny inode table so the freed inode is recycled within a few
      allocations (the allocator's cursor must wrap around). *)
   let d = Deploy.make ~strict_handles:strict ~ninodes:8 ~seed:"handle-reuse" () in
-  let admin_client = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let root = Client.root admin_client in
-  let bob = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
+  let admin_client = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  let root = CC.root admin_client in
+  let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   (match
-     Client.submit_credential bob
+     CC.submit_credential bob
        (Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions root "RWX") ())
    with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
   (* Bob creates a file (getting an RWX credential for it), then the
      admin deletes it and creates a secret file reusing the inode. *)
-  let fh, _, _ = Client.create bob ~dir:root "scratch.txt" () in
-  Nfs.Client.remove (Client.nfs admin_client) root "scratch.txt";
+  let fh, _, _ = CC.create bob ~dir:root "scratch.txt" () in
+  CC.remove admin_client root "scratch.txt";
   let rec recreate () =
-    let s, _, _ = Client.create admin_client ~dir:root "secret.txt" () in
+    let s, _, _ = CC.create admin_client ~dir:root "secret.txt" () in
     if s.Proto.ino = fh.Proto.ino then s
     else begin
-      Nfs.Client.remove (Client.nfs admin_client) root "secret.txt";
+      CC.remove admin_client root "secret.txt";
       recreate ()
     end
   in
   let secret = recreate () in
-  Nfs.Client.write_all (Client.nfs admin_client) secret "top secret";
+  CC.write_all admin_client secret "top secret";
   (* Bob's stale RWX credential names the same HANDLE. *)
-  match Nfs.Client.read (Client.nfs bob) secret ~off:0 ~count:10 with
+  match CC.read bob secret ~off:0 ~count:10 with
   | _, data -> `Read data
   | exception Proto.Nfs_error s -> `Denied s
 

@@ -13,7 +13,7 @@
 module Proto = Nfs.Proto
 module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
-module Client = Discfs.Client
+module CC = Discfs.Cluster_client
 
 type op =
   | Issue of int * int * int (* user, file slot, bits 1..7 *)
@@ -53,15 +53,15 @@ let grant m ~peer ~ino bits =
 
 let run_scenario ops =
   let d = Deploy.make ~seed:"model-test" () in
-  let admin = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let root = Client.root admin in
+  let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  let root = CC.root admin in
   let users =
     Array.init n_users (fun i ->
-        Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:(100 + i) ())
+        CC.attach d ~identity:(Cluster.new_identity d) ~uid:(100 + i) ())
   in
   let m = { rights = []; files = Array.make 10 (0, "") } in
   let counter = ref 0 in
-  let peer u = Client.principal users.(u) in
+  let peer u = CC.principal users.(u) in
   let check_access expected_bits required f =
     let expected = expected_bits land required = required in
     match f () with
@@ -85,7 +85,7 @@ let run_scenario ops =
                    ino value)
               ()
           in
-          match Client.submit_credential users.(u) cred with
+          match CC.submit_credential users.(u) cred with
           | Ok _ -> grant m ~peer:(peer u) ~ino bits
           | Error e -> failwith e
         end
@@ -100,12 +100,12 @@ let run_scenario ops =
              users with W create through the DisCFS procedure. *)
           let root_bits = model_bits m ~peer:(peer u) ~ino:root.Proto.ino in
           if root_bits land 2 = 2 then begin
-            let fh, _, _ = Client.create users.(u) ~dir:root name () in
+            let fh, _, _ = CC.create users.(u) ~dir:root name () in
             m.files.(!slot) <- (fh.Proto.ino, name);
             grant m ~peer:(peer u) ~ino:fh.Proto.ino 7
           end
           else begin
-            let fh, _, _ = Client.create admin ~dir:root name () in
+            let fh, _, _ = CC.create admin ~dir:root name () in
             m.files.(!slot) <- (fh.Proto.ino, name)
           end
         end
@@ -114,19 +114,19 @@ let run_scenario ops =
         if ino <> 0 then begin
           let fh = { Proto.ino; gen = Ffs.Fs.generation (Cluster.fs d) ino } in
           check_access (model_bits m ~peer:(peer u) ~ino) 4 (fun () ->
-              Nfs.Client.read (Client.nfs users.(u)) fh ~off:0 ~count:8)
+              CC.read users.(u) fh ~off:0 ~count:8)
         end
       | Write (u, slot) ->
         let ino, _ = m.files.(slot) in
         if ino <> 0 then begin
           let fh = { Proto.ino; gen = Ffs.Fs.generation (Cluster.fs d) ino } in
           check_access (model_bits m ~peer:(peer u) ~ino) 2 (fun () ->
-              Nfs.Client.write (Client.nfs users.(u)) fh ~off:0 "data")
+              CC.write users.(u) fh ~off:0 "data")
         end
       | Remove slot ->
         let ino, name = m.files.(slot) in
         if ino <> 0 then begin
-          Nfs.Client.remove (Client.nfs admin) root name;
+          CC.remove admin root name;
           m.files.(slot) <- (0, "")
           (* rights deliberately NOT dropped: credentials persist *)
         end)

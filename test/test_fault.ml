@@ -11,7 +11,7 @@ module Rpc = Oncrpc.Rpc
 module Proto = Nfs.Proto
 module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
-module Client = Discfs.Client
+module CC = Discfs.Cluster_client
 module Server = Discfs.Server
 
 (* --- link-level fault actions ---------------------------------------- *)
@@ -250,12 +250,12 @@ let test_esp_corruption_dropped () =
   (* A quarter of packets corrupted means ~44% of attempts fail; give
      the client enough retransmissions to ride it out. *)
   let retry = { Rpc.default_retry with Rpc.max_attempts = 12 } in
-  let alice = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 ~retry () in
-  let root = Client.root alice in
-  let fh, _, _ = Client.create alice ~dir:root "noisy.txt" () in
-  Nfs.Client.write_all (Client.nfs alice) fh "intact despite the noise";
+  let alice = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 ~retry () in
+  let root = CC.root alice in
+  let fh, _, _ = CC.create alice ~dir:root "noisy.txt" () in
+  CC.write_all alice fh "intact despite the noise";
   for _ = 1 to 20 do
-    let _, data = Nfs.Client.read (Client.nfs alice) fh ~off:0 ~count:100 in
+    let _, data = CC.read alice fh ~off:0 ~count:100 in
     Alcotest.(check string) "reads stay correct" "intact despite the noise" data
   done;
   let get k = Stats.get (Cluster.stats d) k in
@@ -302,12 +302,12 @@ let test_client_auto_rekey () =
   (* A client attached with a small SA lifetime re-keys transparently
      mid-workload; traffic is uninterrupted. *)
   let d = Deploy.make ~seed:"auto-rekey" () in
-  let alice = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 ~sa_lifetime:6 () in
-  let root = Client.root alice in
-  let fh, _, _ = Client.create alice ~dir:root "r.txt" () in
-  Nfs.Client.write_all (Client.nfs alice) fh "rekey survives";
+  let alice = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 ~sa_lifetime:6 () in
+  let root = CC.root alice in
+  let fh, _, _ = CC.create alice ~dir:root "r.txt" () in
+  CC.write_all alice fh "rekey survives";
   for _ = 1 to 15 do
-    let _, data = Nfs.Client.read (Client.nfs alice) fh ~off:0 ~count:100 in
+    let _, data = CC.read alice fh ~off:0 ~count:100 in
     Alcotest.(check string) "content across rekeys" "rekey survives" data
   done;
   Alcotest.(check bool) "rekeys happened" true (Stats.get (Cluster.stats d) "ike.rekeys" >= 2)
@@ -317,16 +317,16 @@ let test_client_auto_rekey () =
 let test_disk_fault_maps_to_eio () =
   let fault = Fault.create ~seed:"disk-eio" () in
   let d = Deploy.make ~seed:"disk-eio" ~fault () in
-  let alice = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let root = Client.root alice in
-  let fh, _, _ = Client.create alice ~dir:root "frail.txt" () in
-  Nfs.Client.write_all (Client.nfs alice) fh "fragile data";
+  let alice = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  let root = CC.root alice in
+  let fh, _, _ = CC.create alice ~dir:root "frail.txt" () in
+  CC.write_all alice fh "fragile data";
   Fault.script_disk fault [ (Fault.disk_ops fault, Fault.Fail_read) ];
-  (match Nfs.Client.read (Client.nfs alice) fh ~off:0 ~count:100 with
+  (match CC.read alice fh ~off:0 ~count:100 with
   | exception Proto.Nfs_error e -> Alcotest.(check int) "EIO" Proto.nfserr_io e
   | _ -> Alcotest.fail "scripted disk fault did not surface");
   (* The dispatch loop survived; the next read is clean. *)
-  let _, data = Nfs.Client.read (Client.nfs alice) fh ~off:0 ~count:100 in
+  let _, data = CC.read alice fh ~off:0 ~count:100 in
   Alcotest.(check string) "healthy after the error" "fragile data" data
 
 (* --- end-to-end: 5% loss + mid-run server crash ----------------------- *)
@@ -353,8 +353,7 @@ let e2e_tree =
 let run_e2e ~lossy ~crash_at () =
   let fault = Fault.create ~seed:"e2e-fault" () in
   let d = Deploy.make ~seed:"e2e" ~fault () in
-  let alice = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let nfs () = Client.nfs alice in
+  let alice = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   (* Build the tree over NFS on a clean network. *)
   let dirs = Hashtbl.create 4 in
   List.iter
@@ -363,33 +362,25 @@ let run_e2e ~lossy ~crash_at () =
         match Hashtbl.find_opt dirs dir with
         | Some fh -> fh
         | None ->
-          let fh, _ = Nfs.Client.mkdir (nfs ()) (Client.root alice) dir Proto.sattr_none in
+          let fh, _ = CC.nfs_mkdir alice (CC.root alice) dir Proto.sattr_none in
           Hashtbl.replace dirs dir fh;
           fh
       in
-      let fh, _ = Nfs.Client.create_file (nfs ()) dfh file Proto.sattr_none in
-      Nfs.Client.write_all (nfs ()) fh content)
+      let fh, _ = CC.nfs_create alice dfh file Proto.sattr_none in
+      CC.write_all alice fh content)
     e2e_tree;
   if lossy then Fault.set_net fault (Fault.lossy 0.05);
-  (* The measured walk; optionally the server dies partway through. *)
+  (* The measured walk; optionally the server dies partway through.
+     The first call to reach the dead incarnation times out, and the
+     client re-attaches to the new one (fresh IKE + MOUNT, in-flight
+     op replayed) and re-issues it, all inside that call. *)
   let results =
     List.mapi
       (fun i (dir, file, _) ->
         if crash_at = Some i then Deploy.crash_and_restart d;
-        let read_one () =
-          let dfh, _ = Nfs.Client.lookup (nfs ()) (Client.root alice) dir in
-          let fh, _ = Nfs.Client.lookup (nfs ()) dfh file in
-          Nfs.Client.read_all (nfs ()) fh
-        in
-        let data =
-          try read_one ()
-          with Rpc.Rpc_timeout _ ->
-            (* Server not responding: re-attach to the new incarnation
-               (fresh IKE + MOUNT, in-flight op replayed) and redo. *)
-            Client.reattach alice ~rpc:(Deploy.rpc d) ~server:(Deploy.server d) ();
-            read_one ()
-        in
-        (dir, file, data))
+        let dfh, _ = CC.lookup alice (CC.root alice) dir in
+        let fh, _ = CC.lookup alice dfh file in
+        (dir, file, CC.read_all alice fh))
       e2e_tree
   in
   (results, d)
@@ -513,7 +504,7 @@ let test_crash_flushes_held_packets () =
      into the next incarnation, neither delivered nor counted. *)
   let fault = Fault.create ~seed:"crash-flush" () in
   let d = Deploy.make ~fault ~seed:"crash-flush-deploy" () in
-  let alice = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  let alice = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   ignore alice;
   Fault.set_net fault { Fault.drop = 0.0; duplicate = 0.0; reorder = 1.0; corrupt = 0.0 };
   Alcotest.(check (list string)) "packet held at crash time" []

@@ -307,6 +307,41 @@ let prop_file_matches_byte_model =
             got = expect)
         ops)
 
+(* Two scheduler processes miss on the same pointer block of a freshly
+   loaded volume: each reads it from disk, and the read yields. The
+   second to finish must keep the cached copy the first installed —
+   and updated — rather than replace it with its own stale decode. *)
+let test_concurrent_ptr_block_miss () =
+  let bs = 8192 in
+  let fs = make_fs () in
+  let ino = Ffs.Fs.create_file fs (Ffs.Fs.root fs) "big" ~perms:0o644 ~uid:0 in
+  let block i = String.make bs (Char.chr (65 + i)) in
+  for i = 0 to Ffs.Inode.n_direct do
+    Ffs.Fs.write fs ino ~off:(i * bs) (block i)
+  done;
+  let clock = Clock.create () in
+  let dev =
+    Ffs.Blockdev.create ~clock ~cost:Simnet.Cost.default ~stats:(Stats.create ()) ~nblocks:4096
+      ~block_size:bs ()
+  in
+  let fs = Ffs.Fs.load ~dev (Ffs.Fs.save fs) in
+  let sched = Simnet.Sched.create ~clock in
+  Simnet.Sched.attach_clock sched;
+  let a = Ffs.Inode.n_direct + 1 and b = Ffs.Inode.n_direct + 2 in
+  List.iter
+    (fun i ->
+      (* discfs-lint: allow races "the two writers share the volume on purpose: this reproduces the concurrent pointer-block miss" *)
+      Simnet.Sched.spawn sched (fun () -> Ffs.Fs.write fs ino ~off:(i * bs) (block i)))
+    [ a; b ];
+  Simnet.Sched.run sched;
+  List.iter
+    (fun i ->
+      Alcotest.(check string)
+        (Printf.sprintf "block %d reads back" i)
+        (block i)
+        (Ffs.Fs.read fs ino ~off:(i * bs) ~len:bs))
+    [ a; b ]
+
 let suite =
   [
     Alcotest.test_case "blockdev basics" `Quick test_blockdev;
@@ -324,6 +359,7 @@ let suite =
     Alcotest.test_case "name validation" `Quick test_name_validation;
     Alcotest.test_case "setattr" `Quick test_setattr;
     Alcotest.test_case "path_of" `Quick test_path_of;
+    Alcotest.test_case "concurrent pointer-block miss" `Quick test_concurrent_ptr_block_miss;
     QCheck_alcotest.to_alcotest prop_write_read_roundtrip;
     QCheck_alcotest.to_alcotest prop_dir_add_remove;
     QCheck_alcotest.to_alcotest prop_file_matches_byte_model;

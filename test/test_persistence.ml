@@ -5,7 +5,7 @@
 module Proto = Nfs.Proto
 module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
-module Client = Discfs.Client
+module CC = Discfs.Cluster_client
 module Server = Discfs.Server
 
 let make_dev ?(nblocks = 4096) () =
@@ -96,24 +96,24 @@ let test_fs_image_errors () =
 let test_server_restart () =
   (* Day 1: a server accumulates files and credentials. *)
   let d = Deploy.make ~seed:"restart" () in
-  let admin_client = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let root = Client.root admin_client in
-  let fh, _, _ = Client.create admin_client ~dir:root "durable.txt" () in
-  Nfs.Client.write_all (Client.nfs admin_client) fh "survives restarts";
+  let admin_client = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  let root = CC.root admin_client in
+  let fh, _, _ = CC.create admin_client ~dir:root "durable.txt" () in
+  CC.write_all admin_client fh "survives restarts";
   let bob_key = Cluster.new_identity d in
-  let bob = Deploy.attach d ~identity:bob_key ~uid:100 () in
+  let bob = CC.attach d ~identity:bob_key ~uid:100 () in
   let cred =
     Cluster.admin_issue d
-      ~licensees:(Printf.sprintf "\"%s\"" (Client.principal bob))
+      ~licensees:(Printf.sprintf "\"%s\"" (CC.principal bob))
       ~conditions:
         (Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"R\";"
            fh.Proto.ino)
       ()
   in
-  (match Client.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
+  (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
   let mallory_key = Cluster.new_identity d in
   (match
-     Client.revoke_key admin_client
+     CC.revoke_key admin_client
        ~principal:(Keynote.Assertion.principal_of_pub mallory_key.Dcrypto.Dsa.pub)
    with
   | Ok () -> ()
@@ -143,25 +143,24 @@ let test_server_restart () =
   (* Bob reconnects (fresh IKE) and still has access — without
      resubmitting anything. *)
   let bob2 =
-    Client.attach ~link ~rpc ~server ~identity:bob_key
-      ~drbg:(Dcrypto.Drbg.create ~seed:"bob-day2") ~uid:100 ()
+    Raw_conn.connect ~link ~rpc ~server ~identity:bob_key
+      ~drbg:(Dcrypto.Drbg.create ~seed:"bob-day2") ~uid:100
   in
   let fh2 = { Proto.ino = fh.Proto.ino; gen = Ffs.Fs.generation fs fh.Proto.ino } in
-  let _, data = Nfs.Client.read (Client.nfs bob2) fh2 ~off:0 ~count:100 in
+  let _, data = Nfs.Client.read bob2.Raw_conn.nfs fh2 ~off:0 ~count:100 in
   Alcotest.(check string) "file and credential survived" "survives restarts" data;
   (* The revocation list survived too. *)
   let mallory =
-    Client.attach ~link ~rpc ~server ~identity:mallory_key
-      ~drbg:(Dcrypto.Drbg.create ~seed:"mallory-day2") ~uid:666 ()
+    Raw_conn.connect ~link ~rpc ~server ~identity:mallory_key
+      ~drbg:(Dcrypto.Drbg.create ~seed:"mallory-day2") ~uid:666
   in
   let cred_mallory =
     Keynote.Assertion.issue ~key:mallory_key ~drbg:(Dcrypto.Drbg.create ~seed:"m")
-      ~licensees:(Printf.sprintf "\"%s\"" (Client.principal mallory))
+      ~licensees:
+        (Printf.sprintf "\"%s\"" (Keynote.Assertion.principal_of_pub mallory_key.Dcrypto.Dsa.pub))
       ~conditions:"true;" ()
   in
-  (match Client.submit_credential mallory cred_mallory with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "revoked key accepted after restart")
+  if Raw_conn.submit mallory cred_mallory then Alcotest.fail "revoked key accepted after restart"
 
 let test_server_state_corruption () =
   let d = Deploy.make ~seed:"corrupt" () in

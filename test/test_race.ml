@@ -23,7 +23,7 @@ module Clock = Simnet.Clock
 module Sched = Simnet.Sched
 module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
-module Client = Discfs.Client
+module CC = Discfs.Cluster_client
 
 let mk_sched () =
   let clock = Clock.create () in
@@ -164,9 +164,9 @@ let test_deploy_atomicity_proof () =
   let ctx = Option.get (Cluster.race_ctx d) in
   let clients =
     List.init 3 (fun i ->
-        let c = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:i () in
+        let c = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:i () in
         let name = Printf.sprintf "f%d.txt" i in
-        let fh, _, _ = Client.create c ~dir:(Client.root c) name () in
+        let fh, _, _ = CC.create c ~dir:(CC.root c) name () in
         (i, c, fh))
   in
   List.iter
@@ -174,9 +174,9 @@ let test_deploy_atomicity_proof () =
       (* discfs-lint: allow races "each process owns its client and file handle end to end" *)
       Sched.spawn sched (fun () ->
           let body = Printf.sprintf "client-%d-body" i in
-          Nfs.Client.write_all (Client.nfs c) fh body;
+          CC.write_all c fh body;
           ignore
-            (Nfs.Client.read (Client.nfs c) fh ~off:0
+            (CC.read c fh ~off:0
                ~count:(String.length body))))
     clients;
   Sched.run sched;

@@ -11,10 +11,9 @@
 module Proto = Nfs.Proto
 module Assertion = Keynote.Assertion
 module Deploy = Discfs.Deploy
-module Client = Discfs.Client
+module CC = Discfs.Cluster_client
 module Server = Discfs.Server
 module Cluster = Discfs.Cluster
-module CC = Discfs.Cluster_client
 module Shard_map = Discfs.Shard_map
 module Stats = Simnet.Stats
 module Clock = Simnet.Clock
@@ -113,6 +112,64 @@ let test_cluster_smoke () =
     (Stats.get (Cluster.stats c) "redirect.sent");
   ignore (CC.getattr cc fh)
 
+(* --- leaving and revoking ------------------------------------------- *)
+
+(* A detached handle is dead: a later call raises instead of quietly
+   re-running IKE as a fresh member. *)
+let test_detach_poisons () =
+  let c, ccs = csetup ~seed:"topo-detach" () in
+  let cc = List.hd ccs in
+  let root = CC.root cc in
+  ignore (CC.getattr cc root);
+  let attaches () = Stats.get (Cluster.stats c) "client.attaches" in
+  let before = attaches () in
+  CC.detach cc;
+  (match CC.getattr cc root with
+  | _ -> Alcotest.fail "detached client still served"
+  | exception CC.Discfs_error _ -> ());
+  Alcotest.(check int) "no fresh attach" before (attaches ())
+
+(* Revocation reaches every frontend, including ones the revoker never
+   connected to: the administrator, homed on frontend 0, revokes; the
+   holder, homed on frontend 2, reads a file frontend 2 owns. *)
+let test_revocation_every_frontend () =
+  List.iter
+    (fun (what, revoke) ->
+      let c = Cluster.make ~servers:4 ~seed:("topo-revoke-" ^ what) () in
+      let fs = Cluster.fs c in
+      let rec on_two i =
+        let name = Printf.sprintf "memo%d.txt" i in
+        let ino = Ffs.Fs.create_file fs (Ffs.Fs.root fs) name ~perms:0o644 ~uid:0 in
+        if Shard_map.owner (Cluster.map c) ~ino = 2 then ino else on_two (i + 1)
+      in
+      let ino = on_two 0 in
+      Ffs.Fs.write fs ino ~off:0 "for holders only";
+      let fh = { Proto.ino; gen = Ffs.Fs.generation fs ino } in
+      let admin = CC.attach c ~identity:(Cluster.admin_identity c) ~uid:0 ~home:0 () in
+      let bob = CC.attach c ~identity:(Cluster.new_identity c) ~uid:100 ~home:2 () in
+      let cred =
+        Cluster.admin_issue c ~licensees:(quoted (CC.principal bob))
+          ~conditions:(root_conditions fh "R") ()
+      in
+      (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
+      Alcotest.(check string) (what ^ ": holder reads") "for holders only" (CC.read_all bob fh);
+      let lazy0 = Stats.get (Cluster.stats c) "topo.lazy_attaches" in
+      (match revoke admin ~principal:(CC.principal bob) ~cred with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e);
+      Alcotest.(check int) (what ^ ": revoker attached to the other three") (lazy0 + 3)
+        (Stats.get (Cluster.stats c) "topo.lazy_attaches");
+      match CC.read_all bob fh with
+      | _ -> Alcotest.failf "%s: revoked access still served" what
+      | exception Proto.Nfs_error s ->
+        Alcotest.(check int) (what ^ ": refused") Proto.nfserr_acces s)
+    [
+      ("key", fun admin ~principal ~cred:_ -> CC.revoke_key admin ~principal);
+      ( "credential",
+        fun admin ~principal:_ ~cred ->
+          CC.revoke_credential admin ~fingerprint:(Assertion.fingerprint cred) );
+    ]
+
 (* --- redirects on a stale map ----------------------------------------- *)
 
 let test_reshard_redirects () =
@@ -176,7 +233,7 @@ let test_redirect_bad_signature () =
   Nfs.Server.set_route (Server.nfs (Cluster.node_server c target)) forge;
   (match CC.read_all cc fh with
   | _ -> Alcotest.fail "forged redirect was followed"
-  | exception Client.Discfs_error m ->
+  | exception CC.Discfs_error m ->
     Alcotest.(check string) "refused" "redirect signature verification failed" m);
   Alcotest.(check int) "counted" 1 (Stats.get (Cluster.stats c) "redirect.bad_sig");
   Alcotest.(check int) "not followed" 0 (Stats.get (Cluster.stats c) "redirect.followed")
@@ -218,7 +275,7 @@ let test_redirect_loop_bound () =
   Nfs.Server.set_route (Server.nfs (Cluster.node_server c 1)) (bounce ~from:1 ~target:0);
   (match CC.read_all cc fh with
   | _ -> Alcotest.fail "loop not detected"
-  | exception Client.Discfs_error m ->
+  | exception CC.Discfs_error m ->
     Alcotest.(check string) "hop bound" "redirect loop: hop bound exceeded" m);
   let stats = Cluster.stats c in
   Alcotest.(check int) "loop counted" 1 (Stats.get stats "redirect.loops");
@@ -243,23 +300,24 @@ let test_replica_serves_only_reads () =
   Alcotest.(check bool) "lease granted" true (Stats.get stats "topo.lease.grants" >= 1);
   (* A raw connection pinned to the replica: reads are served locally,
      writes are redirected to the owner — a replica never mutates. *)
+  let raw_key = Cluster.new_identity c in
   let raw =
-    Client.attach
+    Raw_conn.connect
       ~link:(Cluster.node_link c replica)
       ~rpc:(Cluster.node_rpc c replica)
       ~server:(Cluster.node_server c replica)
-      ~identity:(Cluster.new_identity c)
-      ~drbg:(Cluster.fork_drbg c ~label:"raw-replica") ~uid:2000 ()
+      ~identity:raw_key
+      ~drbg:(Cluster.fork_drbg c ~label:"raw-replica") ~uid:2000
   in
   let raw_cred =
     Cluster.admin_issue c
-      ~licensees:(quoted (Client.principal raw))
+      ~licensees:(quoted (Assertion.principal_of_pub raw_key.Dsa.pub))
       ~conditions:(root_conditions fh "RW") ()
   in
-  (match Client.submit_credential raw raw_cred with Ok _ -> () | Error e -> Alcotest.fail e);
-  Alcotest.(check string) "replica serves the read" "generation one"
-    (Nfs.Client.read_all (Client.nfs raw) fh);
-  (match Nfs.Client.write (Client.nfs raw) fh ~off:0 "nope" with
+  if not (Raw_conn.submit raw raw_cred) then Alcotest.fail "raw credential refused";
+  let raw_read () = Nfs.Client.read_all raw.Raw_conn.nfs fh in
+  Alcotest.(check string) "replica serves the read" "generation one" (raw_read ());
+  (match Nfs.Client.write raw.Raw_conn.nfs fh ~off:0 "nope" with
   | _ -> Alcotest.fail "replica accepted a write"
   | exception Proto.Nfs_moved r ->
     Alcotest.(check int) "write redirected to the owner" owner r.Proto.r_target);
@@ -267,7 +325,7 @@ let test_replica_serves_only_reads () =
      redirects reads until the lease is renewed. *)
   CC.write_all cc fh "generation two";
   Alcotest.(check bool) "invalidated" true (Stats.get stats "topo.lease.invalidations" >= 1);
-  (match Nfs.Client.read_all (Client.nfs raw) fh with
+  (match raw_read () with
   | _ -> Alcotest.fail "replica served a read on a dead lease"
   | exception Proto.Nfs_moved r ->
     Alcotest.(check int) "read redirected while lease dead" owner r.Proto.r_target);
@@ -276,8 +334,7 @@ let test_replica_serves_only_reads () =
   (match Cluster.renew_lease c ~shard ~server:replica with
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
-  Alcotest.(check string) "renewed replica sees the new data" "generation two"
-    (Nfs.Client.read_all (Client.nfs raw) fh)
+  Alcotest.(check string) "renewed replica sees the new data" "generation two" (raw_read ())
 
 (* --- crash recovery with a stale map ---------------------------------- *)
 
@@ -309,7 +366,7 @@ let test_stale_map_crash_recovery () =
     (CC.read_all cc fh);
   let stats = Cluster.stats c in
   Alcotest.(check int) "restart counted" 1 (Stats.get stats "server.restarts");
-  Alcotest.(check bool) "client reattached" true (Stats.get stats "topo.reattaches" >= 1);
+  Alcotest.(check bool) "client reattached" true (Stats.get stats "client.reattaches" >= 1);
   Alcotest.(check int) "map caught up" v_auth (CC.map_version cc);
   (* Data plane still consistent: a write through the new owner reads
      back everywhere the map allows. *)
@@ -407,35 +464,10 @@ let nfs_result f =
   match f () with
   | v -> Ok v
   | exception Proto.Nfs_error s -> Error (Proto.status_to_string s)
-  | exception Client.Discfs_error m -> Error ("discfs: " ^ m)
+  | exception CC.Discfs_error m -> Error ("discfs: " ^ m)
 
-let single_world seed =
-  let d = Deploy.make ~seed () in
-  let u = Deploy.attach d ~identity:(Cluster.new_identity d) ~uid:1000 () in
-  let root = Client.root u in
-  let cred =
-    Cluster.admin_issue d
-      ~licensees:(quoted (Client.principal u))
-      ~conditions:(root_conditions root "RWX") ()
-  in
-  (match Client.submit_credential u cred with Ok _ -> () | Error e -> Alcotest.fail e);
-  let n = Client.nfs u in
-  {
-    w_root = root;
-    w_create =
-      (fun name ->
-        nfs_result (fun () ->
-            let fh, _, _ = Client.create u ~dir:root name () in
-            fh));
-    w_write = (fun fh data -> nfs_result (fun () -> Nfs.Client.write_all n fh data));
-    w_read = (fun fh -> nfs_result (fun () -> Nfs.Client.read_all n fh));
-    w_remove = (fun name -> nfs_result (fun () -> Nfs.Client.remove n root name));
-    w_readdir = (fun () -> Nfs.Client.readdir n root);
-  }
-
-let cluster_world seed =
-  let _, ccs = csetup ~servers:4 ~seed () in
-  let cc = List.hd ccs in
+(* The same client calls observe either world. *)
+let world cc =
   let root = CC.root cc in
   {
     w_root = root;
@@ -449,6 +481,21 @@ let cluster_world seed =
     w_remove = (fun name -> nfs_result (fun () -> CC.remove cc root name));
     w_readdir = (fun () -> CC.readdir cc root);
   }
+
+let single_world seed =
+  let d = Deploy.make ~seed () in
+  let u = CC.attach d ~identity:(Cluster.new_identity d) ~uid:1000 () in
+  let cred =
+    Cluster.admin_issue d
+      ~licensees:(quoted (CC.principal u))
+      ~conditions:(root_conditions (CC.root u) "RWX") ()
+  in
+  (match CC.submit_credential u cred with Ok _ -> () | Error e -> Alcotest.fail e);
+  world u
+
+let cluster_world seed =
+  let _, ccs = csetup ~servers:4 ~seed () in
+  world (List.hd ccs)
 
 type eop =
   | ECreate of int (* slot *)
@@ -571,14 +618,14 @@ let test_byte_determinism () =
 (* The uniform benchmark surface over the server set: a workload that
    knows nothing about shards must survive a reshard mid-stream. *)
 let test_cluster_backend () =
-  let b = Bonnie.Backend.discfs_cluster ~servers:3 () in
+  let b = Bonnie.Backend.discfs ~servers:3 () in
   let dir = b.Bonnie.Backend.mkdir b.Bonnie.Backend.root "bench" in
   let f = b.Bonnie.Backend.create dir "data" in
   b.Bonnie.Backend.write f ~off:0 "cluster-backed bytes";
   Alcotest.(check string) "read back" "cluster-backed bytes" (b.Bonnie.Backend.read f ~off:0 ~len:64);
   Alcotest.(check (list string)) "listing" [ "data" ] (b.Bonnie.Backend.readdir dir);
   let cluster, cc =
-    match Bonnie.Backend.discfs_cluster_parts b with
+    match Bonnie.Backend.discfs_parts b with
     | Some parts -> parts
     | None -> Alcotest.fail "no cluster behind the backend"
   in
@@ -598,19 +645,19 @@ let test_cluster_backend () =
 
 (* [Deploy] is the one-node cluster with no special case: every handle
    is served locally, so a full single-server life (create, write,
-   read, crash, reattach) must never touch the shard-map, redirect,
-   lease or server-to-server machinery. *)
+   read, crash, re-home inside the next call) must never touch the
+   shard-map, redirect, lease or server-to-server machinery. *)
 let test_one_node_inert () =
   let d = Deploy.make ~seed:"topo-one-node" () in
-  let c = Deploy.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let fh, _, _ = Client.create c ~dir:(Client.root c) "solo.dat" () in
-  Nfs.Client.write_all (Client.nfs c) fh "one node, no cluster traffic";
-  let read () = Nfs.Client.read_all (Client.nfs c) fh in
+  let c = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
+  let fh, _, _ = CC.create c ~dir:(CC.root c) "solo.dat" () in
+  CC.write_all c fh "one node, no cluster traffic";
+  let read () = CC.read_all c fh in
   Alcotest.(check string) "read back" "one node, no cluster traffic" (read ());
   Deploy.crash_and_restart d;
-  Deploy.reattach d c;
   Alcotest.(check string) "read after crash" "one node, no cluster traffic" (read ());
   let stats = Cluster.stats d in
+  Alcotest.(check int) "re-homed once" 1 (Stats.get stats "client.reattaches");
   Alcotest.(check int) "one host" 1 (Stats.get stats "topo.hosts");
   Alcotest.(check int) "one restart" 1 (Deploy.restarts d);
   List.iter
@@ -621,6 +668,9 @@ let suite =
   [
     Alcotest.test_case "shard map: striping, serving, codec" `Quick test_shard_map_unit;
     Alcotest.test_case "cluster smoke: create/write/read" `Quick test_cluster_smoke;
+    Alcotest.test_case "detach poisons the handle" `Quick test_detach_poisons;
+    Alcotest.test_case "revocation reaches every frontend" `Quick
+      test_revocation_every_frontend;
     Alcotest.test_case "reshard: stale map corrected by signed redirect" `Quick
       test_reshard_redirects;
     Alcotest.test_case "forged redirect is refused" `Quick test_redirect_bad_signature;

@@ -5,6 +5,7 @@
    golden-trace file relies on. *)
 
 module Metrics = Trace.Metrics
+module CC = Discfs.Cluster_client
 
 (* A tracer over an explicit hand-cranked clock. *)
 let make_tracer ?capacity ?metrics () =
@@ -306,16 +307,16 @@ let test_traced_run_deterministic () =
   let run () =
     let d = Discfs.Deploy.make ~tracing:true () in
     let bob = Discfs.Cluster.new_identity d in
-    let client = Discfs.Deploy.attach d ~identity:bob () in
+    let client = CC.attach d ~identity:bob () in
     let cred =
       Discfs.Cluster.admin_issue d
-        ~licensees:(Printf.sprintf "%S" (Discfs.Client.principal client))
+        ~licensees:(Printf.sprintf "%S" (CC.principal client))
         ~conditions:"app_domain == \"DisCFS\" -> \"RWX\";" ()
     in
-    (match Discfs.Client.submit_credential client cred with
+    (match CC.submit_credential client cred with
     | Ok _ -> ()
     | Error e -> failwith e);
-    let _ = Discfs.Client.create client ~dir:(Discfs.Client.root client) "f" () in
+    let _ = CC.create client ~dir:(CC.root client) "f" () in
     Trace.render_forest (Trace.forest (Trace.spans (Discfs.Cluster.trace d)))
   in
   let a = run () and b = run () in

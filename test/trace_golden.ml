@@ -8,22 +8,24 @@
    intentional instrumentation change, refresh it with
      dune build @runtest-trace --auto-promote *)
 
+module CC = Discfs.Cluster_client
+
 let () =
   let d = Discfs.Deploy.make ~tracing:true () in
   let bob = Discfs.Cluster.new_identity d in
-  let client = Discfs.Deploy.attach d ~identity:bob () in
+  let client = CC.attach d ~identity:bob () in
   (* Setup: the administrator grants the user RWX over the volume
      (one discfs.submit RPC), as in the paper's evaluation. *)
   let cred =
     Discfs.Cluster.admin_issue d
-      ~licensees:(Printf.sprintf "%S" (Discfs.Client.principal client))
+      ~licensees:(Printf.sprintf "%S" (CC.principal client))
       ~conditions:"app_domain == \"DisCFS\" -> \"RWX\";" ()
   in
-  (match Discfs.Client.submit_credential client cred with
+  (match CC.submit_credential client cred with
   | Ok _ -> ()
   | Error e -> failwith e);
-  let fh, _attr, _cred = Discfs.Client.create client ~dir:(Discfs.Client.root client) "hello.txt" () in
-  let _attr, data = Nfs.Client.read (Discfs.Client.nfs client) fh ~off:0 ~count:4096 in
+  let fh, _attr, _cred = CC.create client ~dir:(CC.root client) "hello.txt" () in
+  let _attr, data = CC.read client fh ~off:0 ~count:4096 in
   assert (data = "");
   print_string "# golden trace: attach + create + read (names and nesting only)\n";
   print_string (Trace.render_forest (Trace.forest (Trace.spans (Discfs.Cluster.trace d))));
