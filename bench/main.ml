@@ -9,15 +9,16 @@
 
    Usage: dune exec bench/main.exe [-- --quick | --no-bechamel | --size MB]
           dune exec bench/main.exe -- fault_sweep        (robustness sweep only)
-          dune exec bench/main.exe -- latency_breakdown  (per-layer virtual time:
+          dune exec bench/main.exe -- latency_breakdown [--quick]
+                                                         (per-layer virtual time:
                                                           cold baseline vs warm per-op
                                                           vs warm compound pipeline)
-          dune exec bench/main.exe -- hotpath [--smoke] [--json PATH]
+          dune exec bench/main.exe -- hotpath [--quick] [--smoke] [--json PATH]
                                                          (allocations per encode->seal
                                                           op, legacy vs arena, plus the
                                                           compound-walk effect; default
                                                           BENCH_hotpath.json)
-          dune exec bench/main.exe -- cache_ablation [--json PATH]
+          dune exec bench/main.exe -- cache_ablation [--quick] [--json PATH]
                                                          (caching stack cold/warm)
           dune exec bench/main.exe -- concurrency_scaling [--json PATH]
                                                          (multi-client worker pool)
@@ -36,7 +37,8 @@
                                                           default BENCH_race_explore.json)
           dune exec bench/main.exe -- trace              (JSONL span dump)
 
-   Any other argument, or a second mode, exits 2 with a usage line.
+   Any other argument, a second mode, a flag the chosen mode does not
+   read, or a --size / --seeds below 1 exits 2 with a usage line.
 *)
 
 module Clock = Simnet.Clock
@@ -685,9 +687,9 @@ type ablation_pass = {
 (* One configuration: build the tree, boot the server cold (the build
    is out-of-band setup and must not pre-warm the buffer cache), then
    walk twice — pass 1 is cold, pass 2 reuses whatever each enabled
-   cache retained. Counters are read from the shared metrics registry,
-   so the table doubles as a check that all three caches actually
-   export their traffic through lib/trace. *)
+   cache retained. Counters are read from the deployment's one
+   registry, which each pass resets together with the span
+   histograms. *)
 let ablation_config ~config ~cache_blocks ~cache_size ~attr_cache spec =
   let b =
     Backend.discfs ~tracing:true ~cache_blocks ~cache_size ~attr_cache ~attr_ttl:60.0
@@ -716,8 +718,8 @@ let ablation_config ~config ~cache_blocks ~cache_size ~attr_cache spec =
         ap_seconds = seconds;
         ap_disk_self = layer "disk";
         ap_keynote_self = layer "keynote";
-        ap_bcache = (c "cache.buffer.hits", c "cache.buffer.misses");
-        ap_policy = (c "cache.policy.hits", c "cache.policy.misses");
+        ap_bcache = (c "bcache.hits", c "bcache.misses");
+        ap_policy = (c "keynote.cache_hits", c "keynote.queries");
         ap_attr = (c "cache.attr.hits", c "cache.attr.misses");
         ap_name = (c "cache.name.hits", c "cache.name.misses");
       }
@@ -1648,10 +1650,70 @@ let run_bechamel () =
 
 (* ------------------------------------------------------------------ *)
 
+(* What the command line asked for. [json] is already resolved
+   against the mode's default output. *)
+type args = {
+  quick : bool;
+  no_bechamel : bool;
+  smoke : bool;
+  size : int option;
+  seeds : int option;
+  json : string option;
+}
+
+(* One row per mode: the flags it reads (any other flag is an error),
+   where its JSON goes when no --json is given, and how to run it. The
+   unnamed row is the default: every figure 7-12 plus the ablations. *)
+type mode = {
+  name : string;
+  flags : string list;
+  default_json : string option;
+  run : args -> unit;
+}
+
+let spec_of a =
+  if a.quick then { Search.default_spec with Search.dirs = 12; files_per_dir = 10 }
+  else Search.default_spec
+
+let figures a =
+  let spec = spec_of a in
+  bonnie_figures (Option.value a.size ~default:(if a.quick then 4 else 16));
+  search_figure spec;
+  cache_sweep { spec with Search.dirs = max 4 (spec.Search.dirs / 2) };
+  chain_sweep ();
+  scalability ();
+  transform_sweep ();
+  fault_sweep ();
+  if not a.no_bechamel then run_bechamel ()
+
+let default_mode =
+  { name = ""; flags = [ "--quick"; "--no-bechamel"; "--size" ]; default_json = None; run = figures }
+
 let modes =
   [
-    "fault_sweep"; "latency_breakdown"; "hotpath"; "cache_ablation"; "concurrency_scaling"; "slo";
-    "topology"; "race_explore"; "trace";
+    { name = "fault_sweep"; flags = []; default_json = None; run = (fun _ -> fault_sweep ()) };
+    { name = "latency_breakdown"; flags = [ "--quick" ]; default_json = None;
+      run = (fun a -> latency_breakdown (spec_of a)) };
+    { name = "hotpath"; flags = [ "--quick"; "--smoke"; "--json" ];
+      default_json = Some "BENCH_hotpath.json";
+      run = (fun a -> hotpath ?json:a.json ~smoke:a.smoke (spec_of a)) };
+    { name = "cache_ablation"; flags = [ "--quick"; "--json" ]; default_json = None;
+      run = (fun a -> cache_ablation ?json:a.json (spec_of a)) };
+    { name = "concurrency_scaling"; flags = [ "--json" ]; default_json = None;
+      run = (fun a -> concurrency_scaling ?json:a.json ()) };
+    { name = "slo"; flags = [ "--smoke"; "--json" ]; default_json = Some "BENCH_slo.json";
+      run = (fun a -> slo_bench ?json:a.json ~smoke:a.smoke ()) };
+    { name = "topology"; flags = [ "--smoke"; "--json" ];
+      default_json = Some "BENCH_topology.json";
+      run = (fun a -> topology ?json:a.json ~smoke:a.smoke ()) };
+    { name = "race_explore"; flags = [ "--smoke"; "--seeds"; "--json" ];
+      default_json = Some "BENCH_race_explore.json";
+      run =
+        (fun a ->
+          race_explore ?json:a.json ~smoke:a.smoke ~nseeds:(Option.value a.seeds ~default:8) ())
+    };
+    (* stdout is the JSONL span dump alone *)
+    { name = "trace"; flags = []; default_json = None; run = (fun _ -> trace_dump ()) };
   ]
 
 let switches = [ "--quick"; "--no-bechamel"; "--smoke" ]
@@ -1659,149 +1721,63 @@ let int_options = [ "--size"; "--seeds" ]
 
 let usage =
   "usage: dune exec bench/main.exe -- [MODE] [--quick] [--no-bechamel] [--smoke] [--size MB] \
-   [--seeds N] [--json PATH]\nmodes: " ^ String.concat " " modes
+   [--seeds N] [--json PATH]\nmodes: " ^ String.concat " " (List.map (fun m -> m.name) modes)
 
 (* Every argument must be a known switch, an option with its value, or
-   at most one mode; anything else exits 2 before any work starts,
-   rather than falling through to the full figure suite. *)
+   at most one mode, and the mode must read every flag given; anything
+   else exits 2 before any work starts, rather than falling through to
+   the full figure suite or being silently ignored. *)
 let check_args args =
   let reject fmt =
     Printf.ksprintf (fun msg -> prerr_endline ("bench: " ^ msg); prerr_endline usage; exit 2) fmt
   in
-  let rec go mode = function
-    | [] -> ()
-    | s :: rest when List.mem s switches -> go mode rest
-    | o :: v :: rest when List.mem o int_options ->
-      if int_of_string_opt v = None then reject "%s expects an integer, got %S" o v;
-      go mode rest
-    | "--json" :: _ :: rest -> go mode rest
+  let rec go mode flags a = function
+    | [] -> (mode, flags, a)
+    | s :: rest when List.mem s switches ->
+      let a =
+        match s with
+        | "--quick" -> { a with quick = true }
+        | "--no-bechamel" -> { a with no_bechamel = true }
+        | _ -> { a with smoke = true }
+      in
+      go mode (s :: flags) a rest
+    | o :: v :: rest when List.mem o int_options -> (
+      match int_of_string_opt v with
+      | None -> reject "%s expects an integer, got %S" o v
+      | Some n when n < 1 -> reject "%s must be at least 1, got %d" o n
+      | Some n ->
+        let a = if o = "--size" then { a with size = Some n } else { a with seeds = Some n } in
+        go mode (o :: flags) a rest)
+    | "--json" :: path :: rest -> go mode ("--json" :: flags) { a with json = Some path } rest
     | o :: [] when o = "--json" || List.mem o int_options -> reject "%s expects a value" o
-    | m :: rest when List.mem m modes ->
-      Option.iter (fun prev -> reject "two modes given: %s and %s" prev m) mode;
-      go (Some m) rest
-    | a :: _ -> reject "unknown argument %S" a
+    | m :: rest -> (
+      match List.find_opt (fun md -> md.name = m) modes with
+      | Some md ->
+        Option.iter (fun prev -> reject "two modes given: %s and %s" prev.name m) mode;
+        go (Some md) flags a rest
+      | None -> reject "unknown argument %S" m)
   in
-  go None args
+  let none =
+    { quick = false; no_bechamel = false; smoke = false; size = None; seeds = None; json = None }
+  in
+  let mode, flags, a = go None [] none args in
+  let mode = Option.value mode ~default:default_mode in
+  List.iter
+    (fun f ->
+      if not (List.mem f mode.flags) then
+        reject "%s does not read %s"
+          (if mode.name = "" then "the default figure suite" else mode.name)
+          f)
+    (List.rev flags);
+  (mode, { a with json = (if a.json = None then mode.default_json else a.json) })
 
 let () =
-  let argv = Array.to_list Sys.argv in
-  check_args (List.tl argv);
-  let has f = List.mem f argv in
-  let size_mb =
-    let rec find = function
-      | "--size" :: v :: _ -> int_of_string v
-      | _ :: rest -> find rest
-      | [] -> if has "--quick" then 4 else 16
-    in
-    find argv
-  in
-  let spec =
-    if has "--quick" then { Search.default_spec with Search.dirs = 12; files_per_dir = 10 }
-    else Search.default_spec
-  in
-  if not (has "trace") then begin
+  let mode, a = check_args (List.tl (Array.to_list Sys.argv)) in
+  if mode.name = "trace" then mode.run a
+  else begin
     say "DisCFS evaluation harness (virtual 2001-era testbed: 450 MHz server,";
     say "100 Mbps Ethernet, Quantum Fireball-class disk; see DESIGN.md)";
-    say ""
-  end;
-  if has "fault_sweep" then begin
-    (* Standalone robustness sweep: bench/main.exe fault_sweep *)
-    fault_sweep ();
-    say "@.done."
-  end
-  else if has "latency_breakdown" then begin
-    latency_breakdown spec;
-    say "@.done."
-  end
-  else if has "hotpath" then begin
-    let json =
-      let rec find = function
-        | "--json" :: path :: _ -> Some path
-        | _ :: rest -> find rest
-        | [] -> Some "BENCH_hotpath.json"
-      in
-      find argv
-    in
-    hotpath ?json ~smoke:(has "--smoke") spec;
-    say "@.done."
-  end
-  else if has "cache_ablation" then begin
-    let json =
-      let rec find = function
-        | "--json" :: path :: _ -> Some path
-        | _ :: rest -> find rest
-        | [] -> None
-      in
-      find argv
-    in
-    cache_ablation ?json spec;
-    say "@.done."
-  end
-  else if has "concurrency_scaling" then begin
-    let json =
-      let rec find = function
-        | "--json" :: path :: _ -> Some path
-        | _ :: rest -> find rest
-        | [] -> None
-      in
-      find argv
-    in
-    concurrency_scaling ?json ();
-    say "@.done."
-  end
-  else if has "slo" then begin
-    let json =
-      let rec find = function
-        | "--json" :: path :: _ -> Some path
-        | _ :: rest -> find rest
-        | [] -> Some "BENCH_slo.json"
-      in
-      find argv
-    in
-    slo_bench ?json ~smoke:(has "--smoke") ();
-    say "@.done."
-  end
-  else if has "topology" then begin
-    let json =
-      let rec find = function
-        | "--json" :: path :: _ -> Some path
-        | _ :: rest -> find rest
-        | [] -> Some "BENCH_topology.json"
-      in
-      find argv
-    in
-    topology ?json ~smoke:(has "--smoke") ();
-    say "@.done."
-  end
-  else if has "race_explore" then begin
-    let json =
-      let rec find = function
-        | "--json" :: path :: _ -> Some path
-        | _ :: rest -> find rest
-        | [] -> Some "BENCH_race_explore.json"
-      in
-      find argv
-    in
-    let nseeds =
-      let rec find = function
-        | "--seeds" :: n :: _ -> max 1 (int_of_string n)
-        | _ :: rest -> find rest
-        | [] -> 8
-      in
-      find argv
-    in
-    race_explore ?json ~smoke:(has "--smoke") ~nseeds ();
-    say "@.done."
-  end
-  else if has "trace" then trace_dump ()
-  else begin
-    bonnie_figures size_mb;
-    search_figure spec;
-    cache_sweep { spec with Search.dirs = max 4 (spec.Search.dirs / 2) };
-    chain_sweep ();
-    scalability ();
-    transform_sweep ();
-    fault_sweep ();
-    if not (has "--no-bechamel") then run_bechamel ();
+    say "";
+    mode.run a;
     say "@.done."
   end

@@ -119,7 +119,7 @@ let demo seed =
   say "@.-- statistics (virtual time %.3f s) --" (Simnet.Clock.now (Discfs.Cluster.clock d));
   List.iter
     (fun (k, v) -> say "   %-24s %d" k v)
-    (Simnet.Stats.to_list (Discfs.Cluster.stats d));
+    (Trace.Metrics.counters (Discfs.Cluster.stats d));
   let cache = Discfs.Server.cache (Discfs.Deploy.server d) in
   say "   %-24s %d hits / %d misses" "policy cache"
     (Discfs.Policy_cache.hits cache) (Discfs.Policy_cache.misses cache);
@@ -197,7 +197,7 @@ let cluster servers seed =
       (Simnet.Clock.now (Discfs.Cluster.clock c));
     List.iter
       (fun (k, v) -> say "   %-24s %d" k v)
-      (Simnet.Stats.to_list (Discfs.Cluster.stats c));
+      (Trace.Metrics.counters (Discfs.Cluster.stats c));
     0
   end
 
@@ -303,15 +303,15 @@ let fsck_cmd =
    expiry-shadowed and revoked chains). *)
 let credentials dir now no_verify =
   let config =
-    { Lint.Credgraph.default_config with now; verify_signatures = not no_verify }
+    { Credgraph.default_config with now; verify_signatures = not no_verify }
   in
-  match Lint.Credgraph.run_dir ~config dir with
+  match Credgraph.run_dir ~config dir with
   | Error m ->
     prerr_endline ("discfs_ctl: " ^ m);
     2
   | Ok report ->
-    print_string (Lint.Credgraph.render report);
-    if report.Lint.Credgraph.findings = [] then 0 else 1
+    print_string (Credgraph.render report);
+    if report.Credgraph.findings = [] then 0 else 1
 
 let credentials_cmd =
   let dir = Arg.(required & pos 0 (some dir) None & info [] ~docv:"STORE") in

@@ -70,6 +70,13 @@ let default_excludes = [ "test/lint_fixtures"; "test/race_fixtures" ]
 let is_under prefix path =
   String.length path >= String.length prefix && String.sub path 0 (String.length prefix) = prefix
 
+(* Pass C over the whole repo: its markdown, and the counter catalogue
+   against lib/. *)
+let repo_doc_findings root =
+  List.sort_uniq Lint.Doccheck.compare_finding
+    (Lint.Doccheck.check ~root (Lint.Doccheck.default_files ~root)
+    @ Lint.Doccheck.check_counters ~root ~catalogue:Lint.Doccheck.catalogue_file ~src:"lib")
+
 let check root dirs excludes exit_zero quiet no_docs json =
   let dirs = if dirs = [] then default_scan_dirs else dirs in
   let excludes = excludes @ default_excludes in
@@ -100,10 +107,7 @@ let check root dirs excludes exit_zero quiet no_docs json =
   let race_entries = List.filter (fun e -> not (excluded e.Lint.Races.e_file)) race_entries in
   let race_violations = List.filter Lint.Races.is_violation race_entries in
   errors := List.rev_append race_errors !errors;
-  let doc_findings =
-    if no_docs then []
-    else Lint.Doccheck.check ~root (Lint.Doccheck.default_files ~root)
-  in
+  let doc_findings = if no_docs then [] else repo_doc_findings root in
   if json then
     Printf.printf
       "{\"pass\":\"check\",\"findings\":[%s],\"doc_findings\":[%s],\"races\":%s,\"modules\":%d}\n"
@@ -266,8 +270,9 @@ let races_cmd =
 (* --- docs -------------------------------------------------------------- *)
 
 let docs root exit_zero json files =
-  let files = if files = [] then Lint.Doccheck.default_files ~root else files in
-  let findings = Lint.Doccheck.check ~root files in
+  let findings =
+    if files = [] then repo_doc_findings root else Lint.Doccheck.check ~root files
+  in
   if json then
     Printf.printf "{\"pass\":\"docs\",\"findings\":[%s]}\n" (json_of_doc_findings findings)
   else List.iter (fun f -> print_endline (Lint.Doccheck.render_finding f)) findings;
@@ -278,11 +283,15 @@ let docs_cmd =
     Arg.(
       value & pos_all string []
       & info [] ~docv:"FILE"
-          ~doc:"Repo-relative markdown files (default: root *.md plus docs/).")
+          ~doc:
+            "Repo-relative markdown files (default: root *.md plus docs/, and the counter \
+             catalogue against lib/).")
   in
   Cmd.v
     (Cmd.info "docs"
-       ~doc:"Cross-reference the markdown docs (dead links, bad anchors, stale code refs)")
+       ~doc:
+         "Cross-reference the markdown docs (dead links, bad anchors, stale code refs, the \
+          counter catalogue)")
     Term.(const docs $ root_arg $ exit_zero_arg $ json_arg $ files)
 
 (* --- credentials ------------------------------------------------------- *)
@@ -290,15 +299,15 @@ let docs_cmd =
 let credentials dir now no_verify revoked_keys revoked_fps values exit_zero json =
   let config =
     {
-      Lint.Credgraph.values =
-        (match values with [] -> Lint.Credgraph.default_values | v -> v);
+      Credgraph.values =
+        (match values with [] -> Credgraph.default_values | v -> v);
       now;
       revoked_keys;
       revoked_fingerprints = revoked_fps;
       verify_signatures = not no_verify;
     }
   in
-  match Lint.Credgraph.run_dir ~config dir with
+  match Credgraph.run_dir ~config dir with
   | Error m ->
     prerr_endline ("discfs_lint: " ^ m);
     2
@@ -311,16 +320,16 @@ let credentials dir now no_verify revoked_keys revoked_fps values exit_zero json
               (fun f ->
                 Printf.sprintf
                   "{\"kind\":\"%s\",\"fingerprint\":%s,\"subject\":\"%s\",\"message\":\"%s\"}"
-                  (Lint.Credgraph.kind_name f.Lint.Credgraph.kind)
-                  (match f.Lint.Credgraph.fingerprint with
+                  (Credgraph.kind_name f.Credgraph.kind)
+                  (match f.Credgraph.fingerprint with
                   | None -> "null"
                   | Some fp -> Printf.sprintf "\"%s\"" (jesc fp))
-                  (jesc f.Lint.Credgraph.subject)
-                  (jesc f.Lint.Credgraph.message))
-              report.Lint.Credgraph.findings))
-        report.Lint.Credgraph.n_credentials report.Lint.Credgraph.n_principals
-    else print_string (Lint.Credgraph.render report);
-    finish ~exit_zero (List.length report.Lint.Credgraph.findings)
+                  (jesc f.Credgraph.subject)
+                  (jesc f.Credgraph.message))
+              report.Credgraph.findings))
+        report.Credgraph.n_credentials report.Credgraph.n_principals
+    else print_string (Credgraph.render report);
+    finish ~exit_zero (List.length report.Credgraph.findings)
 
 let credentials_cmd =
   let dir = Arg.(required & pos 0 (some dir) None & info [] ~docv:"STORE") in

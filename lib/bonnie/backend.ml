@@ -218,8 +218,7 @@ let discfs ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192) ?(cache_siz
     (* Route name resolution and reads through the client-side NFS
        cache: repeated lookups within the TTL skip the wire (and the
        server's policy check) entirely. *)
-    let cache = Cache.create ~client:cc ~clock ?attr_ttl ?name_ttl () in
-    Cache.set_trace cache (Cluster.trace d);
+    let cache = Cache.create ~client:cc ~clock ~stats:(Cluster.stats d) ?attr_ttl ?name_ttl () in
     Cache.set_race cache (Cluster.race_monitor d "nfs.cache");
     let syscall () = Clock.advance clock Cost.default.Cost.syscall in
     let to_fh = to_fh ops.fs in

@@ -45,7 +45,6 @@ type t = {
   hour : (unit -> int) option;
   strict_handles : bool option;
   trace : Trace.t;
-  metrics : Trace.Metrics.t;
   sched : Simnet.Sched.t option;
   workers : int option;
   queue_depth : int;
@@ -56,7 +55,7 @@ type t = {
 let clock t = t.clock
 let stats t = t.stats
 let sched t = t.sched
-let metrics t = t.metrics
+let metrics t = t.stats
 let trace t = t.trace
 let topo t = t.topo
 let fs t = t.fs
@@ -376,7 +375,6 @@ let default_nshards = 32
 let boot_rpc t =
   let rpc = Rpc.server ~clock:t.clock ~cost:t.cost ~stats:t.stats in
   Rpc.set_trace rpc t.trace;
-  Rpc.set_metrics rpc (Some t.metrics);
   (match (t.sched, t.workers) with
   | Some sched, Some w -> Rpc.set_pool rpc ~sched ~workers:w ~queue_depth:t.queue_depth
   | _ -> ());
@@ -395,9 +393,9 @@ let make ?(cost = Cost.default) ?(nblocks = 16384) ?(block_size = 8192) ?(ninode
   if servers < 1 then invalid_arg "Cluster.make: servers < 1";
   let clock = Clock.create () in
   let stats = Stats.create () in
-  let metrics = Trace.Metrics.create () in
   let trace =
-    if tracing then Trace.create ~metrics ~now:(fun () -> Clock.now clock) () else Trace.null
+    if tracing then Trace.create ~metrics:stats ~now:(fun () -> Clock.now clock) ()
+    else Trace.null
   in
   let topo = Topo.create ~clock ~cost ~stats ?switch_latency () in
   Topo.set_trace topo trace;
@@ -464,7 +462,6 @@ let make ?(cost = Cost.default) ?(nblocks = 16384) ?(block_size = 8192) ?(ninode
       hour;
       strict_handles;
       trace;
-      metrics;
       sched;
       workers;
       queue_depth;

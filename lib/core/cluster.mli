@@ -109,8 +109,10 @@ val make :
 
 val clock : t -> Simnet.Clock.t
 val stats : t -> Simnet.Stats.t
-val sched : t -> Simnet.Sched.t option
 val metrics : t -> Trace.Metrics.t
+(** The same registry as {!stats}: the deployment has one. *)
+
+val sched : t -> Simnet.Sched.t option
 val trace : t -> Trace.t
 val topo : t -> Simnet.Topo.t
 val fs : t -> Ffs.Fs.t

@@ -11,11 +11,11 @@ type t = {
   mutable misses : int;
   mutable evictions : int;
   mutable flushes : int;
-  mutable trace : Trace.t;
+  stats : Simnet.Stats.t;
   mutable race : Race.monitor;
 }
 
-let create ~size =
+let create ~stats ~size =
   if size < 0 then invalid_arg "Policy_cache.create: negative size";
   {
     capacity = size;
@@ -25,17 +25,11 @@ let create ~size =
     misses = 0;
     evictions = 0;
     flushes = 0;
-    trace = Trace.null;
+    stats;
     race = Race.null;
   }
 
-let set_trace t trace = t.trace <- trace
 let set_race t m = t.race <- m
-
-let metric t name =
-  match Trace.metrics t.trace with
-  | Some m -> Trace.Metrics.incr m name
-  | None -> ()
 
 (* The memo key: a SHA-1 over the requesting principal, the exact
    action-attribute set the compliance checker would see, and the
@@ -66,8 +60,6 @@ let find t ~key =
     t.hits <- t.hits + 1;
     Race.read t.race ~key;
     stamp := touch t;
-    Trace.instant t.trace "policy.cache.hit";
-    metric t "cache.policy.hits";
     Some level
   | None ->
     t.misses <- t.misses + 1;
@@ -76,8 +68,6 @@ let find t ~key =
        the credential epoch, so concurrent duplicate fills carry the
        same level and classify benign. *)
     Race.check t.race ~key;
-    Trace.instant t.trace "policy.cache.miss";
-    metric t "cache.policy.misses";
     None
 
 let evict_lru t =
@@ -92,7 +82,7 @@ let evict_lru t =
   | Some (key, _) ->
     Hashtbl.remove t.entries key;
     t.evictions <- t.evictions + 1;
-    metric t "cache.policy.evictions"
+    Simnet.Stats.incr t.stats "cache.policy.evictions"
   | None -> ()
 
 let add t ~key level =

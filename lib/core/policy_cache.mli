@@ -22,22 +22,16 @@
     issue, revocation, state reload) so revoked authority cannot
     linger even behind a colliding key.
 
-    {b Observability.} With a tracer attached ({!set_trace}), each
-    {!find} records a ["policy.cache.hit"] or ["policy.cache.miss"]
-    instant inside the enclosing ["policy.check"] span, and traffic
-    is counted in the tracer's metrics registry under
-    ["cache.policy.hits"] / ["cache.policy.misses"] /
-    ["cache.policy.evictions"]. *)
+    {b Observability.} Evictions are counted in the registry given to
+    {!create} under ["cache.policy.evictions"]. Hits and misses are
+    observed by the caller ({!Server}), which counts and traces them
+    where it acts on them. *)
 
 type t
 
-val create : size:int -> t
+val create : stats:Simnet.Stats.t -> size:int -> t
 (** [size = 0] disables caching (every lookup misses, {!add} is a
     no-op). Raises [Invalid_argument] on negative size. *)
-
-val set_trace : t -> Trace.t -> unit
-(** Adopt a tracer (default {!Trace.null}: instrumentation is
-    free). *)
 
 val set_race : t -> Race.monitor -> unit
 (** Attach a race monitor (default {!Race.null}): misses open

@@ -96,10 +96,12 @@ let query_level t ~peer ~ino =
     let key = Policy_cache.key ~peer ~attributes ~epoch:t.cred_epoch in
     match Policy_cache.find t.cache ~key with
     | Some level ->
+      Trace.instant (trace t) "policy.cache.hit";
       Clock.advance (clock t) c.Cost.keynote_cached;
       Stats.incr (stats t) "keynote.cache_hits";
       level
     | None ->
+      Trace.instant (trace t) "policy.cache.miss";
       (* The uncached path is the cost the paper's §6 claims is hidden
          by disk and wire time; give it its own span so the
          latency_breakdown bench can isolate it. *)
@@ -282,8 +284,7 @@ let create ~fs ~admin ~server_key ~drbg ?(cache_size = 128) ?(extra_policy = [])
     @ extra_policy
   in
   let session = Session.create ~values ~policy ~trace:(Ffs.Fs.trace fs) () in
-  let cache = Policy_cache.create ~size:cache_size in
-  Policy_cache.set_trace cache (Ffs.Fs.trace fs);
+  let cache = Policy_cache.create ~stats:(Ffs.Fs.stats fs) ~size:cache_size in
   let t =
     {
       fs;

@@ -53,13 +53,6 @@ let clock t = t.clock
 let stats t = t.stats
 let bcache t = t.cache
 
-(* Export cache traffic to the deployment's metrics registry (when
-   tracing is on) under the shared cache.* namespace. *)
-let metric t name =
-  match Trace.metrics t.trace with
-  | Some m -> Trace.Metrics.incr m name
-  | None -> ()
-
 let charge t i =
   let c = t.cost in
   if i <> t.head + 1 && i <> t.head then begin
@@ -84,6 +77,14 @@ let raw_block t i =
   | Some b -> Bytes.copy b
   | None -> Bytes.make t.block_size '\000'
 
+(* Every fill — demand, prefetch or write-through — may displace the
+   LRU block; count whatever the cache evicted. *)
+let fill t ~generation i data =
+  let before = Bcache.evictions t.cache in
+  Bcache.insert_if t.cache ~generation i data;
+  let evicted = Bcache.evictions t.cache - before in
+  if evicted > 0 then Stats.add t.stats "bcache.evictions" evicted
+
 (* Speculative sequential prefetch after a miss at [i]: the next
    [readahead - 1] uncached blocks ride the same disk request,
    paying transfer time only (the head is already positioned and the
@@ -101,7 +102,7 @@ let prefetch t i =
            Guard the fill against a cache drop (crash) in between. *)
         let gen = Bcache.generation t.cache in
         Clock.advance t.clock (float_of_int t.block_size /. t.cost.Cost.disk_transfer_bps);
-        Bcache.insert_if t.cache ~generation:gen !j (raw_block t !j);
+        fill t ~generation:gen !j (raw_block t !j);
         t.head <- !j;
         incr fetched
       end
@@ -110,15 +111,8 @@ let prefetch t i =
     done;
     if !fetched > 0 then begin
       Stats.add t.stats "bcache.readahead_blocks" !fetched;
-      metric t "cache.buffer.readahead_blocks";
       Trace.instant t.trace "disk.readahead"
     end
-  end
-
-let note_eviction t before =
-  if Bcache.evictions t.cache > before then begin
-    Stats.incr t.stats "bcache.evictions";
-    metric t "cache.buffer.evictions"
   end
 
 let read t i =
@@ -131,13 +125,9 @@ let read t i =
     (* Buffer-cache hit: served from server memory — no head motion,
        no virtual time, no disk span. *)
     Stats.incr t.stats "bcache.hits";
-    metric t "cache.buffer.hits";
     data
   | None ->
-    if Bcache.capacity t.cache > 0 then begin
-      Stats.incr t.stats "bcache.misses";
-      metric t "cache.buffer.misses"
-    end;
+    if Bcache.capacity t.cache > 0 then Stats.incr t.stats "bcache.misses";
     let data =
       Trace.span t.trace "disk.read" @@ fun () ->
       charge t i;
@@ -157,9 +147,7 @@ let read t i =
            incarnation whose miss started it: the disk charge above
            yields, and a crash during it drops the cache, which must
            then boot cold instead of inheriting this block. *)
-        let before = Bcache.evictions t.cache in
-        Bcache.insert_if t.cache ~generation:gen i data;
-        note_eviction t before;
+        fill t ~generation:gen i data;
         data
     in
     if sequential then prefetch t i;
@@ -185,9 +173,7 @@ let write t i b =
      warming the new incarnation's cold cache (the store update
      stands — the controller had the data — but the old process's
      memory is gone). *)
-  let before = Bcache.evictions t.cache in
-  Bcache.insert_if t.cache ~generation:gen i b;
-  note_eviction t before
+  fill t ~generation:gen i b
 
 let drop_cache t = Bcache.drop t.cache
 
@@ -212,8 +198,3 @@ let poke t i b =
   (* Keep the cache coherent with the out-of-band update. *)
   Bcache.remove t.cache i
 
-let reads t = Stats.get t.stats "disk.reads"
-let writes t = Stats.get t.stats "disk.writes"
-let seeks t = Stats.get t.stats "disk.seeks"
-let cache_hits t = Bcache.hits t.cache
-let cache_misses t = Bcache.misses t.cache

@@ -25,10 +25,9 @@
       the cache: it models server memory and dies with the process.
 
     Cache traffic is counted under ["bcache.hits"] /
-    ["bcache.misses"] / ["bcache.evictions"] /
-    ["bcache.readahead_blocks"] in {!Simnet.Stats} and mirrored into
-    the tracer's metrics registry as ["cache.buffer.*"] counters when
-    tracing is enabled. *)
+    ["bcache.misses"] / ["bcache.evictions"] (every block a fill
+    displaced, prefetch fills included) / ["bcache.readahead_blocks"]
+    (blocks prefetched) in {!Simnet.Stats}. *)
 
 exception Io_error of string
 (** A scripted disk fault fired: the read or write did not happen. *)
@@ -85,17 +84,8 @@ val write : t -> int -> bytes -> unit
     [block_size] long. Write-through: the platter is updated (and
     charged) first, the cache second. *)
 
-val reads : t -> int
-(** Physical reads — buffer-cache hits excluded. *)
-
-val writes : t -> int
-val seeks : t -> int
-
 val bcache : t -> Bcache.t
 (** The buffer cache itself, for statistics and tests. *)
-
-val cache_hits : t -> int
-val cache_misses : t -> int
 
 val drop_cache : t -> unit
 (** Empty the buffer cache (contents only; counters survive). Called

@@ -32,32 +32,16 @@ let read_lines path =
    the map keeps the checker honest when libraries are added or
    renamed: there is nothing to keep in sync by hand. *)
 let dune_lib_name dune_path =
+  let is_name_char = function 'a' .. 'z' | '0' .. '9' | '_' -> true | _ -> false in
   let name_of_line l =
-    let key = "(name " in
-    let rec find i =
-      if i + String.length key > String.length l then None
-      else if String.sub l i (String.length key) = key then (
-        let start = i + String.length key in
-        let b = Buffer.create 16 in
-        let j = ref start in
-        while
-          !j < String.length l
-          &&
-          match l.[!j] with
-          | 'a' .. 'z' | '0' .. '9' | '_' -> true
-          | _ -> false
-        do
-          Buffer.add_char b l.[!j];
-          incr j
-        done;
-        if Buffer.length b > 0 then Some (Buffer.contents b) else None)
-      else find (i + 1)
-    in
-    find 0
+    match String.split_on_char ' ' (String.trim l) with
+    | "(name" :: rest :: _ -> (
+      match String.split_on_char ')' rest with
+      | name :: _ when name <> "" && String.for_all is_name_char name -> Some name
+      | _ -> None)
+    | _ -> None
   in
-  match read_lines dune_path with
-  | None -> None
-  | Some lines -> List.find_map name_of_line lines
+  Option.bind (read_lines dune_path) (List.find_map name_of_line)
 
 let lib_map ~root =
   let libdir = root // "lib" in
@@ -215,13 +199,15 @@ let has_suffix suf s =
   n >= m && String.sub s (n - m) m = suf
 
 (* A code span that names a source or doc file: contains a slash, no
-   spaces or globs, and a checkable extension. *)
+   spaces or globs, a checkable extension, and no hidden top directory
+   (dune copies none into the build tree the lint runs in). *)
 let path_ref span =
   let span = String.trim span in
   if
     String.contains span '/'
     && (not (String.contains span ' '))
     && (not (String.contains span '*'))
+    && not (String.length span > 1 && span.[0] = '.' && span.[1] <> '.' && span.[1] <> '/')
     && (has_suffix ".ml" span || has_suffix ".mli" span || has_suffix ".md" span)
   then Some span
   else None
@@ -346,3 +332,97 @@ let default_files ~root =
 let check ~root files =
   let libmap = lib_map ~root in
   List.concat_map (check_file ~root ~libmap) files |> List.sort_uniq compare_finding
+
+(* --- the counter catalogue --------------------------------------------- *)
+
+let catalogue_file = "docs/PROTOCOL.md"
+
+(* "a.{x,y}.z" -> ["a.x.z"; "a.y.z"], every group expanded. *)
+let rec expand_braces s =
+  match (String.index_opt s '{', String.index_opt s '}') with
+  | Some i, Some j when i < j ->
+    String.split_on_char ',' (String.sub s (i + 1) (j - i - 1))
+    |> List.concat_map (fun alt ->
+           expand_braces (String.sub s 0 i ^ alt ^ String.sub s (j + 1) (String.length s - j - 1)))
+  | _ -> [ s ]
+
+(* [(line, name)] for the code spans in the first cell of each table
+   row between the "... Counter catalogue" heading and the next one. *)
+let catalogue_entries lines =
+  let rec rows acc = function
+    | (i, l) :: rest when heading_text l = None ->
+      let names =
+        match String.split_on_char '|' (String.trim l) with
+        | "" :: cell :: _ :: _ ->
+          List.concat_map
+            (fun (seg, code) -> if code then List.map (fun n -> (i, n)) (expand_braces seg) else [])
+            (segments cell)
+        | _ -> []
+      in
+      rows (names @ acc) rest
+    | _ -> acc
+  in
+  let rec find = function
+    | [] -> None
+    | (_, l) :: rest -> (
+      match heading_text l with
+      | Some h when has_suffix "counter catalogue" (String.lowercase_ascii h) -> Some (rows [] rest)
+      | _ -> find rest)
+  in
+  find (List.mapi (fun i l -> (i + 1, l)) lines)
+
+(* [(file, line, name)] for every [Stats]/[Metrics] [incr]/[add] call
+   in the OCaml source [file] whose counter name is a string literal. *)
+let counted_names ~root file =
+  let found = ref [] in
+  let expr it (e : Parsetree.expression) =
+    (match e.pexp_desc with
+    | Pexp_apply
+        ( { pexp_desc = Pexp_ident { txt; _ }; _ },
+          _ :: (Nolabel, { pexp_desc = Pexp_constant (Pconst_string (name, _, _)); _ }) :: _ ) -> (
+      match List.rev (Longident.flatten txt) with
+      | ("incr" | "add") :: ("Stats" | "Metrics") :: _ ->
+        found := (file, e.pexp_loc.loc_start.pos_lnum, name) :: !found
+      | _ -> ())
+    | _ -> ());
+    Ast_iterator.default_iterator.expr it e
+  in
+  let it = { Ast_iterator.default_iterator with expr } in
+  let text = In_channel.with_open_bin (root // file) In_channel.input_all in
+  it.structure it (Parse.implementation (Lexing.from_string text));
+  !found
+
+let rec ml_files ~root dir =
+  Sys.readdir (root // dir) |> Array.to_list |> List.sort String.compare
+  |> List.concat_map (fun e ->
+         let rel = dir // e in
+         if Sys.is_directory (root // rel) then ml_files ~root rel
+         else if has_suffix ".ml" e then [ rel ]
+         else [])
+
+let check_counters ~root ~catalogue ~src =
+  let finding file line fmt = Printf.ksprintf (fun message -> { file; line; message }) fmt in
+  match Option.bind (read_lines (root // catalogue)) catalogue_entries with
+  | None -> [ finding catalogue 0 "no readable \"Counter catalogue\" section" ]
+  | Some entries ->
+    let counted = List.concat_map (counted_names ~root) (ml_files ~root src) in
+    let covers n (_, e) =
+      match String.index_opt e '<' with
+      | Some i -> String.length n > i && String.sub n 0 i = String.sub e 0 i
+      | None -> String.equal e n
+    in
+    List.filter_map
+      (fun (f, l, n) ->
+        if List.exists (covers n) entries then None
+        else
+          Some (finding f l "undocumented counter: %s (not in the %s counter catalogue)" n catalogue))
+      counted
+    @ List.filter_map
+        (fun (l, e) ->
+          if List.length (List.filter (fun (_, e') -> String.equal e e') entries) > 1 then
+            Some (finding catalogue l "counter listed twice: %s" e)
+          else if String.contains e '<' || List.exists (fun (_, _, n) -> String.equal n e) counted
+          then None
+          else Some (finding catalogue l "stale counter: %s (counted nowhere under %s/)" e src))
+        entries
+    |> List.sort_uniq compare_finding

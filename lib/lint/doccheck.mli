@@ -1,6 +1,7 @@
 (** Pass C of [discfs-lint]: cross-reference checks over the repo's
     markdown documentation, so the docs cannot silently drift from the
-    tree the way prose always does. Three rules, all reported as
+    tree the way prose always does. Three rules plus the counter
+    catalogue ({!check_counters}), all reported as
     [doc] findings:
 
     - {b dead links}: every relative "[text](target)" must resolve to
@@ -49,3 +50,15 @@ val default_files : root:string -> string list
 val check : root:string -> string list -> finding list
 (** Check the given repo-relative files with a freshly discovered
     library map; findings sorted and de-duplicated. *)
+
+val catalogue_file : string
+(** ["docs/PROTOCOL.md"], home of the repo's counter catalogue. *)
+
+val check_counters : root:string -> catalogue:string -> src:string -> finding list
+(** Every counter name that an [.ml] under [src] passes as a string
+    literal to [Stats.incr]/[add] or [Metrics.incr]/[add] must be in
+    the first column of the table under the [catalogue] file's
+    "Counter catalogue" heading, and every name there must be counted
+    ([stale counter] otherwise; [counter listed twice] too). Brace
+    groups expand ([cache.attr.{hits,misses}]); an entry with a
+    [<placeholder>] ([span.<name>]) is a family covering its prefix. *)

@@ -3,6 +3,7 @@
    the dynamic checker (set_race). *)
 
 module Clock = Simnet.Clock
+module Stats = Simnet.Stats
 
 module type CLIENT = sig
   type t
@@ -22,6 +23,7 @@ module Make (C : CLIENT) = struct
   type t = {
     client : C.t;
     clock : Clock.t;
+    stats : Stats.t;
     attr_ttl : float;
     name_ttl : float;
     attrs : (entry_key, Proto.fattr * float) Hashtbl.t; (* value, expiry *)
@@ -29,14 +31,14 @@ module Make (C : CLIENT) = struct
     mutable hits : int;
     mutable misses : int;
     mutable expiries : int;
-    mutable trace : Trace.t;
     mutable race : Race.monitor;
   }
 
-  let create ~client ~clock ?(attr_ttl = 3.0) ?(name_ttl = 30.0) () =
+  let create ~client ~clock ~stats ?(attr_ttl = 3.0) ?(name_ttl = 30.0) () =
     {
       client;
       clock;
+      stats;
       attr_ttl;
       name_ttl;
       attrs = Hashtbl.create 64;
@@ -44,17 +46,10 @@ module Make (C : CLIENT) = struct
       hits = 0;
       misses = 0;
       expiries = 0;
-      trace = Trace.null;
       race = Race.null;
     }
 
-  let set_trace t trace = t.trace <- trace
   let set_race t m = t.race <- m
-
-  let metric t name =
-    match Trace.metrics t.trace with
-    | Some m -> Trace.Metrics.incr m name
-    | None -> ()
 
   let key (fh : Proto.fh) = (fh.Proto.ino, fh.Proto.gen)
 
@@ -71,22 +66,14 @@ module Make (C : CLIENT) = struct
   let fresh t expiry = Clock.now t.clock < expiry
 
   (* The aggregate counters (t.hits / t.misses / t.expiries) cover both
-     caches; the metrics registry splits them by kind ("attr" for
-     getattr traffic, "name" for lookup traffic) so the two caches'
-     behaviour can be tuned independently. *)
-  let hit t ~kind =
-    t.hits <- t.hits + 1;
-    metric t (Printf.sprintf "cache.%s.hits" kind)
-
-  (* A miss is either cold (never cached) or an expiry (cached but past
-     its TTL); the distinction matters when tuning TTLs, so count both. *)
-  let miss t ~kind ~expired =
+     caches; the registry splits them by cache (cache.attr.* for
+     getattr traffic, cache.name.* for lookup traffic) so the two
+     caches' behaviour can be tuned independently. A miss is either
+     cold (never cached) or an expiry (cached but past its TTL); the
+     distinction matters when tuning TTLs, so count both. *)
+  let miss t ~expired =
     t.misses <- t.misses + 1;
-    metric t (Printf.sprintf "cache.%s.misses" kind);
-    if expired then begin
-      t.expiries <- t.expiries + 1;
-      metric t (Printf.sprintf "cache.%s.expiries" kind)
-    end
+    if expired then t.expiries <- t.expiries + 1
 
   let store_attr t fh attr =
     Race.act t.race ~value:(attr_value attr) ~key:(akey (key fh)) ();
@@ -95,11 +82,15 @@ module Make (C : CLIENT) = struct
   let getattr t fh =
     match Hashtbl.find_opt t.attrs (key fh) with
     | Some (attr, expiry) when fresh t expiry ->
-      hit t ~kind:"attr";
+      t.hits <- t.hits + 1;
+      Stats.incr t.stats "cache.attr.hits";
       Race.read t.race ~key:(akey (key fh));
       attr
     | found ->
-      miss t ~kind:"attr" ~expired:(found <> None);
+      let expired = found <> None in
+      miss t ~expired;
+      Stats.incr t.stats "cache.attr.misses";
+      if expired then Stats.incr t.stats "cache.attr.expiries";
       (* The GETATTR round trip yields; the window closes when
          [store_attr] installs the reply. *)
       Race.check t.race ~key:(akey (key fh));
@@ -110,11 +101,15 @@ module Make (C : CLIENT) = struct
   let lookup t dir name =
     match Hashtbl.find_opt t.names (key dir, name) with
     | Some (result, expiry) when fresh t expiry ->
-      hit t ~kind:"name";
+      t.hits <- t.hits + 1;
+      Stats.incr t.stats "cache.name.hits";
       Race.read t.race ~key:(nkey (key dir, name));
       result
     | found ->
-      miss t ~kind:"name" ~expired:(found <> None);
+      let expired = found <> None in
+      miss t ~expired;
+      Stats.incr t.stats "cache.name.misses";
+      if expired then Stats.incr t.stats "cache.name.expiries";
       Race.check t.race ~key:(nkey (key dir, name));
       let fh, attr = C.lookup t.client dir name in
       Race.act t.race

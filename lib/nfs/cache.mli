@@ -9,10 +9,10 @@
     is inherent — the classic close-to-open trade-off. TTLs default
     to the common 3 s (attributes) / 30 s (names).
 
-    {b Observability.} With a tracer attached ({!set_trace}), cache
-    traffic is counted in the tracer's metrics registry, split by
-    cache: ["cache.attr.hits"] / ["cache.attr.misses"] /
-    ["cache.attr.expiries"] for {!getattr} traffic and
+    {b Observability.} Cache traffic is counted in the registry given
+    to [create], split by cache: ["cache.attr.hits"] /
+    ["cache.attr.misses"] / ["cache.attr.expiries"] for {!getattr}
+    traffic and
     ["cache.name.hits"] / ["cache.name.misses"] /
     ["cache.name.expiries"] for {!lookup} traffic. The aggregate
     accessors ({!hits}, {!misses}, {!expiries}) still cover both.
@@ -39,14 +39,11 @@ module Make (C : CLIENT) : sig
   type t
 
   val create :
-    client:C.t -> clock:Simnet.Clock.t -> ?attr_ttl:float -> ?name_ttl:float -> unit -> t
+    client:C.t -> clock:Simnet.Clock.t -> stats:Simnet.Stats.t -> ?attr_ttl:float ->
+    ?name_ttl:float -> unit -> t
   (** TTLs are in virtual seconds; [attr_ttl] ages {!getattr} entries,
-      [name_ttl] ages {!lookup} entries. *)
-
-  val set_trace : t -> Trace.t -> unit
-  (** Adopt a tracer for the ["cache.attr.*"] / ["cache.name.*"]
-      metrics counters (default {!Trace.null}: instrumentation is
-      free). *)
+      [name_ttl] ages {!lookup} entries. The ["cache.attr.*"] /
+      ["cache.name.*"] counters go to [stats]. *)
 
   val set_race : t -> Race.monitor -> unit
   (** Attach a race monitor (default {!Race.null}): misses open

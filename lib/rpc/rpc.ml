@@ -83,7 +83,6 @@ type server = {
   mutable drc_tick : int;
   mutable drc_capacity : int;
   mutable trace : Trace.t;
-  mutable metrics : Trace.Metrics.t option;
   mutable pool : pool option;
   (* Client-id allocator. Per server, not global: ids key the xid
      bands (so they only need to be unique among clients of one
@@ -107,7 +106,6 @@ let server ~clock ~cost ~stats =
     drc_tick = 0;
     drc_capacity = default_drc_capacity;
     trace = Trace.null;
-    metrics = None;
     pool = None;
     next_client = 0;
     dead = false;
@@ -119,7 +117,6 @@ let register t ~prog ~vers handler = Hashtbl.replace t.programs (prog, vers) han
 
 let trace t = t.trace
 let set_trace t trace = t.trace <- trace
-let set_metrics t metrics = t.metrics <- metrics
 
 let set_race t ~drc ~in_flight =
   t.race_drc <- drc;
@@ -415,21 +412,14 @@ let dispatch srv ~conn data =
 (* The pooled paths record metrics but open no spans: a span stack
    assumes strictly nested enter/exit, which interleaved processes
    violate. Counters, gauges and histograms have no nesting, so the
-   queue's observability rides on those. *)
-
-let count_metric srv name =
-  match srv.metrics with Some m -> Trace.Metrics.incr m name | None -> ()
+   queue's observability rides on those, in the server's registry. *)
 
 let observe_metric srv name v =
-  match srv.metrics with
-  | Some m -> Trace.Metrics.observe (Trace.Metrics.histogram m name) v
-  | None -> ()
+  Trace.Metrics.observe (Trace.Metrics.histogram srv.stats name) v
 
 let pool_gauge srv p =
   if p.queued > p.peak then p.peak <- p.queued;
-  match srv.metrics with
-  | Some m -> Trace.Metrics.set_gauge m "rpc.queue.depth" (float_of_int p.queued)
-  | None -> ()
+  Trace.Metrics.set_gauge srv.stats "rpc.queue.depth" (float_of_int p.queued)
 
 let unmarshal_charge srv nbytes =
   Clock.advance srv.clock
@@ -567,13 +557,11 @@ let submit srv p ~conn ~reply data =
            atomicity the golden race report pins. *)
         Race.check srv.race_if ~key:(race_key key);
         Stats.incr srv.stats "rpc.coalesced";
-        count_metric srv "rpc.queue.coalesced";
         Race.act srv.race_if ~key:(race_key key) ();
         waiters := reply :: !waiters
       | None ->
         if p.queued >= p.queue_depth then begin
           Stats.incr srv.stats "rpc.queue_rejects";
-          count_metric srv "rpc.queue.rejected";
           Trace.instant srv.trace "rpc.queue_reject"
         end
         else begin
@@ -791,5 +779,3 @@ let call t ~prog ~vers ~proc args =
   | Some p when Sched.in_process p.sched -> call_pooled t p ~prog ~vers ~proc args
   | _ -> call_serial t ~prog ~vers ~proc args
 
-let calls_made srv = Stats.get srv.stats "rpc.calls"
-let drc_hits srv = Stats.get srv.stats "rpc.drc_hits"

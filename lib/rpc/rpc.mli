@@ -48,15 +48,6 @@ val set_trace : server -> Trace.t -> unit
     (["rpc.call"], ["rpc.attempt"], ["rpc.backoff"]) follow the
     link's tracer ({!Simnet.Link.set_trace}). *)
 
-val set_metrics : server -> Trace.Metrics.t option -> unit
-(** Adopt a metrics registry for the queue instrumentation
-    (["rpc.queue.depth"] gauge, ["rpc.queue.wait"] /
-    ["rpc.queue.service"] histograms, ["rpc.queue.rejected"] /
-    ["rpc.queue.coalesced"] counters). Kept separate from the tracer
-    because the pooled paths record metrics but open no spans: a span
-    stack assumes strictly nested enter/exit, which interleaved
-    processes violate. *)
-
 val set_race : server -> drc:Race.monitor -> in_flight:Race.monitor -> unit
 (** Attach race monitors (default {!Race.null}) to the two delicate
     server-side windows: the duplicate-request cache — an admission
@@ -76,7 +67,9 @@ val set_pool : server -> sched:Simnet.Sched.t -> workers:int -> queue_depth:int 
     datagram, and the client's at-least-once retransmission absorbs
     the loss (["rpc.queue_rejects"] in stats). Retransmissions of a
     request still queued or executing coalesce onto that execution
-    (["rpc.coalesced"]). Calls made outside any process (setup code,
+    (["rpc.coalesced"]). The queue also records an ["rpc.queue.depth"]
+    gauge and ["rpc.queue.wait"] / ["rpc.queue.service"] histograms in
+    the server's registry. Calls made outside any process (setup code,
     serial benchmarks) keep the exact serial semantics. Raises
     [Invalid_argument] unless [workers] and [queue_depth] are
     positive. *)
@@ -194,11 +187,6 @@ val call : client -> prog:int -> vers:int -> proc:int -> string -> string
     link's stats: ["rpc.retransmits"], ["rpc.server_rx_drops"],
     ["rpc.client_rx_drops"], ["rpc.stale_replies"]. *)
 
-val calls_made : server -> int
-
-val drc_hits : server -> int
-(** Retransmitted requests answered from the duplicate-request cache
-    instead of being re-executed. *)
 
 (** {1 Wire level}
 

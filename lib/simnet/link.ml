@@ -122,5 +122,3 @@ let quiesce t =
   Hashtbl.reset t.busy;
   List.length held
 
-let bytes_sent t = Stats.get t.stats "link.bytes"
-let messages_sent t = Stats.get t.stats "link.messages"

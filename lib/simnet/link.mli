@@ -62,5 +62,3 @@ val send : t -> ?flow:int -> string -> string list
     counted under ["link.drops"], ["link.dups"], ["link.reorders"],
     ["link.corruptions"]. *)
 
-val bytes_sent : t -> int
-val messages_sent : t -> int

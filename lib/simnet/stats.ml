@@ -1,17 +1,9 @@
 (* discfs-lint: atomic-section — every counter update is a read-modify-write
    completed inside one scheduler slice; no operation yields. *)
 
-type t = (string, int) Hashtbl.t
+type t = Trace.Metrics.t
 
-let create () : t = Hashtbl.create 16
-let add t name n = Hashtbl.replace t name (n + try Hashtbl.find t name with Not_found -> 0)
-let incr t name = add t name 1
-let get t name = try Hashtbl.find t name with Not_found -> 0
-let reset = Hashtbl.reset
-
-let to_list t =
-  Hashtbl.fold (fun k v acc -> (k, v) :: acc) t []
-  |> List.sort (fun (a, _) (b, _) -> String.compare a b)
-
-let pp fmt t =
-  List.iter (fun (k, v) -> Format.fprintf fmt "%s=%d@ " k v) (to_list t)
+let create = Trace.Metrics.create
+let incr = Trace.Metrics.incr
+let add = Trace.Metrics.add
+let get = Trace.Metrics.counter

@@ -1,14 +1,11 @@
 (** Named counters collected by every simulated component, surfaced in
-    benchmark reports ("NFS calls", "cache hits", "bytes on wire"). *)
+    benchmark reports ("NFS calls", "cache hits", "bytes on wire"):
+    the deployment's one {!Trace.Metrics} registry, counted whether or
+    not tracing is on. *)
 
-type t
+type t = Trace.Metrics.t
 
 val create : unit -> t
 val incr : t -> string -> unit
 val add : t -> string -> int -> unit
 val get : t -> string -> int
-val reset : t -> unit
-val to_list : t -> (string * int) list
-(** Sorted by counter name. *)
-
-val pp : Format.formatter -> t -> unit

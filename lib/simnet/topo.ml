@@ -73,5 +73,3 @@ let set_fault t f =
   t.fault <- f;
   Array.iter (fun l -> Link.set_fault l f) t.links
 
-let bytes_sent t = Array.fold_left (fun acc l -> acc + Link.bytes_sent l) 0 t.links
-let messages_sent t = Array.fold_left (fun acc l -> acc + Link.messages_sent l) 0 t.links

@@ -51,7 +51,3 @@ val set_trace : t -> Trace.t -> unit
 val set_fault : t -> Fault.t option -> unit
 (** Attach (or remove) one fault injector on every access link. *)
 
-val bytes_sent : t -> int
-(** Total bytes across all access links. *)
-
-val messages_sent : t -> int

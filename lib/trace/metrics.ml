@@ -26,10 +26,13 @@ let reset t =
   Hashtbl.reset t.gauges;
   Hashtbl.reset t.hists
 
-let incr t ?(by = 1) name =
-  match Hashtbl.find_opt t.counters name with
-  | Some r -> r := !r + by
-  | None -> Hashtbl.replace t.counters name (ref by)
+(* [find], not [find_opt]: incrementing must not allocate. *)
+let add t name n =
+  match Hashtbl.find t.counters name with
+  | r -> r := !r + n
+  | exception Not_found -> Hashtbl.replace t.counters name (ref n)
+
+let incr t name = add t name 1
 
 let counter t name =
   match Hashtbl.find_opt t.counters name with Some r -> !r | None -> 0
@@ -46,7 +49,6 @@ let set_gauge t name v =
   | None -> Hashtbl.replace t.gauges name (ref v)
 
 let gauge t name = Option.map (fun r -> !r) (Hashtbl.find_opt t.gauges name)
-let gauges t = sorted_bindings t.gauges (fun r -> !r)
 
 (* 1-2-5 per decade, 1us .. 100s: deterministic latency grid. *)
 let default_buckets =
@@ -101,7 +103,6 @@ let observe h v =
   h.h_count <- h.h_count + 1;
   h.h_sum <- h.h_sum +. v
 
-let bounds h = Array.copy h.h_bounds
 let bucket_counts h = Array.copy h.h_counts
 
 let cumulative h =

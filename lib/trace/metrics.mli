@@ -1,9 +1,9 @@
 (** Metrics registry: counters, gauges and fixed-bucket histograms.
 
     Zero dependencies; all state is explicit so deployments can own
-    independent registries.  Histogram bucket boundaries are fixed at
-    creation and deterministic, which makes aggregated output
-    byte-reproducible across runs. *)
+    independent registries ([Simnet.Stats] is this type).  Histogram
+    bucket boundaries are fixed at creation and deterministic, which
+    makes aggregated output byte-reproducible across runs. *)
 
 type t
 (** A registry of named counters, gauges and histograms. *)
@@ -19,7 +19,10 @@ val reset : t -> unit
 
 (** {1 Counters} *)
 
-val incr : t -> ?by:int -> string -> unit
+val incr : t -> string -> unit
+val add : t -> string -> int -> unit
+(** Neither allocates once the counter exists. *)
+
 val counter : t -> string -> int
 val counters : t -> (string * int) list
 (** Sorted by name. *)
@@ -28,8 +31,6 @@ val counters : t -> (string * int) list
 
 val set_gauge : t -> string -> float -> unit
 val gauge : t -> string -> float option
-val gauges : t -> (string * float) list
-(** Sorted by name. *)
 
 (** {1 Histograms} *)
 
@@ -52,9 +53,8 @@ val observe : histogram -> float -> unit
 (** Record a value into the first bucket whose bound is [>=] it (the
     overflow bucket if none is). *)
 
-val bounds : histogram -> float array
 val bucket_counts : histogram -> int array
-(** Length [Array.length (bounds h) + 1]; last cell is overflow. *)
+(** One cell per bucket bound plus the overflow cell, last. *)
 
 val cumulative : histogram -> int array
 val count : histogram -> int

@@ -60,7 +60,6 @@ let create ?(capacity = 65536) ?metrics ~now () =
   make ~on:true ?metrics ~now capacity
 
 let enabled t = t.on
-let metrics t = t.mx
 
 let push_ring t s =
   let cap = Array.length t.ring in

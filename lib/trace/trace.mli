@@ -37,7 +37,6 @@ val create : ?capacity:int -> ?metrics:Metrics.t -> now:(unit -> float) -> unit 
 (** [capacity] bounds the ring buffer (default 65536, min 1). *)
 
 val enabled : t -> bool
-val metrics : t -> Metrics.t option
 
 val span : t -> ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 (** Run the thunk inside a span; the span is closed even if the thunk

@@ -81,12 +81,12 @@ let test_buffer_cache_hit_is_free () =
   (* The write went through the cache too: this read is a hit. *)
   ignore (Blockdev.read dev 7);
   Alcotest.(check (float 0.0)) "cache hit charges no time" t0 (Clock.now clock);
-  Alcotest.(check int) "no physical read" 0 (Blockdev.reads dev);
+  Alcotest.(check int) "no physical read" 0 (Stats.get (Blockdev.stats dev) "disk.reads");
   Alcotest.(check int) "hit counted" 1 (Stats.get stats "bcache.hits");
   (* A cold block pays the full physical cost. *)
   ignore (Blockdev.read dev 30);
   Alcotest.(check bool) "miss charges time" true (Clock.now clock > t0);
-  Alcotest.(check int) "physical read" 1 (Blockdev.reads dev);
+  Alcotest.(check int) "physical read" 1 (Stats.get (Blockdev.stats dev) "disk.reads");
   Alcotest.(check int) "miss counted" 1 (Stats.get stats "bcache.misses");
   (* ...and the second access is free. *)
   let t1 = Clock.now clock in
@@ -99,19 +99,31 @@ let test_readahead_prefetch () =
     Blockdev.write dev i (block dev (Char.chr (Char.code 'a' + i)))
   done;
   Blockdev.drop_cache dev;
-  let phys0 = Blockdev.reads dev in
+  let phys0 = Stats.get (Blockdev.stats dev) "disk.reads" in
   (* A sequential pair triggers the prefetcher: blocks 2..8 ride the
      request for 1. *)
   ignore (Blockdev.read dev 0);
   ignore (Blockdev.read dev 1);
   Alcotest.(check int) "prefetch window filled" 7 (Stats.get stats "bcache.readahead_blocks");
-  let phys1 = Blockdev.reads dev in
+  let phys1 = Stats.get (Blockdev.stats dev) "disk.reads" in
   for i = 2 to 8 do
     let b = Blockdev.read dev i in
     Alcotest.(check char) "prefetched content" (Char.chr (Char.code 'a' + i)) (Bytes.get b 0)
   done;
-  Alcotest.(check int) "prefetched blocks hit, no demand I/O" phys1 (Blockdev.reads dev);
+  Alcotest.(check int) "prefetched blocks hit, no demand I/O" phys1 (Stats.get (Blockdev.stats dev) "disk.reads");
   Alcotest.(check int) "two demand reads total" 2 (phys1 - phys0)
+
+(* Regression: evictions caused by a readahead fill used to bypass the
+   registry, which then undercounted what the cache itself reported. *)
+let test_readahead_evictions_counted () =
+  let dev, _clock, stats = make_dev ~cache_blocks:4 ~readahead:8 () in
+  for i = 0 to 15 do
+    ignore (Blockdev.read dev i)
+  done;
+  let evictions = Bcache.evictions (Blockdev.bcache dev) in
+  Alcotest.(check bool) "the small cache evicted" true (evictions > 0);
+  Alcotest.(check int) "registry agrees with the cache" evictions
+    (Stats.get stats "bcache.evictions")
 
 let test_failed_write_not_cached () =
   (* A write the controller failed must leave both the platter and the
@@ -147,11 +159,11 @@ let test_crash_mid_write_no_stale_blocks () =
   Alcotest.(check int) "buffer cache dropped by crash" 0
     (Bcache.size (Blockdev.bcache (Cluster.dev d)));
   let admin2 = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let misses0 = Blockdev.cache_misses (Cluster.dev d) in
+  let misses0 = Bcache.misses (Blockdev.bcache (Cluster.dev d)) in
   let _, data = CC.read admin2 fh ~off:0 ~count:9 in
   Alcotest.(check string) "write-through data survives the crash" "version-1" data;
   Alcotest.(check bool) "first post-crash read misses (cold cache)" true
-    (Blockdev.cache_misses (Cluster.dev d) > misses0)
+    (Bcache.misses (Blockdev.bcache (Cluster.dev d)) > misses0)
 
 (* --- policy memo cache ----------------------------------------------- *)
 
@@ -207,7 +219,7 @@ let test_attr_cache_expiry_counter () =
   let d = Cfs.Cfs_ne.deploy () in
   let client, root = Cfs.Cfs_ne.connect d () in
   let clock = d.Cfs.Cfs_ne.clock in
-  let cache = Nfs.Cache.create ~client ~clock () in
+  let cache = Nfs.Cache.create ~client ~clock ~stats:d.Cfs.Cfs_ne.stats () in
   let fh, _ = Nfs.Client.create_file client root "ttl.txt" Proto.sattr_none in
   ignore (Nfs.Cache.getattr cache fh) (* cold miss *);
   ignore (Nfs.Cache.getattr cache fh) (* hit *);
@@ -227,10 +239,8 @@ let test_cache_metrics_split_by_kind () =
   let d = Cfs.Cfs_ne.deploy () in
   let client, root = Cfs.Cfs_ne.connect d () in
   let clock = d.Cfs.Cfs_ne.clock in
-  let metrics = Trace.Metrics.create () in
-  let trace = Trace.create ~metrics ~now:(fun () -> Clock.now clock) () in
-  let cache = Nfs.Cache.create ~client ~clock () in
-  Nfs.Cache.set_trace cache trace;
+  let stats = Stats.create () in
+  let cache = Nfs.Cache.create ~client ~clock ~stats () in
   let _ = Nfs.Client.create_file client root "split.txt" Proto.sattr_none in
   (* one attr miss + one attr hit, one name miss + one name hit *)
   let fh, _ = Nfs.Cache.lookup cache root "split.txt" in
@@ -239,7 +249,7 @@ let test_cache_metrics_split_by_kind () =
   Clock.advance clock 4.0;
   let _ = Nfs.Cache.getattr cache fh in
   let _ = Nfs.Cache.getattr cache fh in
-  let c name = Trace.Metrics.counter metrics name in
+  let c name = Stats.get stats name in
   Alcotest.(check int) "attr hits" 1 (c "cache.attr.hits");
   Alcotest.(check int) "attr misses" 1 (c "cache.attr.misses");
   Alcotest.(check int) "name hits" 1 (c "cache.name.hits");
@@ -248,6 +258,24 @@ let test_cache_metrics_split_by_kind () =
   Alcotest.(check int) "no name expiries" 0 (c "cache.name.expiries");
   Alcotest.(check int) "aggregate hits still cover both" 2 (Nfs.Cache.hits cache);
   Alcotest.(check int) "aggregate misses still cover both" 2 (Nfs.Cache.misses cache)
+
+(* Every cache counts into the deployment's one registry whether or
+   not tracing is on. *)
+let test_cache_counters_untraced () =
+  let b = Bonnie.Backend.discfs ~tracing:false ~attr_cache:true () in
+  let spec =
+    { Bonnie.Search.dirs = 2; files_per_dir = 3; mean_file_size = 2048; seed = "untraced" }
+  in
+  Bonnie.Search.build b spec;
+  ignore (Bonnie.Search.run b);
+  ignore (Bonnie.Search.run b);
+  match Bonnie.Backend.discfs_parts b with
+  | None -> Alcotest.fail "discfs backend has no deployment"
+  | Some (c, _) ->
+    Alcotest.(check bool) "one registry" true (Cluster.stats c == Cluster.metrics c);
+    let get k = Stats.get (Cluster.stats c) k in
+    Alcotest.(check bool) "attr cache hits counted" true (get "cache.attr.hits" > 0);
+    Alcotest.(check bool) "policy cache hits counted" true (get "keynote.cache_hits" > 0)
 
 (* --- property: caching never changes results ------------------------- *)
 
@@ -303,6 +331,7 @@ let suite =
     Alcotest.test_case "bcache LRU mechanics" `Quick test_bcache_lru;
     Alcotest.test_case "buffer-cache hit is free" `Quick test_buffer_cache_hit_is_free;
     Alcotest.test_case "sequential readahead" `Quick test_readahead_prefetch;
+    Alcotest.test_case "readahead evictions counted" `Quick test_readahead_evictions_counted;
     Alcotest.test_case "failed write never cached" `Quick test_failed_write_not_cached;
     Alcotest.test_case "crash drops cache, no stale blocks" `Quick
       test_crash_mid_write_no_stale_blocks;
@@ -312,5 +341,6 @@ let suite =
       test_epoch_and_attributes_key_the_memo;
     Alcotest.test_case "attr cache counts expiries" `Quick test_attr_cache_expiry_counter;
     Alcotest.test_case "cache metrics split by kind" `Quick test_cache_metrics_split_by_kind;
+    Alcotest.test_case "cache counters without tracing" `Quick test_cache_counters_untraced;
     QCheck_alcotest.to_alcotest prop_cached_fs_reads_equal_uncached;
   ]

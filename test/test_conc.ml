@@ -155,7 +155,6 @@ type env = {
   link : Link.t;
   srv : Rpc.server;
   sched : Sched.t;
-  metrics : Trace.Metrics.t;
   executions : int ref;
 }
 
@@ -166,8 +165,6 @@ let make_env ?(service_cost = 0.002) ~workers ~queue_depth () =
   let stats = Stats.create () in
   let link = Link.create ~clock ~cost:Cost.default ~stats in
   let srv = Rpc.server ~clock ~cost:Cost.default ~stats in
-  let metrics = Trace.Metrics.create () in
-  Rpc.set_metrics srv (Some metrics);
   let sched = Sched.create ~clock in
   Sched.attach_clock sched;
   Rpc.set_pool srv ~sched ~workers ~queue_depth;
@@ -183,7 +180,7 @@ let make_env ?(service_cost = 0.002) ~workers ~queue_depth () =
         Hashtbl.replace counts uid c;
         Ok (string_of_int c)
       | _ -> Error Rpc.Proc_unavail);
-  { clock; stats; link; srv; sched; metrics; executions }
+  { clock; stats; link; srv; sched; executions }
 
 let retry = { Rpc.base_timeout = 0.4; backoff = 2.0; max_attempts = 8; jitter = 0.1 }
 
@@ -208,7 +205,7 @@ let test_interleaving_replay_is_deterministic () =
     let journal = ref [] in
     Sched.set_probe env.sched (Some (fun time seq -> journal := (time, seq) :: !journal));
     let results = closed_loop env ~clients:3 ~ops:3 in
-    (List.rev !journal, results, Clock.now env.clock, Stats.to_list env.stats)
+    (List.rev !journal, results, Clock.now env.clock, Trace.Metrics.counters env.stats)
   in
   let j1, r1, now1, s1 = journal_of () in
   let j2, r2, now2, s2 = journal_of () in
@@ -279,9 +276,7 @@ let test_backpressure_accounting () =
   Alcotest.(check int) "three datagrams shed" 3 (Stats.get env.stats "rpc.queue_rejects");
   Alcotest.(check int) "queued jobs executed" 2 !(env.executions);
   Alcotest.(check int) "and answered" 2 !replies;
-  Alcotest.(check int) "queue high-water mark" 2 (Rpc.queue_peak env.srv);
-  Alcotest.(check int) "rejection metric matches" 3
-    (Trace.Metrics.counter env.metrics "rpc.queue.rejected")
+  Alcotest.(check int) "queue high-water mark" 2 (Rpc.queue_peak env.srv)
 
 let test_backpressure_absorbed_by_retransmission () =
   (* Undersized queue, one worker, four impatient clients: rejections
@@ -301,8 +296,8 @@ let test_backpressure_absorbed_by_retransmission () =
 let test_queue_metrics_populated () =
   let env = make_env ~service_cost:0.02 ~workers:2 ~queue_depth:8 () in
   let _ = closed_loop env ~clients:6 ~ops:2 in
-  let wait = Trace.Metrics.histogram env.metrics "rpc.queue.wait" in
-  let service = Trace.Metrics.histogram env.metrics "rpc.queue.service" in
+  let wait = Trace.Metrics.histogram env.stats "rpc.queue.wait" in
+  let service = Trace.Metrics.histogram env.stats "rpc.queue.service" in
   Alcotest.(check int) "every execution measured a wait" 12 (Trace.Metrics.count wait);
   Alcotest.(check int) "and a service time" 12 (Trace.Metrics.count service);
   Alcotest.(check bool) "service time accumulates the CPU charges" true
@@ -310,7 +305,7 @@ let test_queue_metrics_populated () =
   Alcotest.(check bool) "some request actually waited" true
     (Trace.Metrics.sum wait > 0.0);
   Alcotest.(check (option (float 1e-9))) "depth gauge drained to zero" (Some 0.0)
-    (Trace.Metrics.gauge env.metrics "rpc.queue.depth");
+    (Trace.Metrics.gauge env.stats "rpc.queue.depth");
   Alcotest.(check bool) "queue depth peaked above one" true (Rpc.queue_peak env.srv > 1)
 
 (* --- end to end: a concurrent DisCFS deployment ----------------------- *)

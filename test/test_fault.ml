@@ -129,7 +129,7 @@ let test_drc_dedups_duplicates () =
   let fh, _ = Nfs.Client.create_file nfs root "once" Proto.sattr_none in
   ignore (Nfs.Client.write nfs fh ~off:0 "payload");
   Nfs.Client.remove nfs root "once";
-  Alcotest.(check int) "every duplicate hit the cache" 3 (Rpc.drc_hits d.Cfs.Cfs_ne.rpc);
+  Alcotest.(check int) "every duplicate hit the cache" 3 (Stats.get d.Cfs.Cfs_ne.stats "rpc.drc_hits");
   Alcotest.(check (list (pair string string))) "final state clean" []
     (root_listing d.Cfs.Cfs_ne.fs)
 
@@ -180,7 +180,7 @@ let prop_drc_idempotent =
       let clean, _ = apply_ops ~net:None ops in
       let faulty, d = apply_ops ~net:(Some { all_duplicates with Fault.duplicate = 0.5 }) ops in
       let dups = Stats.get d.Cfs.Cfs_ne.stats "link.dups" in
-      let hits = Rpc.drc_hits d.Cfs.Cfs_ne.rpc in
+      let hits = Stats.get d.Cfs.Cfs_ne.stats "rpc.drc_hits" in
       clean = faulty && hits <= dups)
 
 (* --- DRC eviction under capacity pressure ----------------------------- *)
@@ -218,7 +218,7 @@ let test_drc_lru_eviction () =
   (* Replay A: answered from cache, and A moves to most-recently-used. *)
   Alcotest.(check string) "cached reply is byte-identical" reply_a (call 1);
   Alcotest.(check int) "hit did not re-execute" 1 (execs 1);
-  Alcotest.(check int) "one DRC hit" 1 (Rpc.drc_hits srv);
+  Alcotest.(check int) "one DRC hit" 1 (Stats.get stats "rpc.drc_hits");
   (* E pushes the cache past capacity: B (now least recent) goes, not A. *)
   ignore (call 5);
   Alcotest.(check int) "one eviction" 1 (Stats.get stats "rpc.drc_evictions");

@@ -31,8 +31,8 @@ let test_blockdev () =
   Ffs.Blockdev.write dev 3 b;
   Alcotest.(check bytes) "read back" b (Ffs.Blockdev.read dev 3);
   Alcotest.(check bytes) "unwritten zeroed" (Bytes.make 512 '\000') (Ffs.Blockdev.read dev 10);
-  Alcotest.(check int) "reads" 2 (Ffs.Blockdev.reads dev);
-  Alcotest.(check int) "writes" 1 (Ffs.Blockdev.writes dev);
+  Alcotest.(check int) "reads" 2 (Stats.get (Ffs.Blockdev.stats dev) "disk.reads");
+  Alcotest.(check int) "writes" 1 (Stats.get (Ffs.Blockdev.stats dev) "disk.writes");
   Alcotest.(check bool) "time advanced" true (Clock.now clock > 0.0);
   Alcotest.check_raises "oob" (Invalid_argument "Blockdev: block out of range") (fun () ->
       ignore (Ffs.Blockdev.read dev 64));
@@ -47,11 +47,11 @@ let test_seek_model () =
   in
   (* Sequential run: one seek at most, then streaming. *)
   for i = 10 to 20 do ignore (Ffs.Blockdev.read dev i) done;
-  let sequential_seeks = Ffs.Blockdev.seeks dev in
+  let sequential_seeks = Stats.get (Ffs.Blockdev.stats dev) "disk.seeks" in
   (* Random access: a seek per I/O. *)
   List.iter (fun i -> ignore (Ffs.Blockdev.read dev i)) [ 500; 30; 700; 100 ];
   Alcotest.(check bool) "sequential cheap" true (sequential_seeks <= 1);
-  Alcotest.(check int) "random seeks" (sequential_seeks + 4) (Ffs.Blockdev.seeks dev)
+  Alcotest.(check int) "random seeks" (sequential_seeks + 4) (Stats.get (Ffs.Blockdev.stats dev) "disk.seeks")
 
 let test_create_write_read () =
   let fs = make_fs () in

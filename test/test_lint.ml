@@ -243,13 +243,13 @@ let policy_to principal =
     ~licensees:(Printf.sprintf "\"%s\"" principal)
     ~conditions:"app_domain == \"DisCFS\" -> \"RWX\";" ()
 
-let unsigned = { Lint.Credgraph.default_config with verify_signatures = false }
+let unsigned = { Credgraph.default_config with verify_signatures = false }
 
 let analyze ?(config = unsigned) credentials =
-  Lint.Credgraph.analyze ~config ~policy:[ policy_to (p "aa") ] ~credentials ()
+  Credgraph.analyze ~config ~policy:[ policy_to (p "aa") ] ~credentials ()
 
 let kind_names report =
-  List.map Lint.Credgraph.kind_name (Lint.Credgraph.kinds report)
+  List.map Credgraph.kind_name (Credgraph.kinds report)
 
 let test_graph_clean () =
   let r =
@@ -260,10 +260,10 @@ let test_graph_clean () =
       ]
   in
   Alcotest.(check (list string)) "no findings" [] (kind_names r);
-  Alcotest.(check int) "all principals reachable" r.Lint.Credgraph.n_principals
-    r.Lint.Credgraph.n_reachable;
+  Alcotest.(check int) "all principals reachable" r.Credgraph.n_principals
+    r.Credgraph.n_reachable;
   Alcotest.(check bool) "render says clean" true
-    (let s = Lint.Credgraph.render r in
+    (let s = Credgraph.render r in
      String.length s >= 6 && String.sub s (String.length s - 6) 5 = "clean")
 
 let test_graph_cycle () =
@@ -291,7 +291,7 @@ let test_graph_unreachable () =
   Alcotest.(check (list string)) "unreachable reported" [ "unreachable" ] (kind_names r)
 
 let test_graph_revoked_chain () =
-  let config = { unsigned with Lint.Credgraph.revoked_keys = [ p "bb" ] } in
+  let config = { unsigned with Credgraph.revoked_keys = [ p "bb" ] } in
   let r =
     analyze ~config
       [
@@ -309,7 +309,7 @@ let test_graph_revoked_fingerprint () =
   let config =
     {
       unsigned with
-      Lint.Credgraph.revoked_fingerprints = [ Keynote.Assertion.fingerprint c1 ];
+      Credgraph.revoked_fingerprints = [ Keynote.Assertion.fingerprint c1 ];
     }
   in
   let r = analyze ~config [ c1; cred ~auth:(p "bb") ~lic:(p "cc") ~grant:"R" () ] in
@@ -318,14 +318,14 @@ let test_graph_revoked_fingerprint () =
     (List.sort_uniq String.compare (kind_names r))
 
 let test_graph_expired () =
-  let config = { unsigned with Lint.Credgraph.now = Some 200. } in
+  let config = { unsigned with Credgraph.now = Some 200. } in
   let r =
     analyze ~config [ cred ~auth:(p "aa") ~lic:(p "bb") ~grant:"RW" ~time_bound:100. () ]
   in
   Alcotest.(check (list string)) "expired reported" [ "expired" ] (kind_names r)
 
 let test_graph_expiry_shadowed () =
-  let config = { unsigned with Lint.Credgraph.now = Some 50. } in
+  let config = { unsigned with Credgraph.now = Some 50. } in
   let r =
     analyze ~config
       [
@@ -340,7 +340,7 @@ let test_graph_bad_signature () =
   (* With verification on, an unsigned credential is inadmissible —
      reported, and excluded from the graph (so no secondary noise). *)
   let r =
-    analyze ~config:Lint.Credgraph.default_config
+    analyze ~config:Credgraph.default_config
       [ cred ~auth:(p "aa") ~lic:(p "bb") ~grant:"RW" () ]
   in
   Alcotest.(check (list string)) "bad signature reported" [ "bad-signature" ]
@@ -365,12 +365,12 @@ let test_store_roundtrip () =
   write_file (Filename.concat dir "revoked.txt")
     (Keynote.Assertion.fingerprint c1 ^ "\n");
   write_file (Filename.concat dir "README") "not an assertion\n";
-  match Lint.Credgraph.run_dir ~config:unsigned dir with
+  match Credgraph.run_dir ~config:unsigned dir with
   | Error m -> Alcotest.fail m
   | Ok r ->
-    Alcotest.(check int) "one policy assertion" 1 r.Lint.Credgraph.n_policy;
+    Alcotest.(check int) "one policy assertion" 1 r.Credgraph.n_policy;
     Alcotest.(check int) "two credentials (README skipped)" 2
-      r.Lint.Credgraph.n_credentials;
+      r.Credgraph.n_credentials;
     Alcotest.(check (list string)) "store's own revocation list applied"
       [ "revoked"; "revoked-chain" ]
       (List.sort_uniq String.compare (kind_names r))
@@ -380,7 +380,7 @@ let test_store_parse_error () =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   write_file (Filename.concat dir "garbage") "Authorizer\n";
   Alcotest.(check bool) "parse error surfaces as Error" true
-    (match Lint.Credgraph.run_dir ~config:unsigned dir with
+    (match Credgraph.run_dir ~config:unsigned dir with
     | Error _ -> true
     | Ok _ -> false)
 
@@ -436,7 +436,26 @@ let test_doccheck_clean () =
   Alcotest.(check bool) "repo docs discovered" true (List.length repo_docs >= 2);
   Alcotest.(check (list string)) "repo docs cross-reference cleanly" []
     (List.map Lint.Doccheck.render_finding
-       (Lint.Doccheck.check ~root:doc_root repo_docs))
+       (Lint.Doccheck.check ~root:doc_root repo_docs));
+  Alcotest.(check (list string)) "the counter catalogue matches lib/" []
+    (List.map Lint.Doccheck.render_finding
+       (Lint.Doccheck.check_counters ~root:doc_root ~catalogue:Lint.Doccheck.catalogue_file
+          ~src:"lib"))
+
+let test_counter_catalogue () =
+  let fs =
+    Lint.Doccheck.check_counters ~root:doc_root
+      ~catalogue:"test/lint_fixtures/counters/catalogue.md" ~src:"test/lint_fixtures/counters/src"
+  in
+  Alcotest.(check (list string)) "one undocumented name, one stale row"
+    [
+      "test/lint_fixtures/counters/catalogue.md:13: [doc] stale counter: fixture.stale (counted \
+       nowhere under test/lint_fixtures/counters/src/)";
+      "test/lint_fixtures/counters/src/counted.ml:10: [doc] undocumented counter: \
+       fixture.undocumented (not in the test/lint_fixtures/counters/catalogue.md counter \
+       catalogue)";
+    ]
+    (List.map Lint.Doccheck.render_finding fs)
 
 let test_doccheck_missing () =
   match doc_findings "absent.md" with
@@ -476,5 +495,6 @@ let suite =
     ("pass-c: library map discovery", `Quick, test_doccheck_libmap);
     ("pass-c: seeded doc findings", `Quick, test_doccheck_bad);
     ("pass-c: clean fixture and real docs", `Quick, test_doccheck_clean);
+    ("pass-c: counter catalogue", `Quick, test_counter_catalogue);
     ("pass-c: unreadable file", `Quick, test_doccheck_missing);
   ]

@@ -131,10 +131,10 @@ let test_conn_uid_reaches_fs () =
 
 let test_wire_traffic_counted () =
   let d, client, root = deploy () in
-  let before = Simnet.Link.bytes_sent d.Cfs.Cfs_ne.link in
+  let before = Simnet.Stats.get d.Cfs.Cfs_ne.stats "link.bytes" in
   let fh, _ = Nfs.Client.create_file client root "w" Proto.sattr_none in
   ignore (Nfs.Client.write client fh ~off:0 (String.make 8192 'x'));
-  let delta = Simnet.Link.bytes_sent d.Cfs.Cfs_ne.link - before in
+  let delta = Simnet.Stats.get d.Cfs.Cfs_ne.stats "link.bytes" - before in
   Alcotest.(check bool) "write moved >8K over the wire" true (delta > 8192)
 
 let test_access_procedure () =
@@ -157,28 +157,28 @@ let test_client_cache () =
   let d = Cfs.Cfs_ne.deploy () in
   let client, root = Cfs.Cfs_ne.connect d () in
   let clock = d.Cfs.Cfs_ne.clock in
-  let cache = Nfs.Cache.create ~client ~clock () in
+  let cache = Nfs.Cache.create ~client ~clock ~stats:d.Cfs.Cfs_ne.stats () in
   let fh, _ = Nfs.Client.create_file client root "cached.txt" Proto.sattr_none in
   ignore (Nfs.Client.write client fh ~off:0 "v1");
   (* Repeated getattrs hit the cache and stop generating RPCs. *)
-  let rpcs_before = Oncrpc.Rpc.calls_made d.Cfs.Cfs_ne.rpc in
+  let rpcs_before = Simnet.Stats.get d.Cfs.Cfs_ne.stats "rpc.calls" in
   ignore (Nfs.Cache.getattr cache fh);
   for _ = 1 to 9 do ignore (Nfs.Cache.getattr cache fh) done;
   Alcotest.(check int) "one RPC for ten getattrs" 1
-    (Oncrpc.Rpc.calls_made d.Cfs.Cfs_ne.rpc - rpcs_before);
+    (Simnet.Stats.get d.Cfs.Cfs_ne.stats "rpc.calls" - rpcs_before);
   Alcotest.(check int) "nine hits" 9 (Nfs.Cache.hits cache);
   (* TTL expiry: advance the virtual clock past 3 s. *)
   Simnet.Clock.advance clock 4.0;
-  let rpcs_before = Oncrpc.Rpc.calls_made d.Cfs.Cfs_ne.rpc in
+  let rpcs_before = Simnet.Stats.get d.Cfs.Cfs_ne.stats "rpc.calls" in
   ignore (Nfs.Cache.getattr cache fh);
   Alcotest.(check int) "expired entry refetches" 1
-    (Oncrpc.Rpc.calls_made d.Cfs.Cfs_ne.rpc - rpcs_before);
+    (Simnet.Stats.get d.Cfs.Cfs_ne.stats "rpc.calls" - rpcs_before);
   (* Name cache. *)
-  let rpcs_before = Oncrpc.Rpc.calls_made d.Cfs.Cfs_ne.rpc in
+  let rpcs_before = Simnet.Stats.get d.Cfs.Cfs_ne.stats "rpc.calls" in
   ignore (Nfs.Cache.lookup cache root "cached.txt");
   ignore (Nfs.Cache.lookup cache root "cached.txt");
   Alcotest.(check int) "one RPC for two lookups" 1
-    (Oncrpc.Rpc.calls_made d.Cfs.Cfs_ne.rpc - rpcs_before);
+    (Simnet.Stats.get d.Cfs.Cfs_ne.stats "rpc.calls" - rpcs_before);
   (* Writes through the cache keep attributes current. *)
   let attr = Nfs.Cache.write cache fh ~off:0 "longer content" in
   Alcotest.(check int) "size tracked" 14 attr.Proto.size;
@@ -195,7 +195,9 @@ let test_client_cache_staleness () =
   let d = Cfs.Cfs_ne.deploy () in
   let client_a, root = Cfs.Cfs_ne.connect d () in
   let client_b, _ = Cfs.Cfs_ne.connect d () in
-  let cache = Nfs.Cache.create ~client:client_a ~clock:d.Cfs.Cfs_ne.clock () in
+  let cache =
+    Nfs.Cache.create ~client:client_a ~clock:d.Cfs.Cfs_ne.clock ~stats:d.Cfs.Cfs_ne.stats ()
+  in
   let fh, _ = Nfs.Client.create_file client_a root "shared" Proto.sattr_none in
   ignore (Nfs.Cache.getattr cache fh);
   ignore (Nfs.Client.write client_b fh ~off:0 "surprise");

@@ -61,19 +61,19 @@ let test_fs_image_roundtrip () =
   let image = Ffs.Fs.save fs in
   Ffs.Fs.reboot fs;
   Alcotest.(check bool) "reboot preserves the image" true (String.equal image (Ffs.Fs.save fs));
-  let reads = Ffs.Blockdev.reads dev in
+  let reads = Simnet.Stats.get (Ffs.Blockdev.stats dev) "disk.reads" in
   Alcotest.(check string) "indirect data readable after reboot" chunk
     (Ffs.Fs.read fs f ~off:(19 * 8192) ~len:8192);
   Alcotest.(check int) "pointer block and data block both from disk" (reads + 2)
-    (Ffs.Blockdev.reads dev);
+    (Simnet.Stats.get (Ffs.Blockdev.stats dev) "disk.reads");
   ignore (Ffs.Fs.read fs f ~off:(18 * 8192) ~len:8192);
-  Alcotest.(check int) "pointer block warm again" (reads + 3) (Ffs.Blockdev.reads dev);
+  Alcotest.(check int) "pointer block warm again" (reads + 3) (Simnet.Stats.get (Ffs.Blockdev.stats dev) "disk.reads");
   (* The next update to the once-cold pointer block is charged as a
      fresh dirtying, as on a freshly loaded volume. *)
-  let writes = Ffs.Blockdev.writes dev in
+  let writes = Simnet.Stats.get (Ffs.Blockdev.stats dev) "disk.writes" in
   Ffs.Fs.write fs f ~off:(20 * 8192) chunk;
   Alcotest.(check int) "data block and pointer write-back" (writes + 2)
-    (Ffs.Blockdev.writes dev);
+    (Simnet.Stats.get (Ffs.Blockdev.stats dev) "disk.writes");
   let fs3 = Ffs.Fs.load ~dev:(make_dev ()) (Ffs.Fs.save fs) in
   Alcotest.(check string) "post-reboot growth survives a save" chunk
     (Ffs.Fs.read fs3 f ~off:(20 * 8192) ~len:8192)

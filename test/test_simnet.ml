@@ -31,8 +31,8 @@ let test_link_timing () =
   Link.transmit link 12500;
   (* latency + 12500 bytes at 12.5 MB/s = 70us + 1ms *)
   Alcotest.(check bool) "transfer time" true (feq (Clock.now clock) (0.00007 +. 0.001));
-  Alcotest.(check int) "bytes counted" 12500 (Link.bytes_sent link);
-  Alcotest.(check int) "messages counted" 1 (Link.messages_sent link);
+  Alcotest.(check int) "bytes counted" 12500 (Stats.get stats "link.bytes");
+  Alcotest.(check int) "messages counted" 1 (Stats.get stats "link.messages");
   Alcotest.check_raises "negative size" (Invalid_argument "Link.transmit: negative size")
     (fun () -> Link.transmit link (-1))
 
@@ -51,9 +51,9 @@ let test_stats () =
   Alcotest.(check int) "incr" 2 (Stats.get s "a");
   Alcotest.(check int) "add" 10 (Stats.get s "b");
   Alcotest.(check int) "missing" 0 (Stats.get s "zzz");
-  Alcotest.(check (list (pair string int))) "to_list sorted" [ ("a", 2); ("b", 10) ]
-    (Stats.to_list s);
-  Stats.reset s;
+  Alcotest.(check (list (pair string int))) "counters sorted" [ ("a", 2); ("b", 10) ]
+    (Trace.Metrics.counters s);
+  Trace.Metrics.reset s;
   Alcotest.(check int) "reset" 0 (Stats.get s "a")
 
 let prop_link_time_monotone =

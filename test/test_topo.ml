@@ -403,7 +403,7 @@ let test_crash_under_survivor_write () =
   let size () = (Ffs.Fs.getattr fs fh.Proto.ino).Ffs.Inode.a_size in
   let free () = (Ffs.Fs.statfs fs).Ffs.Fs.f_free_blocks in
   let write_crashing what i ~window =
-    let free0 = free () and writes0 = Ffs.Blockdev.writes dev and size0 = size () in
+    let free0 = free () and writes0 = Simnet.Stats.get (Ffs.Blockdev.stats dev) "disk.writes" and size0 = size () in
     let hit = ref false and reply = ref None in
     (* discfs-lint: allow races "the writer alone sets [reply]; the poller only reads it, between scheduler steps" *)
     Sched.spawn sched (fun () -> reply := Some (CC.write cc fh ~off:(i * bs) (block i)));
@@ -433,7 +433,7 @@ let test_crash_under_survivor_write () =
   (* The indirect and data blocks are allocated, no write done yet. *)
   write_crashing "first indirect block" Ffs.Inode.n_direct
     ~window:(fun ~free0 ~writes0 ~size0:_ ->
-      free () = free0 - 2 && Ffs.Blockdev.writes dev = writes0);
+      free () = free0 - 2 && Simnet.Stats.get (Ffs.Blockdev.stats dev) "disk.writes" = writes0);
   Alcotest.(check int) "two restarts" 2 (Stats.get (Cluster.stats c) "server.restarts");
   let expect = String.concat "" (List.init (Ffs.Inode.n_direct + 1) block) in
   Alcotest.(check bool) "every block reads back" true (String.equal expect (CC.read_all cc fh));
@@ -605,7 +605,7 @@ let determinism_run () =
   note "clock %.9f" (Clock.now (Cluster.clock c));
   note "map v%d" (Shard_map.version (Cluster.map c));
   List.iter (fun (k, v) -> note "%s=%d" k v)
-    (List.sort compare (Stats.to_list (Cluster.stats c)));
+    (List.sort compare (Trace.Metrics.counters (Cluster.stats c)));
   Buffer.contents digest
 
 let test_byte_determinism () =

@@ -19,7 +19,7 @@ let test_counters_and_gauges () =
   let m = Metrics.create () in
   Alcotest.(check int) "absent counter reads 0" 0 (Metrics.counter m "x");
   Metrics.incr m "x";
-  Metrics.incr m "x" ~by:41;
+  Metrics.add m "x" 41;
   Alcotest.(check int) "incr accumulates" 42 (Metrics.counter m "x");
   Alcotest.(check bool) "absent gauge" true (Metrics.gauge m "g" = None);
   Metrics.set_gauge m "g" 1.5;
@@ -30,6 +30,28 @@ let test_counters_and_gauges () =
      List.map fst (Metrics.counters m));
   Metrics.reset m;
   Alcotest.(check int) "reset clears" 0 (Metrics.counter m "x")
+
+(* Every sealed packet bumps counters, so an increment of an existing
+   counter must not allocate. *)
+let test_counter_increment_allocates_nothing () =
+  let m = Metrics.create () in
+  Metrics.incr m "x";
+  Metrics.add m "y" 1;
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    Gc.minor_words () -. before
+  in
+  let baseline = minor_words (fun () -> ()) in
+  let words =
+    minor_words (fun () ->
+        for _ = 1 to 1000 do
+          Metrics.incr m "x";
+          Metrics.add m "y" 2
+        done)
+  in
+  Alcotest.(check (float 0.)) "no minor words" 0. (words -. baseline);
+  Alcotest.(check int) "counted" 1001 (Metrics.counter m "x")
 
 (* --- metrics: histogram properties ----------------------------------- *)
 
@@ -326,6 +348,8 @@ let test_traced_run_deterministic () =
 let suite =
   [
     Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
+    Alcotest.test_case "counter increments allocate nothing" `Quick
+      test_counter_increment_allocates_nothing;
     Alcotest.test_case "bucket monotonicity enforced" `Quick test_bucket_validation;
     QCheck_alcotest.to_alcotest prop_histogram_conservation;
     QCheck_alcotest.to_alcotest prop_histogram_merge;
