@@ -35,6 +35,9 @@
                                                           perturbation equivalence + the
                                                           dynamic race-checker gates;
                                                           default BENCH_race_explore.json)
+          dune exec bench/main.exe -- credstore          (credential-store add / miss
+                                                          query / epoch cost at 250,
+                                                          1000 and 4000 credentials)
           dune exec bench/main.exe -- trace              (JSONL span dump)
 
    Any other argument, a second mode, a flag the chosen mode does not
@@ -180,6 +183,96 @@ let chain_sweep () =
       let dt = (Sys.time () -. t0) /. float_of_int iterations in
       say "  %-6d %14.1f" n (dt *. 1e6))
     [ 1; 2; 4; 8; 12; 16 ]
+
+(* ------------------------------------------------------------------ *)
+(* credstore: credential-store cost per operation vs store size        *)
+(* ------------------------------------------------------------------ *)
+
+(* Wall microseconds and allocated words per operation on one server's
+   credential store, filled with one administrator -> user credential
+   per user. [add] is Session.add_credential of a fresh credential,
+   including its DSA signature check, which [verify] times alone on
+   the same credentials; a [miss] is an uncached Session.query for a
+   stored user; [epoch] is Server.credentials_changed, the bookkeeping
+   every credential change pays. Each figure is the median over
+   batches; words are minor-heap words (Gc.minor_words is exact where
+   the other GC counters lag until a collection). stdout only. *)
+let credstore () =
+  say "@.Credential store: wall us and allocated words per operation vs store size";
+  say "  (one admin -> user credential per user; add includes the DSA verify)";
+  let d = Discfs.Deploy.make ~seed:"credstore" () in
+  let server = Discfs.Deploy.server d in
+  let session = Discfs.Server.session server in
+  let drbg = Dcrypto.Drbg.create ~seed:"credstore-users" in
+  let users = ref [] in
+  let fresh () =
+    let key = Dcrypto.Dsa.generate_key drbg in
+    let p = Keynote.Assertion.principal_of_pub key.Dcrypto.Dsa.pub in
+    let cred =
+      Discfs.Cluster.admin_issue d ~licensees:(Printf.sprintf "\"%s\"" p)
+        ~conditions:
+          (Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"R\";"
+             (List.length !users))
+        ()
+    in
+    users := p :: !users;
+    cred
+  in
+  let admit cred =
+    match Keynote.Session.add_credential session cred with
+    | Ok () -> ()
+    | Error e -> failwith ("credstore: " ^ e)
+  in
+  (* Median per-op (us, words) of [op] over [batches] runs of [per] calls. *)
+  let measure ~batches ~per op =
+    let samples =
+      List.init batches (fun b ->
+          let w0 = Gc.minor_words () and t0 = Monotonic_clock.now () in
+          for i = 0 to per - 1 do
+            op ((b * per) + i)
+          done;
+          let dt = Int64.to_float (Int64.sub (Monotonic_clock.now ()) t0) in
+          (dt /. 1e3 /. float_of_int per, (Gc.minor_words () -. w0) /. float_of_int per))
+    in
+    let median f =
+      let a = Array.of_list (List.map f samples) in
+      Array.sort Float.compare a;
+      a.(Array.length a / 2)
+    in
+    (median fst, median snd)
+  in
+  say "  %6s | %9s %9s | %9s | %9s %9s | %9s %9s" "creds" "add us" "words" "verify us" "miss us"
+    "words" "epoch us" "words";
+  List.iter
+    (fun n ->
+      while Keynote.Session.size session < n do
+        admit (fresh ())
+      done;
+      let stored = Array.of_list !users in
+      let batches = 9 and per = 8 in
+      let extra = Array.init (batches * per) (fun _ -> fresh ()) in
+      let verify_us, _ =
+        measure ~batches ~per (fun i -> ignore (Keynote.Assertion.verify extra.(i)))
+      in
+      let add_us, add_w = measure ~batches ~per (fun i -> admit extra.(i)) in
+      (* Back to exactly [n] credentials for the other columns. *)
+      Array.iter
+        (fun c ->
+          ignore
+            (Keynote.Session.remove_credential session ~fingerprint:(Keynote.Assertion.fingerprint c)))
+        extra;
+      let attributes = [ ("app_domain", "DisCFS"); ("HANDLE", "0") ] in
+      let miss_us, miss_w =
+        measure ~batches ~per:64 (fun i ->
+            let requester = stored.(i * 7919 mod Array.length stored) in
+            ignore (Keynote.Session.query session ~requesters:[ requester ] ~attributes))
+      in
+      let epoch_us, epoch_w =
+        measure ~batches ~per:1000 (fun _ -> Discfs.Server.credentials_changed server)
+      in
+      say "  %6d | %9.1f %9.0f | %9.1f | %9.1f %9.0f | %9.3f %9.1f" n add_us add_w verify_us miss_us
+        miss_w epoch_us epoch_w)
+    [ 250; 1000; 4000 ]
 
 (* ------------------------------------------------------------------ *)
 (* S1: scalability — DisCFS vs key-based ACLs (WebFS style)            *)
@@ -1712,6 +1805,7 @@ let modes =
         (fun a ->
           race_explore ?json:a.json ~smoke:a.smoke ~nseeds:(Option.value a.seeds ~default:8) ())
     };
+    { name = "credstore"; flags = []; default_json = None; run = (fun _ -> credstore ()) };
     (* stdout is the JSONL span dump alone *)
     { name = "trace"; flags = []; default_json = None; run = (fun _ -> trace_dump ()) };
   ]

@@ -33,14 +33,14 @@ let set_race t m = t.race <- m
 
 (* The memo key: a SHA-1 over the requesting principal, the exact
    action-attribute set the compliance checker would see, and the
-   credential-set epoch. Hashing the *attributes* (not the handle)
+   credential-set epoch (a generation number). Hashing the *attributes* (not the handle)
    means anything that changes the KeyNote question — a renamed PATH,
    a bumped GENERATION, a different hour — naturally keys a different
    entry, with no flush-on-rename heuristics; folding in the epoch
    retires every entry the moment the credential set changes. *)
 let key ~peer ~attributes ~epoch =
   let buf = Buffer.create 256 in
-  Buffer.add_string buf epoch;
+  Buffer.add_string buf (string_of_int epoch);
   Buffer.add_char buf '\000';
   Buffer.add_string buf peer;
   List.iter

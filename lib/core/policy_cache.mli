@@ -8,10 +8,11 @@
     over the requesting principal, the complete action-attribute set
     the compliance checker would evaluate ([HANDLE], [GENERATION],
     [PATH], [hour], …) and the server's {e credential-set epoch} (a
-    fingerprint of the currently loaded credentials and revoked
-    keys, see {!Server}). Because everything the KeyNote query
-    depends on is folded into the key, a memoised level can never be
-    served for a different question: renaming a file changes [PATH],
+    generation number bumped on every change to the loaded
+    credentials or revoked keys, see {!Server}). Because everything
+    the KeyNote query depends on is folded into the key, a memoised
+    level can never be served for a different question: renaming a
+    file changes [PATH],
     crossing an hour boundary changes [hour], and loading or revoking
     a credential changes the epoch — each naturally keys a fresh
     entry, and the superseded ones age out of the LRU.
@@ -38,7 +39,7 @@ val set_race : t -> Race.monitor -> unit
     check-then-act windows closed by {!add} — epoch-keyed duplicate
     fills classify benign — and {!flush} wipes per-key state. *)
 
-val key : peer:string -> attributes:(string * string) list -> epoch:string -> string
+val key : peer:string -> attributes:(string * string) list -> epoch:int -> string
 (** The memo key: SHA-1 (hex) of a canonical encoding of the
     requesting principal, the action attributes (order-insensitive:
     they are sorted before hashing) and the credential-set epoch. *)

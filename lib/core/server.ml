@@ -36,8 +36,9 @@ type t = {
   hour : unit -> int;
   strict_handles : bool;
   mutable revoked_keys : string list;
-  mutable cred_epoch : string; (* fingerprint of the credential set, part of memo keys *)
+  mutable cred_epoch : int; (* credential-set generation, part of memo keys *)
   mutable audit : audit_entry list;
+  mutable audit_len : int; (* List.length audit *)
   mutable audit_enabled : bool;
 }
 
@@ -69,18 +70,6 @@ let attributes t ~ino =
 
 let is_revoked t principal =
   List.exists (Keynote.Ast.principal_equal principal) t.revoked_keys
-
-(* The credential-set epoch: a fingerprint of every loaded credential
-   plus the revoked-key list. It is folded into each memo key, so a
-   credential change retires all cached compliance results at once —
-   old entries become unreachable and age out of the LRU. *)
-let compute_epoch t =
-  let fps =
-    List.sort compare
-      (List.map Assertion.fingerprint (Session.credentials t.session))
-  in
-  let revoked = List.sort compare t.revoked_keys in
-  Dcrypto.Sha1.hex (String.concat "\n" (fps @ ("--revoked--" :: revoked)))
 
 let query_level t ~peer ~ino =
   Trace.span (trace t) "policy.check" @@ fun () ->
@@ -119,8 +108,11 @@ let record t ~peer ~op ~ino ~level ~granted =
   if t.audit_enabled then begin
     (* Bound the in-memory trail; a production server would roll it
        to stable storage instead of truncating. *)
-    if List.length t.audit >= audit_cap then
+    if t.audit_len >= audit_cap then begin
       t.audit <- List.filteri (fun i _ -> i < audit_cap / 2) t.audit;
+      t.audit_len <- audit_cap / 2
+    end;
+    t.audit_len <- t.audit_len + 1;
     t.audit <-
       {
         au_time = Clock.now (clock t);
@@ -181,11 +173,12 @@ let present_attr t ~conn (attr : Proto.fattr) =
 
 (* --- credential management ------------------------------------------ *)
 
-(* Every credential-set change rotates the epoch (making old memo
+(* The credential-set epoch is a generation counter folded into each
+   memo key. Every credential-set change bumps it (making old memo
    keys unreachable) *and* flushes eagerly — revoked authority must
    not survive even a hash collision. *)
-let flush_after_change t =
-  t.cred_epoch <- compute_epoch t;
+let credentials_changed t =
+  t.cred_epoch <- t.cred_epoch + 1;
   Policy_cache.flush t.cache
 
 let submit_credential t text =
@@ -200,7 +193,7 @@ let submit_credential t text =
     else begin
       match Session.add_credential t.session a with
       | Ok () ->
-        flush_after_change t;
+        credentials_changed t;
         Ok (Assertion.fingerprint a)
       | Error e -> Error e
     end
@@ -227,12 +220,11 @@ let issue_create_credential t ~peer ~ino ~name =
   (match Session.add_credential t.session cred with
   | Ok () -> ()
   | Error e -> failwith ("issued credential rejected by own session: " ^ e));
-  flush_after_change t;
+  credentials_changed t;
   cred
 
 let revoke_credential t ~peer ~fingerprint =
-  let creds = Session.credentials t.session in
-  match List.find_opt (fun a -> Assertion.fingerprint a = fingerprint) creds with
+  match Session.find_credential t.session ~fingerprint with
   | None -> Error "no such credential"
   | Some a ->
     let authorizer = a.Assertion.authorizer in
@@ -241,7 +233,7 @@ let revoke_credential t ~peer ~fingerprint =
       || Keynote.Ast.principal_equal peer (server_principal t)
     then begin
       ignore (Session.remove_credential t.session ~fingerprint);
-      flush_after_change t;
+      credentials_changed t;
       Ok ()
     end
     else Error "only the credential's authorizer may revoke it"
@@ -251,14 +243,8 @@ let revoke_key t ~peer ~principal ~admin_principal =
     Error "only the administrator may revoke keys"
   else begin
     t.revoked_keys <- principal :: t.revoked_keys;
-    (* Purge credentials authored by the revoked key. *)
-    List.iter
-      (fun a ->
-        if Keynote.Ast.principal_equal a.Assertion.authorizer principal then
-          ignore
-            (Session.remove_credential t.session ~fingerprint:(Assertion.fingerprint a)))
-      (Session.credentials t.session);
-    flush_after_change t;
+    ignore (Session.remove_authored t.session ~authorizer:principal);
+    credentials_changed t;
     Ok ()
   end
 
@@ -296,12 +282,12 @@ let create ~fs ~admin ~server_key ~drbg ?(cache_size = 128) ?(extra_policy = [])
       hour;
       strict_handles;
       revoked_keys = [];
-      cred_epoch = "";
+      cred_epoch = 0;
       audit = [];
+      audit_len = 0;
       audit_enabled;
     }
   in
-  t.cred_epoch <- compute_epoch t;
   Nfs.Server.set_hooks t.nfs
     {
       Nfs.Server.authorize = (fun ~conn ~fh ~op -> authorize t ~conn ~fh ~op);
@@ -437,6 +423,7 @@ let load_state t data =
   | creds, revoked, audit ->
     t.revoked_keys <- revoked;
     t.audit <- audit;
+    t.audit_len <- List.length audit;
     let admitted = ref 0 in
     let failures = ref [] in
     List.iter
@@ -451,6 +438,6 @@ let load_state t data =
             | Error m -> failures := m :: !failures
           end)
       creds;
-    flush_after_change t;
+    credentials_changed t;
     if !failures = [] then Ok !admitted
     else Error (String.concat "; " !failures)

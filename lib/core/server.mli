@@ -11,11 +11,11 @@
       X < W < WX < R < RX < RW < RWX], is interpreted as the octal
       rwx bits (paper §5).
     - An LRU {!Policy_cache} memoises query results under a SHA-1 of
-      (peer, action attributes, credential-set epoch). The epoch
-      fingerprints the loaded credentials and the revoked-key list;
-      any credential change rotates it (retiring every memoised
-      level) and flushes the cache eagerly. Credentials are
-      DSA-verified once at submission.
+      (peer, action attributes, credential-set epoch). The epoch is a
+      generation number: any change to the credentials or the
+      revoked-key list bumps it (retiring every memoised level) and
+      flushes the cache eagerly, in constant time whatever the store
+      size. Credentials are DSA-verified once at submission.
     - The extra DisCFS RPC program provides credential submission,
       the create/mkdir variants that return a fresh credential to the
       creator, and revocation of credentials or keys. *)
@@ -88,7 +88,8 @@ val server_key : t -> Dcrypto.Dsa.private_key
     to play the responder side of the IKE exchange. *)
 
 val audit_log : t -> audit_entry list
-(** Most recent first. *)
+(** Most recent first. The trail holds at most 10,000 entries: the
+    record that would exceed that first drops the older half. *)
 
 val set_audit : t -> bool -> unit
 
@@ -101,6 +102,14 @@ val query_level : t -> peer:string -> ino:int -> int
     exposed for tests and the benchmark harness. Consults the
     {!Policy_cache} under the current attribute set and epoch — a
     revoked requester is refused before the cache is looked at. *)
+
+val credentials_changed : t -> unit
+(** Bump the credential-set epoch (a generation number, never
+    persisted or compared across servers) and flush the
+    {!Policy_cache}. Every credential-set
+    change made through this module (submission, issue, revocation,
+    {!load_state}) calls it; a caller that changes {!session}
+    directly must call it too, or memoised levels go stale. *)
 
 val issue_create_credential : t -> peer:string -> ino:int -> name:string -> Keynote.Assertion.t
 (** The credential the create/mkdir procedures hand back: RWX on the

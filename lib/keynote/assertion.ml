@@ -8,6 +8,7 @@ type t = {
   signature : string option;
   body_text : string;
   full_text : string;
+  fingerprint : string;
 }
 
 exception Parse_error of string
@@ -142,6 +143,7 @@ let parse text =
     signature;
     body_text;
     full_text = text;
+    fingerprint = Dcrypto.Hexcodec.encode (String.sub (Dcrypto.Sha1.digest text) 0 8);
   }
 
 (* --- Construction -------------------------------------------------- *)
@@ -215,5 +217,4 @@ let signed_by t pub =
 
 let to_text t = t.full_text
 
-let fingerprint t =
-  Dcrypto.Hexcodec.encode (String.sub (Dcrypto.Sha1.digest t.full_text) 0 8)
+let fingerprint t = t.fingerprint

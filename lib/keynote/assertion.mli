@@ -25,6 +25,7 @@ type t = {
   signature : string option; (** Raw signature field value. *)
   body_text : string; (** Exact bytes covered by the signature. *)
   full_text : string; (** The complete assertion text. *)
+  fingerprint : string; (** See {!val-fingerprint}; computed once, by {!parse}. *)
 }
 
 exception Parse_error of string
@@ -82,4 +83,6 @@ val to_text : t -> string
 
 val fingerprint : t -> string
 (** Stable short id: hex of the first 8 bytes of SHA-1 of the full
-    text. Used for revocation lists and logs. *)
+    text, computed once when the assertion is parsed (so also by
+    {!issue} and {!policy}). Used for revocation lists, logs and the
+    session's credential table. *)

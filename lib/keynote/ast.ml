@@ -60,8 +60,12 @@ let is_key_principal p =
   | Some i -> i > 0 (* "alg:data" *)
   | None -> false
 
+(* Keys are almost always rendered lowercase already; return those
+   unchanged rather than copying ~800 bytes per comparison. *)
 let normalize_principal p =
-  if is_key_principal p then String.lowercase_ascii p else p
+  if is_key_principal p && String.exists (fun c -> c >= 'A' && c <= 'Z') p then
+    String.lowercase_ascii p
+  else p
 
 let principal_equal a b = String.equal (normalize_principal a) (normalize_principal b)
 

@@ -10,8 +10,16 @@
     licensees structure combines the recursively-computed values of
     the principals it names ([&&] is min, [||] is max, [k-of] is the
     k-th largest). Requesting principals evaluate to [_MAX_TRUST].
-    Cycles evaluate to [_MIN_TRUST]; memoisation keeps the walk
-    linear in the number of assertions. *)
+    Cycles evaluate to [_MIN_TRUST].
+
+    Assertions live in an {!Index} keyed by licensee principal. A
+    query first walks that index backwards from the requesters and
+    evaluates only the assertions it reaches: any other assertion
+    names no principal that can reach a requester, so its value is
+    [_MIN_TRUST] and skipping it changes nothing. With memoisation
+    the walk is linear in the {e relevant} assertions — the
+    delegation chains that end at a requester — not in the size of
+    the store. *)
 
 type query = {
   requesters : Ast.principal list; (** who signed the request *)
@@ -22,14 +30,54 @@ type query = {
 type result = {
   level : int; (** index into [values] *)
   value : string; (** [List.nth values level] *)
-  trace : string list; (** human-readable authorization path, for audit logs *)
+  trace : string list;
+      (** human-readable authorization path, for [keynote_check]; filled
+          only by the list entry point {!check}, empty from {!evaluate} *)
 }
+
+(** A by-licensee index of assertions, the form {!evaluate} walks. *)
+module Index : sig
+  type t
+
+  type entry
+  (** One indexed assertion; the handle {!remove} takes. *)
+
+  val create : unit -> t
+
+  val add : t -> ?policy:bool -> Assertion.t -> entry
+  (** Index an assertion under each (normalized) principal its
+      Licensees field names. [policy:true] marks local policy: the
+      assertion is treated as authored by [POLICY]. Adding the same
+      assertion twice indexes it twice; deduplication is the caller's
+      business. Cost is proportional to the assertion's licensees. *)
+
+  val remove : t -> entry -> unit
+  (** Drop an entry; cost is proportional to the entries sharing its
+      licensee principals, not to the index size. *)
+
+  val assertion : entry -> Assertion.t
+  (** As given to {!add} (with [authorizer = "POLICY"] for policy). *)
+
+  val issuer : entry -> Ast.principal
+  (** The normalized authorizer ({!Ast.normalize_principal}). *)
+
+  val seq : entry -> int
+  (** Rank in insertion order within its index. *)
+end
+
+val evaluate : Index.t -> query -> result
+(** Evaluate a query against an index, without signature checks (the
+    caller admitted only verified credentials) and without building a
+    [trace]. Among an issuer's assertions, later additions are visited
+    first, exactly as {!check} visits its lists. Raises
+    [Invalid_argument] if [values] is empty. *)
 
 val check :
   ?assume_verified:bool -> policy:Assertion.t list -> credentials:Assertion.t list -> query -> result
-(** Credentials that fail signature verification are ignored (with a
-    note in [trace]). [assume_verified] skips the per-query signature
-    re-check for credential sets that were verified on admission (the
-    DisCFS session does this, matching the prototype: DSA checks
-    happen once at submission time, not per NFS operation). Raises
+(** The list entry point: index [policy] then [credentials] in a
+    throwaway {!Index} and {!evaluate} it, recording in [trace] each
+    discarded credential and each contributing assertion. Credentials
+    that fail signature verification are ignored (with a note in
+    [trace]). [assume_verified] skips the signature check for
+    credential sets that were verified on admission. Raises
     [Invalid_argument] if [values] is empty. *)

@@ -200,18 +200,18 @@ let test_epoch_and_attributes_key_the_memo () =
   (* The memo key must separate everything the compliance checker
      sees: principal, attributes, credential-set epoch. *)
   let attrs = [ ("HANDLE", "7"); ("PATH", "/a") ] in
-  let k = Discfs.Policy_cache.key ~peer:"p1" ~attributes:attrs ~epoch:"e1" in
+  let k = Discfs.Policy_cache.key ~peer:"p1" ~attributes:attrs ~epoch:1 in
   Alcotest.(check string) "deterministic" k
-    (Discfs.Policy_cache.key ~peer:"p1" ~attributes:attrs ~epoch:"e1");
+    (Discfs.Policy_cache.key ~peer:"p1" ~attributes:attrs ~epoch:1);
   Alcotest.(check string) "attribute order canonicalised" k
-    (Discfs.Policy_cache.key ~peer:"p1" ~attributes:(List.rev attrs) ~epoch:"e1");
+    (Discfs.Policy_cache.key ~peer:"p1" ~attributes:(List.rev attrs) ~epoch:1);
   let different name k' = Alcotest.(check bool) name true (k <> k') in
   different "peer separates"
-    (Discfs.Policy_cache.key ~peer:"p2" ~attributes:attrs ~epoch:"e1");
+    (Discfs.Policy_cache.key ~peer:"p2" ~attributes:attrs ~epoch:1);
   different "attributes separate"
-    (Discfs.Policy_cache.key ~peer:"p1" ~attributes:[ ("HANDLE", "8"); ("PATH", "/a") ] ~epoch:"e1");
+    (Discfs.Policy_cache.key ~peer:"p1" ~attributes:[ ("HANDLE", "8"); ("PATH", "/a") ] ~epoch:1);
   different "epoch separates"
-    (Discfs.Policy_cache.key ~peer:"p1" ~attributes:attrs ~epoch:"e2")
+    (Discfs.Policy_cache.key ~peer:"p1" ~attributes:attrs ~epoch:2)
 
 (* --- client attribute cache ------------------------------------------ *)
 

@@ -573,6 +573,283 @@ let prop_chain_value_is_min =
       in
       r.Compliance.level = min v1 v2)
 
+(* --- Indexed store vs the list-scanning reference ------------------- *)
+
+(* The compliance checker as it was before the credential store was
+   indexed: every query rebuilds a by-authorizer table from the whole
+   list and walks it from POLICY. Kept verbatim as the oracle the
+   indexed evaluator must agree with, including the order in which an
+   issuer's assertions are visited (newest first), which decides what
+   a delegation cycle cuts. *)
+module Reference = struct
+  let special_attributes (q : Compliance.query) =
+    let n = List.length q.values in
+    [
+      ("_MIN_TRUST", List.nth q.values 0);
+      ("_MAX_TRUST", List.nth q.values (n - 1));
+      ("_VALUES", String.concat "," q.values);
+      ("_ACTION_AUTHORIZERS", String.concat "," q.requesters);
+    ]
+
+  let check ?(assume_verified = false) ~policy ~credentials (q : Compliance.query) =
+    let max_index = List.length q.values - 1 in
+    let value_index v =
+      let rec go i = function
+        | [] -> None
+        | x :: rest -> if String.equal x v then Some i else go (i + 1) rest
+      in
+      go 0 q.values
+    in
+    let trace = ref [] in
+    let note fmt = Printf.ksprintf (fun s -> trace := s :: !trace) fmt in
+    let by_authorizer : (string, Assertion.t list) Hashtbl.t = Hashtbl.create 16 in
+    let add_assertion key a =
+      let key = Ast.normalize_principal key in
+      Hashtbl.replace by_authorizer key
+        (a :: (try Hashtbl.find by_authorizer key with Not_found -> []))
+    in
+    List.iter (fun a -> add_assertion "POLICY" { a with Assertion.authorizer = "POLICY" }) policy;
+    List.iter
+      (fun a ->
+        if assume_verified || Assertion.verify a then add_assertion a.Assertion.authorizer a
+        else note "discarded credential %s: bad or missing signature" (Assertion.fingerprint a))
+      credentials;
+    let requesters = List.map Ast.normalize_principal q.requesters in
+    let specials = special_attributes q in
+    let memo : (string, int) Hashtbl.t = Hashtbl.create 16 in
+    let in_progress : (string, unit) Hashtbl.t = Hashtbl.create 16 in
+    let short_principal p = if String.length p > 24 then String.sub p 0 21 ^ "..." else p in
+    let rec principal_value p =
+      let p = Ast.normalize_principal p in
+      if List.mem p requesters then max_index
+      else
+        match Hashtbl.find_opt memo p with
+        | Some v -> v
+        | None ->
+          if Hashtbl.mem in_progress p then 0
+          else begin
+            Hashtbl.replace in_progress p ();
+            let assertions = try Hashtbl.find by_authorizer p with Not_found -> [] in
+            let v = List.fold_left (fun acc a -> max acc (assertion_value a)) 0 assertions in
+            Hashtbl.remove in_progress p;
+            Hashtbl.replace memo p v;
+            v
+          end
+    and assertion_value (a : Assertion.t) =
+      let env name =
+        match List.assoc_opt name a.Assertion.local_constants with
+        | Some v -> Some v
+        | None ->
+          (match List.assoc_opt name q.attributes with
+          | Some v -> Some v
+          | None -> List.assoc_opt name specials)
+      in
+      let conditions_value =
+        match a.Assertion.conditions with
+        | None -> max_index
+        | Some prog -> Expr.eval_program env ~value_index ~max_index prog
+      in
+      if conditions_value = 0 then 0
+      else begin
+        let licensees_value =
+          match a.Assertion.licensees with None -> 0 | Some l -> licensees_value l
+        in
+        let v = min conditions_value licensees_value in
+        if v > 0 then
+          note "assertion %s (authorizer %s) contributes %S" (Assertion.fingerprint a)
+            (short_principal a.Assertion.authorizer)
+            (List.nth q.values v);
+        v
+      end
+    and licensees_value = function
+      | Ast.Principal p -> principal_value p
+      | Ast.And (a, b) -> min (licensees_value a) (licensees_value b)
+      | Ast.Or (a, b) -> max (licensees_value a) (licensees_value b)
+      | Ast.Threshold (k, members) ->
+        let vs = List.map licensees_value members in
+        if List.length vs < k then 0
+        else List.nth (List.sort (fun a b -> compare b a) vs) (k - 1)
+    in
+    let level = principal_value "POLICY" in
+    { Compliance.level; value = List.nth q.values level; trace = List.rev !trace }
+end
+
+(* Random delegation graphs over a pool of five keys. Key 0 is the
+   administrator POLICY trusts outright; POLICY also grants RX on
+   HANDLE 1 to (key 1 || key 2). Credentials are issued by any key to
+   any licensee structure, so cycles are common. *)
+type lic =
+  | L_key of int * bool (* key index, rendered uppercase *)
+  | L_const of int (* the key, named through a Local-Constants entry *)
+  | L_and of lic * lic
+  | L_or of lic * lic
+  | L_kof of int * lic list
+
+type cred_spec = { issuer : int; lic : lic; cond : int }
+type op = Add of int | Remove of int | Revoke of int
+
+let pool_size = 5
+
+let pool =
+  lazy
+    (let d = Drbg.create ~seed:"keynote-oracle-pool" in
+     Array.init pool_size (fun _ -> Dsa.generate_key d))
+
+let conditions_table =
+  [|
+    ("true;", []);
+    ("app_domain == \"DisCFS\" -> \"R\";", []);
+    ("HANDLE == \"1\" -> \"RW\"; HANDLE == \"2\" -> \"X\";", []);
+    ("lvl == \"hi\" -> \"RWX\"; true -> \"W\";", [ ("lvl", "hi") ]);
+    ("app_domain == \"elsewhere\" -> \"RWX\";", []);
+    ("_ACTION_AUTHORIZERS ~= \"dsa-hex\" -> \"RX\";", []);
+  |]
+
+let gen_lic =
+  let open QCheck.Gen in
+  let key = int_bound (pool_size - 1) in
+  sized_size (int_bound 3)
+  @@ fix (fun self n ->
+         let leaf =
+           frequency
+             [ (4, map2 (fun k up -> L_key (k, up)) key (frequency [ (4, return false); (1, return true) ]));
+               (1, map (fun k -> L_const k) key) ]
+         in
+         if n = 0 then leaf
+         else
+           frequency
+             [ (3, leaf);
+               (1, map2 (fun a b -> L_and (a, b)) (self (n - 1)) (self (n - 1)));
+               (1, map2 (fun a b -> L_or (a, b)) (self (n - 1)) (self (n - 1)));
+               (1,
+                 list_size (int_range 1 3) (self (n - 1)) >>= fun members ->
+                 map (fun k -> L_kof (k, members)) (int_range 1 (List.length members))) ])
+
+let gen_case =
+  let open QCheck.Gen in
+  list_size (int_range 1 8)
+    (map3 (fun issuer lic cond -> { issuer; lic; cond }) (int_bound (pool_size - 1)) gen_lic
+       (int_bound (Array.length conditions_table - 1)))
+  >>= fun specs ->
+  let n = List.length specs in
+  list_size (int_range 1 14)
+    (frequency
+       [ (6, map (fun i -> Add i) (int_bound (n - 1)));
+         (2, map (fun i -> Remove i) (int_bound (n - 1)));
+         (1, map (fun k -> Revoke k) (int_bound (pool_size - 1))) ])
+  >|= fun ops -> (specs, ops)
+
+let rec render_lic keys = function
+  | L_key (k, up) ->
+    let p = key_str keys.(k) in
+    Printf.sprintf "\"%s\"" (if up then String.uppercase_ascii p else p)
+  | L_const k -> Printf.sprintf "K%d" k
+  | L_and (a, b) -> Printf.sprintf "(%s && %s)" (render_lic keys a) (render_lic keys b)
+  | L_or (a, b) -> Printf.sprintf "(%s || %s)" (render_lic keys a) (render_lic keys b)
+  | L_kof (k, ms) -> Printf.sprintf "%d-of(%s)" k (String.concat ", " (List.map (render_lic keys) ms))
+
+let rec lic_consts = function
+  | L_key _ -> []
+  | L_const k -> [ k ]
+  | L_and (a, b) | L_or (a, b) -> lic_consts a @ lic_consts b
+  | L_kof (_, ms) -> List.concat_map lic_consts ms
+
+let issue_spec keys d s =
+  let conditions, cond_consts = conditions_table.(s.cond) in
+  let local_constants =
+    List.map (fun k -> (Printf.sprintf "K%d" k, key_str keys.(k)))
+      (List.sort_uniq Int.compare (lic_consts s.lic))
+    @ cond_consts
+  in
+  Assertion.issue ~key:keys.(s.issuer) ~drbg:d ~local_constants ~licensees:(render_lic keys s.lic)
+    ~conditions ()
+
+let print_case (specs, ops) =
+  let rec pl = function
+    | L_key (k, up) -> Printf.sprintf "k%d%s" k (if up then "^" else "")
+    | L_const k -> Printf.sprintf "K%d" k
+    | L_and (a, b) -> Printf.sprintf "(%s && %s)" (pl a) (pl b)
+    | L_or (a, b) -> Printf.sprintf "(%s || %s)" (pl a) (pl b)
+    | L_kof (k, ms) -> Printf.sprintf "%d-of(%s)" k (String.concat ", " (List.map pl ms))
+  in
+  String.concat "; "
+    (List.mapi (fun i s -> Printf.sprintf "c%d: k%d -> %s [cond %d]" i s.issuer (pl s.lic) s.cond) specs)
+  ^ " | "
+  ^ String.concat " "
+      (List.map
+         (function
+           | Add i -> Printf.sprintf "+c%d" i
+           | Remove i -> Printf.sprintf "-c%d" i
+           | Revoke k -> Printf.sprintf "revoke k%d" k)
+         ops)
+
+let prop_indexed_matches_reference =
+  QCheck.Test.make ~name:"indexed session = list reference on random delegation graphs" ~count:40
+    (QCheck.make ~print:print_case gen_case)
+    (fun (specs, ops) ->
+      let keys = Lazy.force pool in
+      let d = Drbg.create ~seed:"keynote-oracle-nonces" in
+      let creds = Array.of_list (List.map (issue_spec keys d) specs) in
+      let policy =
+        [ policy_trusting keys.(0);
+          Assertion.policy
+            ~licensees:(Printf.sprintf "%s || %s" (quoted keys.(1)) (quoted keys.(2)))
+            ~conditions:"HANDLE == \"1\" -> \"RX\";" () ]
+      in
+      let session = Session.create ~values:octal_values ~policy () in
+      (* The model store: insertion order, deduplicated by fingerprint. *)
+      let model = ref [] in
+      let fp = Assertion.fingerprint in
+      let apply = function
+        | Add i ->
+          (match Session.add_credential session creds.(i) with
+          | Ok () -> ()
+          | Error e -> QCheck.Test.fail_reportf "add refused: %s" e);
+          if not (List.exists (fun a -> fp a = fp creds.(i)) !model) then
+            model := !model @ [ creds.(i) ]
+        | Remove i ->
+          let present = List.exists (fun a -> fp a = fp creds.(i)) !model in
+          model := List.filter (fun a -> fp a <> fp creds.(i)) !model;
+          if Session.remove_credential session ~fingerprint:(fp creds.(i)) <> present then
+            QCheck.Test.fail_reportf "remove c%d: presence disagrees" i
+        | Revoke k ->
+          let mine, rest =
+            List.partition
+              (fun a -> Ast.principal_equal a.Assertion.authorizer (key_str keys.(k)))
+              !model
+          in
+          model := rest;
+          let n = Session.remove_authored session ~authorizer:(key_str keys.(k)) in
+          if n <> List.length mine then
+            QCheck.Test.fail_reportf "revoke k%d purged %d, expected %d" k n (List.length mine)
+      in
+      let requester_sets =
+        [] :: [ String.uppercase_ascii (key_str keys.(3)) ] :: [ key_str keys.(1); key_str keys.(2) ]
+        :: List.init pool_size (fun k -> [ key_str keys.(k) ])
+      in
+      let attribute_sets =
+        [ [ ("app_domain", "DisCFS"); ("HANDLE", "1") ]; [ ("HANDLE", "2"); ("lvl", "lo") ] ]
+      in
+      let agree () =
+        if List.map fp (Session.credentials session) <> List.map fp !model then
+          QCheck.Test.fail_report "Session.credentials lost insertion order";
+        List.iter
+          (fun requesters ->
+            List.iter
+              (fun attributes ->
+                let q = { Compliance.requesters; attributes; values = octal_values } in
+                let want = Reference.check ~assume_verified:true ~policy ~credentials:!model q in
+                let got = Session.query session ~requesters ~attributes in
+                let listed = Compliance.check ~assume_verified:true ~policy ~credentials:!model q in
+                if got.Compliance.level <> want.Compliance.level then
+                  QCheck.Test.fail_reportf "session level %d, reference %d" got.level want.level;
+                if listed <> want then QCheck.Test.fail_report "list entry point disagrees")
+              attribute_sets)
+          requester_sets
+      in
+      List.iter (fun op -> apply op; agree ()) ops;
+      true)
+
 let suite =
   [
     Alcotest.test_case "numeric operators" `Quick test_numeric_ops;
@@ -603,4 +880,5 @@ let suite =
     Alcotest.test_case "empty licensees" `Quick test_empty_licensees_grants_nothing;
     Alcotest.test_case "persistent session" `Quick test_session;
     QCheck_alcotest.to_alcotest prop_chain_value_is_min;
+    QCheck_alcotest.to_alcotest prop_indexed_matches_reference;
   ]

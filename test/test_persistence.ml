@@ -205,11 +205,64 @@ let prop_image_roundtrip =
       in
       walk fs root = walk fs2 (Ffs.Fs.root fs2))
 
+let test_audit_cap_after_load () =
+  (* A restored trail already at the cap: the next decision halves it
+     (keeping the newest half) and lands on top, and the result
+     persists unchanged. *)
+  let d = Deploy.make ~seed:"audit-cap" () in
+  let loaded =
+    List.init 10_000 (fun i ->
+        { Server.au_time = float_of_int (10_000 - i); au_peer = "peer"; au_op = "getattr";
+          au_ino = i; au_value = "R"; au_granted = true })
+  in
+  let e = Xdr.Enc.create () in
+  Xdr.Enc.uint32 e 0;
+  Xdr.Enc.uint32 e 0;
+  Xdr.Enc.uint32 e (List.length loaded);
+  List.iter
+    (fun a ->
+      Xdr.Enc.uint64 e (Int64.bits_of_float a.Server.au_time);
+      Xdr.Enc.string e a.Server.au_peer;
+      Xdr.Enc.string e a.Server.au_op;
+      Xdr.Enc.uint32 e a.Server.au_ino;
+      Xdr.Enc.string e a.Server.au_value;
+      Xdr.Enc.uint32 e 1)
+    loaded;
+  (match Server.load_state (Deploy.server d) (Xdr.Enc.to_string e) with
+  | Ok 0 -> ()
+  | Ok n -> Alcotest.failf "%d credentials from an empty store" n
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check int) "loaded trail" 10_000 (List.length (Server.audit_log (Deploy.server d)));
+  let fs = Cluster.fs d in
+  let ino = Ffs.Fs.create_file fs (Ffs.Fs.root fs) "secret" ~perms:0o600 ~uid:0 in
+  let eve = CC.attach d ~identity:(Cluster.new_identity d) ~uid:99 () in
+  (match CC.read eve { Proto.ino; gen = Ffs.Fs.generation fs ino } ~off:0 ~count:16 with
+  | _ -> Alcotest.fail "read without a credential granted"
+  | exception Proto.Nfs_error code -> Alcotest.(check int) "denied" Proto.nfserr_acces code);
+  let trail = Server.audit_log (Deploy.server d) in
+  Alcotest.(check int) "halved, plus the denial" 5_001 (List.length trail);
+  (match trail with
+  | newest :: rest ->
+    Alcotest.(check string) "newest is the read" "read" newest.Server.au_op;
+    Alcotest.(check bool) "newest was denied" false newest.Server.au_granted;
+    Alcotest.(check int) "newest target" ino newest.Server.au_ino;
+    Alcotest.(check (list int)) "the newer half survives, in order" (List.init 5_000 Fun.id)
+      (List.map (fun a -> a.Server.au_ino) rest)
+  | [] -> Alcotest.fail "empty trail");
+  let state = Server.save_state (Deploy.server d) in
+  let d2 = Deploy.make ~seed:"audit-cap-reload" () in
+  (match Server.load_state (Deploy.server d2) state with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  Alcotest.(check bool) "survives save/load" true (Server.audit_log (Deploy.server d2) = trail);
+  Alcotest.(check string) "save bytes are stable" state (Server.save_state (Deploy.server d2))
+
 let suite =
   [
     Alcotest.test_case "fs image roundtrip" `Quick test_fs_image_roundtrip;
     Alcotest.test_case "fs image error handling" `Quick test_fs_image_errors;
     Alcotest.test_case "server restart keeps credentials" `Quick test_server_restart;
     Alcotest.test_case "corrupt server state rejected" `Quick test_server_state_corruption;
+    Alcotest.test_case "audit cap after a loaded full trail" `Quick test_audit_cap_after_load;
     QCheck_alcotest.to_alcotest prop_image_roundtrip;
   ]
