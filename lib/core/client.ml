@@ -120,18 +120,16 @@ let discfs_call t ~proc body =
   Rpc.call t.rpc ~prog:Server.discfs_prog ~vers:Server.discfs_vers ~proc (Xdr.Enc.to_string e)
 
 let submit_credential_text t text =
-  let reply = discfs_call t ~proc:Server.discfsproc_submit (fun e -> Xdr.Enc.string e text) in
-  let d = Xdr.Dec.of_string reply in
+  let d = discfs_call t ~proc:Server.discfsproc_submit (fun e -> Xdr.Enc.string e text) in
   if Xdr.Dec.uint32 d = 0 then Ok (Xdr.Dec.string d) else Error (Xdr.Dec.string d)
 
 let make_node proc t ~dir name ?(perms = 0o644) () =
-  let reply =
+  let d =
     discfs_call t ~proc (fun e ->
         Proto.fh_encode e dir;
         Xdr.Enc.string e name;
         Proto.sattr_encode e { Proto.sattr_none with Proto.s_mode = Some perms })
   in
-  let d = Xdr.Dec.of_string reply in
   if Xdr.Dec.uint32 d <> 0 then raise (Discfs_error (Xdr.Dec.string d));
   let fh = Proto.fh_decode d in
   let attr = Proto.fattr_decode d in
@@ -142,8 +140,7 @@ let make_node proc t ~dir name ?(perms = 0o644) () =
 let create t ~dir name = make_node Server.discfsproc_create t ~dir name
 let mkdir t ~dir name = make_node Server.discfsproc_mkdir t ~dir name
 
-let simple_result reply =
-  let d = Xdr.Dec.of_string reply in
+let simple_result d =
   if Xdr.Dec.uint32 d = 0 then Ok () else Error (Xdr.Dec.string d)
 
 let revoke_credential t ~fingerprint =

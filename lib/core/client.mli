@@ -55,7 +55,7 @@ val root : t -> Nfs.Proto.fh
 val server_principal : t -> string
 (** The key this connection authenticated in IKE. *)
 
-val call : t -> prog:int -> vers:int -> proc:int -> string -> string
+val call : t -> prog:int -> vers:int -> proc:int -> string -> Xdr.Dec.t
 (** A raw RPC on this connection (the cluster control program). *)
 
 val submit_credential_text : t -> string -> (string, string) result

@@ -212,21 +212,19 @@ let peer_conn t ~from ~target =
 
 (* --- the cluster control program ------------------------------------- *)
 
-let ok_reply body =
-  let e = Xdr.Enc.create () in
+let ok_reply e body =
   Xdr.Enc.uint32 e 0;
   body e;
-  Ok (Xdr.Enc.to_string e)
+  Ok ()
 
-let err_reply msg =
-  let e = Xdr.Enc.create () in
+let err_reply e msg =
   Xdr.Enc.uint32 e 1;
   Xdr.Enc.string e msg;
-  Ok (Xdr.Enc.to_string e)
+  Ok ()
 
-let handle_cluster t node ~(conn : Rpc.conn_info) ~proc ~args =
-  let d = Xdr.Dec.of_string args in
-  if proc = 0 then Ok ""
+let handle_cluster t node ~(conn : Rpc.conn_info) ~proc ~args:d e =
+  let ok_reply = ok_reply e and err_reply = err_reply e in
+  if proc = 0 then Ok ()
   else if proc = clusterproc_getmap then begin
     (* GETMAP: args = the caller's cached version; the reply carries
        the full map only when the cache is stale, so steady-state
@@ -298,8 +296,7 @@ let wire_node t node =
       ~in_flight:(Race.monitor ctx "rpc.inflight");
     Policy_cache.set_race (Server.cache node.n_server) (Race.monitor ctx "policy"));
   Server.attach_rpc node.n_server node.n_rpc;
-  Rpc.register node.n_rpc ~prog:cluster_prog ~vers:cluster_vers (fun ~conn ~proc ~args ->
-      handle_cluster t node ~conn ~proc ~args);
+  Rpc.register node.n_rpc ~prog:cluster_prog ~vers:cluster_vers (handle_cluster t node);
   Nfs.Server.set_route (Server.nfs node.n_server) (fun ~conn ~fh ~op -> route t node ~conn ~fh ~op)
 
 (* --- lease management ------------------------------------------------ *)
@@ -316,8 +313,7 @@ let renew_lease t ~shard ~server =
             (Xdr.Enc.to_string e)
     with
     | exception Rpc.Rpc_timeout _ -> Error "lease request timed out"
-    | reply ->
-      let d = Xdr.Dec.of_string reply in
+    | d ->
       if Xdr.Dec.uint32 d <> 0 then Error (Xdr.Dec.string d)
       else begin
         let expiry = Int64.float_of_bits (Xdr.Dec.uint64 d) in

@@ -110,11 +110,10 @@ let refresh_map t =
   if Cluster.nservers t.cluster > 1 then begin
     let e = Xdr.Enc.create () in
     Xdr.Enc.uint32 e (Shard_map.version t.map);
-    let reply =
+    let d =
       Client.call (conn t t.home) ~prog:Cluster.cluster_prog ~vers:Cluster.cluster_vers
         ~proc:Cluster.clusterproc_getmap (Xdr.Enc.to_string e)
     in
-    let d = Xdr.Dec.of_string reply in
     if Xdr.Dec.uint32 d = 0 && Xdr.Dec.bool d then begin
       t.map <- Shard_map.decode d;
       Stats.incr (stats t) "topo.map_refreshes"

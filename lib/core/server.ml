@@ -298,17 +298,15 @@ let create ~fs ~admin ~server_key ~drbg ?(cache_size = 128) ?(extra_policy = [])
 
 (* --- the DisCFS RPC program ------------------------------------------ *)
 
-let ok_reply body =
-  let e = Xdr.Enc.create () in
+let ok_reply e body =
   Xdr.Enc.uint32 e 0;
   body e;
-  Ok (Xdr.Enc.to_string e)
+  Ok ()
 
-let err_reply msg =
-  let e = Xdr.Enc.create () in
+let err_reply e msg =
   Xdr.Enc.uint32 e 1;
   Xdr.Enc.string e msg;
-  Ok (Xdr.Enc.to_string e)
+  Ok ()
 
 let discfs_proc_name proc =
   if proc = discfsproc_submit then "submit"
@@ -318,9 +316,9 @@ let discfs_proc_name proc =
   else if proc = discfsproc_revoke_key then "revoke_key"
   else string_of_int proc
 
-let handle_discfs t admin_principal ~conn ~proc ~args =
-  let d = Xdr.Dec.of_string args in
-  if proc = 0 then Ok ""
+let handle_discfs t admin_principal ~conn ~proc ~args:d e =
+  let ok_reply = ok_reply e and err_reply = err_reply e in
+  if proc = 0 then Ok ()
   else
   Trace.span (trace t) ("discfs." ^ discfs_proc_name proc) @@ fun () ->
   if proc = discfsproc_submit then begin
@@ -372,8 +370,8 @@ let attach_rpc t rpc_server =
       | _ -> "")
     | [] -> ""
   in
-  Rpc.register rpc_server ~prog:discfs_prog ~vers:discfs_vers (fun ~conn ~proc ~args ->
-      handle_discfs t admin_principal ~conn ~proc ~args)
+  Rpc.register rpc_server ~prog:discfs_prog ~vers:discfs_vers
+    (handle_discfs t admin_principal)
 
 (* --- persistence ------------------------------------------------------ *)
 

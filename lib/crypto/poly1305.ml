@@ -6,11 +6,7 @@
 
 let tag_size = 16
 
-let le32 s off =
-  Char.code s.[off]
-  lor (Char.code s.[off + 1] lsl 8)
-  lor (Char.code s.[off + 2] lsl 16)
-  lor (Char.code s.[off + 3] lsl 24)
+let le32 s off = Int32.to_int (String.get_int32_le s off) land 0xffffffff
 
 let mask26 = (1 lsl 26) - 1
 
@@ -28,16 +24,23 @@ let mac_sub ~key msg ~off ~len =
   let s1 = 5 * r1 and s2 = 5 * r2 and s3 = 5 * r3 and s4 = 5 * r4 in
   let h0 = ref 0 and h1 = ref 0 and h2 = ref 0 and h3 = ref 0 and h4 = ref 0 in
   let stop = off + len in
-  let block = Bytes.make 17 '\000' in
+  (* Full 16-byte blocks are read straight from [msg] with the 2^128
+     pad bit; only a final partial block is staged, zero-padded with
+     its 2^(8n) bit, through this buffer. *)
+  let staged = Bytes.make 17 '\000' in
   let pos = ref off in
   while !pos < stop do
     let n = min 16 (stop - !pos) in
-    Bytes.fill block 0 17 '\000';
-    Bytes.blit_string msg !pos block 0 n;
-    Bytes.set block n '\001' (* the 2^(8n) bit *);
-    let b = Bytes.unsafe_to_string block in
-    let t0 = le32 b 0 and t1 = le32 b 4 and t2 = le32 b 8 and t3 = le32 b 12 in
-    let t4 = Char.code b.[16] in
+    let full = n = 16 in
+    if not full then begin
+      Bytes.blit_string msg !pos staged 0 n;
+      Bytes.set staged n '\001'
+    end;
+    let b = if full then msg else Bytes.unsafe_to_string staged in
+    let at = if full then !pos else 0 in
+    let t0 = le32 b at and t1 = le32 b (at + 4) and t2 = le32 b (at + 8) in
+    let t3 = le32 b (at + 12) in
+    let t4 = if full then 1 else 0 in
     h0 := !h0 + (t0 land 0x3ffffff);
     h1 := !h1 + (((t0 lsr 26) lor (t1 lsl 6)) land 0x3ffffff);
     h2 := !h2 + (((t1 lsr 20) lor (t2 lsl 12)) land 0x3ffffff);
@@ -70,11 +73,21 @@ let mac_sub ~key msg ~off ~len =
     pos := !pos + n
   done;
   (* Full carry and reduce below 2^130 - 5. *)
-  let c = ref 0 in
-  let carry h = let v = !h + !c in c := v lsr 26; h := v land mask26 in
-  c := 0; carry h1; carry h2; carry h3; carry h4;
-  h0 := !h0 + (!c * 5);
-  c := 0; carry h0; h1 := !h1 + !c;
+  let c = !h1 lsr 26 in
+  h1 := !h1 land mask26;
+  h2 := !h2 + c;
+  let c = !h2 lsr 26 in
+  h2 := !h2 land mask26;
+  h3 := !h3 + c;
+  let c = !h3 lsr 26 in
+  h3 := !h3 land mask26;
+  h4 := !h4 + c;
+  let c = !h4 lsr 26 in
+  h4 := !h4 land mask26;
+  h0 := !h0 + (c * 5);
+  let c = !h0 lsr 26 in
+  h0 := !h0 land mask26;
+  h1 := !h1 + c;
   (* Compute h + 5 - 2^130; select it if non-negative. *)
   let g0 = !h0 + 5 in
   let c0 = g0 lsr 26 in
@@ -103,16 +116,10 @@ let mac_sub ~key msg ~off ~len =
   let f2 = f2 + k2 + (f1 lsr 32) in
   let f3 = f3 + k3 + (f2 lsr 32) in
   let out = Bytes.create 16 in
-  let put32 off v =
-    Bytes.set out off (Char.chr (v land 0xff));
-    Bytes.set out (off + 1) (Char.chr ((v lsr 8) land 0xff));
-    Bytes.set out (off + 2) (Char.chr ((v lsr 16) land 0xff));
-    Bytes.set out (off + 3) (Char.chr ((v lsr 24) land 0xff))
-  in
-  put32 0 f0;
-  put32 4 f1;
-  put32 8 f2;
-  put32 12 f3;
-  Bytes.to_string out
+  Bytes.set_int32_le out 0 (Int32.of_int f0);
+  Bytes.set_int32_le out 4 (Int32.of_int f1);
+  Bytes.set_int32_le out 8 (Int32.of_int f2);
+  Bytes.set_int32_le out 12 (Int32.of_int f3);
+  Bytes.unsafe_to_string out
 
 let mac ~key msg = mac_sub ~key msg ~off:0 ~len:(String.length msg)

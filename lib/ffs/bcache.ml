@@ -62,7 +62,9 @@ let push_front t n =
   (match t.mru with Some m -> m.prev <- Some n | None -> t.lru <- Some n);
   t.mru <- Some n
 
-let find t i =
+(* The cache never writes a stored block in place — an update swaps
+   in a fresh copy — so the block handed out here stays as it was. *)
+let find_shared t i =
   if t.capacity = 0 then None
   else
   match Hashtbl.find_opt t.nodes i with
@@ -71,13 +73,15 @@ let find t i =
     Race.read t.race ~key:(string_of_int i);
     unlink t n;
     push_front t n;
-    Some (Bytes.copy n.data)
+    Some n.data
   | None ->
     t.misses <- t.misses + 1;
     (* A miss opens a check-then-act window: the caller will go to
        disk (yielding) and fill this index on return. *)
     Race.check t.race ~key:(string_of_int i);
     None
+
+let find t i = Option.map Bytes.copy (find_shared t i)
 
 let mem t i =
   if Hashtbl.mem t.nodes i then true

@@ -7,8 +7,9 @@
     operations are O(1): recency is an intrusive doubly-linked list
     threaded through the hash-table nodes.
 
-    Stored blocks are defensively copied on both {!insert} and
-    {!find}, so callers can keep mutating their buffers. *)
+    Stored blocks are defensively copied on {!insert} and {!find}, so
+    callers can keep mutating their buffers; {!find_shared} is the
+    read-only exception. *)
 
 type t
 
@@ -20,6 +21,12 @@ val create : capacity:int -> t
 val find : t -> int -> bytes option
 (** [find t i] is a copy of cached block [i], refreshing its recency;
     counts a hit or a miss. *)
+
+val find_shared : t -> int -> bytes option
+(** {!find} without the copy: the cached block itself, with the same
+    recency and hit/miss accounting. The cache never modifies a stored
+    block in place (an update stores a fresh copy), so the result
+    keeps its contents; the caller must not write to it. *)
 
 val mem : t -> int -> bool
 (** Presence test that does not touch recency or the hit/miss

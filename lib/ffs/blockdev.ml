@@ -115,17 +115,19 @@ let prefetch t i =
     end
   end
 
-let read t i =
+(* [on_hit] maps a cache-owned block to what the caller may keep; a
+   miss already yields a private transfer buffer. *)
+let read_with t i ~on_hit =
   check t i;
   let sequential = i = t.last_req + 1 in
   t.last_req <- i;
   let gen = Bcache.generation t.cache in
-  match Bcache.find t.cache i with
+  match Bcache.find_shared t.cache i with
   | Some data ->
     (* Buffer-cache hit: served from server memory — no head motion,
        no virtual time, no disk span. *)
     Stats.incr t.stats "bcache.hits";
-    data
+    on_hit data
   | None ->
     if Bcache.capacity t.cache > 0 then Stats.incr t.stats "bcache.misses";
     let data =
@@ -152,6 +154,9 @@ let read t i =
     in
     if sequential then prefetch t i;
     data
+
+let read t i = read_with t i ~on_hit:Bytes.copy
+let read_shared t i = read_with t i ~on_hit:Fun.id
 
 let write t i b =
   check t i;

@@ -79,6 +79,13 @@ val read : t -> int -> bytes
 (** [read t i] returns a copy of block [i] (zeros if never written).
     Raises [Invalid_argument] if out of range. *)
 
+val read_shared : t -> int -> bytes
+(** {!read} without the private copy, with identical hit, miss,
+    charge and prefetch accounting: on a cache hit the result is the
+    cache's own block. Read-only — the caller must neither write to
+    it nor expect it to follow later writes. For read paths that copy
+    the bytes straight to their destination. *)
+
 val write : t -> int -> bytes -> unit
 (** [write t i b] stores a full block; [b] must be exactly
     [block_size] long. Write-through: the platter is updated (and

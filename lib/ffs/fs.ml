@@ -233,21 +233,21 @@ let read_raw t (i : Inode.t) ~off ~len =
   if len = 0 then ""
   else begin
     let bs = block_size t in
-    let buf = Buffer.create len in
+    (* The result is allocated once at its exact size and each block
+       is copied into it straight from the device's (possibly
+       cache-owned) buffer. *)
+    let buf = Bytes.create len in
     let pos = ref off in
     while !pos < off + len do
       let fblock = !pos / bs and boff = !pos mod bs in
       let n = min (bs - boff) (off + len - !pos) in
       let b = bmap t i fblock ~alloc:false in
-      if b = 0 then Buffer.add_string buf (String.make n '\000')
-      else begin
-        let raw = Blockdev.read t.dev b in
-        Buffer.add_subbytes buf raw boff n
-      end;
+      if b = 0 then Bytes.fill buf (!pos - off) n '\000'
+      else Bytes.blit (Blockdev.read_shared t.dev b) boff buf (!pos - off) n;
       pos := !pos + n
     done;
     i.Inode.atime <- now t;
-    Buffer.contents buf
+    Bytes.unsafe_to_string buf
   end
 
 let write_raw t (i : Inode.t) ~off data =

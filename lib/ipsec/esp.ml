@@ -40,9 +40,7 @@ let nonce_of_seq seq = "\000\000\000\000" ^ be64 seq
 (* AEAD construction in the RFC 8439 style: the Poly1305 one-time key
    is keystream block 0; the tag covers header ("AAD") and
    ciphertext. *)
-let tag_of ~key ~nonce header ciphertext =
-  let otk = String.sub (Dcrypto.Chacha20.block ~key ~nonce ~counter:0) 0 32 in
-  Dcrypto.Poly1305.mac ~key:otk (header ^ ciphertext)
+let one_time_key ~key ~nonce = String.sub (Dcrypto.Chacha20.block ~key ~nonce ~counter:0) 0 32
 
 (* 3DES-HMAC-SHA1 subkeys derived from the 32-byte SA key. *)
 let tdes_keys sa =
@@ -56,64 +54,61 @@ let tdes_tag_len = 12 (* HMAC-SHA1-96 *)
 let tdes_iv sa seq =
   String.sub (Dcrypto.Hmac.sha256 ~key:(Dcrypto.Secret.reveal (Sa.key sa)) ("iv" ^ be64 seq)) 0 8
 
-(* --- single-allocation seal over a message arena --------------------- *)
+(* --- seal ------------------------------------------------------------- *)
 
-(* A caller that wants the fused encode->seal path builds its message
-   inside [arena_enc a]: the constructor pre-reserves the 12 header
-   bytes at the front, the payload is appended behind them, and
-   [seal_arena] patches the header, encrypts the payload in place and
-   appends the tag — no copy of the message between XDR encode and
-   the wire string. *)
-type arena = { a_enc : Xdr.Enc.t; a_hdr : Xdr.Enc.patch }
-
-let arena () =
-  (* discfs-lint: allow hotpath-alloc "the arena itself: the one allocation the fused pipeline amortizes" *)
-  let e = Xdr.Enc.create () in
-  { a_enc = e; a_hdr = Xdr.Enc.reserve e header_len }
-
-let arena_enc a = a.a_enc
-
-let seal_arena sa a =
+(* The one seal core: charge, take the next sequence number, and turn
+   [src.[off .. off+len)] into the wire packet. Under ChaCha20 the
+   packet is the one allocation: the header is written in place, the
+   payload is encrypted from [src] straight into it, and the tag MACs
+   the packet prefix where it lies. [src] is only read. *)
+let seal_sub sa src ~off ~len =
   Trace.span (Sa.trace sa) "esp.seal" @@ fun () ->
-  let e = a.a_enc in
-  let payload_len = Xdr.Enc.length e - header_len in
-  charge sa (payload_len + overhead);
+  charge sa (len + overhead);
   let seq = Sa.next_seq sa in
-  Xdr.Enc.patch_raw e a.a_hdr (be32 (Sa.spi sa) ^ be64 seq);
   match Sa.cipher sa with
   | Sa.Chacha20_poly1305 ->
     let key = Dcrypto.Secret.reveal (Sa.key sa) in
     let nonce = nonce_of_seq seq in
-    Dcrypto.Chacha20.xor_into ~key ~nonce ~counter:1 (Xdr.Enc.bytes e) ~off:header_len
-      ~len:payload_len;
-    let otk = String.sub (Dcrypto.Chacha20.block ~key ~nonce ~counter:0) 0 32 in
-    (* The tag covers header + ciphertext, which is exactly the arena
-       prefix written so far; MAC it in place before the tag itself is
-       appended. (unsafe_to_string: read-only view, no writes until
-       the raw append below.) *)
+    let pkt = Bytes.create (header_len + len + tag_len) in
+    Bytes.set_int32_be pkt 0 (Int32.of_int (Sa.spi sa));
+    Bytes.set_int64_be pkt 4 (Int64.of_int seq);
+    Dcrypto.Chacha20.xor_from ~key ~nonce ~counter:1 src ~src_off:off pkt ~off:header_len ~len;
+    (* unsafe_to_string: a read-only view for the MAC; the tag is
+       written behind the range it covers. *)
     let tag =
-      Dcrypto.Poly1305.mac_sub ~key:otk
-        (Bytes.unsafe_to_string (Xdr.Enc.bytes e))
-        ~off:0 ~len:(Xdr.Enc.length e)
+      Dcrypto.Poly1305.mac_sub ~key:(one_time_key ~key ~nonce) (Bytes.unsafe_to_string pkt)
+        ~off:0 ~len:(header_len + len)
     in
-    Xdr.Enc.raw e tag;
-    Xdr.Enc.to_string e
+    Bytes.blit_string tag 0 pkt (header_len + len) tag_len;
+    Bytes.unsafe_to_string pkt
   | Sa.Tdes_hmac_sha1 ->
-    (* CBC padding re-blocks the payload, so there is no in-place win;
-       the legacy transform keeps the copying path. *)
-    let header =
-      Bytes.sub_string (Xdr.Enc.bytes e) 0 header_len
-    in
-    let payload = Bytes.sub_string (Xdr.Enc.bytes e) header_len payload_len in
+    (* CBC padding re-blocks the payload, so there is no one-copy
+       win; the legacy transform keeps the copying path. *)
+    let header = be32 (Sa.spi sa) ^ be64 seq in
     let enc_key, auth_key = tdes_keys sa in
-    let ciphertext = Dcrypto.Des.Triple.cbc_encrypt ~key:enc_key ~iv:(tdes_iv sa seq) payload in
+    let ciphertext =
+      Dcrypto.Des.Triple.cbc_encrypt ~key:enc_key ~iv:(tdes_iv sa seq) (String.sub src off len)
+    in
     let tag = String.sub (Dcrypto.Hmac.sha1 ~key:auth_key (header ^ ciphertext)) 0 tdes_tag_len in
     header ^ ciphertext ^ tag
 
-let seal sa payload =
-  let a = arena () in
-  Xdr.Enc.raw (arena_enc a) payload;
-  seal_arena sa a
+let seal sa payload = seal_sub sa payload ~off:0 ~len:(String.length payload)
+
+(* A caller that wants the fused encode->seal path builds its message
+   inside [arena_enc a]; [seal_arena] encrypts the arena's bytes
+   straight into the wire packet. The arena is only read, so one
+   arena can be sealed again — each time under a fresh sequence
+   number — for a retransmission. *)
+type arena = Xdr.Enc.t
+
+let arena () =
+  (* discfs-lint: allow hotpath-alloc "the arena itself: the one allocation the fused pipeline amortizes" *)
+  Xdr.Enc.create ()
+
+let arena_enc a = a
+
+let seal_arena sa a =
+  seal_sub sa (Bytes.unsafe_to_string (Xdr.Enc.bytes a)) ~off:0 ~len:(Xdr.Enc.length a)
 
 (* A packet failing the shape checks below never reaches a slice or
    the crypto; every such drop lands under one metric so a flood of
@@ -139,19 +134,25 @@ let open_ sa packet =
   let spi = read_be32 packet 0 in
   if spi <> Sa.spi sa then raise (Esp_error (Printf.sprintf "unknown SPI %d" spi));
   let seq = read_be64 packet 4 in
-  let header = String.sub packet 0 header_len in
   match Sa.cipher sa with
   | Sa.Chacha20_poly1305 ->
     let key = Dcrypto.Secret.reveal (Sa.key sa) in
-    let ciphertext = String.sub packet header_len (n - overhead) in
-    let tag = String.sub packet (n - tag_len) tag_len in
     let nonce = nonce_of_seq seq in
-    let expected = tag_of ~key ~nonce header ciphertext in
+    (* MAC the header + ciphertext prefix where it lies, then decrypt
+       straight into the plaintext: one payload-sized allocation. *)
+    let expected =
+      Dcrypto.Poly1305.mac_sub ~key:(one_time_key ~key ~nonce) packet ~off:0 ~len:(n - tag_len)
+    in
+    let tag = String.sub packet (n - tag_len) tag_len in
     if not (Dcrypto.Hmac.equal tag expected) then raise (Esp_error "authentication failed");
     if not (Sa.replay_check sa seq) then
       raise (Esp_error (Printf.sprintf "replayed sequence %d" seq));
-    Dcrypto.Chacha20.crypt ~key ~nonce ~counter:1 ciphertext
+    let len = n - overhead in
+    let plain = Bytes.create len in
+    Dcrypto.Chacha20.xor_from ~key ~nonce ~counter:1 packet ~src_off:header_len plain ~off:0 ~len;
+    Bytes.unsafe_to_string plain
   | Sa.Tdes_hmac_sha1 ->
+    let header = String.sub packet 0 header_len in
     let enc_key, auth_key = tdes_keys sa in
     let ciphertext = String.sub packet header_len (n - header_len - tdes_tag_len) in
     let tag = String.sub packet (n - tdes_tag_len) tdes_tag_len in

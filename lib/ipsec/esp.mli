@@ -8,22 +8,22 @@ exception Esp_error of string
 
 val seal : Sa.t -> string -> string
 (** Encrypt-and-authenticate a payload for the SA's next sequence
-    number. Thin shim over the arena path below. *)
+    number. Under ChaCha20 the payload is encrypted straight into the
+    exact-size wire packet: one allocation, one copy. *)
 
 type arena
-(** A message arena with ESP header space pre-reserved at the front:
-    the single allocation that carries a message from XDR encode
-    through seal. *)
+(** A message arena: the encoder a message is built in from XDR
+    encode through seal. *)
 
 val arena : unit -> arena
 val arena_enc : arena -> Xdr.Enc.t
-(** The encoder to build the message payload in; the 12 header bytes
-    are already reserved ahead of it. *)
+(** The encoder to build the message payload in. *)
 
 val seal_arena : Sa.t -> arena -> string
-(** Patch the SPI/sequence header, encrypt the payload in place
-    (ChaCha20) and append the tag, returning the wire packet. The
-    arena's plaintext is consumed — seal each arena at most once. *)
+(** {!seal} of the arena's bytes, read where they lie: the payload is
+    encrypted from the arena straight into the wire packet. The arena
+    is not modified, so sealing it again — under a fresh sequence
+    number — is how a retransmission is built. *)
 
 val open_ : Sa.t -> string -> string
 (** Verify, replay-check and decrypt. Raises {!Esp_error} on a

@@ -198,6 +198,15 @@ let has_suffix suf s =
   let n = String.length s and m = String.length suf in
   n >= m && String.sub s (n - m) m = suf
 
+(* "a.{x,y}.z" -> ["a.x.z"; "a.y.z"], every group expanded. *)
+let rec expand_braces s =
+  match (String.index_opt s '{', String.index_opt s '}') with
+  | Some i, Some j when i < j ->
+    String.split_on_char ',' (String.sub s (i + 1) (j - i - 1))
+    |> List.concat_map (fun alt ->
+           expand_braces (String.sub s 0 i ^ alt ^ String.sub s (j + 1) (String.length s - j - 1)))
+  | _ -> [ s ]
+
 (* A code span that names a source or doc file: contains a slash, no
    spaces or globs, a checkable extension, and no hidden top directory
    (dune copies none into the build tree the lint runs in). *)
@@ -300,8 +309,13 @@ let check_file ~root ~libmap file =
       | None -> ());
       match path_ref span with
       | Some p ->
-        if not (Sys.file_exists (root // p)) then
-          add lineno (Printf.sprintf "stale path: %s (no such file)" p)
+        (* A brace group ("lib/nfs/{server,client}.ml") names one
+           file per alternative; each must exist. *)
+        List.iter
+          (fun p ->
+            if not (Sys.file_exists (root // p)) then
+              add lineno (Printf.sprintf "stale path: %s (no such file)" p))
+          (expand_braces p)
       | None -> ()
     in
     let fence = ref false in
@@ -336,15 +350,6 @@ let check ~root files =
 (* --- the counter catalogue --------------------------------------------- *)
 
 let catalogue_file = "docs/PROTOCOL.md"
-
-(* "a.{x,y}.z" -> ["a.x.z"; "a.y.z"], every group expanded. *)
-let rec expand_braces s =
-  match (String.index_opt s '{', String.index_opt s '}') with
-  | Some i, Some j when i < j ->
-    String.split_on_char ',' (String.sub s (i + 1) (j - i - 1))
-    |> List.concat_map (fun alt ->
-           expand_braces (String.sub s 0 i ^ alt ^ String.sub s (j + 1) (String.length s - j - 1)))
-  | _ -> [ s ]
 
 (* [(line, name)] for the code spans in the first cell of each table
    row between the "... Counter catalogue" heading and the next one. *)

@@ -17,11 +17,10 @@ let status_check d =
 let mount t path =
   let e = Xdr.Enc.create () in
   Xdr.Enc.string e path;
-  let reply =
+  let d =
     Rpc.call t.rpc ~prog:Proto.mount_prog ~vers:Proto.mount_vers ~proc:Proto.mountproc_mnt
       (Xdr.Enc.to_string e)
   in
-  let d = Xdr.Dec.of_string reply in
   status_check d;
   let fh = Proto.fh_decode d in
   Xdr.Dec.expect_end d;
@@ -29,15 +28,13 @@ let mount t path =
 
 let null t = ignore (call t Proto.nfsproc_null (fun _ -> ()))
 
-let attrstat reply =
-  let d = Xdr.Dec.of_string reply in
+let attrstat d =
   status_check d;
   let attr = Proto.fattr_decode d in
   Xdr.Dec.expect_end d;
   attr
 
-let diropres reply =
-  let d = Xdr.Dec.of_string reply in
+let diropres d =
   status_check d;
   let fh = Proto.fh_decode d in
   let attr = Proto.fattr_decode d in
@@ -59,22 +56,20 @@ let lookup t fh name =
          Xdr.Enc.string e name))
 
 let readlink t fh =
-  let reply = call t Proto.nfsproc_readlink (fun e -> Proto.fh_encode e fh) in
-  let d = Xdr.Dec.of_string reply in
+  let d = call t Proto.nfsproc_readlink (fun e -> Proto.fh_encode e fh) in
   status_check d;
   let target = Xdr.Dec.string d in
   Xdr.Dec.expect_end d;
   target
 
 let read t fh ~off ~count =
-  let reply =
+  let d =
     call t Proto.nfsproc_read (fun e ->
         Proto.fh_encode e fh;
         Xdr.Enc.uint32 e off;
         Xdr.Enc.uint32 e count;
         Xdr.Enc.uint32 e count)
   in
-  let d = Xdr.Dec.of_string reply in
   status_check d;
   let attr = Proto.fattr_decode d in
   let data = Xdr.Dec.opaque d in
@@ -100,8 +95,7 @@ let make_node proc t fh name sattr =
 let create_file t fh name sattr = make_node Proto.nfsproc_create t fh name sattr
 let mkdir t fh name sattr = make_node Proto.nfsproc_mkdir t fh name sattr
 
-let status_only reply =
-  let d = Xdr.Dec.of_string reply in
+let status_only d =
   status_check d;
   Xdr.Dec.expect_end d
 
@@ -139,13 +133,12 @@ let symlink t fh name ~target =
 
 let readdir t fh =
   let rec pages cookie acc =
-    let reply =
+    let d =
       call t Proto.nfsproc_readdir (fun e ->
           Proto.fh_encode e fh;
           Xdr.Enc.uint32 e cookie;
           Xdr.Enc.uint32 e Proto.max_data)
     in
-    let d = Xdr.Dec.of_string reply in
     status_check d;
     let entries, eof = Proto.direntries_decode d in
     let acc = acc @ List.map (fun de -> (de.Proto.d_name, de.Proto.d_fileid)) entries in
@@ -156,13 +149,12 @@ let readdir t fh =
 
 let readdirplus t fh =
   let rec pages cookie acc =
-    let reply =
+    let d =
       call t Proto.nfsproc_readdirplus (fun e ->
           Proto.fh_encode e fh;
           Xdr.Enc.uint32 e cookie;
           Xdr.Enc.uint32 e Proto.max_data)
     in
-    let d = Xdr.Dec.of_string reply in
     status_check d;
     let entries, eof = Proto.direntpluses_decode d in
     let acc = acc @ entries in
@@ -171,61 +163,75 @@ let readdirplus t fh =
   in
   pages 0 []
 
-let multi_read t fh segs =
+(* Issue one MULTI_READ and return the reply cursor positioned on its
+   [List.length segs] segments, after the attributes. *)
+let multi_read_call t fh segs =
   if segs = [] || List.length segs > Proto.max_read_segments then
     invalid_arg "Nfs.Client.multi_read: segment count out of range";
-  let reply =
+  let d =
     call t Proto.nfsproc_multi_read (fun e ->
         Proto.fh_encode e fh;
         Proto.read_segments_encode e segs)
   in
-  let d = Xdr.Dec.of_string reply in
   status_check d;
   let attr = Proto.fattr_decode d in
   let n = Xdr.Dec.uint32 d in
   if n <> List.length segs then raise (Xdr.Decode_error "multi_read: segment count mismatch");
-  let rec go k acc = if k = 0 then List.rev acc else go (k - 1) (Xdr.Dec.opaque d :: acc) in
-  let datas = go n [] in
+  (attr, d)
+
+let multi_read t fh segs =
+  let attr, d = multi_read_call t fh segs in
+  let datas = List.map (fun _ -> Xdr.Dec.opaque d) segs in
   Xdr.Dec.expect_end d;
   (attr, datas)
 
 (* Whole-file read with the size known up front (from a cached
    attribute): page reads are batched [Proto.max_read_segments] at a
    time into MULTI_READ calls — one credential check and one seal per
-   batch instead of per page. A short segment ends the file early
-   (it shrank since the attribute was read). *)
+   batch instead of per page. Each segment is decoded straight out of
+   the opened reply into the result, which is allocated at [size]
+   once (and grown only if the file grew since the attribute was
+   read). A short segment ends the file early (it shrank). *)
 let read_whole t fh ~size =
-  let buf = Buffer.create (max size 16) in
+  let buf = ref (Bytes.create size) and len = ref 0 in
+  let append s ~off ~len:n =
+    if !len + n > Bytes.length !buf then begin
+      let grown = Bytes.create (max (2 * Bytes.length !buf) (!len + n)) in
+      Bytes.blit !buf 0 grown 0 !len;
+      buf := grown
+    end;
+    Bytes.blit_string s off !buf !len n;
+    len := !len + n;
+    n
+  in
   let rec go off =
     if off < size then begin
       let npages =
         min Proto.max_read_segments ((size - off + Proto.max_data - 1) / Proto.max_data)
       in
       let segs = List.init npages (fun i -> (off + (i * Proto.max_data), Proto.max_data)) in
-      let _, datas = multi_read t fh segs in
-      List.iter (Buffer.add_string buf) datas;
-      let got = List.fold_left (fun a s -> a + String.length s) 0 datas in
+      let _, d = multi_read_call t fh segs in
+      let got = List.fold_left (fun got _ -> got + Xdr.Dec.opaque_with d append) 0 segs in
+      Xdr.Dec.expect_end d;
       if got = npages * Proto.max_data then go (off + got)
     end
   in
   go 0;
-  Buffer.contents buf
+  if !len = Bytes.length !buf then Bytes.unsafe_to_string !buf else Bytes.sub_string !buf 0 !len
 
 let statfs t fh =
-  let reply = call t Proto.nfsproc_statfs (fun e -> Proto.fh_encode e fh) in
-  let d = Xdr.Dec.of_string reply in
+  let d = call t Proto.nfsproc_statfs (fun e -> Proto.fh_encode e fh) in
   status_check d;
   let s = Proto.statfs_decode d in
   Xdr.Dec.expect_end d;
   s
 
 let access t fh wanted =
-  let reply =
+  let d =
     call t Proto.nfsproc_access (fun e ->
         Proto.fh_encode e fh;
         Xdr.Enc.uint32 e wanted)
   in
-  let d = Xdr.Dec.of_string reply in
   status_check d;
   let granted = Xdr.Dec.uint32 d in
   Xdr.Dec.expect_end d;

@@ -119,30 +119,39 @@ let check_fh t (fh : Proto.fh) =
   if not (Ffs.Fs.valid_handle t.fs ~ino:fh.Proto.ino ~gen:fh.Proto.gen) then
     raise (Proto.Nfs_error Proto.nfserr_stale)
 
-(* Encode a status-only reply, or status + body on success. *)
-let reply_status ?body status =
-  let e = Xdr.Enc.create () in
+(* Encode a status-only reply, or status + body on success, into the
+   RPC reply arena [e]. *)
+let reply_status e ?body status =
   Xdr.Enc.uint32 e status;
   (match body with Some f when status = Proto.nfs_ok -> f e | _ -> ());
-  Ok (Xdr.Enc.to_string e)
+  Ok ()
 
-let run t ~conn ~fh ~op f =
+(* [f] encodes the operation's reply into [e]; if it fails part-way,
+   what it wrote is dropped and the error status replaces it. *)
+let run t e ~conn ~fh ~op f =
   Trace.span (Ffs.Fs.trace t.fs) ("nfs." ^ op_to_string op) @@ fun () ->
   match t.route ~conn ~fh ~op with
-  | Some reply -> Ok reply
+  | Some reply ->
+    Xdr.Enc.raw e reply;
+    Ok ()
   | None -> (
+  let mark = Xdr.Enc.length e in
+  let fail status =
+    Xdr.Enc.truncate e mark;
+    reply_status e status
+  in
   match
     check_fh t fh;
     t.hooks.authorize ~conn ~fh ~op
   with
-  | exception Proto.Nfs_error status -> reply_status status
-  | Error status -> reply_status status
+  | exception Proto.Nfs_error status -> fail status
+  | Error status -> fail status
   | Ok () -> (
     match f () with
     | result -> result
-    | exception Proto.Nfs_error status -> reply_status status
-    | exception Ffs.Fs.Error (e, _) -> reply_status (nfs_status_of_fs_error e)
-    | exception Ffs.Blockdev.Io_error _ -> reply_status Proto.nfserr_io))
+    | exception Proto.Nfs_error status -> fail status
+    | exception Ffs.Fs.Error (err, _) -> fail (nfs_status_of_fs_error err)
+    | exception Ffs.Blockdev.Io_error _ -> fail Proto.nfserr_io))
 
 let attr_body t conn attr e = Proto.fattr_encode e (t.hooks.present_attr ~conn attr)
 
@@ -150,18 +159,24 @@ let diropres_body t conn ino e =
   Proto.fh_encode e (fh_of t ino);
   attr_body t conn (fattr_of_ino t ino) e
 
-let handle_nfs t ~conn ~proc ~args =
-  let d = Xdr.Dec.of_string args in
-  if proc = Proto.nfsproc_null then Ok ""
+(* Wire size of a READ-style opaque: length word, bytes, padding. *)
+let opaque_size data = 4 + ((String.length data + 3) land lnot 3)
+
+(* Room for the status word and the attributes ahead of read data. *)
+let attr_reply_size = 128
+
+let handle_nfs t ~conn ~proc ~args:d e =
+  let run = run t e and reply_status = reply_status e in
+  if proc = Proto.nfsproc_null then Ok ()
   else if proc = Proto.nfsproc_getattr then begin
     let fh = Proto.fh_decode d in
-    run t ~conn ~fh ~op:Getattr (fun () ->
+    run ~conn ~fh ~op:Getattr (fun () ->
         reply_status Proto.nfs_ok ~body:(attr_body t conn (fattr_of_ino t fh.Proto.ino)))
   end
   else if proc = Proto.nfsproc_setattr then begin
     let fh = Proto.fh_decode d in
     let sattr = Proto.sattr_decode d in
-    run t ~conn ~fh ~op:Setattr (fun () ->
+    run ~conn ~fh ~op:Setattr (fun () ->
         let attr =
           Ffs.Fs.setattr t.fs fh.Proto.ino ?perms:sattr.Proto.s_mode ?uid:sattr.Proto.s_uid
             ?gid:sattr.Proto.s_gid ?size:sattr.Proto.s_size ()
@@ -171,13 +186,13 @@ let handle_nfs t ~conn ~proc ~args =
   else if proc = Proto.nfsproc_lookup then begin
     let fh = Proto.fh_decode d in
     let name = Xdr.Dec.string d in
-    run t ~conn ~fh ~op:Lookup (fun () ->
+    run ~conn ~fh ~op:Lookup (fun () ->
         let ino = Ffs.Fs.lookup t.fs fh.Proto.ino name in
         reply_status Proto.nfs_ok ~body:(diropres_body t conn ino))
   end
   else if proc = Proto.nfsproc_readlink then begin
     let fh = Proto.fh_decode d in
-    run t ~conn ~fh ~op:Readlink (fun () ->
+    run ~conn ~fh ~op:Readlink (fun () ->
         let target = Ffs.Fs.readlink t.fs fh.Proto.ino in
         reply_status Proto.nfs_ok ~body:(fun e -> Xdr.Enc.string e target))
   end
@@ -186,21 +201,22 @@ let handle_nfs t ~conn ~proc ~args =
     let offset = Xdr.Dec.uint32 d in
     let count = Xdr.Dec.uint32 d in
     let _totalcount = Xdr.Dec.uint32 d in
-    run t ~conn ~fh ~op:Read (fun () ->
+    run ~conn ~fh ~op:Read (fun () ->
         let count = min count Proto.max_data in
         let data = Ffs.Fs.read t.fs fh.Proto.ino ~off:offset ~len:count in
+        Xdr.Enc.ensure e (attr_reply_size + opaque_size data);
         reply_status Proto.nfs_ok ~body:(fun e ->
             attr_body t conn (fattr_of_ino t fh.Proto.ino) e;
             Xdr.Enc.opaque e data))
   end
-  else if proc = Proto.nfsproc_writecache then Ok ""
+  else if proc = Proto.nfsproc_writecache then Ok ()
   else if proc = Proto.nfsproc_write then begin
     let fh = Proto.fh_decode d in
     let _beginoffset = Xdr.Dec.uint32 d in
     let offset = Xdr.Dec.uint32 d in
     let _totalcount = Xdr.Dec.uint32 d in
     let data = Xdr.Dec.opaque d in
-    run t ~conn ~fh ~op:Write (fun () ->
+    run ~conn ~fh ~op:Write (fun () ->
         Ffs.Fs.write t.fs fh.Proto.ino ~off:offset data;
         reply_status Proto.nfs_ok ~body:(attr_body t conn (fattr_of_ino t fh.Proto.ino)))
   end
@@ -209,7 +225,7 @@ let handle_nfs t ~conn ~proc ~args =
     let name = Xdr.Dec.string d in
     let sattr = Proto.sattr_decode d in
     let op = if proc = Proto.nfsproc_create then Create else Mkdir in
-    run t ~conn ~fh ~op (fun () ->
+    run ~conn ~fh ~op (fun () ->
         let perms = match sattr.Proto.s_mode with Some m -> m land 0o7777 | None -> 0o644 in
         let uid = match sattr.Proto.s_uid with Some u -> u | None -> conn.Rpc.uid in
         let make =
@@ -222,7 +238,7 @@ let handle_nfs t ~conn ~proc ~args =
     let fh = Proto.fh_decode d in
     let name = Xdr.Dec.string d in
     let op = if proc = Proto.nfsproc_remove then Remove else Rmdir in
-    run t ~conn ~fh ~op (fun () ->
+    run ~conn ~fh ~op (fun () ->
         (if proc = Proto.nfsproc_remove then Ffs.Fs.remove else Ffs.Fs.rmdir)
           t.fs fh.Proto.ino name;
         reply_status Proto.nfs_ok)
@@ -232,7 +248,7 @@ let handle_nfs t ~conn ~proc ~args =
     let src_name = Xdr.Dec.string d in
     let dst_fh = Proto.fh_decode d in
     let dst_name = Xdr.Dec.string d in
-    run t ~conn ~fh:src_fh ~op:Rename (fun () ->
+    run ~conn ~fh:src_fh ~op:Rename (fun () ->
         match
           check_fh t dst_fh;
           t.hooks.authorize ~conn ~fh:dst_fh ~op:Rename
@@ -246,7 +262,7 @@ let handle_nfs t ~conn ~proc ~args =
     let target_fh = Proto.fh_decode d in
     let dir_fh = Proto.fh_decode d in
     let name = Xdr.Dec.string d in
-    run t ~conn ~fh:dir_fh ~op:Link (fun () ->
+    run ~conn ~fh:dir_fh ~op:Link (fun () ->
         check_fh t target_fh;
         Ffs.Fs.link t.fs dir_fh.Proto.ino name ~target:target_fh.Proto.ino;
         reply_status Proto.nfs_ok)
@@ -256,7 +272,7 @@ let handle_nfs t ~conn ~proc ~args =
     let name = Xdr.Dec.string d in
     let target = Xdr.Dec.string d in
     let _sattr = Proto.sattr_decode d in
-    run t ~conn ~fh ~op:Symlink (fun () ->
+    run ~conn ~fh ~op:Symlink (fun () ->
         ignore (Ffs.Fs.symlink t.fs fh.Proto.ino name ~target ~uid:conn.Rpc.uid);
         reply_status Proto.nfs_ok)
   end
@@ -264,7 +280,7 @@ let handle_nfs t ~conn ~proc ~args =
     let fh = Proto.fh_decode d in
     let cookie = Xdr.Dec.uint32 d in
     let count = Xdr.Dec.uint32 d in
-    run t ~conn ~fh ~op:Readdir (fun () ->
+    run ~conn ~fh ~op:Readdir (fun () ->
         let entries = Ffs.Fs.readdir t.fs fh.Proto.ino in
         let entries = List.filteri (fun i _ -> i >= cookie) entries in
         (* Respect the client's byte budget approximately. *)
@@ -288,7 +304,7 @@ let handle_nfs t ~conn ~proc ~args =
     let fh = Proto.fh_decode d in
     let cookie = Xdr.Dec.uint32 d in
     let count = Xdr.Dec.uint32 d in
-    run t ~conn ~fh ~op:Readdirplus (fun () ->
+    run ~conn ~fh ~op:Readdirplus (fun () ->
         let entries = Ffs.Fs.readdir t.fs fh.Proto.ino in
         let entries = List.filteri (fun i _ -> i >= cookie) entries in
         (* The plus-entry also carries the handle (32 B) and the
@@ -322,7 +338,7 @@ let handle_nfs t ~conn ~proc ~args =
   else if proc = Proto.nfsproc_multi_read then begin
     let fh = Proto.fh_decode d in
     let segs = Proto.read_segments_decode d in
-    run t ~conn ~fh ~op:Multiread (fun () ->
+    run ~conn ~fh ~op:Multiread (fun () ->
         (* One credential check for the whole batch; the attributes
            are presented once, ahead of the segments. *)
         let datas =
@@ -332,6 +348,8 @@ let handle_nfs t ~conn ~proc ~args =
               Ffs.Fs.read t.fs fh.Proto.ino ~off ~len:count)
             segs
         in
+        Xdr.Enc.ensure e
+          (List.fold_left (fun n data -> n + opaque_size data) (attr_reply_size + 4) datas);
         reply_status Proto.nfs_ok ~body:(fun e ->
             attr_body t conn (fattr_of_ino t fh.Proto.ino) e;
             Xdr.Enc.uint32 e (List.length datas);
@@ -340,7 +358,7 @@ let handle_nfs t ~conn ~proc ~args =
   else if proc = Proto.nfsproc_access then begin
     let fh = Proto.fh_decode d in
     let wanted = Xdr.Dec.uint32 d in
-    run t ~conn ~fh ~op:Getattr (fun () ->
+    run ~conn ~fh ~op:Getattr (fun () ->
         let bits = t.hooks.rights ~conn ~fh in
         let granted = ref 0 in
         if bits land 4 = 4 then granted := !granted lor Proto.access_read;
@@ -352,7 +370,7 @@ let handle_nfs t ~conn ~proc ~args =
   end
   else if proc = Proto.nfsproc_statfs then begin
     let fh = Proto.fh_decode d in
-    run t ~conn ~fh ~op:Statfs (fun () ->
+    run ~conn ~fh ~op:Statfs (fun () ->
         let s = Ffs.Fs.statfs t.fs in
         reply_status Proto.nfs_ok ~body:(fun e ->
             Proto.statfs_encode e
@@ -367,29 +385,23 @@ let handle_nfs t ~conn ~proc ~args =
   else if proc = Proto.nfsproc_root then Error Rpc.Proc_unavail (* obsolete in v2 *)
   else Error Rpc.Proc_unavail
 
-let handle_mount t ~conn ~proc ~args =
-  ignore conn;
-  let d = Xdr.Dec.of_string args in
-  if proc = 0 then Ok ""
+let handle_mount t ~conn:_ ~proc ~args:d e =
+  if proc = 0 then Ok ()
   else if proc = Proto.mountproc_mnt then begin
     Trace.span (Ffs.Fs.trace t.fs) "nfs.mount" @@ fun () ->
     let path = Xdr.Dec.string d in
     match Ffs.Fs.resolve t.fs path with
     | ino ->
-      let e = Xdr.Enc.create () in
       Xdr.Enc.uint32 e 0 (* status ok *);
       Proto.fh_encode e (fh_of t ino);
-      Ok (Xdr.Enc.to_string e)
+      Ok ()
     | exception Ffs.Fs.Error (err, _) ->
-      let e = Xdr.Enc.create () in
       Xdr.Enc.uint32 e (nfs_status_of_fs_error err);
-      Ok (Xdr.Enc.to_string e)
+      Ok ()
   end
-  else if proc = Proto.mountproc_umnt then Ok ""
+  else if proc = Proto.mountproc_umnt then Ok ()
   else Error Rpc.Proc_unavail
 
 let attach t rpc_server =
-  Rpc.register rpc_server ~prog:Proto.nfs_prog ~vers:Proto.nfs_vers (fun ~conn ~proc ~args ->
-      handle_nfs t ~conn ~proc ~args);
-  Rpc.register rpc_server ~prog:Proto.mount_prog ~vers:Proto.mount_vers
-    (fun ~conn ~proc ~args -> handle_mount t ~conn ~proc ~args)
+  Rpc.register rpc_server ~prog:Proto.nfs_prog ~vers:Proto.nfs_vers (handle_nfs t);
+  Rpc.register rpc_server ~prog:Proto.mount_prog ~vers:Proto.mount_vers (handle_mount t)

@@ -17,7 +17,8 @@ type fault =
   | System_err of string
 
 type conn_info = { peer : string; uid : int }
-type handler = conn:conn_info -> proc:int -> args:string -> (string, fault) result
+type handler =
+  conn:conn_info -> proc:int -> args:Xdr.Dec.t -> Xdr.Enc.t -> (unit, fault) result
 
 (* Duplicate-request cache: under at-least-once retransmission a
    non-idempotent call (CREATE, REMOVE, RENAME, WRITE) may arrive
@@ -45,7 +46,7 @@ type job = {
   job_vers : int;
   job_proc : int;
   job_uid : int;
-  job_args : string;
+  job_args : Xdr.Dec.t; (* a view into the opened datagram *)
   job_len : int; (* raw datagram bytes, for the unmarshal CPU charge *)
   job_enqueued : float;
   job_origin : (int * int) option; (* (pid, epoch) of the admission DRC check *)
@@ -169,12 +170,11 @@ let drc_touch t key e =
 let shutdown t = t.dead <- true
 let is_dead t = t.dead
 
-(* A message built the fused way: the channel hands out an arena with
-   any transport header space pre-reserved, the caller encodes the
-   call straight into [msg_enc], and [msg_seal] turns the arena into
-   the wire packet in place. Sealing consumes the arena's plaintext
-   (in-place encryption), so each arena is sealed at most once and a
-   retransmission encodes a fresh one. *)
+(* A message built the fused way: the channel hands out an arena, the
+   caller encodes the call straight into [msg_enc], and [msg_seal]
+   encrypts the arena's bytes straight into a wire packet. Sealing
+   only reads the arena, so a retransmission seals the same arena
+   again under a fresh ESP sequence number. *)
 type message = { msg_enc : Xdr.Enc.t; msg_seal : unit -> string }
 
 type channel = {
@@ -269,7 +269,12 @@ let msg_call = 0
 let msg_reply = 1
 let auth_unix = 1
 
+(* xid, mtype, rpcvers, prog, vers, proc, AUTH_UNIX cred (flavor,
+   length, uid), AUTH_NONE verf (flavor, length): eleven words. *)
+let call_header_len = 44
+
 let encode_call_into e ~xid ~prog ~vers ~proc ~uid args =
+  Xdr.Enc.ensure e (call_header_len + String.length args);
   Xdr.Enc.uint32 e xid;
   Xdr.Enc.uint32 e msg_call;
   Xdr.Enc.uint32 e 2 (* rpcvers *);
@@ -312,8 +317,9 @@ let decode_call data =
     end
     else 0
   in
-  let args = String.sub data (String.length data - Xdr.Dec.remaining d) (Xdr.Dec.remaining d) in
-  (xid, prog, vers, proc, uid, args)
+  (* [d] now sits on the procedure arguments: the handler decodes them
+     where they lie. *)
+  (xid, prog, vers, proc, uid, d)
 
 let accept_stat_of_fault = function
   | Prog_unavail -> 1
@@ -321,25 +327,30 @@ let accept_stat_of_fault = function
   | Garbage_args -> 4
   | System_err _ -> 5
 
-let encode_reply_into e ~xid outcome =
+(* The accepted-reply frame up to its accept_stat word, which is left
+   at SUCCESS (0) and returned for patching once the outcome is
+   known. *)
+let reply_header e ~xid =
   Xdr.Enc.uint32 e xid;
   Xdr.Enc.uint32 e msg_reply;
   Xdr.Enc.uint32 e 0 (* MSG_ACCEPTED *);
   Xdr.Enc.uint32 e 0 (* verf AUTH_NONE *);
   Xdr.Enc.opaque e "";
+  Xdr.Enc.reserve_uint32 e
+
+let encode_reply_into e ~xid outcome =
+  let stat = reply_header e ~xid in
   match outcome with
-  | Ok results ->
-    Xdr.Enc.uint32 e 0 (* SUCCESS *);
-    Xdr.Enc.raw e results
-  | Error fault -> Xdr.Enc.uint32 e (accept_stat_of_fault fault)
+  | Ok results -> Xdr.Enc.raw e results
+  | Error fault -> Xdr.Enc.patch_uint32 e stat (accept_stat_of_fault fault)
 
 let encode_reply ~xid outcome =
-  (* discfs-lint: allow hotpath-alloc "reply strings are cached plain in the DRC and sealed per transmission" *)
+  (* discfs-lint: allow hotpath-alloc "the Garbage_args answer to an undecodable datagram, which runs no handler" *)
   let e = Xdr.Enc.create () in
   encode_reply_into e ~xid outcome;
   Xdr.Enc.to_string e
 
-let decode_reply data =
+let decode_reply_view data =
   let d = Xdr.Dec.of_string data in
   let xid = Xdr.Dec.uint32 d in
   let mtype = Xdr.Dec.uint32 d in
@@ -348,14 +359,44 @@ let decode_reply data =
   if reply_stat <> 0 then raise (Rpc_error (System_err "RPC message denied"));
   let _verf_flavor = Xdr.Dec.uint32 d in
   let _verf_body = Xdr.Dec.opaque d in
-  let accept_stat = Xdr.Dec.uint32 d in
-  let rest = String.sub data (String.length data - Xdr.Dec.remaining d) (Xdr.Dec.remaining d) in
-  match accept_stat with
-  | 0 -> (xid, Ok rest)
+  match Xdr.Dec.uint32 d with
+  | 0 -> (xid, Ok d) (* [d] sits on the results: decode them where they lie *)
   | 1 -> (xid, Error Prog_unavail)
   | 3 -> (xid, Error Proc_unavail)
   | 4 -> (xid, Error Garbage_args)
   | n -> (xid, Error (System_err (Printf.sprintf "accept_stat %d" n)))
+
+let decode_reply data =
+  match decode_reply_view data with
+  | xid, Ok d -> (xid, Ok (Xdr.Dec.rest d))
+  | xid, Error fault -> (xid, Error fault)
+
+(* Server side of one execution: the handler encodes its results
+   straight into the reply arena behind the header; a fault (or
+   undecodable arguments) discards whatever it wrote and patches the
+   accept_stat word instead. *)
+type reply_arena = { r_enc : Xdr.Enc.t; r_stat : Xdr.Enc.patch; r_body : int }
+
+let reply_arena ~xid =
+  (* discfs-lint: allow hotpath-alloc "the reply arena: handlers encode results straight into it; its one string is cached plain in the DRC" *)
+  let e = Xdr.Enc.create () in
+  let stat = reply_header e ~xid in
+  { r_enc = e; r_stat = stat; r_body = Xdr.Enc.length e }
+
+let run_handler srv ~conn ~prog ~vers ~proc ~uid ~args r =
+  match Hashtbl.find_opt srv.programs (prog, vers) with
+  | None -> Error Prog_unavail
+  | Some handler -> (
+    let conn = { conn with uid } in
+    try handler ~conn ~proc ~args r.r_enc with Xdr.Decode_error _ -> Error Garbage_args)
+
+let finish_reply r outcome =
+  (match outcome with
+  | Ok () -> ()
+  | Error fault ->
+    Xdr.Enc.truncate r.r_enc r.r_body;
+    Xdr.Enc.patch_uint32 r.r_enc r.r_stat (accept_stat_of_fault fault));
+  Xdr.Enc.to_string r.r_enc
 
 let drc_put srv key reply =
   if srv.drc_capacity > 0 && not (Hashtbl.mem srv.drc key) then begin
@@ -393,17 +434,9 @@ let dispatch srv ~conn data =
         drc_touch srv key e;
         Some e.reply
       | None ->
-        let outcome =
-          match Hashtbl.find_opt srv.programs (prog, vers) with
-          | None -> Error Prog_unavail
-          | Some handler -> (
-            let conn = { conn with uid } in
-            try handler ~conn ~proc ~args
-            with Xdr.Decode_error _ -> Error Garbage_args)
-        in
-        let reply =
-          Trace.span srv.trace "xdr.marshal" (fun () -> encode_reply ~xid outcome)
-        in
+        let r = reply_arena ~xid in
+        let outcome = run_handler srv ~conn ~prog ~vers ~proc ~uid ~args r in
+        let reply = Trace.span srv.trace "xdr.marshal" (fun () -> finish_reply r outcome) in
         drc_put srv key reply;
         Some reply)
 
@@ -487,15 +520,12 @@ let rec worker_loop srv p =
       Race.note srv.race_drc
         (Printf.sprintf "rpc.serve proc=%d peer=%s" job.job_proc job.job_conn.peer);
       unmarshal_charge srv job.job_len;
+      let r = reply_arena ~xid:job.job_xid in
       let outcome =
-        match Hashtbl.find_opt srv.programs (job.job_prog, job.job_vers) with
-        | None -> Error Prog_unavail
-        | Some handler -> (
-          let conn = { job.job_conn with uid = job.job_uid } in
-          try handler ~conn ~proc:job.job_proc ~args:job.job_args
-          with Xdr.Decode_error _ -> Error Garbage_args)
+        run_handler srv ~conn:job.job_conn ~prog:job.job_prog ~vers:job.job_vers
+          ~proc:job.job_proc ~uid:job.job_uid ~args:job.job_args r
       in
-      let reply = encode_reply ~xid:job.job_xid outcome in
+      let reply = finish_reply r outcome in
       observe_metric srv "rpc.queue.service" (Clock.now srv.clock -. started);
       if srv.dead then begin
         (* crashed mid-service: the result vanishes with the process *)
@@ -610,7 +640,7 @@ let flow_rep = 1
 let consider_reply t ~tr ~stats ~xid pkt =
   match
     let plain = t.channel.client_open pkt in
-    Trace.span tr "xdr.unmarshal" (fun () -> decode_reply plain)
+    Trace.span tr "xdr.unmarshal" (fun () -> decode_reply_view plain)
   with
   | exception Rpc_error f -> Some (Error f) (* MSG_DENIED: a real reply *)
   | exception _ ->
@@ -641,22 +671,21 @@ let call_serial t ~prog ~vers ~proc args =
   t.before_call ();
   let xid = next_xid t in
   let stats = Link.stats t.link in
-  let fresh_request () =
-    let m = t.channel.client_message () in
-    encode_call_into m.msg_enc ~xid ~prog ~vers ~proc ~uid:t.conn.uid args;
-    m
+  let request =
+    Trace.span tr "xdr.marshal" (fun () ->
+        let m = t.channel.client_message () in
+        encode_call_into m.msg_enc ~xid ~prog ~vers ~proc ~uid:t.conn.uid args;
+        m)
   in
-  let first_request = Trace.span tr "xdr.marshal" (fun () -> fresh_request ()) in
   (* One transmission round: seal, send, server-side dispatch, collect
      the first reply that opens, decodes and matches our xid. *)
   let one_round n =
     if n > 1 then Stats.incr stats "rpc.retransmits";
     (* Seal on every attempt: a retransmission is a fresh datagram
        with a fresh ESP sequence number, never a replayed packet. The
-       in-place seal consumed attempt 1's arena, so later attempts
-       re-encode into a fresh one. *)
-    let m = if n = 1 then first_request else fresh_request () in
-    let wire_request = m.msg_seal () in
+       seal only reads the arena, so every attempt seals the one
+       encoding. *)
+    let wire_request = request.msg_seal () in
     let arrived_requests = Link.send t.link ~flow:flow_req wire_request in
     (* Server side: a packet that fails to open (corrupted, replayed,
        wrong SPI) is silently dropped — the client's retry absorbs it.
@@ -722,12 +751,8 @@ let call_pooled t p ~prog ~vers ~proc args =
   Race.note t.srv.race_drc (Printf.sprintf "rpc.call proc=%d client=%d" proc t.id);
   t.before_call ();
   let xid = next_xid t in
-  let fresh_request () =
-    let m = t.channel.client_message () in
-    encode_call_into m.msg_enc ~xid ~prog ~vers ~proc ~uid:t.conn.uid args;
-    m
-  in
-  let first_request = fresh_request () in
+  let request = t.channel.client_message () in
+  encode_call_into request.msg_enc ~xid ~prog ~vers ~proc ~uid:t.conn.uid args;
   let mbox = Sched.Mailbox.create () in
   (* Runs on the server when the execution (or DRC replay) finishes:
      seal and clock the reply back over the wire as its own process,
@@ -742,7 +767,7 @@ let call_pooled t p ~prog ~vers ~proc args =
   let rec attempt n timeout =
     if n > t.retry.max_attempts then raise (timeout_exhausted t ~prog ~vers ~proc args);
     if n > 1 then Stats.incr stats "rpc.retransmits";
-    let wire_request = (if n = 1 then first_request else fresh_request ()).msg_seal () in
+    let wire_request = request.msg_seal () in
     let arrived_requests = Link.send t.link ~flow:flow_req wire_request in
     List.iter
       (fun pkt ->

@@ -33,7 +33,14 @@ type conn_info = { peer : string; uid : int }
 (** [peer]: channel-authenticated principal; [uid]: the AUTH_UNIX uid
     claimed in the call credential. *)
 
-type handler = conn:conn_info -> proc:int -> args:string -> (string, fault) result
+type handler =
+  conn:conn_info -> proc:int -> args:Xdr.Dec.t -> Xdr.Enc.t -> (unit, fault) result
+(** A procedure handler decodes its arguments from [args], a cursor
+    over the opened datagram positioned on them, and encodes its
+    results straight into the reply arena it is handed, behind the
+    RPC reply header. On [Error] — or when decoding [args] raises
+    [Xdr.Decode_error], answered as {!Garbage_args} — whatever it
+    wrote is discarded and the reply carries the fault. *)
 
 type server
 
@@ -98,12 +105,11 @@ val is_dead : server -> bool
 type client
 
 type message = { msg_enc : Xdr.Enc.t; msg_seal : unit -> string }
-(** A fused encode→seal message: the channel hands out an arena with
-    any transport header space pre-reserved; the call is encoded
-    straight into [msg_enc] and [msg_seal] turns the arena into the
-    wire packet in place. Sealing consumes the arena's plaintext, so
-    each message is sealed at most once — retransmissions encode a
-    fresh one. *)
+(** A fused encode→seal message: the channel hands out an arena, the
+    call is encoded straight into [msg_enc], and [msg_seal] encrypts
+    the arena's bytes straight into a wire packet. Sealing only reads
+    the arena, so a retransmission seals the same message again
+    (under a fresh ESP sequence number). *)
 
 type channel = {
   server_open : string -> string;
@@ -180,8 +186,9 @@ exception Rpc_timeout of string
 (** No usable reply after [retry.max_attempts] transmissions: the
     server is down or the path is fully broken. *)
 
-val call : client -> prog:int -> vers:int -> proc:int -> string -> string
-(** Marshal, transmit, dispatch, return the result bytes. Raises
+val call : client -> prog:int -> vers:int -> proc:int -> string -> Xdr.Dec.t
+(** Marshal, transmit, dispatch, and return a cursor over the result
+    bytes where they lie in the opened reply. Raises
     {!Rpc_error} on RPC-level failure and {!Rpc_timeout} when
     retransmissions are exhausted. Retry progress is visible in the
     link's stats: ["rpc.retransmits"], ["rpc.server_rx_drops"],
@@ -205,11 +212,15 @@ val encode_call_into :
     channel-provided {!message} arena this way. *)
 
 val encode_reply_into : Xdr.Enc.t -> xid:int -> (string, fault) result -> unit
-(** Frame a REPLY straight into an arena. *)
+(** Frame a REPLY carrying pre-marshalled results straight into an
+    arena; byte-identical to the reply a handler writing the same
+    results produces. *)
 
 val decode_reply : string -> int * (string, fault) result
-(** Parse a REPLY message into (xid, outcome). Raises
-    [Xdr.Decode_error] on garbage and {!Rpc_error} on MSG_DENIED. *)
+(** Parse a REPLY message into (xid, outcome), copying the results
+    out. Raises [Xdr.Decode_error] on garbage and {!Rpc_error} on
+    MSG_DENIED. The client's own receive path decodes the results in
+    place instead. *)
 
 val submit_datagram :
   server -> conn:conn_info -> reply:(string -> unit) -> string -> unit

@@ -4,8 +4,8 @@ let pad_len n = (4 - (n mod 4)) mod 4
 
 module Enc = struct
   (* One growable byte arena per message. Encoders append at [len];
-     reserve/patch lets a writer leave a hole (a length word, an ESP
-     header) and fill it once the tail is known, so nested bodies such
+     reserve/patch lets a writer leave a hole (a length word, a reply
+     status) and fill it once the tail is known, so nested bodies such
      as the RPC credential no longer round-trip through their own
      Buffer. *)
   type t = { mutable buf : Bytes.t; mutable len : int }
@@ -15,14 +15,13 @@ module Enc = struct
 
   let length t = t.len
 
+  (* Growth at least doubles (amortized appends) but jumps straight to
+     [need] when one request outgrows that, so a body sized up front
+     costs exactly one growth. *)
   let ensure t n =
     let need = t.len + n in
     if need > Bytes.length t.buf then begin
-      let cap = ref (max 256 (Bytes.length t.buf)) in
-      while !cap < need do
-        cap := !cap * 2
-      done;
-      let buf = Bytes.create !cap in
+      let buf = Bytes.create (max need (2 * Bytes.length t.buf)) in
       Bytes.blit t.buf 0 buf 0 t.len;
       t.buf <- buf
     end
@@ -77,24 +76,19 @@ module Enc = struct
 
   let string = opaque
 
-  let reserve t n =
-    ensure t n;
+  let reserve_uint32 t =
     let p = t.len in
-    Bytes.fill t.buf p n '\000';
-    t.len <- t.len + n;
+    uint32 t 0;
     p
-
-  let reserve_uint32 t = reserve t 4
 
   let patch_uint32 t p v =
     if v < 0 || v > 0xffffffff then invalid_arg "Xdr.Enc.patch_uint32: out of range";
     if p < 0 || p + 4 > t.len then invalid_arg "Xdr.Enc.patch_uint32: bad patch";
     set_be32 t.buf p v
 
-  let patch_raw t p s =
-    let n = String.length s in
-    if p < 0 || p + n > t.len then invalid_arg "Xdr.Enc.patch_raw: bad patch";
-    Bytes.blit_string s 0 t.buf p n
+  let truncate t n =
+    if n < 0 || n > t.len then invalid_arg "Xdr.Enc.truncate: bad length";
+    t.len <- n
 
   let sub_writer t fill =
     let p = reserve_uint32 t in
@@ -155,16 +149,22 @@ module Dec = struct
      same value — a hazard for DRC keys and any signature computed
      over re-encoded bytes — so non-zero padding is a decode error,
      not a don't-care. *)
-  let take_padded t n =
+  let take_padded_with t n f =
     let p = pad_len n in
     need t (n + p);
-    let s = String.sub t.data t.pos n in
     for i = 0 to p - 1 do
       if t.data.[t.pos + n + i] <> '\000' then
         raise (Decode_error "non-zero XDR padding")
     done;
+    let at = t.pos in
     t.pos <- t.pos + n + p;
-    s
+    f t.data ~off:at ~len:n
+
+  let take_padded t n = take_padded_with t n (fun s ~off ~len -> String.sub s off len)
+
+  let opaque_with t f =
+    let n = uint32 t in
+    take_padded_with t n f
 
   let opaque t =
     let n = uint32 t in
@@ -173,5 +173,11 @@ module Dec = struct
   let opaque_fixed t n = take_padded t n
   let string = opaque
   let remaining t = String.length t.data - t.pos
+
+  let rest t =
+    let n = remaining t in
+    let s = if t.pos = 0 then t.data else String.sub t.data t.pos n in
+    t.pos <- t.pos + n;
+    s
   let expect_end t = if remaining t <> 0 then raise (Decode_error "trailing bytes")
 end

@@ -9,12 +9,12 @@ module Enc : sig
   type t
   (** A growable byte arena. One arena carries a whole message from
       XDR encode through ESP seal: writers append at the tail, and
-      {!reserve}/{!patch_uint32} let a caller leave a hole (a length
-      word, an ESP header) to fill once the tail is known. *)
+      {!reserve_uint32}/{!patch_uint32} let a caller leave a hole (a
+      length word, a reply status) to fill once the tail is known. *)
 
   type patch
-  (** Handle to a reserved region, returned by {!reserve} /
-      {!reserve_uint32} and consumed by the patch functions. *)
+  (** Handle to a reserved word, returned by {!reserve_uint32} and
+      consumed by {!patch_uint32}. *)
 
   val create : unit -> t
   val length : t -> int
@@ -41,20 +41,24 @@ module Enc : sig
   (** Append pre-marshalled bytes verbatim (no length, no padding);
       used to nest one XDR body inside another message. *)
 
-  val reserve : t -> int -> patch
-  (** Append [n] zero bytes and return a handle to them; used to
-      pre-reserve ESP header space at the front of an arena. *)
+  val ensure : t -> int -> unit
+  (** [ensure t n] makes room for [n] more bytes now, so a body whose
+      size is known up front grows the arena at most once instead of
+      doubling its way there. *)
 
   val reserve_uint32 : t -> patch
-  (** [reserve t 4], for a length word to be patched later. *)
+  (** Append a zero word and return a handle to it, for a length or
+      status word to be patched later. *)
 
   val patch_uint32 : t -> patch -> int -> unit
   (** Overwrite a reserved word in place. Raises [Invalid_argument]
       on an out-of-range value or a handle outside the written
       region. *)
 
-  val patch_raw : t -> patch -> string -> unit
-  (** Overwrite reserved bytes in place with [s], verbatim. *)
+  val truncate : t -> int -> unit
+  (** [truncate t n] drops everything written after the first [n]
+      bytes; used to discard a partly encoded body when its writer
+      fails. Raises [Invalid_argument] unless [0 <= n <= length t]. *)
 
   val sub_writer : t -> (t -> unit) -> unit
   (** Variable-length opaque whose body is produced by a writer:
@@ -65,17 +69,21 @@ module Enc : sig
 
   val bytes : t -> Bytes.t
   (** The underlying storage; only the first {!length} bytes are
-      meaningful. Exposed so the ESP layer can encrypt in place —
-      callers must not retain it across a write (growth swaps the
-      buffer). *)
+      meaningful. Exposed so the ESP layer can encrypt straight out of
+      the arena — callers must not retain it across a write (growth
+      swaps the buffer). *)
 
   val to_string : t -> string
 end
 
 module Dec : sig
   type t
+  (** A read cursor over a string. A cursor left on a message body
+      (the RPC layer hands out ones positioned on call arguments and
+      reply results) is a view of that body, decoded where it lies. *)
 
   val of_string : string -> t
+
   val uint32 : t -> int
   val int32 : t -> int
   val uint64 : t -> int64
@@ -84,9 +92,19 @@ module Dec : sig
   (** Raises {!Decode_error} on truncation or non-zero pad bytes
       (RFC 4506 requires canonical zero padding). *)
 
+  val opaque_with : t -> (string -> off:int -> len:int -> 'a) -> 'a
+  (** Decode a variable-length opaque (checked exactly as {!opaque})
+      and hand its bytes to [f] as a range of the underlying string
+      instead of copying them out — for a caller that moves the bytes
+      straight to their destination. *)
+
   val opaque_fixed : t -> int -> string
   val string : t -> string
   val remaining : t -> int
+
+  val rest : t -> string
+  (** The bytes not yet decoded, consuming them. *)
+
   val expect_end : t -> unit
   (** Raises {!Decode_error} if bytes remain. *)
 end

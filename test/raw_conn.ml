@@ -24,4 +24,4 @@ let submit t cred =
     Oncrpc.Rpc.call t.rpc ~prog:Discfs.Server.discfs_prog ~vers:Discfs.Server.discfs_vers
       ~proc:Discfs.Server.discfsproc_submit (Xdr.Enc.to_string e)
   in
-  Xdr.Dec.uint32 (Xdr.Dec.of_string reply) = 0
+  Xdr.Dec.uint32 reply = 0

@@ -170,7 +170,7 @@ let make_env ?(service_cost = 0.002) ~workers ~queue_depth () =
   Rpc.set_pool srv ~sched ~workers ~queue_depth;
   let executions = ref 0 in
   let counts = Hashtbl.create 8 in
-  Rpc.register srv ~prog:91 ~vers:1 (fun ~conn ~proc ~args:_ ->
+  Rpc.register srv ~prog:91 ~vers:1 (fun ~conn ~proc ~args:_ e ->
       match proc with
       | 1 ->
         incr executions;
@@ -178,7 +178,8 @@ let make_env ?(service_cost = 0.002) ~workers ~queue_depth () =
         let uid = conn.Rpc.uid in
         let c = 1 + Option.value (Hashtbl.find_opt counts uid) ~default:0 in
         Hashtbl.replace counts uid c;
-        Ok (string_of_int c)
+        Xdr.Enc.raw e (string_of_int c);
+        Ok ()
       | _ -> Error Rpc.Proc_unavail);
   { clock; stats; link; srv; sched; executions }
 
@@ -192,7 +193,7 @@ let closed_loop env ~clients ~ops =
     let c = Rpc.connect ~link:env.link ~uid:i ~retry env.srv in
     Sched.spawn env.sched (fun () ->
         for _ = 1 to ops do
-          let r = Rpc.call c ~prog:91 ~vers:1 ~proc:1 "" in
+          let r = Xdr.Dec.rest (Rpc.call c ~prog:91 ~vers:1 ~proc:1 "") in
           results.(i) <- r :: results.(i)
         done)
   done;

@@ -195,10 +195,11 @@ let test_drc_lru_eviction () =
   let srv = Rpc.server ~clock ~cost:Simnet.Cost.default ~stats in
   Rpc.set_drc_capacity srv 4;
   let executions = Hashtbl.create 8 in
-  Rpc.register srv ~prog:7 ~vers:1 (fun ~conn:_ ~proc ~args ->
+  Rpc.register srv ~prog:7 ~vers:1 (fun ~conn:_ ~proc ~args e ->
       let n = try Hashtbl.find executions proc with Not_found -> 0 in
       Hashtbl.replace executions proc (n + 1);
-      Ok (Printf.sprintf "reply-%d:%s" proc args));
+      Xdr.Enc.raw e (Printf.sprintf "reply-%d:%s" proc (Xdr.Dec.rest args));
+      Ok ());
   let conn = { Rpc.peer = "client-1"; uid = 0 } in
   let call xid =
     match Rpc.dispatch srv ~conn (Rpc.encode_call ~xid ~prog:7 ~vers:1 ~proc:xid ~uid:0 "x") with

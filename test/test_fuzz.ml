@@ -144,6 +144,54 @@ let prop_esp_mutations_typed_errors =
       in
       total mutated && total truncated)
 
+let prop_esp_multiblock_forgeries =
+  (* Multi-block payloads (0-9,000 bytes: full 64-byte ChaCha20 blocks,
+     8-byte lanes and a ragged tail). One byte is flipped in a chosen
+     region — the header, a full keystream block, the partial final
+     block, or the tag — and the forgery must raise Esp_error. It must
+     also leave the replay window alone: the genuine packet with the
+     same sequence number still opens, to the original payload. *)
+  let gen =
+    QCheck.Gen.(
+      let* len = int_bound 9000 in
+      let* payload = string_size (return len) in
+      let* region = int_bound 3 in
+      let* at = int_bound 100_000 in
+      let* flip = int_range 1 255 in
+      return (payload, region, at, flip))
+  in
+  QCheck.Test.make ~name:"esp open: multi-block forgeries raise Esp_error, window untouched"
+    ~count:200 (QCheck.make gen)
+    (fun (payload, region, at, flip) ->
+      let clock = Simnet.Clock.create () in
+      let stats = Simnet.Stats.create () in
+      let mk () =
+        Ipsec.Sa.create ~clock ~cost:Simnet.Cost.default ~stats ~spi:7
+          ~key:(String.make 32 'f') ()
+      in
+      let tx = mk () and rx = mk () in
+      let packet = Ipsec.Esp.seal tx payload in
+      let len = String.length payload in
+      let full = len / 64 * 64 in
+      (* [lo, lo + span) is the region; an empty one falls back to the
+         header. *)
+      let lo, span =
+        match region with
+        | 1 when full > 0 -> (12, full)
+        | 2 when len > full -> (12 + full, len - full)
+        | 3 -> (12 + len, 16)
+        | _ -> (0, 12)
+      in
+      let forged = Bytes.of_string packet in
+      let pos = lo + (at mod span) in
+      Bytes.set forged pos (Char.chr (Char.code packet.[pos] lxor flip));
+      let rejected =
+        match Ipsec.Esp.open_ rx (Bytes.to_string forged) with
+        | _ -> false
+        | exception Ipsec.Esp.Esp_error _ -> true
+      in
+      rejected && String.equal (Ipsec.Esp.open_ rx packet) payload)
+
 let prop_xdr_truncation_typed =
   (* Any strict prefix of a valid encoding must fail with Decode_error
      exactly — the decoders never read past the buffer. *)
@@ -188,6 +236,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_nfs_server_survives_garbage_args;
     QCheck_alcotest.to_alcotest prop_esp_open_total;
     QCheck_alcotest.to_alcotest prop_esp_mutations_typed_errors;
+    QCheck_alcotest.to_alcotest prop_esp_multiblock_forgeries;
     QCheck_alcotest.to_alcotest prop_xdr_truncation_typed;
     QCheck_alcotest.to_alcotest prop_image_loader_total;
   ]

@@ -286,6 +286,46 @@ let prop_mutated_xdr_typed_errors =
       | () -> true
       | exception Xdr.Decode_error _ -> true)
 
+(* --- allocation guards --------------------------------------------------- *)
+
+(* Bytes one call allocates, measured the way the hotpath bench does:
+   [Gc.full_major] before each single-op sample (so no collection
+   lands inside it), median of 15. [f i] is the i-th op. *)
+let alloc_median f =
+  ignore (Sys.opaque_identity (f 0));
+  let samples =
+    Array.init 15 (fun i ->
+        Gc.full_major ();
+        let before = Gc.allocated_bytes () in
+        ignore (Sys.opaque_identity (f (i + 1)));
+        Gc.allocated_bytes () -. before)
+  in
+  Array.sort compare samples;
+  samples.(7)
+
+let test_alloc_guards () =
+  let page = String.make 8192 'p' in
+  let budget = float_of_int (String.length page + 1024) in
+  let tx, _ = mk_sa () in
+  let sealer, _ = mk_sa () and rx, _ = mk_sa () in
+  let packets = Array.init 16 (fun _ -> Ipsec.Esp.seal sealer page) in
+  let buf = Bytes.of_string page in
+  let key = String.make 32 'k' and nonce = String.make 12 'n' in
+  let over =
+    List.filter_map
+      (fun (name, got, limit) ->
+        if got > limit then Some (Printf.sprintf "%s allocates %.0f B (limit %.0f B)" name got limit)
+        else None)
+      [
+        ("Esp.seal 8 KB", alloc_median (fun _ -> Ipsec.Esp.seal tx page), budget);
+        ("Esp.open_ 8 KB", alloc_median (fun i -> Ipsec.Esp.open_ rx packets.(i)), budget);
+        ( "Chacha20.xor_into 8 KB",
+          alloc_median (fun _ -> Dcrypto.Chacha20.xor_into ~key ~nonce buf ~off:0 ~len:8192),
+          1024.0 );
+      ]
+  in
+  if over <> [] then Alcotest.fail (String.concat "; " over)
+
 (* --- ESP length guards ------------------------------------------------- *)
 
 let malformed_count stats = Stats.get stats "esp.drop.malformed"
@@ -522,6 +562,7 @@ let suite =
     Alcotest.test_case "xdr: non-zero padding rejected" `Quick test_nonzero_padding_rejected;
     QCheck_alcotest.to_alcotest prop_canonical_roundtrip;
     QCheck_alcotest.to_alcotest prop_mutated_xdr_typed_errors;
+    Alcotest.test_case "alloc: esp seal/open and chacha20 one-copy" `Quick test_alloc_guards;
     Alcotest.test_case "esp: chacha length guard" `Quick test_esp_length_guard_chacha;
     Alcotest.test_case "esp: 3des length guard" `Quick test_esp_length_guard_tdes;
     QCheck_alcotest.to_alcotest prop_esp_tdes_mutations_typed_errors;

@@ -62,34 +62,34 @@ let make_service () =
   let stats = Stats.create () in
   let link = Link.create ~clock ~cost:Simnet.Cost.default ~stats in
   let srv = Rpc.server ~clock ~cost:Simnet.Cost.default ~stats in
-  Rpc.register srv ~prog:77 ~vers:1 (fun ~conn ~proc ~args ->
+  Rpc.register srv ~prog:77 ~vers:1 (fun ~conn ~proc ~args e ->
       match proc with
-      | 0 -> Ok ""
-      | 1 -> Ok args (* echo *)
+      | 0 -> Ok ()
+      | 1 ->
+        Xdr.Enc.raw e (Xdr.Dec.rest args) (* echo *);
+        Ok ()
       | 2 ->
-        let d = Xdr.Dec.of_string args in
-        let a = Xdr.Dec.uint32 d in
-        let b = Xdr.Dec.uint32 d in
-        let e = Xdr.Enc.create () in
+        let a = Xdr.Dec.uint32 args in
+        let b = Xdr.Dec.uint32 args in
         Xdr.Enc.uint32 e (a + b);
-        Ok (Xdr.Enc.to_string e)
+        Ok ()
       | 3 ->
-        let e = Xdr.Enc.create () in
         Xdr.Enc.string e (Printf.sprintf "peer=%s uid=%d" conn.Rpc.peer conn.Rpc.uid);
-        Ok (Xdr.Enc.to_string e)
+        Ok ()
       | _ -> Error Rpc.Proc_unavail);
   (clock, stats, link, srv)
 
 let test_rpc_echo () =
   let _, stats, link, srv = make_service () in
   let client = Rpc.connect ~link srv in
-  Alcotest.(check string) "null" "" (Rpc.call client ~prog:77 ~vers:1 ~proc:0 "");
-  Alcotest.(check string) "echo" "payload!" (Rpc.call client ~prog:77 ~vers:1 ~proc:1 "payload!");
+  Alcotest.(check string) "null" "" (Xdr.Dec.rest (Rpc.call client ~prog:77 ~vers:1 ~proc:0 ""));
+  Alcotest.(check string) "echo" "payload!"
+    (Xdr.Dec.rest (Rpc.call client ~prog:77 ~vers:1 ~proc:1 "payload!"));
   let e = Xdr.Enc.create () in
   Xdr.Enc.uint32 e 20;
   Xdr.Enc.uint32 e 22;
   let reply = Rpc.call client ~prog:77 ~vers:1 ~proc:2 (Xdr.Enc.to_string e) in
-  Alcotest.(check int) "add" 42 (Xdr.Dec.uint32 (Xdr.Dec.of_string reply));
+  Alcotest.(check int) "add" 42 (Xdr.Dec.uint32 reply);
   Alcotest.(check int) "calls counted" 3 (Stats.get stats "rpc.calls")
 
 let test_rpc_faults () =
@@ -109,8 +109,7 @@ let test_rpc_conn_info () =
   let _, _, link, srv = make_service () in
   let client = Rpc.connect ~link ~peer:"dsa-hex:abcd" ~uid:1042 srv in
   let reply = Rpc.call client ~prog:77 ~vers:1 ~proc:3 "" in
-  Alcotest.(check string) "conn info" "peer=dsa-hex:abcd uid=1042"
-    (Xdr.Dec.string (Xdr.Dec.of_string reply))
+  Alcotest.(check string) "conn info" "peer=dsa-hex:abcd uid=1042" (Xdr.Dec.string reply)
 
 let test_rpc_charges_time () =
   let clock, _, link, srv = make_service () in
@@ -202,17 +201,16 @@ let test_ike_mitm_detected () =
 let test_rpc_over_esp () =
   let clock, stats, link, drbg, initiator, responder = handshake () in
   let srv = Rpc.server ~clock ~cost:Simnet.Cost.default ~stats in
-  Rpc.register srv ~prog:5 ~vers:1 (fun ~conn ~proc:_ ~args:_ ->
-      let e = Xdr.Enc.create () in
+  Rpc.register srv ~prog:5 ~vers:1 (fun ~conn ~proc:_ ~args:_ e ->
       Xdr.Enc.string e conn.Rpc.peer;
-      Ok (Xdr.Enc.to_string e));
+      Ok ());
   let client_ep, server_ep = Ipsec.Ike.establish ~link ~drbg ~initiator ~responder () in
   let channel = Ipsec.Ike.rpc_channel ~client:client_ep ~server:server_ep in
   let client = Rpc.connect ~link ~channel ~peer:server_ep.Ipsec.Ike.peer srv in
   let reply = Rpc.call client ~prog:5 ~vers:1 ~proc:0 "" in
   Alcotest.(check string) "server handler sees authenticated key"
     (Keynote.Assertion.principal_of_pub initiator.Dcrypto.Dsa.pub)
-    (Xdr.Dec.string (Xdr.Dec.of_string reply));
+    (Xdr.Dec.string reply);
   Alcotest.(check bool) "esp packets counted" true (Stats.get stats "esp.packets" >= 2)
 
 let test_esp_tdes_transform () =
