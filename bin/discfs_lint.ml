@@ -173,12 +173,17 @@ let role_conv =
   let parse = function
     | "lib" -> Ok Lint.Rules.Lib
     | "decode" -> Ok Lint.Rules.Decode
+    | "kernel" -> Ok Lint.Rules.Kernel
     | "exe" -> Ok Lint.Rules.Exe
     | s -> Error (`Msg ("unknown role: " ^ s))
   in
   let print fmt r =
     Format.pp_print_string fmt
-      (match r with Lint.Rules.Lib -> "lib" | Lint.Rules.Decode -> "decode" | Lint.Rules.Exe -> "exe")
+      (match r with
+      | Lint.Rules.Lib -> "lib"
+      | Lint.Rules.Decode -> "decode"
+      | Lint.Rules.Kernel -> "kernel"
+      | Lint.Rules.Exe -> "exe")
   in
   Arg.conv (parse, print)
 
@@ -206,7 +211,7 @@ let cmt_cmd =
     Arg.(
       value
       & opt (some role_conv) None
-      & info [ "role" ] ~docv:"lib|decode|exe"
+      & info [ "role" ] ~docv:"lib|decode|kernel|exe"
           ~doc:"Force the rule set instead of inferring it from the source path.")
   in
   let files =

@@ -31,13 +31,15 @@ let create ~stats ~size =
 
 let set_race t m = t.race <- m
 
-(* The memo key: a SHA-1 over the requesting principal, the exact
-   action-attribute set the compliance checker would see, and the
-   credential-set epoch (a generation number). Hashing the *attributes* (not the handle)
-   means anything that changes the KeyNote question — a renamed PATH,
-   a bumped GENERATION, a different hour — naturally keys a different
-   entry, with no flush-on-rename heuristics; folding in the epoch
-   retires every entry the moment the credential set changes. *)
+(* The memo key: the canonical encoding itself of the credential-set
+   epoch (a generation number), the requesting principal and the
+   exact action-attribute set the compliance checker would see. The
+   table lives in memory, so an exact key needs no digest and cannot
+   collide. Keying on the *attributes* (not the handle) means anything
+   that changes the KeyNote question — a renamed PATH, a bumped
+   GENERATION, a different hour — naturally keys a different entry,
+   with no flush-on-rename heuristics; folding in the epoch retires
+   every entry the moment the credential set changes. *)
 let key ~peer ~attributes ~epoch =
   let buf = Buffer.create 256 in
   Buffer.add_string buf (string_of_int epoch);
@@ -50,7 +52,7 @@ let key ~peer ~attributes ~epoch =
       Buffer.add_char buf '=';
       Buffer.add_string buf v)
     (List.sort compare attributes);
-  Dcrypto.Sha1.hex (Buffer.contents buf)
+  Buffer.contents buf
 
 let touch t = t.tick <- t.tick + 1; t.tick
 

@@ -4,24 +4,24 @@
     policy results" (§5), 128 entries in the evaluation (§6); without
     it every NFS operation pays a full compliance check.
 
-    {b Keying.} An entry is looked up by an opaque {!key}: a SHA-1
-    over the requesting principal, the complete action-attribute set
-    the compliance checker would evaluate ([HANDLE], [GENERATION],
-    [PATH], [hour], …) and the server's {e credential-set epoch} (a
-    generation number bumped on every change to the loaded
-    credentials or revoked keys, see {!Server}). Because everything
-    the KeyNote query depends on is folded into the key, a memoised
-    level can never be served for a different question: renaming a
-    file changes [PATH],
-    crossing an hour boundary changes [hour], and loading or revoking
-    a credential changes the epoch — each naturally keys a fresh
-    entry, and the superseded ones age out of the LRU.
+    {b Keying.} An entry is looked up by an opaque {!key}: the
+    canonical encoding of the requesting principal, the complete
+    action-attribute set the compliance checker would evaluate
+    ([HANDLE], [GENERATION], [PATH], [hour], …) and the server's
+    {e credential-set epoch} (a generation number bumped on every
+    change to the loaded credentials or revoked keys, see {!Server}).
+    Because everything the KeyNote query depends on is in the key, a
+    memoised level can never be served for a different question:
+    renaming a file changes [PATH], crossing an hour boundary changes
+    [hour], and loading or revoking a credential changes the epoch —
+    each naturally keys a fresh entry, and the superseded ones age
+    out of the LRU.
 
     {b Invalidation.} Epoch rotation makes stale entries
     unreachable; {!flush} additionally drops them eagerly and is
     called by the server on every credential-set change (submission,
-    issue, revocation, state reload) so revoked authority cannot
-    linger even behind a colliding key.
+    issue, revocation, state reload) so entries keyed by a retired
+    epoch do not linger in the table.
 
     {b Observability.} Evictions are counted in the registry given to
     {!create} under ["cache.policy.evictions"]. Hits and misses are
@@ -40,9 +40,11 @@ val set_race : t -> Race.monitor -> unit
     fills classify benign — and {!flush} wipes per-key state. *)
 
 val key : peer:string -> attributes:(string * string) list -> epoch:int -> string
-(** The memo key: SHA-1 (hex) of a canonical encoding of the
-    requesting principal, the action attributes (order-insensitive:
-    they are sorted before hashing) and the credential-set epoch. *)
+(** The memo key: the canonical encoding
+    [epoch\000peer\000k=v\000k=v…] of the credential-set epoch, the
+    requesting principal and the action attributes (order-insensitive:
+    they are sorted first). Used as is, not digested: the memo is an
+    in-memory table, so an exact key cannot collide. *)
 
 val find : t -> key:string -> int option
 (** Cached compliance level for [key], refreshing its LRU position. *)

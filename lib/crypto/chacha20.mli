@@ -38,5 +38,5 @@ val xor_into :
     key/nonce size or an out-of-bounds range. *)
 
 val block : key:string -> nonce:string -> counter:int -> string
-(** One 64-byte keystream block (exposed for Poly1305 key generation
-    and for tests against the RFC vectors). *)
+(** One 64-byte keystream block (exposed for tests against the RFC
+    vectors; ESP derives its Poly1305 key with {!xor_into}). *)

@@ -109,7 +109,10 @@ let evict_lru t =
 
 let insert t i data =
   if t.capacity > 0 then begin
-    Race.act t.race ~value:(Bytes.to_string data) ~key:(string_of_int i) ();
+    (* The act's value is a copy of the block: build it only for a
+       live monitor, not on every fill. *)
+    if Race.enabled t.race then
+      Race.act t.race ~value:(Bytes.to_string data) ~key:(string_of_int i) ();
     match Hashtbl.find_opt t.nodes i with
     | Some n ->
       n.data <- Bytes.copy data;

@@ -39,8 +39,12 @@ let nonce_of_seq seq = "\000\000\000\000" ^ be64 seq
 
 (* AEAD construction in the RFC 8439 style: the Poly1305 one-time key
    is keystream block 0; the tag covers header ("AAD") and
-   ciphertext. *)
-let one_time_key ~key ~nonce = String.sub (Dcrypto.Chacha20.block ~key ~nonce ~counter:0) 0 32
+   ciphertext. Only its first 32 bytes are used, so only those are
+   generated. *)
+let one_time_key ~key ~nonce =
+  let otk = Bytes.make 32 '\000' in
+  Dcrypto.Chacha20.xor_into ~key ~nonce ~counter:0 otk ~off:0 ~len:32;
+  Bytes.unsafe_to_string otk
 
 (* 3DES-HMAC-SHA1 subkeys derived from the 32-byte SA key. *)
 let tdes_keys sa =

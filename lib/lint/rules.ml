@@ -15,6 +15,7 @@ type rule =
   | Secret_flow
   | Mli_coverage
   | Hotpath_alloc
+  | C_boundary
 
 let all_rules =
   [
@@ -26,6 +27,7 @@ let all_rules =
     Secret_flow;
     Mli_coverage;
     Hotpath_alloc;
+    C_boundary;
   ]
 
 let rule_name = function
@@ -37,6 +39,7 @@ let rule_name = function
   | Secret_flow -> "secret-flow"
   | Mli_coverage -> "mli-coverage"
   | Hotpath_alloc -> "hotpath-alloc"
+  | C_boundary -> "c-boundary"
 
 let rule_of_name = function
   | "determinism" -> Some Determinism
@@ -47,9 +50,10 @@ let rule_of_name = function
   | "secret-flow" -> Some Secret_flow
   | "mli-coverage" -> Some Mli_coverage
   | "hotpath-alloc" -> Some Hotpath_alloc
+  | "c-boundary" -> Some C_boundary
   | _ -> None
 
-type role = Lib | Decode | Exe
+type role = Lib | Decode | Kernel | Exe
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
@@ -59,15 +63,16 @@ let role_of_path p =
     starts_with ~prefix:"lib/xdr/" p || starts_with ~prefix:"lib/rpc/" p
     || starts_with ~prefix:"lib/ipsec/" p
   then Decode
+  else if starts_with ~prefix:"lib/crypto/" p then Kernel
   else if starts_with ~prefix:"lib/" p then Lib
   else Exe
 
 let rules_for_role = function
-  | Lib -> [ Determinism; Poly_compare; No_print; Secret_flow; Mli_coverage ]
+  | Lib | Kernel -> [ Determinism; Poly_compare; No_print; Secret_flow; Mli_coverage; C_boundary ]
   | Decode ->
     [
       Determinism; Poly_compare; No_print; Decode_result; Secret_flow; Mli_coverage;
-      Hotpath_alloc;
+      Hotpath_alloc; C_boundary;
     ]
   | Exe -> [ Poly_compare; Secret_flow ]
 
@@ -295,7 +300,26 @@ let is_sink name =
 
 (* --- the typed-tree walk ---------------------------------------------- *)
 
-let check_structure ~enabled ~emit str =
+(* C-boundary: a C stub receives raw pointers into OCaml strings and
+   bytes, which stay valid only while no GC can run, so every external
+   must be [@@noalloc]; and the stubs are kept in the one library whose
+   OCaml side checks every size and range before the call. *)
+let check_external ~role ~emit (vd : Typedtree.value_description) =
+  let name = vd.Typedtree.val_name.Asttypes.txt in
+  match vd.Typedtree.val_val.Types.val_kind with
+  | Types.Val_prim _ when role <> Kernel ->
+    emit C_boundary vd.Typedtree.val_loc
+      (Printf.sprintf
+         "external %s outside lib/crypto: C stubs live in lib/crypto, behind OCaml-side size and range checks"
+         name)
+  | Types.Val_prim prim when prim.Primitive.prim_alloc ->
+    emit C_boundary vd.Typedtree.val_loc
+      (Printf.sprintf
+         "external %s is not [@@noalloc]: a stub handed Bytes pointers must not allocate or let the GC run"
+         name)
+  | _ -> ()
+
+let check_structure ~role ~enabled ~emit str =
   let open Typedtree in
   let check_ident e path =
     let raw = Path.name path in
@@ -360,7 +384,13 @@ let check_structure ~enabled ~emit str =
     | _ -> ());
     super.expr it e
   in
-  let it = { super with expr } in
+  let structure_item it item =
+    (match item.str_desc with
+    | Tstr_primitive vd when enabled C_boundary -> check_external ~role ~emit vd
+    | _ -> ());
+    super.structure_item it item
+  in
+  let it = { super with expr; structure_item } in
   it.structure it str
 
 let check_cmt ?role ~source_root cmt_path =
@@ -397,7 +427,7 @@ let check_cmt ?role ~source_root cmt_path =
             }
             :: !findings
         in
-        check_structure ~enabled ~emit str;
+        check_structure ~role ~enabled ~emit str;
         let resolved =
           List.filter_map
             (fun f ->

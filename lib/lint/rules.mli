@@ -41,7 +41,12 @@
       with a mandatory quoted justification on the line or the line
       above: [(* discfs-lint: allow hotpath-alloc "why" *)]. A
       file-level [allow] does not apply, and a marker without a
-      justification keeps the finding. *)
+      justification keeps the finding.
+    - [c-boundary]: an [external] (a C stub) in library code lives in
+      [lib/crypto] and is [[@@noalloc]]. A stub is handed raw pointers
+      into OCaml strings and bytes, valid only while no GC can run;
+      [lib/crypto]'s OCaml side checks every size and range before
+      the call. *)
 
 type rule =
   | Determinism
@@ -52,6 +57,7 @@ type rule =
   | Secret_flow
   | Mli_coverage
   | Hotpath_alloc
+  | C_boundary
 
 val all_rules : rule list
 
@@ -63,6 +69,10 @@ val rule_of_name : string -> rule option
 type role =
   | Lib  (** general library code: every rule except [decode-result] *)
   | Decode  (** wire-decode libraries: [Lib] plus [decode-result] *)
+  | Kernel
+      (** [lib/crypto], the one home of C stubs: [Lib], with
+          [c-boundary] demanding [[@@noalloc]] instead of flagging every
+          [external] *)
   | Exe
       (** executables, benches and tests: only [poly-compare] and
           [secret-flow] (printing and wall-clock use are legitimate
@@ -70,8 +80,9 @@ type role =
 
 val role_of_path : string -> role
 (** Role from a repo-relative source path: [lib/xdr], [lib/rpc] and
-    [lib/ipsec] are [Decode]; everything else under [lib/] is [Lib];
-    [bin/], [bench/] and [test/] are [Exe]. *)
+    [lib/ipsec] are [Decode]; [lib/crypto] is [Kernel]; everything
+    else under [lib/] is [Lib]; [bin/], [bench/] and [test/] are
+    [Exe]. *)
 
 val rules_for_role : role -> rule list
 

@@ -311,6 +311,8 @@ let test_alloc_guards () =
   let packets = Array.init 16 (fun _ -> Ipsec.Esp.seal sealer page) in
   let buf = Bytes.of_string page in
   let key = String.make 32 'k' and nonce = String.make 12 'n' in
+  let cache = Ffs.Bcache.create ~capacity:4 in
+  let block = Bytes.of_string page in
   let over =
     List.filter_map
       (fun (name, got, limit) ->
@@ -322,6 +324,10 @@ let test_alloc_guards () =
         ( "Chacha20.xor_into 8 KB",
           alloc_median (fun _ -> Dcrypto.Chacha20.xor_into ~key ~nonce buf ~off:0 ~len:8192),
           1024.0 );
+        (* Under Race.null a fill copies the block once, into the cache. *)
+        ( "Bcache.insert 8 KB",
+          alloc_median (fun i -> Ffs.Bcache.insert cache (i mod 8) block),
+          budget );
       ]
   in
   if over <> [] then Alcotest.fail (String.concat "; " over)
@@ -562,7 +568,8 @@ let suite =
     Alcotest.test_case "xdr: non-zero padding rejected" `Quick test_nonzero_padding_rejected;
     QCheck_alcotest.to_alcotest prop_canonical_roundtrip;
     QCheck_alcotest.to_alcotest prop_mutated_xdr_typed_errors;
-    Alcotest.test_case "alloc: esp seal/open and chacha20 one-copy" `Quick test_alloc_guards;
+    Alcotest.test_case "alloc: esp seal/open, chacha20 one-copy, bcache fill" `Quick
+      test_alloc_guards;
     Alcotest.test_case "esp: chacha length guard" `Quick test_esp_length_guard_chacha;
     Alcotest.test_case "esp: 3des length guard" `Quick test_esp_length_guard_tdes;
     QCheck_alcotest.to_alcotest prop_esp_tdes_mutations_typed_errors;

@@ -96,6 +96,27 @@ let test_hotpath_alloc () =
   Alcotest.(check int) "lib role unaffected" 0
     (List.length (check ~role:Lint.Rules.Lib "Bad_hotpath_alloc"))
 
+let test_c_boundary () =
+  (* Outside lib/crypto every external is a finding, noalloc or not... *)
+  let fs = check ~role:Lint.Rules.Lib "Bad_c_boundary" in
+  Alcotest.(check (list string)) "only c-boundary" [ "c-boundary" ] (rule_names fs);
+  Alcotest.(check int) "both externals, outside lib/crypto" 2 (List.length fs);
+  Alcotest.(check int) "decode layers too" 2
+    (List.length (check ~role:Lint.Rules.Decode "Bad_c_boundary"));
+  (* ...inside it, only the one that may allocate. *)
+  let fs = check ~role:Lint.Rules.Kernel "Bad_c_boundary" in
+  Alcotest.(check (list string)) "allocating stub in lib/crypto"
+    [ "external string_length is not [@@noalloc]" ]
+    (List.map
+       (fun f -> List.hd (String.split_on_char ':' f.Lint.Rules.message))
+       fs);
+  Alcotest.(check int) "noalloc stub is clean in lib/crypto" 0
+    (List.length (check ~role:Lint.Rules.Kernel "Good_c_boundary"));
+  Alcotest.(check int) "executables may bind C freely" 0
+    (List.length (check ~role:Lint.Rules.Exe "Bad_c_boundary"));
+  Alcotest.(check bool) "lib/crypto gets the kernel role" true
+    (Lint.Rules.role_of_path "lib/crypto/chacha20.ml" = Lint.Rules.Kernel)
+
 let test_role_gating () =
   (* decode-result only applies to wire-decode layers... *)
   Alcotest.(check int) "bare failwith fine outside decode paths" 0
@@ -472,6 +493,7 @@ let suite =
     ("pass-a: decode-result", `Quick, test_decode_result);
     ("pass-a: role gating", `Quick, test_role_gating);
     ("pass-a: hotpath-alloc per-site suppression", `Quick, test_hotpath_alloc);
+    ("pass-a: c-boundary externals", `Quick, test_c_boundary);
     ("pass-a: suppression comment", `Quick, test_suppression);
     ("pass-a: clean fixture", `Quick, test_clean);
     ("pass-a: rule names round-trip", `Quick, test_rule_names_roundtrip);
