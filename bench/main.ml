@@ -103,9 +103,9 @@ let search_figure spec =
   say "  %-8s %10.2f" "FFS" s_ffs;
   say "  %-8s %10.2f" "CFS-NE" s_cfs;
   say "  %-8s %10.2f" "DisCFS" s_dis;
-  (match Backend.discfs_parts b_dis with
+  (match b_dis.Backend.parts with
   | Some (d, _) ->
-    let cache = Discfs.Server.cache (Discfs.Deploy.server d) in
+    let cache = Discfs.Server.cache (Discfs.Cluster.node_server d 0) in
     say "  policy cache (size %d): %d hits, %d misses"
       (Discfs.Policy_cache.capacity cache)
       (Discfs.Policy_cache.hits cache) (Discfs.Policy_cache.misses cache)
@@ -126,9 +126,9 @@ let cache_sweep spec =
       let b = Backend.discfs ~cache_size:size () in
       Search.build b spec;
       let _, seconds = Search.run b in
-      match Backend.discfs_parts b with
+      match b.Backend.parts with
       | Some (d, _) ->
-        let cache = Discfs.Server.cache (Discfs.Deploy.server d) in
+        let cache = Discfs.Server.cache (Discfs.Cluster.node_server d 0) in
         say "  %-8d %12.2f %10d %10d" size seconds (Discfs.Policy_cache.hits cache)
           (Discfs.Policy_cache.misses cache)
       | None -> ())
@@ -200,8 +200,8 @@ let chain_sweep () =
 let credstore () =
   say "@.Credential store: wall us and allocated words per operation vs store size";
   say "  (one admin -> user credential per user; add includes the DSA verify)";
-  let d = Discfs.Deploy.make ~seed:"credstore" () in
-  let server = Discfs.Deploy.server d in
+  let d = Discfs.Cluster.make ~seed:"credstore" () in
+  let server = Discfs.Cluster.node_server d 0 in
   let session = Discfs.Server.session server in
   let drbg = Dcrypto.Drbg.create ~seed:"credstore-users" in
   let users = ref [] in
@@ -292,7 +292,7 @@ let scalability () =
       (* --- DisCFS: the owner delegates; the administrator did one
          initial delegation, ever. Server state before any user
          arrives: none. *)
-      let d = Discfs.Deploy.make ~seed:"scale-discfs" () in
+      let d = Discfs.Cluster.make ~seed:"scale-discfs" () in
       let owner_key = Discfs.Cluster.new_identity d in
       let owner = CC.attach d ~identity:owner_key ~uid:100 () in
       let root = CC.root owner in
@@ -472,7 +472,7 @@ let breakdown_config ~label ~attr_cache ~compound ~warm spec =
     else Backend.discfs ~tracing:true ()
   in
   Search.build b spec;
-  match Backend.discfs_parts b with
+  match b.Backend.parts with
   | None -> failwith "latency_breakdown: discfs backend has no deployment"
   | Some (d, _) ->
     Ffs.Blockdev.drop_cache (Discfs.Cluster.dev d);
@@ -827,7 +827,7 @@ let ablation_config ~config ~cache_blocks ~cache_size ~attr_cache spec =
       ~name_ttl:120.0 ()
   in
   Search.build b spec;
-  match Backend.discfs_parts b with
+  match b.Backend.parts with
   | None -> failwith "cache_ablation: discfs backend has no deployment"
   | Some (d, _) ->
     Ffs.Blockdev.drop_cache (Discfs.Cluster.dev d);
@@ -973,7 +973,7 @@ let conc_ops_per_client = 12
    counted, not fatal: past the knee an undersized queue sheds load
    and the at-least-once retry absorbs it. *)
 let conc_run ~clients ~workers ~depth =
-  let d = Discfs.Deploy.make ~workers ~queue_depth:depth ~seed:"conc-scaling" () in
+  let d = Discfs.Cluster.make ~workers ~queue_depth:depth ~seed:"conc-scaling" () in
   let sched = Option.get (Discfs.Cluster.sched d) in
   let conns =
     List.init clients (fun i ->
@@ -1018,7 +1018,7 @@ let conc_run ~clients ~workers ~depth =
     cn_throughput = (if seconds = 0.0 then 0.0 else float_of_int !done_ops /. seconds);
     cn_mean_lat = (if !done_ops = 0 then 0.0 else !lat_sum /. float_of_int !done_ops);
     cn_max_lat = !lat_max;
-    cn_qpeak = Oncrpc.Rpc.queue_peak (Discfs.Deploy.rpc d);
+    cn_qpeak = Oncrpc.Rpc.queue_peak (Discfs.Cluster.node_rpc d 0);
     cn_rejects = get "rpc.queue_rejects";
     cn_retrans = get "rpc.retransmits";
     cn_mean_wait =
@@ -1142,7 +1142,12 @@ type topo_row = {
    a few reads, exercising the signed-redirect path under the same
    deterministic clock. *)
 let topo_run ~servers ~clients ~ops ~workers =
-  let cluster = Cluster.make ~servers ~workers ~queue_depth:64 ~seed:"topo-scaling" () in
+  (* The sweep runs 1 to 16 servers over one switched fabric, so the
+     one-server row keeps its switch hop too. *)
+  let cluster =
+    Cluster.make ~servers ~workers ~queue_depth:64 ~seed:"topo-scaling"
+      ~switch_latency:Simnet.Topo.default_switch_latency ()
+  in
   let sched = Option.get (Cluster.sched cluster) in
   let clock = Cluster.clock cluster in
   let boot = CC.attach cluster ~identity:(Cluster.admin_identity cluster) ~uid:0 ~home:0 () in
@@ -1298,7 +1303,7 @@ let topology ?(smoke = false) ?json () =
 let trace_dump () =
   let b = Backend.discfs ~tracing:true () in
   Search.build b { Search.dirs = 2; files_per_dir = 3; mean_file_size = 1024; seed = "trace-dump" };
-  match Backend.discfs_parts b with
+  match b.Backend.parts with
   | None -> failwith "trace: discfs backend has no deployment"
   | Some (d, _) ->
     let trace = Discfs.Cluster.trace d in
@@ -1718,7 +1723,7 @@ let micro_tests () =
   let tx =
     Ipsec.Sa.create ~clock ~cost:Simnet.Cost.default ~stats ~spi:9 ~key:(String.make 32 'k') ()
   in
-  let d = Discfs.Deploy.make ~seed:"micro-deploy" ~cache_size:128 () in
+  let d = Discfs.Cluster.make ~seed:"micro-deploy" ~cache_size:128 () in
   let bob = Discfs.Cluster.new_identity d in
   let client = CC.attach d ~identity:bob () in
   let root = CC.root client in
@@ -1731,11 +1736,11 @@ let micro_tests () =
   | Ok _ -> ()
   | Error e -> failwith e);
   let peer = CC.principal client in
-  let server = Discfs.Deploy.server d in
+  let server = Discfs.Cluster.node_server d 0 in
   let cache = Discfs.Server.cache server in
   (* Warm the cache for the hot-path test. *)
   ignore (Discfs.Server.query_level server ~peer ~ino:root.Nfs.Proto.ino);
-  let link = Discfs.Deploy.link d in
+  let link = Discfs.Cluster.node_link d 0 in
   let ike_drbg = Dcrypto.Drbg.create ~seed:"micro-ike" in
   let responder = Dcrypto.Dsa.generate_key ike_drbg in
   let open Bechamel in

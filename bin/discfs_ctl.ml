@@ -68,7 +68,7 @@ let write_file path data =
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc data)
 
 let demo seed =
-  let d = Discfs.Deploy.make ~seed () in
+  let d = Discfs.Cluster.make ~seed () in
   say "== DisCFS demonstration (deterministic seed %S) ==@." seed;
   say "1. Server deployed. Policy trusts the administrator key %s..."
     (String.sub (Discfs.Cluster.admin_principal d) 0 30);
@@ -120,7 +120,7 @@ let demo seed =
   List.iter
     (fun (k, v) -> say "   %-24s %d" k v)
     (Trace.Metrics.counters (Discfs.Cluster.stats d));
-  let cache = Discfs.Server.cache (Discfs.Deploy.server d) in
+  let cache = Discfs.Server.cache (Discfs.Cluster.node_server d 0) in
   say "   %-24s %d hits / %d misses" "policy cache"
     (Discfs.Policy_cache.hits cache) (Discfs.Policy_cache.misses cache);
   0
@@ -137,10 +137,10 @@ let demo_cmd =
    redirect, and the replica lease cycle — the operator-visible faces
    of docs/TOPOLOGY.md. *)
 let cluster servers seed =
-  if servers < 2 then (say "cluster: need at least 2 servers"; 1)
+  if servers < 2 then (prerr_endline "cluster: need at least 2 servers"; 1)
   else begin
-    let c, ccs = Discfs.Deploy.make_cluster ~servers ~clients:1 ~seed () in
-    let cc = List.hd ccs in
+    let c = Discfs.Cluster.make ~servers ~seed () in
+    let cc = CC.attach c ~identity:(Discfs.Cluster.new_identity c) () in
     say "== DisCFS server set (%d frontends, deterministic seed %S) ==@." servers seed;
     say "1. Cluster deployed: one volume, %d frontends on their own access" servers;
     say "   links, all trusting administrator key %s..."
@@ -214,7 +214,7 @@ let cluster_cmd =
 let snapshot seed out =
   (* Run a small deployment and dump its volume to a real disk image
      file, for fsck below. *)
-  let d = Discfs.Deploy.make ~seed () in
+  let d = Discfs.Cluster.make ~seed () in
   let admin = CC.attach d ~identity:(Discfs.Cluster.admin_identity d) ~uid:0 () in
   let root = CC.root admin in
   let docs, _, _ = CC.mkdir admin ~dir:root "docs" () in

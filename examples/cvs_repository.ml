@@ -6,7 +6,6 @@
    Five authors, one repository, zero administrator actions.
    Run with: dune exec examples/cvs_repository.exe *)
 
-module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
 module CC = Discfs.Cluster_client
 module Assertion = Keynote.Assertion
@@ -18,7 +17,7 @@ let grant fh v =
   Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"%s\";" fh.Proto.ino v
 
 let () =
-  let d = Deploy.make ~seed:"cvs" () in
+  let d = Cluster.make ~seed:"cvs" () in
 
   (* Miltchev owns the repository. *)
   let owner_key = Cluster.new_identity d in

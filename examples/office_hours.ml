@@ -6,7 +6,6 @@
    changes in the filesystem are needed.
    Run with: dune exec examples/office_hours.exe *)
 
-module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
 module CC = Discfs.Cluster_client
 module Proto = Nfs.Proto
@@ -16,7 +15,7 @@ let say fmt = Format.printf (fmt ^^ "@.")
 let () =
   (* The simulated wall clock hour is adjustable from the outside. *)
   let hour = ref 9 in
-  let d = Deploy.make ~seed:"office-hours" ~hour:(fun () -> !hour) () in
+  let d = Cluster.make ~seed:"office-hours" ~hour:(fun () -> !hour) () in
   let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = CC.root admin in
 
@@ -52,7 +51,7 @@ let () =
     (* The policy cache memoises per-handle results; a real deployment
        flushes it on policy-relevant environment changes (the paper's
        prototype simply kept cached results briefly). *)
-    Discfs.Policy_cache.flush (Discfs.Server.cache (Deploy.server d));
+    Discfs.Policy_cache.flush (Discfs.Server.cache (Cluster.node_server d 0));
     try_read "quarterly-report.txt" report;
     try_read "adventure-walkthrough.txt" games
   in

@@ -10,7 +10,6 @@
    visitor attaches with the guest key; private files stay invisible.
    Run with: dune exec examples/public_www.exe *)
 
-module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
 module CC = Discfs.Cluster_client
 module Proto = Nfs.Proto
@@ -18,7 +17,7 @@ module Proto = Nfs.Proto
 let say fmt = Format.printf (fmt ^^ "@.")
 
 let () =
-  let d = Deploy.make ~seed:"public-www" () in
+  let d = Cluster.make ~seed:"public-www" () in
   let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = CC.root admin in
 

@@ -7,7 +7,6 @@
    server; Alice is an external user the server has never heard of.
    Run with: dune exec examples/quickstart.exe *)
 
-module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
 module CC = Discfs.Cluster_client
 module Assertion = Keynote.Assertion
@@ -17,7 +16,7 @@ let say fmt = Format.printf (fmt ^^ "@.")
 let () =
   (* A DisCFS server (the paper's machine "Alice", confusingly — we
      name machines after their users here) with an administrator. *)
-  let d = Deploy.make ~seed:"quickstart" () in
+  let d = Cluster.make ~seed:"quickstart" () in
   say "DisCFS server up; administrator key %s..."
     (String.sub (Cluster.admin_principal d) 0 28);
 
@@ -86,7 +85,7 @@ let () =
   | _ -> failwith "write should have been denied");
 
   (* The server logged who did what, by key. *)
-  let log = Discfs.Server.audit_log (Deploy.server d) in
+  let log = Discfs.Server.audit_log (Cluster.node_server d 0) in
   say "@.Server audit trail (%d entries), most recent first:" (List.length log);
   List.iteri
     (fun i e ->

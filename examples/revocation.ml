@@ -7,7 +7,6 @@
    contractor's key, which kills every chain through it.
    Run with: dune exec examples/revocation.exe *)
 
-module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
 module CC = Discfs.Cluster_client
 module Assertion = Keynote.Assertion
@@ -21,7 +20,7 @@ let grant fh v =
 let must = function Ok _ -> () | Error e -> failwith e
 
 let () =
-  let d = Deploy.make ~seed:"revocation" () in
+  let d = Cluster.make ~seed:"revocation" () in
   let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = CC.root admin in
   let plans, _, _ = CC.create admin ~dir:root "plans.txt" () in
@@ -83,7 +82,7 @@ let () =
      just another condition. *)
   say "@.-- alternative: short-lived credentials via an expiry condition";
   let hour = ref 10 in
-  let d2 = Deploy.make ~seed:"expiry" ~hour:(fun () -> !hour) () in
+  let d2 = Cluster.make ~seed:"expiry" ~hour:(fun () -> !hour) () in
   let admin2 = CC.attach d2 ~identity:(Cluster.admin_identity d2) ~uid:0 () in
   let f, _, _ = CC.create admin2 ~dir:(CC.root admin2) "temp.txt" () in
   CC.write_all admin2 f "temporary";
@@ -101,7 +100,7 @@ let () =
   ignore (CC.read visitor f ~off:0 ~count:4);
   say "   10:00 visitor reads fine";
   hour := 18;
-  Discfs.Policy_cache.flush (Discfs.Server.cache (Deploy.server d2));
+  Discfs.Policy_cache.flush (Discfs.Server.cache (Cluster.node_server d2 0));
   (match CC.read visitor f ~off:0 ~count:4 with
   | exception Proto.Nfs_error s -> say "   18:00 day pass expired: %s" (Proto.status_to_string s)
   | _ -> failwith "expired pass still grants");

@@ -6,7 +6,6 @@
 
    Run with: dune exec examples/sales_delegation.exe *)
 
-module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
 module CC = Discfs.Cluster_client
 module Assertion = Keynote.Assertion
@@ -18,7 +17,7 @@ let handle_grant fh v =
   Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"%s\";" fh.Proto.ino v
 
 let () =
-  let d = Deploy.make ~seed:"sales" () in
+  let d = Cluster.make ~seed:"sales" () in
 
   (* One-time administrator action: delegate the corporate tree root
      to Bob. After this the administrators are out of the loop. *)

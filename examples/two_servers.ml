@@ -9,7 +9,6 @@
    their own server; nothing is shared or synchronized between them.
    Run with: dune exec examples/two_servers.exe *)
 
-module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
 module CC = Discfs.Cluster_client
 module Proto = Nfs.Proto
@@ -24,8 +23,8 @@ let must = function Ok _ -> () | Error e -> failwith e
 let () =
   (* Two completely independent deployments: separate disks, clocks,
      administrators, policies. Only the *user's key* spans them. *)
-  let penn = Deploy.make ~seed:"upenn.edu" () in
-  let cam = Deploy.make ~seed:"cam.ac.uk" () in
+  let penn = Cluster.make ~seed:"upenn.edu" () in
+  let cam = Cluster.make ~seed:"cam.ac.uk" () in
   say "Two servers, two administrative domains:";
   say "  upenn.edu   admin %s..." (String.sub (Cluster.admin_principal penn) 0 26);
   say "  cam.ac.uk   admin %s..." (String.sub (Cluster.admin_principal cam) 0 26);

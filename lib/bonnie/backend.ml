@@ -20,6 +20,7 @@ type t = {
   readdir : handle -> string list;
   lookup : handle -> string -> handle;
   remove : handle -> string -> unit;
+  parts : (Discfs.Cluster.t * Discfs.Cluster_client.t) option;
 }
 
 let handle_of_ino ino = Ino ino
@@ -89,6 +90,7 @@ let ffs_local ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192) () =
       (fun dir name ->
         syscall ();
         Ffs.Fs.remove fs (to_ino dir) name);
+    parts = None;
   }
 
 (* --- shared remote plumbing ------------------------------------------ *)
@@ -109,8 +111,8 @@ end
 
 let to_fh fs = function Fh fh -> fh | Ino ino -> { Proto.ino; gen = Ffs.Fs.generation fs ino }
 
-let remote_ops (type c) (module R : REMOTE with type t = c) (client : c) ~label ~clock ~stats
-    ~cost ~fs ~root =
+let remote_ops (type c) ?parts (module R : REMOTE with type t = c) (client : c) ~label ~clock
+    ~stats ~cost ~fs ~root =
   let syscall () = Clock.advance clock cost.Cost.syscall in
   let to_fh = to_fh fs in
   let read h ~off ~len =
@@ -153,6 +155,7 @@ let remote_ops (type c) (module R : REMOTE with type t = c) (client : c) ~label 
       (fun dir name ->
         syscall ();
         R.remove client (to_fh dir) name);
+    parts;
   }
 
 (* --- CFS-NE ----------------------------------------------------------- *)
@@ -178,21 +181,12 @@ module Routed = struct
   let mkdir = nfs_mkdir
 end
 
-(* DisCFS testbeds are remembered by their (physically unique) clock
-   so ablation benches and tests can reach what sits behind the
-   uniform surface. *)
-let testbeds : (Clock.t * (Cluster.t * CC.t)) list ref = ref []
-
 let discfs ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192) ?(cache_size = 128)
     ?cache_blocks ?readahead ?(attr_cache = false) ?attr_ttl ?name_ttl ?(compound = true)
     ?(servers = 1) ?nshards ?cipher ?fault ?retry ?tracing () =
   let d =
-    if servers = 1 then
-      Discfs.Deploy.make ~nblocks ~block_size ~ninodes ~cache_size ?cache_blocks ?readahead
-        ?fault ?tracing ()
-    else
-      Cluster.make ~nblocks ~block_size ~ninodes ~cache_size ?cache_blocks ?readahead ?fault
-        ?tracing ?nshards ~servers ()
+    Cluster.make ~nblocks ~block_size ~ninodes ~cache_size ?cache_blocks ?readahead ?fault
+      ?tracing ?nshards ~servers ()
   in
   let cc = CC.attach d ~identity:(Cluster.new_identity d) ?cipher ?retry () in
   (* The administrator grants the benchmark user full rights over the
@@ -206,9 +200,8 @@ let discfs ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192) ?(cache_siz
   | Ok _ -> ()
   | Error e -> failwith ("credential submission failed: " ^ e));
   let clock = Cluster.clock d in
-  testbeds := (clock, (d, cc)) :: !testbeds;
   let ops =
-    remote_ops (module Routed) cc
+    remote_ops ~parts:(d, cc) (module Routed) cc
       ~label:(if servers = 1 then "DisCFS" else Printf.sprintf "DisCFS-%dsrv" servers)
       ~clock ~stats:(Cluster.stats d) ~cost:Cost.default ~fs:(Cluster.fs d)
       ~root:(Fh (CC.root cc))
@@ -267,5 +260,3 @@ let discfs ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192) ?(cache_siz
             Cache.read_whole cache (to_fh h));
       }
   end
-
-let discfs_parts t = List.find_opt (fun (clock, _) -> clock == t.clock) !testbeds |> Option.map snd

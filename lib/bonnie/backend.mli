@@ -24,6 +24,11 @@ type t = {
   readdir : handle -> string list; (** without ["."] and [".."] *)
   lookup : handle -> string -> handle;
   remove : handle -> string -> unit;
+  parts : (Discfs.Cluster.t * Discfs.Cluster_client.t) option;
+      (** The server set and the client behind a {!discfs} backend
+          ([None] for the others): cache statistics for the ablation
+          benches, shard-map surgery in the tests. They live exactly
+          as long as the backend value. *)
 }
 
 val handle_of_ino : int -> handle
@@ -68,9 +73,10 @@ val discfs :
     benchmark setup; workload creates and mkdirs are the plain NFS
     procedures.
 
-    [servers] (default 1) sizes the server set: one is
-    {!Discfs.Deploy.make}, more is a sharded {!Discfs.Cluster} of
-    [nshards] shards whose label is ["DisCFS-<n>srv"]. Every op is
+    [servers] (default 1) sizes the server set: one is the paper's
+    two-host testbed ({!Discfs.Cluster.make}'s defaults), more is a
+    sharded {!Discfs.Cluster} of [nshards] shards whose label is
+    ["DisCFS-<n>srv"]. Every op is
     routed by handle — mutations to the shard owner, reads to the
     owner or a leased replica, metadata to the home frontend — with
     signed redirects correcting a stale shard map in flight, so any
@@ -91,7 +97,3 @@ val discfs :
     retransmission profile; [tracing] turns on the per-layer
     span/metrics instrumentation (see {!Discfs.Cluster.make}). *)
 
-val discfs_parts : t -> (Discfs.Cluster.t * Discfs.Cluster_client.t) option
-(** The server set and the client behind a {!discfs} backend ([None]
-    for the others): cache statistics for the ablation benches,
-    shard-map surgery in the tests. *)

@@ -383,17 +383,24 @@ let boot_server t ~keys i ~label =
 
 let make ?(cost = Cost.default) ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192)
     ?(cache_size = 128) ?(cache_blocks = 0) ?readahead ?hour ?strict_handles
-    ?(seed = "discfs-cluster") ?fault ?(tracing = false) ?workers
+    ?(seed = "discfs-deploy") ?fault ?(tracing = false) ?workers
     ?(queue_depth = default_queue_depth) ?(racecheck = false) ?tie_seed ?switch_latency
-    ?(nshards = default_nshards) ?(lease_duration = 3600.) ~servers () =
+    ?(nshards = default_nshards) ?(lease_duration = 3600.) ?(servers = 1) () =
   if servers < 1 then invalid_arg "Cluster.make: servers < 1";
+  (* One host has no switch hop: the paper's two-host testbed is a
+     single wire between server and client. *)
+  let switch_latency =
+    match switch_latency with
+    | Some l -> l
+    | None -> if servers = 1 then 0. else Topo.default_switch_latency
+  in
   let clock = Clock.create () in
   let stats = Stats.create () in
   let trace =
     if tracing then Trace.create ~metrics:stats ~now:(fun () -> Clock.now clock) ()
     else Trace.null
   in
-  let topo = Topo.create ~clock ~cost ~stats ?switch_latency () in
+  let topo = Topo.create ~clock ~cost ~stats ~switch_latency () in
   Topo.set_trace topo trace;
   let dev =
     Ffs.Blockdev.create ~cache_blocks ?readahead ~clock ~cost ~stats ~nblocks ~block_size ()

@@ -56,18 +56,28 @@ val make :
   ?switch_latency:float ->
   ?nshards:int ->
   ?lease_duration:float ->
-  servers:int ->
+  ?servers:int ->
   unit ->
   t
-(** Build [servers] frontends, each with its own host (access link),
-    RPC endpoint and DisCFS server over the one shared volume.
-    [nshards] (default 32) sizes the shard space; [lease_duration]
-    (default one virtual hour) is the replica lease term;
-    [switch_latency] is the fabric hop added to every access link
-    (see {!Simnet.Topo.create}). Deterministic for a fixed [seed]
-    (default ["discfs-cluster"]): host keys are drawn from the DRBG in
-    index order. [Deploy.make] is this at [~servers:1
-    ~switch_latency:0.].
+(** Build [servers] (default 1) frontends, each with its own host
+    (access link), RPC endpoint and DisCFS server over the one shared
+    volume. [nshards] (default 32) sizes the shard space;
+    [lease_duration] (default one virtual hour) is the replica lease
+    term; [switch_latency] is the fabric hop added to every access
+    link (see {!Simnet.Topo.create}), by default
+    {!Simnet.Topo.default_switch_latency}, or [0.] at one server.
+    Deterministic for a fixed [seed] (default ["discfs-deploy"]): the
+    administrator key, then the host keys in index order, are drawn
+    from the DRBG. The other defaults are the 2001-era cost model,
+    8 K blocks, 16 Ki blocks (a 128 MB volume), 8 Ki inodes and a
+    policy cache of 128.
+
+    The default, [make ()], is the paper's two-host testbed (the
+    Alice / Bob machines of Figure 6): one server, no switch hop. The
+    cluster layer is inert at one node: every handle is served
+    locally, so no GETMAP, redirect, lease or server-to-server
+    traffic ever happens. Clients attach with {!Cluster_client.attach};
+    node 0's parts are {!node_server}, {!node_rpc} and {!node_link}.
 
     [cache_blocks] (default [0] — off, the paper-faithful baseline)
     sizes the shared volume's buffer cache in blocks and [readahead]

@@ -19,7 +19,7 @@
 
     Credentials submitted here fan out to every open connection and
     replay onto lazy attaches: authorization never depends on which
-    frontend a redirect lands on. At one frontend ([Deploy.make]) the
+    frontend a redirect lands on. At one frontend ([Cluster.make ()]) the
     client sends exactly a single-server client's traffic (see
     [docs/TOPOLOGY.md]). *)
 

@@ -124,7 +124,6 @@ let shared_abstract_suffixes =
     "Client.t";
     "Policy_cache.t";
     "Cache.t";
-    "Deploy.t";
     "Cluster.t";
     "Cluster_client.t";
     "Gen.t";

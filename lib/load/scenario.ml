@@ -10,7 +10,6 @@ module Clock = Simnet.Clock
 module Stats = Simnet.Stats
 module Arrival = Simnet.Arrival
 module Metrics = Trace.Metrics
-module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
 module CC = Discfs.Cluster_client
 
@@ -82,7 +81,7 @@ type sweep_point = {
 }
 
 let sweep_one ~seed ~clients ~workers ~queue_depth ~duration rate =
-  let d = Deploy.make ~workers ~queue_depth ~seed () in
+  let d = Cluster.make ~workers ~queue_depth ~seed () in
   let sched = Option.get (Cluster.sched d) in
   let conns =
     Array.init clients (fun i ->
@@ -114,7 +113,7 @@ let sweep_one ~seed ~clients ~workers ~queue_depth ~duration rate =
     sp_makespan = Gen.makespan gen;
     sp_throughput = Gen.throughput gen;
     sp_summary = Slo.of_histogram gen.Gen.latencies;
-    sp_qpeak = Oncrpc.Rpc.queue_peak (Deploy.rpc d);
+    sp_qpeak = Oncrpc.Rpc.queue_peak (Cluster.node_rpc d 0);
     sp_rejects = get "rpc.queue_rejects";
     sp_retrans = get "rpc.retransmits";
   }
@@ -162,7 +161,7 @@ let boot_storm ?(seed = "slo-storm") ?(clients = 200) ?(dirs = 4)
     ?(files_per_dir = 4) ?(workers = 4) ?(queue_depth = 64) ?tie_seed
     ?(racecheck = false) () =
   let d =
-    Deploy.make ~workers ~queue_depth ~seed ~cache_blocks:4096 ~readahead:8
+    Cluster.make ~workers ~queue_depth ~seed ~cache_blocks:4096 ~readahead:8
       ~cache_size:256 ?tie_seed ~racecheck ()
   in
   let sched = Option.get (Cluster.sched d) in
@@ -235,7 +234,7 @@ let boot_storm ?(seed = "slo-storm") ?(clients = 200) ?(dirs = 4)
     st_bcache_misses = get "bcache.misses";
     st_policy_hits = get "keynote.cache_hits";
     st_policy_queries = get "keynote.queries";
-    st_qpeak = Oncrpc.Rpc.queue_peak (Deploy.rpc d);
+    st_qpeak = Oncrpc.Rpc.queue_peak (Cluster.node_rpc d 0);
     st_rejects = get "rpc.queue_rejects";
     st_retrans = get "rpc.retransmits";
     st_fingerprint = fs_fingerprint (Cluster.fs d);
@@ -316,7 +315,7 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
   let s = spec in
   if s.cs_initial_clients < 1 then invalid_arg "churn: need a client";
   let d =
-    Deploy.make ~workers:s.cs_workers ~queue_depth:s.cs_queue_depth
+    Cluster.make ~workers:s.cs_workers ~queue_depth:s.cs_queue_depth
       ~seed:s.cs_seed ?tie_seed ~racecheck ()
   in
   let sched = Option.get (Cluster.sched d) in
@@ -329,8 +328,9 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
       attach_with_file d ~uid ?sa_lifetime:s.cs_sa_lifetime ?retry:s.cs_retry
         name
     in
-    ids := (Deploy.restarts d, CC.client_id c) :: !ids;
-    { m_client = c; m_fh = fh; m_box = Sched.Mailbox.create (); m_epoch = Deploy.restarts d }
+    let epoch = Cluster.node_restarts d 0 in
+    ids := (epoch, CC.client_id c) :: !ids;
+    { m_client = c; m_fh = fh; m_box = Sched.Mailbox.create (); m_epoch = epoch }
   in
   let ops = max 1 (int_of_float (s.cs_rate *. s.cs_duration)) in
   let arrivals =
@@ -346,8 +346,8 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
          idempotent); only a success proves the new connection. *)
       try
         mixed_op m.m_client m.m_fh i;
-        if Deploy.restarts d > m.m_epoch then begin
-          m.m_epoch <- Deploy.restarts d;
+        if Cluster.node_restarts d 0 > m.m_epoch then begin
+          m.m_epoch <- Cluster.node_restarts d 0;
           ids := (m.m_epoch, CC.client_id m.m_client) :: !ids
         end;
         true
@@ -439,7 +439,7 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
   | Some t ->
     ignore
       (* discfs-lint: allow races "the crash process is the only mutator of the deployment's incarnation fields; clients observe the swap only through RPC timeouts" *)
-      (Sched.spawn_at sched (base +. t) (fun () -> Deploy.crash_and_restart d)));
+      (Sched.spawn_at sched (base +. t) (fun () -> Cluster.crash_and_restart d 0)));
   (* End of horizon: stop every member still active. Queued jobs sit
      ahead of the stop in each mailbox, so nothing offered is lost. *)
   ignore

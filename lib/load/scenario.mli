@@ -145,7 +145,7 @@ val churn :
   ?spec:churn_spec -> ?tie_seed:int64 -> ?racecheck:bool -> unit -> churn_report
 (** Run the churn scenario.  [tie_seed] perturbs the scheduler's
     tie order and [racecheck] arms the happens-before checker, both
-    straight through to {!Discfs.Deploy.make}.
+    straight through to {!Discfs.Cluster.make}.
     Conservation laws on the report:
     [offered = completed + failed], [hist_count = completed], and no
     (incarnation, client-id) pair repeats in [ch_client_ids].

@@ -50,7 +50,7 @@ val quiesce : t -> int
     shutdown of an endpoint loses them for real — counting each under
     ["link.drops"] / ["link.quiesce_drops"], and mark every flow's
     wire idle. Returns how many packets were flushed. Called by
-    [Deploy.crash_and_restart]. *)
+    [Discfs.Cluster.crash_and_restart]. *)
 
 val send : t -> ?flow:int -> string -> string list
 (** [send t ~flow payload] charges wire time for the attempt and

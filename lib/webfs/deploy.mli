@@ -1,5 +1,5 @@
-(** Testbed setup for the WebFS comparator, mirroring
-    {!Discfs.Deploy}: one virtual host pair, an IKE-authenticated
+(** Testbed setup for the WebFS comparator, mirroring the one-server
+    {!Discfs.Cluster.make}: one virtual host pair, an IKE-authenticated
     channel per client, ACL-enforced NFS. *)
 
 type t = {

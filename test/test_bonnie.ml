@@ -84,11 +84,25 @@ let test_search_cache_effect () =
 
 let test_deploy_registry () =
   let b = Bonnie.Backend.discfs () in
-  (match Bonnie.Backend.discfs_parts b with
+  (match b.Bonnie.Backend.parts with
   | Some _ -> ()
   | None -> Alcotest.fail "discfs deployment not registered");
   let ffs = Bonnie.Backend.ffs_local () in
-  Alcotest.(check bool) "ffs has no deployment" true (Bonnie.Backend.discfs_parts ffs = None)
+  Alcotest.(check bool) "ffs has no deployment" true (ffs.Bonnie.Backend.parts = None)
+
+(* A dropped backend takes its testbed with it: nothing global may keep
+   the cluster, and every block written to its volume, reachable. *)
+let test_backend_releases_testbed () =
+  let weak = Weak.create 1 in
+  let[@inline never] build () =
+    let b = Bonnie.Backend.discfs ~nblocks:256 ~ninodes:64 () in
+    Weak.set weak 0 (Option.map fst b.Bonnie.Backend.parts)
+  in
+  build ();
+  let built = Weak.check weak 0 in
+  Gc.full_major ();
+  Alcotest.(check bool) "a discfs backend has a cluster" true built;
+  Alcotest.(check bool) "cluster collected" false (Weak.check weak 0)
 
 let suite =
   [
@@ -101,4 +115,5 @@ let suite =
     Alcotest.test_case "figure 12 search shape" `Slow test_search_totals_agree;
     Alcotest.test_case "policy cache ablation" `Slow test_search_cache_effect;
     Alcotest.test_case "deployment registry" `Quick test_deploy_registry;
+    Alcotest.test_case "dropped backend frees its testbed" `Quick test_backend_releases_testbed;
   ]

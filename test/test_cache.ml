@@ -7,7 +7,6 @@
 
 module Proto = Nfs.Proto
 module Assertion = Keynote.Assertion
-module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
 module CC = Discfs.Cluster_client
 module Server = Discfs.Server
@@ -147,7 +146,7 @@ let test_crash_mid_write_no_stale_blocks () =
   (* End-to-end: a client writes through the full stack, the server
      crashes, and the rebooted incarnation must serve current data
      from a cold cache — never a stale or phantom cached block. *)
-  let d = Deploy.make ~cache_blocks:64 ~seed:"test-cache-crash" () in
+  let d = Cluster.make ~cache_blocks:64 ~seed:"test-cache-crash" () in
   let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let fh, _, _ = CC.create admin ~dir:(CC.root admin) "journal.txt" () in
   CC.write_all admin fh "version-1";
@@ -155,7 +154,7 @@ let test_crash_mid_write_no_stale_blocks () =
   ignore (CC.read admin fh ~off:0 ~count:9);
   Alcotest.(check bool) "cache warm before crash" true
     (Bcache.size (Blockdev.bcache (Cluster.dev d)) > 0);
-  Deploy.crash_and_restart d;
+  Cluster.crash_and_restart d 0;
   Alcotest.(check int) "buffer cache dropped by crash" 0
     (Bcache.size (Blockdev.bcache (Cluster.dev d)));
   let admin2 = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
@@ -168,7 +167,7 @@ let test_crash_mid_write_no_stale_blocks () =
 (* --- policy memo cache ----------------------------------------------- *)
 
 let test_revoked_credential_misses_memo_cache () =
-  let d = Deploy.make ~seed:"test-cache-revoke" () in
+  let d = Cluster.make ~seed:"test-cache-revoke" () in
   let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let fh, _, _ = CC.create admin ~dir:(CC.root admin) "secret.txt" () in
   CC.write_all admin fh "classified";
@@ -177,7 +176,7 @@ let test_revoked_credential_misses_memo_cache () =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions fh "R") ()
   in
   (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
-  let cache = Server.cache (Deploy.server d) in
+  let cache = Server.cache (Cluster.node_server d 0) in
   (* Warm the memo cache with Bob's grant. *)
   ignore (CC.read bob fh ~off:0 ~count:4);
   ignore (CC.read bob fh ~off:0 ~count:4);
@@ -269,7 +268,7 @@ let test_cache_counters_untraced () =
   Bonnie.Search.build b spec;
   ignore (Bonnie.Search.run b);
   ignore (Bonnie.Search.run b);
-  match Bonnie.Backend.discfs_parts b with
+  match b.Bonnie.Backend.parts with
   | None -> Alcotest.fail "discfs backend has no deployment"
   | Some (c, _) ->
     Alcotest.(check bool) "one registry" true (Cluster.stats c == Cluster.metrics c);

@@ -9,7 +9,6 @@ module Link = Simnet.Link
 module Cost = Simnet.Cost
 module Sched = Simnet.Sched
 module Rpc = Oncrpc.Rpc
-module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
 module CC = Discfs.Cluster_client
 
@@ -312,7 +311,7 @@ let test_queue_metrics_populated () =
 (* --- end to end: a concurrent DisCFS deployment ----------------------- *)
 
 let test_deploy_concurrent_end_to_end () =
-  let d = Deploy.make ~workers:2 ~queue_depth:8 ~seed:"test-conc" () in
+  let d = Cluster.make ~workers:2 ~queue_depth:8 ~seed:"test-conc" () in
   let sched = Option.get (Cluster.sched d) in
   (* Setup runs serially, as ordinary code: attach three ESP clients
      (IKE handshake and mount) and create one file each. *)

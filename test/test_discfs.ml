@@ -3,7 +3,6 @@
 
 module Proto = Nfs.Proto
 module Assertion = Keynote.Assertion
-module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
 module CC = Discfs.Cluster_client
 module Server = Discfs.Server
@@ -19,7 +18,7 @@ let quoted c = Printf.sprintf "\"%s\"" (CC.principal c)
 
 (* A deployment with a file created by the admin, for access tests. *)
 let setup ?cache_size ?hour () =
-  let d = Deploy.make ?cache_size ?hour ~seed:"test-discfs" () in
+  let d = Cluster.make ?cache_size ?hour ~seed:"test-discfs" () in
   let admin_client = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let file_fh, _, _ = CC.create admin_client ~dir:(CC.root admin_client) "paper.tex" () in
   CC.write_all admin_client file_fh "Secure and Flexible Global File Sharing";
@@ -265,7 +264,7 @@ let test_time_of_day_policy () =
      credential submission, as the prototype would on any policy
      change. *)
   hour := 20;
-  Discfs.Policy_cache.flush (Server.cache (Deploy.server d));
+  Discfs.Policy_cache.flush (Server.cache (Cluster.node_server d 0));
   let _, data = CC.read bob file_fh ~off:0 ~count:6 in
   Alcotest.(check string) "evening access" "Secure" data
 
@@ -276,7 +275,7 @@ let test_policy_cache_behaviour () =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
   in
   (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
-  let cache = Server.cache (Deploy.server d) in
+  let cache = Server.cache (Cluster.node_server d 0) in
   let h0 = Discfs.Policy_cache.hits cache in
   for _ = 1 to 50 do
     ignore (CC.read bob file_fh ~off:0 ~count:8)
@@ -295,7 +294,7 @@ let test_audit_log () =
   let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   expect_nfs_error Proto.nfserr_acces (fun () ->
       ignore (CC.read bob file_fh ~off:0 ~count:6));
-  let log = Server.audit_log (Deploy.server d) in
+  let log = Server.audit_log (Cluster.node_server d 0) in
   Alcotest.(check bool) "denial recorded" true
     (List.exists
        (fun e ->
@@ -307,7 +306,7 @@ let test_audit_log () =
   in
   (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
   ignore (CC.read bob file_fh ~off:0 ~count:6);
-  let log = Server.audit_log (Deploy.server d) in
+  let log = Server.audit_log (Cluster.node_server d 0) in
   Alcotest.(check bool) "grant recorded with value" true
     (List.exists
        (fun e -> e.Server.au_op = "read" && e.Server.au_granted && e.Server.au_value = "R")
@@ -400,7 +399,7 @@ let test_subtree_credential_via_path () =
 let handle_reuse ~strict () =
   (* A tiny inode table so the freed inode is recycled within a few
      allocations (the allocator's cursor must wrap around). *)
-  let d = Deploy.make ~strict_handles:strict ~ninodes:8 ~seed:"handle-reuse" () in
+  let d = Cluster.make ~strict_handles:strict ~ninodes:8 ~seed:"handle-reuse" () in
   let admin_client = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = CC.root admin_client in
   let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in

@@ -11,7 +11,6 @@
    persist across inode reuse (see the inode-reuse tests). *)
 
 module Proto = Nfs.Proto
-module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
 module CC = Discfs.Cluster_client
 
@@ -52,7 +51,7 @@ let grant m ~peer ~ino bits =
   m.rights <- ((peer, ino), bits) :: m.rights
 
 let run_scenario ops =
-  let d = Deploy.make ~seed:"model-test" () in
+  let d = Cluster.make ~seed:"model-test" () in
   let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = CC.root admin in
   let users =
@@ -137,7 +136,7 @@ let run_scenario ops =
       if ino <> 0 then
         for u = 0 to n_users - 1 do
           let server_level =
-            Discfs.Server.query_level (Deploy.server d) ~peer:(peer u) ~ino
+            Discfs.Server.query_level (Cluster.node_server d 0) ~peer:(peer u) ~ino
           in
           let model_level = model_bits m ~peer:(peer u) ~ino in
           if server_level <> model_level then

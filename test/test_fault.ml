@@ -9,7 +9,6 @@ module Link = Simnet.Link
 module Fault = Simnet.Fault
 module Rpc = Oncrpc.Rpc
 module Proto = Nfs.Proto
-module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
 module CC = Discfs.Cluster_client
 module Server = Discfs.Server
@@ -247,7 +246,7 @@ let test_esp_corruption_dropped () =
       ~net:{ Fault.drop = 0.0; duplicate = 0.0; reorder = 0.0; corrupt = 0.25 }
       ~seed:"esp-corrupt" ()
   in
-  let d = Deploy.make ~seed:"esp-corrupt" ~fault () in
+  let d = Cluster.make ~seed:"esp-corrupt" ~fault () in
   (* A quarter of packets corrupted means ~44% of attempts fail; give
      the client enough retransmissions to ride it out. *)
   let retry = { Rpc.default_retry with Rpc.max_attempts = 12 } in
@@ -302,7 +301,7 @@ let test_ike_rekey () =
 let test_client_auto_rekey () =
   (* A client attached with a small SA lifetime re-keys transparently
      mid-workload; traffic is uninterrupted. *)
-  let d = Deploy.make ~seed:"auto-rekey" () in
+  let d = Cluster.make ~seed:"auto-rekey" () in
   let alice = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 ~sa_lifetime:6 () in
   let root = CC.root alice in
   let fh, _, _ = CC.create alice ~dir:root "r.txt" () in
@@ -317,7 +316,7 @@ let test_client_auto_rekey () =
 
 let test_disk_fault_maps_to_eio () =
   let fault = Fault.create ~seed:"disk-eio" () in
-  let d = Deploy.make ~seed:"disk-eio" ~fault () in
+  let d = Cluster.make ~seed:"disk-eio" ~fault () in
   let alice = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = CC.root alice in
   let fh, _, _ = CC.create alice ~dir:root "frail.txt" () in
@@ -353,7 +352,7 @@ let e2e_tree =
 
 let run_e2e ~lossy ~crash_at () =
   let fault = Fault.create ~seed:"e2e-fault" () in
-  let d = Deploy.make ~seed:"e2e" ~fault () in
+  let d = Cluster.make ~seed:"e2e" ~fault () in
   let alice = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   (* Build the tree over NFS on a clean network. *)
   let dirs = Hashtbl.create 4 in
@@ -378,7 +377,7 @@ let run_e2e ~lossy ~crash_at () =
   let results =
     List.mapi
       (fun i (dir, file, _) ->
-        if crash_at = Some i then Deploy.crash_and_restart d;
+        if crash_at = Some i then Cluster.crash_and_restart d 0;
         let dfh, _ = CC.lookup alice (CC.root alice) dir in
         let fh, _ = CC.lookup alice dfh file in
         (dir, file, CC.read_all alice fh))
@@ -399,7 +398,7 @@ let test_e2e_loss_and_crash () =
   Alcotest.(check bool) "client retransmitted" true (get "rpc.retransmits" > 0);
   Alcotest.(check int) "exactly one restart" 1 (get "server.restarts");
   Alcotest.(check bool) "audit trail survived the crash" true
-    (List.length (Server.audit_log (Deploy.server d)) > 0)
+    (List.length (Server.audit_log (Cluster.node_server d 0)) > 0)
 
 (* --- lossy profile normalization (regression) ------------------------- *)
 
@@ -504,14 +503,14 @@ let test_crash_flushes_held_packets () =
      crashes must die with it — before the fix it lingered invisibly
      into the next incarnation, neither delivered nor counted. *)
   let fault = Fault.create ~seed:"crash-flush" () in
-  let d = Deploy.make ~fault ~seed:"crash-flush-deploy" () in
+  let d = Cluster.make ~fault ~seed:"crash-flush-deploy" () in
   let alice = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   ignore alice;
   Fault.set_net fault { Fault.drop = 0.0; duplicate = 0.0; reorder = 1.0; corrupt = 0.0 };
   Alcotest.(check (list string)) "packet held at crash time" []
-    (Link.send (Deploy.link d) ~flow:5 "in-flight");
+    (Link.send (Cluster.node_link d 0) ~flow:5 "in-flight");
   Fault.set_net fault Fault.no_net;
-  Deploy.crash_and_restart d;
+  Cluster.crash_and_restart d 0;
   Alcotest.(check int) "held packet flushed as a drop" 1
     (Stats.get (Cluster.stats d) "link.quiesce_drops")
 

@@ -226,6 +226,108 @@ let prop_image_loader_total =
       | _ -> true
       | exception (Ffs.Fs.Bad_image _ | Invalid_argument _) -> true)
 
+(* --- the cluster's decoders and control procedures ---------------------- *)
+
+(* One byte overwritten, or the encoding cut short: the two shapes of
+   damage every decoder must turn into its typed error. *)
+let damage =
+  QCheck.Gen.(quad bool (int_bound 10_000) (int_bound 255) (int_bound 10_000))
+
+let damaged base (cut, pos, byte, len) =
+  if cut then String.sub base 0 (len mod (String.length base + 1))
+  else begin
+    let b = Bytes.of_string base in
+    Bytes.set b (pos mod Bytes.length b) (Char.chr byte);
+    Bytes.to_string b
+  end
+
+let encoded enc x =
+  let e = Xdr.Enc.create () in
+  enc e x;
+  Xdr.Enc.to_string e
+
+(* Two frontends, shard 0 (owned by node 0) replicated on node 1: a
+   well-formed LEASE and INVALIDATE from node 1 both succeed, so the
+   mutations start from the granting path, not only the refusals. *)
+let fuzz_cluster =
+  lazy
+    (let c = Discfs.Cluster.make ~servers:2 ~seed:"fuzz-cluster" () in
+     (match Discfs.Cluster.add_replica c ~shard:0 ~server:1 with
+     | Ok () -> ()
+     | Error e -> failwith e);
+     c)
+
+let prop_shard_map_decode_typed =
+  let base =
+    lazy
+      (encoded Discfs.Shard_map.encode
+         (Discfs.Shard_map.add_replica
+            (Discfs.Shard_map.make ~nservers:3 ~nshards:8)
+            ~shard:2 ~server:0))
+  in
+  QCheck.Test.make ~name:"shard map decode: mutated/truncated raise Decode_error" ~count:500
+    (QCheck.make damage) (fun dmg ->
+      match Discfs.Shard_map.decode (Xdr.Dec.of_string (damaged (Lazy.force base) dmg)) with
+      | _ -> true
+      | exception Xdr.Decode_error _ -> true)
+
+let prop_redirect_decode_typed =
+  let base =
+    lazy
+      (let c = Lazy.force fuzz_cluster in
+       encoded Nfs.Proto.redirect_encode
+         {
+           Nfs.Proto.r_target = 1;
+           r_version = 2;
+           r_principal = Discfs.Cluster.server_principal c 1;
+           r_sig = String.make 48 's';
+         })
+  in
+  QCheck.Test.make ~name:"redirect decode: mutated/truncated raise Decode_error" ~count:500
+    (QCheck.make damage) (fun dmg ->
+      match Nfs.Proto.redirect_decode (Xdr.Dec.of_string (damaged (Lazy.force base) dmg)) with
+      | _ -> true
+      | exception Xdr.Decode_error _ -> true)
+
+let prop_cluster_procs_answer =
+  (* GETMAP, LEASE and INVALIDATE with damaged arguments, fed to node
+     0 exactly as its link would, from node 1's principal. Every call
+     gets a reply that parses: a result, a refusal or Garbage_args. *)
+  let xid = ref 0 in
+  let args proc =
+    let e = Xdr.Enc.create () in
+    if proc = Discfs.Cluster.clusterproc_getmap then Xdr.Enc.uint32 e 0
+    else if proc = Discfs.Cluster.clusterproc_lease then begin
+      Xdr.Enc.uint32 e 0;
+      Xdr.Enc.uint32 e 1
+    end
+    else begin
+      Xdr.Enc.uint32 e 1;
+      Xdr.Enc.uint32 e 1
+    end;
+    Xdr.Enc.to_string e
+  in
+  let procs =
+    Discfs.Cluster.[| clusterproc_getmap; clusterproc_lease; clusterproc_invalidate |]
+  in
+  QCheck.Test.make ~name:"cluster procs: damaged args get a parseable reply" ~count:300
+    (QCheck.make QCheck.Gen.(pair (int_bound 2) damage))
+    (fun (which, dmg) ->
+      let c = Lazy.force fuzz_cluster in
+      let proc = procs.(which) in
+      incr xid;
+      let call =
+        Oncrpc.Rpc.encode_call ~xid:!xid ~prog:Discfs.Cluster.cluster_prog
+          ~vers:Discfs.Cluster.cluster_vers ~proc ~uid:0
+          (damaged (args proc) dmg)
+      in
+      let conn = { Oncrpc.Rpc.peer = Discfs.Cluster.server_principal c 1; uid = 0 } in
+      match Oncrpc.Rpc.dispatch (Discfs.Cluster.node_rpc c 0) ~conn call with
+      | None -> false
+      | Some reply ->
+        let rxid, _ = Oncrpc.Rpc.decode_reply reply in
+        rxid = !xid)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_assertion_parser_total;
@@ -239,4 +341,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_esp_multiblock_forgeries;
     QCheck_alcotest.to_alcotest prop_xdr_truncation_typed;
     QCheck_alcotest.to_alcotest prop_image_loader_total;
+    QCheck_alcotest.to_alcotest prop_shard_map_decode_typed;
+    QCheck_alcotest.to_alcotest prop_redirect_decode_typed;
+    QCheck_alcotest.to_alcotest prop_cluster_procs_answer;
   ]

@@ -524,8 +524,8 @@ let test_cluster_compounds_redirect () =
   let module Cluster = Discfs.Cluster in
   let module CC = Discfs.Cluster_client in
   let module Shard_map = Discfs.Shard_map in
-  let c, ccs = Discfs.Deploy.make_cluster ~servers:3 ~clients:1 ~seed:"hotpath-compound" () in
-  let cc = List.hd ccs in
+  let c = Cluster.make ~servers:3 ~seed:"hotpath-compound" () in
+  let cc = CC.attach c ~identity:(Cluster.new_identity c) () in
   let cred =
     Cluster.admin_issue c
       ~licensees:(quoted (CC.principal cc))

@@ -3,7 +3,6 @@
    store). *)
 
 module Proto = Nfs.Proto
-module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
 module CC = Discfs.Cluster_client
 module Server = Discfs.Server
@@ -95,7 +94,7 @@ let test_fs_image_errors () =
 
 let test_server_restart () =
   (* Day 1: a server accumulates files and credentials. *)
-  let d = Deploy.make ~seed:"restart" () in
+  let d = Cluster.make ~seed:"restart" () in
   let admin_client = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = CC.root admin_client in
   let fh, _, _ = CC.create admin_client ~dir:root "durable.txt" () in
@@ -119,7 +118,7 @@ let test_server_restart () =
   | Ok () -> ()
   | Error e -> Alcotest.fail e);
   let disk_image = Ffs.Fs.save (Cluster.fs d) in
-  let server_state = Server.save_state (Deploy.server d) in
+  let server_state = Server.save_state (Cluster.node_server d 0) in
 
   (* Day 2: new process. Same keys (from disk in reality), same disk
      image, same credential store. *)
@@ -132,7 +131,7 @@ let test_server_restart () =
   let fs = Ffs.Fs.load ~dev disk_image in
   let server =
     Server.create ~fs ~admin:(Cluster.admin_identity d).Dcrypto.Dsa.pub
-      ~server_key:(Server.server_key (Deploy.server d))
+      ~server_key:(Server.server_key (Cluster.node_server d 0))
       ~drbg:(Dcrypto.Drbg.create ~seed:"restart-day2") ()
   in
   (match Server.load_state server server_state with
@@ -163,8 +162,8 @@ let test_server_restart () =
   if Raw_conn.submit mallory cred_mallory then Alcotest.fail "revoked key accepted after restart"
 
 let test_server_state_corruption () =
-  let d = Deploy.make ~seed:"corrupt" () in
-  (match Server.load_state (Deploy.server d) "not xdr" with
+  let d = Cluster.make ~seed:"corrupt" () in
+  (match Server.load_state (Cluster.node_server d 0) "not xdr" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "corrupt state accepted")
 
@@ -209,7 +208,7 @@ let test_audit_cap_after_load () =
   (* A restored trail already at the cap: the next decision halves it
      (keeping the newest half) and lands on top, and the result
      persists unchanged. *)
-  let d = Deploy.make ~seed:"audit-cap" () in
+  let d = Cluster.make ~seed:"audit-cap" () in
   let loaded =
     List.init 10_000 (fun i ->
         { Server.au_time = float_of_int (10_000 - i); au_peer = "peer"; au_op = "getattr";
@@ -228,18 +227,18 @@ let test_audit_cap_after_load () =
       Xdr.Enc.string e a.Server.au_value;
       Xdr.Enc.uint32 e 1)
     loaded;
-  (match Server.load_state (Deploy.server d) (Xdr.Enc.to_string e) with
+  (match Server.load_state (Cluster.node_server d 0) (Xdr.Enc.to_string e) with
   | Ok 0 -> ()
   | Ok n -> Alcotest.failf "%d credentials from an empty store" n
   | Error e -> Alcotest.fail e);
-  Alcotest.(check int) "loaded trail" 10_000 (List.length (Server.audit_log (Deploy.server d)));
+  Alcotest.(check int) "loaded trail" 10_000 (List.length (Server.audit_log (Cluster.node_server d 0)));
   let fs = Cluster.fs d in
   let ino = Ffs.Fs.create_file fs (Ffs.Fs.root fs) "secret" ~perms:0o600 ~uid:0 in
   let eve = CC.attach d ~identity:(Cluster.new_identity d) ~uid:99 () in
   (match CC.read eve { Proto.ino; gen = Ffs.Fs.generation fs ino } ~off:0 ~count:16 with
   | _ -> Alcotest.fail "read without a credential granted"
   | exception Proto.Nfs_error code -> Alcotest.(check int) "denied" Proto.nfserr_acces code);
-  let trail = Server.audit_log (Deploy.server d) in
+  let trail = Server.audit_log (Cluster.node_server d 0) in
   Alcotest.(check int) "halved, plus the denial" 5_001 (List.length trail);
   (match trail with
   | newest :: rest ->
@@ -249,13 +248,13 @@ let test_audit_cap_after_load () =
     Alcotest.(check (list int)) "the newer half survives, in order" (List.init 5_000 Fun.id)
       (List.map (fun a -> a.Server.au_ino) rest)
   | [] -> Alcotest.fail "empty trail");
-  let state = Server.save_state (Deploy.server d) in
-  let d2 = Deploy.make ~seed:"audit-cap-reload" () in
-  (match Server.load_state (Deploy.server d2) state with
+  let state = Server.save_state (Cluster.node_server d 0) in
+  let d2 = Cluster.make ~seed:"audit-cap-reload" () in
+  (match Server.load_state (Cluster.node_server d2 0) state with
   | Ok _ -> ()
   | Error e -> Alcotest.fail e);
-  Alcotest.(check bool) "survives save/load" true (Server.audit_log (Deploy.server d2) = trail);
-  Alcotest.(check string) "save bytes are stable" state (Server.save_state (Deploy.server d2))
+  Alcotest.(check bool) "survives save/load" true (Server.audit_log (Cluster.node_server d2 0) = trail);
+  Alcotest.(check string) "save bytes are stable" state (Server.save_state (Cluster.node_server d2 0))
 
 let suite =
   [

@@ -5,7 +5,7 @@
    epoch and label context), the value-aware benign classification,
    the wipe semantics, and the null monitor's do-nothing contract.
 
-   Integration tests arm `Deploy.make ~racecheck:true` and replay the
+   Integration tests arm `Cluster.make ~racecheck:true` and replay the
    two known-delicate windows as golden atomicity proofs: the pooled
    concurrent workload (DRC coalescing + bcache fills under
    readahead) and a churn run with retransmitting retries and a
@@ -21,7 +21,6 @@
 
 module Clock = Simnet.Clock
 module Sched = Simnet.Sched
-module Deploy = Discfs.Deploy
 module Cluster = Discfs.Cluster
 module CC = Discfs.Cluster_client
 
@@ -157,7 +156,7 @@ let test_null_monitor () =
    reports while the access counter proves the monitors saw traffic. *)
 let test_deploy_atomicity_proof () =
   let d =
-    Deploy.make ~workers:3 ~queue_depth:16 ~cache_blocks:64 ~readahead:4
+    Cluster.make ~workers:3 ~queue_depth:16 ~cache_blocks:64 ~readahead:4
       ~racecheck:true ()
   in
   let sched = Option.get (Cluster.sched d) in

@@ -10,7 +10,6 @@
 
 module Proto = Nfs.Proto
 module Assertion = Keynote.Assertion
-module Deploy = Discfs.Deploy
 module CC = Discfs.Cluster_client
 module Server = Discfs.Server
 module Cluster = Discfs.Cluster
@@ -29,7 +28,14 @@ let root_conditions fh value =
    directory, so it can create files — the cluster analogue of
    test_discfs's [setup]. *)
 let csetup ?nshards ?(servers = 3) ?(clients = 1) ~seed () =
-  let c, ccs = Deploy.make_cluster ?nshards ~servers ~clients ~seed () in
+  let c = Cluster.make ?nshards ~servers ~seed () in
+  (* Every identity is drawn before the first attach. *)
+  let identities = List.init clients (fun _ -> Cluster.new_identity c) in
+  let ccs =
+    List.mapi
+      (fun i identity -> CC.attach c ~identity ~uid:(1000 + i) ~home:(i mod servers) ())
+      identities
+  in
   List.iter
     (fun cc ->
       let cred =
@@ -483,7 +489,7 @@ let world cc =
   }
 
 let single_world seed =
-  let d = Deploy.make ~seed () in
+  let d = Cluster.make ~seed () in
   let u = CC.attach d ~identity:(Cluster.new_identity d) ~uid:1000 () in
   let cred =
     Cluster.admin_issue d
@@ -625,7 +631,7 @@ let test_cluster_backend () =
   Alcotest.(check string) "read back" "cluster-backed bytes" (b.Bonnie.Backend.read f ~off:0 ~len:64);
   Alcotest.(check (list string)) "listing" [ "data" ] (b.Bonnie.Backend.readdir dir);
   let cluster, cc =
-    match Bonnie.Backend.discfs_parts b with
+    match b.Bonnie.Backend.parts with
     | Some parts -> parts
     | None -> Alcotest.fail "no cluster behind the backend"
   in
@@ -643,23 +649,23 @@ let test_cluster_backend () =
 
 (* --- one node: the cluster layer is inert ------------------------------ *)
 
-(* [Deploy] is the one-node cluster with no special case: every handle
-   is served locally, so a full single-server life (create, write,
-   read, crash, re-home inside the next call) must never touch the
+(* [Cluster.make ()] is one node with no special case: every handle is
+   served locally, so a full single-server life (create, write, read,
+   crash, re-home inside the next call) must never touch the
    shard-map, redirect, lease or server-to-server machinery. *)
 let test_one_node_inert () =
-  let d = Deploy.make ~seed:"topo-one-node" () in
+  let d = Cluster.make ~seed:"topo-one-node" () in
   let c = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let fh, _, _ = CC.create c ~dir:(CC.root c) "solo.dat" () in
   CC.write_all c fh "one node, no cluster traffic";
   let read () = CC.read_all c fh in
   Alcotest.(check string) "read back" "one node, no cluster traffic" (read ());
-  Deploy.crash_and_restart d;
+  Cluster.crash_and_restart d 0;
   Alcotest.(check string) "read after crash" "one node, no cluster traffic" (read ());
   let stats = Cluster.stats d in
   Alcotest.(check int) "re-homed once" 1 (Stats.get stats "client.reattaches");
   Alcotest.(check int) "one host" 1 (Stats.get stats "topo.hosts");
-  Alcotest.(check int) "one restart" 1 (Deploy.restarts d);
+  Alcotest.(check int) "one restart" 1 (Cluster.node_restarts d 0);
   List.iter
     (fun k -> Alcotest.(check int) (k ^ " stays 0") 0 (Stats.get stats k))
     [ "topo.getmap"; "redirect.sent"; "topo.lease.grants"; "topo.s2s_connects" ]

@@ -327,7 +327,7 @@ let test_jsonl () =
    rely on. *)
 let test_traced_run_deterministic () =
   let run () =
-    let d = Discfs.Deploy.make ~tracing:true () in
+    let d = Discfs.Cluster.make ~tracing:true () in
     let bob = Discfs.Cluster.new_identity d in
     let client = CC.attach d ~identity:bob () in
     let cred =

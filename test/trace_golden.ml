@@ -11,7 +11,7 @@
 module CC = Discfs.Cluster_client
 
 let () =
-  let d = Discfs.Deploy.make ~tracing:true () in
+  let d = Discfs.Cluster.make ~tracing:true () in
   let bob = Discfs.Cluster.new_identity d in
   let client = CC.attach d ~identity:bob () in
   (* Setup: the administrator grants the user RWX over the volume
