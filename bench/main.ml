@@ -52,6 +52,20 @@ module CC = Discfs.Cluster_client
 
 let say fmt = Format.printf (fmt ^^ "@.")
 
+(* The determinism gate every seeded, virtual-time table passes: run
+   the workload, print its table, then run it again from fresh
+   deployments with the same seeds. The second table must reproduce
+   the first byte for byte, or the bench exits 1. Returns the first
+   run. *)
+let deterministic run render =
+  let r = run () in
+  let first = render r in
+  print_string first;
+  let same = String.equal first (render (run ())) in
+  say "  deterministic across two runs: %s" (if same then "yes" else "NO");
+  if not same then exit 1;
+  r
+
 let delta_pct a b =
   let hi = max a b and lo = min a b in
   if hi = 0.0 then 0.0 else (hi -. lo) /. hi *. 100.0
@@ -563,12 +577,7 @@ let latency_breakdown spec =
   say "@.Latency breakdown O1: Figure-12 search workload, virtual time by layer";
   say "  (span self-time: time inside a layer's spans minus time in callees;";
   say "   'keynote' is the compliance-checker alone, split out of 'policy')";
-  let first = latency_breakdown_once spec in
-  print_string first;
-  (* The whole stack is seeded and virtual-time: an identical second
-     run must reproduce the table byte-for-byte. *)
-  let second = latency_breakdown_once spec in
-  say "  deterministic across two runs: %s" (if String.equal first second then "yes" else "NO")
+  ignore (deterministic (fun () -> latency_breakdown_once spec) Fun.id)
 
 (* ------------------------------------------------------------------ *)
 (* H1: hot path — real heap allocations per encode->seal through the   *)
@@ -781,13 +790,12 @@ let hotpath ?json ~smoke spec =
   let spec =
     if smoke then { spec with Search.dirs = 6; files_per_dir = 6 } else spec
   in
-  let first, micro, bds = hotpath_once ~iters spec in
-  print_string first;
   (* Allocation counts are deterministic for a fixed compiler, and the
      walk is seeded virtual time: a second in-process run must
      reproduce every byte of the report. *)
-  let second, _, _ = hotpath_once ~iters spec in
-  say "  deterministic across two runs: %s" (if String.equal first second then "yes" else "NO");
+  let _, micro, bds =
+    deterministic (fun () -> hotpath_once ~iters spec) (fun (text, _, _) -> text)
+  in
   match json with
   | None -> ()
   | Some path ->
@@ -915,9 +923,7 @@ let cache_ablation ?json spec =
   say "  (buffer cache 4096 blocks + readahead 8, policy memo cache 128,";
   say "   client attr/name cache TTL 60/120 s; 'disk'/'keynote' are span";
   say "   self-times as in O1. The build is out-of-band; pass 1 boots cold.)";
-  let rows = cache_ablation_rows spec in
-  let first = render_ablation rows in
-  print_string first;
+  let rows = deterministic (fun () -> cache_ablation_rows spec) render_ablation in
   (let cold = List.find (fun r -> r.ap_config = "all caches" && r.ap_pass = "cold") rows in
    let warm = List.find (fun r -> r.ap_config = "all caches" && r.ap_pass = "warm") rows in
    let reduction =
@@ -927,11 +933,6 @@ let cache_ablation ?json spec =
    say "  warm vs cold disk self-time: %.6fs -> %.6fs (%.1f%% less; >=50%%: %s)"
      cold.ap_disk_self warm.ap_disk_self reduction
      (if reduction >= 50.0 then "yes" else "NO"));
-  (* Re-run the whole ablation from fresh deployments: the stack is
-     seeded and virtual-time, so the rendered table must reproduce
-     byte-for-byte. *)
-  let second = render_ablation (cache_ablation_rows spec) in
-  say "  deterministic across two runs: %s" (if String.equal first second then "yes" else "NO");
   match json with
   | None -> ()
   | Some path ->
@@ -1089,12 +1090,7 @@ let concurrency_scaling ?json () =
   say "  (bounded request queue, per-client FIFO fairness, workers drain";
   say "   round-robin; queue-full drops are absorbed by RPC retransmission.";
   say "   All times virtual; the table is byte-reproducible.)";
-  let rows = conc_rows () in
-  let first = render_conc rows in
-  print_string first;
-  (* Fresh deployments, same seeds: the table must reproduce exactly. *)
-  let second = render_conc (conc_rows ()) in
-  say "  deterministic across two runs: %s" (if String.equal first second then "yes" else "NO");
+  let rows = deterministic conc_rows render_conc in
   (let by_workers = snd rows in
    match (List.hd by_workers, List.nth by_workers (List.length by_workers - 1)) with
    | w1, wn ->
@@ -1272,11 +1268,7 @@ let topology ?(smoke = false) ?json () =
   say "  (N frontends over one volume, per-host access links, namespace";
   say "   sharded by handle hash; clients homed on their shard's owner.";
   say "   All times virtual; the table is byte-reproducible.)";
-  let rows = topo_rows ~smoke () in
-  let first = render_topo rows in
-  print_string first;
-  let second = render_topo (topo_rows ~smoke ()) in
-  say "  deterministic across two runs: %s" (if String.equal first second then "yes" else "NO");
+  let rows = deterministic (fun () -> topo_rows ~smoke ()) render_topo in
   (let base = List.find_opt (fun r -> r.tp_servers = 1) rows in
    let eight =
      List.find_opt (fun r -> r.tp_servers = 8 && r.tp_clients = (if smoke then 8 else 256)) rows
@@ -1483,14 +1475,7 @@ let slo_bench ?json ~smoke () =
   say "   latency is arrival-to-completion, so queueing counts. All";
   say "   virtual time, seeded: the tables are byte-reproducible.)";
   let p = slo_params ~smoke in
-  let results = slo_run p in
-  let first = render_slo p results in
-  print_string first;
-  (* Fresh deployments, same seeds: everything must reproduce exactly. *)
-  let second = render_slo p (slo_run p) in
-  say "  deterministic across two runs: %s"
-    (if String.equal first second then "yes" else "NO");
-  if not (String.equal first second) then exit 1;
+  let results = deterministic (fun () -> slo_run p) (render_slo p) in
   match json with
   | None -> ()
   | Some path ->

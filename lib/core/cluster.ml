@@ -48,7 +48,6 @@ type t = {
   sched : Simnet.Sched.t option;
   workers : int option;
   queue_depth : int;
-  lease_duration : float;
   race : Race.ctx option;
 }
 
@@ -61,7 +60,6 @@ let topo t = t.topo
 let fs t = t.fs
 let map t = t.map
 let nservers t = Array.length t.nodes
-let lease_duration t = t.lease_duration
 let dev t = t.dev
 let drbg t = t.drbg
 let race_ctx t = t.race
@@ -83,6 +81,9 @@ let admin_identity t = t.admin
 let new_identity t = Dsa.generate_key t.drbg
 let fork_drbg t ~label = Drbg.fork t.drbg ~label
 let cost t = t.cost
+
+(* The replica lease term: one virtual hour. *)
+let lease_duration = 3600.
 
 let admin_issue t ~licensees ~conditions ?comment () =
   Assertion.issue ~key:t.admin ~drbg:t.drbg ?comment ~licensees ~conditions ()
@@ -255,7 +256,7 @@ let handle_cluster t node ~(conn : Rpc.conn_info) ~proc ~args:d e =
       else if not (List.exists (fun r -> Int.equal r requester) s.replicas) then
         err_reply "caller is not a replica of this shard"
       else begin
-        let expiry = Clock.now t.clock +. t.lease_duration in
+        let expiry = Clock.now t.clock +. lease_duration in
         Stats.incr t.stats "topo.lease.grants";
         ok_reply (fun e ->
             Xdr.Enc.uint64 e (Int64.bits_of_float expiry);
@@ -381,11 +382,11 @@ let boot_server t ~keys i ~label =
     ~drbg:(Drbg.fork t.drbg ~label) ~cache_size:t.cache_size
     ~extra_policy:(extra_policy_for keys i) ?hour:t.hour ?strict_handles:t.strict_handles ()
 
-let make ?(cost = Cost.default) ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192)
+let make ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192)
     ?(cache_size = 128) ?(cache_blocks = 0) ?readahead ?hour ?strict_handles
     ?(seed = "discfs-deploy") ?fault ?(tracing = false) ?workers
     ?(queue_depth = default_queue_depth) ?(racecheck = false) ?tie_seed ?switch_latency
-    ?(nshards = default_nshards) ?(lease_duration = 3600.) ?(servers = 1) () =
+    ?(nshards = default_nshards) ?(servers = 1) () =
   if servers < 1 then invalid_arg "Cluster.make: servers < 1";
   (* One host has no switch hop: the paper's two-host testbed is a
      single wire between server and client. *)
@@ -394,6 +395,7 @@ let make ?(cost = Cost.default) ?(nblocks = 16384) ?(block_size = 8192) ?(ninode
     | Some l -> l
     | None -> if servers = 1 then 0. else Topo.default_switch_latency
   in
+  let cost = Cost.default in
   let clock = Clock.create () in
   let stats = Stats.create () in
   let trace =
@@ -468,7 +470,6 @@ let make ?(cost = Cost.default) ?(nblocks = 16384) ?(block_size = 8192) ?(ninode
       sched;
       workers;
       queue_depth;
-      lease_duration;
       race;
     }
   in

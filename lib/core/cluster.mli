@@ -37,7 +37,6 @@ type node
 type t
 
 val make :
-  ?cost:Simnet.Cost.t ->
   ?nblocks:int ->
   ?block_size:int ->
   ?ninodes:int ->
@@ -55,22 +54,21 @@ val make :
   ?tie_seed:int64 ->
   ?switch_latency:float ->
   ?nshards:int ->
-  ?lease_duration:float ->
   ?servers:int ->
   unit ->
   t
 (** Build [servers] (default 1) frontends, each with its own host
     (access link), RPC endpoint and DisCFS server over the one shared
     volume. [nshards] (default 32) sizes the shard space;
-    [lease_duration] (default one virtual hour) is the replica lease
-    term; [switch_latency] is the fabric hop added to every access
-    link (see {!Simnet.Topo.create}), by default
+    [switch_latency] is the fabric hop added to every access link
+    (see {!Simnet.Topo.create}), by default
     {!Simnet.Topo.default_switch_latency}, or [0.] at one server.
     Deterministic for a fixed [seed] (default ["discfs-deploy"]): the
     administrator key, then the host keys in index order, are drawn
-    from the DRBG. The other defaults are the 2001-era cost model,
-    8 K blocks, 16 Ki blocks (a 128 MB volume), 8 Ki inodes and a
-    policy cache of 128.
+    from the DRBG. The other defaults are 8 K blocks, 16 Ki blocks (a
+    128 MB volume), 8 Ki inodes and a policy cache of 128. Every
+    cluster runs the 2001-era cost model ({!Simnet.Cost.default}) and
+    grants replica leases for one virtual hour.
 
     The default, [make ()], is the paper's two-host testbed (the
     Alice / Bob machines of Figure 6): one server, no switch hop. The
@@ -127,7 +125,6 @@ val trace : t -> Trace.t
 val topo : t -> Simnet.Topo.t
 val fs : t -> Ffs.Fs.t
 val nservers : t -> int
-val lease_duration : t -> float
 
 val dev : t -> Ffs.Blockdev.t
 (** The shared volume's block device. *)

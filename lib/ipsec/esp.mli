@@ -11,7 +11,7 @@ val seal : Sa.t -> string -> string
     number. Under ChaCha20 the payload is encrypted straight into the
     exact-size wire packet: one allocation, one copy. *)
 
-type arena
+type arena = Xdr.Enc.t
 (** A message arena: the encoder a message is built in from XDR
     encode through seal. *)
 

@@ -146,11 +146,5 @@ let rpc_channel ~client ~server =
     Oncrpc.Rpc.server_open = Esp.open_ server.rx;
     server_seal = Esp.seal server.tx;
     client_open = Esp.open_ client.rx;
-    client_message =
-      (fun () ->
-        let a = Esp.arena () in
-        {
-          Oncrpc.Rpc.msg_enc = Esp.arena_enc a;
-          msg_seal = (fun () -> Esp.seal_arena client.tx a);
-        });
+    client_seal = Esp.seal_arena client.tx;
   }

@@ -31,6 +31,10 @@ let default_drc_capacity = 512
 
 type drc_entry = { reply : string; mutable stamp : int }
 
+(* A decoded CALL; [args] is a view into the opened datagram,
+   positioned on the procedure arguments. *)
+type call = { xid : int; prog : int; vers : int; proc : int; uid : int; args : Xdr.Dec.t }
+
 (* --- request queue + worker pool ------------------------------------- *)
 
 (* One queued request, fully decoded at admission so the worker can
@@ -41,12 +45,7 @@ type drc_entry = { reply : string; mutable stamp : int }
 type job = {
   job_conn : conn_info;
   job_key : string * int * int;
-  job_xid : int;
-  job_prog : int;
-  job_vers : int;
-  job_proc : int;
-  job_uid : int;
-  job_args : Xdr.Dec.t; (* a view into the opened datagram *)
+  job_call : call;
   job_len : int; (* raw datagram bytes, for the unmarshal CPU charge *)
   job_enqueued : float;
   job_origin : (int * int) option; (* (pid, epoch) of the admission DRC check *)
@@ -116,7 +115,6 @@ let server ~clock ~cost ~stats =
 
 let register t ~prog ~vers handler = Hashtbl.replace t.programs (prog, vers) handler
 
-let trace t = t.trace
 let set_trace t trace = t.trace <- trace
 
 let set_race t ~drc ~in_flight =
@@ -142,9 +140,6 @@ let set_pool t ~sched ~workers ~queue_depth =
         in_flight = Hashtbl.create 16;
       }
 
-let pool_config t =
-  match t.pool with Some p -> Some (p.workers, p.queue_depth) | None -> None
-
 let queue_peak t = match t.pool with Some p -> p.peak | None -> 0
 
 let drc_evict_to t cap =
@@ -168,20 +163,12 @@ let drc_touch t key e =
   Queue.push (key, t.drc_tick) t.drc_order
 
 let shutdown t = t.dead <- true
-let is_dead t = t.dead
-
-(* A message built the fused way: the channel hands out an arena, the
-   caller encodes the call straight into [msg_enc], and [msg_seal]
-   encrypts the arena's bytes straight into a wire packet. Sealing
-   only reads the arena, so a retransmission seals the same arena
-   again under a fresh ESP sequence number. *)
-type message = { msg_enc : Xdr.Enc.t; msg_seal : unit -> string }
 
 type channel = {
   server_open : string -> string;
   server_seal : string -> string;
   client_open : string -> string;
-  client_message : unit -> message;
+  client_seal : Xdr.Enc.t -> string;
 }
 
 let plaintext =
@@ -189,11 +176,7 @@ let plaintext =
     server_open = Fun.id;
     server_seal = Fun.id;
     client_open = Fun.id;
-    client_message =
-      (fun () ->
-        (* discfs-lint: allow hotpath-alloc "channel entry point: the one arena that carries the whole message" *)
-        let e = Xdr.Enc.create () in
-        { msg_enc = e; msg_seal = (fun () -> Xdr.Enc.to_string e) });
+    client_seal = Xdr.Enc.to_string;
   }
 
 type retry = {
@@ -319,7 +302,7 @@ let decode_call data =
   in
   (* [d] now sits on the procedure arguments: the handler decodes them
      where they lie. *)
-  (xid, prog, vers, proc, uid, d)
+  { xid; prog; vers; proc; uid; args = d }
 
 let accept_stat_of_fault = function
   | Prog_unavail -> 1
@@ -371,32 +354,34 @@ let decode_reply data =
   | xid, Ok d -> (xid, Ok (Xdr.Dec.rest d))
   | xid, Error fault -> (xid, Error fault)
 
+let unmarshal_charge srv nbytes =
+  Clock.advance srv.clock
+    (srv.cost.Cost.rpc_overhead +. (float_of_int nbytes *. srv.cost.Cost.rpc_per_byte))
+
 (* Server side of one execution: the handler encodes its results
    straight into the reply arena behind the header; a fault (or
    undecodable arguments) discards whatever it wrote and patches the
-   accept_stat word instead. *)
-type reply_arena = { r_enc : Xdr.Enc.t; r_stat : Xdr.Enc.patch; r_body : int }
-
-let reply_arena ~xid =
+   accept_stat word instead. Returns the framed reply, which the DRC
+   records plain. *)
+let execute srv ~tr ~(conn : conn_info) c =
   (* discfs-lint: allow hotpath-alloc "the reply arena: handlers encode results straight into it; its one string is cached plain in the DRC" *)
   let e = Xdr.Enc.create () in
-  let stat = reply_header e ~xid in
-  { r_enc = e; r_stat = stat; r_body = Xdr.Enc.length e }
-
-let run_handler srv ~conn ~prog ~vers ~proc ~uid ~args r =
-  match Hashtbl.find_opt srv.programs (prog, vers) with
-  | None -> Error Prog_unavail
-  | Some handler -> (
-    let conn = { conn with uid } in
-    try handler ~conn ~proc ~args r.r_enc with Xdr.Decode_error _ -> Error Garbage_args)
-
-let finish_reply r outcome =
-  (match outcome with
-  | Ok () -> ()
-  | Error fault ->
-    Xdr.Enc.truncate r.r_enc r.r_body;
-    Xdr.Enc.patch_uint32 r.r_enc r.r_stat (accept_stat_of_fault fault));
-  Xdr.Enc.to_string r.r_enc
+  let stat = reply_header e ~xid:c.xid in
+  let body = Xdr.Enc.length e in
+  let outcome =
+    match Hashtbl.find_opt srv.programs (c.prog, c.vers) with
+    | None -> Error Prog_unavail
+    | Some handler -> (
+      try handler ~conn:{ conn with uid = c.uid } ~proc:c.proc ~args:c.args e
+      with Xdr.Decode_error _ -> Error Garbage_args)
+  in
+  Trace.span tr "xdr.marshal" (fun () ->
+      (match outcome with
+      | Ok () -> ()
+      | Error fault ->
+        Xdr.Enc.truncate e body;
+        Xdr.Enc.patch_uint32 e stat (accept_stat_of_fault fault));
+      Xdr.Enc.to_string e)
 
 let drc_put srv key reply =
   if srv.drc_capacity > 0 && not (Hashtbl.mem srv.drc key) then begin
@@ -405,6 +390,13 @@ let drc_put srv key reply =
     drc_touch srv key e;
     drc_evict_to srv srv.drc_capacity
   end
+
+(* A retransmission of an executed call: replay the recorded reply. *)
+let drc_hit srv key e =
+  Stats.incr srv.stats "rpc.drc_hits";
+  Trace.instant srv.trace "rpc.drc_hit";
+  drc_touch srv key e;
+  e.reply
 
 (* Returns [None] when the server is down (the datagram vanishes and
    the client's retransmission logic deals with it). *)
@@ -415,37 +407,29 @@ let dispatch srv ~conn data =
   end
   else
     Trace.span srv.trace "rpc.dispatch" @@ fun () ->
-    let c = srv.cost in
     Stats.incr srv.stats "rpc.calls";
     match
       Trace.span srv.trace "xdr.unmarshal" (fun () ->
-          Clock.advance srv.clock
-            (c.Cost.rpc_overhead
-            +. (float_of_int (String.length data) *. c.Cost.rpc_per_byte));
+          unmarshal_charge srv (String.length data);
           decode_call data)
     with
     | exception Xdr.Decode_error _ -> Some (encode_reply ~xid:0 (Error Garbage_args))
-    | xid, prog, vers, proc, uid, args ->
-      let key = (conn.peer, xid, proc) in
-      (match Hashtbl.find_opt srv.drc key with
-      | Some e ->
-        Stats.incr srv.stats "rpc.drc_hits";
-        Trace.instant srv.trace "rpc.drc_hit";
-        drc_touch srv key e;
-        Some e.reply
+    | c -> (
+      let key = (conn.peer, c.xid, c.proc) in
+      match Hashtbl.find_opt srv.drc key with
+      | Some e -> Some (drc_hit srv key e)
       | None ->
-        let r = reply_arena ~xid in
-        let outcome = run_handler srv ~conn ~prog ~vers ~proc ~uid ~args r in
-        let reply = Trace.span srv.trace "xdr.marshal" (fun () -> finish_reply r outcome) in
+        let reply = execute srv ~tr:srv.trace ~conn c in
         drc_put srv key reply;
         Some reply)
 
 (* --- queued dispatch (worker-pool path) ------------------------------ *)
 
-(* The pooled paths record metrics but open no spans: a span stack
-   assumes strictly nested enter/exit, which interleaved processes
-   violate. Counters, gauges and histograms have no nesting, so the
-   queue's observability rides on those, in the server's registry. *)
+(* The queue opens no spans of its own, only one-slice instants
+   ([rpc.drc_hit], [rpc.queue_reject]): [execute] runs under
+   [Trace.null] here, and the queue's observability rides on the
+   server registry's counters, gauges and histograms. The handler and
+   ESP still trace through their own tracers (see lib/trace/trace.ml). *)
 
 let observe_metric srv name v =
   Trace.Metrics.observe (Trace.Metrics.histogram srv.stats name) v
@@ -453,10 +437,6 @@ let observe_metric srv name v =
 let pool_gauge srv p =
   if p.queued > p.peak then p.peak <- p.queued;
   Trace.Metrics.set_gauge srv.stats "rpc.queue.depth" (float_of_int p.queued)
-
-let unmarshal_charge srv nbytes =
-  Clock.advance srv.clock
-    (srv.cost.Cost.rpc_overhead +. (float_of_int nbytes *. srv.cost.Cost.rpc_per_byte))
 
 (* Answer without occupying a worker (DRC hits, wire garbage): the
    lookup path is cheap and bounded, so it is modelled as an
@@ -496,6 +476,14 @@ let rec take_job p =
         if not (Queue.is_empty q) then Queue.push peer p.rr;
         Some job))
 
+(* The server crashed while [job] sat in the queue or in service: the
+   job, and any result, die with it; the client's retransmissions go
+   to the successor. *)
+let drop_dead srv p job =
+  Stats.incr srv.stats "rpc.dropped_dead";
+  Race.write srv.race_if ~key:(race_key job.job_key) ();
+  Hashtbl.remove p.in_flight job.job_key
+
 (* Worker process: drain jobs until the queue is empty, then retire.
    Workers are spawned on demand at admission (up to the pool size),
    which needs no idle-worker bookkeeping and leaves the heap empty
@@ -506,33 +494,16 @@ let rec worker_loop srv p =
   | Some job ->
     p.queued <- p.queued - 1;
     pool_gauge srv p;
-    if srv.dead then begin
-      (* crashed while this job sat in the queue: it dies with the
-         server; the client's retransmissions go to the successor *)
-      Stats.incr srv.stats "rpc.dropped_dead";
-      Race.write srv.race_if ~key:(race_key job.job_key) ();
-      Hashtbl.remove p.in_flight job.job_key;
-      worker_loop srv p
-    end
+    if srv.dead then drop_dead srv p job
     else begin
       let started = Clock.now srv.clock in
       observe_metric srv "rpc.queue.wait" (started -. job.job_enqueued);
       Race.note srv.race_drc
-        (Printf.sprintf "rpc.serve proc=%d peer=%s" job.job_proc job.job_conn.peer);
+        (Printf.sprintf "rpc.serve proc=%d peer=%s" job.job_call.proc job.job_conn.peer);
       unmarshal_charge srv job.job_len;
-      let r = reply_arena ~xid:job.job_xid in
-      let outcome =
-        run_handler srv ~conn:job.job_conn ~prog:job.job_prog ~vers:job.job_vers
-          ~proc:job.job_proc ~uid:job.job_uid ~args:job.job_args r
-      in
-      let reply = finish_reply r outcome in
+      let reply = execute srv ~tr:Trace.null ~conn:job.job_conn job.job_call in
       observe_metric srv "rpc.queue.service" (Clock.now srv.clock -. started);
-      if srv.dead then begin
-        (* crashed mid-service: the result vanishes with the process *)
-        Stats.incr srv.stats "rpc.dropped_dead";
-        Race.write srv.race_if ~key:(race_key job.job_key) ();
-        Hashtbl.remove p.in_flight job.job_key
-      end
+      if srv.dead then drop_dead srv p job
       else begin
         (* The act closing the admission slice's DRC-miss check: a
            second execution of the same key would cross this write
@@ -550,9 +521,9 @@ let rec worker_loop srv p =
         Hashtbl.remove p.in_flight job.job_key;
         job.job_reply reply;
         List.iter (fun notify -> notify reply) waiters
-      end;
-      worker_loop srv p
-    end
+      end
+    end;
+    worker_loop srv p
 
 (* Admission: dead-drop, DRC replay, retransmit coalescing, then the
    bounded queue. A full queue drops the datagram on the floor — the
@@ -566,18 +537,13 @@ let submit srv p ~conn ~reply data =
     | exception Xdr.Decode_error _ ->
       spawn_reply srv p (String.length data) (fun () ->
           reply (encode_reply ~xid:0 (Error Garbage_args)))
-    | xid, _prog, _vers, proc, _uid, _args
-      when Hashtbl.mem srv.drc (conn.peer, xid, proc) ->
-      let key = (conn.peer, xid, proc) in
-      let e = Hashtbl.find srv.drc key in
-      Stats.incr srv.stats "rpc.drc_hits";
-      Trace.instant srv.trace "rpc.drc_hit";
+    | c when Hashtbl.mem srv.drc (conn.peer, c.xid, c.proc) ->
+      let key = (conn.peer, c.xid, c.proc) in
       Race.read srv.race_drc ~key:(race_key key);
-      drc_touch srv key e;
-      let cached = e.reply in
+      let cached = drc_hit srv key (Hashtbl.find srv.drc key) in
       spawn_reply srv p (String.length data) (fun () -> reply cached)
-    | xid, prog, vers, proc, uid, args -> (
-      let key = (conn.peer, xid, proc) in
+    | c -> (
+      let key = (conn.peer, c.xid, c.proc) in
       match Hashtbl.find_opt p.in_flight key with
       | Some waiters ->
         (* a retransmission of a request that is queued or executing
@@ -606,12 +572,7 @@ let submit srv p ~conn ~reply data =
             {
               job_conn = conn;
               job_key = key;
-              job_xid = xid;
-              job_prog = prog;
-              job_vers = vers;
-              job_proc = proc;
-              job_uid = uid;
-              job_args = args;
+              job_call = c;
               job_len = String.length data;
               job_enqueued = Clock.now srv.clock;
               job_origin = Race.origin srv.race_drc;
@@ -630,13 +591,43 @@ let submit_datagram srv ~conn ~reply data =
   | None -> invalid_arg "Rpc.submit_datagram: no pool attached"
   | Some p -> submit srv p ~conn ~reply data
 
+(* --- client ---------------------------------------------------------- *)
+
 (* Flows for Link.send reorder hold slots and busy-until wires:
    requests and replies travel in opposite directions. *)
 let flow_req = 0
 let flow_rep = 1
 
-(* Client side: does this arrived packet settle the call with [xid]?
-   Shared by the serial fold and the pooled mailbox loop. *)
+(* How a call's requests reach the server and its replies come back.
+   [Inline]: the server dispatches each request as it arrives, so the
+   replies are on the wire when the request's send returns. [Queued]:
+   requests go through the pool's queue ([submit]); the reply
+   closure seals each reply and clocks it back into the mailbox as its
+   own process, so a slow reply transmission never blocks the worker. *)
+type exchange =
+  | Inline
+  | Queued of pool * string Sched.Mailbox.t * (string -> unit)
+
+(* Hand one arrived copy of a request to the server and return the
+   replies already on the wire (none when queued). A packet that fails
+   to open (corrupted, replayed, wrong SPI) is silently dropped — the
+   client's retry absorbs it; the server never dies on wire garbage. *)
+let deliver t ex ~stats pkt =
+  match t.channel.server_open pkt with
+  | exception _ ->
+    Stats.incr stats "rpc.server_rx_drops";
+    []
+  | plain -> (
+    match ex with
+    | Queued (p, _, reply) ->
+      submit t.srv p ~conn:t.conn ~reply plain;
+      []
+    | Inline -> (
+      match dispatch t.srv ~conn:t.conn plain with
+      | None -> []
+      | Some raw -> Link.send t.link ~flow:flow_rep (t.channel.server_seal raw)))
+
+(* Client side: does this arrived packet settle the call with [xid]? *)
 let consider_reply t ~tr ~stats ~xid pkt =
   match
     let plain = t.channel.client_open pkt in
@@ -653,9 +644,23 @@ let consider_reply t ~tr ~stats ~xid pkt =
       None
     end
 
-let next_xid t =
-  t.seq <- t.seq + 1;
-  make_xid ~client_id:t.id ~seq:t.seq
+(* Wait on the mailbox until a reply settles [xid] or [deadline]
+   passes: the reply wakes the call the moment it arrives, instead of
+   the call sleeping out the whole retransmission timer. *)
+let rec await t p mbox ~stats ~xid ~deadline =
+  let remaining = deadline -. Clock.now (Link.clock t.link) in
+  if remaining <= 0.0 then None
+  else
+    match Sched.Mailbox.take p.sched mbox ~timeout:remaining with
+    | None -> None
+    | Some pkt -> (
+      match consider_reply t ~tr:Trace.null ~stats ~xid pkt with
+      | None -> await t p mbox ~stats ~xid ~deadline (* stale or garbled: keep listening *)
+      | settled -> settled)
+
+(* The retransmission timer, jittered so retries don't synchronize. *)
+let jittered t timeout =
+  timeout *. (1.0 +. (t.retry.jitter *. ((2.0 *. Fault.Rng.float t.rng) -. 1.0)))
 
 let timeout_exhausted t ~prog ~vers ~proc args =
   t.last_timeout <- Some (prog, vers, proc, args);
@@ -663,63 +668,63 @@ let timeout_exhausted t ~prog ~vers ~proc args =
     (Printf.sprintf "no reply after %d attempts (prog %d, proc %d)" t.retry.max_attempts
        prog proc)
 
-let call_serial t ~prog ~vers ~proc args =
-  let tr = Link.trace t.link in
-  Trace.span tr "rpc.call"
-    ~attrs:[ ("prog", string_of_int prog); ("proc", string_of_int proc) ]
-  @@ fun () ->
-  t.before_call ();
-  let xid = next_xid t in
+(* One call loop for both exchanges. The queued one is taken when the
+   server has a worker pool and we are running inside a scheduler
+   process; there the RPC layer opens no spans of its own. *)
+let call t ~prog ~vers ~proc args =
+  let ex =
+    match t.srv.pool with
+    | Some p when Sched.in_process p.sched ->
+      let mbox = Sched.Mailbox.create () in
+      let reply raw =
+        Sched.spawn p.sched (fun () ->
+            let sealed = t.channel.server_seal raw in
+            List.iter (Sched.Mailbox.push p.sched mbox) (Link.send t.link ~flow:flow_rep sealed))
+      in
+      Queued (p, mbox, reply)
+    | _ -> Inline
+  in
+  let tr = match ex with Inline -> Link.trace t.link | Queued _ -> Trace.null in
   let stats = Link.stats t.link in
+  let attrs =
+    if Trace.enabled tr then Some [ ("prog", string_of_int prog); ("proc", string_of_int proc) ]
+    else None
+  in
+  Trace.span tr "rpc.call" ?attrs @@ fun () ->
+  (match ex with
+  | Queued _ -> Race.note t.srv.race_drc (Printf.sprintf "rpc.call proc=%d client=%d" proc t.id)
+  | Inline -> ());
+  t.before_call ();
+  t.seq <- t.seq + 1;
+  let xid = make_xid ~client_id:t.id ~seq:t.seq in
+  (* Every attempt seals under the SA the call started with, even if a
+     concurrent call on this client re-keys the channel meanwhile. *)
+  let seal = t.channel.client_seal in
   let request =
     Trace.span tr "xdr.marshal" (fun () ->
-        let m = t.channel.client_message () in
-        encode_call_into m.msg_enc ~xid ~prog ~vers ~proc ~uid:t.conn.uid args;
-        m)
-  in
-  (* One transmission round: seal, send, server-side dispatch, collect
-     the first reply that opens, decodes and matches our xid. *)
-  let one_round n =
-    if n > 1 then Stats.incr stats "rpc.retransmits";
-    (* Seal on every attempt: a retransmission is a fresh datagram
-       with a fresh ESP sequence number, never a replayed packet. The
-       seal only reads the arena, so every attempt seals the one
-       encoding. *)
-    let wire_request = request.msg_seal () in
-    let arrived_requests = Link.send t.link ~flow:flow_req wire_request in
-    (* Server side: a packet that fails to open (corrupted, replayed,
-       wrong SPI) is silently dropped — the client's retry absorbs it.
-       The dispatch loop must never die on wire garbage. *)
-    let arrived_replies =
-      List.concat_map
-        (fun pkt ->
-          match t.channel.server_open pkt with
-          | exception _ ->
-            Stats.incr stats "rpc.server_rx_drops";
-            []
-          | plain -> (
-            match dispatch t.srv ~conn:t.conn plain with
-            | None -> []
-            | Some raw_reply -> Link.send t.link ~flow:flow_rep (t.channel.server_seal raw_reply)))
-        arrived_requests
-    in
-    (* Client side: take the first reply that opens, decodes and
-       matches our xid; drop everything else. *)
-    List.fold_left
-      (fun acc pkt ->
-        match acc with
-        | Some _ -> acc
-        | None -> consider_reply t ~tr ~stats ~xid pkt)
-      None arrived_replies
+        (* discfs-lint: allow hotpath-alloc "the request arena: the call is encoded straight into it and sealed from it on every attempt" *)
+        let e = Xdr.Enc.create () in
+        encode_call_into e ~xid ~prog ~vers ~proc ~uid:t.conn.uid args;
+        e)
   in
   let rec attempt n timeout =
     if n > t.retry.max_attempts then raise (timeout_exhausted t ~prog ~vers ~proc args);
-    let result =
-      Trace.span tr "rpc.attempt"
-        ~attrs:[ ("n", string_of_int n) ]
-        (fun () -> one_round n)
-    in
-    match result with
+    let attrs = if Trace.enabled tr then Some [ ("n", string_of_int n) ] else None in
+    (* One round: seal, send, hand to the server, then take the first
+       reply that settles the call. Seal on every attempt: a
+       retransmission is a fresh datagram with a fresh ESP sequence
+       number, never a replayed packet. *)
+    match
+      Trace.span tr "rpc.attempt" ?attrs (fun () ->
+          if n > 1 then Stats.incr stats "rpc.retransmits";
+          let arrived = Link.send t.link ~flow:flow_req (seal request) in
+          let replies = List.concat_map (deliver t ex ~stats) arrived in
+          match ex with
+          | Inline -> List.find_map (consider_reply t ~tr ~stats ~xid) replies
+          | Queued (p, mbox, _) ->
+            let deadline = Clock.now (Link.clock t.link) +. jittered t timeout in
+            await t p mbox ~stats ~xid ~deadline)
+    with
     | Some (Ok results) ->
       t.last_timeout <- None;
       results
@@ -727,80 +732,14 @@ let call_serial t ~prog ~vers ~proc args =
       t.last_timeout <- None;
       raise (Rpc_error fault)
     | None ->
-      (* Nothing usable came back: wait out the timer (virtual time,
-         with jitter so retransmissions don't synchronize) and try
-         again with the timeout doubled. *)
-      Trace.span tr "rpc.backoff" (fun () ->
-          let jitter = 1.0 +. (t.retry.jitter *. ((2.0 *. Fault.Rng.float t.rng) -. 1.0)) in
-          Clock.advance (Link.clock t.link) (timeout *. jitter));
+      (* Nothing usable came back. Inline, wait out the timer in
+         virtual time (the queued wait on the mailbox already did),
+         then try again with the timeout doubled. *)
+      (match ex with
+      | Inline ->
+        Trace.span tr "rpc.backoff" (fun () ->
+            Clock.advance (Link.clock t.link) (jittered t timeout))
+      | Queued _ -> ());
       attempt (n + 1) (timeout *. t.retry.backoff)
   in
   attempt 1 t.retry.base_timeout
-
-(* The queued path, taken when the server has a worker pool and we
-   are running inside a scheduler process. The structure mirrors the
-   serial path, but dispatch goes through [submit] and the reply
-   arrives asynchronously through a mailbox: instead of sleeping out
-   the whole retransmission timer, the call waits on the mailbox with
-   the timer as the timeout — the reply wakes it the moment the
-   server's transmit process delivers it. *)
-let call_pooled t p ~prog ~vers ~proc args =
-  let sched = p.sched in
-  let clock = Link.clock t.link in
-  let stats = Link.stats t.link in
-  Race.note t.srv.race_drc (Printf.sprintf "rpc.call proc=%d client=%d" proc t.id);
-  t.before_call ();
-  let xid = next_xid t in
-  let request = t.channel.client_message () in
-  encode_call_into request.msg_enc ~xid ~prog ~vers ~proc ~uid:t.conn.uid args;
-  let mbox = Sched.Mailbox.create () in
-  (* Runs on the server when the execution (or DRC replay) finishes:
-     seal and clock the reply back over the wire as its own process,
-     so a slow reply transmission never blocks the worker. *)
-  let reply raw =
-    Sched.spawn sched (fun () ->
-        let sealed = t.channel.server_seal raw in
-        List.iter
-          (fun pkt -> Sched.Mailbox.push sched mbox pkt)
-          (Link.send t.link ~flow:flow_rep sealed))
-  in
-  let rec attempt n timeout =
-    if n > t.retry.max_attempts then raise (timeout_exhausted t ~prog ~vers ~proc args);
-    if n > 1 then Stats.incr stats "rpc.retransmits";
-    let wire_request = request.msg_seal () in
-    let arrived_requests = Link.send t.link ~flow:flow_req wire_request in
-    List.iter
-      (fun pkt ->
-        match t.channel.server_open pkt with
-        | exception _ -> Stats.incr stats "rpc.server_rx_drops"
-        | plain -> submit t.srv p ~conn:t.conn ~reply plain)
-      arrived_requests;
-    let jitter = 1.0 +. (t.retry.jitter *. ((2.0 *. Fault.Rng.float t.rng) -. 1.0)) in
-    let deadline = Clock.now clock +. (timeout *. jitter) in
-    let rec await () =
-      let remaining = deadline -. Clock.now clock in
-      if remaining <= 0.0 then None
-      else
-        match Sched.Mailbox.take sched mbox ~timeout:remaining with
-        | None -> None
-        | Some pkt -> (
-          match consider_reply t ~tr:Trace.null ~stats ~xid pkt with
-          | Some outcome -> Some outcome
-          | None -> await () (* stale or garbled: keep listening *))
-    in
-    match await () with
-    | Some (Ok results) ->
-      t.last_timeout <- None;
-      results
-    | Some (Error fault) ->
-      t.last_timeout <- None;
-      raise (Rpc_error fault)
-    | None -> attempt (n + 1) (timeout *. t.retry.backoff)
-  in
-  attempt 1 t.retry.base_timeout
-
-let call t ~prog ~vers ~proc args =
-  match t.srv.pool with
-  | Some p when Sched.in_process p.sched -> call_pooled t p ~prog ~vers ~proc args
-  | _ -> call_serial t ~prog ~vers ~proc args
-

@@ -47,13 +47,15 @@ type server
 val server : clock:Simnet.Clock.t -> cost:Simnet.Cost.t -> stats:Simnet.Stats.t -> server
 val register : server -> prog:int -> vers:int -> handler -> unit
 
-val trace : server -> Trace.t
 val set_trace : server -> Trace.t -> unit
 (** Adopt a tracer: each dispatched datagram then appears as a
     ["rpc.dispatch"] span with ["xdr.unmarshal"]/["xdr.marshal"]
     children and ["rpc.drc_hit"] instants. Client-side spans
     (["rpc.call"], ["rpc.attempt"], ["rpc.backoff"]) follow the
-    link's tracer ({!Simnet.Link.set_trace}). *)
+    link's tracer ({!Simnet.Link.set_trace}) on calls dispatched
+    in-line. A call through the worker pool ({!set_pool}) opens none,
+    and the queue records only its ["rpc.drc_hit"] and
+    ["rpc.queue_reject"] instants. *)
 
 val set_race : server -> drc:Race.monitor -> in_flight:Race.monitor -> unit
 (** Attach race monitors (default {!Race.null}) to the two delicate
@@ -81,9 +83,6 @@ val set_pool : server -> sched:Simnet.Sched.t -> workers:int -> queue_depth:int 
     [Invalid_argument] unless [workers] and [queue_depth] are
     positive. *)
 
-val pool_config : server -> (int * int) option
-(** [(workers, queue_depth)] if a pool is attached. *)
-
 val queue_peak : server -> int
 (** High-water mark of the request queue since the pool was
     attached (0 without a pool). *)
@@ -100,31 +99,23 @@ val shutdown : server -> unit
     time out and retransmit. Used with a fresh [server] to model
     crash/restart. *)
 
-val is_dead : server -> bool
-
 type client
-
-type message = { msg_enc : Xdr.Enc.t; msg_seal : unit -> string }
-(** A fused encode→seal message: the channel hands out an arena, the
-    call is encoded straight into [msg_enc], and [msg_seal] encrypts
-    the arena's bytes straight into a wire packet. Sealing only reads
-    the arena, so a retransmission seals the same message again
-    (under a fresh ESP sequence number). *)
 
 type channel = {
   server_open : string -> string;
   server_seal : string -> string;
   client_open : string -> string;
-  client_message : unit -> message;
+  client_seal : Xdr.Enc.t -> string;
 }
 (** Directional wire transforms (the ESP layer): requests are sealed
     by the client and opened by the server, replies the reverse. The
     transforms run "inside" the simulated hosts, so any virtual time
-    they charge lands on the right side. Requests are sealed only
-    through [client_message], the fused path — one arena from XDR
-    encode through seal; the string transforms serve replies (cached
-    plain in the DRC and sealed per transmission) and the server's
-    open. *)
+    they charge lands on the right side. {!call} encodes each request
+    into one arena it allocates, and [client_seal] encrypts the
+    arena's bytes straight into a wire packet; sealing only reads the
+    arena, so a retransmission seals it again under a fresh ESP
+    sequence number. [server_seal] seals a reply from the plain string
+    the duplicate-request cache records. *)
 
 val plaintext : channel
 (** Identity transforms. *)
@@ -208,8 +199,7 @@ val encode_call :
 val encode_call_into :
   Xdr.Enc.t -> xid:int -> prog:int -> vers:int -> proc:int -> uid:int -> string -> unit
 (** Frame a CALL straight into an arena (byte-identical to
-    {!encode_call}); the fused request path encodes into a
-    channel-provided {!message} arena this way. *)
+    {!encode_call}); {!call} encodes its request arena this way. *)
 
 val encode_reply_into : Xdr.Enc.t -> xid:int -> (string, fault) result -> unit
 (** Frame a REPLY carrying pre-marshalled results straight into an

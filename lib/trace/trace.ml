@@ -1,6 +1,9 @@
-(* discfs-lint: atomic-section — span-stack mutation never spans a yield: the
-   pooled (interleaved) paths record metrics only and open no spans, so the
-   strictly nested enter/exit discipline holds per slice. *)
+(* discfs-lint: atomic-section — span-stack mutation never spans a yield:
+   each begin_span/end_span pushes or pops within one slice. Nesting across
+   processes is not guaranteed: pooled RPC calls open no RPC spans, but the
+   handler spans (server tracer) and esp.seal/esp.open (SA tracer) they reach
+   interleave when a traced cluster runs workers > 1, and end_span then raises
+   "not innermost" (perfbench/NOTES.md, "Known defect"). *)
 
 module Metrics = Metrics
 

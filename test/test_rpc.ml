@@ -120,6 +120,74 @@ let test_rpc_charges_time () =
   (* Two 8K+ messages over 12.5 MB/s plus RPC overhead: >1.3 ms. *)
   Alcotest.(check bool) "realistic latency" true (dt > 0.0013 && dt < 0.01)
 
+(* --- retransmission exhaustion ------------------------------------- *)
+
+(* The two call paths — plain code dispatching in-line, and a
+   scheduler process going through the server's worker pool — must
+   give up alike: [max_attempts] transmissions, the whole jittered
+   backoff envelope in virtual time, and the lost call left for
+   [take_timeout] exactly once. *)
+let test_timeout_alike () =
+  let run ~pooled =
+    let clock, stats, link, srv = make_service () in
+    let sched = Simnet.Sched.create ~clock in
+    Simnet.Sched.attach_clock sched;
+    if pooled then Rpc.set_pool srv ~sched ~workers:2 ~queue_depth:4;
+    let client = Rpc.connect ~link srv in
+    let label s = Printf.sprintf "%s (%s)" s (if pooled then "pooled" else "serial") in
+    let echo args = Xdr.Dec.rest (Rpc.call client ~prog:77 ~vers:1 ~proc:1 args) in
+    let times_out args =
+      match echo args with
+      | _ -> false
+      | exception Rpc.Rpc_timeout _ -> true
+    in
+    let scenario () =
+      Alcotest.(check string) (label "live call") "hi" (echo "hi");
+      (* A path that loses every request, then a successful call: the
+         success supersedes the recorded timeout. *)
+      Rpc.set_channel client { Rpc.plaintext with server_open = (fun _ -> failwith "lost") };
+      Alcotest.(check bool) (label "lossy path times out") true (times_out "lost");
+      Rpc.set_channel client Rpc.plaintext;
+      Alcotest.(check string) (label "path restored") "back" (echo "back");
+      Alcotest.(check bool) (label "success clears the timeout") true
+        (Option.is_none (Rpc.take_timeout client));
+      (* A crashed server: every transmission vanishes. *)
+      Rpc.shutdown srv;
+      let count name = Stats.get stats name in
+      let retransmits = count "rpc.retransmits" and dropped = count "rpc.dropped_dead" in
+      let before = Clock.now clock in
+      Alcotest.(check bool) (label "dead server times out") true (times_out "in flight");
+      let elapsed = Clock.now clock -. before in
+      let r = Rpc.default_retry in
+      Alcotest.(check int) (label "retransmits") (r.Rpc.max_attempts - 1)
+        (count "rpc.retransmits" - retransmits);
+      Alcotest.(check int) (label "transmissions dropped") r.Rpc.max_attempts
+        (count "rpc.dropped_dead" - dropped);
+      (* 0.8 s doubling over six waits is 0.8 * 63 s; each wait is
+         jittered by at most 10%, and the wire adds microseconds. *)
+      let nominal = 0.8 *. 63.0 in
+      Alcotest.(check bool)
+        (label (Printf.sprintf "elapsed %.3f s within the jittered envelope" elapsed))
+        true
+        (elapsed >= 0.9 *. nominal && elapsed <= (1.1 *. nominal) +. 0.01);
+      Alcotest.(check (option (pair (pair int int) (pair int string))))
+        (label "lost call recorded")
+        (Some ((77, 1), (1, "in flight")))
+        (Option.map (fun (prog, vers, proc, args) -> ((prog, vers), (proc, args)))
+           (Rpc.take_timeout client));
+      Alcotest.(check bool) (label "reading clears it") true
+        (Option.is_none (Rpc.take_timeout client))
+    in
+    if pooled then begin
+      Simnet.Sched.spawn sched scenario;
+      Simnet.Sched.run sched
+    end
+    else scenario ();
+    Alcotest.(check bool) (label "calls took the expected path") pooled (Rpc.queue_peak srv > 0)
+  in
+  run ~pooled:false;
+  run ~pooled:true
+
 (* --- IPsec --------------------------------------------------------- *)
 
 let handshake () =
@@ -305,6 +373,7 @@ let suite =
     Alcotest.test_case "rpc faults" `Quick test_rpc_faults;
     Alcotest.test_case "rpc connection info" `Quick test_rpc_conn_info;
     Alcotest.test_case "rpc charges virtual time" `Quick test_rpc_charges_time;
+    Alcotest.test_case "serial and pooled calls time out alike" `Quick test_timeout_alike;
     Alcotest.test_case "ike establishes authenticated SAs" `Quick test_ike_establish;
     Alcotest.test_case "esp seal/open/replay/tamper" `Quick test_esp_roundtrip;
     Alcotest.test_case "esp out-of-order within window" `Quick test_esp_out_of_order;
