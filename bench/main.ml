@@ -583,72 +583,14 @@ let latency_breakdown spec =
 (* H1: hot path — real heap allocations per encode->seal through the   *)
 (* legacy Buffer/concat pipeline vs the arena pipeline, plus the O1    *)
 (* walk comparison the compound procedures drive. The legacy pipeline  *)
-(* is reconstructed here as a reference (nested Buffer for the cred    *)
-(* body, a Buffer for the message, string concatenation for the ESP    *)
-(* packet) and must produce byte-identical wire output — asserted      *)
-(* before measuring, so the A/B compares allocation profiles of the    *)
-(* same bytes. Allocation counts are real (Gc.allocated_bytes), not    *)
-(* virtual time, but they are deterministic for a fixed compiler, so   *)
-(* the double-run gate applies to them too.                            *)
+(* is the reference in test/oracle/wire_oracle.ml (nested Buffer for   *)
+(* the cred body, a Buffer for the message, string concatenation for   *)
+(* the ESP packet) and must produce byte-identical wire output —       *)
+(* asserted before measuring, so the A/B compares allocation profiles  *)
+(* of the same bytes. Allocation counts are real (Gc.allocated_bytes), *)
+(* not virtual time, but they are deterministic for a fixed compiler,  *)
+(* so the double-run gate applies to them too.                         *)
 (* ------------------------------------------------------------------ *)
-
-let str_be32 v = String.init 4 (fun i -> Char.chr ((v lsr ((3 - i) * 8)) land 0xff))
-let str_be64 v = String.init 8 (fun i -> Char.chr ((v lsr ((7 - i) * 8)) land 0xff))
-
-let legacy_encode_call ~xid ~prog ~vers ~proc ~uid args =
-  let be32 b v =
-    for i = 3 downto 0 do
-      Buffer.add_char b (Char.chr ((v lsr (i * 8)) land 0xff))
-    done
-  in
-  (* the nested buffer the arena's sub_writer replaced *)
-  let cred = Buffer.create 16 in
-  be32 cred uid;
-  let cred_body = Buffer.contents cred in
-  let b = Buffer.create 256 in
-  be32 b xid;
-  be32 b 0 (* CALL *);
-  be32 b 2 (* rpcvers *);
-  be32 b prog;
-  be32 b vers;
-  be32 b proc;
-  be32 b 1 (* AUTH_UNIX *);
-  be32 b (String.length cred_body);
-  Buffer.add_string b cred_body (* 4 bytes: no pad *);
-  be32 b 0 (* verf: AUTH_NONE *);
-  be32 b 0 (* empty opaque *);
-  Buffer.add_string b args;
-  Buffer.contents b
-
-let legacy_seal sa payload =
-  let seq = Ipsec.Sa.next_seq sa in
-  let header = str_be32 (Ipsec.Sa.spi sa) ^ str_be64 seq in
-  let key = Dcrypto.Secret.reveal (Ipsec.Sa.key sa) in
-  let nonce = "\000\000\000\000" ^ str_be64 seq in
-  let ciphertext = Dcrypto.Chacha20.crypt ~key ~nonce payload in
-  let otk = String.sub (Dcrypto.Chacha20.block ~key ~nonce ~counter:0) 0 32 in
-  let tag = Dcrypto.Poly1305.mac ~key:otk (header ^ ciphertext) in
-  header ^ ciphertext ^ tag
-
-(* The four-copy open the one-copy [Esp.open_] replaced: slice the
-   ciphertext and the tag out of the packet, MAC a header ^ ciphertext
-   concatenation, and decrypt through a mutable copy of the
-   ciphertext into a fresh plaintext string. *)
-let legacy_open sa packet =
-  let n = String.length packet in
-  let seq = Int64.to_int (String.get_int64_be packet 4) in
-  let header = String.sub packet 0 12 in
-  let key = Dcrypto.Secret.reveal (Ipsec.Sa.key sa) in
-  let nonce = "\000\000\000\000" ^ str_be64 seq in
-  let ciphertext = String.sub packet 12 (n - Ipsec.Esp.overhead) in
-  let tag = String.sub packet (n - 16) 16 in
-  let otk = String.sub (Dcrypto.Chacha20.block ~key ~nonce ~counter:0) 0 32 in
-  if not (Dcrypto.Hmac.equal tag (Dcrypto.Poly1305.mac ~key:otk (header ^ ciphertext))) then
-    failwith "legacy_open: authentication failed";
-  if not (Ipsec.Sa.replay_check sa seq) then failwith "legacy_open: replayed sequence";
-  let plain = Bytes.of_string ciphertext in
-  Dcrypto.Chacha20.xor_into ~key ~nonce ~counter:1 plain ~off:0 ~len:(Bytes.length plain);
-  Bytes.to_string plain
 
 let hotpath_micro ~iters =
   let clock = Clock.create () in
@@ -660,7 +602,7 @@ let hotpath_micro ~iters =
   let call_args = [ ("call+seal, 40 B args", String.make 40 'a');
                     ("call+seal, 8 KB args", String.make 8192 'd') ] in
   let legacy_op sa args xid =
-    legacy_seal sa (legacy_encode_call ~xid ~prog:100003 ~vers:2 ~proc:6 ~uid:1000 args)
+    Wire_oracle.seal sa (Wire_oracle.encode_call ~xid ~prog:100003 ~vers:2 ~proc:6 ~uid:1000 args)
   in
   let arena_op sa args xid =
     let a = Ipsec.Esp.arena () in
@@ -714,11 +656,11 @@ let hotpath_micro ~iters =
   let rl = sa () and rn = sa () in
   Array.iter
     (fun p ->
-      if not (String.equal (legacy_open rl p) (Ipsec.Esp.open_ rn p)) then
+      if not (String.equal (Wire_oracle.open_ rl p) (Ipsec.Esp.open_ rn p)) then
         failwith "hotpath: legacy and one-copy opens disagree on plaintext")
     (Array.sub packets 0 4);
   let rl = sa () and rn = sa () in
-  let legacy = measure (fun i -> legacy_open rl packets.(i)) in
+  let legacy = measure (fun i -> Wire_oracle.open_ rl packets.(i)) in
   let arena = measure (fun i -> Ipsec.Esp.open_ rn packets.(i)) in
   seal_rows @ [ ("open, 8 KB", legacy, arena) ]
 

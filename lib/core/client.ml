@@ -95,7 +95,8 @@ let reattach t ~rpc ~server () =
   match pending with
   | None -> ()
   | Some (prog, vers, proc, args) -> (
-    try ignore (Rpc.call t.rpc ~prog ~vers ~proc args) with Rpc.Rpc_error _ -> ())
+    try ignore (Rpc.call t.rpc ~prog ~vers ~proc (fun e -> Xdr.Enc.raw e args))
+    with Rpc.Rpc_error _ -> ())
 
 (* Leaving is client-initiated and needs no server cooperation: the
    SAs are forgotten on this side, and any later use of the
@@ -114,10 +115,8 @@ let client_id t = Rpc.client_id t.rpc
 
 let call t ~prog ~vers ~proc args = Rpc.call t.rpc ~prog ~vers ~proc args
 
-let discfs_call t ~proc body =
-  let e = Xdr.Enc.create () in
-  body e;
-  Rpc.call t.rpc ~prog:Server.discfs_prog ~vers:Server.discfs_vers ~proc (Xdr.Enc.to_string e)
+let discfs_call t ~proc args =
+  Rpc.call t.rpc ~prog:Server.discfs_prog ~vers:Server.discfs_vers ~proc args
 
 let submit_credential_text t text =
   let d = discfs_call t ~proc:Server.discfsproc_submit (fun e -> Xdr.Enc.string e text) in

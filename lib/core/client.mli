@@ -55,8 +55,10 @@ val root : t -> Nfs.Proto.fh
 val server_principal : t -> string
 (** The key this connection authenticated in IKE. *)
 
-val call : t -> prog:int -> vers:int -> proc:int -> string -> Xdr.Dec.t
-(** A raw RPC on this connection (the cluster control program). *)
+val call : t -> prog:int -> vers:int -> proc:int -> (Xdr.Enc.t -> unit) -> Xdr.Dec.t
+(** A raw RPC on this connection (the cluster control program); the
+    writer marshals the arguments into the request arena, as for
+    {!Oncrpc.Rpc.call}. *)
 
 val submit_credential_text : t -> string -> (string, string) result
 (** Submit over RPC; [Ok fingerprint] on success. *)

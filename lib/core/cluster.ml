@@ -307,11 +307,10 @@ let renew_lease t ~shard ~server =
   if Int.equal s.owner server then Ok () (* owners need no lease on their own shard *)
   else begin
     let c = peer_conn t ~from:server ~target:s.owner in
-    let e = Xdr.Enc.create () in
-    Xdr.Enc.uint32 e shard;
-    Xdr.Enc.uint32 e server;
-    match Rpc.call c ~prog:cluster_prog ~vers:cluster_vers ~proc:clusterproc_lease
-            (Xdr.Enc.to_string e)
+    match
+      Rpc.call c ~prog:cluster_prog ~vers:cluster_vers ~proc:clusterproc_lease (fun e ->
+          Xdr.Enc.uint32 e shard;
+          Xdr.Enc.uint32 e server)
     with
     | exception Rpc.Rpc_timeout _ -> Error "lease request timed out"
     | d ->
@@ -349,12 +348,10 @@ let note_write t ~ino =
   List.iter
     (fun r ->
       let c = peer_conn t ~from:s.owner ~target:r in
-      let e = Xdr.Enc.create () in
-      Xdr.Enc.uint32 e shard_ix;
-      Xdr.Enc.uint32 e s.owner;
       match
-        Rpc.call c ~prog:cluster_prog ~vers:cluster_vers ~proc:clusterproc_invalidate
-          (Xdr.Enc.to_string e)
+        Rpc.call c ~prog:cluster_prog ~vers:cluster_vers ~proc:clusterproc_invalidate (fun e ->
+            Xdr.Enc.uint32 e shard_ix;
+            Xdr.Enc.uint32 e s.owner)
       with
       | _reply -> ()
       | exception Rpc.Rpc_timeout _ -> Stats.incr t.stats "topo.invalidate_timeouts")

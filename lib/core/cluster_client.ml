@@ -108,11 +108,9 @@ let recover t =
    placeholder map says: there is nothing to fetch. *)
 let refresh_map t =
   if Cluster.nservers t.cluster > 1 then begin
-    let e = Xdr.Enc.create () in
-    Xdr.Enc.uint32 e (Shard_map.version t.map);
     let d =
       Client.call (conn t t.home) ~prog:Cluster.cluster_prog ~vers:Cluster.cluster_vers
-        ~proc:Cluster.clusterproc_getmap (Xdr.Enc.to_string e)
+        ~proc:Cluster.clusterproc_getmap (fun e -> Xdr.Enc.uint32 e (Shard_map.version t.map))
     in
     if Xdr.Dec.uint32 d = 0 && Xdr.Dec.bool d then begin
       t.map <- Shard_map.decode d;

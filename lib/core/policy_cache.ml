@@ -32,27 +32,41 @@ let create ~stats ~size =
 let set_race t m = t.race <- m
 
 (* The memo key: the canonical encoding itself of the credential-set
-   epoch (a generation number), the requesting principal and the
-   exact action-attribute set the compliance checker would see. The
-   table lives in memory, so an exact key needs no digest and cannot
-   collide. Keying on the *attributes* (not the handle) means anything
-   that changes the KeyNote question — a renamed PATH, a bumped
-   GENERATION, a different hour — naturally keys a different entry,
-   with no flush-on-rename heuristics; folding in the epoch retires
-   every entry the moment the credential set changes. *)
+   epoch (a generation number), the requesting principal's interned id
+   and the exact action-attribute set the compliance checker would
+   see. The table lives in memory, so an exact key needs no digest and
+   cannot collide. Keying on the *attributes* (not the handle) means
+   anything that changes the KeyNote question — a renamed PATH, a
+   bumped GENERATION, a different hour — naturally keys a different
+   entry, with no flush-on-rename heuristics; folding in the epoch
+   retires every entry the moment the credential set changes. The key
+   is written once, at its exact length. *)
 let key ~peer ~attributes ~epoch =
-  let buf = Buffer.create 256 in
-  Buffer.add_string buf (string_of_int epoch);
-  Buffer.add_char buf '\000';
-  Buffer.add_string buf peer;
-  List.iter
-    (fun (k, v) ->
-      Buffer.add_char buf '\000';
-      Buffer.add_string buf k;
-      Buffer.add_char buf '=';
-      Buffer.add_string buf v)
-    (List.sort compare attributes);
-  Buffer.contents buf
+  let epoch = string_of_int epoch and peer = string_of_int peer in
+  let attributes = List.sort compare attributes in
+  let len =
+    List.fold_left
+      (fun n (k, v) -> n + 2 + String.length k + String.length v)
+      (String.length epoch + 1 + String.length peer)
+      attributes
+  in
+  let b = Bytes.create len in
+  let put pos s =
+    Bytes.blit_string s 0 b pos (String.length s);
+    pos + String.length s
+  in
+  let pos = put 0 epoch in
+  Bytes.set b pos '\000';
+  let pos = put (pos + 1) peer in
+  ignore
+    (List.fold_left
+       (fun pos (k, v) ->
+         Bytes.set b pos '\000';
+         let pos = put (pos + 1) k in
+         Bytes.set b pos '=';
+         put (pos + 1) v)
+       pos attributes);
+  Bytes.unsafe_to_string b
 
 let touch t = t.tick <- t.tick + 1; t.tick
 
@@ -89,7 +103,7 @@ let evict_lru t =
 
 let add t ~key level =
   if t.capacity > 0 then begin
-    Race.act t.race ~value:(string_of_int level) ~key ();
+    if Race.enabled t.race then Race.act t.race ~value:(string_of_int level) ~key ();
     if (not (Hashtbl.mem t.entries key)) && Hashtbl.length t.entries >= t.capacity then
       evict_lru t;
     Hashtbl.replace t.entries key (level, ref (touch t))

@@ -5,7 +5,8 @@
     it every NFS operation pays a full compliance check.
 
     {b Keying.} An entry is looked up by an opaque {!key}: the
-    canonical encoding of the requesting principal, the complete
+    canonical encoding of the requesting principal (as the small id
+    the server interned it to, see {!Server}), the complete
     action-attribute set the compliance checker would evaluate
     ([HANDLE], [GENERATION], [PATH], [hour], …) and the server's
     {e credential-set epoch} (a generation number bumped on every
@@ -39,12 +40,15 @@ val set_race : t -> Race.monitor -> unit
     check-then-act windows closed by {!add} — epoch-keyed duplicate
     fills classify benign — and {!flush} wipes per-key state. *)
 
-val key : peer:string -> attributes:(string * string) list -> epoch:int -> string
+val key : peer:int -> attributes:(string * string) list -> epoch:int -> string
 (** The memo key: the canonical encoding
     [epoch\000peer\000k=v\000k=v…] of the credential-set epoch, the
-    requesting principal and the action attributes (order-insensitive:
-    they are sorted first). Used as is, not digested: the memo is an
-    in-memory table, so an exact key cannot collide. *)
+    requesting principal's interned id and the action attributes
+    (order-insensitive: they are sorted first). The caller interns
+    each principal to an id that never names another principal for
+    this cache's lifetime, so the key stays exact. Used as is, not
+    digested: the memo is an in-memory table, so an exact key cannot
+    collide. Its length does not depend on the principal's. *)
 
 val find : t -> key:string -> int option
 (** Cached compliance level for [key], refreshing its LRU position. *)

@@ -37,6 +37,7 @@ type t = {
   strict_handles : bool;
   mutable revoked_keys : string list;
   mutable cred_epoch : int; (* credential-set generation, part of memo keys *)
+  peer_ids : (string, int) Hashtbl.t; (* principal -> its id in memo keys *)
   mutable audit : audit_entry list;
   mutable audit_len : int; (* List.length audit *)
   mutable audit_enabled : bool;
@@ -71,6 +72,18 @@ let attributes t ~ino =
 let is_revoked t principal =
   List.exists (Keynote.Ast.principal_equal principal) t.revoked_keys
 
+(* Memo keys name a principal by a small id, interned here on first
+   sight: a DSA principal is hundreds of characters, and a key
+   embedding it would copy it on every lookup. Ids are never reused,
+   so a key still names exactly one principal. *)
+let peer_id t peer =
+  match Hashtbl.find_opt t.peer_ids peer with
+  | Some id -> id
+  | None ->
+    let id = Hashtbl.length t.peer_ids in
+    Hashtbl.replace t.peer_ids peer id;
+    id
+
 let query_level t ~peer ~ino =
   Trace.span (trace t) "policy.check" @@ fun () ->
   let c = cost () in
@@ -82,7 +95,7 @@ let query_level t ~peer ~ino =
   end
   else begin
     let attributes = attributes t ~ino in
-    let key = Policy_cache.key ~peer ~attributes ~epoch:t.cred_epoch in
+    let key = Policy_cache.key ~peer:(peer_id t peer) ~attributes ~epoch:t.cred_epoch in
     match Policy_cache.find t.cache ~key with
     | Some level ->
       Trace.instant (trace t) "policy.cache.hit";
@@ -283,6 +296,7 @@ let create ~fs ~admin ~server_key ~drbg ?(cache_size = 128) ?(extra_policy = [])
       strict_handles;
       revoked_keys = [];
       cred_epoch = 0;
+      peer_ids = Hashtbl.create 16;
       audit = [];
       audit_len = 0;
       audit_enabled;
@@ -308,19 +322,21 @@ let err_reply e msg =
   Xdr.Enc.string e msg;
   Ok ()
 
-let discfs_proc_name proc =
-  if proc = discfsproc_submit then "submit"
-  else if proc = discfsproc_create then "create"
-  else if proc = discfsproc_mkdir then "mkdir"
-  else if proc = discfsproc_revoke_cred then "revoke_cred"
-  else if proc = discfsproc_revoke_key then "revoke_key"
-  else string_of_int proc
+(* Literal span names, so naming a known procedure's span allocates
+   nothing, traced or not. *)
+let discfs_span_name proc =
+  if proc = discfsproc_submit then "discfs.submit"
+  else if proc = discfsproc_create then "discfs.create"
+  else if proc = discfsproc_mkdir then "discfs.mkdir"
+  else if proc = discfsproc_revoke_cred then "discfs.revoke_cred"
+  else if proc = discfsproc_revoke_key then "discfs.revoke_key"
+  else "discfs." ^ string_of_int proc
 
 let handle_discfs t admin_principal ~conn ~proc ~args:d e =
   let ok_reply = ok_reply e and err_reply = err_reply e in
   if proc = 0 then Ok ()
   else
-  Trace.span (trace t) ("discfs." ^ discfs_proc_name proc) @@ fun () ->
+  Trace.span (trace t) (discfs_span_name proc) @@ fun () ->
   if proc = discfsproc_submit then begin
     let text = Xdr.Dec.string d in
     match submit_credential t text with

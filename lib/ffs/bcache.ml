@@ -63,14 +63,15 @@ let push_front t n =
   t.mru <- Some n
 
 (* The cache never writes a stored block in place — an update swaps
-   in a fresh copy — so the block handed out here stays as it was. *)
+   in another block — so the block handed out here stays as it was.
+   Race keys are rendered only for an armed monitor. *)
 let find_shared t i =
   if t.capacity = 0 then None
   else
   match Hashtbl.find_opt t.nodes i with
   | Some n ->
     t.hits <- t.hits + 1;
-    Race.read t.race ~key:(string_of_int i);
+    if Race.enabled t.race then Race.read t.race ~key:(string_of_int i);
     unlink t n;
     push_front t n;
     Some n.data
@@ -78,7 +79,7 @@ let find_shared t i =
     t.misses <- t.misses + 1;
     (* A miss opens a check-then-act window: the caller will go to
        disk (yielding) and fill this index on return. *)
-    Race.check t.race ~key:(string_of_int i);
+    if Race.enabled t.race then Race.check t.race ~key:(string_of_int i);
     None
 
 let find t i = Option.map Bytes.copy (find_shared t i)
@@ -87,12 +88,12 @@ let mem t i =
   if Hashtbl.mem t.nodes i then true
   else begin
     (* A readahead presence probe is also a fill decision. *)
-    Race.check t.race ~key:(string_of_int i);
+    if Race.enabled t.race then Race.check t.race ~key:(string_of_int i);
     false
   end
 
 let remove t i =
-  Race.write t.race ~key:(string_of_int i) ();
+  if Race.enabled t.race then Race.write t.race ~key:(string_of_int i) ();
   match Hashtbl.find_opt t.nodes i with
   | Some n ->
     unlink t n;
@@ -113,14 +114,16 @@ let insert t i data =
        live monitor, not on every fill. *)
     if Race.enabled t.race then
       Race.act t.race ~value:(Bytes.to_string data) ~key:(string_of_int i) ();
+    (* The block itself is stored, not a copy: the caller hands it
+       over (see bcache.mli). *)
     match Hashtbl.find_opt t.nodes i with
     | Some n ->
-      n.data <- Bytes.copy data;
+      n.data <- data;
       unlink t n;
       push_front t n
     | None ->
       if Hashtbl.length t.nodes >= t.capacity then evict_lru t;
-      let n = { index = i; data = Bytes.copy data; prev = None; next = None } in
+      let n = { index = i; data; prev = None; next = None } in
       Hashtbl.replace t.nodes i n;
       push_front t n
   end

@@ -7,9 +7,14 @@
     operations are O(1): recency is an intrusive doubly-linked list
     threaded through the hash-table nodes.
 
-    Stored blocks are defensively copied on {!insert} and {!find}, so
-    callers can keep mutating their buffers; {!find_shared} is the
-    read-only exception. *)
+    {b Ownership.} {!insert} stores the block it is given, without a
+    copy: the caller hands the block over and must not write to it
+    again. The cache never writes a stored block in place either (an
+    update stores the new block instead), so a stored block is
+    immutable for as long as anyone holds it, and {!Blockdev} shares
+    one block between its store and the cache. {!find} returns a
+    private copy; {!find_shared} returns the stored block itself,
+    read-only. *)
 
 type t
 
@@ -25,7 +30,7 @@ val find : t -> int -> bytes option
 val find_shared : t -> int -> bytes option
 (** {!find} without the copy: the cached block itself, with the same
     recency and hit/miss accounting. The cache never modifies a stored
-    block in place (an update stores a fresh copy), so the result
+    block in place (an update stores another block), so the result
     keeps its contents; the caller must not write to it. *)
 
 val mem : t -> int -> bool
@@ -33,8 +38,9 @@ val mem : t -> int -> bool
     counters (used to decide which blocks a readahead still needs). *)
 
 val insert : t -> int -> bytes -> unit
-(** Fill or update block [i], making it most recently used; evicts
-    the least-recently-used block when full. *)
+(** Fill or update block [i] with the given block itself (no copy; the
+    caller gives up writing to it), making it most recently used;
+    evicts the least-recently-used block when full. *)
 
 val insert_if : t -> generation:int -> int -> bytes -> unit
 (** {!insert}, but only when the cache is still the incarnation the

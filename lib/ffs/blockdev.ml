@@ -72,9 +72,13 @@ let check t i = if i < 0 || i >= t.nblocks then invalid_arg "Blockdev: block out
 let disk_fault t =
   match t.fault with None -> None | Some f -> Simnet.Fault.disk_decide f
 
+(* The stored block itself. The store never writes a block in place
+   ([write], [poke] and [restore] replace it with a private copy of
+   the caller's bytes), so the cache can hold the very same block and
+   a fill copies nothing. *)
 let raw_block t i =
   match Hashtbl.find_opt t.store i with
-  | Some b -> Bytes.copy b
+  | Some b -> b
   | None -> Bytes.make t.block_size '\000'
 
 (* Every fill — demand, prefetch or write-through — may displace the
@@ -115,9 +119,10 @@ let prefetch t i =
     end
   end
 
-(* [on_hit] maps a cache-owned block to what the caller may keep; a
-   miss already yields a private transfer buffer. *)
-let read_with t i ~on_hit =
+(* Returns a block shared with the store and the cache (or, after a
+   corrupted transfer, the caller's own damaged copy): [read] copies
+   it once on the way out, [read_shared] hands it over read-only. *)
+let read_with t i =
   check t i;
   let sequential = i = t.last_req + 1 in
   t.last_req <- i;
@@ -127,7 +132,7 @@ let read_with t i ~on_hit =
     (* Buffer-cache hit: served from server memory — no head motion,
        no virtual time, no disk span. *)
     Stats.incr t.stats "bcache.hits";
-    on_hit data
+    data
   | None ->
     if Bcache.capacity t.cache > 0 then Stats.incr t.stats "bcache.misses";
     let data =
@@ -155,8 +160,8 @@ let read_with t i ~on_hit =
     if sequential then prefetch t i;
     data
 
-let read t i = read_with t i ~on_hit:Bytes.copy
-let read_shared t i = read_with t i ~on_hit:Fun.id
+let read t i = Bytes.copy (read_with t i)
+let read_shared t i = read_with t i
 
 let write t i b =
   check t i;
@@ -170,14 +175,15 @@ let write t i b =
     Stats.incr t.stats "disk.io_errors";
     raise (Io_error (Printf.sprintf "write error at block %d" i))
   | Some Simnet.Fault.Fail_read | Some Simnet.Fault.Corrupt_read | None -> ());
-  Hashtbl.replace t.store i (Bytes.copy b);
+  let b = Bytes.copy b in
+  Hashtbl.replace t.store i b;
   (* Write-through: the cache is updated only after the device
-     committed, so a failed write leaves both copies on the old
-     value and the cache can never hold data the disk lost. The
-     generation guard keeps a write that straddled a crash from
-     warming the new incarnation's cold cache (the store update
-     stands — the controller had the data — but the old process's
-     memory is gone). *)
+     committed, so a failed write leaves both on the old value and
+     the cache can never hold data the disk lost. Store and cache
+     share the one private copy. The generation guard keeps a write
+     that straddled a crash from warming the new incarnation's cold
+     cache (the store update stands — the controller had the data —
+     but the old process's memory is gone). *)
   fill t ~generation:gen i b
 
 let drop_cache t = Bcache.drop t.cache

@@ -76,15 +76,25 @@ val set_fault : t -> Simnet.Fault.t option -> unit
     script would have failed is simply re-read on demand). *)
 
 val read : t -> int -> bytes
-(** [read t i] returns a copy of block [i] (zeros if never written).
-    Raises [Invalid_argument] if out of range. *)
+(** [read t i] returns a private copy of block [i] (zeros if never
+    written), made once on the way out: the caller may write to it
+    freely. Raises [Invalid_argument] if out of range.
+
+    {b Block ownership.} The device never writes a stored block in
+    place: {!write}, {!poke} and {!restore} store a private copy of
+    the caller's bytes, replacing the old block. So the buffer cache
+    holds the store's own block — a miss, a prefetch or a
+    write-through fill copies nothing — and the bytes passed to those
+    calls stay the caller's. A corrupted transfer is returned to its
+    caller only; it never reaches the store or the cache. *)
 
 val read_shared : t -> int -> bytes
-(** {!read} without the private copy, with identical hit, miss,
-    charge and prefetch accounting: on a cache hit the result is the
-    cache's own block. Read-only — the caller must neither write to
-    it nor expect it to follow later writes. For read paths that copy
-    the bytes straight to their destination. *)
+(** {!read} without any copy, with identical hit, miss, charge and
+    prefetch accounting: the result is the block the store and the
+    cache share (after a corrupted transfer, the caller's own damaged
+    copy). Read-only — the caller must neither write to it nor expect
+    it to follow later writes. For read paths that copy the bytes
+    straight to their destination. *)
 
 val write : t -> int -> bytes -> unit
 (** [write t i b] stores a full block; [b] must be exactly

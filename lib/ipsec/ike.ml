@@ -144,7 +144,7 @@ let rekey ~link ~drbg ~client ~server () =
 let rpc_channel ~client ~server =
   {
     Oncrpc.Rpc.server_open = Esp.open_ server.rx;
-    server_seal = Esp.seal server.tx;
+    server_seal = Esp.seal_arena server.tx;
     client_open = Esp.open_ client.rx;
     client_seal = Esp.seal_arena client.tx;
   }

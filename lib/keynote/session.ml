@@ -83,6 +83,8 @@ let values t = t.values
 
 let query t ~requesters ~attributes =
   (* Credentials were signature-checked when admitted. *)
-  Trace.span t.trace "keynote.compliance"
-    ~attrs:[ ("credentials", string_of_int (size t)) ]
-    (fun () -> Compliance.evaluate t.index { Compliance.requesters; attributes; values = t.values })
+  let attrs =
+    if Trace.enabled t.trace then Some [ ("credentials", string_of_int (size t)) ] else None
+  in
+  Trace.span t.trace "keynote.compliance" ?attrs (fun () ->
+      Compliance.evaluate t.index { Compliance.requesters; attributes; values = t.values })

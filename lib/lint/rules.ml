@@ -16,6 +16,7 @@ type rule =
   | Mli_coverage
   | Hotpath_alloc
   | C_boundary
+  | Monitor_off
 
 let all_rules =
   [
@@ -28,6 +29,7 @@ let all_rules =
     Mli_coverage;
     Hotpath_alloc;
     C_boundary;
+    Monitor_off;
   ]
 
 let rule_name = function
@@ -40,6 +42,7 @@ let rule_name = function
   | Mli_coverage -> "mli-coverage"
   | Hotpath_alloc -> "hotpath-alloc"
   | C_boundary -> "c-boundary"
+  | Monitor_off -> "monitor-off"
 
 let rule_of_name = function
   | "determinism" -> Some Determinism
@@ -51,6 +54,7 @@ let rule_of_name = function
   | "mli-coverage" -> Some Mli_coverage
   | "hotpath-alloc" -> Some Hotpath_alloc
   | "c-boundary" -> Some C_boundary
+  | "monitor-off" -> Some Monitor_off
   | _ -> None
 
 type role = Lib | Decode | Kernel | Exe
@@ -68,11 +72,12 @@ let role_of_path p =
   else Exe
 
 let rules_for_role = function
-  | Lib | Kernel -> [ Determinism; Poly_compare; No_print; Secret_flow; Mli_coverage; C_boundary ]
+  | Lib | Kernel ->
+    [ Determinism; Poly_compare; No_print; Secret_flow; Mli_coverage; C_boundary; Monitor_off ]
   | Decode ->
     [
       Determinism; Poly_compare; No_print; Decode_result; Secret_flow; Mli_coverage;
-      Hotpath_alloc; C_boundary;
+      Hotpath_alloc; C_boundary; Monitor_off;
     ]
   | Exe -> [ Poly_compare; Secret_flow ]
 
@@ -298,6 +303,53 @@ let is_sink name =
   let b = base_name name in
   b = "pp" || b = "show" || starts_with ~prefix:"pp_" b || starts_with ~prefix:"show_" b
 
+(* Monitor-off: a race monitor or a tracer that is switched off must
+   cost nothing, so what is handed to it must not be built on every
+   call. A [Race.read/check/act/write/note] argument that is a
+   function application (a sprintf'd key, a [string_of_int], a
+   [to_string] of a value) belongs under [if Race.enabled …]; an
+   [~attrs] list for [Trace.span]/[Trace.instant] that is not a
+   literal constant (or a value built elsewhere and passed by name)
+   belongs under [if Trace.enabled …]. *)
+let race_ops = [ "Race.read"; "Race.check"; "Race.act"; "Race.write"; "Race.note" ]
+let trace_ops = [ "Trace.span"; "Trace.instant" ]
+
+(* An optional argument given as [~l:e] reaches the callee as [Some e]. *)
+let unwrap_some (e : Typedtree.expression) =
+  match e.Typedtree.exp_desc with
+  | Typedtree.Texp_construct (_, { Types.cstr_name = "Some"; _ }, [ x ]) -> x
+  | _ -> e
+
+let rec literal (e : Typedtree.expression) =
+  match e.Typedtree.exp_desc with
+  | Typedtree.Texp_constant _ -> true
+  | Typedtree.Texp_construct (_, _, args) -> List.for_all literal args
+  | Typedtree.Texp_tuple es -> List.for_all literal es
+  | _ -> false
+
+let builds_race_arg e =
+  match (unwrap_some e).Typedtree.exp_desc with Typedtree.Texp_apply _ -> true | _ -> false
+
+let builds_attrs e =
+  let e = unwrap_some e in
+  match e.Typedtree.exp_desc with Typedtree.Texp_ident _ -> false | _ -> not (literal e)
+
+(* Does [e] mention [Race.enabled] (or whichever [suffix])? Used on an
+   [if] condition to tell that its then-branch runs armed only. *)
+let mentions suffix e =
+  let found = ref false in
+  let super = Tast_iterator.default_iterator in
+  let expr it (e : Typedtree.expression) =
+    (match e.Typedtree.exp_desc with
+    | Typedtree.Texp_ident (p, _, _) when suffix_matches (normalize_path p) suffix ->
+      found := true
+    | _ -> ());
+    super.expr it e
+  in
+  let it = { super with expr } in
+  it.expr it e;
+  !found
+
 (* --- the typed-tree walk ---------------------------------------------- *)
 
 (* C-boundary: a C stub receives raw pointers into OCaml strings and
@@ -357,10 +409,38 @@ let check_structure ~role ~enabled ~emit str =
              (base_name raw))
       | _ -> ()
   in
+  (* Depth of enclosing [if Race.enabled …] / [if Trace.enabled …]
+     then-branches. *)
+  let race_armed = ref 0 and trace_armed = ref 0 in
   let check_apply e fn args =
     match fn.exp_desc with
     | Texp_ident (path, _, _) ->
       let name = normalize_path path in
+      if enabled Monitor_off then begin
+        if !race_armed = 0 && List.exists (suffix_matches name) race_ops then
+          List.iter
+            (fun (_, arg) ->
+              match arg with
+              | Some a when builds_race_arg a ->
+                emit Monitor_off a.exp_loc
+                  (Printf.sprintf
+                     "%s argument built on every call: under Race.null it is thrown away; build it inside if Race.enabled ..."
+                     name)
+              | _ -> ())
+            args;
+        if !trace_armed = 0 && List.exists (suffix_matches name) trace_ops then
+          List.iter
+            (fun (label, arg) ->
+              match (label, arg) with
+              | (Asttypes.Labelled "attrs" | Asttypes.Optional "attrs"), Some a
+                when builds_attrs a ->
+                emit Monitor_off a.exp_loc
+                  (Printf.sprintf
+                     "non-constant ~attrs to %s built on every call: under Trace.null it is thrown away; build it only when Trace.enabled"
+                     name)
+              | _ -> ())
+            args
+      end;
       if enabled Secret_flow && is_sink name then
         List.iter
           (fun (_, arg) ->
@@ -374,15 +454,27 @@ let check_structure ~role ~enabled ~emit str =
   in
   let super = Tast_iterator.default_iterator in
   let expr it e =
-    (match e.exp_desc with
-    | Texp_ident (path, _, _) -> check_ident e path
-    | Texp_apply (fn, args) -> check_apply e fn args
-    | Texp_assert ({ exp_desc = Texp_construct (_, { Types.cstr_name = "false"; _ }, _); _ }, _)
-      when enabled Decode_result ->
-      emit Decode_result e.exp_loc
-        "assert false in a wire-decode layer: attacker-controlled input must fail via result or the layer's decode exception"
-    | _ -> ());
-    super.expr it e
+    match e.exp_desc with
+    | Texp_ifthenelse (cond, then_, else_) ->
+      (* The then-branch of [if Race.enabled m …] runs only armed. *)
+      it.Tast_iterator.expr it cond;
+      let race = mentions "Race.enabled" cond and trace = mentions "Trace.enabled" cond in
+      if race then incr race_armed;
+      if trace then incr trace_armed;
+      it.Tast_iterator.expr it then_;
+      if race then decr race_armed;
+      if trace then decr trace_armed;
+      Option.iter (it.Tast_iterator.expr it) else_
+    | _ ->
+      (match e.exp_desc with
+      | Texp_ident (path, _, _) -> check_ident e path
+      | Texp_apply (fn, args) -> check_apply e fn args
+      | Texp_assert ({ exp_desc = Texp_construct (_, { Types.cstr_name = "false"; _ }, _); _ }, _)
+        when enabled Decode_result ->
+        emit Decode_result e.exp_loc
+          "assert false in a wire-decode layer: attacker-controlled input must fail via result or the layer's decode exception"
+      | _ -> ());
+      super.expr it e
   in
   let structure_item it item =
     (match item.str_desc with

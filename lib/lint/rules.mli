@@ -46,7 +46,15 @@
       [lib/crypto] and is [[@@noalloc]]. A stub is handed raw pointers
       into OCaml strings and bytes, valid only while no GC can run;
       [lib/crypto]'s OCaml side checks every size and range before
-      the call. *)
+      the call.
+    - [monitor-off]: a switched-off race monitor or tracer costs
+      nothing, so nothing is built for it on every call. An argument
+      to [Race.read]/[check]/[act]/[write]/[note] that is a function
+      application (a [sprintf]'d key, [^], [string_of_int], a
+      [to_string]) must sit in the then-branch of an
+      [if Race.enabled …]; an [~attrs] to [Trace.span]/[Trace.instant]
+      that is neither a literal constant nor a value passed by name
+      must sit in the then-branch of an [if Trace.enabled …]. *)
 
 type rule =
   | Determinism
@@ -58,6 +66,7 @@ type rule =
   | Mli_coverage
   | Hotpath_alloc
   | C_boundary
+  | Monitor_off
 
 val all_rules : rule list
 

@@ -54,7 +54,8 @@ module Make (C : CLIENT) = struct
   let key (fh : Proto.fh) = (fh.Proto.ino, fh.Proto.gen)
 
   (* Race-monitor key renderings: the attr and name tables share one
-     monitor, disambiguated by prefix. *)
+     monitor, disambiguated by prefix. Keys and values are rendered
+     only for an armed monitor. *)
   let akey (ino, gen) = Printf.sprintf "a:%d.%d" ino gen
   let nkey ((ino, gen), name) = Printf.sprintf "n:%d.%d/%s" ino gen name
 
@@ -76,7 +77,8 @@ module Make (C : CLIENT) = struct
     if expired then t.expiries <- t.expiries + 1
 
   let store_attr t fh attr =
-    Race.act t.race ~value:(attr_value attr) ~key:(akey (key fh)) ();
+    if Race.enabled t.race then
+      Race.act t.race ~value:(attr_value attr) ~key:(akey (key fh)) ();
     Hashtbl.replace t.attrs (key fh) (attr, Clock.now t.clock +. t.attr_ttl)
 
   let getattr t fh =
@@ -84,7 +86,7 @@ module Make (C : CLIENT) = struct
     | Some (attr, expiry) when fresh t expiry ->
       t.hits <- t.hits + 1;
       Stats.incr t.stats "cache.attr.hits";
-      Race.read t.race ~key:(akey (key fh));
+      if Race.enabled t.race then Race.read t.race ~key:(akey (key fh));
       attr
     | found ->
       let expired = found <> None in
@@ -93,7 +95,7 @@ module Make (C : CLIENT) = struct
       if expired then Stats.incr t.stats "cache.attr.expiries";
       (* The GETATTR round trip yields; the window closes when
          [store_attr] installs the reply. *)
-      Race.check t.race ~key:(akey (key fh));
+      if Race.enabled t.race then Race.check t.race ~key:(akey (key fh));
       let attr = C.getattr t.client fh in
       store_attr t fh attr;
       attr
@@ -103,18 +105,19 @@ module Make (C : CLIENT) = struct
     | Some (result, expiry) when fresh t expiry ->
       t.hits <- t.hits + 1;
       Stats.incr t.stats "cache.name.hits";
-      Race.read t.race ~key:(nkey (key dir, name));
+      if Race.enabled t.race then Race.read t.race ~key:(nkey (key dir, name));
       result
     | found ->
       let expired = found <> None in
       miss t ~expired;
       Stats.incr t.stats "cache.name.misses";
       if expired then Stats.incr t.stats "cache.name.expiries";
-      Race.check t.race ~key:(nkey (key dir, name));
+      if Race.enabled t.race then Race.check t.race ~key:(nkey (key dir, name));
       let fh, attr = C.lookup t.client dir name in
-      Race.act t.race
-        ~value:(Printf.sprintf "%d.%d" fh.Proto.ino fh.Proto.gen)
-        ~key:(nkey (key dir, name)) ();
+      if Race.enabled t.race then
+        Race.act t.race
+          ~value:(Printf.sprintf "%d.%d" fh.Proto.ino fh.Proto.gen)
+          ~key:(nkey (key dir, name)) ();
       Hashtbl.replace t.names ((key dir, name)) ((fh, attr), Clock.now t.clock +. t.name_ttl);
       store_attr t fh attr;
       (fh, attr)
@@ -127,9 +130,10 @@ module Make (C : CLIENT) = struct
     List.iter
       (fun de ->
         let fh = de.Proto.p_fh and attr = de.Proto.p_attr and name = de.Proto.p_name in
-        Race.act t.race
-          ~value:(Printf.sprintf "%d.%d" fh.Proto.ino fh.Proto.gen)
-          ~key:(nkey (key dir, name)) ();
+        if Race.enabled t.race then
+          Race.act t.race
+            ~value:(Printf.sprintf "%d.%d" fh.Proto.ino fh.Proto.gen)
+            ~key:(nkey (key dir, name)) ();
         Hashtbl.replace t.names ((key dir, name)) ((fh, attr), Clock.now t.clock +. t.name_ttl);
         store_attr t fh attr)
       entries;
@@ -153,7 +157,7 @@ module Make (C : CLIENT) = struct
     attr
 
   let invalidate t fh =
-    Race.write t.race ~key:(akey (key fh)) ();
+    if Race.enabled t.race then Race.write t.race ~key:(akey (key fh)) ();
     Hashtbl.remove t.attrs (key fh);
     (* Drop any name entries resolving to this handle. *)
     let doomed =
@@ -163,14 +167,14 @@ module Make (C : CLIENT) = struct
     in
     List.iter
       (fun k ->
-        Race.write t.race ~key:(nkey k) ();
+        if Race.enabled t.race then Race.write t.race ~key:(nkey k) ();
         Hashtbl.remove t.names k)
       doomed
 
   let remove t dir name =
     C.remove t.client dir name;
-    Race.write t.race ~key:(nkey (key dir, name)) ();
-    Race.write t.race ~key:(akey (key dir)) ();
+    if Race.enabled t.race then Race.write t.race ~key:(nkey (key dir, name)) ();
+    if Race.enabled t.race then Race.write t.race ~key:(akey (key dir)) ();
     Hashtbl.remove t.names (key dir, name);
     Hashtbl.remove t.attrs (key dir)
 

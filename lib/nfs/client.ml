@@ -4,10 +4,7 @@ type t = { rpc : Rpc.client }
 
 let create rpc = { rpc }
 
-let call t proc body =
-  let e = Xdr.Enc.create () in
-  body e;
-  Rpc.call t.rpc ~prog:Proto.nfs_prog ~vers:Proto.nfs_vers ~proc (Xdr.Enc.to_string e)
+let call t proc args = Rpc.call t.rpc ~prog:Proto.nfs_prog ~vers:Proto.nfs_vers ~proc args
 
 let status_check d =
   let status = Xdr.Dec.uint32 d in
@@ -15,11 +12,9 @@ let status_check d =
   else if status <> Proto.nfs_ok then raise (Proto.Nfs_error status)
 
 let mount t path =
-  let e = Xdr.Enc.create () in
-  Xdr.Enc.string e path;
   let d =
     Rpc.call t.rpc ~prog:Proto.mount_prog ~vers:Proto.mount_vers ~proc:Proto.mountproc_mnt
-      (Xdr.Enc.to_string e)
+      (fun e -> Xdr.Enc.string e path)
   in
   status_check d;
   let fh = Proto.fh_decode d in

@@ -29,7 +29,7 @@ type handler =
    still-hot entries survive and cold ones are evicted first. *)
 let default_drc_capacity = 512
 
-type drc_entry = { reply : string; mutable stamp : int }
+type drc_entry = { reply : Xdr.Enc.t; mutable stamp : int }
 
 (* A decoded CALL; [args] is a view into the opened datagram,
    positioned on the procedure arguments. *)
@@ -40,8 +40,8 @@ type call = { xid : int; prog : int; vers : int; proc : int; uid : int; args : X
 (* One queued request, fully decoded at admission so the worker can
    service it without touching the wire bytes again. [job_reply]
    carries the whole client-side reply path (seal, transmit, wake the
-   waiting call) as a closure, keeping the server free of any
-   knowledge of channels or mailboxes. *)
+   waiting call) as a closure over the finished reply arena, keeping
+   the server free of any knowledge of channels or mailboxes. *)
 type job = {
   job_conn : conn_info;
   job_key : string * int * int;
@@ -49,7 +49,7 @@ type job = {
   job_len : int; (* raw datagram bytes, for the unmarshal CPU charge *)
   job_enqueued : float;
   job_origin : (int * int) option; (* (pid, epoch) of the admission DRC check *)
-  job_reply : string -> unit;
+  job_reply : Xdr.Enc.t -> unit;
 }
 
 (* Bounded queue with per-client FIFO fairness: one FIFO per peer,
@@ -66,7 +66,7 @@ type pool = {
   mutable queued : int;
   mutable peak : int;
   mutable busy : int; (* workers currently running *)
-  in_flight : (string * int * int, (string -> unit) list ref) Hashtbl.t;
+  in_flight : (string * int * int, (Xdr.Enc.t -> unit) list ref) Hashtbl.t;
 }
 
 type server = {
@@ -121,7 +121,15 @@ let set_race t ~drc ~in_flight =
   t.race_drc <- drc;
   t.race_if <- in_flight
 
+(* A DRC key rendered for the race monitors. The peer is a whole
+   principal, so the key is built only for an armed monitor: under
+   [Race.null] a probe costs no allocation. *)
 let race_key (peer, xid, proc) = Printf.sprintf "%s/%d/%d" peer xid proc
+
+let race_read m key = if Race.enabled m then Race.read m ~key:(race_key key)
+let race_check m key = if Race.enabled m then Race.check m ~key:(race_key key)
+let race_write m key = if Race.enabled m then Race.write m ~key:(race_key key) ()
+let race_act m key = if Race.enabled m then Race.act m ~key:(race_key key) ()
 
 let set_pool t ~sched ~workers ~queue_depth =
   if workers <= 0 then invalid_arg "Rpc.set_pool: non-positive workers";
@@ -166,7 +174,7 @@ let shutdown t = t.dead <- true
 
 type channel = {
   server_open : string -> string;
-  server_seal : string -> string;
+  server_seal : Xdr.Enc.t -> string;
   client_open : string -> string;
   client_seal : Xdr.Enc.t -> string;
 }
@@ -174,7 +182,7 @@ type channel = {
 let plaintext =
   {
     server_open = Fun.id;
-    server_seal = Fun.id;
+    server_seal = Xdr.Enc.to_string;
     client_open = Fun.id;
     client_seal = Xdr.Enc.to_string;
   }
@@ -201,7 +209,7 @@ type client = {
   retry : retry;
   rng : Fault.Rng.t;
   mutable before_call : unit -> unit;
-  mutable last_timeout : (int * int * int * string) option;
+  mutable last_timeout : (int * int * int * Xdr.Enc.t) option;
 }
 
 (* Each connection gets its own xid band so DRC keys (peer, xid,
@@ -237,11 +245,6 @@ let set_channel t channel = t.channel <- channel
 let set_before_call t f = t.before_call <- f
 let client_id t = t.id
 
-let take_timeout t =
-  let p = t.last_timeout in
-  t.last_timeout <- None;
-  p
-
 exception Rpc_error of fault
 exception Rpc_timeout of string
 
@@ -256,8 +259,7 @@ let auth_unix = 1
    length, uid), AUTH_NONE verf (flavor, length): eleven words. *)
 let call_header_len = 44
 
-let encode_call_into e ~xid ~prog ~vers ~proc ~uid args =
-  Xdr.Enc.ensure e (call_header_len + String.length args);
+let encode_call_header e ~xid ~prog ~vers ~proc ~uid =
   Xdr.Enc.uint32 e xid;
   Xdr.Enc.uint32 e msg_call;
   Xdr.Enc.uint32 e 2 (* rpcvers *);
@@ -270,8 +272,23 @@ let encode_call_into e ~xid ~prog ~vers ~proc ~uid args =
   Xdr.Enc.sub_writer e (fun body -> Xdr.Enc.uint32 body uid);
   (* verf: AUTH_NONE *)
   Xdr.Enc.uint32 e 0;
-  Xdr.Enc.opaque e "";
+  Xdr.Enc.opaque e ""
+
+let encode_call_into e ~xid ~prog ~vers ~proc ~uid args =
+  Xdr.Enc.ensure e (call_header_len + String.length args);
+  encode_call_header e ~xid ~prog ~vers ~proc ~uid;
   Xdr.Enc.raw e args (* args are pre-marshalled bytes *)
+
+(* The arguments are cut out of the lost call's request arena, behind
+   its header: only a call that timed out pays for the copy. *)
+let take_timeout t =
+  let p = t.last_timeout in
+  t.last_timeout <- None;
+  Option.map
+    (fun (prog, vers, proc, request) ->
+      let len = Xdr.Enc.length request - call_header_len in
+      (prog, vers, proc, Bytes.sub_string (Xdr.Enc.bytes request) call_header_len len))
+    p
 
 let encode_call ~xid ~prog ~vers ~proc ~uid args =
   (* discfs-lint: allow hotpath-alloc "string entry point for tests and plaintext framing; the hot path uses encode_call_into" *)
@@ -327,11 +344,11 @@ let encode_reply_into e ~xid outcome =
   | Ok results -> Xdr.Enc.raw e results
   | Error fault -> Xdr.Enc.patch_uint32 e stat (accept_stat_of_fault fault)
 
-let encode_reply ~xid outcome =
+let garbage_reply () =
   (* discfs-lint: allow hotpath-alloc "the Garbage_args answer to an undecodable datagram, which runs no handler" *)
   let e = Xdr.Enc.create () in
-  encode_reply_into e ~xid outcome;
-  Xdr.Enc.to_string e
+  encode_reply_into e ~xid:0 (Error Garbage_args);
+  e
 
 let decode_reply_view data =
   let d = Xdr.Dec.of_string data in
@@ -361,10 +378,11 @@ let unmarshal_charge srv nbytes =
 (* Server side of one execution: the handler encodes its results
    straight into the reply arena behind the header; a fault (or
    undecodable arguments) discards whatever it wrote and patches the
-   accept_stat word instead. Returns the framed reply, which the DRC
-   records plain. *)
+   accept_stat word instead. Returns the finished arena: nothing
+   writes to it again, so the DRC records it as is and every
+   transmission of the reply seals it where it lies. *)
 let execute srv ~tr ~(conn : conn_info) c =
-  (* discfs-lint: allow hotpath-alloc "the reply arena: handlers encode results straight into it; its one string is cached plain in the DRC" *)
+  (* discfs-lint: allow hotpath-alloc "the reply arena: handlers encode results straight into it, the DRC records it and every (re)transmission seals from it" *)
   let e = Xdr.Enc.create () in
   let stat = reply_header e ~xid:c.xid in
   let body = Xdr.Enc.length e in
@@ -376,12 +394,12 @@ let execute srv ~tr ~(conn : conn_info) c =
       with Xdr.Decode_error _ -> Error Garbage_args)
   in
   Trace.span tr "xdr.marshal" (fun () ->
-      (match outcome with
+      match outcome with
       | Ok () -> ()
       | Error fault ->
         Xdr.Enc.truncate e body;
         Xdr.Enc.patch_uint32 e stat (accept_stat_of_fault fault));
-      Xdr.Enc.to_string e)
+  e
 
 let drc_put srv key reply =
   if srv.drc_capacity > 0 && not (Hashtbl.mem srv.drc key) then begin
@@ -398,9 +416,10 @@ let drc_hit srv key e =
   drc_touch srv key e;
   e.reply
 
-(* Returns [None] when the server is down (the datagram vanishes and
-   the client's retransmission logic deals with it). *)
-let dispatch srv ~conn data =
+(* Returns the reply arena, or [None] when the server is down (the
+   datagram vanishes and the client's retransmission logic deals with
+   it). *)
+let serve srv ~conn data =
   if srv.dead then begin
     Stats.incr srv.stats "rpc.dropped_dead";
     None
@@ -413,7 +432,7 @@ let dispatch srv ~conn data =
           unmarshal_charge srv (String.length data);
           decode_call data)
     with
-    | exception Xdr.Decode_error _ -> Some (encode_reply ~xid:0 (Error Garbage_args))
+    | exception Xdr.Decode_error _ -> Some (garbage_reply ())
     | c -> (
       let key = (conn.peer, c.xid, c.proc) in
       match Hashtbl.find_opt srv.drc key with
@@ -422,6 +441,8 @@ let dispatch srv ~conn data =
         let reply = execute srv ~tr:srv.trace ~conn c in
         drc_put srv key reply;
         Some reply)
+
+let dispatch srv ~conn data = Option.map Xdr.Enc.to_string (serve srv ~conn data)
 
 (* --- queued dispatch (worker-pool path) ------------------------------ *)
 
@@ -481,7 +502,7 @@ let rec take_job p =
    to the successor. *)
 let drop_dead srv p job =
   Stats.incr srv.stats "rpc.dropped_dead";
-  Race.write srv.race_if ~key:(race_key job.job_key) ();
+  race_write srv.race_if job.job_key;
   Hashtbl.remove p.in_flight job.job_key
 
 (* Worker process: drain jobs until the queue is empty, then retire.
@@ -498,8 +519,9 @@ let rec worker_loop srv p =
     else begin
       let started = Clock.now srv.clock in
       observe_metric srv "rpc.queue.wait" (started -. job.job_enqueued);
-      Race.note srv.race_drc
-        (Printf.sprintf "rpc.serve proc=%d peer=%s" job.job_call.proc job.job_conn.peer);
+      if Race.enabled srv.race_drc then
+        Race.note srv.race_drc
+          (Printf.sprintf "rpc.serve proc=%d peer=%s" job.job_call.proc job.job_conn.peer);
       unmarshal_charge srv job.job_len;
       let reply = execute srv ~tr:Trace.null ~conn:job.job_conn job.job_call in
       observe_metric srv "rpc.queue.service" (Clock.now srv.clock -. started);
@@ -509,15 +531,16 @@ let rec worker_loop srv p =
            second execution of the same key would cross this write
            and be reported (benign only if its reply is identical —
            i.e. the call was idempotent after all). *)
-        Race.act srv.race_drc ?window:job.job_origin ~value:reply
-          ~key:(race_key job.job_key) ();
+        if Race.enabled srv.race_drc then
+          Race.act srv.race_drc ?window:job.job_origin ~value:(Xdr.Enc.to_string reply)
+            ~key:(race_key job.job_key) ();
         drc_put srv job.job_key reply;
         let waiters =
           match Hashtbl.find_opt p.in_flight job.job_key with
           | Some w -> List.rev !w
           | None -> []
         in
-        Race.write srv.race_if ~key:(race_key job.job_key) ();
+        race_write srv.race_if job.job_key;
         Hashtbl.remove p.in_flight job.job_key;
         job.job_reply reply;
         List.iter (fun notify -> notify reply) waiters
@@ -535,11 +558,10 @@ let submit srv p ~conn ~reply data =
     Stats.incr srv.stats "rpc.calls";
     match decode_call data with
     | exception Xdr.Decode_error _ ->
-      spawn_reply srv p (String.length data) (fun () ->
-          reply (encode_reply ~xid:0 (Error Garbage_args)))
+      spawn_reply srv p (String.length data) (fun () -> reply (garbage_reply ()))
     | c when Hashtbl.mem srv.drc (conn.peer, c.xid, c.proc) ->
       let key = (conn.peer, c.xid, c.proc) in
-      Race.read srv.race_drc ~key:(race_key key);
+      race_read srv.race_drc key;
       let cached = drc_hit srv key (Hashtbl.find srv.drc key) in
       spawn_reply srv p (String.length data) (fun () -> reply cached)
     | c -> (
@@ -551,9 +573,9 @@ let submit srv p ~conn ~reply data =
            act land in the same slice — the worker's removal write
            can never fall inside this window, which is exactly the
            atomicity the golden race report pins. *)
-        Race.check srv.race_if ~key:(race_key key);
+        race_check srv.race_if key;
         Stats.incr srv.stats "rpc.coalesced";
-        Race.act srv.race_if ~key:(race_key key) ();
+        race_act srv.race_if key;
         waiters := reply :: !waiters
       | None ->
         if p.queued >= p.queue_depth then begin
@@ -564,9 +586,9 @@ let submit srv p ~conn ~reply data =
           (* DRC-miss + not-in-flight: this slice decides to execute.
              The matching act happens in whichever worker completes
              the job — hand it this check's (pid, epoch). *)
-          Race.check srv.race_drc ~key:(race_key key);
-          Race.check srv.race_if ~key:(race_key key);
-          Race.act srv.race_if ~key:(race_key key) ();
+          race_check srv.race_drc key;
+          race_check srv.race_if key;
+          race_act srv.race_if key;
           Hashtbl.replace p.in_flight key (ref []);
           enqueue p
             {
@@ -589,7 +611,7 @@ let submit srv p ~conn ~reply data =
 let submit_datagram srv ~conn ~reply data =
   match srv.pool with
   | None -> invalid_arg "Rpc.submit_datagram: no pool attached"
-  | Some p -> submit srv p ~conn ~reply data
+  | Some p -> submit srv p ~conn ~reply:(fun a -> reply (Xdr.Enc.to_string a)) data
 
 (* --- client ---------------------------------------------------------- *)
 
@@ -602,11 +624,12 @@ let flow_rep = 1
    [Inline]: the server dispatches each request as it arrives, so the
    replies are on the wire when the request's send returns. [Queued]:
    requests go through the pool's queue ([submit]); the reply
-   closure seals each reply and clocks it back into the mailbox as its
-   own process, so a slow reply transmission never blocks the worker. *)
+   closure seals each reply arena and clocks it back into the mailbox
+   as its own process, so a slow reply transmission never blocks the
+   worker. *)
 type exchange =
   | Inline
-  | Queued of pool * string Sched.Mailbox.t * (string -> unit)
+  | Queued of pool * string Sched.Mailbox.t * (Xdr.Enc.t -> unit)
 
 (* Hand one arrived copy of a request to the server and return the
    replies already on the wire (none when queued). A packet that fails
@@ -623,9 +646,9 @@ let deliver t ex ~stats pkt =
       submit t.srv p ~conn:t.conn ~reply plain;
       []
     | Inline -> (
-      match dispatch t.srv ~conn:t.conn plain with
+      match serve t.srv ~conn:t.conn plain with
       | None -> []
-      | Some raw -> Link.send t.link ~flow:flow_rep (t.channel.server_seal raw)))
+      | Some reply -> Link.send t.link ~flow:flow_rep (t.channel.server_seal reply)))
 
 (* Client side: does this arrived packet settle the call with [xid]? *)
 let consider_reply t ~tr ~stats ~xid pkt =
@@ -662,8 +685,8 @@ let rec await t p mbox ~stats ~xid ~deadline =
 let jittered t timeout =
   timeout *. (1.0 +. (t.retry.jitter *. ((2.0 *. Fault.Rng.float t.rng) -. 1.0)))
 
-let timeout_exhausted t ~prog ~vers ~proc args =
-  t.last_timeout <- Some (prog, vers, proc, args);
+let timeout_exhausted t ~prog ~vers ~proc request =
+  t.last_timeout <- Some (prog, vers, proc, request);
   Rpc_timeout
     (Printf.sprintf "no reply after %d attempts (prog %d, proc %d)" t.retry.max_attempts
        prog proc)
@@ -676,9 +699,9 @@ let call t ~prog ~vers ~proc args =
     match t.srv.pool with
     | Some p when Sched.in_process p.sched ->
       let mbox = Sched.Mailbox.create () in
-      let reply raw =
+      let reply arena =
         Sched.spawn p.sched (fun () ->
-            let sealed = t.channel.server_seal raw in
+            let sealed = t.channel.server_seal arena in
             List.iter (Sched.Mailbox.push p.sched mbox) (Link.send t.link ~flow:flow_rep sealed))
       in
       Queued (p, mbox, reply)
@@ -692,7 +715,9 @@ let call t ~prog ~vers ~proc args =
   in
   Trace.span tr "rpc.call" ?attrs @@ fun () ->
   (match ex with
-  | Queued _ -> Race.note t.srv.race_drc (Printf.sprintf "rpc.call proc=%d client=%d" proc t.id)
+  | Queued _ ->
+    if Race.enabled t.srv.race_drc then
+      Race.note t.srv.race_drc (Printf.sprintf "rpc.call proc=%d client=%d" proc t.id)
   | Inline -> ());
   t.before_call ();
   t.seq <- t.seq + 1;
@@ -702,13 +727,14 @@ let call t ~prog ~vers ~proc args =
   let seal = t.channel.client_seal in
   let request =
     Trace.span tr "xdr.marshal" (fun () ->
-        (* discfs-lint: allow hotpath-alloc "the request arena: the call is encoded straight into it and sealed from it on every attempt" *)
+        (* discfs-lint: allow hotpath-alloc "the request arena: the header and the caller's arguments are encoded straight into it and sealed from it on every attempt" *)
         let e = Xdr.Enc.create () in
-        encode_call_into e ~xid ~prog ~vers ~proc ~uid:t.conn.uid args;
+        encode_call_header e ~xid ~prog ~vers ~proc ~uid:t.conn.uid;
+        args e;
         e)
   in
   let rec attempt n timeout =
-    if n > t.retry.max_attempts then raise (timeout_exhausted t ~prog ~vers ~proc args);
+    if n > t.retry.max_attempts then raise (timeout_exhausted t ~prog ~vers ~proc request);
     let attrs = if Trace.enabled tr then Some [ ("n", string_of_int n) ] else None in
     (* One round: seal, send, hand to the server, then take the first
        reply that settles the call. Seal on every attempt: a

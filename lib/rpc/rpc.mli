@@ -13,7 +13,10 @@
     retransmissions carry fresh ESP sequence numbers), and the server
     keeps a duplicate-request cache keyed by (peer, xid, proc) so
     retransmitted non-idempotent calls (CREATE, REMOVE, RENAME,
-    WRITE) are answered from the record instead of re-executed.
+    WRITE) are answered from the record instead of re-executed. The
+    record is the executed call's reply arena itself, which nothing
+    writes to once the handler returns: a replay seals it again under
+    a fresh sequence number and carries the first reply's bytes.
     Packets that fail to unseal at either end (corrupted, replayed)
     are silently dropped and absorbed by the retry loop.
 
@@ -103,19 +106,22 @@ type client
 
 type channel = {
   server_open : string -> string;
-  server_seal : string -> string;
+  server_seal : Xdr.Enc.t -> string;
   client_open : string -> string;
   client_seal : Xdr.Enc.t -> string;
 }
 (** Directional wire transforms (the ESP layer): requests are sealed
     by the client and opened by the server, replies the reverse. The
     transforms run "inside" the simulated hosts, so any virtual time
-    they charge lands on the right side. {!call} encodes each request
-    into one arena it allocates, and [client_seal] encrypts the
-    arena's bytes straight into a wire packet; sealing only reads the
-    arena, so a retransmission seals it again under a fresh ESP
-    sequence number. [server_seal] seals a reply from the plain string
-    the duplicate-request cache records. *)
+    they charge lands on the right side. Both seals take a finished
+    message arena and only read it: {!call} encodes each request into
+    one arena and [client_seal] encrypts its bytes straight into a
+    wire packet on every attempt; the server encodes each reply into
+    one arena, records that arena in the duplicate-request cache, and
+    [server_seal] encrypts it for the first transmission and for every
+    replay. Each seal takes a fresh ESP sequence number. Under ESP
+    both seals are [Esp.seal_arena]; on {!plaintext} they are
+    [Xdr.Enc.to_string]. *)
 
 val plaintext : channel
 (** Identity transforms. *)
@@ -168,8 +174,10 @@ val set_before_call : client -> (unit -> unit) -> unit
 val take_timeout : client -> (int * int * int * string) option
 (** The (prog, vers, proc, args) of the last call that raised
     {!Rpc_timeout}, if it has not since been superseded by a
-    successful call; reading clears it. Crash recovery replays this
-    in-flight operation after reattaching. *)
+    successful call; reading clears it. [args] are the marshalled
+    arguments, cut from the lost call's request arena behind the RPC
+    header. Crash recovery replays this in-flight operation after
+    reattaching. *)
 
 exception Rpc_error of fault
 
@@ -177,9 +185,13 @@ exception Rpc_timeout of string
 (** No usable reply after [retry.max_attempts] transmissions: the
     server is down or the path is fully broken. *)
 
-val call : client -> prog:int -> vers:int -> proc:int -> string -> Xdr.Dec.t
-(** Marshal, transmit, dispatch, and return a cursor over the result
-    bytes where they lie in the opened reply. Raises
+val call : client -> prog:int -> vers:int -> proc:int -> (Xdr.Enc.t -> unit) -> Xdr.Dec.t
+(** [call c ~prog ~vers ~proc args] frames the call header into a
+    fresh request arena and runs [args] to marshal the procedure
+    arguments straight behind it (a caller holding pre-marshalled
+    bytes [s] passes [fun e -> Xdr.Enc.raw e s]); then transmits,
+    dispatches, and returns a cursor over the result bytes where they
+    lie in the opened reply. Raises
     {!Rpc_error} on RPC-level failure and {!Rpc_timeout} when
     retransmissions are exhausted. Retry progress is visible in the
     link's stats: ["rpc.retransmits"], ["rpc.server_rx_drops"],
@@ -199,7 +211,8 @@ val encode_call :
 val encode_call_into :
   Xdr.Enc.t -> xid:int -> prog:int -> vers:int -> proc:int -> uid:int -> string -> unit
 (** Frame a CALL straight into an arena (byte-identical to
-    {!encode_call}); {!call} encodes its request arena this way. *)
+    {!encode_call}); {!call} frames its request arena the same way,
+    with the caller's argument writer in place of the string. *)
 
 val encode_reply_into : Xdr.Enc.t -> xid:int -> (string, fault) result -> unit
 (** Frame a REPLY carrying pre-marshalled results straight into an
@@ -226,5 +239,5 @@ val submit_datagram :
 val dispatch : server -> conn:conn_info -> string -> string option
 (** Feed one raw datagram to the server exactly as the link would:
     charges dispatch cost, consults the duplicate-request cache, runs
-    the handler and returns the framed reply ([None] when the server
-    is {!shutdown}). *)
+    the handler and returns the framed reply as a string ([None] when
+    the server is {!shutdown}). *)

@@ -123,7 +123,8 @@ let disk_decide t =
       | Fail_write -> "fail_write"
       | Corrupt_read -> "corrupt_read"
     in
-    Trace.instant t.trace ~attrs:[ ("op", string_of_int op) ] ("fault.disk." ^ kind);
+    if Trace.enabled t.trace then
+      Trace.instant t.trace ~attrs:[ ("op", string_of_int op) ] ("fault.disk." ^ kind);
     Some f
 
 let disk_ops t = t.disk_ops

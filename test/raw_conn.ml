@@ -18,10 +18,9 @@ let connect ~link ~rpc ~server ~identity ~drbg ~uid =
 
 (* The DisCFS SUBMIT procedure; true when the server accepted. *)
 let submit t cred =
-  let e = Xdr.Enc.create () in
-  Xdr.Enc.string e (Keynote.Assertion.to_text cred);
   let reply =
     Oncrpc.Rpc.call t.rpc ~prog:Discfs.Server.discfs_prog ~vers:Discfs.Server.discfs_vers
-      ~proc:Discfs.Server.discfsproc_submit (Xdr.Enc.to_string e)
+      ~proc:Discfs.Server.discfsproc_submit (fun e ->
+        Xdr.Enc.string e (Keynote.Assertion.to_text cred))
   in
   Xdr.Dec.uint32 reply = 0

@@ -142,6 +142,66 @@ let test_failed_write_not_cached () =
   let via_disk = Blockdev.read dev 3 in
   Alcotest.(check char) "platter agrees" 'o' (Bytes.get via_disk 0)
 
+(* The store and the cache may share one block, so every block that
+   crosses the device boundary must be the caller's own: mutating what
+   [read] returned, or what was handed to [write], [poke] or [restore],
+   after the call must change neither a later [read_shared] nor the
+   cached block. And a corrupted transfer is the caller's alone: it
+   must never reach the store or the cache. *)
+let test_blocks_never_alias_callers () =
+  let dev, _clock, _stats = make_dev ~cache_blocks:16 ~readahead:4 () in
+  let bs = Blockdev.block_size dev in
+  let holds label i c =
+    let want = String.make bs c in
+    Alcotest.(check string) (label ^ ": read_shared") want
+      (Bytes.to_string (Blockdev.read_shared dev i));
+    match Bcache.find (Blockdev.bcache dev) i with
+    | Some b -> Alcotest.(check string) (label ^ ": cached block") want (Bytes.to_string b)
+    | None -> ()
+  in
+  let scribble b = Bytes.fill b 0 (Bytes.length b) '!' in
+  let b = block dev 'w' in
+  Blockdev.write dev 1 b;
+  scribble b;
+  holds "write" 1 'w';
+  scribble (Blockdev.read dev 1);
+  holds "read hit" 1 'w';
+  Blockdev.drop_cache dev;
+  scribble (Blockdev.read dev 1);
+  holds "read miss" 1 'w';
+  (* A sequential pair prefetches 3..5 straight from the store. *)
+  Blockdev.write dev 4 (block dev 'f');
+  Blockdev.drop_cache dev;
+  ignore (Blockdev.read dev 2);
+  ignore (Blockdev.read dev 3);
+  Alcotest.(check bool) "block 4 prefetched" true (Bcache.mem (Blockdev.bcache dev) 4);
+  scribble (Blockdev.read dev 4);
+  holds "read of a prefetched block" 4 'f';
+  let b = block dev 'p' in
+  Blockdev.poke dev 2 b;
+  scribble b;
+  holds "poke" 2 'p';
+  scribble (Blockdev.read dev 2);
+  holds "read after poke" 2 'p';
+  let blocks = [ (3, block dev 'r'); (6, block dev 's') ] in
+  Blockdev.restore dev blocks;
+  List.iter (fun (_, b) -> scribble b) blocks;
+  holds "restore" 3 'r';
+  holds "restore" 6 's';
+  List.iter (fun (_, b) -> scribble b) (Blockdev.snapshot dev);
+  holds "snapshot" 3 'r';
+  (* A corrupted transfer returns damaged bytes to its caller only. *)
+  let fault = Fault.create () in
+  Blockdev.set_fault dev (Some fault);
+  Blockdev.drop_cache dev;
+  Fault.script_disk fault [ (0, Fault.Corrupt_read) ];
+  let bad = Blockdev.read dev 3 in
+  Alcotest.(check bool) "the read was corrupted" false
+    (String.equal (Bytes.to_string bad) (String.make bs 'r'));
+  Alcotest.(check bool) "corrupt block not cached" false (Bcache.mem (Blockdev.bcache dev) 3);
+  scribble bad;
+  holds "after a corrupt read" 3 'r'
+
 let test_crash_mid_write_no_stale_blocks () =
   (* End-to-end: a client writes through the full stack, the server
      crashes, and the rebooted incarnation must serve current data
@@ -199,18 +259,23 @@ let test_epoch_and_attributes_key_the_memo () =
   (* The memo key must separate everything the compliance checker
      sees: principal, attributes, credential-set epoch. *)
   let attrs = [ ("HANDLE", "7"); ("PATH", "/a") ] in
-  let k = Discfs.Policy_cache.key ~peer:"p1" ~attributes:attrs ~epoch:1 in
+  let k = Discfs.Policy_cache.key ~peer:1 ~attributes:attrs ~epoch:1 in
   Alcotest.(check string) "deterministic" k
-    (Discfs.Policy_cache.key ~peer:"p1" ~attributes:attrs ~epoch:1);
+    (Discfs.Policy_cache.key ~peer:1 ~attributes:attrs ~epoch:1);
+  Alcotest.(check string) "canonical encoding" "1\0001\000HANDLE=7\000PATH=/a" k;
   Alcotest.(check string) "attribute order canonicalised" k
-    (Discfs.Policy_cache.key ~peer:"p1" ~attributes:(List.rev attrs) ~epoch:1);
+    (Discfs.Policy_cache.key ~peer:1 ~attributes:(List.rev attrs) ~epoch:1);
   let different name k' = Alcotest.(check bool) name true (k <> k') in
   different "peer separates"
-    (Discfs.Policy_cache.key ~peer:"p2" ~attributes:attrs ~epoch:1);
+    (Discfs.Policy_cache.key ~peer:2 ~attributes:attrs ~epoch:1);
   different "attributes separate"
-    (Discfs.Policy_cache.key ~peer:"p1" ~attributes:[ ("HANDLE", "8"); ("PATH", "/a") ] ~epoch:1);
+    (Discfs.Policy_cache.key ~peer:1 ~attributes:[ ("HANDLE", "8"); ("PATH", "/a") ] ~epoch:1);
   different "epoch separates"
-    (Discfs.Policy_cache.key ~peer:"p1" ~attributes:attrs ~epoch:2)
+    (Discfs.Policy_cache.key ~peer:1 ~attributes:attrs ~epoch:2);
+  (* Epoch 1 / peer 11 and epoch 11 / peer 1 must not meet. *)
+  Alcotest.(check bool) "fields are delimited" true
+    (Discfs.Policy_cache.key ~peer:11 ~attributes:attrs ~epoch:1
+    <> Discfs.Policy_cache.key ~peer:1 ~attributes:attrs ~epoch:11)
 
 (* --- client attribute cache ------------------------------------------ *)
 
@@ -332,6 +397,8 @@ let suite =
     Alcotest.test_case "sequential readahead" `Quick test_readahead_prefetch;
     Alcotest.test_case "readahead evictions counted" `Quick test_readahead_evictions_counted;
     Alcotest.test_case "failed write never cached" `Quick test_failed_write_not_cached;
+    Alcotest.test_case "device blocks never alias callers" `Quick
+      test_blocks_never_alias_callers;
     Alcotest.test_case "crash drops cache, no stale blocks" `Quick
       test_crash_mid_write_no_stale_blocks;
     Alcotest.test_case "revoked credential misses memo cache" `Quick

@@ -192,7 +192,7 @@ let closed_loop env ~clients ~ops =
     let c = Rpc.connect ~link:env.link ~uid:i ~retry env.srv in
     Sched.spawn env.sched (fun () ->
         for _ = 1 to ops do
-          let r = Xdr.Dec.rest (Rpc.call c ~prog:91 ~vers:1 ~proc:1 "") in
+          let r = Xdr.Dec.rest (Rpc.call c ~prog:91 ~vers:1 ~proc:1 (fun _ -> ())) in
           results.(i) <- r :: results.(i)
         done)
   done;

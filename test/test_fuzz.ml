@@ -91,7 +91,8 @@ let prop_nfs_server_survives_garbage_args =
       let client, root = Cfs.Cfs_ne.connect d () in
       let rpc = Oncrpc.Rpc.connect ~link:d.Cfs.Cfs_ne.link d.Cfs.Cfs_ne.rpc in
       (match
-         Oncrpc.Rpc.call rpc ~prog:Nfs.Proto.nfs_prog ~vers:Nfs.Proto.nfs_vers ~proc junk
+         Oncrpc.Rpc.call rpc ~prog:Nfs.Proto.nfs_prog ~vers:Nfs.Proto.nfs_vers ~proc (fun e ->
+             Xdr.Enc.raw e junk)
        with
       | _ -> ()
       | exception Oncrpc.Rpc.Rpc_error _ -> ()

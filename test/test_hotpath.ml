@@ -19,63 +19,9 @@ module Rpc = Oncrpc.Rpc
 module Clock = Simnet.Clock
 module Stats = Simnet.Stats
 
-(* --- reference encoders ------------------------------------------------ *)
-
-(* The pre-arena pipeline, kept alive here as the golden reference:
-   nested Buffer for the credential body, a Buffer for the message,
-   string concatenation for the ESP packet. *)
-
-let buf_be32 b v =
-  for i = 3 downto 0 do
-    Buffer.add_char b (Char.chr ((v lsr (i * 8)) land 0xff))
-  done
-
-let str_be32 v = String.init 4 (fun i -> Char.chr ((v lsr ((3 - i) * 8)) land 0xff))
-
-let str_be64 v = String.init 8 (fun i -> Char.chr ((v lsr ((7 - i) * 8)) land 0xff))
-
-let reference_encode_call ~xid ~prog ~vers ~proc ~uid args =
-  let cred = Buffer.create 16 in
-  buf_be32 cred uid;
-  let cred_body = Buffer.contents cred in
-  let b = Buffer.create 256 in
-  buf_be32 b xid;
-  buf_be32 b 0 (* CALL *);
-  buf_be32 b 2 (* rpcvers *);
-  buf_be32 b prog;
-  buf_be32 b vers;
-  buf_be32 b proc;
-  buf_be32 b 1 (* AUTH_UNIX *);
-  buf_be32 b (String.length cred_body);
-  Buffer.add_string b cred_body (* 4 bytes: no pad *);
-  buf_be32 b 0 (* verf: AUTH_NONE *);
-  buf_be32 b 0 (* empty opaque *);
-  Buffer.add_string b args;
-  Buffer.contents b
-
-let reference_encode_reply ~xid outcome =
-  let b = Buffer.create 64 in
-  buf_be32 b xid;
-  buf_be32 b 1 (* REPLY *);
-  buf_be32 b 0 (* MSG_ACCEPTED *);
-  buf_be32 b 0 (* verf AUTH_NONE *);
-  buf_be32 b 0 (* empty opaque *);
-  (match outcome with
-  | Ok results ->
-    buf_be32 b 0 (* SUCCESS *);
-    Buffer.add_string b results
-  | Error stat -> buf_be32 b stat);
-  Buffer.contents b
-
-let reference_seal sa payload =
-  let seq = Ipsec.Sa.next_seq sa in
-  let header = str_be32 (Ipsec.Sa.spi sa) ^ str_be64 seq in
-  let key = Dcrypto.Secret.reveal (Ipsec.Sa.key sa) in
-  let nonce = "\000\000\000\000" ^ str_be64 seq in
-  let ciphertext = Dcrypto.Chacha20.crypt ~key ~nonce payload in
-  let otk = String.sub (Dcrypto.Chacha20.block ~key ~nonce ~counter:0) 0 32 in
-  let tag = Dcrypto.Poly1305.mac ~key:otk (header ^ ciphertext) in
-  header ^ ciphertext ^ tag
+(* The reference is the pre-arena pipeline in test/oracle
+   (Wire_oracle): nested Buffer for the credential body, a Buffer for
+   the message, string concatenation for the ESP packet. *)
 
 let mk_sa ?cipher () =
   let clock = Clock.create () in
@@ -113,7 +59,7 @@ let test_call_bytes_golden () =
   List.iteri
     (fun i (prog, vers, proc, uid, args) ->
       let xid = 0x1000 + i in
-      let want = reference_encode_call ~xid ~prog ~vers ~proc ~uid args in
+      let want = Wire_oracle.encode_call ~xid ~prog ~vers ~proc ~uid args in
       Alcotest.(check string)
         (Printf.sprintf "encode_call prog=%d proc=%d" prog proc)
         want
@@ -140,7 +86,7 @@ let test_reply_bytes_golden () =
     (fun i (outcome, stat) ->
       let xid = 0x2000 + i in
       let want =
-        reference_encode_reply ~xid
+        Wire_oracle.encode_reply ~xid
           (match outcome with Ok r -> Ok r | Error _ -> Error stat)
       in
       let e = Xdr.Enc.create () in
@@ -171,14 +117,14 @@ let test_seal_bytes_golden () =
     (fun payload ->
       Alcotest.(check string)
         (Printf.sprintf "sealed %d-byte payload" (String.length payload))
-        (reference_seal reference payload)
+        (Wire_oracle.seal reference payload)
         (Ipsec.Esp.seal arena payload))
     payloads;
   List.iteri
     (fun i (prog, vers, proc, uid, args) ->
       let xid = 0x3000 + i in
       let want =
-        reference_seal reference (reference_encode_call ~xid ~prog ~vers ~proc ~uid args)
+        Wire_oracle.seal reference (Wire_oracle.encode_call ~xid ~prog ~vers ~proc ~uid args)
       in
       let a = Ipsec.Esp.arena () in
       Rpc.encode_call_into (Ipsec.Esp.arena_enc a) ~xid ~prog ~vers ~proc ~uid args;
@@ -306,6 +252,7 @@ let alloc_median f =
 let test_alloc_guards () =
   let page = String.make 8192 'p' in
   let budget = float_of_int (String.length page + 1024) in
+  let fill_budget = 1024.0 in
   let tx, _ = mk_sa () in
   let sealer, _ = mk_sa () and rx, _ = mk_sa () in
   let packets = Array.init 16 (fun _ -> Ipsec.Esp.seal sealer page) in
@@ -324,13 +271,52 @@ let test_alloc_guards () =
         ( "Chacha20.xor_into 8 KB",
           alloc_median (fun _ -> Dcrypto.Chacha20.xor_into ~key ~nonce buf ~off:0 ~len:8192),
           1024.0 );
-        (* Under Race.null a fill copies the block once, into the cache. *)
+        (* Under Race.null a fill stores the block it is handed: no copy. *)
         ( "Bcache.insert 8 KB",
           alloc_median (fun i -> Ffs.Bcache.insert cache (i mod 8) block),
-          budget );
+          fill_budget );
       ]
   in
   if over <> [] then Alcotest.fail (String.concat "; " over)
+
+(* Work done per call must not grow with the requester's principal
+   (a DSA principal is 448 characters; 4,000 stands in for a larger
+   key): a race key rendered under Race.null, or a memo key embedding
+   the principal's text, would. Each pair runs identical sequences on
+   identical deployments, so the medians must match to the byte. *)
+let principal_448 = String.make 448 'p'
+let principal_4000 = String.make 4000 'p'
+
+let pooled_null_alloc peer =
+  let d = Cfs.Cfs_ne.deploy () in
+  let sched = Simnet.Sched.create ~clock:d.Cfs.Cfs_ne.clock in
+  Simnet.Sched.attach_clock sched;
+  Rpc.set_pool d.Cfs.Cfs_ne.rpc ~sched ~workers:2 ~queue_depth:8;
+  let nfs = Nfs.Client.create (Rpc.connect ~link:d.Cfs.Cfs_ne.link ~peer d.Cfs.Cfs_ne.rpc) in
+  alloc_median (fun _ ->
+      (* discfs-lint: allow races "one call at a time: each sample spawns one process and runs the scheduler dry" *)
+      Simnet.Sched.spawn sched (fun () -> Nfs.Client.null nfs);
+      Simnet.Sched.run sched;
+      Alcotest.(check bool) "the NULL call went through the pool" true
+        (Rpc.queue_peak d.Cfs.Cfs_ne.rpc > 0))
+
+let memo_hit_alloc peer =
+  let c = Discfs.Cluster.make () in
+  let server = Discfs.Cluster.node_server c 0 in
+  let ino = Ffs.Fs.root (Discfs.Cluster.fs c) in
+  ignore (Discfs.Server.query_level server ~peer ~ino) (* the miss that fills the memo *);
+  let cache = Discfs.Server.cache server in
+  let hits = Discfs.Policy_cache.hits cache in
+  let bytes = alloc_median (fun _ -> Discfs.Server.query_level server ~peer ~ino) in
+  Alcotest.(check int) "every measured query was a memo hit" (hits + 16)
+    (Discfs.Policy_cache.hits cache);
+  bytes
+
+let test_alloc_independent_of_principal () =
+  Alcotest.(check (float 0.0)) "pooled NFS NULL under Race.null"
+    (pooled_null_alloc principal_448) (pooled_null_alloc principal_4000);
+  Alcotest.(check (float 0.0)) "Server.query_level memo hit"
+    (memo_hit_alloc principal_448) (memo_hit_alloc principal_4000)
 
 (* --- ESP length guards ------------------------------------------------- *)
 
@@ -491,17 +477,15 @@ let test_multi_read_server_decode_discipline () =
   ignore (Nfs.Client.write client fh ~off:0 "payload");
   let rpc = Rpc.connect ~link:d.Cfs.Cfs_ne.link d.Cfs.Cfs_ne.rpc in
   let attempt nsegs =
-    let e = Xdr.Enc.create () in
-    Proto.fh_encode e fh;
-    Xdr.Enc.uint32 e nsegs;
-    for _ = 1 to min nsegs 64 do
-      Xdr.Enc.uint32 e 0;
-      Xdr.Enc.uint32 e 8
-    done;
-    match
-      Rpc.call rpc ~prog:Proto.nfs_prog ~vers:Proto.nfs_vers
-        ~proc:Proto.nfsproc_multi_read (Xdr.Enc.to_string e)
-    with
+    let args e =
+      Proto.fh_encode e fh;
+      Xdr.Enc.uint32 e nsegs;
+      for _ = 1 to min nsegs 64 do
+        Xdr.Enc.uint32 e 0;
+        Xdr.Enc.uint32 e 8
+      done
+    in
+    match Rpc.call rpc ~prog:Proto.nfs_prog ~vers:Proto.nfs_vers ~proc:Proto.nfsproc_multi_read args with
     | _ -> Alcotest.failf "segment count %d accepted" nsegs
     | exception Rpc.Rpc_error _ -> ()
     | exception Xdr.Decode_error _ -> ()
@@ -570,6 +554,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_mutated_xdr_typed_errors;
     Alcotest.test_case "alloc: esp seal/open, chacha20 one-copy, bcache fill" `Quick
       test_alloc_guards;
+    Alcotest.test_case "alloc: per-call work independent of the principal" `Quick
+      test_alloc_independent_of_principal;
     Alcotest.test_case "esp: chacha length guard" `Quick test_esp_length_guard_chacha;
     Alcotest.test_case "esp: 3des length guard" `Quick test_esp_length_guard_tdes;
     QCheck_alcotest.to_alcotest prop_esp_tdes_mutations_typed_errors;

@@ -117,6 +117,26 @@ let test_c_boundary () =
   Alcotest.(check bool) "lib/crypto gets the kernel role" true
     (Lint.Rules.role_of_path "lib/crypto/chacha20.ml" = Lint.Rules.Kernel)
 
+let test_monitor_off () =
+  (* Seven arguments built for a possibly disarmed monitor or tracer:
+     five Race ones (an else-branch of the guard counts as disarmed)
+     and two ~attrs lists. The same sites under a guard, a key passed
+     by name and a literal attrs list are clean. *)
+  let fs = check "Bad_monitor_off" in
+  Alcotest.(check (list string)) "only monitor-off" [ "monitor-off" ] (rule_names fs);
+  Alcotest.(check int) "race args and attrs lists" 7 (List.length fs);
+  let starts_with prefix m =
+    String.length m >= String.length prefix && String.sub m 0 (String.length prefix) = prefix
+  in
+  Alcotest.(check int) "two of them are trace attrs" 2
+    (List.length
+       (List.filter (fun f -> starts_with "non-constant ~attrs" f.Lint.Rules.message) fs));
+  Alcotest.(check int) "guarded sites are clean" 0 (List.length (check "Good_monitor_off"));
+  Alcotest.(check int) "decode layers too" 7
+    (List.length (check ~role:Lint.Rules.Decode "Bad_monitor_off"));
+  Alcotest.(check int) "executables are not held to it" 0
+    (List.length (check ~role:Lint.Rules.Exe "Bad_monitor_off"))
+
 let test_role_gating () =
   (* decode-result only applies to wire-decode layers... *)
   Alcotest.(check int) "bare failwith fine outside decode paths" 0
@@ -495,6 +515,7 @@ let suite =
     ("pass-a: hotpath-alloc per-site suppression", `Quick, test_hotpath_alloc);
     ("pass-a: c-boundary externals", `Quick, test_c_boundary);
     ("pass-a: suppression comment", `Quick, test_suppression);
+    ("pass-a: monitor-off", `Quick, test_monitor_off);
     ("pass-a: clean fixture", `Quick, test_clean);
     ("pass-a: rule names round-trip", `Quick, test_rule_names_roundtrip);
     ("pass-a: mli coverage", `Quick, test_mli_coverage);

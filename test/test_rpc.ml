@@ -56,6 +56,9 @@ let prop_xdr_roundtrip =
       Xdr.Dec.expect_end d;
       n = n' && s = s' && b = b')
 
+(* Pre-marshalled arguments, as a {!Rpc.call} argument writer. *)
+let raw s e = Xdr.Enc.raw e s
+
 (* An echo/add test service. *)
 let make_service () =
   let clock = Clock.create () in
@@ -82,13 +85,15 @@ let make_service () =
 let test_rpc_echo () =
   let _, stats, link, srv = make_service () in
   let client = Rpc.connect ~link srv in
-  Alcotest.(check string) "null" "" (Xdr.Dec.rest (Rpc.call client ~prog:77 ~vers:1 ~proc:0 ""));
+  Alcotest.(check string) "null" ""
+    (Xdr.Dec.rest (Rpc.call client ~prog:77 ~vers:1 ~proc:0 (raw "")));
   Alcotest.(check string) "echo" "payload!"
-    (Xdr.Dec.rest (Rpc.call client ~prog:77 ~vers:1 ~proc:1 "payload!"));
-  let e = Xdr.Enc.create () in
-  Xdr.Enc.uint32 e 20;
-  Xdr.Enc.uint32 e 22;
-  let reply = Rpc.call client ~prog:77 ~vers:1 ~proc:2 (Xdr.Enc.to_string e) in
+    (Xdr.Dec.rest (Rpc.call client ~prog:77 ~vers:1 ~proc:1 (raw "payload!")));
+  let reply =
+    Rpc.call client ~prog:77 ~vers:1 ~proc:2 (fun e ->
+        Xdr.Enc.uint32 e 20;
+        Xdr.Enc.uint32 e 22)
+  in
   Alcotest.(check int) "add" 42 (Xdr.Dec.uint32 reply);
   Alcotest.(check int) "calls counted" 3 (Stats.get stats "rpc.calls")
 
@@ -96,26 +101,26 @@ let test_rpc_faults () =
   let _, _, link, srv = make_service () in
   let client = Rpc.connect ~link srv in
   Alcotest.check_raises "bad prog" (Rpc.Rpc_error Rpc.Prog_unavail) (fun () ->
-      ignore (Rpc.call client ~prog:99 ~vers:1 ~proc:0 ""));
+      ignore (Rpc.call client ~prog:99 ~vers:1 ~proc:0 (raw "")));
   Alcotest.check_raises "bad vers" (Rpc.Rpc_error Rpc.Prog_unavail) (fun () ->
-      ignore (Rpc.call client ~prog:77 ~vers:9 ~proc:0 ""));
+      ignore (Rpc.call client ~prog:77 ~vers:9 ~proc:0 (raw "")));
   Alcotest.check_raises "bad proc" (Rpc.Rpc_error Rpc.Proc_unavail) (fun () ->
-      ignore (Rpc.call client ~prog:77 ~vers:1 ~proc:42 ""));
+      ignore (Rpc.call client ~prog:77 ~vers:1 ~proc:42 (raw "")));
   (* Handler decode errors surface as Garbage_args. *)
   Alcotest.check_raises "garbage args" (Rpc.Rpc_error Rpc.Garbage_args) (fun () ->
-      ignore (Rpc.call client ~prog:77 ~vers:1 ~proc:2 "\001"))
+      ignore (Rpc.call client ~prog:77 ~vers:1 ~proc:2 (raw "\001")))
 
 let test_rpc_conn_info () =
   let _, _, link, srv = make_service () in
   let client = Rpc.connect ~link ~peer:"dsa-hex:abcd" ~uid:1042 srv in
-  let reply = Rpc.call client ~prog:77 ~vers:1 ~proc:3 "" in
+  let reply = Rpc.call client ~prog:77 ~vers:1 ~proc:3 (raw "") in
   Alcotest.(check string) "conn info" "peer=dsa-hex:abcd uid=1042" (Xdr.Dec.string reply)
 
 let test_rpc_charges_time () =
   let clock, _, link, srv = make_service () in
   let client = Rpc.connect ~link srv in
   let before = Clock.now clock in
-  ignore (Rpc.call client ~prog:77 ~vers:1 ~proc:1 (String.make 8192 'x'));
+  ignore (Rpc.call client ~prog:77 ~vers:1 ~proc:1 (raw (String.make 8192 'x')));
   let dt = Clock.now clock -. before in
   (* Two 8K+ messages over 12.5 MB/s plus RPC overhead: >1.3 ms. *)
   Alcotest.(check bool) "realistic latency" true (dt > 0.0013 && dt < 0.01)
@@ -135,7 +140,7 @@ let test_timeout_alike () =
     if pooled then Rpc.set_pool srv ~sched ~workers:2 ~queue_depth:4;
     let client = Rpc.connect ~link srv in
     let label s = Printf.sprintf "%s (%s)" s (if pooled then "pooled" else "serial") in
-    let echo args = Xdr.Dec.rest (Rpc.call client ~prog:77 ~vers:1 ~proc:1 args) in
+    let echo args = Xdr.Dec.rest (Rpc.call client ~prog:77 ~vers:1 ~proc:1 (raw args)) in
     let times_out args =
       match echo args with
       | _ -> false
@@ -275,11 +280,68 @@ let test_rpc_over_esp () =
   let client_ep, server_ep = Ipsec.Ike.establish ~link ~drbg ~initiator ~responder () in
   let channel = Ipsec.Ike.rpc_channel ~client:client_ep ~server:server_ep in
   let client = Rpc.connect ~link ~channel ~peer:server_ep.Ipsec.Ike.peer srv in
-  let reply = Rpc.call client ~prog:5 ~vers:1 ~proc:0 "" in
+  let reply = Rpc.call client ~prog:5 ~vers:1 ~proc:0 (raw "") in
   Alcotest.(check string) "server handler sees authenticated key"
     (Keynote.Assertion.principal_of_pub initiator.Dcrypto.Dsa.pub)
     (Xdr.Dec.string reply);
   Alcotest.(check bool) "esp packets counted" true (Stats.get stats "esp.packets" >= 2)
+
+(* A retransmitted WRITE whose reply the duplicate-request cache
+   already holds is answered from the record, on a pooled server: the
+   client loses the first two replies, so the one recorded reply goes
+   out three times. Every copy must open to the same bytes (the
+   handler ran once), and over ESP each must carry a fresh sequence
+   number — sealing the record never changes it. *)
+let test_drc_replay_identical () =
+  let run ~esp =
+    let clock, stats, link, drbg, initiator, responder = handshake () in
+    let sched = Simnet.Sched.create ~clock in
+    Simnet.Sched.attach_clock sched;
+    let srv = Rpc.server ~clock ~cost:Simnet.Cost.default ~stats in
+    Rpc.set_pool srv ~sched ~workers:2 ~queue_depth:4;
+    let writes = ref 0 in
+    Rpc.register srv ~prog:77 ~vers:1 (fun ~conn:_ ~proc:_ ~args e ->
+        incr writes;
+        Xdr.Enc.uint32 e !writes;
+        Xdr.Enc.raw e (Xdr.Dec.rest args);
+        Ok ());
+    let base, peer =
+      if esp then
+        let client_ep, server_ep = Ipsec.Ike.establish ~link ~drbg ~initiator ~responder () in
+        (Ipsec.Ike.rpc_channel ~client:client_ep ~server:server_ep, server_ep.Ipsec.Ike.peer)
+      else (Rpc.plaintext, "")
+    in
+    let opened = ref [] and seqs = ref [] in
+    let client_open pkt =
+      if esp then seqs := String.get_int64_be pkt 4 :: !seqs;
+      let plain = base.Rpc.client_open pkt in
+      opened := plain :: !opened;
+      if List.length !opened <= 2 then failwith "reply lost";
+      plain
+    in
+    let client = Rpc.connect ~link ~channel:{ base with Rpc.client_open } ~peer srv in
+    let payload = String.make 8192 'w' in
+    let result = ref "" in
+    (* discfs-lint: allow races "one process writes it; the test reads it after Sched.run returns" *)
+    Simnet.Sched.spawn sched (fun () ->
+        result := Xdr.Dec.rest (Rpc.call client ~prog:77 ~vers:1 ~proc:8 (raw payload)));
+    Simnet.Sched.run sched;
+    let label s = Printf.sprintf "%s (%s)" s (if esp then "esp" else "plaintext") in
+    Alcotest.(check int) (label "executed once") 1 !writes;
+    Alcotest.(check int) (label "two replays") 2 (Stats.get stats "rpc.drc_hits");
+    Alcotest.(check int) (label "three replies opened") 3 (List.length !opened);
+    (match !opened with
+    | last :: rest ->
+      List.iter (fun r -> Alcotest.(check string) (label "replay byte-identical") r last) rest
+    | [] -> ());
+    Alcotest.(check string) (label "the call returns the recorded result")
+      ("\000\000\000\001" ^ payload) !result;
+    if esp then
+      Alcotest.(check int) (label "each copy sealed under a fresh sequence number") 3
+        (List.length (List.sort_uniq Int64.compare !seqs))
+  in
+  run ~esp:true;
+  run ~esp:false
 
 let test_esp_tdes_transform () =
   (* The period-accurate 3DES-HMAC-SHA1 transform interoperates with
@@ -379,6 +441,7 @@ let suite =
     Alcotest.test_case "esp out-of-order within window" `Quick test_esp_out_of_order;
     Alcotest.test_case "ike detects tampering" `Quick test_ike_mitm_detected;
     Alcotest.test_case "rpc over esp channel" `Quick test_rpc_over_esp;
+    Alcotest.test_case "drc replays are byte-identical" `Quick test_drc_replay_identical;
     Alcotest.test_case "esp 3des transform" `Quick test_esp_tdes_transform;
     Alcotest.test_case "replay window" `Quick test_replay_window_unit;
     Alcotest.test_case "xid bands are disjoint" `Quick test_xid_bands_disjoint;
