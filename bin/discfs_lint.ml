@@ -173,6 +173,7 @@ let role_conv =
   let parse = function
     | "lib" -> Ok Lint.Rules.Lib
     | "decode" -> Ok Lint.Rules.Decode
+    | "data" -> Ok Lint.Rules.Data
     | "kernel" -> Ok Lint.Rules.Kernel
     | "exe" -> Ok Lint.Rules.Exe
     | s -> Error (`Msg ("unknown role: " ^ s))
@@ -182,6 +183,7 @@ let role_conv =
       (match r with
       | Lint.Rules.Lib -> "lib"
       | Lint.Rules.Decode -> "decode"
+      | Lint.Rules.Data -> "data"
       | Lint.Rules.Kernel -> "kernel"
       | Lint.Rules.Exe -> "exe")
   in
@@ -211,7 +213,7 @@ let cmt_cmd =
     Arg.(
       value
       & opt (some role_conv) None
-      & info [ "role" ] ~docv:"lib|decode|kernel|exe"
+      & info [ "role" ] ~docv:"lib|decode|data|kernel|exe"
           ~doc:"Force the rule set instead of inferring it from the source path.")
   in
   let files =

@@ -14,7 +14,14 @@
     immutable for as long as anyone holds it, and {!Blockdev} shares
     one block between its store and the cache. {!find} returns a
     private copy; {!find_shared} returns the stored block itself,
-    read-only. *)
+    read-only.
+
+    {b Lifetime.} A block handed out by {!find_shared} may outlive its
+    entry: the NFS server borrows shared blocks into READ replies, and
+    the RPC duplicate-request cache keeps those replies. An update or
+    eviction here drops only the cache's reference, so a stored reply
+    can keep a replaced block alive — bounded by the DRC's capacity,
+    not by this cache's. *)
 
 type t
 

@@ -163,9 +163,9 @@ let read_with t i =
 let read t i = Bytes.copy (read_with t i)
 let read_shared t i = read_with t i
 
-let write t i b =
-  check t i;
-  if Bytes.length b <> t.block_size then invalid_arg "Blockdev.write: bad block length";
+(* Store [b] as block [i], which the device now owns: write-through,
+   the platter is updated (and charged) first, the cache second. *)
+let commit t i b =
   let gen = Bcache.generation t.cache in
   Trace.span t.trace "disk.write" @@ fun () ->
   charge t i;
@@ -175,16 +175,35 @@ let write t i b =
     Stats.incr t.stats "disk.io_errors";
     raise (Io_error (Printf.sprintf "write error at block %d" i))
   | Some Simnet.Fault.Fail_read | Some Simnet.Fault.Corrupt_read | None -> ());
-  let b = Bytes.copy b in
   Hashtbl.replace t.store i b;
   (* Write-through: the cache is updated only after the device
      committed, so a failed write leaves both on the old value and
      the cache can never hold data the disk lost. Store and cache
-     share the one private copy. The generation guard keeps a write
-     that straddled a crash from warming the new incarnation's cold
-     cache (the store update stands — the controller had the data —
-     but the old process's memory is gone). *)
+     share the one block. The generation guard keeps a write that
+     straddled a crash from warming the new incarnation's cold cache
+     (the store update stands — the controller had the data — but
+     the old process's memory is gone). *)
   fill t ~generation:gen i b
+
+let write t i b =
+  check t i;
+  if Bytes.length b <> t.block_size then invalid_arg "Blockdev.write: bad block length";
+  commit t i (Bytes.copy b)
+
+(* The one write core for ranges: the new block is built once. A
+   whole-block range needs nothing of the old block; a partial one is
+   a read-modify-write, and its read is accounted like any read (hit
+   or miss, disk charge, sequential prefetch). *)
+let write_sub t i ~off src ~src_off ~len =
+  check t i;
+  if off < 0 || len < 0 || off + len > t.block_size || src_off < 0
+     || src_off > String.length src - len
+  then invalid_arg "Blockdev.write_sub: bad range";
+  let b =
+    if len = t.block_size then Bytes.create t.block_size else Bytes.copy (read_with t i)
+  in
+  Bytes.blit_string src src_off b off len;
+  commit t i b
 
 let drop_cache t = Bcache.drop t.cache
 

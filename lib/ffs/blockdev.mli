@@ -86,7 +86,16 @@ val read : t -> int -> bytes
     holds the store's own block — a miss, a prefetch or a
     write-through fill copies nothing — and the bytes passed to those
     calls stay the caller's. A corrupted transfer is returned to its
-    caller only; it never reaches the store or the cache. *)
+    caller only; it never reaches the store or the cache.
+
+    {b Borrowed blocks.} Because a stored block never changes, a
+    reader may keep it past the next write: the NFS server's READ and
+    MULTI_READ replies borrow shared blocks ({!read_shared}) into
+    their reply arenas instead of copying them, and the RPC
+    duplicate-request cache keeps those arenas. A stored reply can
+    therefore keep a block alive after a write has replaced it (or
+    the cache has evicted it) — at most one block per borrowed range
+    of each reply the DRC holds, so bounded by the DRC's capacity. *)
 
 val read_shared : t -> int -> bytes
 (** {!read} without any copy, with identical hit, miss, charge and
@@ -99,7 +108,18 @@ val read_shared : t -> int -> bytes
 val write : t -> int -> bytes -> unit
 (** [write t i b] stores a full block; [b] must be exactly
     [block_size] long. Write-through: the platter is updated (and
-    charged) first, the cache second. *)
+    charged) first, the cache second. The device stores a private
+    copy; [b] stays the caller's. *)
+
+val write_sub : t -> int -> off:int -> string -> src_off:int -> len:int -> unit
+(** [write_sub t i ~off src ~src_off ~len] stores
+    [src.[src_off .. src_off+len)] at byte [off] of block [i], the
+    rest of the block keeping its contents. The new block is built
+    once, straight from [src], and stored: no further copy. A range
+    covering the whole block is a {!write}; a partial range first
+    reads the block, with {!read}'s accounting (cache hit or miss,
+    disk charge, prefetch), then writes it. Raises [Invalid_argument]
+    on a block or range out of bounds. *)
 
 val bcache : t -> Bcache.t
 (** The buffer cache itself, for statistics and tests. *)

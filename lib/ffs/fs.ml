@@ -48,6 +48,7 @@ type t = {
   mutable free_inodes : int;
   ptr_cache : (int, ptr_block) Hashtbl.t;
   root : int;
+  zero : string; (* one block of zeros: what every hole reads as *)
 }
 
 let root t = t.root
@@ -227,32 +228,55 @@ let bmap t (i : Inode.t) fblock ~alloc =
 
 (* --- raw file data I/O ------------------------------------------------ *)
 
-let read_raw t (i : Inode.t) ~off ~len =
+(* The one read core: the range as pieces [(block, off, len)] in file
+   order, each a range of an immutable block — the device's shared
+   block ({!Blockdev.read_shared}: the store's and the cache's own),
+   or the zero block for a hole. Nothing is copied; every block is
+   read (and charged, and may yield) in order before the caller
+   sees any piece. *)
+let read_pieces_raw t (i : Inode.t) ~off ~len =
   if off < 0 || len < 0 then err EINVAL "negative offset or length";
   let len = max 0 (min len (i.Inode.size - off)) in
-  if len = 0 then ""
+  if len = 0 then []
   else begin
     let bs = block_size t in
-    (* The result is allocated once at its exact size and each block
-       is copied into it straight from the device's (possibly
-       cache-owned) buffer. *)
-    let buf = Bytes.create len in
-    let pos = ref off in
-    while !pos < off + len do
-      let fblock = !pos / bs and boff = !pos mod bs in
-      let n = min (bs - boff) (off + len - !pos) in
-      let b = bmap t i fblock ~alloc:false in
-      if b = 0 then Bytes.fill buf (!pos - off) n '\000'
-      else Bytes.blit (Blockdev.read_shared t.dev b) boff buf (!pos - off) n;
-      pos := !pos + n
-    done;
+    let stop = off + len in
+    let rec go pos =
+      if pos >= stop then []
+      else begin
+        let boff = pos mod bs in
+        let n = min (bs - boff) (stop - pos) in
+        let b = bmap t i (pos / bs) ~alloc:false in
+        let piece =
+          if b = 0 then (t.zero, boff, n)
+          else (Bytes.unsafe_to_string (Blockdev.read_shared t.dev b), boff, n)
+        in
+        piece :: go (pos + n)
+      end
+    in
+    let pieces = go off in
     i.Inode.atime <- now t;
-    Bytes.unsafe_to_string buf
+    pieces
   end
 
-let write_raw t (i : Inode.t) ~off data =
+(* The core plus one copy: the result is allocated once at its exact
+   size and each piece is blitted into it. *)
+let concat_pieces = function
+  | [] -> ""
+  | pieces ->
+    let buf = Bytes.create (List.fold_left (fun n (_, _, len) -> n + len) 0 pieces) in
+    ignore
+      (List.fold_left
+         (fun at (src, off, len) ->
+           Bytes.blit_string src off buf at len;
+           at + len)
+         0 pieces);
+    Bytes.unsafe_to_string buf
+
+let read_raw t i ~off ~len = concat_pieces (read_pieces_raw t i ~off ~len)
+
+let write_raw t (i : Inode.t) ~off src ~src_off ~len =
   if off < 0 then err EINVAL "negative offset";
-  let len = String.length data in
   let bs = block_size t in
   let pos = ref 0 in
   while !pos < len do
@@ -260,12 +284,7 @@ let write_raw t (i : Inode.t) ~off data =
     let fblock = abs / bs and boff = abs mod bs in
     let n = min (bs - boff) (len - !pos) in
     let b = bmap t i fblock ~alloc:true in
-    let raw =
-      if n = bs then Bytes.make bs '\000'
-      else Blockdev.read t.dev b (* read-modify-write for partial blocks *)
-    in
-    Bytes.blit_string data !pos raw boff n;
-    Blockdev.write t.dev b raw;
+    Blockdev.write_sub t.dev b ~off:boff src ~src_off:(src_off + !pos) ~len:n;
     pos := !pos + n
   done;
   if off + len > i.Inode.size then i.Inode.size <- off + len;
@@ -381,7 +400,7 @@ let write_dir_entries t (i : Inode.t) entries =
     entries;
   let data = Buffer.contents buf in
   truncate_inode t i 0;
-  write_raw t i ~off:0 data
+  write_raw t i ~off:0 data ~src_off:0 ~len:(String.length data)
 
 let as_dir t ino =
   let i = get_inode t ino in
@@ -420,6 +439,7 @@ let create ~dev ~ninodes =
       free_inodes = ninodes - first_ino;
       ptr_cache = Hashtbl.create 64;
       root = first_ino;
+      zero = String.make (Blockdev.block_size dev) '\000';
     }
   in
   set_block_used t 0 true;
@@ -455,15 +475,21 @@ let valid_handle t ~ino ~gen =
   && t.inodes.(ino).Inode.allocated
   && t.inodes.(ino).Inode.gen = gen
 
-let read t ino ~off ~len =
+let read_pieces t ino ~off ~len =
   let i = get_inode t ino in
   if i.Inode.kind = Inode.Dir then err EISDIR "read on directory %d" ino;
-  read_raw t i ~off ~len
+  read_pieces_raw t i ~off ~len
 
-let write t ino ~off data =
+let read t ino ~off ~len = concat_pieces (read_pieces t ino ~off ~len)
+
+let write_sub t ino ~off src ~src_off ~len =
+  if src_off < 0 || len < 0 || src_off > String.length src - len then
+    invalid_arg "Fs.write_sub: bad source range";
   let i = get_inode t ino in
   if i.Inode.kind = Inode.Dir then err EISDIR "write on directory %d" ino;
-  write_raw t i ~off data
+  write_raw t i ~off src ~src_off ~len
+
+let write t ino ~off data = write_sub t ino ~off data ~src_off:0 ~len:(String.length data)
 
 let lookup t dino name =
   let dir = as_dir t dino in
@@ -496,7 +522,7 @@ let mkdir t dino name ~perms ~uid = make_node t dino name Inode.Dir ~perms ~uid
 let symlink t dino name ~target ~uid =
   let ino = make_node t dino name Inode.Symlink ~perms:0o777 ~uid in
   let i = get_inode t ino in
-  write_raw t i ~off:0 target;
+  write_raw t i ~off:0 target ~src_off:0 ~len:(String.length target);
   ino
 
 let readlink t ino =
@@ -742,6 +768,7 @@ let load ~dev image =
       free_inodes;
       ptr_cache = Hashtbl.create 64;
       root = first_ino;
+      zero = String.make (Blockdev.block_size dev) '\000';
     }
   with Xdr.Decode_error m -> raise (Bad_image m)
 

@@ -57,10 +57,29 @@ val valid_handle : t -> ino:int -> gen:int -> bool
 (** {1 Files} *)
 
 val read : t -> int -> off:int -> len:int -> string
-(** Short reads at end of file; [""] at or past EOF. *)
+(** Short reads at end of file; [""] at or past EOF. {!read_pieces}
+    plus one copy into the result. *)
+
+val read_pieces : t -> int -> off:int -> len:int -> (string * int * int) list
+(** The read core: the same range as {!read}, charged and accounted
+    identically, returned without a copy as [(block, off, len)]
+    pieces in file order ([[]] at or past EOF). Each piece is a range
+    of an immutable block: a block the device's store and cache share
+    ({!Blockdev.read_shared}), or one zero block this volume shares
+    among all its holes. A piece never changes, even after later
+    writes to the file, so it may be borrowed ({!Xdr.Enc.borrow})
+    into a message that outlives the call. Every block is read
+    before the list is returned. *)
 
 val write : t -> int -> off:int -> string -> unit
 (** Extends the file as needed; sparse gaps read back as zeros. *)
+
+val write_sub : t -> int -> off:int -> string -> src_off:int -> len:int -> unit
+(** [write_sub t ino ~off src ~src_off ~len] is
+    [write t ino ~off (String.sub src src_off len)] without the
+    substring: each block is built once, straight from [src]
+    ({!Blockdev.write_sub}). Raises [Invalid_argument] on a range
+    outside [src]. *)
 
 (** {1 Directories} *)
 

@@ -61,11 +61,13 @@ let tdes_iv sa seq =
 (* --- seal ------------------------------------------------------------- *)
 
 (* The one seal core: charge, take the next sequence number, and turn
-   [src.[off .. off+len)] into the wire packet. Under ChaCha20 the
-   packet is the one allocation: the header is written in place, the
-   payload is encrypted from [src] straight into it, and the tag MACs
-   the packet prefix where it lies. [src] is only read. *)
-let seal_sub sa src ~off ~len =
+   the [len]-byte payload that [gather src dst off] writes into the
+   wire packet ([gather] is a closed function and [src] its argument,
+   so neither caller allocates a closure). Under ChaCha20 the packet
+   is the one allocation: the header is written in place, the payload
+   is gathered straight behind it and encrypted where it lies, and
+   the tag MACs the packet prefix in place. [src] is only read. *)
+let seal_with sa ~len gather src =
   Trace.span (Sa.trace sa) "esp.seal" @@ fun () ->
   charge sa (len + overhead);
   let seq = Sa.next_seq sa in
@@ -76,7 +78,8 @@ let seal_sub sa src ~off ~len =
     let pkt = Bytes.create (header_len + len + tag_len) in
     Bytes.set_int32_be pkt 0 (Int32.of_int (Sa.spi sa));
     Bytes.set_int64_be pkt 4 (Int64.of_int seq);
-    Dcrypto.Chacha20.xor_from ~key ~nonce ~counter:1 src ~src_off:off pkt ~off:header_len ~len;
+    gather src pkt header_len;
+    Dcrypto.Chacha20.xor_into ~key ~nonce ~counter:1 pkt ~off:header_len ~len;
     (* unsafe_to_string: a read-only view for the MAC; the tag is
        written behind the range it covers. *)
     let tag =
@@ -90,19 +93,25 @@ let seal_sub sa src ~off ~len =
        win; the legacy transform keeps the copying path. *)
     let header = be32 (Sa.spi sa) ^ be64 seq in
     let enc_key, auth_key = tdes_keys sa in
+    let plain = Bytes.create len in
+    gather src plain 0;
     let ciphertext =
-      Dcrypto.Des.Triple.cbc_encrypt ~key:enc_key ~iv:(tdes_iv sa seq) (String.sub src off len)
+      Dcrypto.Des.Triple.cbc_encrypt ~key:enc_key ~iv:(tdes_iv sa seq)
+        (Bytes.unsafe_to_string plain)
     in
     let tag = String.sub (Dcrypto.Hmac.sha1 ~key:auth_key (header ^ ciphertext)) 0 tdes_tag_len in
     header ^ ciphertext ^ tag
 
-let seal sa payload = seal_sub sa payload ~off:0 ~len:(String.length payload)
+let seal sa payload =
+  seal_with sa ~len:(String.length payload)
+    (fun s dst off -> Bytes.blit_string s 0 dst off (String.length s))
+    payload
 
 (* A caller that wants the fused encode->seal path builds its message
-   inside [arena_enc a]; [seal_arena] encrypts the arena's bytes
-   straight into the wire packet. The arena is only read, so one
-   arena can be sealed again — each time under a fresh sequence
-   number — for a retransmission. *)
+   inside [arena_enc a]; [seal_arena] gathers the arena — own bytes
+   and borrowed ranges — straight into the wire packet. The arena is
+   only read, so one arena can be sealed again — each time under a
+   fresh sequence number — for a retransmission. *)
 type arena = Xdr.Enc.t
 
 let arena () =
@@ -110,9 +119,7 @@ let arena () =
   Xdr.Enc.create ()
 
 let arena_enc a = a
-
-let seal_arena sa a =
-  seal_sub sa (Bytes.unsafe_to_string (Xdr.Enc.bytes a)) ~off:0 ~len:(Xdr.Enc.length a)
+let seal_arena sa a = seal_with sa ~len:(Xdr.Enc.length a) Xdr.Enc.gather a
 
 (* A packet failing the shape checks below never reaches a slice or
    the crypto; every such drop lands under one metric so a flood of

@@ -8,8 +8,9 @@ exception Esp_error of string
 
 val seal : Sa.t -> string -> string
 (** Encrypt-and-authenticate a payload for the SA's next sequence
-    number. Under ChaCha20 the payload is encrypted straight into the
-    exact-size wire packet: one allocation, one copy. *)
+    number. Under ChaCha20 the payload is copied into the exact-size
+    wire packet and encrypted and authenticated there, in place: one
+    allocation, one copy. *)
 
 type arena = Xdr.Enc.t
 (** A message arena: the encoder a message is built in from XDR
@@ -20,10 +21,11 @@ val arena_enc : arena -> Xdr.Enc.t
 (** The encoder to build the message payload in. *)
 
 val seal_arena : Sa.t -> arena -> string
-(** {!seal} of the arena's bytes, read where they lie: the payload is
-    encrypted from the arena straight into the wire packet. The arena
-    is not modified, so sealing it again — under a fresh sequence
-    number — is how a retransmission is built. *)
+(** {!seal} of the arena's message: the same seal core gathers the
+    arena's own bytes and borrowed ranges ({!Xdr.Enc.gather}) straight
+    into the wire packet, then encrypts and authenticates in place.
+    The arena is not modified, so sealing it again — under a fresh
+    sequence number — is how a retransmission is built. *)
 
 val open_ : Sa.t -> string -> string
 (** Verify, replay-check and decrypt. Raises {!Esp_error} on a

@@ -57,7 +57,7 @@ let rule_of_name = function
   | "monitor-off" -> Some Monitor_off
   | _ -> None
 
-type role = Lib | Decode | Kernel | Exe
+type role = Lib | Decode | Data | Kernel | Exe
 
 let starts_with ~prefix s =
   String.length s >= String.length prefix && String.sub s 0 (String.length prefix) = prefix
@@ -67,6 +67,7 @@ let role_of_path p =
     starts_with ~prefix:"lib/xdr/" p || starts_with ~prefix:"lib/rpc/" p
     || starts_with ~prefix:"lib/ipsec/" p
   then Decode
+  else if p = "lib/nfs/server.ml" || starts_with ~prefix:"lib/core/" p then Data
   else if starts_with ~prefix:"lib/crypto/" p then Kernel
   else if starts_with ~prefix:"lib/" p then Lib
   else Exe
@@ -74,6 +75,11 @@ let role_of_path p =
 let rules_for_role = function
   | Lib | Kernel ->
     [ Determinism; Poly_compare; No_print; Secret_flow; Mli_coverage; C_boundary; Monitor_off ]
+  | Data ->
+    [
+      Determinism; Poly_compare; No_print; Secret_flow; Mli_coverage; C_boundary; Monitor_off;
+      Hotpath_alloc;
+    ]
   | Decode ->
     [
       Determinism; Poly_compare; No_print; Decode_result; Secret_flow; Mli_coverage;
@@ -397,9 +403,20 @@ let check_structure ~role ~enabled ~emit str =
     if enabled Decode_result && name = "failwith" then
       emit Decode_result e.exp_loc
         "failwith in a wire-decode layer: attacker-controlled input must fail via result or the layer's decode exception";
-    if enabled Hotpath_alloc && suffix_matches name "Enc.create" then
+    (* In the wire layers the intermediate buffer is a fresh encoder;
+       in the data path it is a payload copy: file data copied out of
+       the volume instead of borrowed, or a WRITE payload copied out
+       of the datagram instead of stored from where it lies. *)
+    if enabled Hotpath_alloc && role <> Data && suffix_matches name "Enc.create" then
       emit Hotpath_alloc e.exp_loc
         "fresh Enc.create in a wire hot-path layer: encode into the channel's message arena (encode_*_into / Esp.arena), or justify the intermediate buffer per site with (* discfs-lint: allow hotpath-alloc \"why\" *)";
+    if enabled Hotpath_alloc && role = Data
+       && (suffix_matches name "Fs.read" || suffix_matches name "Dec.opaque")
+    then
+      emit Hotpath_alloc e.exp_loc
+        (Printf.sprintf
+           "%s copies payload bytes on the data path: borrow file data (Fs.read_pieces + Xdr.Enc.borrow) and take opaque arguments where they lie (Xdr.Dec.opaque_with), or justify the copy per site with (* discfs-lint: allow hotpath-alloc \"why\" *)"
+           name);
     if enabled Poly_compare && List.mem raw poly_compare_paths then
       match first_param e.exp_type with
       | Some t when type_contains (path_in protected_type_suffixes) 0 t ->
@@ -528,13 +545,17 @@ let check_cmt ?role ~source_root cmt_path =
                 match site_justification source_path ~line:f.line with
                 | Some (Some _) -> None (* justified per site *)
                 | Some None ->
+                  let site, what =
+                    if role = Data then ("payload copy", "copy") else ("Enc.create", "intermediate buffer")
+                  in
                   Some
                     {
                       f with
                       message =
-                        "Enc.create under an 'allow hotpath-alloc' comment with no \
-                         justification string — say why the intermediate buffer is needed \
-                         in quotes";
+                        Printf.sprintf
+                          "%s under an 'allow hotpath-alloc' comment with no justification \
+                           string — say why the %s is needed in quotes"
+                          site what;
                     }
                 | None -> Some f)
             !findings

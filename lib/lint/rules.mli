@@ -77,7 +77,16 @@ val rule_of_name : string -> rule option
 
 type role =
   | Lib  (** general library code: every rule except [decode-result] *)
-  | Decode  (** wire-decode libraries: [Lib] plus [decode-result] *)
+  | Decode
+      (** wire-decode libraries: [Lib] plus [decode-result] and
+          [hotpath-alloc] (every fresh [Enc.create] needs a per-site
+          justification) *)
+  | Data
+      (** the NFS data path ([lib/nfs/server.ml], [lib/core]): [Lib]
+          plus [hotpath-alloc], which here flags the payload copies
+          [Fs.read] and [Dec.opaque] — file data is borrowed and
+          WRITE payloads are stored from where they lie — unless the
+          site carries a justification *)
   | Kernel
       (** [lib/crypto], the one home of C stubs: [Lib], with
           [c-boundary] demanding [[@@noalloc]] instead of flagging every
@@ -89,9 +98,9 @@ type role =
 
 val role_of_path : string -> role
 (** Role from a repo-relative source path: [lib/xdr], [lib/rpc] and
-    [lib/ipsec] are [Decode]; [lib/crypto] is [Kernel]; everything
-    else under [lib/] is [Lib]; [bin/], [bench/] and [test/] are
-    [Exe]. *)
+    [lib/ipsec] are [Decode]; [lib/nfs/server.ml] and [lib/core] are
+    [Data]; [lib/crypto] is [Kernel]; everything else under [lib/] is
+    [Lib]; [bin/], [bench/] and [test/] are [Exe]. *)
 
 val rules_for_role : role -> rule list
 

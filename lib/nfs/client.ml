@@ -71,14 +71,18 @@ let read t fh ~off ~count =
   Xdr.Dec.expect_end d;
   (attr, data)
 
-let write t fh ~off data =
+(* The payload is borrowed into the request arena, not copied: the
+   seal gathers it straight into the packet. *)
+let write_sub t fh ~off data ~src_off ~len =
   attrstat
     (call t Proto.nfsproc_write (fun e ->
          Proto.fh_encode e fh;
          Xdr.Enc.uint32 e off;
          Xdr.Enc.uint32 e off;
-         Xdr.Enc.uint32 e (String.length data);
-         Xdr.Enc.opaque e data))
+         Xdr.Enc.uint32 e len;
+         Xdr.Enc.sub_writer e (fun e -> Xdr.Enc.borrow e data ~off:src_off ~len)))
+
+let write t fh ~off data = write_sub t fh ~off data ~src_off:0 ~len:(String.length data)
 
 let make_node proc t fh name sattr =
   diropres
@@ -249,7 +253,7 @@ let write_all t fh data =
   let rec go off =
     if off < len then begin
       let n = min Proto.max_data (len - off) in
-      ignore (write t fh ~off (String.sub data off n));
+      ignore (write_sub t fh ~off data ~src_off:off ~len:n);
       go (off + n)
     end
   in

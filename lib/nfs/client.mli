@@ -18,6 +18,10 @@ val lookup : t -> Proto.fh -> string -> Proto.fh * Proto.fattr
 val readlink : t -> Proto.fh -> string
 val read : t -> Proto.fh -> off:int -> count:int -> Proto.fattr * string
 val write : t -> Proto.fh -> off:int -> string -> Proto.fattr
+(** The payload is borrowed into the request arena
+    ({!Xdr.Enc.borrow}), not copied: the seal gathers it straight
+    into the packet. *)
+
 val create_file : t -> Proto.fh -> string -> Proto.sattr -> Proto.fh * Proto.fattr
 val mkdir : t -> Proto.fh -> string -> Proto.sattr -> Proto.fh * Proto.fattr
 val remove : t -> Proto.fh -> string -> unit

@@ -180,11 +180,12 @@ let diropres_body t conn ino e =
   Proto.fh_encode e (fh_of t ino);
   attr_body t conn (fattr_of_ino t ino) e
 
-(* Wire size of a READ-style opaque: length word, bytes, padding. *)
-let opaque_size data = 4 + ((String.length data + 3) land lnot 3)
-
-(* Room for the status word and the attributes ahead of read data. *)
-let attr_reply_size = 128
+(* READ-style data as an XDR opaque whose bytes are borrowed from the
+   volume's immutable blocks ({!Ffs.Fs.read_pieces}): the reply arena
+   holds the length word and padding, the data stays where it is. *)
+let pieces_body e pieces =
+  Xdr.Enc.sub_writer e (fun e ->
+      List.iter (fun (block, off, len) -> Xdr.Enc.borrow e block ~off ~len) pieces)
 
 let handle_nfs t ~conn ~proc ~args:d e =
   let run = run t e and reply_status = reply_status e in
@@ -224,11 +225,10 @@ let handle_nfs t ~conn ~proc ~args:d e =
     let _totalcount = Xdr.Dec.uint32 d in
     run ~conn ~fh ~op:Read (fun () ->
         let count = min count Proto.max_data in
-        let data = Ffs.Fs.read t.fs fh.Proto.ino ~off:offset ~len:count in
-        Xdr.Enc.ensure e (attr_reply_size + opaque_size data);
+        let pieces = Ffs.Fs.read_pieces t.fs fh.Proto.ino ~off:offset ~len:count in
         reply_status Proto.nfs_ok ~body:(fun e ->
             attr_body t conn (fattr_of_ino t fh.Proto.ino) e;
-            Xdr.Enc.opaque e data))
+            pieces_body e pieces))
   end
   else if proc = Proto.nfsproc_writecache then Ok ()
   else if proc = Proto.nfsproc_write then begin
@@ -236,9 +236,11 @@ let handle_nfs t ~conn ~proc ~args:d e =
     let _beginoffset = Xdr.Dec.uint32 d in
     let offset = Xdr.Dec.uint32 d in
     let _totalcount = Xdr.Dec.uint32 d in
-    let data = Xdr.Dec.opaque d in
+    (* The payload stays in the opened datagram; each block it lands
+       in is built once, straight from there. *)
+    let data, data_off, data_len = Xdr.Dec.opaque_with d (fun s ~off ~len -> (s, off, len)) in
     run ~conn ~fh ~op:Write (fun () ->
-        Ffs.Fs.write t.fs fh.Proto.ino ~off:offset data;
+        Ffs.Fs.write_sub t.fs fh.Proto.ino ~off:offset data ~src_off:data_off ~len:data_len;
         reply_status Proto.nfs_ok ~body:(attr_body t conn (fattr_of_ino t fh.Proto.ino)))
   end
   else if proc = Proto.nfsproc_create || proc = Proto.nfsproc_mkdir then begin
@@ -361,20 +363,19 @@ let handle_nfs t ~conn ~proc ~args:d e =
     let segs = Proto.read_segments_decode d in
     run ~conn ~fh ~op:Multiread (fun () ->
         (* One credential check for the whole batch; the attributes
-           are presented once, ahead of the segments. *)
-        let datas =
+           are presented once, ahead of the segments. Every segment is
+           read before anything is encoded. *)
+        let segments =
           List.map
             (fun (off, count) ->
               let count = min count Proto.max_data in
-              Ffs.Fs.read t.fs fh.Proto.ino ~off ~len:count)
+              Ffs.Fs.read_pieces t.fs fh.Proto.ino ~off ~len:count)
             segs
         in
-        Xdr.Enc.ensure e
-          (List.fold_left (fun n data -> n + opaque_size data) (attr_reply_size + 4) datas);
         reply_status Proto.nfs_ok ~body:(fun e ->
             attr_body t conn (fattr_of_ino t fh.Proto.ino) e;
-            Xdr.Enc.uint32 e (List.length datas);
-            List.iter (fun data -> Xdr.Enc.opaque e data) datas))
+            Xdr.Enc.uint32 e (List.length segments);
+            List.iter (pieces_body e) segments))
   end
   else if proc = Proto.nfsproc_access then begin
     let fh = Proto.fh_decode d in
@@ -422,6 +423,8 @@ let handle_mount t ~conn:_ ~proc ~args:d e =
   end
   else if proc = Proto.mountproc_umnt then Ok ()
   else Error Rpc.Proc_unavail
+
+let handler = handle_nfs
 
 let attach t rpc_server =
   Rpc.register rpc_server ~prog:Proto.nfs_prog ~vers:Proto.nfs_vers (handle_nfs t);

@@ -62,6 +62,14 @@ val set_route : t -> route -> unit
 
 val root_fh : t -> Proto.fh
 
+val handler : t -> Oncrpc.Rpc.handler
+(** The NFS program's handler, exactly as {!attach} registers it;
+    exposed so tests can serve one call into a reply arena without the
+    RPC framing around it. READ and MULTI_READ replies borrow the
+    volume's immutable blocks ({!Ffs.Fs.read_pieces}) instead of
+    copying them; WRITE stores its payload straight from the
+    arguments ({!Ffs.Fs.write_sub}). *)
+
 val attach : t -> Oncrpc.Rpc.server -> unit
 (** Register the NFS program (100003v2) and the mount program
     (100005v1) on an RPC server. *)

@@ -280,14 +280,15 @@ let encode_call_into e ~xid ~prog ~vers ~proc ~uid args =
   Xdr.Enc.raw e args (* args are pre-marshalled bytes *)
 
 (* The arguments are cut out of the lost call's request arena, behind
-   its header: only a call that timed out pays for the copy. *)
+   its header, reading through its gather list (a WRITE's payload is
+   borrowed): only a call that timed out pays for the copies. *)
 let take_timeout t =
   let p = t.last_timeout in
   t.last_timeout <- None;
   Option.map
     (fun (prog, vers, proc, request) ->
       let len = Xdr.Enc.length request - call_header_len in
-      (prog, vers, proc, Bytes.sub_string (Xdr.Enc.bytes request) call_header_len len))
+      (prog, vers, proc, String.sub (Xdr.Enc.to_string request) call_header_len len))
     p
 
 let encode_call ~xid ~prog ~vers ~proc ~uid args =

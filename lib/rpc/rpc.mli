@@ -16,7 +16,13 @@
     WRITE) are answered from the record instead of re-executed. The
     record is the executed call's reply arena itself, which nothing
     writes to once the handler returns: a replay seals it again under
-    a fresh sequence number and carries the first reply's bytes.
+    a fresh sequence number and carries the first reply's bytes. The
+    arena holds the reply header, the handler's own encoded bytes, and
+    any ranges the handler borrowed ({!Xdr.Enc.borrow}) — an NFS READ
+    reply points at the volume's immutable blocks instead of holding a
+    copy of the data — so a recorded reply keeps those blocks alive,
+    unchanged, until the record is evicted, even if a later WRITE
+    replaces them.
     Packets that fail to unseal at either end (corrupted, replayed)
     are silently dropped and absorbed by the retry loop.
 
@@ -175,9 +181,10 @@ val take_timeout : client -> (int * int * int * string) option
 (** The (prog, vers, proc, args) of the last call that raised
     {!Rpc_timeout}, if it has not since been superseded by a
     successful call; reading clears it. [args] are the marshalled
-    arguments, cut from the lost call's request arena behind the RPC
-    header. Crash recovery replays this in-flight operation after
-    reattaching. *)
+    arguments, read out of the lost call's request arena behind the
+    RPC header (through its gather list: a WRITE's payload is
+    borrowed, not copied, into the arena). Crash recovery replays
+    this in-flight operation after reattaching. *)
 
 exception Rpc_error of fault
 

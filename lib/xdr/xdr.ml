@@ -3,17 +3,34 @@ exception Decode_error of string
 let pad_len n = (4 - (n mod 4)) mod 4
 
 module Enc = struct
-  (* One growable byte arena per message. Encoders append at [len];
-     reserve/patch lets a writer leave a hole (a length word, a reply
-     status) and fill it once the tail is known, so nested bodies such
-     as the RPC credential no longer round-trip through their own
-     Buffer. *)
-  type t = { mutable buf : Bytes.t; mutable len : int }
+  (* One growable byte arena per message. Encoders append at the
+     tail; reserve/patch lets a writer leave a hole (a length word, a
+     reply status) and fill it once the tail is known, so nested
+     bodies such as the RPC credential no longer round-trip through
+     their own Buffer.
+
+     The message is a gather list: the arena's own bytes, with
+     borrowed ranges of immutable strings spliced in between them.
+     [buf.[0 .. len)] holds the own bytes; each piece records the own
+     offset [at] it sits in front of. [pieces] is newest first and
+     [borrowed] is the sum of their lengths, so the logical length is
+     [len + borrowed]. *)
+  type piece = { at : int; src : string; off : int; plen : int }
+
+  type t = {
+    mutable buf : Bytes.t;
+    mutable len : int;
+    mutable pieces : piece list;
+    mutable borrowed : int;
+  }
+
+  (* An own-byte offset: reserved words are always the arena's own
+     bytes, whatever was borrowed around them. *)
   type patch = int
 
-  let create () = { buf = Bytes.create 256; len = 0 }
+  let create () = { buf = Bytes.create 256; len = 0; pieces = []; borrowed = 0 }
 
-  let length t = t.len
+  let length t = t.len + t.borrowed
 
   (* Growth at least doubles (amortized appends) but jumps straight to
      [need] when one request outgrows that, so a body sized up front
@@ -58,13 +75,14 @@ module Enc = struct
     Bytes.blit_string s 0 t.buf t.len n;
     t.len <- t.len + n
 
+  let zero_pad t p =
+    ensure t p;
+    Bytes.fill t.buf t.len p '\000';
+    t.len <- t.len + p
+
   let add_padded t s =
-    let n = String.length s in
-    let p = pad_len n in
-    ensure t (n + p);
-    Bytes.blit_string s 0 t.buf t.len n;
-    Bytes.fill t.buf (t.len + n) p '\000';
-    t.len <- t.len + n + p
+    raw t s;
+    zero_pad t (pad_len (String.length s))
 
   let opaque t s =
     uint32 t (String.length s);
@@ -76,6 +94,14 @@ module Enc = struct
 
   let string = opaque
 
+  let borrow t src ~off ~len =
+    if off < 0 || len < 0 || off > String.length src - len then
+      invalid_arg "Xdr.Enc.borrow: bad range";
+    if len > 0 then begin
+      t.pieces <- { at = t.len; src; off; plen = len } :: t.pieces;
+      t.borrowed <- t.borrowed + len
+    end
+
   let reserve_uint32 t =
     let p = t.len in
     uint32 t 0;
@@ -86,23 +112,64 @@ module Enc = struct
     if p < 0 || p + 4 > t.len then invalid_arg "Xdr.Enc.patch_uint32: bad patch";
     set_be32 t.buf p v
 
+  (* Walk the pieces newest first, each with the logical offset it
+     starts at, until one starts before [n]: that one is cut to end
+     at [n] (or dropped if it starts exactly there), and the own bytes
+     are cut behind it. *)
   let truncate t n =
-    if n < 0 || n > t.len then invalid_arg "Xdr.Enc.truncate: bad length";
-    t.len <- n
+    if n < 0 || n > length t then invalid_arg "Xdr.Enc.truncate: bad length";
+    let rec cut pieces borrowed =
+      match pieces with
+      | p :: rest when p.at + borrowed - p.plen >= n ->
+        (* starts at or after [n] *)
+        cut rest (borrowed - p.plen)
+      | p :: rest ->
+        let start = p.at + borrowed - p.plen in
+        if start + p.plen <= n then begin
+          t.pieces <- pieces;
+          t.borrowed <- borrowed;
+          t.len <- n - borrowed
+        end
+        else begin
+          t.pieces <- { p with plen = n - start } :: rest;
+          t.borrowed <- borrowed - p.plen + (n - start);
+          t.len <- p.at
+        end
+      | [] ->
+        t.pieces <- [];
+        t.borrowed <- 0;
+        t.len <- n
+    in
+    cut t.pieces t.borrowed
 
   let sub_writer t fill =
     let p = reserve_uint32 t in
-    let start = t.len in
+    let start = length t in
     fill t;
-    let n = t.len - start in
+    let n = length t - start in
     patch_uint32 t p n;
-    let pad = pad_len n in
-    ensure t pad;
-    Bytes.fill t.buf t.len pad '\000';
-    t.len <- t.len + pad
+    zero_pad t (pad_len n)
 
-  let bytes t = t.buf
-  let to_string t = Bytes.sub_string t.buf 0 t.len
+  (* Back to front, so the newest-first piece list needs no reversal:
+     the own bytes behind each piece, then the piece itself. A
+     top-level loop, so the seal's one gather allocates no closure. *)
+  let rec gather_from buf dst dst_off pieces own_end log_end =
+    match pieces with
+    | [] -> Bytes.blit buf 0 dst dst_off own_end
+    | p :: rest ->
+      let own = own_end - p.at in
+      let own_start = log_end - own in
+      Bytes.blit buf p.at dst (dst_off + own_start) own;
+      let start = own_start - p.plen in
+      Bytes.blit_string p.src p.off dst (dst_off + start) p.plen;
+      gather_from buf dst dst_off rest p.at start
+
+  let gather t dst dst_off = gather_from t.buf dst dst_off t.pieces t.len (length t)
+
+  let to_string t =
+    let b = Bytes.create (length t) in
+    gather t b 0;
+    Bytes.unsafe_to_string b
 end
 
 module Dec = struct

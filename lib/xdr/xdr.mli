@@ -10,7 +10,24 @@ module Enc : sig
   (** A growable byte arena. One arena carries a whole message from
       XDR encode through ESP seal: writers append at the tail, and
       {!reserve_uint32}/{!patch_uint32} let a caller leave a hole (a
-      length word, a reply status) to fill once the tail is known. *)
+      length word, a reply status) to fill once the tail is known.
+
+      {b Gather.} Besides its own bytes, an arena can {!borrow} ranges
+      of strings it does not own: the message is then a gather list,
+      own bytes with borrowed ranges spliced in at the points they
+      were borrowed, and nothing is copied until {!gather} (the ESP
+      seal) or {!to_string} reads the message out. Every operation
+      works on the logical message: {!length}, {!truncate},
+      {!sub_writer} and the reserve/patch pair behave exactly as they
+      would had each borrowed range been appended with {!raw}.
+
+      {b Borrow contract.} A borrowed range must stay unchanged for as
+      long as the arena lives — including any time it spends recorded
+      in a duplicate-request cache. OCaml strings satisfy this by
+      construction; a [bytes] block passed in through
+      [Bytes.unsafe_to_string] may be borrowed only when its owner
+      never writes to it again (the buffer cache's shared blocks,
+      [Ffs.Bcache]). *)
 
   type patch
   (** Handle to a reserved word, returned by {!reserve_uint32} and
@@ -18,7 +35,7 @@ module Enc : sig
 
   val create : unit -> t
   val length : t -> int
-  (** Bytes written so far. *)
+  (** Bytes in the message so far, borrowed ranges included. *)
 
   val uint32 : t -> int -> unit
   (** Raises [Invalid_argument] outside [0, 2^32). *)
@@ -41,10 +58,16 @@ module Enc : sig
   (** Append pre-marshalled bytes verbatim (no length, no padding);
       used to nest one XDR body inside another message. *)
 
+  val borrow : t -> string -> off:int -> len:int -> unit
+  (** [borrow t s ~off ~len] appends [s.[off .. off+len)] by reference
+      (no copy, no length, no padding), under the borrow contract
+      above. Wire-identical to [raw t (String.sub s off len)]. Raises
+      [Invalid_argument] on a range outside [s]. *)
+
   val ensure : t -> int -> unit
-  (** [ensure t n] makes room for [n] more bytes now, so a body whose
-      size is known up front grows the arena at most once instead of
-      doubling its way there. *)
+  (** [ensure t n] makes room for [n] more own bytes now, so a body
+      whose size is known up front grows the arena at most once
+      instead of doubling its way there. *)
 
   val reserve_uint32 : t -> patch
   (** Append a zero word and return a handle to it, for a length or
@@ -57,23 +80,24 @@ module Enc : sig
 
   val truncate : t -> int -> unit
   (** [truncate t n] drops everything written after the first [n]
-      bytes; used to discard a partly encoded body when its writer
-      fails. Raises [Invalid_argument] unless [0 <= n <= length t]. *)
+      bytes, cutting a borrowed range short if [n] falls inside it;
+      used to discard a partly encoded body when its writer fails.
+      Raises [Invalid_argument] unless [0 <= n <= length t]. *)
 
   val sub_writer : t -> (t -> unit) -> unit
   (** Variable-length opaque whose body is produced by a writer:
       reserves the length word, runs the writer against the same
       arena, then patches the length and appends the XDR padding.
       Wire-identical to [opaque t (… to_string of a nested arena …)]
-      without the intermediate copy. *)
+      without the intermediate copy; the writer may {!borrow}. *)
 
-  val bytes : t -> Bytes.t
-  (** The underlying storage; only the first {!length} bytes are
-      meaningful. Exposed so the ESP layer can encrypt straight out of
-      the arena — callers must not retain it across a write (growth
-      swaps the buffer). *)
+  val gather : t -> Bytes.t -> int -> unit
+  (** [gather t dst off] copies the whole message — own bytes and
+      borrowed ranges in order — into [dst] at [off]: the one copy the
+      ESP seal makes, straight into the wire packet. *)
 
   val to_string : t -> string
+  (** The message as one string ({!gather} into a fresh one). *)
 end
 
 module Dec : sig

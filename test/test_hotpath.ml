@@ -279,6 +279,193 @@ let test_alloc_guards () =
   in
   if over <> [] then Alcotest.fail (String.concat "; " over)
 
+(* --- the gather arena ----------------------------------------------- *)
+
+(* A random encoding program. [Patched] reserves a word, runs its body,
+   optionally cuts the body back (never past the reserved word, as a
+   failed RPC handler does) and patches the word; [Truncate] cuts the
+   whole message at a fraction of its length and only occurs at top
+   level, where no reserved word is still waiting for its patch. *)
+type arena_op =
+  | U32 of int
+  | Opaque of string
+  | Raw of string
+  | Borrow of string * int * int
+  | Patched of int * arena_op list * float option
+  | Sub of arena_op list
+  | Truncate of float
+
+let rec run_ops ~borrow e ops = List.iter (run_op ~borrow e) ops
+
+and run_op ~borrow e = function
+  | U32 v -> Xdr.Enc.uint32 e v
+  | Opaque s -> Xdr.Enc.opaque e s
+  | Raw s -> Xdr.Enc.raw e s
+  | Borrow (s, off, len) -> borrow e s ~off ~len
+  | Patched (v, body, cut) ->
+    let p = Xdr.Enc.reserve_uint32 e in
+    let mark = Xdr.Enc.length e in
+    run_ops ~borrow e body;
+    Option.iter
+      (fun f ->
+        let n = mark + int_of_float (f *. float_of_int (Xdr.Enc.length e - mark)) in
+        Xdr.Enc.truncate e n)
+      cut;
+    Xdr.Enc.patch_uint32 e p v
+  | Sub body -> Xdr.Enc.sub_writer e (fun e -> run_ops ~borrow e body)
+  | Truncate f -> Xdr.Enc.truncate e (int_of_float (f *. float_of_int (Xdr.Enc.length e)))
+
+let gen_arena_ops =
+  let open QCheck.Gen in
+  let str = string_size ~gen:printable (int_range 0 40) in
+  let borrowed =
+    str >>= fun s ->
+    int_range 0 (String.length s) >>= fun off ->
+    int_range 0 (String.length s - off) >|= fun len -> Borrow (s, off, len)
+  in
+  let frac = float_range 0.0 1.0 in
+  let rec body depth =
+    let leaf =
+      [
+        (2, map (fun v -> U32 v) (int_range 0 0xffff));
+        (1, map (fun s -> Opaque s) str);
+        (1, map (fun s -> Raw s) str);
+        (4, borrowed);
+      ]
+    in
+    let nested =
+      if depth = 0 then []
+      else
+        [
+          ( 1,
+            triple (int_range 0 0xffff) (list_size (int_range 0 5) (body (depth - 1)))
+              (opt frac)
+            >|= fun (v, ops, cut) -> Patched (v, ops, cut) );
+          (1, map (fun ops -> Sub ops) (list_size (int_range 0 5) (body (depth - 1))));
+        ]
+    in
+    frequency (leaf @ nested)
+  in
+  list_size (int_range 0 12) (frequency [ (6, body 2); (1, map (fun f -> Truncate f) frac) ])
+
+let rec show_op = function
+  | U32 v -> Printf.sprintf "u32 %d" v
+  | Opaque s -> Printf.sprintf "opaque %S" s
+  | Raw s -> Printf.sprintf "raw %S" s
+  | Borrow (s, off, len) -> Printf.sprintf "borrow %S %d %d" s off len
+  | Patched (v, ops, cut) ->
+    Printf.sprintf "patched %d [%s]%s" v (show_ops ops)
+      (match cut with Some f -> Printf.sprintf " cut %.3f" f | None -> "")
+  | Sub ops -> Printf.sprintf "sub [%s]" (show_ops ops)
+  | Truncate f -> Printf.sprintf "truncate %.3f" f
+
+and show_ops ops = String.concat "; " (List.map show_op ops)
+
+(* A gathered arena (borrowed ranges stay where they are) and a
+   copying one (each borrow appended with [raw]) run the same program;
+   they must agree on the logical length, on the bytes, and on what a
+   peer opens after the seal, under either ESP transform. *)
+let prop_gather_arena =
+  QCheck.Test.make ~name:"gather arena agrees with a copying arena" ~count:300
+    (QCheck.make ~print:(fun (ops, _) -> show_ops ops) QCheck.Gen.(pair gen_arena_ops bool))
+    (fun (ops, tdes) ->
+      let cipher = if tdes then Ipsec.Sa.Tdes_hmac_sha1 else Ipsec.Sa.Chacha20_poly1305 in
+      let gathered = Xdr.Enc.create () and copied = Xdr.Enc.create () in
+      run_ops ~borrow:Xdr.Enc.borrow gathered ops;
+      run_ops
+        ~borrow:(fun e s ~off ~len -> Xdr.Enc.raw e (String.sub s off len))
+        copied ops;
+      let bytes = Xdr.Enc.to_string copied in
+      let opened a =
+        let tx, _ = mk_sa ~cipher () and rx, _ = mk_sa ~cipher () in
+        Ipsec.Esp.open_ rx (Ipsec.Esp.seal_arena tx a)
+      in
+      Xdr.Enc.length gathered = Xdr.Enc.length copied
+      && String.length bytes = Xdr.Enc.length copied
+      && String.equal (Xdr.Enc.to_string gathered) bytes
+      && String.equal (opened gathered) bytes
+      && String.equal (opened copied) bytes)
+
+(* --- the borrowed-block data path ------------------------------------ *)
+
+(* One file of four 8 KB pages on a cached volume (every read a hit),
+   served by the NFS handler straight into a reply arena. *)
+let data_path () =
+  let clock = Clock.create () and stats = Stats.create () in
+  let cost = Simnet.Cost.default in
+  let dev =
+    Ffs.Blockdev.create ~cache_blocks:64 ~clock ~cost ~stats ~nblocks:256 ~block_size:8192 ()
+  in
+  let fs = Ffs.Fs.create ~dev ~ninodes:64 in
+  let ino = Ffs.Fs.create_file fs (Ffs.Fs.root fs) "f" ~perms:0o644 ~uid:0 in
+  Ffs.Fs.write fs ino ~off:0 (String.init (4 * 8192) (fun i -> Char.chr (i mod 251)));
+  ignore (Ffs.Fs.read fs ino ~off:0 ~len:(4 * 8192));
+  let fh = { Proto.ino; gen = Ffs.Fs.generation fs ino } in
+  (Nfs.Server.handler (Nfs.Server.create ~fs ()), fh)
+
+let args_of f =
+  let e = Xdr.Enc.create () in
+  f e;
+  Xdr.Enc.to_string e
+
+let test_data_path_alloc () =
+  let handler, fh = data_path () in
+  let conn = { Rpc.peer = ""; uid = 0 } in
+  let serve proc args reply =
+    Xdr.Enc.truncate reply 0;
+    match handler ~conn ~proc ~args:(Xdr.Dec.of_string args) reply with
+    | Ok () -> ()
+    | Error _ -> Alcotest.fail "handler faulted"
+  in
+  let read_args =
+    args_of (fun e ->
+        Proto.fh_encode e fh;
+        List.iter (Xdr.Enc.uint32 e) [ 8192; 8192; 8192 ])
+  in
+  let multi_args =
+    args_of (fun e ->
+        Proto.fh_encode e fh;
+        Proto.read_segments_encode e (List.init 4 (fun i -> (i * 8192, 8192))))
+  in
+  let page = String.make 8192 'w' in
+  let write_args =
+    args_of (fun e ->
+        Proto.fh_encode e fh;
+        List.iter (Xdr.Enc.uint32 e) [ 8192; 8192; 8192 ];
+        Xdr.Enc.opaque e page)
+  in
+  let reply = Xdr.Enc.create () in
+  (* A reply header and an 8 KB page borrowed from a shared block. *)
+  let gathered = Xdr.Enc.create () in
+  Xdr.Enc.raw gathered (String.make 100 'h');
+  Xdr.Enc.sub_writer gathered (fun e -> Xdr.Enc.borrow e page ~off:0 ~len:8192);
+  let tx, _ = mk_sa () in
+  let packet = 12 + Xdr.Enc.length gathered + 16 in
+  serve Proto.nfsproc_read read_args reply;
+  Alcotest.(check int) "READ reply: status, attributes, the page" (4 + 68 + 4 + 8192)
+    (Xdr.Enc.length reply);
+  let over =
+    List.filter_map
+      (fun (name, got, limit) ->
+        if got > limit then Some (Printf.sprintf "%s allocates %.0f B (limit %.0f B)" name got limit)
+        else None)
+      [
+        ( "serve an 8 KB READ",
+          alloc_median (fun _ -> serve Proto.nfsproc_read read_args reply),
+          1024.0 );
+        ( "serve a 4-page MULTI_READ",
+          alloc_median (fun _ -> serve Proto.nfsproc_multi_read multi_args reply),
+          1024.0 );
+        ( "seal a gathered 8 KB reply",
+          alloc_median (fun _ -> Ipsec.Esp.seal_arena tx gathered),
+          float_of_int (packet + 1024) );
+        ( "take an 8 KB WRITE to its stored block",
+          alloc_median (fun _ -> serve Proto.nfsproc_write write_args reply),
+          float_of_int (8192 + 1024) );
+      ]
+  in
+  if over <> [] then Alcotest.fail (String.concat "; " over)
+
 (* Work done per call must not grow with the requester's principal
    (a DSA principal is 448 characters; 4,000 stands in for a larger
    key): a race key rendered under Race.null, or a memo key embedding
@@ -556,6 +743,9 @@ let suite =
       test_alloc_guards;
     Alcotest.test_case "alloc: per-call work independent of the principal" `Quick
       test_alloc_independent_of_principal;
+    QCheck_alcotest.to_alcotest prop_gather_arena;
+    Alcotest.test_case "alloc: borrowed-block read, gathered seal, one-copy write" `Quick
+      test_data_path_alloc;
     Alcotest.test_case "esp: chacha length guard" `Quick test_esp_length_guard_chacha;
     Alcotest.test_case "esp: 3des length guard" `Quick test_esp_length_guard_tdes;
     QCheck_alcotest.to_alcotest prop_esp_tdes_mutations_typed_errors;

@@ -96,6 +96,37 @@ let test_hotpath_alloc () =
   Alcotest.(check int) "lib role unaffected" 0
     (List.length (check ~role:Lint.Rules.Lib "Bad_hotpath_alloc"))
 
+let test_payload_copy () =
+  (* On the data path the rule flags payload copies instead: the bare
+     Fs.read and Dec.opaque sites, and one whose marker has no
+     justification (reworded); the justified site is silenced. *)
+  let fs = check ~role:Lint.Rules.Data "Bad_payload_copy" in
+  Alcotest.(check (list string)) "only hotpath-alloc" [ "hotpath-alloc" ] (rule_names fs);
+  Alcotest.(check int) "read, opaque and the unjustified read" 3 (List.length fs);
+  let starts_with prefix m =
+    String.length m >= String.length prefix && String.sub m 0 (String.length prefix) = prefix
+  in
+  let messages = List.map (fun f -> f.Lint.Rules.message) fs in
+  List.iter
+    (fun prefix ->
+      Alcotest.(check bool) prefix true (List.exists (starts_with prefix) messages))
+    [ "Fs.read copies payload"; "Dec.opaque copies payload"; "payload copy under an 'allow" ];
+  Alcotest.(check int) "borrowing and in-place decoding are clean" 0
+    (List.length (check ~role:Lint.Rules.Data "Good_payload_copy"));
+  (* The wire layers police fresh encoders, not payload copies... *)
+  Alcotest.(check int) "decode role ignores payload copies" 0
+    (List.length (check ~role:Lint.Rules.Decode "Bad_payload_copy"));
+  (* ...and the data role the reverse. *)
+  Alcotest.(check int) "data role ignores fresh encoders" 0
+    (List.length (check ~role:Lint.Rules.Data "Bad_hotpath_alloc"));
+  List.iter
+    (fun p ->
+      Alcotest.(check bool) (p ^ " is on the data path") true
+        (Lint.Rules.role_of_path p = Lint.Rules.Data))
+    [ "lib/nfs/server.ml"; "lib/core/server.ml"; "lib/core/cluster.ml" ];
+  Alcotest.(check bool) "the NFS client is not" true
+    (Lint.Rules.role_of_path "lib/nfs/client.ml" = Lint.Rules.Lib)
+
 let test_c_boundary () =
   (* Outside lib/crypto every external is a finding, noalloc or not... *)
   let fs = check ~role:Lint.Rules.Lib "Bad_c_boundary" in
@@ -513,6 +544,7 @@ let suite =
     ("pass-a: decode-result", `Quick, test_decode_result);
     ("pass-a: role gating", `Quick, test_role_gating);
     ("pass-a: hotpath-alloc per-site suppression", `Quick, test_hotpath_alloc);
+    ("pass-a: hotpath-alloc payload copies", `Quick, test_payload_copy);
     ("pass-a: c-boundary externals", `Quick, test_c_boundary);
     ("pass-a: suppression comment", `Quick, test_suppression);
     ("pass-a: monitor-off", `Quick, test_monitor_off);

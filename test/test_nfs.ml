@@ -205,6 +205,105 @@ let test_client_cache_staleness () =
   Simnet.Clock.advance d.Cfs.Cfs_ne.clock 4.0;
   Alcotest.(check int) "fresh after TTL" 8 (Nfs.Cache.getattr cache fh).Proto.size
 
+(* A server on a device the test can fault, driven one raw datagram
+   at a time through [Rpc.dispatch] (so a datagram sent twice is a
+   retransmission, answered from the duplicate-request cache). *)
+let raw_testbed () =
+  let clock = Simnet.Clock.create () and stats = Simnet.Stats.create () in
+  let cost = Simnet.Cost.default in
+  let dev = Ffs.Blockdev.create ~clock ~cost ~stats ~nblocks:1024 ~block_size:8192 () in
+  let fs = Ffs.Fs.create ~dev ~ninodes:64 in
+  let rpc = Rpc.server ~clock ~cost ~stats in
+  Nfs.Server.attach (Nfs.Server.create ~fs ()) rpc;
+  let ino = Ffs.Fs.create_file fs (Ffs.Fs.root fs) "f" ~perms:0o644 ~uid:0 in
+  (dev, fs, rpc, ino, { Proto.ino; gen = Ffs.Fs.generation fs ino })
+
+let nfs_datagram ~xid ~proc args =
+  let e = Xdr.Enc.create () in
+  args e;
+  Rpc.encode_call ~xid ~prog:Proto.nfs_prog ~vers:Proto.nfs_vers ~proc ~uid:0
+    (Xdr.Enc.to_string e)
+
+let dispatch rpc datagram =
+  match Rpc.dispatch rpc ~conn:{ Rpc.peer = ""; uid = 0 } datagram with
+  | Some reply -> reply
+  | None -> Alcotest.fail "server down"
+
+let read_datagram ~xid fh ~off ~count =
+  nfs_datagram ~xid ~proc:Proto.nfsproc_read (fun e ->
+      Proto.fh_encode e fh;
+      Xdr.Enc.uint32 e off;
+      Xdr.Enc.uint32 e count;
+      Xdr.Enc.uint32 e count)
+
+let read_data reply =
+  match Rpc.decode_reply reply with
+  | _, Error _ -> Alcotest.fail "READ faulted"
+  | _, Ok results ->
+    let d = Xdr.Dec.of_string results in
+    Alcotest.(check int) "status" Proto.nfs_ok (Xdr.Dec.uint32 d);
+    ignore (Proto.fattr_decode d);
+    let data = Xdr.Dec.opaque d in
+    Xdr.Dec.expect_end d;
+    data
+
+let test_read_across_hole () =
+  let _, fs, rpc, ino, fh = raw_testbed () in
+  (* Block 0 and block 2 hold data; block 1 is a hole. *)
+  let a = String.make 8192 'a' and c = String.make 8192 'c' in
+  Ffs.Fs.write fs ino ~off:0 a;
+  Ffs.Fs.write fs ino ~off:16384 c;
+  let into_hole = read_datagram ~xid:1 fh ~off:4000 ~count:8192 in
+  let out_of_hole = read_datagram ~xid:2 fh ~off:12000 ~count:8192 in
+  let r1 = dispatch rpc into_hole and r2 = dispatch rpc out_of_hole in
+  Alcotest.(check string) "data, then the hole"
+    (String.make 4192 'a' ^ String.make 4000 '\000')
+    (read_data r1);
+  Alcotest.(check string) "the hole, then data"
+    (String.make 4384 '\000' ^ String.make 3808 'c')
+    (read_data r2);
+  (* Filling the hole allocates a block; the stored replies, and the
+     zeros every other hole reads as, stay as they were. *)
+  Ffs.Fs.write fs ino ~off:8192 (String.make 8192 'b');
+  Alcotest.(check string) "replay into the hole unchanged" r1 (dispatch rpc into_hole);
+  Alcotest.(check string) "replay out of the hole unchanged" r2 (dispatch rpc out_of_hole);
+  Alcotest.(check string) "a fresh read sees the write"
+    (String.make 4192 'a' ^ String.make 4000 'b')
+    (read_data (dispatch rpc (read_datagram ~xid:3 fh ~off:4000 ~count:8192)));
+  let other = Ffs.Fs.create_file fs (Ffs.Fs.root fs) "g" ~perms:0o644 ~uid:0 in
+  ignore (Ffs.Fs.setattr fs other ~size:20000 ());
+  Alcotest.(check string) "another file's hole still reads as zeros"
+    (String.make 8192 '\000')
+    (Ffs.Fs.read fs other ~off:5000 ~len:8192)
+
+let test_multi_read_page_fault () =
+  let dev, fs, rpc, ino, fh = raw_testbed () in
+  let stats = Ffs.Blockdev.stats dev in
+  Ffs.Fs.write fs ino ~off:0 (String.make (4 * 8192) 'm');
+  let fault = Simnet.Fault.create ~seed:"multi-read-eio" () in
+  Ffs.Blockdev.set_fault dev (Some fault);
+  (* No buffer cache: each page is one physical read, so the second
+     page is the second disk operation from here. *)
+  Simnet.Fault.script_disk fault [ (Simnet.Fault.disk_ops fault + 1, Simnet.Fault.Fail_read) ];
+  let errors = Simnet.Stats.get stats "disk.io_errors" in
+  let reply =
+    dispatch rpc
+      (nfs_datagram ~xid:1 ~proc:Proto.nfsproc_multi_read (fun e ->
+           Proto.fh_encode e fh;
+           Proto.read_segments_encode e [ (0, 8192); (8192, 8192); (16384, 8192) ]))
+  in
+  Alcotest.(check int) "the second page failed" (errors + 1)
+    (Simnet.Stats.get stats "disk.io_errors");
+  (match Rpc.decode_reply reply with
+  | _, Ok results ->
+    let e = Xdr.Enc.create () in
+    Xdr.Enc.uint32 e Proto.nfserr_io;
+    Alcotest.(check string) "status-only NFSERR_IO" (Xdr.Enc.to_string e) results
+  | _, Error _ -> Alcotest.fail "MULTI_READ faulted at the RPC level");
+  (* The server stays usable. *)
+  Alcotest.(check string) "a later read succeeds" (String.make 8192 'm')
+    (read_data (dispatch rpc (read_datagram ~xid:2 fh ~off:8192 ~count:8192)))
+
 let prop_write_read_wire =
   QCheck.Test.make ~name:"wire write/read roundtrip" ~count:50
     (QCheck.make QCheck.Gen.(pair (int_bound 20000) (string_size (int_range 1 9000))))
@@ -247,5 +346,9 @@ let suite =
     Alcotest.test_case "ACCESS procedure" `Quick test_access_procedure;
     Alcotest.test_case "client attr/name cache" `Quick test_client_cache;
     Alcotest.test_case "client cache staleness window" `Quick test_client_cache_staleness;
+    Alcotest.test_case "read across a hole; stored replies keep their bytes" `Quick
+      test_read_across_hole;
+    Alcotest.test_case "multi_read page fault is a status-only EIO" `Quick
+      test_multi_read_page_fault;
     QCheck_alcotest.to_alcotest prop_write_read_wire;
   ]

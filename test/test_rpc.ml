@@ -343,6 +343,77 @@ let test_drc_replay_identical () =
   run ~esp:true;
   run ~esp:false
 
+(* A stored READ reply keeps the bytes it was executed with. The
+   reader's first reply is lost; while it waits to retransmit, a
+   second client overwrites the block. The retransmission (same xid)
+   is answered from the DRC with the old data, byte for byte, sealed
+   again under a fresh sequence number. *)
+let test_drc_read_survives_write () =
+  let run ~esp =
+    let clock, stats, link, drbg, initiator, responder = handshake () in
+    let cost = Simnet.Cost.default in
+    let dev =
+      Ffs.Blockdev.create ~cache_blocks:64 ~clock ~cost ~stats ~nblocks:256 ~block_size:8192 ()
+    in
+    let fs = Ffs.Fs.create ~dev ~ninodes:64 in
+    let ino = Ffs.Fs.create_file fs (Ffs.Fs.root fs) "f" ~perms:0o644 ~uid:0 in
+    let old_data = String.make 8192 'o' and new_data = String.make 8192 'n' in
+    Ffs.Fs.write fs ino ~off:0 old_data;
+    let fh = { Nfs.Proto.ino; gen = Ffs.Fs.generation fs ino } in
+    let srv = Rpc.server ~clock ~cost ~stats in
+    Nfs.Server.attach (Nfs.Server.create ~fs ()) srv;
+    let sched = Simnet.Sched.create ~clock in
+    Simnet.Sched.attach_clock sched;
+    Rpc.set_pool srv ~sched ~workers:2 ~queue_depth:8;
+    let channel () =
+      if esp then
+        let client_ep, server_ep = Ipsec.Ike.establish ~link ~drbg ~initiator ~responder () in
+        (Ipsec.Ike.rpc_channel ~client:client_ep ~server:server_ep, server_ep.Ipsec.Ike.peer)
+      else (Rpc.plaintext, "")
+    in
+    let reader_base, reader_peer = channel () in
+    let writer_base, writer_peer = channel () in
+    let opened = ref [] and seqs = ref [] in
+    let client_open pkt =
+      if esp then seqs := String.get_int64_be pkt 4 :: !seqs;
+      let plain = reader_base.Rpc.client_open pkt in
+      opened := plain :: !opened;
+      if List.length !opened = 1 then failwith "reply lost";
+      plain
+    in
+    let reader =
+      Nfs.Client.create
+        (Rpc.connect ~link ~channel:{ reader_base with Rpc.client_open } ~peer:reader_peer srv)
+    in
+    let writer = Nfs.Client.create (Rpc.connect ~link ~channel:writer_base ~peer:writer_peer srv) in
+    let got = ref "" and read_done = ref 0.0 and write_done = ref 0.0 in
+    (* discfs-lint: allow races "each ref has one writing process; the test reads them after Sched.run returns" *)
+    Simnet.Sched.spawn sched (fun () ->
+        got := snd (Nfs.Client.read reader fh ~off:0 ~count:8192);
+        read_done := Clock.now clock);
+    (* discfs-lint: allow races "each ref has one writing process; the test reads them after Sched.run returns" *)
+    Simnet.Sched.spawn sched (fun () ->
+        Simnet.Sched.sleep sched 0.2;
+        ignore (Nfs.Client.write writer fh ~off:0 new_data);
+        write_done := Clock.now clock);
+    Simnet.Sched.run sched;
+    let label s = Printf.sprintf "%s (%s)" s (if esp then "esp" else "plaintext") in
+    Alcotest.(check bool) (label "the write landed before the retransmission") true
+      (!write_done < !read_done);
+    Alcotest.(check string) (label "the volume holds the new data") new_data
+      (Ffs.Fs.read fs ino ~off:0 ~len:8192);
+    Alcotest.(check int) (label "one replay") 1 (Stats.get stats "rpc.drc_hits");
+    (match !opened with
+    | [ replay; first ] -> Alcotest.(check string) (label "replay byte-identical") first replay
+    | l -> Alcotest.failf "%s: %d replies opened" (label "two replies") (List.length l));
+    Alcotest.(check string) (label "the reader gets the old data") old_data !got;
+    if esp then
+      Alcotest.(check int) (label "the replay is sealed under a fresh sequence number") 2
+        (List.length (List.sort_uniq Int64.compare !seqs))
+  in
+  run ~esp:true;
+  run ~esp:false
+
 let test_esp_tdes_transform () =
   (* The period-accurate 3DES-HMAC-SHA1 transform interoperates with
      the rest of the stack and costs more virtual time per byte. *)
@@ -442,6 +513,8 @@ let suite =
     Alcotest.test_case "ike detects tampering" `Quick test_ike_mitm_detected;
     Alcotest.test_case "rpc over esp channel" `Quick test_rpc_over_esp;
     Alcotest.test_case "drc replays are byte-identical" `Quick test_drc_replay_identical;
+    Alcotest.test_case "drc replay of a read survives a write" `Quick
+      test_drc_read_survives_write;
     Alcotest.test_case "esp 3des transform" `Quick test_esp_tdes_transform;
     Alcotest.test_case "replay window" `Quick test_replay_window_unit;
     Alcotest.test_case "xid bands are disjoint" `Quick test_xid_bands_disjoint;
