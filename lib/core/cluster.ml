@@ -41,9 +41,6 @@ type t = {
   mutable map : Shard_map.t;
   admin : Dsa.private_key;
   drbg : Drbg.t;
-  cache_size : int;
-  hour : (unit -> int) option;
-  strict_handles : bool option;
   trace : Trace.t;
   sched : Simnet.Sched.t option;
   workers : int option;
@@ -87,25 +84,6 @@ let lease_duration = 3600.
 
 let admin_issue t ~licensees ~conditions ?comment () =
   Assertion.issue ~key:t.admin ~drbg:t.drbg ?comment ~licensees ~conditions ()
-
-(* Mutual trust between frontends: every node's local policy licenses
-   every OTHER node's key for the DisCFS app domain (Server.create
-   licenses the node's own key), so a credential issued by one
-   frontend's CREATE authorizes at all of them — same trust roots,
-   no new ones, exactly the paper's delegation story stretched over
-   a server set. *)
-let extra_policy_for keys i =
-  let policies = ref [] in
-  Array.iteri
-    (fun j (k : Dsa.private_key) ->
-      if not (Int.equal i j) then
-        policies :=
-          Assertion.policy
-            ~licensees:(Printf.sprintf "\"%s\"" (Assertion.principal_of_pub k.Dsa.pub))
-            ~conditions:"app_domain == \"DisCFS\";" ()
-          :: !policies)
-    keys;
-  List.rev !policies
 
 (* --- routing --------------------------------------------------------- *)
 
@@ -362,10 +340,9 @@ let note_write t ~ino =
 let default_queue_depth = 64
 let default_nshards = 32
 
-(* One incarnation of a frontend process: a fresh RPC endpoint on the
-   shared clock (and worker pool, when concurrent) and a fresh DisCFS
-   server over the shared volume. Construction and crash recovery both
-   boot through these. *)
+(* One incarnation of a frontend's RPC endpoint, on the shared clock
+   (and worker pool, when concurrent). Construction and crash recovery
+   both boot through it. *)
 let boot_rpc t =
   let rpc = Rpc.server ~clock:t.clock ~cost:t.cost ~stats:t.stats in
   Rpc.set_trace rpc t.trace;
@@ -373,11 +350,6 @@ let boot_rpc t =
   | Some sched, Some w -> Rpc.set_pool rpc ~sched ~workers:w ~queue_depth:t.queue_depth
   | _ -> ());
   rpc
-
-let boot_server t ~keys i ~label =
-  Server.create ~fs:t.fs ~admin:t.admin.Dsa.pub ~server_key:keys.(i)
-    ~drbg:(Drbg.fork t.drbg ~label) ~cache_size:t.cache_size
-    ~extra_policy:(extra_policy_for keys i) ?hour:t.hour ?strict_handles:t.strict_handles ()
 
 let make ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192)
     ?(cache_size = 128) ?(cache_blocks = 0) ?readahead ?hour ?strict_handles
@@ -412,10 +384,15 @@ let make ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192)
   let fs = Ffs.Fs.create ~dev ~ninodes in
   let drbg = Drbg.create ~seed in
   let admin = Dsa.generate_key drbg in
-  (* All host keys first, in index order: mutual-trust policies need
-     every principal before any server exists, and pinning the DRBG
-     order keeps the whole construction deterministic. *)
+  (* All host keys first, in index order: the store's policy trusts
+     every frontend's key, and pinning the DRBG order keeps the whole
+     construction deterministic. *)
   let keys = Array.init servers (fun _ -> Dsa.generate_key drbg) in
+  let store =
+    Server.create_store ~admin:admin.Dsa.pub
+      ~frontends:(Array.to_list (Array.map (fun (k : Dsa.private_key) -> k.Dsa.pub) keys))
+      ~trace
+  in
   (* A worker count turns the cluster concurrent: a scheduler owns the
      clock and every frontend's RPC server runs a bounded queue.
      Serial clusters get no scheduler. *)
@@ -446,8 +423,8 @@ let make ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192)
   Option.iter
     (fun ctx -> Ffs.Bcache.set_race (Ffs.Blockdev.bcache dev) (Race.monitor ctx "bcache"))
     race;
-  (* The boot helpers read only cluster-wide fields, so they can run
-     against this node-less shell while the nodes are built. *)
+  (* [boot_rpc] reads only cluster-wide fields, so it can run against
+     this node-less shell while the nodes are built. *)
   let shell =
     {
       clock;
@@ -460,9 +437,6 @@ let make ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192)
       map = Shard_map.make ~nservers:servers ~nshards;
       admin;
       drbg;
-      cache_size;
-      hour;
-      strict_handles;
       trace;
       sched;
       workers;
@@ -473,7 +447,11 @@ let make ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192)
   let nodes =
     Array.init servers (fun i ->
         let host = Topo.add_host ~name:(Printf.sprintf "server%d" i) topo in
-        let server = boot_server shell ~keys i ~label:(Printf.sprintf "server-%d" i) in
+        let server =
+          Server.create ~fs ~store ~server_key:keys.(i)
+            ~drbg:(Drbg.fork drbg ~label:(Printf.sprintf "server-%d" i))
+            ~cache_size ?hour ?strict_handles ()
+        in
         {
           n_index = i;
           n_host = host;
@@ -490,11 +468,12 @@ let make ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192)
   Array.iter (fun n -> wire_node t n) nodes;
   t
 
-(* Kill one frontend and boot a fresh incarnation. The node's
-   credential session and audit trail ride through [Server.save_state];
-   its SAs, policy cache, DRC and every lease it held die with the
-   process. The old RPC endpoint keeps absorbing datagrams into the
-   void, so in-flight clients time out exactly as against a dead host.
+(* Kill one frontend and boot a fresh incarnation. The credential
+   store is cluster state and survives; the node's audit trail rides
+   through ([Server.restart]); its SAs, policy cache, DRC and every
+   lease it held die with the process. The old RPC endpoint keeps
+   absorbing datagrams into the void, so in-flight clients time out
+   exactly as against a dead host.
 
    The shared volume reboots with it: the file system reboots in place
    (every frontend keeps its handle on the one [Fs.t], which comes
@@ -506,7 +485,6 @@ let make ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192)
    incarnation. *)
 let crash_and_restart t i =
   let n = node t i in
-  let state = Server.save_state n.n_server in
   Rpc.shutdown n.n_rpc;
   (* Packets parked in the link's reorder hold slots die with the
      process — flush them now so they are accounted as drops instead
@@ -516,14 +494,9 @@ let crash_and_restart t i =
   Ffs.Blockdev.drop_cache t.dev;
   n.n_restarts <- n.n_restarts + 1;
   Stats.incr t.stats "server.restarts";
-  let keys = Array.map (fun n -> n.n_key) t.nodes in
-  let server =
-    boot_server t ~keys i ~label:(Printf.sprintf "server-%d-restart-%d" i n.n_restarts)
-  in
-  (match Server.load_state server state with
-  | Ok _ -> ()
-  | Error m -> invalid_arg ("Cluster.crash_and_restart: state reload failed: " ^ m));
-  n.n_server <- server;
+  n.n_server <-
+    Server.restart n.n_server
+      ~drbg:(Drbg.fork t.drbg ~label:(Printf.sprintf "server-%d-restart-%d" i n.n_restarts));
   n.n_rpc <- boot_rpc t;
   Array.fill n.n_lease_until 0 (Array.length n.n_lease_until) 0.0;
   wire_node t n;

@@ -4,12 +4,12 @@
     {!Shard_map} and hot shards replicated read-only under owner
     leases. See [docs/TOPOLOGY.md] for the full walkthroughs.
 
-    Trust: all frontends answer to one administrator key, and every
-    frontend's local policy licenses every other frontend's key for
-    the DisCFS app domain — so a credential issued by any frontend
-    authorizes at all of them. Authorization stays end-to-end in the
-    client's KeyNote chain; redirects only re-home the {e request},
-    never the {e authority}.
+    Trust: the frontends share one credential store ({!Server.store})
+    trusting the administrator key and every frontend's key, so a
+    credential or revocation admitted at any frontend holds at all of
+    them. Authorization stays end-to-end in the client's KeyNote
+    chain; redirects only re-home the {e request}, never the
+    {e authority}.
 
     Routing: data READs are pinned to a shard's owner or a
     live-leased replica, every mutation to the owner alone (namespace
@@ -59,7 +59,7 @@ val make :
   t
 (** Build [servers] (default 1) frontends, each with its own host
     (access link), RPC endpoint and DisCFS server over the one shared
-    volume. [nshards] (default 32) sizes the shard space;
+    volume and credential store. [nshards] (default 32) sizes the shard space;
     [switch_latency] is the fabric hop added to every access link
     (see {!Simnet.Topo.create}), by default
     {!Simnet.Topo.default_switch_latency}, or [0.] at one server.
@@ -192,9 +192,10 @@ val note_write : t -> ino:int -> unit
     write path; charged to the owner's server-to-server wire. *)
 
 val crash_and_restart : t -> int -> unit
-(** Kill frontend [i] and boot a fresh incarnation: the node's
-    credential/audit state rides through [Server.save_state], its SAs,
-    caches and held leases die, and peers reconnect lazily. Clients
+(** Kill frontend [i] and boot a fresh incarnation
+    ({!Server.restart}): the cluster's credential store survives, the
+    node's audit trail rides through, its SAs, caches and held leases
+    die, and peers reconnect lazily. Clients
     attached to it time out and re-home inside that call
     ([Cluster_client]). Counted under ["server.restarts"].
 

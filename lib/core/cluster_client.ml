@@ -33,7 +33,6 @@ type t = {
   conns : Client.t option array;
   incarnations : int array; (* each connection's frontend restart count at (re)attach *)
   mutable map : Shard_map.t;
-  mutable creds : string list; (* newest first; replayed oldest-first on lazy attach *)
   mutable attaches : int; (* labels the DRBG fork of each attach *)
   mutable detached : bool;
 }
@@ -50,22 +49,15 @@ let map_version t = Shard_map.version t.map
 let attach_node t i =
   t.attaches <- t.attaches + 1;
   Stats.incr (stats t) "client.attaches";
-  let c =
-    Client.attach
-      ~link:(Cluster.node_link t.cluster i)
-      ~rpc:(Cluster.node_rpc t.cluster i)
-      ~server:(Cluster.node_server t.cluster i)
-      ~identity:t.identity
-      ~drbg:
-        (Cluster.fork_drbg t.cluster
-           ~label:(Printf.sprintf "attach-%s-%d" (principal t) t.attaches))
-      ~uid:t.uid ~path:t.path ?cipher:t.cipher ?sa_lifetime:t.sa_lifetime ?retry:t.retry ()
-  in
-  (* The frontends share trust but not sessions: every credential
-     this client relies on must be present wherever its calls can
-     land. *)
-  List.iter (fun text -> ignore (Client.submit_credential_text c text)) (List.rev t.creds);
-  c
+  Client.attach
+    ~link:(Cluster.node_link t.cluster i)
+    ~rpc:(Cluster.node_rpc t.cluster i)
+    ~server:(Cluster.node_server t.cluster i)
+    ~identity:t.identity
+    ~drbg:
+      (Cluster.fork_drbg t.cluster
+         ~label:(Printf.sprintf "attach-%s-%d" (principal t) t.attaches))
+    ~uid:t.uid ~path:t.path ?cipher:t.cipher ?sa_lifetime:t.sa_lifetime ?retry:t.retry ()
 
 let conn t i =
   if t.detached then raise (Discfs_error "client is detached");
@@ -239,7 +231,6 @@ let attach cluster ~identity ?(uid = 1000) ?(home = 0) ?(path = "/") ?cipher ?sa
       conns = Array.make (Cluster.nservers cluster) None;
       incarnations = Array.make (Cluster.nservers cluster) 0;
       map = Shard_map.placeholder ~nservers:(Cluster.nservers cluster);
-      creds = [];
       attaches = 0;
       detached = false;
     }
@@ -263,45 +254,12 @@ let detach t =
 
 (* --- credentials ----------------------------------------------------- *)
 
-(* Submitted credentials fan out to every open connection and are
-   recorded for replay on lazy attaches, so authorization never
-   depends on which frontend a redirect lands the client on. *)
-let submit_credential_text t text =
-  t.creds <- text :: t.creds;
-  let result = ref (Error "no connection") in
-  Array.iteri
-    (fun i c ->
-      match c with
-      | None -> ()
-      | Some c ->
-        let r = Client.submit_credential_text c text in
-        if Int.equal i t.home then result := r)
-    t.conns;
-  !result
-
+(* The frontends share one credential store, so credentials and
+   revocations go to the home frontend alone. *)
+let submit_credential_text t text = Client.submit_credential_text (conn t t.home) text
 let submit_credential t cred = submit_credential_text t (Assertion.to_text cred)
-
-(* A credential minted by [issuer] is already in that frontend's
-   session; every other open connection gets it now, later ones on
-   attach. *)
-let record_issued t ~issuer cred =
-  let text = Assertion.to_text cred in
-  t.creds <- text :: t.creds;
-  Array.iter
-    (function
-      | Some c when c != issuer -> ignore (Client.submit_credential_text c text)
-      | _ -> ())
-    t.conns
-
-(* A revoked key must be refused even where the revoker never
-   connected; a credential lives only in the sessions it reached, so
-   one frontend's success is the revocation's. *)
-let revoke t f =
-  let results = List.init (Cluster.nservers t.cluster) (fun i -> f (conn t i)) in
-  if List.mem (Ok ()) results then Ok () else List.hd results
-
-let revoke_credential t ~fingerprint = revoke t (Client.revoke_credential ~fingerprint)
-let revoke_key t ~principal = revoke t (Client.revoke_key ~principal)
+let revoke_credential t ~fingerprint = Client.revoke_credential (conn t t.home) ~fingerprint
+let revoke_key t ~principal = Client.revoke_key (conn t t.home) ~principal
 
 (* --- operations ------------------------------------------------------ *)
 
@@ -361,17 +319,13 @@ let link t ~target ~dir name =
   routed t ~fh:dir ~cls:Wr (with_nfs (fun n -> Nfs.Client.link n ~target ~dir name))
 
 (* DisCFS create/mkdir route like any other namespace mutation — by
-   the directory's shard — and the returned credential is fanned out
-   so the new file is readable wherever its own shard lives. *)
-let make_node node t ~dir name ?perms () =
-  let issuer, (fh, attr, cred) =
-    routed t ~fh:dir ~cls:Wr (fun c -> (c, node c ~dir name ?perms ()))
-  in
-  record_issued t ~issuer cred;
-  (fh, attr, cred)
+   the directory's shard. The issuing frontend admits the returned
+   credential to the shared store. *)
+let create t ~dir name ?perms () =
+  routed t ~fh:dir ~cls:Wr (fun c -> Client.create c ~dir name ?perms ())
 
-let create t = make_node Client.create t
-let mkdir t = make_node Client.mkdir t
+let mkdir t ~dir name ?perms () =
+  routed t ~fh:dir ~cls:Wr (fun c -> Client.mkdir c ~dir name ?perms ())
 
 let resolve t path =
   let parts = List.filter (fun s -> s <> "" && s <> ".") (String.split_on_char '/' path) in

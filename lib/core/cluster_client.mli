@@ -17,10 +17,10 @@
     (replaying the call in flight), refreshes its map, and re-routes.
     A timeout with no restart behind it is the caller's.
 
-    Credentials submitted here fan out to every open connection and
-    replay onto lazy attaches: authorization never depends on which
-    frontend a redirect lands on. At one frontend ([Cluster.make ()]) the
-    client sends exactly a single-server client's traffic (see
+    Credentials and revocations go to the home frontend alone: the
+    frontends share one store ({!Server.store}), so they hold wherever
+    a call lands. At one frontend ([Cluster.make ()]) the client
+    sends exactly a single-server client's traffic (see
     [docs/TOPOLOGY.md]). *)
 
 type t
@@ -81,16 +81,15 @@ val root : t -> Nfs.Proto.fh
 
 val submit_credential : t -> Keynote.Assertion.t -> (string, string) result
 val submit_credential_text : t -> string -> (string, string) result
-(** Submit to every open connection, and replay on later ones; the
-    home frontend's answer. *)
+(** [Ok fingerprint] once the store holds it; a revoked credential,
+    or one signed by a revoked key, is refused. *)
 
 val revoke_credential : t -> fingerprint:string -> (unit, string) result
-(** Sent to every frontend, attaching as needed; [Ok] when some
-    frontend dropped the credential, else the first error. *)
+(** For the whole cluster, and for good: the fingerprint can never be
+    submitted again. Only its authorizer, or a frontend, may. *)
 
 val revoke_key : t -> principal:string -> (unit, string) result
-(** Administrator only; sent to every frontend like
-    {!revoke_credential}. *)
+(** Administrator only. *)
 
 (** {1 Operations}
 
@@ -142,8 +141,8 @@ val create :
   t -> dir:Nfs.Proto.fh -> string -> ?perms:int -> unit ->
   Nfs.Proto.fh * Nfs.Proto.fattr * Keynote.Assertion.t
 (** DisCFS create on the directory's owner: the file plus a fresh RWX
-    credential for it, issued to this client, which is fanned out to
-    every other open connection. *)
+    credential for it, issued to this client and admitted to the
+    cluster's store. *)
 
 val mkdir :
   t -> dir:Nfs.Proto.fh -> string -> ?perms:int -> unit ->

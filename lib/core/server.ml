@@ -26,17 +26,44 @@ type audit_entry = {
   au_granted : bool;
 }
 
+(* Cluster state, like the one volume: what any frontend admits or
+   revokes, every frontend sees. *)
+type store = {
+  session : Session.t;
+  admin_principal : string;
+  mutable revoked_keys : string list; (* newest first *)
+  mutable revoked_fps : string list; (* revoked credential fingerprints, newest first *)
+  mutable generation : int; (* bumped on every change, part of memo keys *)
+}
+
+let create_store ~admin ~frontends ~trace =
+  let admin_principal = Assertion.principal_of_pub admin in
+  let trusted p conditions =
+    Assertion.policy ~licensees:(Printf.sprintf "\"%s\"" p) ~conditions ()
+  in
+  let policy =
+    trusted admin_principal "true;"
+    :: List.map
+         (fun k -> trusted (Assertion.principal_of_pub k) "app_domain == \"DisCFS\";")
+         frontends
+  in
+  {
+    session = Session.create ~values ~policy ~trace ();
+    admin_principal;
+    revoked_keys = [];
+    revoked_fps = [];
+    generation = 0;
+  }
+
 type t = {
   fs : Ffs.Fs.t;
   nfs : Nfs.Server.t;
-  session : Session.t;
+  store : store;
   cache : Policy_cache.t;
   server_key : Dcrypto.Dsa.private_key;
   drbg : Dcrypto.Drbg.t;
   hour : unit -> int;
   strict_handles : bool;
-  mutable revoked_keys : string list;
-  mutable cred_epoch : int; (* credential-set generation, part of memo keys *)
   peer_ids : (string, int) Hashtbl.t; (* principal -> its id in memo keys *)
   mutable audit : audit_entry list;
   mutable audit_len : int; (* List.length audit *)
@@ -49,7 +76,7 @@ let trace t = Ffs.Fs.trace t.fs
 let cost () = Simnet.Cost.default
 
 let nfs t = t.nfs
-let session t = t.session
+let session t = t.store.session
 let cache t = t.cache
 let server_principal t = Assertion.principal_of_pub t.server_key.Dcrypto.Dsa.pub
 let server_key t = t.server_key
@@ -70,7 +97,7 @@ let attributes t ~ino =
   ]
 
 let is_revoked t principal =
-  List.exists (Keynote.Ast.principal_equal principal) t.revoked_keys
+  List.exists (Keynote.Ast.principal_equal principal) t.store.revoked_keys
 
 (* Memo keys name a principal by a small id, interned here on first
    sight: a DSA principal is hundreds of characters, and a key
@@ -95,7 +122,7 @@ let query_level t ~peer ~ino =
   end
   else begin
     let attributes = attributes t ~ino in
-    let key = Policy_cache.key ~peer:(peer_id t peer) ~attributes ~epoch:t.cred_epoch in
+    let key = Policy_cache.key ~peer:(peer_id t peer) ~attributes ~epoch:t.store.generation in
     match Policy_cache.find t.cache ~key with
     | Some level ->
       Trace.instant (trace t) "policy.cache.hit";
@@ -110,7 +137,7 @@ let query_level t ~peer ~ino =
       Trace.span (trace t) "keynote.check" @@ fun () ->
       Clock.advance (clock t) c.Cost.keynote_query;
       Stats.incr (stats t) "keynote.queries";
-      let result = Session.query t.session ~requesters:[ peer ] ~attributes in
+      let result = Session.query t.store.session ~requesters:[ peer ] ~attributes in
       Policy_cache.add t.cache ~key result.Compliance.level;
       result.Compliance.level
   end
@@ -186,30 +213,40 @@ let present_attr t ~conn (attr : Proto.fattr) =
 
 (* --- credential management ------------------------------------------ *)
 
-(* The credential-set epoch is a generation counter folded into each
-   memo key. Every credential-set change bumps it (making old memo
-   keys unreachable) *and* flushes eagerly — revoked authority must
-   not survive even a hash collision. *)
+(* The store's generation is folded into each memo key, so bumping it
+   makes every memoised level unreachable at every frontend. The
+   frontend that made the change also flushes its own memo, so
+   retired entries do not linger in its table. *)
 let credentials_changed t =
-  t.cred_epoch <- t.cred_epoch + 1;
+  t.store.generation <- t.store.generation + 1;
   Policy_cache.flush t.cache
+
+(* Parse a credential and refuse it if it, or the key that signed it,
+   has been revoked; the signature is checked by the caller. *)
+let vet ~revoked_keys ~revoked_fps text =
+  match Assertion.parse text with
+  | exception Assertion.Parse_error msg -> Error ("parse error: " ^ msg)
+  | a ->
+    if List.exists (Keynote.Ast.principal_equal a.Assertion.authorizer) revoked_keys then
+      Error "authorizer key has been revoked"
+    else if List.mem (Assertion.fingerprint a) revoked_fps then
+      Error ("credential " ^ Assertion.fingerprint a ^ " has been revoked")
+    else Ok a
 
 let submit_credential t text =
   Trace.span (trace t) "cred.verify" @@ fun () ->
   let c = cost () in
   Clock.advance (clock t) c.Cost.credential_verify;
   Stats.incr (stats t) "discfs.submissions";
-  match Assertion.parse text with
-  | exception Assertion.Parse_error msg -> Error ("parse error: " ^ msg)
-  | a ->
-    if is_revoked t a.Assertion.authorizer then Error "authorizer key has been revoked"
-    else begin
-      match Session.add_credential t.session a with
-      | Ok () ->
-        credentials_changed t;
-        Ok (Assertion.fingerprint a)
-      | Error e -> Error e
-    end
+  let { revoked_keys; revoked_fps; session; _ } = t.store in
+  match vet ~revoked_keys ~revoked_fps text with
+  | Error e -> Error e
+  | Ok a -> (
+    match Session.add_credential session a with
+    | Ok () ->
+      credentials_changed t;
+      Ok (Assertion.fingerprint a)
+    | Error e -> Error e)
 
 let issue_create_credential t ~peer ~ino ~name =
   Trace.span (trace t) "cred.issue" @@ fun () ->
@@ -230,14 +267,16 @@ let issue_create_credential t ~peer ~ino ~name =
       ~licensees:(Printf.sprintf "\"%s\"" peer)
       ~conditions ()
   in
-  (match Session.add_credential t.session cred with
+  (match Session.add_credential t.store.session cred with
   | Ok () -> ()
   | Error e -> failwith ("issued credential rejected by own session: " ^ e));
   credentials_changed t;
   cred
 
+(* A revoked fingerprint is remembered, so the same text cannot be
+   submitted again. *)
 let revoke_credential t ~peer ~fingerprint =
-  match Session.find_credential t.session ~fingerprint with
+  match Session.find_credential t.store.session ~fingerprint with
   | None -> Error "no such credential"
   | Some a ->
     let authorizer = a.Assertion.authorizer in
@@ -245,57 +284,44 @@ let revoke_credential t ~peer ~fingerprint =
       Keynote.Ast.principal_equal peer authorizer
       || Keynote.Ast.principal_equal peer (server_principal t)
     then begin
-      ignore (Session.remove_credential t.session ~fingerprint);
+      ignore (Session.remove_credential t.store.session ~fingerprint);
+      t.store.revoked_fps <- fingerprint :: t.store.revoked_fps;
       credentials_changed t;
       Ok ()
     end
     else Error "only the credential's authorizer may revoke it"
 
-let revoke_key t ~peer ~principal ~admin_principal =
-  if not (Keynote.Ast.principal_equal peer admin_principal) then
+let revoke_key t ~peer ~principal =
+  if not (Keynote.Ast.principal_equal peer t.store.admin_principal) then
     Error "only the administrator may revoke keys"
   else begin
-    t.revoked_keys <- principal :: t.revoked_keys;
-    ignore (Session.remove_authored t.session ~authorizer:principal);
+    t.store.revoked_keys <- principal :: t.store.revoked_keys;
+    ignore (Session.remove_authored t.store.session ~authorizer:principal);
     credentials_changed t;
     Ok ()
   end
 
 (* --- construction ---------------------------------------------------- *)
 
-let create ~fs ~admin ~server_key ~drbg ?(cache_size = 128) ?(extra_policy = [])
-    ?hour ?(audit_enabled = true) ?(strict_handles = false) () =
+let create ~fs ~store ~server_key ~drbg ?(cache_size = 128) ?hour ?(audit_enabled = true)
+    ?(strict_handles = false) () =
   let clock = Ffs.Fs.clock fs in
   let hour =
     match hour with
     | Some f -> f
     | None -> fun () -> int_of_float (Clock.now clock /. 3600.) mod 24
   in
-  let admin_p = Assertion.principal_of_pub admin in
-  let server_p = Assertion.principal_of_pub server_key.Dcrypto.Dsa.pub in
-  let policy =
-    [
-      Assertion.policy ~licensees:(Printf.sprintf "\"%s\"" admin_p) ~conditions:"true;" ();
-      Assertion.policy
-        ~licensees:(Printf.sprintf "\"%s\"" server_p)
-        ~conditions:"app_domain == \"DisCFS\";" ();
-    ]
-    @ extra_policy
-  in
-  let session = Session.create ~values ~policy ~trace:(Ffs.Fs.trace fs) () in
   let cache = Policy_cache.create ~stats:(Ffs.Fs.stats fs) ~size:cache_size in
   let t =
     {
       fs;
       nfs = Nfs.Server.create ~fs ();
-      session;
+      store;
       cache;
       server_key;
       drbg;
       hour;
       strict_handles;
-      revoked_keys = [];
-      cred_epoch = 0;
       peer_ids = Hashtbl.create 16;
       audit = [];
       audit_len = 0;
@@ -309,6 +335,16 @@ let create ~fs ~admin ~server_key ~drbg ?(cache_size = 128) ?(extra_policy = [])
       rights = (fun ~conn ~fh -> query_level t ~peer:conn.Rpc.peer ~ino:fh.Proto.ino);
     };
   t
+
+let restart t ~drbg =
+  let t' =
+    create ~fs:t.fs ~store:t.store ~server_key:t.server_key ~drbg
+      ~cache_size:(Policy_cache.capacity t.cache) ~hour:t.hour ~audit_enabled:t.audit_enabled
+      ~strict_handles:t.strict_handles ()
+  in
+  t'.audit <- t.audit;
+  t'.audit_len <- t.audit_len;
+  t'
 
 (* --- the DisCFS RPC program ------------------------------------------ *)
 
@@ -332,7 +368,7 @@ let discfs_span_name proc =
   else if proc = discfsproc_revoke_key then "discfs.revoke_key"
   else "discfs." ^ string_of_int proc
 
-let handle_discfs t admin_principal ~conn ~proc ~args:d e =
+let handle_discfs t ~conn ~proc ~args:d e =
   let ok_reply = ok_reply e and err_reply = err_reply e in
   if proc = 0 then Ok ()
   else
@@ -369,7 +405,7 @@ let handle_discfs t admin_principal ~conn ~proc ~args:d e =
   end
   else if proc = discfsproc_revoke_key then begin
     let principal = Xdr.Dec.string d in
-    match revoke_key t ~peer:conn.Rpc.peer ~principal ~admin_principal with
+    match revoke_key t ~peer:conn.Rpc.peer ~principal with
     | Ok () -> ok_reply (fun _ -> ())
     | Error msg -> err_reply msg
   end
@@ -377,27 +413,22 @@ let handle_discfs t admin_principal ~conn ~proc ~args:d e =
 
 let attach_rpc t rpc_server =
   Nfs.Server.attach t.nfs rpc_server;
-  let admin_principal =
-    (* The first policy assertion names the administrator. *)
-    match Session.policy t.session with
-    | first :: _ -> (
-      match first.Assertion.licensees with
-      | Some (Keynote.Ast.Principal p) -> p
-      | _ -> "")
-    | [] -> ""
-  in
-  Rpc.register rpc_server ~prog:discfs_prog ~vers:discfs_vers
-    (handle_discfs t admin_principal)
+  Rpc.register rpc_server ~prog:discfs_prog ~vers:discfs_vers (handle_discfs t)
 
 (* --- persistence ------------------------------------------------------ *)
 
+(* Tagged sections follow the audit trail, read when present. Without
+   revoked fingerprints the state is in the format that predates them. *)
+let revoked_fps_section = 1
+
 let save_state t =
   let e = Xdr.Enc.create () in
-  let creds = Session.credentials t.session in
-  Xdr.Enc.uint32 e (List.length creds);
-  List.iter (fun a -> Xdr.Enc.string e (Assertion.to_text a)) creds;
-  Xdr.Enc.uint32 e (List.length t.revoked_keys);
-  List.iter (fun k -> Xdr.Enc.string e k) t.revoked_keys;
+  let strings l =
+    Xdr.Enc.uint32 e (List.length l);
+    List.iter (Xdr.Enc.string e) l
+  in
+  strings (List.map Assertion.to_text (Session.credentials t.store.session));
+  strings t.store.revoked_keys;
   (* The audit trail is part of stable state: a crash must not erase
      the record of what was granted before it. *)
   Xdr.Enc.uint32 e (List.length t.audit);
@@ -410,48 +441,58 @@ let save_state t =
       Xdr.Enc.string e a.au_value;
       Xdr.Enc.uint32 e (if a.au_granted then 1 else 0))
     t.audit;
+  if t.store.revoked_fps <> [] then begin
+    Xdr.Enc.uint32 e revoked_fps_section;
+    strings t.store.revoked_fps
+  end;
   Xdr.Enc.to_string e
 
+let decode_state data =
+  let d = Xdr.Dec.of_string data in
+  let strings () = List.init (Xdr.Dec.uint32 d) (fun _ -> Xdr.Dec.string d) in
+  let creds = strings () in
+  let revoked_keys = strings () in
+  let naudit = if Xdr.Dec.remaining d > 0 then Xdr.Dec.uint32 d else 0 in
+  let audit =
+    List.init naudit (fun _ ->
+        let au_time = Int64.float_of_bits (Xdr.Dec.uint64 d) in
+        let au_peer = Xdr.Dec.string d in
+        let au_op = Xdr.Dec.string d in
+        let au_ino = Xdr.Dec.uint32 d in
+        let au_value = Xdr.Dec.string d in
+        let au_granted = Xdr.Dec.uint32 d = 1 in
+        { au_time; au_peer; au_op; au_ino; au_value; au_granted })
+  in
+  let revoked_fps =
+    if Xdr.Dec.remaining d = 0 then []
+    else if Xdr.Dec.uint32 d = revoked_fps_section then strings ()
+    else raise (Xdr.Decode_error "unknown state section")
+  in
+  Xdr.Dec.expect_end d;
+  (creds, revoked_keys, audit, revoked_fps)
+
+(* Everything is decoded and vetted before anything is applied. *)
 let load_state t data =
-  match
-    let d = Xdr.Dec.of_string data in
-    let ncreds = Xdr.Dec.uint32 d in
-    let creds = List.init ncreds (fun _ -> Xdr.Dec.string d) in
-    let nrev = Xdr.Dec.uint32 d in
-    let revoked = List.init nrev (fun _ -> Xdr.Dec.string d) in
-    let naudit = if Xdr.Dec.remaining d > 0 then Xdr.Dec.uint32 d else 0 in
-    let audit =
-      List.init naudit (fun _ ->
-          let au_time = Int64.float_of_bits (Xdr.Dec.uint64 d) in
-          let au_peer = Xdr.Dec.string d in
-          let au_op = Xdr.Dec.string d in
-          let au_ino = Xdr.Dec.uint32 d in
-          let au_value = Xdr.Dec.string d in
-          let au_granted = Xdr.Dec.uint32 d = 1 in
-          { au_time; au_peer; au_op; au_ino; au_value; au_granted })
-    in
-    Xdr.Dec.expect_end d;
-    (creds, revoked, audit)
-  with
+  match decode_state data with
   | exception Xdr.Decode_error m -> Error ("corrupt state: " ^ m)
-  | creds, revoked, audit ->
-    t.revoked_keys <- revoked;
-    t.audit <- audit;
-    t.audit_len <- List.length audit;
-    let admitted = ref 0 in
-    let failures = ref [] in
-    List.iter
-      (fun text ->
-        match Assertion.parse text with
-        | exception Assertion.Parse_error m -> failures := m :: !failures
-        | a ->
-          if is_revoked t a.Assertion.authorizer then ()
-          else begin
-            match Session.add_credential t.session a with
-            | Ok () -> incr admitted
-            | Error m -> failures := m :: !failures
-          end)
-      creds;
-    credentials_changed t;
-    if !failures = [] then Ok !admitted
-    else Error (String.concat "; " !failures)
+  | texts, keys, audit, fps -> (
+    let revoked_keys = keys @ t.store.revoked_keys in
+    let revoked_fps = fps @ t.store.revoked_fps in
+    let rec vet_all = function
+      | [] -> Ok []
+      | text :: rest -> (
+        match vet ~revoked_keys ~revoked_fps text with
+        | Error e -> Error e
+        | Ok a when not (Assertion.verify a) -> Error "credential signature verification failed"
+        | Ok a -> Result.map (List.cons a) (vet_all rest))
+    in
+    vet_all texts
+    |> Result.map (fun creds ->
+           let s = t.store in
+           s.revoked_keys <- revoked_keys;
+           s.revoked_fps <- revoked_fps;
+           List.iter (fun a -> ignore (Session.add_credential s.session a)) creds;
+           t.audit <- audit;
+           t.audit_len <- List.length audit;
+           credentials_changed t;
+           List.length creds))

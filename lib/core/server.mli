@@ -3,19 +3,19 @@
 
     - The channel-authenticated public key of each client (from the
       IKE exchange) is the requesting principal for every NFS call.
-    - A persistent KeyNote {!Keynote.Session} holds the local policy
-      (trusting the administrator's and the server's own keys) plus
-      every credential submitted over RPC.
+    - Credentials live in a {!store} shared by every frontend of a
+      cluster: a KeyNote {!Keynote.Session} (policy trusting the
+      administrator's and every frontend's key, plus every admitted
+      credential) and the revoked keys and fingerprints. A credential
+      is DSA-verified once, where it is admitted.
     - Each operation maps to required permission bits; the compliance
       value returned by KeyNote, drawn from the ordered set [false <
       X < W < WX < R < RX < RW < RWX], is interpreted as the octal
       rwx bits (paper §5).
-    - An LRU {!Policy_cache} memoises query results under a SHA-1 of
-      (peer, action attributes, credential-set epoch). The epoch is a
-      generation number: any change to the credentials or the
-      revoked-key list bumps it (retiring every memoised level) and
-      flushes the cache eagerly, in constant time whatever the store
-      size. Credentials are DSA-verified once at submission.
+    - Each frontend keeps its own audit trail and LRU {!Policy_cache},
+      keyed by (peer, action attributes, store generation). Any change
+      to the store bumps its generation, retiring memoised levels at
+      every frontend; the frontend that made it also flushes its memo.
     - The extra DisCFS RPC program provides credential submission,
       the create/mkdir variants that return a fresh credential to the
       creator, and revocation of credentials or keys. *)
@@ -44,15 +44,22 @@ type audit_entry = {
   au_granted : bool;
 }
 
+type store
+(** The credential store: cluster state, like the shared volume. *)
+
+val create_store :
+  admin:Dcrypto.Dsa.public -> frontends:Dcrypto.Dsa.public list -> trace:Trace.t -> store
+(** An empty store trusting [admin] for everything and each frontend's
+    key for [app_domain == "DisCFS"]; queries are traced on [trace]. *)
+
 type t
 
 val create :
   fs:Ffs.Fs.t ->
-  admin:Dcrypto.Dsa.public ->
+  store:store ->
   server_key:Dcrypto.Dsa.private_key ->
   drbg:Dcrypto.Drbg.t ->
   ?cache_size:int ->
-  ?extra_policy:Keynote.Assertion.t list ->
   ?hour:(unit -> int) ->
   ?audit_enabled:bool ->
   ?strict_handles:bool ->
@@ -72,6 +79,10 @@ val create :
     [strict_handles:true] the 4.4BSD-style inode+generation handle
     closes that hole. *)
 
+val restart : t -> drbg:Dcrypto.Drbg.t -> t
+(** A crashed frontend's next incarnation: same volume, store, key,
+    settings and audit trail; new NFS server, empty policy cache. *)
+
 val trace : t -> Trace.t
 (** The deployment tracer (the filesystem's, see {!Ffs.Fs.trace});
     policy checks, KeyNote evaluations, credential operations and
@@ -79,6 +90,7 @@ val trace : t -> Trace.t
 
 val nfs : t -> Nfs.Server.t
 val session : t -> Keynote.Session.t
+
 val cache : t -> Policy_cache.t
 val server_principal : t -> string
 
@@ -104,28 +116,29 @@ val query_level : t -> peer:string -> ino:int -> int
     revoked requester is refused before the cache is looked at. *)
 
 val credentials_changed : t -> unit
-(** Bump the credential-set epoch (a generation number, never
-    persisted or compared across servers) and flush the
-    {!Policy_cache}. Every credential-set
-    change made through this module (submission, issue, revocation,
-    {!load_state}) calls it; a caller that changes {!session}
-    directly must call it too, or memoised levels go stale. *)
+(** Bump the store's generation (never persisted) and flush this
+    frontend's {!Policy_cache}. Every credential-set change made
+    through this module (submission, issue, revocation, {!load_state})
+    calls it; a caller that changes {!session} directly must call it
+    too, or memoised levels go stale. *)
 
 val issue_create_credential : t -> peer:string -> ino:int -> name:string -> Keynote.Assertion.t
 (** The credential the create/mkdir procedures hand back: RWX on the
     new handle, licensed to the creating peer, signed by the server
-    key. Also admitted to the server's own session. *)
+    key. Also admitted to the store. *)
 
 (** {1 Persistence}
 
     Together with {!Ffs.Fs.save}/{!Ffs.Fs.load}, these let a DisCFS
-    server restart without losing the credential session — the only
+    server restart without losing the credential store — the only
     state the paper's design keeps beyond the files themselves. *)
 
 val save_state : t -> string
-(** Serialize the submitted credentials and the revoked-key list. *)
+(** Serialize the store's credentials, revoked keys and revoked
+    fingerprints, and this frontend's audit trail (PROTOCOL.md §8). *)
 
 val load_state : t -> string -> (int, string) result
-(** Restore saved state into a (freshly created) server: re-verifies
-    and admits each credential, restores revocations, flushes the
-    cache. Returns the number of credentials admitted. *)
+(** Restore saved state into a (freshly created) server's store and
+    audit trail, all or nothing: a corrupt state, a revoked credential
+    or a bad signature is an [Error] and changes nothing. Returns the
+    number of credentials admitted. *)

@@ -190,6 +190,35 @@ let test_revocation () =
   expect_nfs_error Proto.nfserr_acces (fun () ->
       ignore (CC.read bob file_fh ~off:0 ~count:6))
 
+(* A revoked credential stays revoked: resubmitting the same text is
+   refused with an error naming the revocation, and the refusal
+   outlives a crash of the frontend. *)
+let test_revoked_credential_stays_revoked () =
+  let d, admin_client, file_fh = setup () in
+  let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
+  let cred =
+    Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions file_fh "R") ()
+  in
+  (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
+  ignore (CC.read bob file_fh ~off:0 ~count:6);
+  (match CC.revoke_credential admin_client ~fingerprint:(Assertion.fingerprint cred) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let refused what =
+    (match CC.submit_credential bob cred with
+    | Ok _ -> Alcotest.failf "%s: revoked credential accepted again" what
+    | Error e ->
+      Alcotest.(check bool) (what ^ ": the error names the revocation") true
+        (Str_replace.replace e ~from:"revoked" ~into:"" <> e));
+    expect_nfs_error Proto.nfserr_acces (fun () ->
+        ignore (CC.read bob file_fh ~off:0 ~count:6))
+  in
+  refused "resubmitted";
+  Cluster.crash_and_restart d 0;
+  expect_nfs_error Proto.nfserr_acces (fun () ->
+      ignore (CC.read bob file_fh ~off:0 ~count:6));
+  refused "after a crash"
+
 let test_key_revocation () =
   let d, _, file_fh = setup () in
   let bob_key = Cluster.new_identity d in
@@ -449,6 +478,8 @@ let suite =
     Alcotest.test_case "create returns credential" `Quick test_create_returns_credential;
     Alcotest.test_case "delegating a created file" `Quick test_delegation_of_created_file;
     Alcotest.test_case "credential revocation" `Quick test_revocation;
+    Alcotest.test_case "revoked credential stays revoked" `Quick
+      test_revoked_credential_stays_revoked;
     Alcotest.test_case "key revocation" `Quick test_key_revocation;
     Alcotest.test_case "credentials are not bearer tokens" `Quick test_cross_user_isolation;
     Alcotest.test_case "time-of-day policy" `Quick test_time_of_day_policy;

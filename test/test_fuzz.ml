@@ -329,6 +329,86 @@ let prop_cluster_procs_answer =
         let rxid, _ = Oncrpc.Rpc.decode_reply reply in
         rxid = !xid)
 
+(* --- saved server state ---------------------------------------------------- *)
+
+module Server = Discfs.Server
+
+(* A saved state with every section filled: admitted credentials (one
+   the server issued on CREATE, one the administrator issued), a
+   revoked key, a revoked credential's fingerprint and audit entries. *)
+let saved_state =
+  lazy
+    (let module CC = Discfs.Cluster_client in
+     let d = Discfs.Cluster.make ~seed:"fuzz-state" () in
+     let admin = CC.attach d ~identity:(Discfs.Cluster.admin_identity d) ~uid:0 () in
+     let fh, _, _ = CC.create admin ~dir:(CC.root admin) "f" () in
+     let bob = CC.attach d ~identity:(Discfs.Cluster.new_identity d) ~uid:100 () in
+     let issue value =
+       Discfs.Cluster.admin_issue d
+         ~licensees:(Printf.sprintf "\"%s\"" (CC.principal bob))
+         ~conditions:
+           (Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"%s\";"
+              fh.Nfs.Proto.ino value)
+         ()
+     in
+     let ok = function Ok _ -> () | Error e -> failwith e in
+     let kept = issue "R" and dropped = issue "RW" in
+     ok (CC.submit_credential bob kept);
+     ok (CC.submit_credential bob dropped);
+     ok (CC.revoke_credential admin ~fingerprint:(Keynote.Assertion.fingerprint dropped));
+     ok
+       (CC.revoke_key admin
+          ~principal:
+            (Keynote.Assertion.principal_of_pub (Discfs.Cluster.new_identity d).Dcrypto.Dsa.pub));
+     ignore (CC.read bob fh ~off:0 ~count:1);
+     Server.save_state (Discfs.Cluster.node_server d 0))
+
+let state_keys =
+  lazy
+    (let drbg = Dcrypto.Drbg.create ~seed:"fuzz-state-target" in
+     let admin = Dcrypto.Dsa.generate_key drbg in
+     (admin, Dcrypto.Dsa.generate_key drbg))
+
+(* A freshly created frontend with its own empty store. *)
+let fresh_server () =
+  let admin, key = Lazy.force state_keys in
+  let clock = Simnet.Clock.create () in
+  let stats = Simnet.Stats.create () in
+  let dev =
+    Ffs.Blockdev.create ~clock ~cost:Simnet.Cost.default ~stats ~nblocks:64 ~block_size:8192 ()
+  in
+  let store =
+    Server.create_store ~admin:admin.Dcrypto.Dsa.pub ~frontends:[ key.Dcrypto.Dsa.pub ]
+      ~trace:Trace.null
+  in
+  Server.create ~fs:(Ffs.Fs.create ~dev ~ninodes:16) ~store ~server_key:key
+    ~drbg:(Dcrypto.Drbg.create ~seed:"fuzz-state-server") ()
+
+(* A damaged state either loads or returns Error with nothing applied
+   (PROTOCOL.md §10); it never raises. Whatever loads saves to bytes
+   that load and save back unchanged, and the undamaged state is its
+   own save. *)
+let prop_state_load_all_or_nothing =
+  QCheck.Test.make ~name:"saved state: damage loads or changes nothing; save is stable"
+    ~count:60 (QCheck.make damage) (fun dmg ->
+      let base = Lazy.force saved_state in
+      let t = fresh_server () in
+      let empty = Server.save_state t in
+      let reload s =
+        let t' = fresh_server () in
+        match Server.load_state t' s with
+        | Ok _ -> Server.save_state t'
+        | Error e -> failwith ("a saved state does not load: " ^ e)
+      in
+      String.equal (reload base) base
+      &&
+      match Server.load_state t (damaged base dmg) with
+      | Error _ ->
+        String.equal (Server.save_state t) empty && Keynote.Session.size (Server.session t) = 0
+      | Ok _ ->
+        let saved = Server.save_state t in
+        String.equal (reload saved) saved)
+
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_assertion_parser_total;
@@ -345,4 +425,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_shard_map_decode_typed;
     QCheck_alcotest.to_alcotest prop_redirect_decode_typed;
     QCheck_alcotest.to_alcotest prop_cluster_procs_answer;
+    QCheck_alcotest.to_alcotest prop_state_load_all_or_nothing;
   ]

@@ -110,6 +110,20 @@ let test_server_restart () =
       ()
   in
   (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
+  let withdrawn =
+    Cluster.admin_issue d
+      ~licensees:(Printf.sprintf "\"%s\"" (CC.principal bob))
+      ~conditions:
+        (Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"RW\";"
+           fh.Proto.ino)
+      ()
+  in
+  (match CC.submit_credential bob withdrawn with Ok _ -> () | Error e -> Alcotest.fail e);
+  (match
+     CC.revoke_credential admin_client ~fingerprint:(Keynote.Assertion.fingerprint withdrawn)
+   with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
   let mallory_key = Cluster.new_identity d in
   (match
      CC.revoke_key admin_client
@@ -129,10 +143,13 @@ let test_server_restart () =
     Ffs.Blockdev.create ~clock ~cost:Simnet.Cost.default ~stats ~nblocks:16384 ~block_size:8192 ()
   in
   let fs = Ffs.Fs.load ~dev disk_image in
+  let server_key = Server.server_key (Cluster.node_server d 0) in
+  let store =
+    Server.create_store ~admin:(Cluster.admin_identity d).Dcrypto.Dsa.pub
+      ~frontends:[ server_key.Dcrypto.Dsa.pub ] ~trace:Trace.null
+  in
   let server =
-    Server.create ~fs ~admin:(Cluster.admin_identity d).Dcrypto.Dsa.pub
-      ~server_key:(Server.server_key (Cluster.node_server d 0))
-      ~drbg:(Dcrypto.Drbg.create ~seed:"restart-day2") ()
+    Server.create ~fs ~store ~server_key ~drbg:(Dcrypto.Drbg.create ~seed:"restart-day2") ()
   in
   (match Server.load_state server server_state with
   | Ok n -> Alcotest.(check bool) "credentials restored" true (n >= 1)
@@ -148,6 +165,8 @@ let test_server_restart () =
   let fh2 = { Proto.ino = fh.Proto.ino; gen = Ffs.Fs.generation fs fh.Proto.ino } in
   let _, data = Nfs.Client.read bob2.Raw_conn.nfs fh2 ~off:0 ~count:100 in
   Alcotest.(check string) "file and credential survived" "survives restarts" data;
+  (* So did the revoked credential's fingerprint. *)
+  if Raw_conn.submit bob2 withdrawn then Alcotest.fail "revoked credential accepted after restart";
   (* The revocation list survived too. *)
   let mallory =
     Raw_conn.connect ~link ~rpc ~server ~identity:mallory_key
