@@ -77,8 +77,6 @@ let attach ~link ~rpc ~server ~identity ~drbg ?(uid = 1000) ?(path = "/") ?ciphe
   t
 
 let reattach t ~rpc ~server () =
-  (* The operation that was in flight when the server died, if any. *)
-  let pending = Rpc.take_timeout t.rpc in
   let rpc_client, client_ep, server_ep =
     establish ~link:t.link ~drbg:t.drbg ~identity:t.identity ~server ~uid:t.uid ?cipher:t.cipher
       ?sa_lifetime:t.sa_lifetime ?retry:t.retry rpc
@@ -88,15 +86,7 @@ let reattach t ~rpc ~server () =
   t.endpoints <- Some (client_ep, server_ep);
   t.server_principal <- client_ep.Ipsec.Ike.peer;
   Rpc.set_before_call rpc_client (fun () -> maybe_rekey t);
-  t.root <- Nfs.Client.mount t.nfs t.path;
-  (* Replay it: at-least-once semantics make this safe — if it did
-     execute before the crash, re-executing an NFS op or being
-     answered from the new incarnation's cache both converge. *)
-  match pending with
-  | None -> ()
-  | Some (prog, vers, proc, args) -> (
-    try ignore (Rpc.call t.rpc ~prog ~vers ~proc (fun e -> Xdr.Enc.raw e args))
-    with Rpc.Rpc_error _ -> ())
+  t.root <- Nfs.Client.mount t.nfs t.path
 
 (* Leaving is client-initiated and needs no server cooperation: the
    SAs are forgotten on this side, and any later use of the

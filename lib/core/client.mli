@@ -34,10 +34,12 @@ val attach :
 
 val reattach : t -> rpc:Oncrpc.Rpc.server -> server:Server.t -> unit -> unit
 (** Recover from a server crash: redo IKE and MOUNT against the
-    restarted server's RPC endpoint, then replay the operation that
-    was in flight (timed out) when the server died, if any. The
-    connection's [nfs]/[root] are refreshed in place; file handles
-    stay valid because inode generations survive in the disk image. *)
+    restarted server's RPC endpoint. The connection's [nfs]/[root]
+    are refreshed in place; file handles stay valid because inode
+    generations survive in the disk image. The operation that timed
+    out is not replayed here: its caller re-issues it on the new
+    connection, so it executes once and its outcome reaches the
+    caller. *)
 
 val detach : t -> unit
 (** Leave: drop the SAs and poison the connection — any further call

@@ -74,9 +74,11 @@ let conn t i =
 
 (* A timeout may mean some frontend on the call's path died. Every
    open connection to a frontend that has rebooted since it was opened
-   is re-homed onto the current incarnation (replaying the call it had
-   in flight); connections to live frontends are left alone. True when
-   anything was re-homed. *)
+   is re-homed onto the current incarnation; connections to live
+   frontends are left alone. True when anything was re-homed. The
+   call that timed out is not replayed here: its caller re-issues it,
+   so it runs once on the new incarnation and the caller gets its
+   outcome. *)
 let recover t =
   let rehomed = ref false in
   Array.iteri
@@ -255,11 +257,30 @@ let detach t =
 (* --- credentials ----------------------------------------------------- *)
 
 (* The frontends share one credential store, so credentials and
-   revocations go to the home frontend alone. *)
-let submit_credential_text t text = Client.submit_credential_text (conn t t.home) text
+   revocations go to the home frontend alone. A timeout there recovers
+   as a routed call's does and re-issues the call at the home's
+   current incarnation; one with no restart behind it is the
+   caller's. *)
+let rec at_home t ~tries ~since f =
+  match f (conn t t.home) with
+  | exception (Rpc.Rpc_timeout _ as e) when tries + 1 < max_hops ->
+    let rehomed = recover t in
+    let now = restarts t in
+    if not (rehomed || now > since) then raise e;
+    at_home t ~tries:(tries + 1) ~since:now f
+  | v -> v
+
+let home_call t f = at_home t ~tries:0 ~since:(restarts t) f
+
+let submit_credential_text t text =
+  home_call t (fun c -> Client.submit_credential_text c text)
+
 let submit_credential t cred = submit_credential_text t (Assertion.to_text cred)
-let revoke_credential t ~fingerprint = Client.revoke_credential (conn t t.home) ~fingerprint
-let revoke_key t ~principal = Client.revoke_key (conn t t.home) ~principal
+
+let revoke_credential t ~fingerprint =
+  home_call t (fun c -> Client.revoke_credential c ~fingerprint)
+
+let revoke_key t ~principal = home_call t (fun c -> Client.revoke_key c ~principal)
 
 (* --- operations ------------------------------------------------------ *)
 

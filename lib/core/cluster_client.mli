@@ -13,15 +13,17 @@
     the cached map when it names a newer version, and re-issues the
     call — at most {!max_hops} times, so a corrupt map bounds at an
     error instead of a loop. A frontend crash surfaces as an RPC
-    timeout; the client reattaches to the current incarnation
-    (replaying the call in flight), refreshes its map, and re-routes.
-    A timeout with no restart behind it is the caller's.
+    timeout; the client reattaches to the current incarnation,
+    refreshes its map, and re-issues the call there, so it executes
+    once and its outcome is the caller's. A timeout with no restart
+    behind it is the caller's.
 
     Credentials and revocations go to the home frontend alone: the
     frontends share one store ({!Server.store}), so they hold wherever
-    a call lands. At one frontend ([Cluster.make ()]) the client
-    sends exactly a single-server client's traffic (see
-    [docs/TOPOLOGY.md]). *)
+    a call lands. A crash of the home is recovered for them the same
+    way: reattach, then re-issue at the new incarnation. At one
+    frontend ([Cluster.make ()]) the client sends exactly a
+    single-server client's traffic (see [docs/TOPOLOGY.md]). *)
 
 type t
 

@@ -67,8 +67,7 @@ let tdes_iv sa seq =
    is the one allocation: the header is written in place, the payload
    is gathered straight behind it and encrypted where it lies, and
    the tag MACs the packet prefix in place. [src] is only read. *)
-let seal_with sa ~len gather src =
-  Trace.span (Sa.trace sa) "esp.seal" @@ fun () ->
+let seal_core sa ~len gather src =
   charge sa (len + overhead);
   let seq = Sa.next_seq sa in
   match Sa.cipher sa with
@@ -102,6 +101,13 @@ let seal_with sa ~len gather src =
     let tag = String.sub (Dcrypto.Hmac.sha1 ~key:auth_key (header ^ ciphertext)) 0 tdes_tag_len in
     header ^ ciphertext ^ tag
 
+(* The span's closure is built only for a live tracer: under
+   [Trace.null] a seal allocates the packet and nothing for tracing. *)
+let seal_with sa ~len gather src =
+  let tr = Sa.trace sa in
+  if Trace.enabled tr then Trace.span tr "esp.seal" (fun () -> seal_core sa ~len gather src)
+  else seal_core sa ~len gather src
+
 let seal sa payload =
   seal_with sa ~len:(String.length payload)
     (fun s dst off -> Bytes.blit_string s 0 dst off (String.length s))
@@ -128,8 +134,23 @@ let malformed sa msg =
   Stats.incr (Sa.stats sa) "esp.drop.malformed";
   raise (Esp_error msg)
 
-let open_ sa packet =
-  Trace.span (Sa.trace sa) "esp.open" @@ fun () ->
+(* Where the open core puts the plaintext: over the ciphertext in the
+   packet itself, or in a fresh buffer (the string shim). *)
+type dst =
+  | In_place
+  | Fresh
+
+(* The one open core, in RFC 4303 §3.4's inbound order: length, SPI,
+   tag and replay window are checked reading [pkt] alone, so a packet
+   that fails any of them raises with every byte as it arrived; only
+   an authenticated, fresh packet is decrypted. Under ChaCha20 the
+   plaintext then lands where [dst] says and the result is a view
+   bounded to it. 3DES keeps its copying transform whatever [dst]
+   says: it serves only the period-cost ablation. *)
+let open_core sa pkt dst =
+  (* unsafe_to_string: a read-only view for the checks and the MAC;
+     [pkt] is written only by the in-place decrypt, after them. *)
+  let packet = Bytes.unsafe_to_string pkt in
   let n = String.length packet in
   (* Per-cipher length validation, before any slicing: the ChaCha20
      minimum is header + 16-byte tag; 3DES needs header + 12-byte tag
@@ -146,11 +167,10 @@ let open_ sa packet =
   if spi <> Sa.spi sa then raise (Esp_error (Printf.sprintf "unknown SPI %d" spi));
   let seq = read_be64 packet 4 in
   match Sa.cipher sa with
-  | Sa.Chacha20_poly1305 ->
+  | Sa.Chacha20_poly1305 -> (
     let key = Dcrypto.Secret.reveal (Sa.key sa) in
     let nonce = nonce_of_seq seq in
-    (* MAC the header + ciphertext prefix where it lies, then decrypt
-       straight into the plaintext: one payload-sized allocation. *)
+    (* MAC the header + ciphertext prefix where it lies. *)
     let expected =
       Dcrypto.Poly1305.mac_sub ~key:(one_time_key ~key ~nonce) packet ~off:0 ~len:(n - tag_len)
     in
@@ -159,9 +179,15 @@ let open_ sa packet =
     if not (Sa.replay_check sa seq) then
       raise (Esp_error (Printf.sprintf "replayed sequence %d" seq));
     let len = n - overhead in
-    let plain = Bytes.create len in
-    Dcrypto.Chacha20.xor_from ~key ~nonce ~counter:1 packet ~src_off:header_len plain ~off:0 ~len;
-    Bytes.unsafe_to_string plain
+    match dst with
+    | In_place ->
+      Dcrypto.Chacha20.xor_into ~key ~nonce ~counter:1 pkt ~off:header_len ~len;
+      Xdr.Dec.sub packet ~off:header_len ~len
+    | Fresh ->
+      let plain = Bytes.create len in
+      Dcrypto.Chacha20.xor_from ~key ~nonce ~counter:1 packet ~src_off:header_len plain ~off:0
+        ~len;
+      Xdr.Dec.of_string (Bytes.unsafe_to_string plain))
   | Sa.Tdes_hmac_sha1 ->
     let header = String.sub packet 0 header_len in
     let enc_key, auth_key = tdes_keys sa in
@@ -171,5 +197,17 @@ let open_ sa packet =
     if not (Dcrypto.Hmac.equal tag expected) then raise (Esp_error "authentication failed");
     if not (Sa.replay_check sa seq) then
       raise (Esp_error (Printf.sprintf "replayed sequence %d" seq));
-    (try Dcrypto.Des.Triple.cbc_decrypt ~key:enc_key ~iv:(tdes_iv sa seq) ciphertext
-     with Invalid_argument m -> raise (Esp_error m))
+    Xdr.Dec.of_string
+      (try Dcrypto.Des.Triple.cbc_decrypt ~key:enc_key ~iv:(tdes_iv sa seq) ciphertext
+       with Invalid_argument m -> raise (Esp_error m))
+
+let open_with sa pkt dst =
+  let tr = Sa.trace sa in
+  if Trace.enabled tr then Trace.span tr "esp.open" (fun () -> open_core sa pkt dst)
+  else open_core sa pkt dst
+
+let open_in_place sa pkt = open_with sa pkt In_place
+
+(* The string entry point: [packet] is only read, and the plaintext
+   is the one fresh copy. *)
+let open_ sa packet = Xdr.Dec.rest (open_with sa (Bytes.unsafe_of_string packet) Fresh)

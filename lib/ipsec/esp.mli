@@ -27,10 +27,20 @@ val seal_arena : Sa.t -> arena -> string
     The arena is not modified, so sealing it again — under a fresh
     sequence number — is how a retransmission is built. *)
 
+val open_in_place : Sa.t -> Bytes.t -> Xdr.Dec.t
+(** Verify, replay-check and decrypt a packet the caller owns, where
+    it lies: length, SPI, tag and replay window are checked before a
+    byte is written (RFC 4303 §3.4), then the ciphertext is decrypted
+    over itself and the result is a cursor bounded to the plaintext,
+    inside the packet. Raises {!Esp_error} on a malformed length
+    (counted under the [esp.drop.malformed] metric), bad SPI, failed
+    tag, or replayed sequence number, and then leaves the packet
+    byte-for-byte as it was. The 3DES transform decrypts into a fresh
+    plaintext instead and never writes to the packet. *)
+
 val open_ : Sa.t -> string -> string
-(** Verify, replay-check and decrypt. Raises {!Esp_error} on a
-    malformed length (counted under the [esp.drop.malformed] metric),
-    bad SPI, failed tag, or replayed sequence number. *)
+(** {!open_in_place}'s checks and errors on a packet that is only
+    read: the plaintext is decrypted into one fresh string. *)
 
 val overhead : int
 (** Bytes added to each packet (header + tag) under

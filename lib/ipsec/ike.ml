@@ -141,10 +141,15 @@ let rekey ~link ~drbg ~client ~server () =
   let server' = { tx = r2i; rx = i2r; peer = server.peer } in
   (client', server')
 
+(* A datagram the link delivers is its receiver's own buffer (every
+   arrival is a distinct one, duplicates included), so each end opens
+   it in place and decodes the plaintext where it lies. *)
+let open_owned sa pkt = Esp.open_in_place sa (Bytes.unsafe_of_string pkt)
+
 let rpc_channel ~client ~server =
   {
-    Oncrpc.Rpc.server_open = Esp.open_ server.rx;
+    Oncrpc.Rpc.server_open = open_owned server.rx;
     server_seal = Esp.seal_arena server.tx;
-    client_open = Esp.open_ client.rx;
+    client_open = open_owned client.rx;
     client_seal = Esp.seal_arena client.tx;
   }

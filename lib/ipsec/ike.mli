@@ -45,4 +45,6 @@ val rekey :
 
 val rpc_channel : client:endpoint -> server:endpoint -> Oncrpc.Rpc.channel
 (** Wire the two endpoints into the RPC layer's directional
-    transforms (ESP on every request and reply). *)
+    transforms (ESP on every request and reply). Both opens take the
+    arrived datagram as their own and decrypt it in place
+    ({!Esp.open_in_place}). *)

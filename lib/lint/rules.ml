@@ -377,6 +377,8 @@ let check_external ~role ~emit (vd : Typedtree.value_description) =
          name)
   | _ -> ()
 
+let string_shims = [ "Esp.seal"; "Esp.open_" ]
+
 let check_structure ~role ~enabled ~emit str =
   let open Typedtree in
   let check_ident e path =
@@ -416,6 +418,16 @@ let check_structure ~role ~enabled ~emit str =
       emit Hotpath_alloc e.exp_loc
         (Printf.sprintf
            "%s copies payload bytes on the data path: borrow file data (Fs.read_pieces + Xdr.Enc.borrow) and take opaque arguments where they lie (Xdr.Dec.opaque_with), or justify the copy per site with (* discfs-lint: allow hotpath-alloc \"why\" *)"
+           name);
+    (* Both roles: the string ESP entry points copy the whole packet
+       once more than the wire path does, so lib/ keeps one path per
+       direction — seal an arena, open a datagram the receiver owns.
+       Inside lib/ipsec/esp.ml the shims are bare names and never
+       match. *)
+    if enabled Hotpath_alloc && List.exists (suffix_matches name) string_shims then
+      emit Hotpath_alloc e.exp_loc
+        (Printf.sprintf
+           "%s is a string shim that copies the whole packet: seal the message arena (Esp.seal_arena) and open the datagram the receiver owns (Esp.open_in_place), or justify the copy per site with (* discfs-lint: allow hotpath-alloc \"why\" *)"
            name);
     if enabled Poly_compare && List.mem raw poly_compare_paths then
       match first_param e.exp_type with
@@ -546,7 +558,9 @@ let check_cmt ?role ~source_root cmt_path =
                 | Some (Some _) -> None (* justified per site *)
                 | Some None ->
                   let site, what =
-                    if role = Data then ("payload copy", "copy") else ("Enc.create", "intermediate buffer")
+                    if find_sub f.message "is a string shim" 0 <> None then ("string shim call", "copy")
+                    else if role = Data then ("payload copy", "copy")
+                    else ("Enc.create", "intermediate buffer")
                   in
                   Some
                     {

@@ -341,9 +341,8 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
   let do_op m i started =
     let ok =
       (* A timeout against a newer incarnation re-homes the member and
-         retries the op inside the call (the replay plus the retry are
-         both absorbed by at-least-once semantics — the mix is
-         idempotent); only a success proves the new connection. *)
+         re-issues the op inside the call; only a success proves the
+         new connection. *)
       try
         mixed_op m.m_client m.m_fh i;
         if Cluster.node_restarts d 0 > m.m_epoch then begin

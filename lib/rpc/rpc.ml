@@ -173,17 +173,17 @@ let drc_touch t key e =
 let shutdown t = t.dead <- true
 
 type channel = {
-  server_open : string -> string;
+  server_open : string -> Xdr.Dec.t;
   server_seal : Xdr.Enc.t -> string;
-  client_open : string -> string;
+  client_open : string -> Xdr.Dec.t;
   client_seal : Xdr.Enc.t -> string;
 }
 
 let plaintext =
   {
-    server_open = Fun.id;
+    server_open = Xdr.Dec.of_string;
     server_seal = Xdr.Enc.to_string;
-    client_open = Fun.id;
+    client_open = Xdr.Dec.of_string;
     client_seal = Xdr.Enc.to_string;
   }
 
@@ -209,7 +209,6 @@ type client = {
   retry : retry;
   rng : Fault.Rng.t;
   mutable before_call : unit -> unit;
-  mutable last_timeout : (int * int * int * Xdr.Enc.t) option;
 }
 
 (* Each connection gets its own xid band so DRC keys (peer, xid,
@@ -238,7 +237,6 @@ let connect ~link ?(channel = plaintext) ?(peer = "") ?(uid = 0) ?(retry = defau
     retry;
     rng = Fault.Rng.create ~seed:(Printf.sprintf "rpc-client-%d" srv.next_client);
     before_call = (fun () -> ());
-    last_timeout = None;
   }
 
 let set_channel t channel = t.channel <- channel
@@ -279,26 +277,21 @@ let encode_call_into e ~xid ~prog ~vers ~proc ~uid args =
   encode_call_header e ~xid ~prog ~vers ~proc ~uid;
   Xdr.Enc.raw e args (* args are pre-marshalled bytes *)
 
-(* The arguments are cut out of the lost call's request arena, behind
-   its header, reading through its gather list (a WRITE's payload is
-   borrowed): only a call that timed out pays for the copies. *)
-let take_timeout t =
-  let p = t.last_timeout in
-  t.last_timeout <- None;
-  Option.map
-    (fun (prog, vers, proc, request) ->
-      let len = Xdr.Enc.length request - call_header_len in
-      (prog, vers, proc, String.sub (Xdr.Enc.to_string request) call_header_len len))
-    p
-
 let encode_call ~xid ~prog ~vers ~proc ~uid args =
   (* discfs-lint: allow hotpath-alloc "string entry point for tests and plaintext framing; the hot path uses encode_call_into" *)
   let e = Xdr.Enc.create () in
   encode_call_into e ~xid ~prog ~vers ~proc ~uid args;
   Xdr.Enc.to_string e
 
-let decode_call data =
-  let d = Xdr.Dec.of_string data in
+(* The credential and verifier bodies are read where they lie: only
+   the AUTH_UNIX uid, the body's first word, is taken out. *)
+let auth_unix_uid s ~off ~len =
+  if len < 4 then raise (Xdr.Decode_error "truncated XDR data");
+  Int32.to_int (String.get_int32_be s off) land 0xffffffff
+
+let skip_body _ ~off:_ ~len:_ = 0
+
+let decode_call d =
   let xid = Xdr.Dec.uint32 d in
   let mtype = Xdr.Dec.uint32 d in
   if mtype <> msg_call then raise (Xdr.Decode_error "expected CALL");
@@ -308,16 +301,9 @@ let decode_call data =
   let vers = Xdr.Dec.uint32 d in
   let proc = Xdr.Dec.uint32 d in
   let cred_flavor = Xdr.Dec.uint32 d in
-  let cred_body = Xdr.Dec.opaque d in
+  let uid = Xdr.Dec.opaque_with d (if cred_flavor = auth_unix then auth_unix_uid else skip_body) in
   let _verf_flavor = Xdr.Dec.uint32 d in
-  let _verf_body = Xdr.Dec.opaque d in
-  let uid =
-    if cred_flavor = auth_unix then begin
-      let cd = Xdr.Dec.of_string cred_body in
-      Xdr.Dec.uint32 cd
-    end
-    else 0
-  in
+  let _verf_body = Xdr.Dec.opaque_with d skip_body in
   (* [d] now sits on the procedure arguments: the handler decodes them
      where they lie. *)
   { xid; prog; vers; proc; uid; args = d }
@@ -351,8 +337,7 @@ let garbage_reply () =
   encode_reply_into e ~xid:0 (Error Garbage_args);
   e
 
-let decode_reply_view data =
-  let d = Xdr.Dec.of_string data in
+let decode_reply_view d =
   let xid = Xdr.Dec.uint32 d in
   let mtype = Xdr.Dec.uint32 d in
   if mtype <> msg_reply then raise (Xdr.Decode_error "expected REPLY");
@@ -368,13 +353,19 @@ let decode_reply_view data =
   | n -> (xid, Error (System_err (Printf.sprintf "accept_stat %d" n)))
 
 let decode_reply data =
-  match decode_reply_view data with
+  match decode_reply_view (Xdr.Dec.of_string data) with
   | xid, Ok d -> (xid, Ok (Xdr.Dec.rest d))
   | xid, Error fault -> (xid, Error fault)
 
 let unmarshal_charge srv nbytes =
   Clock.advance srv.clock
     (srv.cost.Cost.rpc_overhead +. (float_of_int nbytes *. srv.cost.Cost.rpc_per_byte))
+
+let finish_reply e ~body stat = function
+  | Ok () -> ()
+  | Error fault ->
+    Xdr.Enc.truncate e body;
+    Xdr.Enc.patch_uint32 e stat (accept_stat_of_fault fault)
 
 (* Server side of one execution: the handler encodes its results
    straight into the reply arena behind the header; a fault (or
@@ -394,12 +385,9 @@ let execute srv ~tr ~(conn : conn_info) c =
       try handler ~conn:{ conn with uid = c.uid } ~proc:c.proc ~args:c.args e
       with Xdr.Decode_error _ -> Error Garbage_args)
   in
-  Trace.span tr "xdr.marshal" (fun () ->
-      match outcome with
-      | Ok () -> ()
-      | Error fault ->
-        Xdr.Enc.truncate e body;
-        Xdr.Enc.patch_uint32 e stat (accept_stat_of_fault fault));
+  if Trace.enabled tr then
+    Trace.span tr "xdr.marshal" (fun () -> finish_reply e ~body stat outcome)
+  else finish_reply e ~body stat outcome;
   e
 
 let drc_put srv key reply =
@@ -417,10 +405,15 @@ let drc_hit srv key e =
   drc_touch srv key e;
   e.reply
 
+let unmarshal_call srv d =
+  unmarshal_charge srv (Xdr.Dec.remaining d);
+  decode_call d
+
 (* Returns the reply arena, or [None] when the server is down (the
    datagram vanishes and the client's retransmission logic deals with
-   it). *)
-let serve srv ~conn data =
+   it). [d] is the opened datagram: the whole plaintext, which the
+   call is decoded from where it lies. *)
+let serve srv ~conn d =
   if srv.dead then begin
     Stats.incr srv.stats "rpc.dropped_dead";
     None
@@ -429,9 +422,9 @@ let serve srv ~conn data =
     Trace.span srv.trace "rpc.dispatch" @@ fun () ->
     Stats.incr srv.stats "rpc.calls";
     match
-      Trace.span srv.trace "xdr.unmarshal" (fun () ->
-          unmarshal_charge srv (String.length data);
-          decode_call data)
+      if Trace.enabled srv.trace then
+        Trace.span srv.trace "xdr.unmarshal" (fun () -> unmarshal_call srv d)
+      else unmarshal_call srv d
     with
     | exception Xdr.Decode_error _ -> Some (garbage_reply ())
     | c -> (
@@ -443,7 +436,8 @@ let serve srv ~conn data =
         drc_put srv key reply;
         Some reply)
 
-let dispatch srv ~conn data = Option.map Xdr.Enc.to_string (serve srv ~conn data)
+let dispatch srv ~conn data =
+  Option.map Xdr.Enc.to_string (serve srv ~conn (Xdr.Dec.of_string data))
 
 (* --- queued dispatch (worker-pool path) ------------------------------ *)
 
@@ -553,18 +547,19 @@ let rec worker_loop srv p =
    bounded queue. A full queue drops the datagram on the floor — the
    at-least-once retry path absorbs the loss, which is exactly how a
    UDP server sheds load. *)
-let submit srv p ~conn ~reply data =
+let submit srv p ~conn ~reply d =
   if srv.dead then Stats.incr srv.stats "rpc.dropped_dead"
   else begin
     Stats.incr srv.stats "rpc.calls";
-    match decode_call data with
+    let len = Xdr.Dec.remaining d in
+    match decode_call d with
     | exception Xdr.Decode_error _ ->
-      spawn_reply srv p (String.length data) (fun () -> reply (garbage_reply ()))
+      spawn_reply srv p len (fun () -> reply (garbage_reply ()))
     | c when Hashtbl.mem srv.drc (conn.peer, c.xid, c.proc) ->
       let key = (conn.peer, c.xid, c.proc) in
       race_read srv.race_drc key;
       let cached = drc_hit srv key (Hashtbl.find srv.drc key) in
-      spawn_reply srv p (String.length data) (fun () -> reply cached)
+      spawn_reply srv p len (fun () -> reply cached)
     | c -> (
       let key = (conn.peer, c.xid, c.proc) in
       match Hashtbl.find_opt p.in_flight key with
@@ -596,7 +591,7 @@ let submit srv p ~conn ~reply data =
               job_conn = conn;
               job_key = key;
               job_call = c;
-              job_len = String.length data;
+              job_len = len;
               job_enqueued = Clock.now srv.clock;
               job_origin = Race.origin srv.race_drc;
               job_reply = reply;
@@ -612,7 +607,8 @@ let submit srv p ~conn ~reply data =
 let submit_datagram srv ~conn ~reply data =
   match srv.pool with
   | None -> invalid_arg "Rpc.submit_datagram: no pool attached"
-  | Some p -> submit srv p ~conn ~reply:(fun a -> reply (Xdr.Enc.to_string a)) data
+  | Some p ->
+    submit srv p ~conn ~reply:(fun a -> reply (Xdr.Enc.to_string a)) (Xdr.Dec.of_string data)
 
 (* --- client ---------------------------------------------------------- *)
 
@@ -655,7 +651,8 @@ let deliver t ex ~stats pkt =
 let consider_reply t ~tr ~stats ~xid pkt =
   match
     let plain = t.channel.client_open pkt in
-    Trace.span tr "xdr.unmarshal" (fun () -> decode_reply_view plain)
+    if Trace.enabled tr then Trace.span tr "xdr.unmarshal" (fun () -> decode_reply_view plain)
+    else decode_reply_view plain
   with
   | exception Rpc_error f -> Some (Error f) (* MSG_DENIED: a real reply *)
   | exception _ ->
@@ -686,11 +683,31 @@ let rec await t p mbox ~stats ~xid ~deadline =
 let jittered t timeout =
   timeout *. (1.0 +. (t.retry.jitter *. ((2.0 *. Fault.Rng.float t.rng) -. 1.0)))
 
-let timeout_exhausted t ~prog ~vers ~proc request =
-  t.last_timeout <- Some (prog, vers, proc, request);
+let timeout_exhausted t ~prog ~proc =
   Rpc_timeout
     (Printf.sprintf "no reply after %d attempts (prog %d, proc %d)" t.retry.max_attempts
        prog proc)
+
+let marshal_call t ~xid ~prog ~vers ~proc args =
+  (* discfs-lint: allow hotpath-alloc "the request arena: the header and the caller's arguments are encoded straight into it and sealed from it on every attempt" *)
+  let e = Xdr.Enc.create () in
+  encode_call_header e ~xid ~prog ~vers ~proc ~uid:t.conn.uid;
+  args e;
+  e
+
+(* One round: seal, send, hand to the server, then take the first
+   reply that settles the call. Seal on every attempt: a
+   retransmission is a fresh datagram with a fresh ESP sequence
+   number, never a replayed packet. *)
+let exchange t ex ~tr ~stats ~xid ~n ~timeout seal request =
+  if n > 1 then Stats.incr stats "rpc.retransmits";
+  let arrived = Link.send t.link ~flow:flow_req (seal request) in
+  let replies = List.concat_map (deliver t ex ~stats) arrived in
+  match ex with
+  | Inline -> List.find_map (consider_reply t ~tr ~stats ~xid) replies
+  | Queued (p, mbox, _) ->
+    let deadline = Clock.now (Link.clock t.link) +. jittered t timeout in
+    await t p mbox ~stats ~xid ~deadline
 
 (* One call loop for both exchanges. The queued one is taken when the
    server has a worker pool and we are running inside a scheduler
@@ -727,37 +744,21 @@ let call t ~prog ~vers ~proc args =
      concurrent call on this client re-keys the channel meanwhile. *)
   let seal = t.channel.client_seal in
   let request =
-    Trace.span tr "xdr.marshal" (fun () ->
-        (* discfs-lint: allow hotpath-alloc "the request arena: the header and the caller's arguments are encoded straight into it and sealed from it on every attempt" *)
-        let e = Xdr.Enc.create () in
-        encode_call_header e ~xid ~prog ~vers ~proc ~uid:t.conn.uid;
-        args e;
-        e)
+    if Trace.enabled tr then
+      Trace.span tr "xdr.marshal" (fun () -> marshal_call t ~xid ~prog ~vers ~proc args)
+    else marshal_call t ~xid ~prog ~vers ~proc args
   in
   let rec attempt n timeout =
-    if n > t.retry.max_attempts then raise (timeout_exhausted t ~prog ~vers ~proc request);
-    let attrs = if Trace.enabled tr then Some [ ("n", string_of_int n) ] else None in
-    (* One round: seal, send, hand to the server, then take the first
-       reply that settles the call. Seal on every attempt: a
-       retransmission is a fresh datagram with a fresh ESP sequence
-       number, never a replayed packet. *)
+    if n > t.retry.max_attempts then raise (timeout_exhausted t ~prog ~proc);
     match
-      Trace.span tr "rpc.attempt" ?attrs (fun () ->
-          if n > 1 then Stats.incr stats "rpc.retransmits";
-          let arrived = Link.send t.link ~flow:flow_req (seal request) in
-          let replies = List.concat_map (deliver t ex ~stats) arrived in
-          match ex with
-          | Inline -> List.find_map (consider_reply t ~tr ~stats ~xid) replies
-          | Queued (p, mbox, _) ->
-            let deadline = Clock.now (Link.clock t.link) +. jittered t timeout in
-            await t p mbox ~stats ~xid ~deadline)
+      if Trace.enabled tr then
+        Trace.span tr "rpc.attempt"
+          ~attrs:[ ("n", string_of_int n) ]
+          (fun () -> exchange t ex ~tr ~stats ~xid ~n ~timeout seal request)
+      else exchange t ex ~tr ~stats ~xid ~n ~timeout seal request
     with
-    | Some (Ok results) ->
-      t.last_timeout <- None;
-      results
-    | Some (Error fault) ->
-      t.last_timeout <- None;
-      raise (Rpc_error fault)
+    | Some (Ok results) -> results
+    | Some (Error fault) -> raise (Rpc_error fault)
     | None ->
       (* Nothing usable came back. Inline, wait out the timer in
          virtual time (the queued wait on the mailbox already did),

@@ -111,15 +111,20 @@ val shutdown : server -> unit
 type client
 
 type channel = {
-  server_open : string -> string;
+  server_open : string -> Xdr.Dec.t;
   server_seal : Xdr.Enc.t -> string;
-  client_open : string -> string;
+  client_open : string -> Xdr.Dec.t;
   client_seal : Xdr.Enc.t -> string;
 }
 (** Directional wire transforms (the ESP layer): requests are sealed
     by the client and opened by the server, replies the reverse. The
     transforms run "inside" the simulated hosts, so any virtual time
-    they charge lands on the right side. Both seals take a finished
+    they charge lands on the right side. Both opens take an arrived
+    datagram — the receiver's own buffer, which the link hands to no
+    one else — and return a cursor bounded to its plaintext, which
+    the RPC layer decodes where it lies; under ESP that is
+    [Esp.open_in_place], which decrypts the datagram over itself, and
+    on {!plaintext} it is [Xdr.Dec.of_string]. Both seals take a finished
     message arena and only read it: {!call} encodes each request into
     one arena and [client_seal] encrypts its bytes straight into a
     wire packet on every attempt; the server encodes each reply into
@@ -176,15 +181,6 @@ val set_before_call : client -> (unit -> unit) -> unit
 (** Hook run at the top of every {!call} (before the xid is
     allocated); the IPsec layer uses it to re-key SAs that hit their
     soft lifetime. *)
-
-val take_timeout : client -> (int * int * int * string) option
-(** The (prog, vers, proc, args) of the last call that raised
-    {!Rpc_timeout}, if it has not since been superseded by a
-    successful call; reading clears it. [args] are the marshalled
-    arguments, read out of the lost call's request arena behind the
-    RPC header (through its gather list: a WRITE's payload is
-    borrowed, not copied, into the arena). Crash recovery replays
-    this in-flight operation after reattaching. *)
 
 exception Rpc_error of fault
 

@@ -50,22 +50,25 @@ let busy_until t flow =
    serial mode the clock catches up to (or past) the reservation
    before the next call, so the wait term is always zero and timings
    are exactly as before. *)
+let transit t flow nbytes =
+  let c = t.cost in
+  let serialization =
+    if c.Cost.net_bandwidth_bps = infinity then 0.0
+    else float_of_int nbytes /. c.Cost.net_bandwidth_bps
+  in
+  let now = Clock.now t.clock in
+  let free_at = busy_until t flow in
+  let wait = if free_at > now then free_at -. now else 0.0 in
+  Hashtbl.replace t.busy flow (Clock.epoch t.clock, now +. wait +. serialization);
+  Stats.add t.stats "link.bytes" nbytes;
+  Stats.incr t.stats "link.messages";
+  if wait > 0.0 then Stats.incr t.stats "link.queued";
+  Clock.advance t.clock (wait +. serialization +. c.Cost.net_latency)
+
 let transmit t ?(flow = 0) nbytes =
   if nbytes < 0 then invalid_arg "Link.transmit: negative size";
-  Trace.span t.trace "net.transit" (fun () ->
-      let c = t.cost in
-      let serialization =
-        if c.Cost.net_bandwidth_bps = infinity then 0.0
-        else float_of_int nbytes /. c.Cost.net_bandwidth_bps
-      in
-      let now = Clock.now t.clock in
-      let free_at = busy_until t flow in
-      let wait = if free_at > now then free_at -. now else 0.0 in
-      Hashtbl.replace t.busy flow (Clock.epoch t.clock, now +. wait +. serialization);
-      Stats.add t.stats "link.bytes" nbytes;
-      Stats.incr t.stats "link.messages";
-      if wait > 0.0 then Stats.incr t.stats "link.queued";
-      Clock.advance t.clock (wait +. serialization +. c.Cost.net_latency))
+  if Trace.enabled t.trace then Trace.span t.trace "net.transit" (fun () -> transit t flow nbytes)
+  else transit t flow nbytes
 
 let send t ?(flow = 0) payload =
   transmit t ~flow (String.length payload);
@@ -90,7 +93,9 @@ let send t ?(flow = 0) payload =
     | Fault.Duplicate ->
       Stats.incr t.stats "link.dups";
       Trace.instant t.trace "fault.net.dup";
-      release [ payload; payload ]
+      (* Each arrival is its receiver's own buffer, which it may
+         open in place, so the second arrival is a fresh copy. *)
+      release [ payload; String.sub payload 0 (String.length payload) ]
     | Fault.Corrupt ->
       Stats.incr t.stats "link.corruptions";
       Trace.instant t.trace "fault.net.corrupt";

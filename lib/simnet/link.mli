@@ -56,8 +56,11 @@ val send : t -> ?flow:int -> string -> string list
 (** [send t ~flow payload] charges wire time for the attempt and
     returns the copies that actually arrive, in order: [[]] if
     dropped or held for reordering, two copies if duplicated, a
-    bit-flipped copy if corrupted. [flow] separates directions (or
-    higher-level flows) so a packet held for reordering is released
+    bit-flipped copy if corrupted. Each arrival is a distinct buffer
+    that belongs to its receiver, which may open it in place: a
+    duplicate's second copy is a fresh string, and the sender must
+    not touch [payload] once it is sent. [flow] separates directions
+    (or higher-level flows) so a packet held for reordering is released
     behind the next packet on the same flow only. Fault events are
     counted under ["link.drops"], ["link.dups"], ["link.reorders"],
     ["link.corruptions"]. *)

@@ -173,13 +173,20 @@ module Enc = struct
 end
 
 module Dec = struct
-  type t = { data : string; mutable pos : int }
+  (* A cursor over [data.[pos .. lim)]: a view may end before its
+     string does (an opened ESP packet keeps its tag behind the
+     plaintext), and nothing past [lim] is ever read. *)
+  type t = { data : string; mutable pos : int; lim : int }
 
-  let of_string data = { data; pos = 0 }
+  let of_string data = { data; pos = 0; lim = String.length data }
+
+  let sub data ~off ~len =
+    if off < 0 || len < 0 || off > String.length data - len then
+      invalid_arg "Xdr.Dec.sub: bad range";
+    { data; pos = off; lim = off + len }
 
   let need t n =
-    if n < 0 || t.pos + n > String.length t.data then
-      raise (Decode_error "truncated XDR data")
+    if n < 0 || n > t.lim - t.pos then raise (Decode_error "truncated XDR data")
 
   let uint32 t =
     need t 4;
@@ -239,12 +246,12 @@ module Dec = struct
 
   let opaque_fixed t n = take_padded t n
   let string = opaque
-  let remaining t = String.length t.data - t.pos
+  let remaining t = t.lim - t.pos
 
   let rest t =
     let n = remaining t in
-    let s = if t.pos = 0 then t.data else String.sub t.data t.pos n in
-    t.pos <- t.pos + n;
+    let s = if n = String.length t.data then t.data else String.sub t.data t.pos n in
+    t.pos <- t.lim;
     s
   let expect_end t = if remaining t <> 0 then raise (Decode_error "trailing bytes")
 end

@@ -102,11 +102,19 @@ end
 
 module Dec : sig
   type t
-  (** A read cursor over a string. A cursor left on a message body
-      (the RPC layer hands out ones positioned on call arguments and
-      reply results) is a view of that body, decoded where it lies. *)
+  (** A read cursor over a range of a string. A cursor left on a
+      message body (the RPC layer hands out ones positioned on call
+      arguments and reply results) is a view of that body, decoded
+      where it lies; an opened ESP packet is such a view, bounded to
+      its plaintext. *)
 
   val of_string : string -> t
+
+  val sub : string -> off:int -> len:int -> t
+  (** [sub s ~off ~len] is a cursor over [s.[off .. off+len)] alone:
+      decoding stops at the end of the range exactly as {!of_string}
+      stops at the end of a string. Raises [Invalid_argument] on a
+      range outside [s]. *)
 
   val uint32 : t -> int
   val int32 : t -> int
@@ -125,6 +133,7 @@ module Dec : sig
   val opaque_fixed : t -> int -> string
   val string : t -> string
   val remaining : t -> int
+  (** Bytes left before the end of the view. *)
 
   val rest : t -> string
   (** The bytes not yet decoded, consuming them. *)

@@ -132,6 +132,60 @@ let test_drc_dedups_duplicates () =
   Alcotest.(check (list (pair string string))) "final state clean" []
     (root_listing d.Cfs.Cfs_ne.fs)
 
+(* A duplicated datagram arrives as two buffers, so a receiver that
+   opens one in place leaves the other exactly as it was sent. Over
+   ESP, with every datagram doubled, the server opens the first copy
+   in place and executes the call once; the second copy reaches the
+   replay window still byte-identical to the sealed request (so it is
+   refused as a replay, not as a forgery). *)
+let test_duplicates_are_distinct_buffers () =
+  let clock = Clock.create () in
+  let stats = Stats.create () in
+  let link = Link.create ~clock ~cost:Simnet.Cost.default ~stats in
+  Link.set_fault link (Some (Fault.create ~net:all_duplicates ~seed:"dup-buffers" ()));
+  (match Link.send link "sent once" with
+  | [ a; b ] ->
+    Alcotest.(check string) "equal copies" a b;
+    Alcotest.(check bool) "physically distinct copies" false (a == b)
+  | l -> Alcotest.failf "a duplicate delivered %d packets" (List.length l));
+  let drbg = Dcrypto.Drbg.create ~seed:"dup-esp" in
+  let initiator = Dcrypto.Dsa.generate_key drbg in
+  let responder = Dcrypto.Dsa.generate_key drbg in
+  let client_ep, server_ep = Ipsec.Ike.establish ~link ~drbg ~initiator ~responder () in
+  let srv = Rpc.server ~clock ~cost:Simnet.Cost.default ~stats in
+  let executed = ref 0 in
+  Rpc.register srv ~prog:77 ~vers:1 (fun ~conn:_ ~proc:_ ~args e ->
+      incr executed;
+      Xdr.Enc.raw e (Xdr.Dec.rest args);
+      Ok ());
+  let esp = Ipsec.Ike.rpc_channel ~client:client_ep ~server:server_ep in
+  let sealed = ref [] and arrived = ref [] in
+  let channel =
+    {
+      esp with
+      Rpc.client_seal =
+        (fun a ->
+          let p = esp.Rpc.client_seal a in
+          sealed := String.sub p 0 (String.length p) :: !sealed;
+          p);
+      server_open =
+        (fun p ->
+          arrived := p :: !arrived;
+          esp.Rpc.server_open p);
+    }
+  in
+  let client = Rpc.connect ~link ~channel ~peer:server_ep.Ipsec.Ike.peer srv in
+  let reply = Rpc.call client ~prog:77 ~vers:1 ~proc:1 (fun e -> Xdr.Enc.raw e "once only") in
+  Alcotest.(check string) "echoed" "once only" (Xdr.Dec.rest reply);
+  Alcotest.(check int) "executed once" 1 !executed;
+  Alcotest.(check int) "the copy dropped" 1 (Stats.get stats "rpc.server_rx_drops");
+  match (!sealed, !arrived) with
+  | [ request ], [ copy; first ] ->
+    Alcotest.(check bool) "two buffers" false (copy == first);
+    Alcotest.(check bool) "the first was opened in place" false (String.equal first request);
+    Alcotest.(check string) "the copy is as sealed" request copy
+  | s, a -> Alcotest.failf "%d sealed, %d arrived" (List.length s) (List.length a)
+
 type op = OpCreate of int | OpRemove of int | OpWrite of int * string
 
 let gen_ops =
@@ -372,8 +426,8 @@ let run_e2e ~lossy ~crash_at () =
   if lossy then Fault.set_net fault (Fault.lossy 0.05);
   (* The measured walk; optionally the server dies partway through.
      The first call to reach the dead incarnation times out, and the
-     client re-attaches to the new one (fresh IKE + MOUNT, in-flight
-     op replayed) and re-issues it, all inside that call. *)
+     client re-attaches to the new one (fresh IKE + MOUNT) and
+     re-issues it, all inside that call. *)
   let results =
     List.mapi
       (fun i (dir, file, _) ->
@@ -533,4 +587,6 @@ let suite =
     Alcotest.test_case "quiesce flushes reorder holds" `Quick
       test_quiesce_flushes_held_packets;
     Alcotest.test_case "crash flushes held packets" `Quick test_crash_flushes_held_packets;
+    Alcotest.test_case "duplicates are distinct buffers, executed once over esp" `Quick
+      test_duplicates_are_distinct_buffers;
   ]

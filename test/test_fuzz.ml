@@ -193,6 +193,52 @@ let prop_esp_multiblock_forgeries =
       in
       rejected && String.equal (Ipsec.Esp.open_ rx packet) payload)
 
+let prop_esp_open_in_place =
+  (* The in-place open decides on the packet as it arrived. One it
+     rejects — cut short, under another SPI, with a byte flipped, or
+     replayed — raises Esp_error and is left byte-for-byte unchanged;
+     one it accepts reads, through the returned view, exactly what the
+     copying open_ makes of a copy of it. *)
+  let gen =
+    QCheck.Gen.(
+      let* len = int_bound 3000 in
+      let* payload = string_size (return len) in
+      let* kind = int_bound 4 in
+      let* at = int_bound 100_000 in
+      let* flip = int_range 1 255 in
+      return (payload, kind, at, flip))
+  in
+  QCheck.Test.make
+    ~name:"esp open in place: a rejected packet is left intact, an accepted one matches open_"
+    ~count:200 (QCheck.make gen)
+    (fun (payload, kind, at, flip) ->
+      let clock = Simnet.Clock.create () in
+      let stats = Simnet.Stats.create () in
+      let mk () =
+        Ipsec.Sa.create ~clock ~cost:Simnet.Cost.default ~stats ~spi:7
+          ~key:(String.make 32 'f') ()
+      in
+      let tx = mk () and rx = mk () and rx_copy = mk () in
+      let packet = Ipsec.Esp.seal tx payload in
+      let wire =
+        let b = Bytes.of_string packet in
+        match kind with
+        | 1 -> String.sub packet 0 (at mod Ipsec.Esp.overhead) (* short *)
+        | 2 ->
+          Bytes.set_int32_be b 0 8l (* another SPI *);
+          Bytes.to_string b
+        | 3 ->
+          let pos = at mod Bytes.length b in
+          Bytes.set b pos (Char.chr (Char.code packet.[pos] lxor flip));
+          Bytes.to_string b
+        | _ -> packet (* 0: genuine; 4: replayed *)
+      in
+      if kind = 4 then ignore (Ipsec.Esp.open_ rx packet);
+      let owned = Bytes.of_string wire in
+      match Ipsec.Esp.open_in_place rx owned with
+      | view -> kind = 0 && String.equal (Xdr.Dec.rest view) (Ipsec.Esp.open_ rx_copy wire)
+      | exception Ipsec.Esp.Esp_error _ -> kind <> 0 && String.equal (Bytes.to_string owned) wire)
+
 let prop_xdr_truncation_typed =
   (* Any strict prefix of a valid encoding must fail with Decode_error
      exactly — the decoders never read past the buffer. *)
@@ -426,4 +472,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_redirect_decode_typed;
     QCheck_alcotest.to_alcotest prop_cluster_procs_answer;
     QCheck_alcotest.to_alcotest prop_state_load_all_or_nothing;
+    QCheck_alcotest.to_alcotest prop_esp_open_in_place;
   ]

@@ -256,6 +256,11 @@ let test_alloc_guards () =
   let tx, _ = mk_sa () in
   let sealer, _ = mk_sa () and rx, _ = mk_sa () in
   let packets = Array.init 16 (fun _ -> Ipsec.Esp.seal sealer page) in
+  (* The in-place open writes the plaintext over the ciphertext of a
+     packet the receiver owns: its only allocations are the one-time
+     key, nonce, tag and the view, not a payload. *)
+  let owner_tx, _ = mk_sa () and owner_rx, _ = mk_sa () in
+  let owned = Array.init 16 (fun _ -> Bytes.of_string (Ipsec.Esp.seal owner_tx page)) in
   let buf = Bytes.of_string page in
   let key = String.make 32 'k' and nonce = String.make 12 'n' in
   let cache = Ffs.Bcache.create ~capacity:4 in
@@ -268,6 +273,9 @@ let test_alloc_guards () =
       [
         ("Esp.seal 8 KB", alloc_median (fun _ -> Ipsec.Esp.seal tx page), budget);
         ("Esp.open_ 8 KB", alloc_median (fun i -> Ipsec.Esp.open_ rx packets.(i)), budget);
+        ( "Esp.open_in_place 8 KB",
+          alloc_median (fun i -> Ipsec.Esp.open_in_place owner_rx owned.(i)),
+          1024.0 );
         ( "Chacha20.xor_into 8 KB",
           alloc_median (fun _ -> Dcrypto.Chacha20.xor_into ~key ~nonce buf ~off:0 ~len:8192),
           1024.0 );

@@ -127,6 +127,31 @@ let test_payload_copy () =
   Alcotest.(check bool) "the NFS client is not" true
     (Lint.Rules.role_of_path "lib/nfs/client.ml" = Lint.Rules.Lib)
 
+let test_string_shims () =
+  (* In both hot-path roles a call through a string ESP entry point is
+     flagged: the bare seal and open_ sites, and one whose marker has
+     no justification (reworded); the justified site is silenced. *)
+  List.iter
+    (fun role ->
+      let fs = check ~role "Bad_string_shim" in
+      Alcotest.(check (list string)) "only hotpath-alloc" [ "hotpath-alloc" ] (rule_names fs);
+      Alcotest.(check int) "seal, open_ and the unjustified open_" 3 (List.length fs);
+      let starts_with prefix m =
+        String.length m >= String.length prefix && String.sub m 0 (String.length prefix) = prefix
+      in
+      let messages = List.map (fun f -> f.Lint.Rules.message) fs in
+      List.iter
+        (fun prefix ->
+          Alcotest.(check bool) prefix true (List.exists (starts_with prefix) messages))
+        [ "Esp.seal is a string shim"; "Esp.open_ is a string shim"; "string shim call under" ];
+      (* The arena seal, the in-place open and the shims' own bare
+         names are the one wire path. *)
+      Alcotest.(check int) "arena seal and in-place open are clean" 0
+        (List.length (check ~role "Good_string_shim")))
+    [ Lint.Rules.Decode; Lint.Rules.Data ];
+  Alcotest.(check int) "lib role unaffected" 0
+    (List.length (check ~role:Lint.Rules.Lib "Bad_string_shim"))
+
 let test_c_boundary () =
   (* Outside lib/crypto every external is a finding, noalloc or not... *)
   let fs = check ~role:Lint.Rules.Lib "Bad_c_boundary" in
@@ -572,4 +597,5 @@ let suite =
     ("pass-c: clean fixture and real docs", `Quick, test_doccheck_clean);
     ("pass-c: counter catalogue", `Quick, test_counter_catalogue);
     ("pass-c: unreadable file", `Quick, test_doccheck_missing);
+    ("pass-a: hotpath-alloc string shims", `Quick, test_string_shims);
   ]

@@ -723,6 +723,44 @@ let test_one_node_inert () =
     (fun k -> Alcotest.(check int) (k ^ " stays 0") 0 (Stats.get stats k))
     [ "topo.getmap"; "redirect.sent"; "topo.lease.grants"; "topo.s2s_connects" ]
 
+(* Credential calls go to the home frontend alone, and a crash of the
+   home recovers them as it does a routed call: the first attempt
+   times out against the dead incarnation, the client reattaches and
+   re-issues the call there. The call executes once, so a submission
+   is stored once and a revocation answers [Ok] rather than finding
+   its own earlier execution ("no such credential"). *)
+let test_credentials_survive_home_crash () =
+  let c = Cluster.make ~servers:2 ~seed:"topo-home-crash-creds" () in
+  let admin = CC.attach c ~identity:(Cluster.admin_identity c) ~uid:0 ~home:0 () in
+  let bob = CC.attach c ~identity:(Cluster.new_identity c) ~uid:100 ~home:0 () in
+  let cred =
+    Cluster.admin_issue c ~licensees:(quoted (CC.principal bob))
+      ~conditions:(root_conditions (CC.root bob) "R") ()
+  in
+  let fingerprint = Assertion.fingerprint cred in
+  let stats = Cluster.stats c in
+  let count k = Stats.get stats k in
+  let stored () =
+    List.length
+      (List.filter
+         (fun a -> String.equal (Assertion.fingerprint a) fingerprint)
+         (Keynote.Session.credentials (Server.session (Cluster.node_server c 0))))
+  in
+  Cluster.crash_and_restart c 0;
+  let submissions = count "discfs.submissions" and reattaches = count "client.reattaches" in
+  (match CC.submit_credential bob cred with
+  | Ok fp -> Alcotest.(check string) "submit answers with the fingerprint" fingerprint fp
+  | Error e -> Alcotest.failf "submit after a home crash: %s" e);
+  Alcotest.(check int) "submit executed once" 1 (count "discfs.submissions" - submissions);
+  Alcotest.(check int) "stored once" 1 (stored ());
+  Alcotest.(check int) "the submitter re-homed" 1 (count "client.reattaches" - reattaches);
+  Cluster.crash_and_restart c 0;
+  (match CC.revoke_credential admin ~fingerprint with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "revoke after a home crash: %s" e);
+  Alcotest.(check int) "revoked" 0 (stored ());
+  Alcotest.(check int) "the revoker re-homed" 2 (count "client.reattaches" - reattaches)
+
 let suite =
   [
     Alcotest.test_case "shard map: striping, serving, codec" `Quick test_shard_map_unit;
@@ -747,4 +785,6 @@ let suite =
     Alcotest.test_case "bonnie backend over the cluster" `Quick test_cluster_backend;
     Alcotest.test_case "one node: cluster layer inert through a crash" `Quick
       test_one_node_inert;
+    Alcotest.test_case "credential calls recover from a home crash, once" `Quick
+      test_credentials_survive_home_crash;
   ]
