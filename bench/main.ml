@@ -920,10 +920,7 @@ let conc_run ~clients ~workers ~depth =
   let sched = Option.get (Discfs.Cluster.sched d) in
   let conns =
     List.init clients (fun i ->
-        let c = CC.attach d ~identity:(Discfs.Cluster.admin_identity d) ~uid:i () in
-        let fh, _, _ = CC.create c ~dir:(CC.root c) (Printf.sprintf "c%d.dat" i) () in
-        CC.write_all c fh (String.make 8192 'x');
-        (c, fh))
+        Load.Scenario.attach_with_file d ~uid:i (Printf.sprintf "c%d.dat" i))
   in
   let clock = Discfs.Cluster.clock d in
   let t0 = Clock.now clock in
@@ -935,10 +932,7 @@ let conc_run ~clients ~workers ~depth =
           for op = 0 to conc_ops_per_client - 1 do
             let t = Clock.now clock in
             (try
-               (match op mod 4 with
-               | 0 -> ignore (CC.write c fh ~off:(op * 1024 mod 8192) (String.make 1024 'y'))
-               | 1 -> ignore (CC.getattr c fh)
-               | _ -> ignore (CC.read c fh ~off:(op * 2048 mod 8192) ~count:2048));
+               Load.Scenario.mixed_op c fh op;
                incr done_ops
              with Oncrpc.Rpc.Rpc_timeout _ -> incr failures);
             let dt = Clock.now clock -. t in
@@ -1118,10 +1112,7 @@ let topo_run ~servers ~clients ~ops ~workers =
           for op = 0 to ops - 1 do
             let t = Clock.now clock in
             (try
-               (match op mod 4 with
-               | 0 -> ignore (CC.write cc fh ~off:(op * 1024 mod 8192) (String.make 1024 'y'))
-               | 1 -> ignore (CC.getattr cc fh)
-               | _ -> ignore (CC.read cc fh ~off:(op * 2048 mod 8192) ~count:2048));
+               Load.Scenario.mixed_op cc fh op;
                incr done_ops
              with Oncrpc.Rpc.Rpc_timeout _ -> incr failures);
             lat_sum := !lat_sum +. (Clock.now clock -. t)

@@ -4,9 +4,7 @@
    benign. *)
 
 type t = {
-  capacity : int;
-  entries : (string, int * int ref) Hashtbl.t; (* key -> (level, last-use stamp) *)
-  mutable tick : int;
+  entries : (string, int) Lru.t; (* key -> compliance level *)
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -18,9 +16,7 @@ type t = {
 let create ~stats ~size =
   if size < 0 then invalid_arg "Policy_cache.create: negative size";
   {
-    capacity = size;
-    entries = Hashtbl.create (max 16 size);
-    tick = 0;
+    entries = Lru.create ~capacity:size;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -68,15 +64,12 @@ let key ~peer ~attributes ~epoch =
        pos attributes);
   Bytes.unsafe_to_string b
 
-let touch t = t.tick <- t.tick + 1; t.tick
-
 let find t ~key =
-  match Hashtbl.find_opt t.entries key with
-  | Some (level, stamp) ->
+  match Lru.find t.entries key with
+  | Some _ as hit ->
     t.hits <- t.hits + 1;
     Race.read t.race ~key;
-    stamp := touch t;
-    Some level
+    hit
   | None ->
     t.misses <- t.misses + 1;
     (* A miss commits the caller to a (yielding) KeyNote query whose
@@ -86,32 +79,19 @@ let find t ~key =
     Race.check t.race ~key;
     None
 
-let evict_lru t =
-  let victim = ref None in
-  Hashtbl.iter
-    (fun key (_, stamp) ->
-      match !victim with
-      | Some (_, best) when !stamp >= best -> ()
-      | _ -> victim := Some (key, !stamp))
-    t.entries;
-  match !victim with
-  | Some (key, _) ->
-    Hashtbl.remove t.entries key;
-    t.evictions <- t.evictions + 1;
-    Simnet.Stats.incr t.stats "cache.policy.evictions"
-  | None -> ()
-
 let add t ~key level =
-  if t.capacity > 0 then begin
+  if Lru.capacity t.entries > 0 then begin
     if Race.enabled t.race then Race.act t.race ~value:(string_of_int level) ~key ();
-    if (not (Hashtbl.mem t.entries key)) && Hashtbl.length t.entries >= t.capacity then
-      evict_lru t;
-    Hashtbl.replace t.entries key (level, ref (touch t))
+    (* A fill evicts at most one entry. *)
+    if Lru.replace t.entries key level > 0 then begin
+      t.evictions <- t.evictions + 1;
+      Simnet.Stats.incr t.stats "cache.policy.evictions"
+    end
   end
 
 let flush t =
-  if Hashtbl.length t.entries > 0 then t.flushes <- t.flushes + 1;
-  Hashtbl.reset t.entries;
+  if Lru.length t.entries > 0 then t.flushes <- t.flushes + 1;
+  Lru.clear t.entries;
   (* Epoch-keyed entries can never be refilled under their old keys
      after a flush (the epoch changed), so surviving check windows
      are dead — drop them rather than let them pair across the flush. *)
@@ -121,5 +101,5 @@ let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
 let flushes t = t.flushes
-let size t = Hashtbl.length t.entries
-let capacity t = t.capacity
+let size t = Lru.length t.entries
+let capacity t = Lru.capacity t.entries

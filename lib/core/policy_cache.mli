@@ -16,7 +16,9 @@
     renaming a file changes [PATH], crossing an hour boundary changes
     [hour], and loading or revoking a credential changes the epoch —
     each naturally keys a fresh entry, and the superseded ones age
-    out of the LRU.
+    out of the LRU. Recency is the shared {!Lru}: a hit or a re-add
+    refreshes an entry, and a fill into a full table evicts the least
+    recently used one.
 
     {b Invalidation.} Epoch rotation makes stale entries
     unreachable; {!flush} additionally drops them eagerly and is

@@ -2,21 +2,8 @@
    fills that straddle a yield are generation-guarded (insert_if) and every
    access is instrumented for the dynamic checker (set_race). *)
 
-(* Doubly-linked intrusive LRU so find/insert/evict are all O(1);
-   the node table and the list share the same records. *)
-
-type node = {
-  index : int;
-  mutable data : bytes;
-  mutable prev : node option; (* towards MRU *)
-  mutable next : node option; (* towards LRU *)
-}
-
 type t = {
-  capacity : int;
-  nodes : (int, node) Hashtbl.t;
-  mutable mru : node option;
-  mutable lru : node option;
+  blocks : (int, bytes) Lru.t;
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
@@ -28,10 +15,7 @@ type t = {
 let create ~capacity =
   if capacity < 0 then invalid_arg "Bcache.create: negative capacity";
   {
-    capacity;
-    nodes = Hashtbl.create (max 16 capacity);
-    mru = None;
-    lru = None;
+    blocks = Lru.create ~capacity;
     hits = 0;
     misses = 0;
     evictions = 0;
@@ -40,8 +24,8 @@ let create ~capacity =
     race = Race.null;
   }
 
-let capacity t = t.capacity
-let size t = Hashtbl.length t.nodes
+let capacity t = Lru.capacity t.blocks
+let size t = Lru.length t.blocks
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
@@ -49,32 +33,17 @@ let generation t = t.generation
 let stale_fills t = t.stale_fills
 let set_race t m = t.race <- m
 
-(* Detach [n] from the recency list (not from the table). *)
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.mru <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.lru <- n.prev);
-  n.prev <- None;
-  n.next <- None
-
-let push_front t n =
-  n.next <- t.mru;
-  n.prev <- None;
-  (match t.mru with Some m -> m.prev <- Some n | None -> t.lru <- Some n);
-  t.mru <- Some n
-
 (* The cache never writes a stored block in place — an update swaps
    in another block — so the block handed out here stays as it was.
    Race keys are rendered only for an armed monitor. *)
 let find_shared t i =
-  if t.capacity = 0 then None
+  if capacity t = 0 then None
   else
-  match Hashtbl.find_opt t.nodes i with
-  | Some n ->
+  match Lru.find t.blocks i with
+  | Some _ as hit ->
     t.hits <- t.hits + 1;
     if Race.enabled t.race then Race.read t.race ~key:(string_of_int i);
-    unlink t n;
-    push_front t n;
-    Some n.data
+    hit
   | None ->
     t.misses <- t.misses + 1;
     (* A miss opens a check-then-act window: the caller will go to
@@ -85,7 +54,7 @@ let find_shared t i =
 let find t i = Option.map Bytes.copy (find_shared t i)
 
 let mem t i =
-  if Hashtbl.mem t.nodes i then true
+  if Lru.mem t.blocks i then true
   else begin
     (* A readahead presence probe is also a fill decision. *)
     if Race.enabled t.race then Race.check t.race ~key:(string_of_int i);
@@ -94,38 +63,17 @@ let mem t i =
 
 let remove t i =
   if Race.enabled t.race then Race.write t.race ~key:(string_of_int i) ();
-  match Hashtbl.find_opt t.nodes i with
-  | Some n ->
-    unlink t n;
-    Hashtbl.remove t.nodes i
-  | None -> ()
-
-let evict_lru t =
-  match t.lru with
-  | Some n ->
-    unlink t n;
-    Hashtbl.remove t.nodes n.index;
-    t.evictions <- t.evictions + 1
-  | None -> ()
+  Lru.remove t.blocks i
 
 let insert t i data =
-  if t.capacity > 0 then begin
+  if capacity t > 0 then begin
     (* The act's value is a copy of the block: build it only for a
        live monitor, not on every fill. *)
     if Race.enabled t.race then
       Race.act t.race ~value:(Bytes.to_string data) ~key:(string_of_int i) ();
     (* The block itself is stored, not a copy: the caller hands it
        over (see bcache.mli). *)
-    match Hashtbl.find_opt t.nodes i with
-    | Some n ->
-      n.data <- data;
-      unlink t n;
-      push_front t n
-    | None ->
-      if Hashtbl.length t.nodes >= t.capacity then evict_lru t;
-      let n = { index = i; data; prev = None; next = None } in
-      Hashtbl.replace t.nodes i n;
-      push_front t n
+    t.evictions <- t.evictions + Lru.replace t.blocks i data
   end
 
 (* Generation-guarded fill: a fill whose decision (miss, readahead
@@ -138,8 +86,6 @@ let insert_if t ~generation i data =
   else t.stale_fills <- t.stale_fills + 1
 
 let drop t =
-  Hashtbl.reset t.nodes;
-  t.mru <- None;
-  t.lru <- None;
+  Lru.clear t.blocks;
   t.generation <- t.generation + 1;
   Race.wipe t.race

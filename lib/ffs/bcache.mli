@@ -3,9 +3,10 @@
 
     Pure bookkeeping: no clock, no I/O — {!Blockdev} decides what a
     hit or miss costs in virtual time and when entries are filled,
-    updated (write-through) or dropped (crash, image restore). All
-    operations are O(1): recency is an intrusive doubly-linked list
-    threaded through the hash-table nodes.
+    updated (write-through) or dropped (crash, image restore). The
+    recency policy is the shared {!Lru}, so every operation is O(1);
+    this module adds the hit/miss/eviction counters, the generation
+    guard and the race instrumentation.
 
     {b Ownership.} {!insert} stores the block it is given, without a
     copy: the caller hands the block over and must not write to it

@@ -15,6 +15,23 @@ val fs_fingerprint : Ffs.Fs.t -> string
     ([bench race_explore] and the QCheck equivalence properties)
     compares these across tie-seed perturbations. *)
 
+(** {1 Shared building blocks} *)
+
+val attach_with_file :
+  Discfs.Cluster.t ->
+  uid:int ->
+  ?sa_lifetime:int ->
+  ?retry:Oncrpc.Rpc.retry ->
+  string ->
+  Discfs.Cluster_client.t * Nfs.Proto.fh
+(** Attach a client under the admin identity and give it its own
+    8 KB file of that name in the root directory. *)
+
+val mixed_op : Discfs.Cluster_client.t -> Nfs.Proto.fh -> int -> unit
+(** Op [i] of the 1:2:1 GETATTR/READ/WRITE mix against an 8 KB file:
+    a 1 KB WRITE when [i mod 4 = 0], a GETATTR when it is 1, otherwise
+    a 2 KB READ, each at an offset that walks the file. *)
+
 (** {1 Latency vs offered load} *)
 
 type sweep_point = {

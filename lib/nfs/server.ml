@@ -187,6 +187,28 @@ let pieces_body e pieces =
   Xdr.Enc.sub_writer e (fun e ->
       List.iter (fun (block, off, len) -> Xdr.Enc.borrow e block ~off ~len) pieces)
 
+(* One READDIR/READDIRPLUS page: the directory's entries from [cookie]
+   on that fit the client's byte budget, approximately respected (at
+   least 512 bytes, [entry_size] plus the name per entry). [make]
+   builds each entry with the cookie that resumes after it. Returns
+   the page and whether it reaches the end of the directory. *)
+let readdir_page t fh ~cookie ~count ~entry_size make =
+  let entries = List.filteri (fun i _ -> i >= cookie) (Ffs.Fs.readdir t.fs fh.Proto.ino) in
+  let budget = ref (max count 512) in
+  let taken = ref [] in
+  let idx = ref cookie in
+  List.iter
+    (fun (name, ino) ->
+      let sz = entry_size + String.length name in
+      if !budget >= sz then begin
+        budget := !budget - sz;
+        incr idx;
+        taken := make name ino !idx :: !taken
+      end)
+    entries;
+  let taken = List.rev !taken in
+  (taken, List.length taken = List.length entries)
+
 let handle_nfs t ~conn ~proc ~args:d e =
   let run = run t e and reply_status = reply_status e in
   if proc = Proto.nfsproc_null then Ok ()
@@ -304,23 +326,10 @@ let handle_nfs t ~conn ~proc ~args:d e =
     let cookie = Xdr.Dec.uint32 d in
     let count = Xdr.Dec.uint32 d in
     run ~conn ~fh ~op:Readdir (fun () ->
-        let entries = Ffs.Fs.readdir t.fs fh.Proto.ino in
-        let entries = List.filteri (fun i _ -> i >= cookie) entries in
-        (* Respect the client's byte budget approximately. *)
-        let budget = ref (max count 512) in
-        let taken = ref [] in
-        let idx = ref cookie in
-        List.iter
-          (fun (name, ino) ->
-            let sz = 16 + String.length name in
-            if !budget >= sz then begin
-              budget := !budget - sz;
-              incr idx;
-              taken := { Proto.d_fileid = ino; d_name = name; d_cookie = !idx } :: !taken
-            end)
-          entries;
-        let taken = List.rev !taken in
-        let eof = List.length taken = List.length entries in
+        let taken, eof =
+          readdir_page t fh ~cookie ~count ~entry_size:16 (fun name ino cookie ->
+              { Proto.d_fileid = ino; d_name = name; d_cookie = cookie })
+        in
         reply_status Proto.nfs_ok ~body:(fun e -> Proto.direntries_encode e taken eof))
   end
   else if proc = Proto.nfsproc_readdirplus then begin
@@ -328,34 +337,20 @@ let handle_nfs t ~conn ~proc ~args:d e =
     let cookie = Xdr.Dec.uint32 d in
     let count = Xdr.Dec.uint32 d in
     run ~conn ~fh ~op:Readdirplus (fun () ->
-        let entries = Ffs.Fs.readdir t.fs fh.Proto.ino in
-        let entries = List.filteri (fun i _ -> i >= cookie) entries in
         (* The plus-entry also carries the handle (32 B) and the
-           attributes (68 B), so its budget floor is bigger than plain
+           attributes (68 B), so it costs more of the budget than plain
            readdir's. One authorization covers the page; each entry's
            attributes still pass through [present_attr]. *)
-        let budget = ref (max count 512) in
-        let taken = ref [] in
-        let idx = ref cookie in
-        List.iter
-          (fun (name, ino) ->
-            let sz = 116 + String.length name in
-            if !budget >= sz then begin
-              budget := !budget - sz;
-              incr idx;
-              taken :=
-                {
-                  Proto.p_fileid = ino;
-                  p_name = name;
-                  p_cookie = !idx;
-                  p_fh = fh_of t ino;
-                  p_attr = t.hooks.present_attr ~conn (fattr_of_ino t ino);
-                }
-                :: !taken
-            end)
-          entries;
-        let taken = List.rev !taken in
-        let eof = List.length taken = List.length entries in
+        let taken, eof =
+          readdir_page t fh ~cookie ~count ~entry_size:116 (fun name ino cookie ->
+              {
+                Proto.p_fileid = ino;
+                p_name = name;
+                p_cookie = cookie;
+                p_fh = fh_of t ino;
+                p_attr = t.hooks.present_attr ~conn (fattr_of_ino t ino);
+              })
+        in
         reply_status Proto.nfs_ok ~body:(fun e -> Proto.direntpluses_encode e taken eof))
   end
   else if proc = Proto.nfsproc_multi_read then begin

@@ -24,12 +24,12 @@ type handler =
    non-idempotent call (CREATE, REMOVE, RENAME, WRITE) may arrive
    twice; the server replays the recorded reply instead of
    re-executing. Keyed by (peer, xid, proc) as the paper's NFSv2/UDP
-   substrate does by (client address, xid). Bounded LRU: a cache hit
-   refreshes the entry, so under sustained retransmission the
-   still-hot entries survive and cold ones are evicted first. *)
+   substrate does by (client address, xid). Bounded by the shared
+   {!Lru}: a cache hit refreshes the entry, so under sustained
+   retransmission the still-hot entries survive and cold ones are
+   evicted first. Recording a reply never refreshes an entry that is
+   already there. *)
 let default_drc_capacity = 512
-
-type drc_entry = { reply : Xdr.Enc.t; mutable stamp : int }
 
 (* A decoded CALL; [args] is a view into the opened datagram,
    positioned on the procedure arguments. *)
@@ -74,14 +74,7 @@ type server = {
   cost : Cost.t;
   stats : Stats.t;
   programs : (int * int, handler) Hashtbl.t;
-  drc : (string * int * int, drc_entry) Hashtbl.t;
-  (* Recency queue with lazy deletion: each use pushes (key, stamp);
-     an entry is live only for the queue element whose stamp matches,
-     so eviction pops until it finds a current element — amortized
-     O(1), no full scans. *)
-  drc_order : ((string * int * int) * int) Queue.t;
-  mutable drc_tick : int;
-  mutable drc_capacity : int;
+  drc : (string * int * int, Xdr.Enc.t) Lru.t;
   mutable trace : Trace.t;
   mutable pool : pool option;
   (* Client-id allocator. Per server, not global: ids key the xid
@@ -101,10 +94,7 @@ let server ~clock ~cost ~stats =
     cost;
     stats;
     programs = Hashtbl.create 8;
-    drc = Hashtbl.create 64;
-    drc_order = Queue.create ();
-    drc_tick = 0;
-    drc_capacity = default_drc_capacity;
+    drc = Lru.create ~capacity:default_drc_capacity;
     trace = Trace.null;
     pool = None;
     next_client = 0;
@@ -150,25 +140,11 @@ let set_pool t ~sched ~workers ~queue_depth =
 
 let queue_peak t = match t.pool with Some p -> p.peak | None -> 0
 
-let drc_evict_to t cap =
-  while Hashtbl.length t.drc > cap && not (Queue.is_empty t.drc_order) do
-    let key, stamp = Queue.pop t.drc_order in
-    match Hashtbl.find_opt t.drc key with
-    | Some e when e.stamp = stamp ->
-      Stats.incr t.stats "rpc.drc_evictions";
-      Hashtbl.remove t.drc key
-    | _ -> () (* stale queue element: the entry was used again later *)
-  done
+let drc_evicted t n = if n > 0 then Stats.add t.stats "rpc.drc_evictions" n
 
 let set_drc_capacity t cap =
   if cap < 0 then invalid_arg "Rpc.set_drc_capacity: negative capacity";
-  t.drc_capacity <- cap;
-  drc_evict_to t cap
-
-let drc_touch t key e =
-  t.drc_tick <- t.drc_tick + 1;
-  e.stamp <- t.drc_tick;
-  Queue.push (key, t.drc_tick) t.drc_order
+  drc_evicted t (Lru.set_capacity t.drc cap)
 
 let shutdown t = t.dead <- true
 
@@ -391,23 +367,38 @@ let execute srv ~tr ~(conn : conn_info) c =
   e
 
 let drc_put srv key reply =
-  if srv.drc_capacity > 0 && not (Hashtbl.mem srv.drc key) then begin
-    let e = { reply; stamp = 0 } in
-    Hashtbl.replace srv.drc key e;
-    drc_touch srv key e;
-    drc_evict_to srv srv.drc_capacity
-  end
+  if Lru.capacity srv.drc > 0 && not (Lru.mem srv.drc key) then
+    drc_evicted srv (Lru.replace srv.drc key reply)
 
-(* A retransmission of an executed call: replay the recorded reply. *)
-let drc_hit srv key e =
+(* A retransmission of an executed call, about to be answered with
+   the recorded reply (the lookup that found it refreshed the entry). *)
+let drc_hit srv =
   Stats.incr srv.stats "rpc.drc_hits";
-  Trace.instant srv.trace "rpc.drc_hit";
-  drc_touch srv key e;
-  e.reply
+  Trace.instant srv.trace "rpc.drc_hit"
 
 let unmarshal_call srv d =
   unmarshal_charge srv (Xdr.Dec.remaining d);
   decode_call d
+
+(* One call at a live server: decode, then replay or execute. *)
+let serve_live srv ~conn d =
+  Stats.incr srv.stats "rpc.calls";
+  match
+    if Trace.enabled srv.trace then
+      Trace.span srv.trace "xdr.unmarshal" (fun () -> unmarshal_call srv d)
+    else unmarshal_call srv d
+  with
+  | exception Xdr.Decode_error _ -> Some (garbage_reply ())
+  | c -> (
+    let key = (conn.peer, c.xid, c.proc) in
+    match Lru.find srv.drc key with
+    | Some reply ->
+      drc_hit srv;
+      Some reply
+    | None ->
+      let reply = execute srv ~tr:srv.trace ~conn c in
+      drc_put srv key reply;
+      Some reply)
 
 (* Returns the reply arena, or [None] when the server is down (the
    datagram vanishes and the client's retransmission logic deals with
@@ -418,23 +409,9 @@ let serve srv ~conn d =
     Stats.incr srv.stats "rpc.dropped_dead";
     None
   end
-  else
-    Trace.span srv.trace "rpc.dispatch" @@ fun () ->
-    Stats.incr srv.stats "rpc.calls";
-    match
-      if Trace.enabled srv.trace then
-        Trace.span srv.trace "xdr.unmarshal" (fun () -> unmarshal_call srv d)
-      else unmarshal_call srv d
-    with
-    | exception Xdr.Decode_error _ -> Some (garbage_reply ())
-    | c -> (
-      let key = (conn.peer, c.xid, c.proc) in
-      match Hashtbl.find_opt srv.drc key with
-      | Some e -> Some (drc_hit srv key e)
-      | None ->
-        let reply = execute srv ~tr:srv.trace ~conn c in
-        drc_put srv key reply;
-        Some reply)
+  else if Trace.enabled srv.trace then
+    Trace.span srv.trace "rpc.dispatch" (fun () -> serve_live srv ~conn d)
+  else serve_live srv ~conn d
 
 let dispatch srv ~conn data =
   Option.map Xdr.Enc.to_string (serve srv ~conn (Xdr.Dec.of_string data))
@@ -555,15 +532,14 @@ let submit srv p ~conn ~reply d =
     match decode_call d with
     | exception Xdr.Decode_error _ ->
       spawn_reply srv p len (fun () -> reply (garbage_reply ()))
-    | c when Hashtbl.mem srv.drc (conn.peer, c.xid, c.proc) ->
-      let key = (conn.peer, c.xid, c.proc) in
-      race_read srv.race_drc key;
-      let cached = drc_hit srv key (Hashtbl.find srv.drc key) in
-      spawn_reply srv p len (fun () -> reply cached)
     | c -> (
       let key = (conn.peer, c.xid, c.proc) in
-      match Hashtbl.find_opt p.in_flight key with
-      | Some waiters ->
+      match (Lru.find srv.drc key, Hashtbl.find_opt p.in_flight key) with
+      | Some cached, _ ->
+        race_read srv.race_drc key;
+        drc_hit srv;
+        spawn_reply srv p len (fun () -> reply cached)
+      | None, Some waiters ->
         (* a retransmission of a request that is queued or executing
            right now: piggyback on that execution's reply. Check and
            act land in the same slice — the worker's removal write
@@ -573,7 +549,7 @@ let submit srv p ~conn ~reply d =
         Stats.incr srv.stats "rpc.coalesced";
         race_act srv.race_if key;
         waiters := reply :: !waiters
-      | None ->
+      | None, None ->
         if p.queued >= p.queue_depth then begin
           Stats.incr srv.stats "rpc.queue_rejects";
           Trace.instant srv.trace "rpc.queue_reject"
@@ -709,29 +685,8 @@ let exchange t ex ~tr ~stats ~xid ~n ~timeout seal request =
     let deadline = Clock.now (Link.clock t.link) +. jittered t timeout in
     await t p mbox ~stats ~xid ~deadline
 
-(* One call loop for both exchanges. The queued one is taken when the
-   server has a worker pool and we are running inside a scheduler
-   process; there the RPC layer opens no spans of its own. *)
-let call t ~prog ~vers ~proc args =
-  let ex =
-    match t.srv.pool with
-    | Some p when Sched.in_process p.sched ->
-      let mbox = Sched.Mailbox.create () in
-      let reply arena =
-        Sched.spawn p.sched (fun () ->
-            let sealed = t.channel.server_seal arena in
-            List.iter (Sched.Mailbox.push p.sched mbox) (Link.send t.link ~flow:flow_rep sealed))
-      in
-      Queued (p, mbox, reply)
-    | _ -> Inline
-  in
-  let tr = match ex with Inline -> Link.trace t.link | Queued _ -> Trace.null in
-  let stats = Link.stats t.link in
-  let attrs =
-    if Trace.enabled tr then Some [ ("prog", string_of_int prog); ("proc", string_of_int proc) ]
-    else None
-  in
-  Trace.span tr "rpc.call" ?attrs @@ fun () ->
+(* The body of {!call}, run inside its span when tracing. *)
+let run_call t ex ~tr ~stats ~prog ~vers ~proc args =
   (match ex with
   | Queued _ ->
     if Race.enabled t.srv.race_drc then
@@ -771,3 +726,27 @@ let call t ~prog ~vers ~proc args =
       attempt (n + 1) (timeout *. t.retry.backoff)
   in
   attempt 1 t.retry.base_timeout
+
+(* One call loop for both exchanges. The queued one is taken when the
+   server has a worker pool and we are running inside a scheduler
+   process; there the RPC layer opens no spans of its own. *)
+let call t ~prog ~vers ~proc args =
+  let ex =
+    match t.srv.pool with
+    | Some p when Sched.in_process p.sched ->
+      let mbox = Sched.Mailbox.create () in
+      let reply arena =
+        Sched.spawn p.sched (fun () ->
+            let sealed = t.channel.server_seal arena in
+            List.iter (Sched.Mailbox.push p.sched mbox) (Link.send t.link ~flow:flow_rep sealed))
+      in
+      Queued (p, mbox, reply)
+    | _ -> Inline
+  in
+  let tr = match ex with Inline -> Link.trace t.link | Queued _ -> Trace.null in
+  let stats = Link.stats t.link in
+  if Trace.enabled tr then
+    Trace.span tr "rpc.call"
+      ~attrs:[ ("prog", string_of_int prog); ("proc", string_of_int proc) ]
+      (fun () -> run_call t ex ~tr ~stats ~prog ~vers ~proc args)
+  else run_call t ex ~tr ~stats ~prog ~vers ~proc args

@@ -99,8 +99,10 @@ val queue_peak : server -> int
 val set_drc_capacity : server -> int -> unit
 (** Bound the duplicate-request cache (default 512 entries),
     evicting least-recently-used entries immediately if the new
-    capacity is smaller; 0 disables the cache. Evictions are counted
-    under ["rpc.drc_evictions"]. *)
+    capacity is smaller; 0 disables the cache. The cache is an
+    {!Lru} keyed by (peer, xid, proc): a replayed reply refreshes its
+    entry, recording a reply never does. Evictions are counted under
+    ["rpc.drc_evictions"]. *)
 
 val shutdown : server -> unit
 (** Simulate a server crash: every datagram sent to this server from

@@ -277,6 +277,42 @@ let test_epoch_and_attributes_key_the_memo () =
     (Discfs.Policy_cache.key ~peer:11 ~attributes:attrs ~epoch:1
     <> Discfs.Policy_cache.key ~peer:1 ~attributes:attrs ~epoch:11)
 
+let test_policy_memo_eviction_order () =
+  (* The memo evicts strictly by last use: a hit or a re-add refreshes
+     an entry, and each capacity eviction takes the stalest one. *)
+  let stats = Stats.create () in
+  let cache = Discfs.Policy_cache.create ~stats ~size:3 in
+  let key n = Discfs.Policy_cache.key ~peer:n ~attributes:[ ("HANDLE", "1") ] ~epoch:1 in
+  let present n = Discfs.Policy_cache.find cache ~key:(key n) <> None in
+  List.iter (fun n -> Discfs.Policy_cache.add cache ~key:(key n) n) [ 1; 2; 3 ];
+  Alcotest.(check (option int)) "hit returns the level" (Some 1)
+    (Discfs.Policy_cache.find cache ~key:(key 1));
+  Discfs.Policy_cache.add cache ~key:(key 2) 20;
+  Alcotest.(check int) "re-add is no eviction" 0 (Discfs.Policy_cache.evictions cache);
+  (* Recency, stalest first: 3, 1, 2. *)
+  Discfs.Policy_cache.add cache ~key:(key 4) 4;
+  Discfs.Policy_cache.add cache ~key:(key 5) 5;
+  Alcotest.(check int) "two evictions" 2 (Discfs.Policy_cache.evictions cache);
+  Alcotest.(check int) "counted in the registry" 2 (Stats.get stats "cache.policy.evictions");
+  Alcotest.(check int) "bounded" 3 (Discfs.Policy_cache.size cache);
+  let hits0 = Discfs.Policy_cache.hits cache in
+  Alcotest.(check (list bool)) "3 then 1 evicted; 2, 4, 5 kept"
+    [ false; false; true; true; true ] (List.map present [ 3; 1; 2; 4; 5 ]);
+  Alcotest.(check int) "three hits" (hits0 + 3) (Discfs.Policy_cache.hits cache);
+  Alcotest.(check (option int)) "re-add replaced the level" (Some 20)
+    (Discfs.Policy_cache.find cache ~key:(key 2));
+  (* Recency now 4, 5, 2: the next fill evicts 4. *)
+  Discfs.Policy_cache.add cache ~key:(key 6) 6;
+  Alcotest.(check (list bool)) "4 evicted next" [ false; true; true; true ]
+    (List.map present [ 4; 5; 2; 6 ]);
+  Discfs.Policy_cache.flush cache;
+  Alcotest.(check int) "flush empties" 0 (Discfs.Policy_cache.size cache);
+  Alcotest.(check int) "flush is no eviction" 3 (Discfs.Policy_cache.evictions cache);
+  let off = Discfs.Policy_cache.create ~stats ~size:0 in
+  Discfs.Policy_cache.add off ~key:(key 1) 1;
+  Alcotest.(check (option int)) "size 0 stores nothing" None
+    (Discfs.Policy_cache.find off ~key:(key 1))
+
 (* --- client attribute cache ------------------------------------------ *)
 
 let test_attr_cache_expiry_counter () =
@@ -390,6 +426,99 @@ let prop_cached_fs_reads_equal_uncached =
             String.equal (Ffs.Fs.read fs_c f_c ~off ~len) (Ffs.Fs.read fs_u f_u ~off ~len))
         ops)
 
+(* --- property: Lru against an association-list model ------------------ *)
+
+(* The model keeps the bindings least recently used first and evicts
+   from the front; the real map must agree on every answer, every
+   eviction count, every victim (in order) and the recency order
+   after each operation. *)
+type lop =
+  | Find of int
+  | Mem of int
+  | Replace of int * int
+  | Remove of int
+  | Set_capacity of int
+  | Clear
+
+let show_lop = function
+  | Find k -> Printf.sprintf "find %d" k
+  | Mem k -> Printf.sprintf "mem %d" k
+  | Replace (k, v) -> Printf.sprintf "replace %d %d" k v
+  | Remove k -> Printf.sprintf "remove %d" k
+  | Set_capacity c -> Printf.sprintf "set_capacity %d" c
+  | Clear -> "clear"
+
+let gen_lops =
+  QCheck.Gen.(
+    pair (int_range 0 5)
+      (list_size (int_range 1 60)
+         (let key = int_range 0 7 in
+          frequency
+            [
+              (4, map (fun k -> Find k) key);
+              (2, map (fun k -> Mem k) key);
+              (6, map2 (fun k v -> Replace (k, v)) key (int_range 0 99));
+              (2, map (fun k -> Remove k) key);
+              (1, map (fun c -> Set_capacity c) (int_range 0 5));
+              (1, return Clear);
+            ])))
+
+(* Drop the oldest bindings until [cap] remain; returns the survivors
+   and the victims, oldest first. *)
+let model_evict cap m =
+  let excess = max 0 (List.length m - cap) in
+  (List.filteri (fun i _ -> i >= excess) m, List.filteri (fun i _ -> i < excess) m)
+
+let prop_lru_matches_model =
+  QCheck.Test.make ~name:"lru = association-list model" ~count:500
+    (QCheck.make
+       ~print:(fun (cap, ops) ->
+         Printf.sprintf "capacity %d: %s" cap (String.concat "; " (List.map show_lop ops)))
+       gen_lops)
+    (fun (cap, ops) ->
+      let t = Lru.create ~capacity:cap in
+      let keys m = List.map fst m in
+      (* The bindings the real map lost in one operation, oldest
+         first; [fresh] is a binding the operation added. *)
+      let victims before ?fresh () =
+        let after = keys (Lru.bindings t) in
+        List.filter (fun (k, _) -> not (List.mem k after)) (before @ Option.to_list fresh)
+      in
+      let step (cap, m) op =
+        let before = Lru.bindings t in
+        let (cap, m), ok =
+          match op with
+          | Find k -> (
+            let got = Lru.find t k in
+            match List.assoc_opt k m with
+            | Some v -> ((cap, List.remove_assoc k m @ [ (k, v) ]), got = Some v)
+            | None -> ((cap, m), got = None))
+          | Mem k -> ((cap, m), Lru.mem t k = List.mem_assoc k m)
+          | Replace (k, v) ->
+            let evicted = Lru.replace t k v in
+            let fresh = if List.mem_assoc k m then None else Some (k, v) in
+            let m, gone = model_evict cap (List.remove_assoc k m @ [ (k, v) ]) in
+            ((cap, m), evicted = List.length gone && victims before ?fresh () = gone)
+          | Remove k ->
+            Lru.remove t k;
+            ((cap, List.remove_assoc k m), true)
+          | Set_capacity c ->
+            let evicted = Lru.set_capacity t c in
+            let m, gone = model_evict c m in
+            ((c, m), evicted = List.length gone && victims before () = gone)
+          | Clear ->
+            Lru.clear t;
+            ((cap, []), true)
+        in
+        if not ok then QCheck.Test.fail_reportf "%s: wrong answer" (show_lop op);
+        if Lru.bindings t <> m then QCheck.Test.fail_reportf "%s: wrong recency order" (show_lop op);
+        if Lru.length t <> List.length m || Lru.capacity t <> cap then
+          QCheck.Test.fail_reportf "%s: wrong size or capacity" (show_lop op);
+        (cap, m)
+      in
+      ignore (List.fold_left step (cap, []) ops);
+      true)
+
 let suite =
   [
     Alcotest.test_case "bcache LRU mechanics" `Quick test_bcache_lru;
@@ -405,8 +534,10 @@ let suite =
       test_revoked_credential_misses_memo_cache;
     Alcotest.test_case "memo key separates peer/attrs/epoch" `Quick
       test_epoch_and_attributes_key_the_memo;
+    Alcotest.test_case "policy memo eviction order" `Quick test_policy_memo_eviction_order;
     Alcotest.test_case "attr cache counts expiries" `Quick test_attr_cache_expiry_counter;
     Alcotest.test_case "cache metrics split by kind" `Quick test_cache_metrics_split_by_kind;
     Alcotest.test_case "cache counters without tracing" `Quick test_cache_counters_untraced;
     QCheck_alcotest.to_alcotest prop_cached_fs_reads_equal_uncached;
+    QCheck_alcotest.to_alcotest prop_lru_matches_model;
   ]

@@ -513,6 +513,35 @@ let test_alloc_independent_of_principal () =
   Alcotest.(check (float 0.0)) "Server.query_level memo hit"
     (memo_hit_alloc principal_448) (memo_hit_alloc principal_4000)
 
+(* Untraced, [Rpc.call] and the server's dispatch open no span, so they
+   must not build the closure a span would run: each such closure
+   captures the whole call, at least five words. The budgets are what
+   the two paths measure on OCaml 5.1 plus two: 221 for a fresh inline
+   NULL call (mostly the request and reply frames and the link's
+   delivery list) and 44 for a NULL call replayed from the DRC (its
+   decode view, the decoded call, its DRC key, the options around the
+   cached reply and the reply string). *)
+let test_untraced_rpc_alloc () =
+  let clock = Clock.create () and stats = Stats.create () in
+  let cost = Simnet.Cost.default in
+  let link = Simnet.Link.create ~clock ~cost ~stats in
+  let srv = Rpc.server ~clock ~cost ~stats in
+  Rpc.register srv ~prog:77 ~vers:1 (fun ~conn:_ ~proc:_ ~args:_ _ -> Ok ());
+  let client = Rpc.connect ~link srv in
+  let null _ = Rpc.call client ~prog:77 ~vers:1 ~proc:0 ignore in
+  let msg = Rpc.encode_call ~xid:5 ~prog:77 ~vers:1 ~proc:0 ~uid:0 "" in
+  let replay _ = Rpc.dispatch srv ~conn:{ Rpc.peer = ""; uid = 0 } msg in
+  let over =
+    List.filter_map
+      (fun (name, got, limit) ->
+        if got > limit then Some (Printf.sprintf "%s allocates %.0f B (limit %.0f B)" name got limit)
+        else None)
+      [ ("Rpc.call NULL", alloc_median null, 223.0);
+        ("Rpc.dispatch DRC replay", alloc_median replay, 46.0) ]
+  in
+  if over <> [] then Alcotest.fail (String.concat "; " over);
+  Alcotest.(check int) "every measured replay was a DRC hit" 15 (Stats.get stats "rpc.drc_hits")
+
 (* --- ESP length guards ------------------------------------------------- *)
 
 let malformed_count stats = Stats.get stats "esp.drop.malformed"
@@ -751,6 +780,8 @@ let suite =
       test_alloc_guards;
     Alcotest.test_case "alloc: per-call work independent of the principal" `Quick
       test_alloc_independent_of_principal;
+    Alcotest.test_case "alloc: untraced rpc builds no span closure" `Quick
+      test_untraced_rpc_alloc;
     QCheck_alcotest.to_alcotest prop_gather_arena;
     Alcotest.test_case "alloc: borrowed-block read, gathered seal, one-copy write" `Quick
       test_data_path_alloc;
