@@ -35,33 +35,59 @@ let set_race t m = t.race <- m
    anything that changes the KeyNote question — a renamed PATH, a
    bumped GENERATION, a different hour — naturally keys a different
    entry, with no flush-on-rename heuristics; folding in the epoch
-   retires every entry the moment the credential set changes. The key
-   is written once, at its exact length. *)
-let key ~peer ~attributes ~epoch =
-  let epoch = string_of_int epoch and peer = string_of_int peer in
-  let attributes = List.sort compare attributes in
+   retires every entry the moment the credential set changes.
+
+   The key is written once, at its exact length, straight from the
+   values: no attribute list, no sort, no intermediate strings. The
+   attributes go in the order a sort of the pairs would put them
+   (uppercase names first). *)
+
+(* The width of [string_of_int n], sign included. *)
+let int_width n =
+  let rec go n w = if n > -10 && n < 10 then w else go (n / 10) (w + 1) in
+  go n (if n < 0 then 2 else 1)
+
+(* [string_of_int n] written at [pos]; returns the position after it.
+   Digits come from the negative-safe remainder, so [min_int] works. *)
+let rec put_digits b n i =
+  Bytes.set b i (Char.unsafe_chr (48 + abs (n mod 10)));
+  if n <= -10 || n >= 10 then put_digits b (n / 10) (i - 1)
+
+let put_int b pos n =
+  let w = int_width n in
+  if n < 0 then Bytes.set b pos '-';
+  put_digits b n (pos + w - 1);
+  pos + w
+
+let put_string b pos s =
+  Bytes.blit_string s 0 b pos (String.length s);
+  pos + String.length s
+
+let attributes ~ino ~generation ~path ~hour =
+  [
+    ("app_domain", "DisCFS");
+    ("HANDLE", string_of_int ino);
+    ("GENERATION", string_of_int generation);
+    ("PATH", path);
+    ("hour", string_of_int hour);
+  ]
+
+let key ~epoch ~peer ~ino ~generation ~path ~hour =
   let len =
-    List.fold_left
-      (fun n (k, v) -> n + 2 + String.length k + String.length v)
-      (String.length epoch + 1 + String.length peer)
-      attributes
+    int_width epoch + 1 + int_width peer
+    + String.length "\000GENERATION=" + int_width generation
+    + String.length "\000HANDLE=" + int_width ino
+    + String.length "\000PATH=" + String.length path
+    + String.length "\000app_domain=DisCFS\000hour=" + int_width hour
   in
   let b = Bytes.create len in
-  let put pos s =
-    Bytes.blit_string s 0 b pos (String.length s);
-    pos + String.length s
-  in
-  let pos = put 0 epoch in
+  let pos = put_int b 0 epoch in
   Bytes.set b pos '\000';
-  let pos = put (pos + 1) peer in
-  ignore
-    (List.fold_left
-       (fun pos (k, v) ->
-         Bytes.set b pos '\000';
-         let pos = put (pos + 1) k in
-         Bytes.set b pos '=';
-         put (pos + 1) v)
-       pos attributes);
+  let pos = put_int b (pos + 1) peer in
+  let pos = put_int b (put_string b pos "\000GENERATION=") generation in
+  let pos = put_int b (put_string b pos "\000HANDLE=") ino in
+  let pos = put_string b (put_string b pos "\000PATH=") path in
+  ignore (put_int b (put_string b pos "\000app_domain=DisCFS\000hour=") hour);
   Bytes.unsafe_to_string b
 
 let find t ~key =

@@ -42,15 +42,26 @@ val set_race : t -> Race.monitor -> unit
     check-then-act windows closed by {!add} — epoch-keyed duplicate
     fills classify benign — and {!flush} wipes per-key state. *)
 
-val key : peer:int -> attributes:(string * string) list -> epoch:int -> string
+val attributes : ino:int -> generation:int -> path:string -> hour:int -> (string * string) list
+(** The action-attribute set a policy check asks KeyNote about:
+    [app_domain = "DisCFS"], [HANDLE] (the inode), its [GENERATION]
+    ([-1] for a dead inode), its [PATH] (empty when it has none) and
+    the [hour]. Built only on a memo miss. *)
+
+val key : epoch:int -> peer:int -> ino:int -> generation:int -> path:string -> hour:int -> string
 (** The memo key: the canonical encoding
     [epoch\000peer\000k=v\000k=v…] of the credential-set epoch, the
-    requesting principal's interned id and the action attributes
-    (order-insensitive: they are sorted first). The caller interns
+    requesting principal's interned id and the {!attributes} for the
+    other arguments, sorted by name and then value. The caller interns
     each principal to an id that never names another principal for
     this cache's lifetime, so the key stays exact. Used as is, not
     digested: the memo is an in-memory table, so an exact key cannot
-    collide. Its length does not depend on the principal's. *)
+    collide. Its length does not depend on the principal's.
+
+    The key is written in one pass at its exact length, straight from
+    the integers and the path: the attribute names are already in
+    sorted order ([GENERATION], [HANDLE], [PATH], [app_domain],
+    [hour]), so no attribute list is built and nothing is sorted. *)
 
 val find : t -> key:string -> int option
 (** Cached compliance level for [key], refreshing its LRU position. *)

@@ -87,17 +87,10 @@ let short p = if String.length p > 24 then String.sub p 0 21 ^ "..." else p
 
 (* --- KeyNote integration ------------------------------------------- *)
 
-let attributes t ~ino =
-  [
-    ("app_domain", "DisCFS");
-    ("HANDLE", string_of_int ino);
-    ("GENERATION", string_of_int (try Ffs.Fs.generation t.fs ino with Ffs.Fs.Error _ -> -1));
-    ("PATH", (match Ffs.Fs.path_of t.fs ino with Some p -> p | None -> ""));
-    ("hour", string_of_int (t.hour ()));
-  ]
-
 let is_revoked t principal =
-  List.exists (Keynote.Ast.principal_equal principal) t.store.revoked_keys
+  match t.store.revoked_keys with
+  | [] -> false
+  | keys -> List.exists (Keynote.Ast.principal_equal principal) keys
 
 (* Memo keys name a principal by a small id, interned here on first
    sight: a DSA principal is hundreds of characters, and a key
@@ -111,36 +104,53 @@ let peer_id t peer =
     Hashtbl.replace t.peer_ids peer id;
     id
 
-let query_level t ~peer ~ino =
-  Trace.span (trace t) "policy.check" @@ fun () ->
-  let c = cost () in
+(* A memo miss: the full compliance check, on the attribute set the
+   key was written from. The uncached path is the cost the paper's §6
+   claims is hidden by disk and wire time; it has its own span so the
+   latency_breakdown bench can isolate it. *)
+let compliance_check t ~peer ~key ~ino ~generation ~path ~hour =
+  Clock.advance (clock t) (cost ()).Cost.keynote_query;
+  Stats.incr (stats t) "keynote.queries";
+  let attributes = Policy_cache.attributes ~ino ~generation ~path ~hour in
+  let result = Session.query t.store.session ~requesters:[ peer ] ~attributes in
+  Policy_cache.add t.cache ~key result.Compliance.level;
+  result.Compliance.level
+
+let check_level t ~peer ~ino =
   if is_revoked t peer then begin
     (* A key reported bad has no authority at all, including as a
        requester on credentials that license it. *)
-    Clock.advance (clock t) c.Cost.keynote_cached;
+    Clock.advance (clock t) (cost ()).Cost.keynote_cached;
     0
   end
   else begin
-    let attributes = attributes t ~ino in
-    let key = Policy_cache.key ~peer:(peer_id t peer) ~attributes ~epoch:t.store.generation in
+    let generation = try Ffs.Fs.generation t.fs ino with Ffs.Fs.Error _ -> -1 in
+    let path = match Ffs.Fs.path_of t.fs ino with Some p -> p | None -> "" in
+    let hour = t.hour () in
+    let key =
+      Policy_cache.key ~epoch:t.store.generation ~peer:(peer_id t peer) ~ino ~generation ~path
+        ~hour
+    in
     match Policy_cache.find t.cache ~key with
     | Some level ->
       Trace.instant (trace t) "policy.cache.hit";
-      Clock.advance (clock t) c.Cost.keynote_cached;
+      Clock.advance (clock t) (cost ()).Cost.keynote_cached;
       Stats.incr (stats t) "keynote.cache_hits";
       level
     | None ->
-      Trace.instant (trace t) "policy.cache.miss";
-      (* The uncached path is the cost the paper's §6 claims is hidden
-         by disk and wire time; give it its own span so the
-         latency_breakdown bench can isolate it. *)
-      Trace.span (trace t) "keynote.check" @@ fun () ->
-      Clock.advance (clock t) c.Cost.keynote_query;
-      Stats.incr (stats t) "keynote.queries";
-      let result = Session.query t.store.session ~requesters:[ peer ] ~attributes in
-      Policy_cache.add t.cache ~key result.Compliance.level;
-      result.Compliance.level
+      let tr = trace t in
+      Trace.instant tr "policy.cache.miss";
+      if Trace.enabled tr then
+        Trace.span tr "keynote.check" (fun () ->
+            compliance_check t ~peer ~key ~ino ~generation ~path ~hour)
+      else compliance_check t ~peer ~key ~ino ~generation ~path ~hour
   end
+
+(* Untraced, neither span builds its closure. *)
+let query_level t ~peer ~ino =
+  let tr = trace t in
+  if Trace.enabled tr then Trace.span tr "policy.check" (fun () -> check_level t ~peer ~ino)
+  else check_level t ~peer ~ino
 
 let audit_cap = 10_000
 

@@ -1,5 +1,4 @@
 module Nat = Bignum.Nat
-module Modarith = Bignum.Modarith
 
 type secret = { x : Nat.t; params : Dsa.params }
 type share = Nat.t
@@ -15,5 +14,5 @@ let shared ?params secret peer =
   let p1 = Nat.pred params.p in
   if Nat.compare peer Nat.two < 0 || Nat.compare peer (Nat.pred p1) > 0 then
     invalid_arg "Dh.shared: peer share out of range";
-  let z = Modarith.pow ~m:params.p peer secret.x in
+  let z = Dsa.pow_mod_p params peer secret.x in
   Sha256.digest (Nat.to_bytes_be z)

@@ -47,16 +47,21 @@ let default =
 
 let default_params () = default
 
-(* One fixed-base table, for the committed group every identity uses.
-   It is found by value, so parameters decoded off the wire share it;
-   any other group, whatever its q, takes the general path and keeps
-   nothing. *)
-let default_table = lazy (Mont.fixed_base (Mont.create default.p) default.g ~bits:qbits)
+(* One Montgomery context and one fixed-base table, for the committed
+   group every identity uses. Both are found by value, so parameters
+   decoded off the wire share them; any other group, whatever its q,
+   takes the general path and keeps nothing. *)
+let default_ctx = lazy (Mont.create default.p)
+let default_table = lazy (Mont.fixed_base (Lazy.force default_ctx) default.g ~bits:qbits)
 
 let pow_g params e =
   if Nat.equal params.p default.p && Nat.equal params.g default.g then
     Mont.pow_fixed (Lazy.force default_table) e
   else Modarith.pow ~m:params.p params.g e
+
+let pow_mod_p params b e =
+  if Nat.equal params.p default.p then Mont.pow (Lazy.force default_ctx) b e
+  else Modarith.pow ~m:params.p b e
 
 let generate_key ?params drbg =
   let params = match params with Some p -> p | None -> default_params () in
@@ -100,7 +105,7 @@ let verify ?(hash = Sha1.digest) ~key msg { r; s } =
       let u1 = Modarith.mul ~m:q z w in
       let u2 = Modarith.mul ~m:q r w in
       let v =
-        Nat.rem (Modarith.mul ~m:p (pow_g key.params u1) (Modarith.pow ~m:p key.y u2)) q
+        Nat.rem (Modarith.mul ~m:p (pow_g key.params u1) (pow_mod_p key.params key.y u2)) q
       in
       Nat.equal v r
   end

@@ -27,6 +27,12 @@ val pow_g : params -> Bignum.Nat.t -> Bignum.Nat.t
     exponents; wider exponents and every other group take
     {!Bignum.Modarith.pow}. *)
 
+val pow_mod_p : params -> Bignum.Nat.t -> Bignum.Nat.t -> Bignum.Nat.t
+(** [pow_mod_p params b e] is [b^e mod p], equal to
+    {!Bignum.Modarith.pow}[ ~m:p b e]. For the {!default_params} group,
+    matched by [p]'s value, it reuses one Montgomery context (the one
+    under {!pow_g}'s table) instead of building one per call. *)
+
 val generate_key : ?params:params -> Drbg.t -> private_key
 (** Generate a key pair in the given group (default
     {!default_params}). *)

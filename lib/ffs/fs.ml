@@ -622,21 +622,41 @@ let statfs t =
 (* Canonical path of an inode via parent links. Hard links keep the
    path of their original name; [None] for orphaned or cyclic
    structures (should not happen through the public API). *)
+(* Every policy check asks for a path, so it is built in two climbs
+   and one string: the first checks the parent chain and measures the
+   path ("/" plus one "/name" per component, or -1 when there is no
+   path), the second writes the names into place from the end. *)
+let rec path_length t ino len depth =
+  if depth > 64 then -1
+  else if ino = t.root then Int.max len 1
+  else begin
+    match t.inodes.(ino) with
+    | i when i.Inode.allocated && i.Inode.parent <> Inode.unallocated ->
+      path_length t i.Inode.parent (len + 1 + String.length i.Inode.pname) (depth + 1)
+    | _ -> -1
+    | exception Invalid_argument _ -> -1
+  end
+
+let rec write_path t b ino pos =
+  if ino <> t.root then begin
+    let i = t.inodes.(ino) in
+    let pos = pos - String.length i.Inode.pname in
+    Bytes.blit_string i.Inode.pname 0 b pos (String.length i.Inode.pname);
+    write_path t b i.Inode.parent (pos - 1)
+  end
+
 let path_of t ino =
-  let rec climb ino acc depth =
-    if depth > 64 then None
-    else if ino = t.root then Some ("/" ^ String.concat "/" acc)
-    else begin
-      match t.inodes.(ino) with
-      | i when i.Inode.allocated && i.Inode.parent <> Inode.unallocated ->
-        climb i.Inode.parent (i.Inode.pname :: acc) (depth + 1)
-      | _ -> None
-      | exception Invalid_argument _ -> None
-    end
-  in
   if ino < first_ino || ino >= Array.length t.inodes || not t.inodes.(ino).Inode.allocated then
     None
-  else climb ino [] 0
+  else begin
+    let len = path_length t ino 0 0 in
+    if len < 0 then None
+    else begin
+      let b = Bytes.make len '/' in
+      write_path t b ino len;
+      Some (Bytes.unsafe_to_string b)
+    end
+  end
 
 let resolve t path =
   let parts = List.filter (fun s -> s <> "" && s <> ".") (String.split_on_char '/' path) in

@@ -9,6 +9,7 @@ type t = {
   body_text : string;
   full_text : string;
   fingerprint : string;
+  handles : string list option;
 }
 
 exception Parse_error of string
@@ -84,6 +85,38 @@ let parse_local_constants text =
   in
   go [] toks
 
+(* --- Handle guard -------------------------------------------------- *)
+
+(* The HANDLE values a test admits, when it is [HANDLE == lit] or a
+   disjunction of such comparisons. *)
+let rec handle_test = function
+  | Ast.Eq (Ast.Attr "HANDLE", lit) | Ast.Eq (lit, Ast.Attr "HANDLE") ->
+    (match lit with
+    | Ast.Str s -> Some [ Expr.equality_key (Expr.V_str s) ]
+    | Ast.Num f -> Some [ Expr.equality_key (Expr.V_num f) ]
+    | _ -> None)
+  | Ast.OrT (a, b) ->
+    (match handle_test a, handle_test b with Some x, Some y -> Some (x @ y) | _ -> None)
+  | _ -> None
+
+let rec conjuncts = function Ast.AndT (a, b) -> conjuncts a @ conjuncts b | t -> [ t ]
+
+(* Read off the syntax, conservatively: every clause needs a top-level
+   conjunct that pins HANDLE, and no Local-Constant may shadow the
+   query's HANDLE. Outside the set every clause is unsatisfied (its
+   pinning conjunct is false or raises), so the conditions evaluate to
+   the lowest value whatever else the query holds. *)
+let handle_guard ~local_constants conditions =
+  match conditions with
+  | Some clauses when not (List.mem_assoc "HANDLE" local_constants) ->
+    List.fold_left
+      (fun acc (c : Ast.clause) ->
+        match acc, List.find_map handle_test (conjuncts c.Ast.guard) with
+        | Some keys, Some more -> Some (List.sort_uniq String.compare (more @ keys))
+        | _ -> None)
+      (Some []) clauses
+  | _ -> None
+
 (* --- Parse --------------------------------------------------------- *)
 
 let parse_authorizer resolve text =
@@ -144,6 +177,7 @@ let parse text =
     body_text;
     full_text = text;
     fingerprint = Dcrypto.Hexcodec.encode (String.sub (Dcrypto.Sha1.digest text) 0 8);
+    handles = handle_guard ~local_constants:constants conditions;
   }
 
 (* --- Construction -------------------------------------------------- *)

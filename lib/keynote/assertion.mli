@@ -26,6 +26,16 @@ type t = {
   body_text : string; (** Exact bytes covered by the signature. *)
   full_text : string; (** The complete assertion text. *)
   fingerprint : string; (** See {!val-fingerprint}; computed once, by {!parse}. *)
+  handles : string list option;
+      (** The handle guard, computed once by {!parse}: the [HANDLE]
+          values, as {!Expr.equality_key}s, outside which the
+          conditions evaluate to the lowest value, or [None] when the
+          syntax does not pin [HANDLE]. It is [Some] when every clause
+          has a top-level [&&]-conjunct that is [HANDLE == "<lit>"] or
+          a disjunction of such comparisons, and no Local-Constant is
+          named [HANDLE]. A [HANDLE] under [!] or beside another test
+          at the top of an [||] leaves the clause, and so the
+          assertion, unguarded. *)
 }
 
 exception Parse_error of string

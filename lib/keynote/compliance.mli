@@ -16,10 +16,13 @@
     query first walks that index backwards from the requesters and
     evaluates only the assertions it reaches: any other assertion
     names no principal that can reach a requester, so its value is
-    [_MIN_TRUST] and skipping it changes nothing. With memoisation
-    the walk is linear in the {e relevant} assertions — the
-    delegation chains that end at a requester — not in the size of
-    the store. *)
+    [_MIN_TRUST] and skipping it changes nothing. The walk also skips
+    every assertion whose handle guard ({!Assertion.t.handles})
+    excludes the query's [HANDLE]: its conditions evaluate to
+    [_MIN_TRUST] before its licensees are looked at, so skipping it
+    changes no level and no [trace] line. KeyNote is monotone
+    (RFC 2704), so scoping a query to the credentials its handle can
+    use is exact. *)
 
 type query = {
   requesters : Ast.principal list; (** who signed the request *)
@@ -35,7 +38,17 @@ type result = {
           only by the list entry point {!check}, empty from {!evaluate} *)
 }
 
-(** A by-licensee index of assertions, the form {!evaluate} walks. *)
+(** A by-licensee index of assertions, the form {!evaluate} walks.
+
+    {b Cost contract.} The index keeps one node per distinct
+    principal named by an indexed assertion. Each node lists the
+    assertions licensing it, newest first: the unguarded ones, and the
+    guarded ones under each handle of their guard set. Licensees are
+    resolved to nodes when an assertion is added, so a query compares
+    and hashes no principal text beyond its requesters. Each node also
+    carries per-query marks (reached, grouped, valued, in progress)
+    stamped with the query's number, so a query allocates no table of
+    its own. *)
 module Index : sig
   type t
 
@@ -46,14 +59,17 @@ module Index : sig
 
   val add : t -> ?policy:bool -> Assertion.t -> entry
   (** Index an assertion under each (normalized) principal its
-      Licensees field names. [policy:true] marks local policy: the
+      Licensees field names, and under each handle of its guard set
+      when it has one. [policy:true] marks local policy: the
       assertion is treated as authored by [POLICY]. Adding the same
       assertion twice indexes it twice; deduplication is the caller's
-      business. Cost is proportional to the assertion's licensees. *)
+      business. Cost is proportional to the assertion's licensees
+      times its guard set. *)
 
   val remove : t -> entry -> unit
   (** Drop an entry; cost is proportional to the entries sharing its
-      licensee principals, not to the index size. *)
+      licensee principals and handles, not to the index size. A
+      principal no indexed assertion names any more is forgotten. *)
 
   val assertion : entry -> Assertion.t
   (** As given to {!add} (with [authorizer = "POLICY"] for policy). *)
@@ -69,7 +85,16 @@ val evaluate : Index.t -> query -> result
 (** Evaluate a query against an index, without signature checks (the
     caller admitted only verified credentials) and without building a
     [trace]. Among an issuer's assertions, later additions are visited
-    first, exactly as {!check} visits its lists. Raises
+    first, exactly as {!check} visits its lists.
+
+    {b Cost contract.} Time is linear in the {e relevant} assertions:
+    those on a delegation chain from [POLICY] to a requester that the
+    query's [HANDLE] (the empty string when absent) does not guard
+    out, plus their conditions. A requester's credentials for other
+    handles cost nothing. Allocation is a few words per relevant
+    assertion plus what evaluating its conditions allocates; nothing
+    is proportional to the index size. Queries on one index must not
+    interleave (a query runs to completion without yielding). Raises
     [Invalid_argument] if [values] is empty. *)
 
 val check :

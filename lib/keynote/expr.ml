@@ -31,9 +31,22 @@ let to_str = function
       Printf.sprintf "%.0f" f
     else Printf.sprintf "%g" f
 
+(* [float_of_string] drops underscores and, like strtod, skips leading
+   white space; what is left of a number then starts with a digit, a
+   sign, a decimal point, or the i or n of inf or nan. Any other string
+   cannot coerce and is turned away before the conversion, whose
+   failure allocates. *)
+let rec may_be_number s i =
+  i < String.length s
+  &&
+  match String.unsafe_get s i with
+  | ' ' | '\t' | '\n' | '\r' | '\011' | '\012' | '_' -> may_be_number s (i + 1)
+  | '0' .. '9' | '+' | '-' | '.' | ',' | 'i' | 'I' | 'n' | 'N' -> true
+  | _ -> false
+
 let num_opt = function
   | V_num f -> Some f
-  | V_str s -> float_of_string_opt (String.trim s)
+  | V_str s -> if may_be_number s 0 then float_of_string_opt (String.trim s) else None
 
 let rec eval env (e : Ast.expr) : value =
   match e with
@@ -63,6 +76,37 @@ let compare_values a b =
   | Some x, Some y -> Float.compare x y
   | _ -> String.compare (to_str a) (to_str b)
 
+(* Float.compare finds x and y equal exactly when they are the same
+   IEEE value, -0 and +0 alike, or both NaN. An integral float below
+   2^53 prints as its integer (-0 as 0), any other float exactly in
+   "%h", which never looks like an integer. A value that does not
+   coerce is equal only to the same string, which does not coerce
+   either. *)
+let equality_key v =
+  match num_opt v with
+  | Some f when Float.is_integer f && Float.abs f < 0x1p53 -> "#" ^ string_of_int (int_of_float f)
+  | Some f when Float.is_nan f -> "#nan"
+  | Some f -> Printf.sprintf "#%h" f
+  | None -> "$" ^ to_str v
+
+(* Compiled [~=] patterns by pattern text, so a credential's pattern
+   is compiled once rather than at every evaluation. A pattern that
+   does not compile is remembered with its message and keeps failing
+   at evaluation time, unsatisfying only its own clause. The table is
+   emptied when it fills, which bounds it against credentials that
+   carry many distinct patterns. *)
+let compiled : (string, (Rex.t, string) result) Hashtbl.t = Hashtbl.create 16
+let compiled_cap = 256
+
+let regex pattern =
+  match Hashtbl.find_opt compiled pattern with
+  | Some r -> r
+  | None ->
+    let r = match Rex.compile pattern with re -> Ok re | exception Rex.Syntax_error m -> Error m in
+    if Hashtbl.length compiled >= compiled_cap then Hashtbl.reset compiled;
+    Hashtbl.replace compiled pattern r;
+    r
+
 let rec eval_test env (t : Ast.test) : bool =
   match t with
   | Ast.True -> true
@@ -78,30 +122,31 @@ let rec eval_test env (t : Ast.test) : bool =
   | Ast.Ge (a, b) -> compare_values (eval env a) (eval env b) >= 0
   | Ast.Regex (e, pattern) ->
     let s = to_str (eval env e) in
-    (match Rex.compile pattern with
-    | re -> Rex.search re s
-    | exception Rex.Syntax_error msg -> raise (Eval_error ("bad regex: " ^ msg)))
+    (match regex pattern with
+    | Ok re -> Rex.search re s
+    | Error msg -> raise (Eval_error ("bad regex: " ^ msg)))
 
 (* Program evaluation: the compliance value of a program is the
    maximum (in the query's value order) over all satisfied clauses;
    clauses that raise during evaluation are treated as unsatisfied. *)
 let rec eval_program env ~value_index ~max_index (prog : Ast.program) : int =
-  List.fold_left
-    (fun acc clause ->
-      match clause_value env ~value_index ~max_index clause with
-      | Some v -> max acc v
-      | None -> acc)
-    0 prog
+  program_max env ~value_index ~max_index 0 prog
 
-and clause_value env ~value_index ~max_index (clause : Ast.clause) : int option =
-  match eval_test env clause.Ast.guard with
-  | exception Eval_error _ -> None
-  | false -> None
-  | true ->
-    (match clause.Ast.result with
-    | Ast.Max_trust -> Some max_index
-    | Ast.Value v ->
-      (match value_index v with
-      | Some i -> Some i
-      | None -> None (* value outside the query's ordered set *))
-    | Ast.Subprogram sub -> Some (eval_program env ~value_index ~max_index sub))
+(* [acc] raised to the value of each satisfied clause, in order. *)
+and program_max env ~value_index ~max_index acc = function
+  | [] -> acc
+  | (clause : Ast.clause) :: rest ->
+    let acc =
+      match eval_test env clause.Ast.guard with
+      | exception Eval_error _ -> acc
+      | false -> acc
+      | true ->
+        (match clause.Ast.result with
+        | Ast.Max_trust -> Int.max acc max_index
+        | Ast.Value v ->
+          (match value_index v with
+          | Some i -> Int.max acc i
+          | None -> acc (* value outside the query's ordered set *))
+        | Ast.Subprogram sub -> Int.max acc (eval_program env ~value_index ~max_index sub))
+    in
+    program_max env ~value_index ~max_index acc rest

@@ -30,8 +30,16 @@ val compare_values : value -> value -> int
 (** Numeric comparison when both sides coerce to numbers,
     lexicographic on the string forms otherwise. *)
 
+val equality_key : value -> string
+(** A string two values share exactly when {!compare_values} finds
+    them equal: the exact float for a value that coerces to a number
+    (so ["017"], ["17"] and [Num 17.] share one), the string itself
+    otherwise. *)
+
 val eval_test : env -> Ast.test -> bool
-(** Raises {!Eval_error} like {!eval}. *)
+(** Raises {!Eval_error} like {!eval}, also for a [~=] pattern that
+    does not compile. Each pattern is compiled once per pattern text
+    and reused. *)
 
 val eval_program :
   env -> value_index:(string -> int option) -> max_index:int -> Ast.program -> int

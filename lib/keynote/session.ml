@@ -81,10 +81,12 @@ let size t = Hashtbl.length t.by_fingerprint
 let policy t = t.policy
 let values t = t.values
 
+(* Credentials were signature-checked when admitted. Untraced, no
+   span closure is built. *)
 let query t ~requesters ~attributes =
-  (* Credentials were signature-checked when admitted. *)
-  let attrs =
-    if Trace.enabled t.trace then Some [ ("credentials", string_of_int (size t)) ] else None
-  in
-  Trace.span t.trace "keynote.compliance" ?attrs (fun () ->
-      Compliance.evaluate t.index { Compliance.requesters; attributes; values = t.values })
+  let q = { Compliance.requesters; attributes; values = t.values } in
+  if Trace.enabled t.trace then
+    Trace.span t.trace "keynote.compliance"
+      ~attrs:[ ("credentials", string_of_int (size t)) ]
+      (fun () -> Compliance.evaluate t.index q)
+  else Compliance.evaluate t.index q

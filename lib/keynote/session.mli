@@ -10,7 +10,8 @@
     {!Ast.normalize_principal} form, computed once per credential. No
     operation scans the whole store: an add or a removal costs the
     same at any store size, and a query is linear in the assertions
-    relevant to its requesters. *)
+    relevant to its requesters and its [HANDLE] (the cost contract of
+    {!Compliance.evaluate}). *)
 
 type t
 
@@ -19,7 +20,7 @@ val create :
 (** [values] is the ordered compliance-value set, lowest first, e.g.
     [["false"; "X"; "W"; "WX"; "R"; "RX"; "RW"; "RWX"]]. Each
     {!query} is recorded on [trace] as a ["keynote.compliance"]
-    span. *)
+    span; on a disabled tracer no span closure is built. *)
 
 val add_policy : t -> Assertion.t -> unit
 

@@ -193,21 +193,18 @@ let pieces_body e pieces =
    builds each entry with the cookie that resumes after it. Returns
    the page and whether it reaches the end of the directory. *)
 let readdir_page t fh ~cookie ~count ~entry_size make =
-  let entries = List.filteri (fun i _ -> i >= cookie) (Ffs.Fs.readdir t.fs fh.Proto.ino) in
-  let budget = ref (max count 512) in
-  let taken = ref [] in
-  let idx = ref cookie in
-  List.iter
-    (fun (name, ino) ->
+  (* The page ends at the first entry that does not fit, and an
+     entry's cookie is its position + 1, so the next page starts
+     exactly where this one stopped. *)
+  let rec take budget pos acc = function
+    | [] -> (List.rev acc, true)
+    | (name, ino) :: rest ->
       let sz = entry_size + String.length name in
-      if !budget >= sz then begin
-        budget := !budget - sz;
-        incr idx;
-        taken := make name ino !idx :: !taken
-      end)
-    entries;
-  let taken = List.rev !taken in
-  (taken, List.length taken = List.length entries)
+      if sz > budget then (List.rev acc, false)
+      else take (budget - sz) (pos + 1) (make name ino (pos + 1) :: acc) rest
+  in
+  take (max count 512) cookie []
+    (List.filteri (fun i _ -> i >= cookie) (Ffs.Fs.readdir t.fs fh.Proto.ino))
 
 let handle_nfs t ~conn ~proc ~args:d e =
   let run = run t e and reply_status = reply_status e in

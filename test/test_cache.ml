@@ -255,34 +255,60 @@ let test_revoked_credential_misses_memo_cache () =
   Alcotest.(check bool) "it re-ran the compliance checker" true
     (Discfs.Policy_cache.misses cache > 0)
 
+(* The encoding the memo key has always had: epoch, peer id, then the
+   action attributes sorted, each field after a NUL. The key is now
+   written in place, so this pins it byte for byte. *)
+let reference_key ~epoch ~peer ~attributes =
+  String.concat "\000"
+    (string_of_int epoch :: string_of_int peer
+    :: List.map (fun (k, v) -> k ^ "=" ^ v) (List.sort compare attributes))
+
 let test_epoch_and_attributes_key_the_memo () =
   (* The memo key must separate everything the compliance checker
      sees: principal, attributes, credential-set epoch. *)
-  let attrs = [ ("HANDLE", "7"); ("PATH", "/a") ] in
-  let k = Discfs.Policy_cache.key ~peer:1 ~attributes:attrs ~epoch:1 in
-  Alcotest.(check string) "deterministic" k
-    (Discfs.Policy_cache.key ~peer:1 ~attributes:attrs ~epoch:1);
-  Alcotest.(check string) "canonical encoding" "1\0001\000HANDLE=7\000PATH=/a" k;
-  Alcotest.(check string) "attribute order canonicalised" k
-    (Discfs.Policy_cache.key ~peer:1 ~attributes:(List.rev attrs) ~epoch:1);
+  let key ?(epoch = 1) ?(peer = 1) ?(ino = 7) ?(generation = 3) ?(path = "/a") ?(hour = 9) () =
+    Discfs.Policy_cache.key ~epoch ~peer ~ino ~generation ~path ~hour
+  in
+  let k = key () in
+  Alcotest.(check string) "deterministic" k (key ());
+  Alcotest.(check string) "canonical encoding"
+    "1\0001\000GENERATION=3\000HANDLE=7\000PATH=/a\000app_domain=DisCFS\000hour=9" k;
   let different name k' = Alcotest.(check bool) name true (k <> k') in
-  different "peer separates"
-    (Discfs.Policy_cache.key ~peer:2 ~attributes:attrs ~epoch:1);
-  different "attributes separate"
-    (Discfs.Policy_cache.key ~peer:1 ~attributes:[ ("HANDLE", "8"); ("PATH", "/a") ] ~epoch:1);
-  different "epoch separates"
-    (Discfs.Policy_cache.key ~peer:1 ~attributes:attrs ~epoch:2);
+  different "peer separates" (key ~peer:2 ());
+  different "handle separates" (key ~ino:8 ());
+  different "generation separates" (key ~generation:4 ());
+  different "path separates" (key ~path:"/b" ());
+  different "hour separates" (key ~hour:10 ());
+  different "epoch separates" (key ~epoch:2 ());
   (* Epoch 1 / peer 11 and epoch 11 / peer 1 must not meet. *)
   Alcotest.(check bool) "fields are delimited" true
-    (Discfs.Policy_cache.key ~peer:11 ~attributes:attrs ~epoch:1
-    <> Discfs.Policy_cache.key ~peer:1 ~attributes:attrs ~epoch:11)
+    (key ~epoch:1 ~peer:11 () <> key ~epoch:11 ~peer:1 ());
+  (* Byte for byte the sorted encoding of the attributes a miss asks
+     about, for every sign and width of integer and any path. *)
+  let ints = [ 0; 1; 9; 10; 99; 100; 123456789; -1; -9; -10; -4096; max_int; min_int ] in
+  List.iter
+    (fun n ->
+      List.iter
+        (fun path ->
+          let epoch = abs (n mod 1000) and peer = n land 0xff and hour = abs (n mod 24) in
+          let attributes =
+            Discfs.Policy_cache.attributes ~ino:n ~generation:(-n) ~path ~hour
+          in
+          Alcotest.(check string)
+            (Printf.sprintf "key(%d, %S) = the sorted encoding" n path)
+            (reference_key ~epoch ~peer ~attributes)
+            (Discfs.Policy_cache.key ~epoch ~peer ~ino:n ~generation:(-n) ~path ~hour))
+        [ ""; "/"; "/src/d03/f17.c"; "/a=b\000c" ])
+    ints
 
 let test_policy_memo_eviction_order () =
   (* The memo evicts strictly by last use: a hit or a re-add refreshes
      an entry, and each capacity eviction takes the stalest one. *)
   let stats = Stats.create () in
   let cache = Discfs.Policy_cache.create ~stats ~size:3 in
-  let key n = Discfs.Policy_cache.key ~peer:n ~attributes:[ ("HANDLE", "1") ] ~epoch:1 in
+  let key n =
+    Discfs.Policy_cache.key ~epoch:1 ~peer:n ~ino:1 ~generation:0 ~path:"/" ~hour:0
+  in
   let present n = Discfs.Policy_cache.find cache ~key:(key n) <> None in
   List.iter (fun n -> Discfs.Policy_cache.add cache ~key:(key n) n) [ 1; 2; 3 ];
   Alcotest.(check (option int)) "hit returns the level" (Some 1)

@@ -237,7 +237,16 @@ let test_path_of () =
   Alcotest.(check (option string)) "after file rename" (Some "/final/camera-ready.tex")
     (Ffs.Fs.path_of fs f);
   Ffs.Fs.remove fs sub "camera-ready.tex";
-  Alcotest.(check (option string)) "freed inode has no path" None (Ffs.Fs.path_of fs f)
+  Alcotest.(check (option string)) "freed inode has no path" None (Ffs.Fs.path_of fs f);
+  (* A path has at most 64 components. *)
+  let deep = ref root in
+  for depth = 1 to 65 do
+    deep := Ffs.Fs.mkdir fs !deep "d" ~perms:0o755 ~uid:0;
+    if depth = 64 then
+      Alcotest.(check (option string)) "64 components" (Some (String.concat "" (List.init 64 (fun _ -> "/d"))))
+        (Ffs.Fs.path_of fs !deep)
+  done;
+  Alcotest.(check (option string)) "65 components have no path" None (Ffs.Fs.path_of fs !deep)
 
 let prop_write_read_roundtrip =
   QCheck.Test.make ~name:"write/read roundtrip at random offsets" ~count:100

@@ -542,6 +542,100 @@ let test_untraced_rpc_alloc () =
   if over <> [] then Alcotest.fail (String.concat "; " over);
   Alcotest.(check int) "every measured replay was a DRC hit" 15 (Stats.get stats "rpc.drc_hits")
 
+(* --- policy checks ------------------------------------------------------ *)
+
+module Server = Discfs.Server
+
+let principal (k : Dcrypto.Dsa.private_key) = Keynote.Assertion.principal_of_pub k.Dcrypto.Dsa.pub
+(* Words one policy check allocates: median of 15 single-check samples
+   after [prep], counted with [Gc.minor_words], which is exact on
+   OCaml 5 (the other counters lag until a collection). *)
+let words_median ?(prep = ignore) f =
+  ignore (Sys.opaque_identity (f ()));
+  let samples =
+    Array.init 15 (fun _ ->
+        prep ();
+        let before = Gc.minor_words () in
+        ignore (Sys.opaque_identity (f ()));
+        Gc.minor_words () -. before)
+  in
+  Array.sort Float.compare samples;
+  samples.(7)
+let flush_memo server () = Discfs.Policy_cache.flush (Server.cache server)
+
+(* The walk workload's chain on one node: the administrator licenses a
+   group key for R, the group licenses a reader, and the reader asks
+   about a file three directories down. *)
+let walk_chain () =
+  let c = Discfs.Cluster.make () in
+  let server = Discfs.Cluster.node_server c 0 in
+  let group = Discfs.Cluster.new_identity c and reader = Discfs.Cluster.new_identity c in
+  let grant = "app_domain == \"DisCFS\" -> \"R\";" in
+  let licensee k = Printf.sprintf "\"%s\"" (principal k) in
+  List.iter
+    (fun a ->
+      match Keynote.Session.add_credential (Server.session server) a with
+      | Ok () -> ()
+      | Error e -> Alcotest.fail e)
+    [ Discfs.Cluster.admin_issue c ~licensees:(licensee group) ~conditions:grant ();
+      Keynote.Assertion.issue ~key:group ~drbg:(Dcrypto.Drbg.create ~seed:"walk-chain")
+        ~licensees:(licensee reader) ~conditions:grant () ];
+  Server.credentials_changed server;
+  let fs = Discfs.Cluster.fs c in
+  let dir = Ffs.Fs.mkdir fs (Ffs.Fs.mkdir fs (Ffs.Fs.root fs) "src" ~perms:0o755 ~uid:0) "d03"
+      ~perms:0o755 ~uid:0 in
+  let ino = Ffs.Fs.create_file fs dir "f17.c" ~perms:0o644 ~uid:0 in
+  (server, principal reader, ino)
+
+(* A memo hit writes the key and looks it up; a miss also builds the
+   attribute list and runs the stamped evaluator over the three
+   assertions of the chain. The budgets are what the two measure on
+   OCaml 5.1 plus two words: 25 and 239. *)
+let test_policy_check_alloc () =
+  let server, reader, ino = walk_chain () in
+  let check () = Server.query_level server ~peer:reader ~ino in
+  Alcotest.(check int) "the chain grants R" 4 (check ());
+  let cache = Server.cache server in
+  let hits = Discfs.Policy_cache.hits cache and misses = Discfs.Policy_cache.misses cache in
+  let hit = words_median check in
+  Alcotest.(check int) "every hit sample was a memo hit" (hits + 16) (Discfs.Policy_cache.hits cache);
+  let miss = words_median ~prep:(flush_memo server) check in
+  Alcotest.(check int) "every miss sample was a memo miss" (misses + 15)
+    (Discfs.Policy_cache.misses cache);
+  let over =
+    List.filter_map
+      (fun (name, got, limit) ->
+        if got > limit then Some (Printf.sprintf "%s allocates %.0f words (limit %.0f)" name got limit)
+        else None)
+      [ ("query_level memo hit", hit, 27.0); ("query_level walk-chain miss", miss, 241.0) ]
+  in
+  if over <> [] then Alcotest.fail (String.concat "; " over)
+
+(* A memo miss visits only the credentials its handle can use. The
+   owner of 1,024 files holds 1,024 credentials, each guarded by its
+   own HANDLE; a check on the root walks none of them, so it costs
+   what it costs with no files at all. *)
+let test_policy_miss_scale () =
+  let c = Discfs.Cluster.make () in
+  let server = Discfs.Cluster.node_server c 0 in
+  let fs = Discfs.Cluster.fs c in
+  let root = Ffs.Fs.root fs in
+  let owner = principal (Discfs.Cluster.admin_identity c) in
+  let miss () =
+    words_median ~prep:(flush_memo server) (fun () -> Server.query_level server ~peer:owner ~ino:root)
+  in
+  let before = miss () in
+  for i = 1 to 1024 do
+    let name = Printf.sprintf "f%04d" i in
+    let ino = Ffs.Fs.create_file fs root name ~perms:0o644 ~uid:0 in
+    ignore (Server.issue_create_credential server ~peer:owner ~ino ~name)
+  done;
+  Alcotest.(check int) "the owner holds 1,024 credentials" 1024
+    (Keynote.Session.size (Server.session server));
+  let after = miss () in
+  if after > 2.0 *. before then
+    Alcotest.failf "a root miss allocates %.0f words after 1,024 CREATEs, %.0f before" after before
+
 (* --- ESP length guards ------------------------------------------------- *)
 
 let malformed_count stats = Stats.get stats "esp.drop.malformed"
@@ -782,6 +876,10 @@ let suite =
       test_alloc_independent_of_principal;
     Alcotest.test_case "alloc: untraced rpc builds no span closure" `Quick
       test_untraced_rpc_alloc;
+    Alcotest.test_case "alloc: policy check memo hit and walk-chain miss" `Quick
+      test_policy_check_alloc;
+    Alcotest.test_case "policy: a memo miss costs what its handle needs" `Quick
+      test_policy_miss_scale;
     QCheck_alcotest.to_alcotest prop_gather_arena;
     Alcotest.test_case "alloc: borrowed-block read, gathered seal, one-copy write" `Quick
       test_data_path_alloc;

@@ -75,7 +75,16 @@ let test_eval_errors_unsatisfy () =
   Alcotest.(check bool) "div by zero" false (eval_test_str [] "1 / 0 == 1");
   Alcotest.(check bool) "bad coercion" false (eval_test_str [] "\"abc\" + 1 == 1");
   Alcotest.(check bool) "error isolated per clause" true
-    (eval_test_str [] "\"abc\" + 1 == 1 -> \"false\"; 1 == 1 -> \"true\"")
+    (eval_test_str [] "\"abc\" + 1 == 1 -> \"false\"; 1 == 1 -> \"true\"");
+  (* A pattern that does not compile fails at evaluation time, every
+     time: remembering it must not turn the failure into a match. *)
+  List.iter
+    (fun pass ->
+      Alcotest.(check bool) ("bad regex never grants, " ^ pass) false
+        (eval_test_str [ ("x", "(") ] "x ~= \"(\" -> \"true\"");
+      Alcotest.(check bool) ("bad regex isolated per clause, " ^ pass) true
+        (eval_test_str [ ("x", "(") ] "x ~= \"(\" -> \"false\"; x ~= \"[(]\" -> \"true\""))
+    [ "first evaluation"; "second evaluation" ]
 
 let test_program_max_semantics () =
   let prog = Parser.conditions
@@ -515,6 +524,24 @@ let test_empty_licensees_grants_nothing () =
 
 (* --- Session -------------------------------------------------------- *)
 
+let test_handle_guards () =
+  let guard conditions local_constants =
+    (Assertion.policy ~local_constants ~licensees:"\"k\"" ~conditions ()).Assertion.handles
+  in
+  let check name want conditions ?(local_constants = []) () =
+    Alcotest.(check (option (list string))) name want (guard conditions local_constants)
+  in
+  check "server CREATE credential" (Some [ "#17" ])
+    "(app_domain == \"DisCFS\") && (HANDLE == \"17\") -> \"RWX\";" ();
+  check "numeric spellings share a key" (Some [ "#10"; "#17" ])
+    "HANDLE == \"017\" -> \"R\"; (HANDLE == \"1e1\" || HANDLE == 17) -> \"W\";" ();
+  check "reversed, string literal" (Some [ "$abc" ]) "\"abc\" == HANDLE;" ();
+  check "one clause without a guard" None "HANDLE == \"1\" -> \"R\"; true -> \"X\";" ();
+  check "under !" None "!(HANDLE == \"1\");" ();
+  check "beside another test in ||" None "HANDLE == \"1\" || app_domain == \"DisCFS\";" ();
+  check "HANDLE as a Local-Constant" None "HANDLE == \"1\";" ~local_constants:[ ("HANDLE", "1") ] ();
+  check "unconditional" None "" ()
+
 let test_session () =
   let admin, bob, alice, _ = Lazy.force identities in
   let session = Session.create ~values:octal_values () in
@@ -703,6 +730,17 @@ let conditions_table =
     ("lvl == \"hi\" -> \"RWX\"; true -> \"W\";", [ ("lvl", "hi") ]);
     ("app_domain == \"elsewhere\" -> \"RWX\";", []);
     ("_ACTION_AUTHORIZERS ~= \"dsa-hex\" -> \"RX\";", []);
+    (* Handle guards: a disjunction beside another conjunct, numeric
+       literals in other spellings, a reversed comparison. *)
+    ("(HANDLE == \"1\" || HANDLE == \"017\") && app_domain == \"DisCFS\" -> \"RWX\";", []);
+    ("HANDLE == \"1e1\" -> \"W\"; \"17\" == HANDLE -> \"R\";", []);
+    ("HANDLE == 10 -> \"RX\";", []);
+    (* Unguarded: HANDLE bound by a Local-Constant, under [!], beside
+       another test at the top of an [||], or a clause without it. *)
+    ("HANDLE == \"5\" -> \"RWX\";", [ ("HANDLE", "5") ]);
+    ("!(HANDLE == \"1\") -> \"W\";", []);
+    ("HANDLE == \"2\" || app_domain == \"DisCFS\" -> \"X\";", []);
+    ("HANDLE == \"2\" -> \"RWX\"; lvl == \"hi\" -> \"R\";", [ ("lvl", "hi") ]);
   |]
 
 let gen_lic =
@@ -828,7 +866,9 @@ let prop_indexed_matches_reference =
         :: List.init pool_size (fun k -> [ key_str keys.(k) ])
       in
       let attribute_sets =
-        [ [ ("app_domain", "DisCFS"); ("HANDLE", "1") ]; [ ("HANDLE", "2"); ("lvl", "lo") ] ]
+        [ [ ("app_domain", "DisCFS"); ("HANDLE", "1") ]; [ ("HANDLE", "2"); ("lvl", "lo") ];
+          [ ("app_domain", "DisCFS"); ("HANDLE", "17") ]; [ ("HANDLE", "10.0") ];
+          [ ("app_domain", "DisCFS") ] (* no HANDLE *); [ ("HANDLE", "5"); ("app_domain", "DisCFS") ] ]
       in
       let agree () =
         if List.map fp (Session.credentials session) <> List.map fp !model then
@@ -878,6 +918,7 @@ let suite =
     Alcotest.test_case "delegation cycle terminates" `Quick test_delegation_cycle;
     Alcotest.test_case "time-of-day policy" `Quick test_time_of_day_policy;
     Alcotest.test_case "empty licensees" `Quick test_empty_licensees_grants_nothing;
+    Alcotest.test_case "handle guards read off the conditions" `Quick test_handle_guards;
     Alcotest.test_case "persistent session" `Quick test_session;
     QCheck_alcotest.to_alcotest prop_chain_value_is_min;
     QCheck_alcotest.to_alcotest prop_indexed_matches_reference;

@@ -67,6 +67,35 @@ let test_readdir_paging () =
   (* 500 files + . + .. require multiple READDIR round trips. *)
   Alcotest.(check int) "all entries through paging" 502 (List.length names)
 
+(* Paging must neither lose nor repeat an entry when names differ in
+   length: a page ends at the first entry that does not fit, and each
+   entry's cookie is its position + 1. 80 files, 64 of them with
+   200-character names and every fifth one short, fill several pages
+   of both READDIR and READDIRPLUS with a long entry at each edge. *)
+let test_readdir_paging_mixed_lengths () =
+  let _, client, root = deploy () in
+  let dir, _ = Nfs.Client.mkdir client root "mixed" Proto.sattr_none in
+  let names =
+    List.init 80 (fun i ->
+        if i mod 5 = 4 then Printf.sprintf "s%02d" i
+        else Printf.sprintf "l%02d%s" i (String.make 197 'n'))
+  in
+  List.iter (fun n -> ignore (Nfs.Client.create_file client dir n Proto.sattr_none)) names;
+  let all = "." :: ".." :: names in
+  let check how listed =
+    let times n = List.length (List.filter (String.equal n) listed) in
+    let tag n = if String.length n > 3 then String.sub n 0 3 else n in
+    let wrong = List.filter (fun n -> times n <> 1) all in
+    let unknown = List.filter (fun n -> not (List.mem n all)) listed in
+    if wrong <> [] || unknown <> [] then
+      Alcotest.failf "%s: not listed exactly once: %s; listed but never created: %d" how
+        (String.concat " " (List.map (fun n -> Printf.sprintf "%s x%d" (tag n) (times n)) wrong))
+        (List.length unknown)
+  in
+  check "readdir" (List.map fst (Nfs.Client.readdir client dir));
+  check "readdirplus"
+    (List.map (fun de -> de.Proto.p_name) (Nfs.Client.readdirplus client dir))
+
 let test_rename_link_symlink () =
   let _, client, root = deploy () in
   let fh, _ = Nfs.Client.create_file client root "orig" Proto.sattr_none in
@@ -336,6 +365,8 @@ let suite =
     Alcotest.test_case "large transfer chunked" `Quick test_big_transfer;
     Alcotest.test_case "directories over wire" `Quick test_directories_over_wire;
     Alcotest.test_case "readdir paging" `Quick test_readdir_paging;
+    Alcotest.test_case "readdir paging, mixed name lengths" `Quick
+      test_readdir_paging_mixed_lengths;
     Alcotest.test_case "rename, link, symlink" `Quick test_rename_link_symlink;
     Alcotest.test_case "setattr truncate" `Quick test_setattr_truncate;
     Alcotest.test_case "stale handle" `Quick test_stale_handle;
