@@ -664,45 +664,6 @@ let hotpath_micro ~iters =
   let arena = measure (fun i -> Ipsec.Esp.open_ rn packets.(i)) in
   seal_rows @ [ ("open, 8 KB", legacy, arena) ]
 
-(* P1: the policy check at scale. Bytes one memo-miss policy check on
-   the root allocates after n owner CREATEs: each CREATE admits a
-   credential licensed to the owner and guarded by the new handle, so
-   a check that visited every credential licensed to the requester
-   would grow with n. Counted with Gc.minor_words, which OCaml 5 keeps
-   exact, so the rows are deterministic for a fixed compiler. *)
-let hotpath_policy ~creates =
-  let c = Discfs.Cluster.make () in
-  let server = Discfs.Cluster.node_server c 0 in
-  let fs = Discfs.Cluster.fs c in
-  let root = Ffs.Fs.root fs in
-  let owner = Keynote.Assertion.principal_of_pub (Discfs.Cluster.admin_identity c).Dcrypto.Dsa.pub in
-  let miss () =
-    Discfs.Policy_cache.flush (Discfs.Server.cache server);
-    let before = Gc.minor_words () in
-    ignore (Sys.opaque_identity (Discfs.Server.query_level server ~peer:owner ~ino:root));
-    Gc.minor_words () -. before
-  in
-  let made = ref 0 in
-  List.map
-    (fun n ->
-      while !made < n do
-        incr made;
-        let name = Printf.sprintf "f%04d" !made in
-        let ino = Ffs.Fs.create_file fs root name ~perms:0o644 ~uid:0 in
-        ignore (Discfs.Server.issue_create_credential server ~peer:owner ~ino ~name)
-      done;
-      ignore (miss ());
-      let samples = Array.init 15 (fun _ -> miss ()) in
-      Array.sort Float.compare samples;
-      (n, samples.(7) *. float_of_int (Sys.word_size / 8)))
-    creates
-
-let render_hotpath_policy rows =
-  String.concat ""
-    (List.map
-       (fun (n, bytes) -> Printf.sprintf "    after %5d owner CREATEs: %8.0f B per query\n" n bytes)
-       rows)
-
 let render_hotpath_micro rows =
   let buf = Buffer.create 512 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
@@ -714,7 +675,7 @@ let render_hotpath_micro rows =
     rows;
   Buffer.contents buf
 
-let hotpath_json micro bds policy =
+let hotpath_json micro bds =
   let buf = Buffer.create 1024 in
   let add fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   add "{\n  \"mode\": \"hotpath\",\n  \"micro\": [\n";
@@ -738,24 +699,17 @@ let hotpath_json micro bds policy =
     bds;
   (match bds with
   | [ plain; _; warm_compound ] ->
-    add "  ],\n  \"improvement\": {\"walk\": %.2f, \"xdr_esp\": %.2f},\n"
+    add "  ],\n  \"improvement\": {\"walk\": %.2f, \"xdr_esp\": %.2f}\n"
       (if warm_compound.bd_seconds = 0.0 then 0.0
        else plain.bd_seconds /. warm_compound.bd_seconds)
       (if xdr_esp warm_compound = 0.0 then 0.0 else xdr_esp plain /. xdr_esp warm_compound)
-  | _ -> add "  ],\n");
-  add "  \"policy\": [\n";
-  List.iteri
-    (fun i (n, bytes) ->
-      add "    {\"owner_creates\": %d, \"miss_bytes_per_query\": %.0f}%s\n" n bytes
-        (if i = List.length policy - 1 then "" else ","))
-    policy;
-  add "  ]\n}\n";
+  | _ -> add "  ]\n");
+  add "}\n";
   Buffer.contents buf
 
-let hotpath_once ~iters ~creates spec =
+let hotpath_once ~iters spec =
   let micro = hotpath_micro ~iters in
   let bds = breakdown_configs spec in
-  let policy = hotpath_policy ~creates in
   let text =
     "  allocations per sealed request (xid/cred/verf + args, ChaCha20-Poly1305):\n"
     ^ render_hotpath_micro micro
@@ -767,31 +721,28 @@ let hotpath_once ~iters ~creates spec =
                bd.bd_label bd.bd_seconds (xdr_esp bd) (nfs_calls bd))
            bds)
     ^ render_hotpath_summary bds
-    ^ "  memo-miss policy check on the root, one node:\n"
-    ^ render_hotpath_policy policy
   in
-  (text, micro, bds, policy)
+  (text, micro, bds)
 
 let hotpath ?json ~smoke spec =
   say "@.Hot path H1: allocations per encode->seal op, and the compound-walk effect";
   say "  (legacy pipeline reconstructed as a byte-identical reference; allocation";
   say "   counts are real heap bytes, walk numbers are virtual seconds)";
   let iters = if smoke then 16 else 64 in
-  let creates = if smoke then [ 0; 64 ] else [ 0; 64; 256; 1024 ] in
   let spec =
     if smoke then { spec with Search.dirs = 6; files_per_dir = 6 } else spec
   in
   (* Allocation counts are deterministic for a fixed compiler, and the
      walk is seeded virtual time: a second in-process run must
      reproduce every byte of the report. *)
-  let _, micro, bds, policy =
-    deterministic (fun () -> hotpath_once ~iters ~creates spec) (fun (text, _, _, _) -> text)
+  let _, micro, bds =
+    deterministic (fun () -> hotpath_once ~iters spec) (fun (text, _, _) -> text)
   in
   match json with
   | None -> ()
   | Some path ->
     let oc = open_out path in
-    output_string oc (hotpath_json micro bds policy);
+    output_string oc (hotpath_json micro bds);
     close_out oc;
     say "  wrote %s" path
 

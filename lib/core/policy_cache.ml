@@ -38,9 +38,20 @@ let set_race t m = t.race <- m
    retires every entry the moment the credential set changes.
 
    The key is written once, at its exact length, straight from the
-   values: no attribute list, no sort, no intermediate strings. The
-   attributes go in the order a sort of the pairs would put them
-   (uppercase names first). *)
+   values: no intermediate strings and no sort. *)
+
+(* The action attributes, in the order a sort of the pairs puts them
+   (uppercase names first): the one place they are listed. [attributes]
+   and [key] both walk them through this fold, so the set KeyNote
+   evaluates and the key it is memoised under cannot drift apart. Each
+   caller passes closed functions for [int] and [str], so the walk
+   itself allocates nothing. *)
+let fold_attributes ctx ~ino ~generation ~path ~hour ~int ~str acc =
+  let acc = int ctx "GENERATION" generation acc in
+  let acc = int ctx "HANDLE" ino acc in
+  let acc = str ctx "PATH" path acc in
+  let acc = str ctx "app_domain" "DisCFS" acc in
+  int ctx "hour" hour acc
 
 (* The width of [string_of_int n], sign included. *)
 let int_width n =
@@ -63,31 +74,37 @@ let put_string b pos s =
   Bytes.blit_string s 0 b pos (String.length s);
   pos + String.length s
 
+(* "\000name=" at [pos]; returns the position of the value. *)
+let put_name b pos name =
+  Bytes.set b pos '\000';
+  let pos = put_string b (pos + 1) name in
+  Bytes.set b pos '=';
+  pos + 1
+
+(* Consed in fold order, so the list runs from [hour] back to
+   [GENERATION]; KeyNote looks attributes up by name. *)
 let attributes ~ino ~generation ~path ~hour =
-  [
-    ("app_domain", "DisCFS");
-    ("HANDLE", string_of_int ino);
-    ("GENERATION", string_of_int generation);
-    ("PATH", path);
-    ("hour", string_of_int hour);
-  ]
+  fold_attributes () ~ino ~generation ~path ~hour
+    ~int:(fun () k n acc -> (k, string_of_int n) :: acc)
+    ~str:(fun () k v acc -> (k, v) :: acc)
+    []
 
 let key ~epoch ~peer ~ino ~generation ~path ~hour =
   let len =
-    int_width epoch + 1 + int_width peer
-    + String.length "\000GENERATION=" + int_width generation
-    + String.length "\000HANDLE=" + int_width ino
-    + String.length "\000PATH=" + String.length path
-    + String.length "\000app_domain=DisCFS\000hour=" + int_width hour
+    fold_attributes () ~ino ~generation ~path ~hour
+      ~int:(fun () k n len -> len + 2 + String.length k + int_width n)
+      ~str:(fun () k v len -> len + 2 + String.length k + String.length v)
+      (int_width epoch + 1 + int_width peer)
   in
   let b = Bytes.create len in
   let pos = put_int b 0 epoch in
   Bytes.set b pos '\000';
   let pos = put_int b (pos + 1) peer in
-  let pos = put_int b (put_string b pos "\000GENERATION=") generation in
-  let pos = put_int b (put_string b pos "\000HANDLE=") ino in
-  let pos = put_string b (put_string b pos "\000PATH=") path in
-  ignore (put_int b (put_string b pos "\000app_domain=DisCFS\000hour=") hour);
+  ignore
+    (fold_attributes b ~ino ~generation ~path ~hour
+       ~int:(fun b k n pos -> put_int b (put_name b pos k) n)
+       ~str:(fun b k v pos -> put_string b (put_name b pos k) v)
+       pos);
   Bytes.unsafe_to_string b
 
 let find t ~key =

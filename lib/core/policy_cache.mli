@@ -58,10 +58,12 @@ val key : epoch:int -> peer:int -> ino:int -> generation:int -> path:string -> h
     digested: the memo is an in-memory table, so an exact key cannot
     collide. Its length does not depend on the principal's.
 
-    The key is written in one pass at its exact length, straight from
-    the integers and the path: the attribute names are already in
-    sorted order ([GENERATION], [HANDLE], [PATH], [app_domain],
-    [hour]), so no attribute list is built and nothing is sorted. *)
+    The key is measured and then written in place at its exact
+    length, straight from the integers and the path. Both {!key} and
+    {!attributes} walk one private table of the five attributes, kept
+    in sorted order ([GENERATION], [HANDLE], [PATH], [app_domain],
+    [hour]), so a lookup builds no attribute list and sorts
+    nothing. *)
 
 val find : t -> key:string -> int option
 (** Cached compliance level for [key], refreshing its LRU position. *)

@@ -619,9 +619,6 @@ let statfs t =
     f_free_inodes = t.free_inodes;
   }
 
-(* Canonical path of an inode via parent links. Hard links keep the
-   path of their original name; [None] for orphaned or cyclic
-   structures (should not happen through the public API). *)
 (* Every policy check asks for a path, so it is built in two climbs
    and one string: the first checks the parent chain and measures the
    path ("/" plus one "/name" per component, or -1 when there is no
@@ -645,6 +642,9 @@ let rec write_path t b ino pos =
     write_path t b i.Inode.parent (pos - 1)
   end
 
+(* Canonical path of an inode via parent links. Hard links keep the
+   path of their original name; [None] for orphaned or cyclic
+   structures (should not happen through the public API). *)
 let path_of t ino =
   if ino < first_ino || ino >= Array.length t.inodes || not t.inodes.(ino).Inode.allocated then
     None

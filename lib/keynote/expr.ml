@@ -89,24 +89,6 @@ let equality_key v =
   | Some f -> Printf.sprintf "#%h" f
   | None -> "$" ^ to_str v
 
-(* Compiled [~=] patterns by pattern text, so a credential's pattern
-   is compiled once rather than at every evaluation. A pattern that
-   does not compile is remembered with its message and keeps failing
-   at evaluation time, unsatisfying only its own clause. The table is
-   emptied when it fills, which bounds it against credentials that
-   carry many distinct patterns. *)
-let compiled : (string, (Rex.t, string) result) Hashtbl.t = Hashtbl.create 16
-let compiled_cap = 256
-
-let regex pattern =
-  match Hashtbl.find_opt compiled pattern with
-  | Some r -> r
-  | None ->
-    let r = match Rex.compile pattern with re -> Ok re | exception Rex.Syntax_error m -> Error m in
-    if Hashtbl.length compiled >= compiled_cap then Hashtbl.reset compiled;
-    Hashtbl.replace compiled pattern r;
-    r
-
 let rec eval_test env (t : Ast.test) : bool =
   match t with
   | Ast.True -> true
@@ -122,9 +104,9 @@ let rec eval_test env (t : Ast.test) : bool =
   | Ast.Ge (a, b) -> compare_values (eval env a) (eval env b) >= 0
   | Ast.Regex (e, pattern) ->
     let s = to_str (eval env e) in
-    (match regex pattern with
-    | Ok re -> Rex.search re s
-    | Error msg -> raise (Eval_error ("bad regex: " ^ msg)))
+    (match Rex.compile pattern with
+    | re -> Rex.search re s
+    | exception Rex.Syntax_error msg -> raise (Eval_error ("bad regex: " ^ msg)))
 
 (* Program evaluation: the compliance value of a program is the
    maximum (in the query's value order) over all satisfied clauses;

@@ -37,9 +37,7 @@ val equality_key : value -> string
     otherwise. *)
 
 val eval_test : env -> Ast.test -> bool
-(** Raises {!Eval_error} like {!eval}, also for a [~=] pattern that
-    does not compile. Each pattern is compiled once per pattern text
-    and reused. *)
+(** Raises {!Eval_error} like {!eval}. *)
 
 val eval_program :
   env -> value_index:(string -> int option) -> max_index:int -> Ast.program -> int
