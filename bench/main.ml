@@ -66,6 +66,19 @@ let deterministic run render =
   if not same then exit 1;
   r
 
+(* A mode's [--json PATH] output, written when the path is given. *)
+let write_json json contents =
+  match json with
+  | None -> ()
+  | Some path ->
+    let oc = open_out path in
+    output_string oc (contents ());
+    close_out oc;
+    say "  wrote %s" path
+
+(* The separator after row [i] of a JSON array of [rows]. *)
+let json_sep i rows = if i = List.length rows - 1 then "" else ","
+
 let delta_pct a b =
   let hi = max a b and lo = min a b in
   if hi = 0.0 then 0.0 else (hi -. lo) /. hi *. 100.0
@@ -686,7 +699,7 @@ let hotpath_json micro bds =
          \"ratio\": %.2f}%s\n"
         label legacy arena
         (if arena = 0.0 then 0.0 else legacy /. arena)
-        (if i = List.length micro - 1 then "" else ","))
+        (json_sep i micro))
     micro;
   add "  ],\n  \"walk\": [\n";
   List.iteri
@@ -695,7 +708,7 @@ let hotpath_json micro bds =
         "    {\"config\": %S, \"walk_seconds\": %.6f, \"xdr_esp_self_seconds\": %.6f, \
          \"nfs_calls\": %d}%s\n"
         bd.bd_label bd.bd_seconds (xdr_esp bd) (nfs_calls bd)
-        (if i = List.length bds - 1 then "" else ","))
+        (json_sep i bds))
     bds;
   (match bds with
   | [ plain; _; warm_compound ] ->
@@ -738,13 +751,7 @@ let hotpath ?json ~smoke spec =
   let _, micro, bds =
     deterministic (fun () -> hotpath_once ~iters spec) (fun (text, _, _) -> text)
   in
-  match json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (hotpath_json micro bds);
-    close_out oc;
-    say "  wrote %s" path
+  write_json json (fun () -> hotpath_json micro bds)
 
 (* ------------------------------------------------------------------ *)
 (* C1: cache ablation — the Figure-12 walk cold vs warm, and with      *)
@@ -855,7 +862,7 @@ let ablation_json rows =
             %d, \"name_hits\": %d, \"name_misses\": %d}%s\n"
            r.ap_config r.ap_pass r.ap_seconds r.ap_disk_self r.ap_keynote_self bh bm ph pm ah am
            nh nm
-           (if i = List.length rows - 1 then "" else ",")))
+           (json_sep i rows)))
     rows;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
@@ -875,13 +882,7 @@ let cache_ablation ?json spec =
    say "  warm vs cold disk self-time: %.6fs -> %.6fs (%.1f%% less; >=50%%: %s)"
      cold.ap_disk_self warm.ap_disk_self reduction
      (if reduction >= 50.0 then "yes" else "NO"));
-  match json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (ablation_json rows);
-    close_out oc;
-    say "  wrote %s" path
+  write_json json (fun () -> ablation_json rows)
 
 (* ------------------------------------------------------------------ *)
 (* C2: concurrency scaling — closed-loop multi-client workload over    *)
@@ -928,6 +929,7 @@ let conc_run ~clients ~workers ~depth =
   let lat_sum = ref 0.0 and lat_max = ref 0.0 in
   List.iter
     (fun (c, fh) ->
+      (* discfs-lint: allow races "each process owns its client; the shared counters and latency marks are read-modify-written inside one slice, never across a yield" *)
       Sched.spawn sched (fun () ->
           for op = 0 to conc_ops_per_client - 1 do
             let t = Clock.now clock in
@@ -1009,7 +1011,7 @@ let conc_json (client_sweep, worker_sweep) =
              r.cn_clients r.cn_workers r.cn_depth r.cn_done r.cn_failures r.cn_seconds
              r.cn_throughput r.cn_mean_lat r.cn_max_lat r.cn_qpeak r.cn_rejects r.cn_retrans
              r.cn_mean_wait
-             (if i = List.length rows_ - 1 then "" else ",")))
+             (json_sep i rows_)))
       rows_;
     Buffer.add_string buf "  ]"
   in
@@ -1033,13 +1035,7 @@ let concurrency_scaling ?json () =
      say "  worker scaling (16 clients): %.1f ops/s @1 -> %.1f ops/s @%d (speedup %.2fx)"
        w1.cn_throughput wn.cn_throughput wn.cn_workers
        (if w1.cn_throughput = 0.0 then 0.0 else wn.cn_throughput /. w1.cn_throughput));
-  match json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (conc_json rows);
-    close_out oc;
-    say "  wrote %s" path
+  write_json json (fun () -> conc_json rows)
 
 (* ------------------------------------------------------------------ *)
 (* T1: topology — the server axis of concurrency scaling              *)
@@ -1108,6 +1104,7 @@ let topo_run ~servers ~clients ~ops ~workers =
   let lat_sum = ref 0.0 in
   List.iter
     (fun (cc, fh) ->
+      (* discfs-lint: allow races "each process owns its client; the shared counters are read-modify-written inside one slice, never across a yield" *)
       Sched.spawn sched (fun () ->
           for op = 0 to ops - 1 do
             let t = Clock.now clock in
@@ -1191,7 +1188,7 @@ let topo_json rows =
             \"s2s_connects\": %d, \"map_version\": %d}%s\n"
            r.tp_servers r.tp_clients r.tp_done r.tp_failures r.tp_seconds r.tp_throughput
            r.tp_mean_lat r.tp_redirects r.tp_followed r.tp_getmaps r.tp_s2s r.tp_map_version
-           (if i = List.length rows - 1 then "" else ",")))
+           (json_sep i rows)))
     rows;
   Buffer.add_string buf "  ]\n}\n";
   Buffer.contents buf
@@ -1213,13 +1210,7 @@ let topology ?(smoke = false) ?json () =
        speedup
        (if speedup >= 6.0 then "yes" else "NO")
    | _ -> ());
-  match json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (topo_json rows);
-    close_out oc;
-    say "  wrote %s" path
+  write_json json (fun () -> topo_json rows)
 
 (* ------------------------------------------------------------------ *)
 (* O2: trace dump — JSONL spans of a small traced workload             *)
@@ -1409,13 +1400,7 @@ let slo_bench ?json ~smoke () =
   say "   virtual time, seeded: the tables are byte-reproducible.)";
   let p = slo_params ~smoke in
   let results = deterministic (fun () -> slo_run p) (render_slo p) in
-  match json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (slo_json p results);
-    close_out oc;
-    say "  wrote %s" path
+  write_json json (fun () -> slo_json p results)
 
 (* ------------------------------------------------------------------ *)
 (* race_explore: schedule perturbation + dynamic-checker gates         *)
@@ -1556,17 +1541,11 @@ let race_explore ?json ~smoke ~nseeds () =
            name base.ex_fingerprint
            (nseeds - List.length diverged)
            det armed.ex_races invisible
-           (if si = List.length scenarios - 1 then "" else ","))
+           (json_sep si scenarios))
       )
     scenarios;
   Buffer.add_string buf "  ]\n}\n";
-  (match json with
-  | None -> ()
-  | Some path ->
-    let oc = open_out path in
-    output_string oc (Buffer.contents buf);
-    close_out oc;
-    say "  wrote %s" path);
+  write_json json (fun () -> Buffer.contents buf);
   if !failures > 0 then exit 1
 
 (* ------------------------------------------------------------------ *)

@@ -3,9 +3,12 @@
    - check:       run every typed-AST rule over the .cmt files dune
                   produced for lib/, bin/, bench/ and test/, plus the
                   mli-coverage walk over lib/ sources, the races
-                  escape analysis (Pass D) and the markdown
-                  cross-reference pass. This is what `dune build
-                  @lint` runs.
+                  escape analysis (Pass D), the exports that nothing
+                  uses (Pass E, which also reads examples/ and
+                  perfbench/) and the markdown cross-reference pass.
+                  Each unit is read once. This is what `dune build
+                  @lint` runs; it needs the .cmt files of `dune
+                  build @check`.
    - cmt:         lint specific .cmt files under a forced role — used
                   by the fixture tests and the golden report.
    - races:       the spawn-point shared-state escape analysis alone,
@@ -29,29 +32,14 @@ let print_findings findings =
 let finish ~exit_zero n_findings =
   if n_findings = 0 || exit_zero then 0 else 1
 
-(* Minimal JSON string escaping for the machine-readable outputs. *)
-let jesc s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let json_of_rule_findings findings =
   String.concat ","
     (List.map
        (fun f ->
          Printf.sprintf "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"message\":\"%s\"}"
-           (jesc f.Lint.Rules.file) f.Lint.Rules.line f.Lint.Rules.col
+           (Lint.Source.json_escape f.Lint.Rules.file) f.Lint.Rules.line f.Lint.Rules.col
            (Lint.Rules.rule_name f.Lint.Rules.rule)
-           (jesc f.Lint.Rules.message))
+           (Lint.Source.json_escape f.Lint.Rules.message))
        findings)
 
 let json_of_doc_findings findings =
@@ -59,13 +47,19 @@ let json_of_doc_findings findings =
     (List.map
        (fun f ->
          Printf.sprintf "{\"file\":\"%s\",\"line\":%d,\"rule\":\"doc\",\"message\":\"%s\"}"
-           (jesc f.Lint.Doccheck.file) f.Lint.Doccheck.line (jesc f.Lint.Doccheck.message))
+           (Lint.Source.json_escape f.Lint.Doccheck.file)
+           f.Lint.Doccheck.line
+           (Lint.Source.json_escape f.Lint.Doccheck.message))
        findings)
 
 (* --- check ------------------------------------------------------------- *)
 
 let default_scan_dirs = [ "lib"; "bin"; "bench"; "test" ]
-let default_excludes = [ "test/lint_fixtures"; "test/race_fixtures" ]
+let default_excludes = [ "test/lint_fixtures"; "test/race_fixtures"; "test/export_fixtures" ]
+
+(* Pass E reads every tree that may use a library export, whatever
+   the directories given to Passes A and D. *)
+let reference_dirs = [ "lib"; "bin"; "bench"; "examples"; "perfbench"; "test" ]
 
 let is_under prefix path =
   String.length path >= String.length prefix && String.sub path 0 (String.length prefix) = prefix
@@ -77,59 +71,80 @@ let repo_doc_findings root =
     (Lint.Doccheck.check ~root (Lint.Doccheck.default_files ~root)
     @ Lint.Doccheck.check_counters ~root ~catalogue:Lint.Doccheck.catalogue_file ~src:"lib")
 
+(* Every unit is read once and handed to each pass that wants it:
+   Pass A (typed-tree rules) and Pass D (the spawn-point escape
+   analysis) over [dirs], Pass E (exports nothing uses) over the lib/
+   interfaces and every implementation under [reference_dirs]. *)
 let check root dirs excludes exit_zero quiet no_docs json =
   let dirs = if dirs = [] then default_scan_dirs else dirs in
   let excludes = excludes @ default_excludes in
   let excluded f = List.exists (fun e -> is_under e f) excludes in
   let errors = ref [] in
-  let findings = ref [] in
+  let findings = ref [] and race_entries = ref [] in
   let n_modules = ref 0 in
-  let cmts =
-    List.concat_map (fun dir -> Lint.Rules.scan_cmts (root // dir)) dirs
+  let exports = Lint.Exports.create () in
+  let load path k =
+    match Lint.Source.load path with Error m -> errors := m :: !errors | Ok u -> k u
   in
   List.iter
-    (fun cmt ->
-      match Lint.Rules.check_cmt ~source_root:root cmt with
-      | Error m -> errors := m :: !errors
-      | Ok fs ->
-        incr n_modules;
-        findings := List.filter (fun f -> not (excluded f.Lint.Rules.file)) fs @ !findings)
-    cmts;
+    (fun cmti -> load cmti (Lint.Exports.declare exports))
+    (Lint.Source.scan ~ext:".cmti" (root // "lib"));
+  List.iter
+    (fun dir ->
+      let linted = List.mem dir dirs in
+      List.iter
+        (fun cmt ->
+          load cmt (fun u ->
+              Lint.Exports.reference exports ~test:(is_under "test/" u.Lint.Source.src) u;
+              if linted then begin
+                (match Lint.Rules.check_unit ~source_root:root u with
+                | Error m -> errors := m :: !errors
+                | Ok fs ->
+                  incr n_modules;
+                  findings := List.filter (fun f -> not (excluded f.Lint.Rules.file)) fs @ !findings);
+                match Lint.Races.check_unit ~source_root:root u with
+                | Error _ -> ()
+                | Ok es ->
+                  race_entries :=
+                    List.filter (fun e -> not (excluded e.Lint.Races.e_file)) es @ !race_entries
+              end))
+        (Lint.Source.scan ~ext:".cmt" (root // dir)))
+    (dirs @ List.filter (fun d -> not (List.mem d dirs)) reference_dirs);
   findings := Lint.Rules.check_mli_coverage ~source_root:root "lib" @ !findings;
   let findings = List.sort_uniq Lint.Rules.compare_finding !findings in
-  (* Pass D rides along: the spawn-point escape analysis over the
-     same .cmt set. The inventory's clean entries are dropped here;
-     `discfs_lint races --json` has the full listing. *)
-  let race_entries, race_errors =
-    Lint.Races.scan ~source_root:root
-      (List.filter (fun c -> not (excluded c)) cmts)
-  in
-  let race_entries = List.filter (fun e -> not (excluded e.Lint.Races.e_file)) race_entries in
+  (* The race inventory's clean entries are dropped here; `discfs_lint
+     races --json` has the full listing. *)
+  let race_entries = List.sort_uniq Lint.Races.compare_entry !race_entries in
   let race_violations = List.filter Lint.Races.is_violation race_entries in
-  errors := List.rev_append race_errors !errors;
+  let exports = Lint.Exports.exports exports in
+  let unused = List.filter Lint.Exports.is_finding exports in
   let doc_findings = if no_docs then [] else repo_doc_findings root in
   if json then
     Printf.printf
-      "{\"pass\":\"check\",\"findings\":[%s],\"doc_findings\":[%s],\"races\":%s,\"modules\":%d}\n"
+      "{\"pass\":\"check\",\"findings\":[%s],\"doc_findings\":[%s],\"races\":%s,\"exports\":%s,\"modules\":%d}\n"
       (json_of_rule_findings findings)
       (json_of_doc_findings doc_findings)
       (Lint.Races.json_of_entries race_entries)
+      (Lint.Exports.json_of_exports exports)
       !n_modules
   else begin
     print_findings findings;
     List.iter (fun e -> print_endline (Lint.Races.render_entry e)) race_violations;
+    List.iter (fun x -> print_endline (Lint.Exports.render x)) unused;
     List.iter (fun f -> print_endline (Lint.Doccheck.render_finding f)) doc_findings
   end;
   List.iter (fun m -> prerr_endline ("discfs_lint: warning: " ^ m)) (List.rev !errors);
   let total =
-    List.length findings + List.length race_violations + List.length doc_findings
+    List.length findings + List.length race_violations + List.length unused
+    + List.length doc_findings
   in
   if not quiet then
     Printf.eprintf
-      "discfs_lint: %d finding(s) in %d module(s), %d race finding(s), %d doc finding(s)\n%!"
+      "discfs_lint: %d finding(s) in %d module(s), %d race finding(s), %d unused export(s), %d \
+       doc finding(s)\n%!"
       (List.length findings) !n_modules
       (List.length race_violations)
-      (List.length doc_findings);
+      (List.length unused) (List.length doc_findings);
   finish ~exit_zero total
 
 let root_arg =
@@ -193,10 +208,10 @@ let cmt root role exit_zero json files =
   let findings = ref [] and errors = ref [] in
   List.iter
     (fun file ->
-      let files = if Sys.is_directory file then Lint.Rules.scan_cmts file else [ file ] in
+      let files = if Sys.is_directory file then Lint.Source.scan ~ext:".cmt" file else [ file ] in
       List.iter
         (fun f ->
-          match Lint.Rules.check_cmt ?role ~source_root:root f with
+          match Result.bind (Lint.Source.load f) (Lint.Rules.check_unit ?role ~source_root:root) with
           | Ok fs -> findings := fs @ !findings
           | Error m -> errors := m :: !errors)
         files)
@@ -229,11 +244,11 @@ let races root dirs exit_zero json all files =
   let cmts =
     if files <> [] then
       List.concat_map
-        (fun f -> if Sys.is_directory f then Lint.Rules.scan_cmts f else [ f ])
+        (fun f -> if Sys.is_directory f then Lint.Source.scan ~ext:".cmt" f else [ f ])
         files
     else
       let dirs = if dirs = [] then [ "lib" ] else dirs in
-      List.concat_map (fun dir -> Lint.Rules.scan_cmts (root // dir)) dirs
+      List.concat_map (fun dir -> Lint.Source.scan ~ext:".cmt" (root // dir)) dirs
   in
   let entries, errors = Lint.Races.scan ~source_root:root cmts in
   let violations = List.filter Lint.Races.is_violation entries in
@@ -330,9 +345,9 @@ let credentials dir now no_verify revoked_keys revoked_fps values exit_zero json
                   (Credgraph.kind_name f.Credgraph.kind)
                   (match f.Credgraph.fingerprint with
                   | None -> "null"
-                  | Some fp -> Printf.sprintf "\"%s\"" (jesc fp))
-                  (jesc f.Credgraph.subject)
-                  (jesc f.Credgraph.message))
+                  | Some fp -> Printf.sprintf "\"%s\"" (Lint.Source.json_escape fp))
+                  (Lint.Source.json_escape f.Credgraph.subject)
+                  (Lint.Source.json_escape f.Credgraph.message))
               report.Credgraph.findings))
         report.Credgraph.n_credentials report.Credgraph.n_principals
     else print_string (Credgraph.render report);

@@ -15,17 +15,6 @@ val sig_len : int array -> int -> int
 (** [sig_len a n] is the length of [a.(0..n-1)] without its high zero
     limbs. *)
 
-val width : int -> int
-(** Number of significant bits of a non-negative [int]. *)
-
-val shift_left : int array -> int -> int -> int
-(** [shift_left a n s] shifts [a.(0..n-1)] left by [s < 26] bits in
-    place and returns the bits shifted out of the top limb. *)
-
-val shift_right : int array -> int -> int -> unit
-(** [shift_right a n s] shifts [a.(0..n-1)] right by [s < 26] bits in
-    place. *)
-
 val divrem : int array -> int -> int array -> int -> int array -> unit
 (** [divrem u ul v vl q] divides [u.(0..ul-1)] by [v.(0..vl-1)].
     Requires [vl >= 1], [v.(vl-1) <> 0], [ul >= vl], and a spare zero

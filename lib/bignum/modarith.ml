@@ -1,9 +1,5 @@
 let add ~m a b = Nat.rem (Nat.add a b) m
 
-let sub ~m a b =
-  let a = Nat.rem a m and b = Nat.rem b m in
-  if Nat.compare a b >= 0 then Nat.sub a b else Nat.sub (Nat.add a m) b
-
 let mul ~m a b = Nat.rem (Nat.mul a b) m
 
 let pow ~m b e =

@@ -3,9 +3,6 @@
 val add : m:Nat.t -> Nat.t -> Nat.t -> Nat.t
 (** [add ~m a b] is [(a + b) mod m]; inputs need not be reduced. *)
 
-val sub : m:Nat.t -> Nat.t -> Nat.t -> Nat.t
-(** [sub ~m a b] is [(a - b) mod m], always non-negative. *)
-
 val mul : m:Nat.t -> Nat.t -> Nat.t -> Nat.t
 
 val pow : m:Nat.t -> Nat.t -> Nat.t -> Nat.t

@@ -166,9 +166,7 @@ let logop op (a : t) (b : t) : t =
   done;
   normalize r
 
-let logand = logop ( land )
 let logor = logop ( lor )
-let logxor = logop ( lxor )
 
 let succ a = add a one
 let pred a = sub a one

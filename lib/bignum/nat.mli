@@ -57,9 +57,7 @@ val bit : t -> int -> bool
 val num_bits : t -> int
 (** Number of significant bits; [num_bits zero = 0]. *)
 
-val logand : t -> t -> t
 val logor : t -> t -> t
-val logxor : t -> t -> t
 
 val succ : t -> t
 val pred : t -> t

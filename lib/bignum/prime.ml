@@ -50,7 +50,9 @@ let decompose n =
   let rec go d s = if Nat.is_even d then go (Nat.shift_right d 1) (s + 1) else (d, s) in
   go n1 0
 
-let is_probably_prime ?(rounds = 24) ~rand_bits n =
+let rounds = 24
+
+let is_probably_prime ~rand_bits n =
   if Nat.compare n Nat.two < 0 then false
   else if Nat.equal n Nat.two then true
   else if Nat.is_even n then false

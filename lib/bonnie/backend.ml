@@ -23,8 +23,6 @@ type t = {
   parts : (Discfs.Cluster.t * Discfs.Cluster_client.t) option;
 }
 
-let handle_of_ino ino = Ino ino
-
 let to_ino = function Ino i -> i | Fh fh -> fh.Proto.ino
 
 let strip_dots names = List.filter (fun n -> n <> "." && n <> "..") names

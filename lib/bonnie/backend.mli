@@ -31,11 +31,6 @@ type t = {
           as long as the backend value. *)
 }
 
-val handle_of_ino : int -> handle
-(** Address a server-side inode through a backend (used after
-    building workload trees directly on [fs]). For remote backends
-    the handle is re-derived from inode and generation. *)
-
 val ffs_local : ?nblocks:int -> ?block_size:int -> ?ninodes:int -> unit -> t
 (** Direct filesystem calls, no network (the FFS rows). Every
     operation charges one syscall of CPU. *)
@@ -96,4 +91,3 @@ val discfs :
     {!Simnet.Fault}); [retry] tunes the at-least-once RPC
     retransmission profile; [tracing] turns on the per-layer
     span/metrics instrumentation (see {!Discfs.Cluster.make}). *)
-

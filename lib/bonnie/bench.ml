@@ -84,13 +84,3 @@ let run ~backend ?(size_mb = 16) () =
     in_char_kps = throughput_kps size t_in_char;
     in_block_kps = throughput_kps size t_in_block;
   }
-
-let pp_header fmt () =
-  Format.fprintf fmt "%-8s %12s %12s %12s %12s %12s@." "system" "out-char" "out-block"
-    "rewrite" "in-char" "in-block";
-  Format.fprintf fmt "%-8s %12s %12s %12s %12s %12s@." "" "(K/sec)" "(K/sec)" "(K/sec)"
-    "(K/sec)" "(K/sec)"
-
-let pp_row fmt r =
-  Format.fprintf fmt "%-8s %12.0f %12.0f %12.0f %12.0f %12.0f@." r.label r.out_char_kps
-    r.out_block_kps r.rewrite_kps r.in_char_kps r.in_block_kps

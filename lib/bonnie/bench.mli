@@ -19,6 +19,3 @@ val run : backend:Backend.t -> ?size_mb:int -> unit -> result
     the paper uses 100 MB — throughput in this simulation is
     size-invariant because no page cache is modelled, see
     EXPERIMENTS.md). *)
-
-val pp_header : Format.formatter -> unit -> unit
-val pp_row : Format.formatter -> result -> unit

@@ -53,7 +53,6 @@ let stats t = t.stats
 let sched t = t.sched
 let metrics t = t.stats
 let trace t = t.trace
-let topo t = t.topo
 let fs t = t.fs
 let map t = t.map
 let nservers t = Array.length t.nodes
@@ -306,10 +305,6 @@ let add_replica t ~shard ~server =
   t.map <- Shard_map.add_replica t.map ~shard ~server;
   renew_lease t ~shard ~server
 
-let remove_replica t ~shard ~server =
-  t.map <- Shard_map.remove_replica t.map ~shard ~server;
-  (node t server).n_lease_until.(shard) <- 0.0
-
 let reshard t ~shard ~owner =
   t.map <- Shard_map.move t.map ~shard ~owner;
   (node t owner).n_lease_until.(shard) <- 0.0;
@@ -446,7 +441,7 @@ let make ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192)
   in
   let nodes =
     Array.init servers (fun i ->
-        let host = Topo.add_host ~name:(Printf.sprintf "server%d" i) topo in
+        let host = Topo.add_host topo in
         let server =
           Server.create ~fs ~store ~server_key:keys.(i)
             ~drbg:(Drbg.fork drbg ~label:(Printf.sprintf "server-%d" i))

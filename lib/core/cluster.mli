@@ -122,7 +122,6 @@ val metrics : t -> Trace.Metrics.t
 
 val sched : t -> Simnet.Sched.t option
 val trace : t -> Trace.t
-val topo : t -> Simnet.Topo.t
 val fs : t -> Ffs.Fs.t
 val nservers : t -> int
 
@@ -146,7 +145,6 @@ val map : t -> Shard_map.t
 (** The authoritative map. Clients must not alias this — they cache
     a copy via GETMAP and learn of staleness from redirects. *)
 
-val node : t -> int -> node
 val node_link : t -> int -> Simnet.Link.t
 val node_rpc : t -> int -> Oncrpc.Rpc.server
 val node_server : t -> int -> Server.t
@@ -174,8 +172,6 @@ val add_replica : t -> shard:int -> server:int -> (unit, string) result
 (** Grant [server] a read replica of [shard]: bumps the map version
     and obtains the initial lease from the owner over the
     server-to-server LEASE call. *)
-
-val remove_replica : t -> shard:int -> server:int -> unit
 
 val renew_lease : t -> shard:int -> server:int -> (unit, string) result
 (** Re-run the LEASE exchange for an expired or invalidated lease.

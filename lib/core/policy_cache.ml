@@ -8,7 +8,6 @@ type t = {
   mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
-  mutable flushes : int;
   stats : Simnet.Stats.t;
   mutable race : Race.monitor;
 }
@@ -20,7 +19,6 @@ let create ~stats ~size =
     hits = 0;
     misses = 0;
     evictions = 0;
-    flushes = 0;
     stats;
     race = Race.null;
   }
@@ -133,7 +131,6 @@ let add t ~key level =
   end
 
 let flush t =
-  if Lru.length t.entries > 0 then t.flushes <- t.flushes + 1;
   Lru.clear t.entries;
   (* Epoch-keyed entries can never be refilled under their old keys
      after a flush (the epoch changed), so surviving check windows
@@ -143,6 +140,5 @@ let flush t =
 let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
-let flushes t = t.flushes
 let size t = Lru.length t.entries
 let capacity t = Lru.capacity t.entries

@@ -83,8 +83,5 @@ val evictions : t -> int
 (** Entries displaced by capacity pressure ({!flush} and epoch
     rotation are not evictions). *)
 
-val flushes : t -> int
-(** Number of {!flush} calls that actually dropped entries. *)
-
 val size : t -> int
 val capacity : t -> int

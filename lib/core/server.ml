@@ -67,7 +67,6 @@ type t = {
   peer_ids : (string, int) Hashtbl.t; (* principal -> its id in memo keys *)
   mutable audit : audit_entry list;
   mutable audit_len : int; (* List.length audit *)
-  mutable audit_enabled : bool;
 }
 
 let clock t = Ffs.Fs.clock t.fs
@@ -81,7 +80,6 @@ let cache t = t.cache
 let server_principal t = Assertion.principal_of_pub t.server_key.Dcrypto.Dsa.pub
 let server_key t = t.server_key
 let audit_log t = t.audit
-let set_audit t v = t.audit_enabled <- v
 
 let short p = if String.length p > 24 then String.sub p 0 21 ^ "..." else p
 
@@ -155,25 +153,23 @@ let query_level t ~peer ~ino =
 let audit_cap = 10_000
 
 let record t ~peer ~op ~ino ~level ~granted =
-  if t.audit_enabled then begin
-    (* Bound the in-memory trail; a production server would roll it
-       to stable storage instead of truncating. *)
-    if t.audit_len >= audit_cap then begin
-      t.audit <- List.filteri (fun i _ -> i < audit_cap / 2) t.audit;
-      t.audit_len <- audit_cap / 2
-    end;
-    t.audit_len <- t.audit_len + 1;
-    t.audit <-
-      {
-        au_time = Clock.now (clock t);
-        au_peer = short peer;
-        au_op = op;
-        au_ino = ino;
-        au_value = List.nth values level;
-        au_granted = granted;
-      }
-      :: t.audit
-  end
+  (* Bound the in-memory trail; a production server would roll it
+     to stable storage instead of truncating. *)
+  if t.audit_len >= audit_cap then begin
+    t.audit <- List.filteri (fun i _ -> i < audit_cap / 2) t.audit;
+    t.audit_len <- audit_cap / 2
+  end;
+  t.audit_len <- t.audit_len + 1;
+  t.audit <-
+    {
+      au_time = Clock.now (clock t);
+      au_peer = short peer;
+      au_op = op;
+      au_ino = ino;
+      au_value = List.nth values level;
+      au_granted = granted;
+    }
+    :: t.audit
 
 (* Permission bits demanded by each NFS operation (r=4, w=2, x=1).
    Directory-modifying operations need W on the directory; lookup
@@ -313,8 +309,7 @@ let revoke_key t ~peer ~principal =
 
 (* --- construction ---------------------------------------------------- *)
 
-let create ~fs ~store ~server_key ~drbg ?(cache_size = 128) ?hour ?(audit_enabled = true)
-    ?(strict_handles = false) () =
+let create ~fs ~store ~server_key ~drbg ?(cache_size = 128) ?hour ?(strict_handles = false) () =
   let clock = Ffs.Fs.clock fs in
   let hour =
     match hour with
@@ -335,7 +330,6 @@ let create ~fs ~store ~server_key ~drbg ?(cache_size = 128) ?hour ?(audit_enable
       peer_ids = Hashtbl.create 16;
       audit = [];
       audit_len = 0;
-      audit_enabled;
     }
   in
   Nfs.Server.set_hooks t.nfs
@@ -349,7 +343,7 @@ let create ~fs ~store ~server_key ~drbg ?(cache_size = 128) ?hour ?(audit_enable
 let restart t ~drbg =
   let t' =
     create ~fs:t.fs ~store:t.store ~server_key:t.server_key ~drbg
-      ~cache_size:(Policy_cache.capacity t.cache) ~hour:t.hour ~audit_enabled:t.audit_enabled
+      ~cache_size:(Policy_cache.capacity t.cache) ~hour:t.hour
       ~strict_handles:t.strict_handles ()
   in
   t'.audit <- t.audit;

@@ -61,7 +61,6 @@ val create :
   drbg:Dcrypto.Drbg.t ->
   ?cache_size:int ->
   ?hour:(unit -> int) ->
-  ?audit_enabled:bool ->
   ?strict_handles:bool ->
   unit ->
   t
@@ -83,11 +82,6 @@ val restart : t -> drbg:Dcrypto.Drbg.t -> t
 (** A crashed frontend's next incarnation: same volume, store, key,
     settings and audit trail; new NFS server, empty policy cache. *)
 
-val trace : t -> Trace.t
-(** The deployment tracer (the filesystem's, see {!Ffs.Fs.trace});
-    policy checks, KeyNote evaluations, credential operations and
-    DisCFS procedures are recorded on it. *)
-
 val nfs : t -> Nfs.Server.t
 val session : t -> Keynote.Session.t
 
@@ -102,8 +96,6 @@ val server_key : t -> Dcrypto.Dsa.private_key
 val audit_log : t -> audit_entry list
 (** Most recent first. The trail holds at most 10,000 entries: the
     record that would exceed that first drops the older half. *)
-
-val set_audit : t -> bool -> unit
 
 val attach_rpc : t -> Oncrpc.Rpc.server -> unit
 (** Register NFS (100003v2), mount (100005v1) and the DisCFS program

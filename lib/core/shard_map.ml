@@ -83,10 +83,6 @@ let add_replica t ~shard ~server =
       if Int.equal s.owner server || mem_server server s.replicas then s
       else { s with replicas = s.replicas @ [ server ] })
 
-let remove_replica t ~shard ~server =
-  with_shard t shard (fun s ->
-      { s with replicas = List.filter (fun x -> not (Int.equal x server)) s.replicas })
-
 (* Move ownership. The new owner stops being a replica (it owns the
    shard now); the old owner does NOT become one — granting read
    authority is an explicit, leased act, not a side effect. *)

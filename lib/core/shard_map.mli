@@ -51,8 +51,6 @@ val add_replica : t -> shard:int -> server:int -> t
 (** Grant a read replica (no-op if [server] already owns or
     replicates the shard). Bumps the version. *)
 
-val remove_replica : t -> shard:int -> server:int -> t
-
 val move : t -> shard:int -> owner:int -> t
 (** Reassign ownership. The new owner is removed from the replica
     list; the old owner is {e not} added to it (read authority is an

@@ -1,12 +1,6 @@
 (** ChaCha20 stream cipher (RFC 8439). Used as the ESP transform in
     the simulated IPsec stack (stand-in for the paper's kernel ESP). *)
 
-val key_size : int
-(** 32 bytes. *)
-
-val nonce_size : int
-(** 12 bytes. *)
-
 val crypt : key:string -> nonce:string -> ?counter:int -> string -> string
 (** [crypt ~key ~nonce data] XORs [data] with the ChaCha20 keystream.
     Encryption and decryption are the same operation. Raises

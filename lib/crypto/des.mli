@@ -13,8 +13,6 @@ module Triple : sig
   val encrypt_block : key:string -> string -> string
   (** 3DES-EDE on one 8-byte block with a 24-byte key (K1|K2|K3). *)
 
-  val decrypt_block : key:string -> string -> string
-
   val cbc_encrypt : key:string -> iv:string -> string -> string
   (** CBC mode with PKCS#5 padding; output length is a multiple of 8
       and strictly larger than the input. [iv] is 8 bytes. *)

@@ -9,8 +9,9 @@ type private_key = { pub : public; x : Nat.t }
 type signature = { r : Nat.t; s : Nat.t }
 
 let qbits = 160
+let pbits = 512
 
-let generate_params ?(pbits = 512) drbg =
+let generate_params drbg =
   let rand_bits bits = Drbg.rand_bits drbg bits in
   let q = Prime.gen_prime ~bits:qbits ~rand_bits in
   (* Search p = 2*k*q + 1 of the right size. *)

@@ -9,10 +9,10 @@ type public = { params : params; y : Bignum.Nat.t }
 type private_key = { pub : public; x : Bignum.Nat.t }
 type signature = { r : Bignum.Nat.t; s : Bignum.Nat.t }
 
-val generate_params : ?pbits:int -> Drbg.t -> params
-(** Generate fresh parameters ([pbits] defaults to 512, as fits the
-    paper's 2001-era prototype). Costly: a prime search of some
-    tens of milliseconds. *)
+val generate_params : Drbg.t -> params
+(** Generate fresh parameters: a 512-bit [p], as fits the paper's
+    2001-era prototype, and a 160-bit [q]. Costly: a prime search of
+    some tens of milliseconds. *)
 
 val default_params : unit -> params
 (** The shared 512-bit group: {!generate_params} on the fixed seed

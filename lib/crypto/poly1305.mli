@@ -1,8 +1,5 @@
 (** Poly1305 one-time authenticator (RFC 8439). *)
 
-val tag_size : int
-(** 16 bytes. *)
-
 val mac : key:string -> string -> string
 (** [mac ~key msg] with a 32-byte one-time key returns the 16-byte
     tag. Raises [Invalid_argument] on wrong key size. *)

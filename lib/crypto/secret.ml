@@ -2,7 +2,6 @@ type t = { bytes : string }
 
 let of_string s = { bytes = String.sub s 0 (String.length s) }
 let reveal t = t.bytes
-let length t = String.length t.bytes
 
 (* Constant-time over the length of the longer input: accumulate the
    XOR of every byte pair instead of returning at the first

@@ -16,8 +16,6 @@ val of_string : string -> t
 val reveal : t -> string
 (** The raw key bytes, for handing to a cipher or PRF. *)
 
-val length : t -> int
-
 val equal : t -> t -> bool
 (** Constant-time comparison (never short-circuits on an early
     mismatch), so key comparison cannot become a timing oracle. *)

@@ -1,7 +1,6 @@
 (* SHA-1 on native ints masked to 32 bits. The 63-bit int comfortably
    holds 32-bit words plus carries; [m32] truncates after each step. *)
 
-let digest_size = 20
 let m32 x = x land 0xffffffff
 let rotl32 x n = m32 ((x lsl n) lor (x lsr (32 - n)))
 

@@ -1,9 +1,6 @@
 (** SHA-1 (FIPS 180-4). Used by DisCFS for KeyNote [sig-dsa-sha1]
     credential signatures, matching the paper's prototype. *)
 
-val digest_size : int
-(** 20 bytes. *)
-
 val digest : string -> string
 (** [digest msg] is the 20-byte binary SHA-1 digest of [msg]. *)
 

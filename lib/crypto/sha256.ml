@@ -1,6 +1,5 @@
 (* SHA-256 on native ints masked to 32 bits, same approach as Sha1. *)
 
-let digest_size = 32
 let m32 x = x land 0xffffffff
 let rotr32 x n = m32 ((x lsr n) lor (x lsl (32 - n)))
 

@@ -1,9 +1,6 @@
 (** SHA-256 (FIPS 180-4). Used by the HMAC-DRBG and the IKE key
     derivation in this reproduction. *)
 
-val digest_size : int
-(** 32 bytes. *)
-
 val digest : string -> string
 val hex : string -> string
 

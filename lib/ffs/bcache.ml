@@ -4,7 +4,6 @@
 
 type t = {
   blocks : (int, bytes) Lru.t;
-  mutable hits : int;
   mutable misses : int;
   mutable evictions : int;
   mutable generation : int;
@@ -16,7 +15,6 @@ let create ~capacity =
   if capacity < 0 then invalid_arg "Bcache.create: negative capacity";
   {
     blocks = Lru.create ~capacity;
-    hits = 0;
     misses = 0;
     evictions = 0;
     generation = 0;
@@ -26,7 +24,6 @@ let create ~capacity =
 
 let capacity t = Lru.capacity t.blocks
 let size t = Lru.length t.blocks
-let hits t = t.hits
 let misses t = t.misses
 let evictions t = t.evictions
 let generation t = t.generation
@@ -41,7 +38,6 @@ let find_shared t i =
   else
   match Lru.find t.blocks i with
   | Some _ as hit ->
-    t.hits <- t.hits + 1;
     if Race.enabled t.race then Race.read t.race ~key:(string_of_int i);
     hit
   | None ->

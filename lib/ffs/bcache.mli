@@ -67,7 +67,6 @@ val drop : t -> unit
 
 val capacity : t -> int
 val size : t -> int
-val hits : t -> int
 val misses : t -> int
 val evictions : t -> int
 

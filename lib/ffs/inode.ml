@@ -78,5 +78,3 @@ let attr_of i =
     a_ctime = i.ctime;
     a_gen = i.gen;
   }
-
-let kind_to_string = function Reg -> "file" | Dir -> "dir" | Symlink -> "symlink"

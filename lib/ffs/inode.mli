@@ -54,5 +54,3 @@ val fresh : int -> t
 
 val attr_of : t -> attr
 (** Snapshot the inode's current metadata. *)
-
-val kind_to_string : kind -> string

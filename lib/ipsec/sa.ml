@@ -42,7 +42,6 @@ let cost t = t.cost
 let stats t = t.stats
 let trace t = t.trace
 let lifetime t = t.lifetime
-let seq_out t = t.seq_out
 let soft_expired t = t.seq_out >= t.lifetime
 
 let next_seq t =

@@ -42,9 +42,6 @@ val trace : t -> Trace.t
 
 val lifetime : t -> int
 
-val seq_out : t -> int
-(** Packets sealed under this SA so far. *)
-
 val soft_expired : t -> bool
 (** True once the outbound sequence counter has reached the soft
     lifetime: time to re-key. *)

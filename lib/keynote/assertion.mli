@@ -47,10 +47,6 @@ val parse : string -> t
 val sig_alg : string
 (** ["sig-dsa-sha1-hex:"], the paper's algorithm and the default. *)
 
-val sig_alg_sha256 : string
-(** ["sig-dsa-sha256-hex:"], the modern variant; {!verify} accepts
-    both. *)
-
 val principal_of_pub : Dcrypto.Dsa.public -> Ast.principal
 (** Canonical [dsa-hex:...] rendering of a public key. *)
 

@@ -52,10 +52,6 @@ and result = Value of string | Max_trust | Subprogram of clause list
 
 type program = clause list
 
-val is_key_principal : principal -> bool
-(** True for ["alg:data"]-shaped principals (cryptographic keys), as
-    opposed to opaque names such as ["POLICY"]. *)
-
 val normalize_principal : principal -> principal
 (** Canonical form used for comparison: key principals lowercased,
     opaque names unchanged. *)

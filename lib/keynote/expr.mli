@@ -17,27 +17,12 @@ type env = string -> string option
 (** Lookup of action attributes (after Local-Constants merging).
     Undefined attributes read as the empty string per RFC 2704. *)
 
-val to_num : value -> float
-(** Numeric coercion; raises {!Eval_error} on non-numeric strings. *)
-
-val to_str : value -> string
-
-val eval : env -> Ast.expr -> value
-(** Raises {!Eval_error} on type errors, division by zero, or bad
-    regexes. *)
-
-val compare_values : value -> value -> int
-(** Numeric comparison when both sides coerce to numbers,
-    lexicographic on the string forms otherwise. *)
-
 val equality_key : value -> string
-(** A string two values share exactly when {!compare_values} finds
-    them equal: the exact float for a value that coerces to a number
+(** A string two values share exactly when the evaluator's [==]
+    finds them equal (numerically when both coerce to numbers,
+    as strings otherwise): the exact float for a value that coerces to a number
     (so ["017"], ["17"] and [Num 17.] share one), the string itself
     otherwise. *)
-
-val eval_test : env -> Ast.test -> bool
-(** Raises {!Eval_error} like {!eval}. *)
 
 val eval_program :
   env -> value_index:(string -> int option) -> max_index:int -> Ast.program -> int

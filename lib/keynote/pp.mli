@@ -1,13 +1,8 @@
 (** Pretty-printing of KeyNote syntax back to source form. The output
-    of {!program} re-parses (with {!Parser.conditions}) to a program
-    with identical evaluation semantics; likewise {!licensees} with
-    {!Parser.licensees}. Used by the inspection tooling and the
+    of {!program_to_string} re-parses (with {!Parser.conditions}) to a
+    program with identical evaluation semantics; likewise
+    {!licensees_to_string} with {!Parser.licensees}. Used by the inspection tooling and the
     property tests. *)
-
-val expr : Format.formatter -> Ast.expr -> unit
-val test : Format.formatter -> Ast.test -> unit
-val program : Format.formatter -> Ast.program -> unit
-val licensees : Format.formatter -> Ast.licensees -> unit
 
 val program_to_string : Ast.program -> string
 val licensees_to_string : Ast.licensees -> string

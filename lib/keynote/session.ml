@@ -2,7 +2,6 @@ module Index = Compliance.Index
 
 type t = {
   values : string list;
-  mutable policy : Assertion.t list;
   index : Index.t; (* policy and credentials, by licensee *)
   by_fingerprint : (string, Index.entry) Hashtbl.t;
   by_authorizer : (Ast.principal, (string, Index.entry) Hashtbl.t) Hashtbl.t;
@@ -13,12 +12,10 @@ let create ~values ?(policy = []) ?(trace = Trace.null) () =
   if values = [] then invalid_arg "Session.create: empty value set";
   let index = Index.create () in
   List.iter (fun a -> ignore (Index.add index ~policy:true a)) policy;
-  { values; policy; index; by_fingerprint = Hashtbl.create 64; by_authorizer = Hashtbl.create 8;
+  { values; index; by_fingerprint = Hashtbl.create 64; by_authorizer = Hashtbl.create 8;
     trace }
 
-let add_policy t a =
-  t.policy <- t.policy @ [ a ];
-  ignore (Index.add t.index ~policy:true a)
+let add_policy t a = ignore (Index.add t.index ~policy:true a)
 
 let add_credential t a =
   if not (Assertion.verify a) then Error "credential signature verification failed"
@@ -78,8 +75,6 @@ let credentials t =
   |> List.map Index.assertion
 
 let size t = Hashtbl.length t.by_fingerprint
-let policy t = t.policy
-let values t = t.values
 
 (* Credentials were signature-checked when admitted. Untraced, no
    span closure is built. *)

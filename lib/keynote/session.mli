@@ -49,9 +49,6 @@ val credentials : t -> Assertion.t list
 val size : t -> int
 (** Number of credentials. *)
 
-val policy : t -> Assertion.t list
-val values : t -> string list
-
 val query :
   t -> requesters:Ast.principal list -> attributes:(string * string) list -> Compliance.result
 (** {!Compliance.evaluate} over the session's index; the result's

@@ -95,17 +95,11 @@ val render : report -> string
 (** Multi-line human-readable report ending in a one-line summary;
     byte-stable for a given input. *)
 
-val load_dir :
-  string ->
-  (Keynote.Assertion.t list * Keynote.Assertion.t list * (config -> config), string) result
-(** [load_dir dir] reads a credential store from disk: every regular
-    file is parsed as a KeyNote assertion ([Authorizer: POLICY] means
-    local policy), except a file named [revoked] or [revoked.txt],
-    whose lines name revoked key principals (lines containing [:]) or
-    revoked credential fingerprints. Dotfiles and [README*] are
-    skipped. Returns the policy set, the credential set, and a
-    function adding the store's revocations to a {!config}. *)
-
 val run_dir : ?config:config -> string -> (report, string) result
-(** {!load_dir} then {!analyze}, folding the store's own revocation
-    list into [config] — the one call operators want. *)
+(** [run_dir dir] reads a credential store from disk and runs
+    {!analyze} on it. Every regular file is parsed as a KeyNote
+    assertion ([Authorizer: POLICY] means local policy), except a file
+    named [revoked] or [revoked.txt], whose lines name revoked key
+    principals (lines containing [:]) or revoked credential
+    fingerprints; those are folded into [config]. Dotfiles and
+    [README*] are skipped. *)

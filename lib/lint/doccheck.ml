@@ -15,47 +15,12 @@ let compare_finding a b =
 
 (* --- file access ------------------------------------------------------- *)
 
-let read_lines path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    Some (String.split_on_char '\n' s)
+let read_lines path = Option.map (String.split_on_char '\n') (Source.read_file path)
 
-(* --- the library map --------------------------------------------------- *)
-
-(* [lib_map ~root] maps each wrapped library's name (as it appears in
-   module paths: "Discfs", "Oncrpc", ...) to its source directory, by
-   reading the (name ...) stanza of every lib/<dir>/dune. Discovering
-   the map keeps the checker honest when libraries are added or
-   renamed: there is nothing to keep in sync by hand. *)
-let dune_lib_name dune_path =
-  let is_name_char = function 'a' .. 'z' | '0' .. '9' | '_' -> true | _ -> false in
-  let name_of_line l =
-    match String.split_on_char ' ' (String.trim l) with
-    | "(name" :: rest :: _ -> (
-      match String.split_on_char ')' rest with
-      | name :: _ when name <> "" && String.for_all is_name_char name -> Some name
-      | _ -> None)
-    | _ -> None
-  in
-  Option.bind (read_lines dune_path) (List.find_map name_of_line)
-
+(* The wrapped library names as they appear in module paths
+   ("Discfs", "Oncrpc", ...), each with its source directory. *)
 let lib_map ~root =
-  let libdir = root // "lib" in
-  match Sys.readdir libdir with
-  | exception Sys_error _ -> []
-  | entries ->
-    Array.to_list entries |> List.sort String.compare
-    |> List.filter_map (fun d ->
-           let dir = libdir // d in
-           if not (Sys.is_directory dir) then None
-           else
-             match dune_lib_name (dir // "dune") with
-             | Some name -> Some (String.capitalize_ascii name, "lib" // d)
-             | None -> None)
+  List.map (fun (name, dir) -> (String.capitalize_ascii name, dir)) (Source.lib_dirs ~root)
 
 (* --- markdown surface -------------------------------------------------- *)
 
@@ -393,7 +358,7 @@ let counted_names ~root file =
     Ast_iterator.default_iterator.expr it e
   in
   let it = { Ast_iterator.default_iterator with expr } in
-  let text = In_channel.with_open_bin (root // file) In_channel.input_all in
+  let text = Option.value (Source.read_file (root // file)) ~default:"" in
   it.structure it (Parse.implementation (Lexing.from_string text));
   !found
 

@@ -23,8 +23,8 @@
      [lib/race] and audited dynamically);
    - a spawn site under a [(* discfs-lint: allow races "why" *)]
      comment (same line or the line above) is suppressed — but the
-     justification string is mandatory, and its absence is itself a
-     finding.
+     justification string is mandatory, and its absence (or an empty
+     one) is itself a finding.
 
    Everything else mutable — escaping [ref]s, [Hashtbl]/[Queue]/
    [Buffer] values, records with mutable fields, and the curated
@@ -129,156 +129,34 @@ let shared_abstract_suffixes =
     "Gen.t";
   ]
 
-(* --- scan context ------------------------------------------------------ *)
-
-type ctx = {
-  source_root : string;
-  libdirs : (string, string) Hashtbl.t;  (** library name -> lib/<dir> *)
-  annotated : (string, bool) Hashtbl.t;  (** source path -> atomic-section? *)
-  sources : (string, string array) Hashtbl.t;  (** source path -> lines *)
-}
-
-(* dune library stanzas name the wrapped top module; map each
-   "(name foo)" to its directory so "Foo__Bar.t" resolves to
-   lib/<dir>/bar.ml. *)
-let scan_libdirs source_root =
-  let tbl = Hashtbl.create 32 in
-  let libroot = Filename.concat source_root "lib" in
-  (match Sys.readdir libroot with
-  | exception Sys_error _ -> ()
-  | entries ->
-    Array.iter
-      (fun d ->
-        let dune = Filename.concat (Filename.concat libroot d) "dune" in
-        match Rules.read_file dune with
-        | None -> ()
-        | Some text -> (
-          let marker = "(name " in
-          match
-            let rec find i =
-              if i + String.length marker > String.length text then None
-              else if String.sub text i (String.length marker) = marker then Some i
-              else find (i + 1)
-            in
-            find 0
-          with
-          | None -> ()
-          | Some i ->
-            let start = i + String.length marker in
-            let stop =
-              match String.index_from_opt text start ')' with
-              | Some j -> j
-              | None -> String.length text
-            in
-            let name = String.trim (String.sub text start (stop - start)) in
-            if name <> "" then Hashtbl.replace tbl name (Filename.concat "lib" d)))
-      entries);
-  tbl
-
-let create_ctx ~source_root =
-  {
-    source_root;
-    libdirs = scan_libdirs source_root;
-    annotated = Hashtbl.create 64;
-    sources = Hashtbl.create 64;
-  }
-
-let atomic_annotated ctx path =
-  match Hashtbl.find_opt ctx.annotated path with
-  | Some b -> b
-  | None ->
-    let b =
-      match Rules.read_file (Filename.concat ctx.source_root path) with
-      | None -> false
-      | Some text ->
-        let marker = "discfs-lint: atomic-section" in
-        let n = String.length text and m = String.length marker in
-        let rec go i = i + m <= n && (String.sub text i m = marker || go (i + 1)) in
-        go 0
-    in
-    Hashtbl.replace ctx.annotated path b;
-    b
-
-let source_lines ctx path =
-  match Hashtbl.find_opt ctx.sources path with
-  | Some lines -> lines
-  | None ->
-    let lines =
-      match Rules.read_file (Filename.concat ctx.source_root path) with
-      | None -> [||]
-      | Some text -> Array.of_list (String.split_on_char '\n' text)
-    in
-    Hashtbl.replace ctx.sources path lines;
-    lines
-
-(* The per-site suppression: "discfs-lint: allow races" on the spawn
-   line or the line above, with the justification as the first quoted
-   string after the marker. *)
-let site_suppression ctx ~file ~line =
-  let lines = source_lines ctx file in
-  let check l =
-    if l < 1 || l > Array.length lines then None
-    else
-      let text = lines.(l - 1) in
-      let marker = "discfs-lint: allow races" in
-      let mn = String.length marker and n = String.length text in
-      let rec find i =
-        if i + mn > n then None
-        else if String.sub text i mn = marker then Some (i + mn)
-        else find (i + 1)
-      in
-      match find 0 with
-      | None -> None
-      | Some after -> (
-        match String.index_from_opt text after '"' with
-        | None -> Some None
-        | Some q1 -> (
-          match String.index_from_opt text (q1 + 1) '"' with
-          | None -> Some None
-          | Some q2 -> Some (Some (String.sub text (q1 + 1) (q2 - q1 - 1)))))
-  in
-  match check line with Some j -> Some j | None -> check (line - 1)
+(* --- owning modules ------------------------------------------------------ *)
 
 (* Resolve the source file owning a type constructor, for the
    atomic-section lookup. [raw] is the unnormalized [Path.name]:
    "Simnet__Stats.t" and "Simnet.Stats.t" resolve through the dune
    library map; a bare "Gen.t" is a sibling module of the file being
    linted; a lone "t" is the file itself. *)
-let owner_file ctx ~current raw =
-  (* "Simnet__Stats" -> ("simnet", "stats"); split on the *last* "__"
-     so wrapped names with underscored units ("Discfs__Policy_cache")
-     keep the unit intact. *)
-  let split_wrap comp =
-    let n = String.length comp in
-    let rec last j best =
-      if j >= n - 1 then best
-      else if comp.[j] = '_' && comp.[j + 1] = '_' then last (j + 1) (Some j)
-      else last (j + 1) best
-    in
-    match last 0 None with
-    | Some j when j > 0 && j + 2 < n ->
-      Some
-        ( String.lowercase_ascii (String.sub comp 0 j),
-          String.lowercase_ascii (String.sub comp (j + 2) (n - j - 2)) )
-    | _ -> None
+let owner_file ~source_root ~current raw =
+  let libdir name =
+    List.assoc_opt (String.lowercase_ascii name) (Source.lib_dirs ~root:source_root)
   in
+  let unit_file dir m = Filename.concat dir (String.lowercase_ascii m ^ ".ml") in
   match String.split_on_char '.' raw with
   | [] | [ _ ] -> Some current
   | first :: rest -> (
-    match split_wrap first with
-    | Some (libname, modname) ->
-      Option.map
-        (fun dir -> Filename.concat dir (modname ^ ".ml"))
-        (Hashtbl.find_opt ctx.libdirs libname)
+    match Source.split_wrap first with
+    | Some (libname, modname) -> Option.map (fun dir -> unit_file dir modname) (libdir libname)
     | None -> (
-      let lowered = String.lowercase_ascii first in
-      match (Hashtbl.find_opt ctx.libdirs lowered, rest) with
+      match (libdir first, rest) with
       | Some dir, modname :: _ :: _ ->
         (* "Simnet.Stats.t": library top module, then the unit. *)
-        Some (Filename.concat dir (String.lowercase_ascii modname ^ ".ml"))
+        Some (unit_file dir modname)
       | _ ->
         (* "Gen.t": a sibling unit of the current file. *)
-        Some (Filename.concat (Filename.dirname current) (lowered ^ ".ml"))))
+        Some (unit_file (Filename.dirname current) first)))
+
+let atomic_annotated ~source_root file =
+  Source.has_directive (Filename.concat source_root file) ~keyword:"atomic-section"
 
 (* --- type classification ----------------------------------------------- *)
 
@@ -403,7 +281,7 @@ let captured_idents closure =
       end)
     (List.rev !used)
 
-let check_structure ctx ~src ~entries str =
+let check_structure ~source_root ~src ~entries str =
   let open Typedtree in
   (* Pre-pass: named local functions, for the one-level indirection
      case ([let drain () = ... in Sched.spawn sched drain]). *)
@@ -429,7 +307,9 @@ let check_structure ctx ~src ~entries str =
     let p = loc.Location.loc_start in
     let line = p.Lexing.pos_lnum in
     let col = p.Lexing.pos_cnum - p.Lexing.pos_bol in
-    let suppression = site_suppression ctx ~file:src ~line in
+    let suppression =
+      Source.site_allowance (Filename.concat source_root src) ~line ~rule:"races"
+    in
     List.iter
       (fun (id, ty, env) ->
         let env = try Envaux.env_of_only_summary env with _ -> env in
@@ -444,14 +324,14 @@ let check_structure ctx ~src ~entries str =
                 match owner_raw with
                 | None -> None
                 | Some raw -> (
-                  match owner_file ctx ~current:src raw with
-                  | Some file when atomic_annotated ctx file -> Some file
+                  match owner_file ~source_root ~current:src raw with
+                  | Some file when atomic_annotated ~source_root file -> Some file
                   | _ -> None)
               in
               match (mediated, suppression) with
               | Some file, _ -> (Atomic_section file, kind)
-              | None, Some (Some why) -> (Suppressed why, kind)
-              | None, Some None -> (Missing_justification, kind)
+              | None, Some (Source.Justified why) -> (Suppressed why, kind)
+              | None, Some Source.Unjustified -> (Missing_justification, kind)
               | None, None -> (Violation, kind))
           in
           entries :=
@@ -490,66 +370,27 @@ let check_structure ctx ~src ~entries str =
   let it = { super0 with expr } in
   it.structure it str
 
-(* The envs stored in .cmt files are stripped to summaries;
-   rebuilding them (for [Env.find_type] on record declarations and
-   for alias-normalizing type paths) needs the .cmi files on the
-   load path. Each scanned .cmt's own directory plus the stdlib is
-   enough for a dune build tree. *)
-let seen_dirs : (string, unit) Hashtbl.t = Hashtbl.create 16
-
-let ensure_load_path cmt_path =
-  if Hashtbl.length seen_dirs = 0 then begin
-    Load_path.init ~auto_include:Load_path.no_auto_include [ Config.standard_library ];
-    Hashtbl.replace seen_dirs Config.standard_library ()
-  end;
-  let dir = Filename.dirname cmt_path in
-  if not (Hashtbl.mem seen_dirs dir) then begin
-    Load_path.add_dir dir;
-    Hashtbl.replace seen_dirs dir ();
-    Envaux.reset_cache ()
-  end
-
-let check_cmt ctx cmt_path =
-  ensure_load_path cmt_path;
-  match Cmt_format.read_cmt cmt_path with
-  | exception e -> Error (cmt_path ^ ": " ^ Printexc.to_string e)
-  | infos -> (
-    let src = match infos.Cmt_format.cmt_sourcefile with Some s -> s | None -> cmt_path in
-    if Filename.check_suffix src "-gen" then Ok []
-    else
-      match infos.Cmt_format.cmt_annots with
-      | Cmt_format.Implementation str ->
-        let entries = ref [] in
-        check_structure ctx ~src ~entries str;
-        Ok (List.sort_uniq compare_entry !entries)
-      | _ -> Error (cmt_path ^ ": no implementation typed tree"))
+let check_unit ~source_root (u : Source.unit_) =
+  if Source.is_generated u then Ok []
+  else
+    match u.Source.annots with
+    | Cmt_format.Implementation str ->
+      let entries = ref [] in
+      check_structure ~source_root ~src:u.Source.src ~entries str;
+      Ok (List.sort_uniq compare_entry !entries)
+    | _ -> Error (u.Source.cmt ^ ": no implementation typed tree")
 
 let scan ~source_root cmts =
-  let ctx = create_ctx ~source_root in
   let entries = ref [] and errors = ref [] in
   List.iter
     (fun cmt ->
-      match check_cmt ctx cmt with
+      match Result.bind (Source.load cmt) (check_unit ~source_root) with
       | Ok es -> entries := es @ !entries
       | Error m -> errors := m :: !errors)
     cmts;
   (List.sort_uniq compare_entry !entries, List.rev !errors)
 
 (* --- machine-readable output ------------------------------------------- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
 
 let json_of_entries entries =
   let b = Buffer.create 1024 in
@@ -560,13 +401,13 @@ let json_of_entries entries =
       Buffer.add_string b
         (Printf.sprintf
            "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"spawn\":\"%s\",\"value\":\"%s\",\"kind\":\"%s\",\"status\":\"%s\""
-           (json_escape e.e_file) e.e_line e.e_col (json_escape e.e_spawn)
-           (json_escape e.e_value) (json_escape e.e_kind) (status_name e.e_status));
+           (Source.json_escape e.e_file) e.e_line e.e_col (Source.json_escape e.e_spawn)
+           (Source.json_escape e.e_value) (Source.json_escape e.e_kind) (status_name e.e_status));
       (match e.e_status with
       | Suppressed why ->
-        Buffer.add_string b (Printf.sprintf ",\"justification\":\"%s\"" (json_escape why))
+        Buffer.add_string b (Printf.sprintf ",\"justification\":\"%s\"" (Source.json_escape why))
       | Atomic_section file ->
-        Buffer.add_string b (Printf.sprintf ",\"owner\":\"%s\"" (json_escape file))
+        Buffer.add_string b (Printf.sprintf ",\"owner\":\"%s\"" (Source.json_escape file))
       | _ -> ());
       Buffer.add_char b '}')
     entries;

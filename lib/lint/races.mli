@@ -22,7 +22,8 @@
     - a spawn site may carry
       [(* discfs-lint: allow races "justification" *)] on its line or
       the line above — the justification string is mandatory; an
-      [allow races] with no string is itself reported.
+      [allow races] with no string, or an empty one, is itself
+      reported.
 
     Scheduler infrastructure ([Sched.t], [Clock.t], handles, the
     immutable cost table) is skipped silently. *)
@@ -44,8 +45,6 @@ type entry = {
   e_status : status;
 }
 
-val status_name : status -> string
-
 val is_violation : entry -> bool
 (** [Violation] and [Missing_justification] entries — what the text
     report prints and what drives the exit code. *)
@@ -56,16 +55,12 @@ val compare_entry : entry -> entry -> int
 val render_entry : entry -> string
 (** ["file:line:col: [races] ..."], one line. *)
 
-type ctx
-(** Scan state: the dune library map (for resolving type owners to
-    source files) and memoized annotation/suppression lookups. *)
-
-val create_ctx : source_root:string -> ctx
-
-val check_cmt : ctx -> string -> (entry list, string) result
-(** The full inventory for one [.cmt] — clean entries included.
-    [Error] if the file is unreadable or holds no implementation
-    tree. *)
+val check_unit : source_root:string -> Source.unit_ -> (entry list, string) result
+(** The full inventory for one compiled unit — clean entries included.
+    [source_root] is where repo-relative source paths resolve, for the
+    suppression comments and the atomic-section annotations. A
+    generated alias module yields none; a unit that holds no
+    implementation tree is an [Error]. *)
 
 val scan : source_root:string -> string list -> entry list * string list
 (** [scan ~source_root cmts]: inventory across many [.cmt] files,

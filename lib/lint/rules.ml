@@ -107,87 +107,11 @@ let compare_finding a b =
 
 (* --- suppression comments -------------------------------------------- *)
 
-let read_file path =
-  match open_in_bin path with
-  | exception Sys_error _ -> None
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () -> Some (really_input_string ic (in_channel_length ic)))
-
-let find_sub s sub from =
-  let n = String.length s and m = String.length sub in
-  let rec go i = if i + m > n then None else if String.sub s i m = sub then Some i else go (i + 1) in
-  go from
-
-(* "(* discfs-lint: <keyword> rule-a rule-b *)" anywhere in the file;
-   the token list ends at the comment terminator or end of line.
-   [allow] suppresses a rule for the file, [require] opts the file
+(* [allow] suppresses a rule for the file, [require] opts the file
    into one the role would not apply (the scheduler uses it to demand
    strict-determinism on itself). *)
-let directive_rules ~keyword path =
-  match read_file path with
-  | None -> []
-  | Some text ->
-    let marker = "discfs-lint:" in
-    let rec collect acc from =
-      match find_sub text marker from with
-      | None -> acc
-      | Some i ->
-        let start = i + String.length marker in
-        let stop =
-          let eol = match String.index_from_opt text start '\n' with Some j -> j | None -> String.length text in
-          match find_sub text "*)" start with
-          | Some j when j < eol -> j
-          | _ -> eol
-        in
-        let words =
-          String.sub text start (stop - start)
-          |> String.split_on_char ' '
-          |> List.concat_map (String.split_on_char ',')
-          |> List.concat_map (String.split_on_char '\t')
-          |> List.filter (fun w -> w <> "")
-        in
-        let acc =
-          match words with
-          | kw :: rules when kw = keyword -> List.filter_map rule_of_name rules @ acc
-          | _ -> acc
-        in
-        collect acc stop
-    in
-    collect [] 0
-
-let suppressed_rules path = directive_rules ~keyword:"allow" path
-let required_rules path = directive_rules ~keyword:"require" path
-
-(* Hotpath-alloc is suppressed per *site*, never per file: the point
-   of the rule is that every intermediate buffer on the wire path
-   carries its own written-down reason. The marker lives on the
-   finding's line or the line above, with the justification as the
-   first quoted string (Pass D convention, see Races.site_suppression);
-   an empty or missing justification keeps the finding, reworded. *)
-let site_justification path ~line =
-  match read_file path with
-  | None -> None
-  | Some text ->
-    let lines = String.split_on_char '\n' text |> Array.of_list in
-    let check l =
-      if l < 1 || l > Array.length lines then None
-      else
-        let s = lines.(l - 1) in
-        match find_sub s "discfs-lint: allow hotpath-alloc" 0 with
-        | None -> None
-        | Some i -> (
-          let after = i + String.length "discfs-lint: allow hotpath-alloc" in
-          match String.index_from_opt s after '"' with
-          | None -> Some None
-          | Some q1 -> (
-            match String.index_from_opt s (q1 + 1) '"' with
-            | None -> Some None
-            | Some q2 when q2 = q1 + 1 -> Some None
-            | Some q2 -> Some (Some (String.sub s (q1 + 1) (q2 - q1 - 1)))))
-    in
-    (match check line with Some j -> Some j | None -> check (line - 1))
+let suppressed_rules path = List.filter_map rule_of_name (Source.directive_words path ~keyword:"allow")
+let required_rules path = List.filter_map rule_of_name (Source.directive_words path ~keyword:"require")
 
 (* --- path and type classification ------------------------------------ *)
 
@@ -195,19 +119,8 @@ let site_justification path ~line =
    "Stdlib.Module". Normalize both to the bare module chain, so
    "Bignum__Nat.t", "Bignum.Nat.t" and (from inside bignum) "Nat.t"
    all read "...Nat.t". *)
-let strip_wrap component =
-  let n = String.length component in
-  let rec last_sep i best =
-    if i >= n - 1 then best
-    else if component.[i] = '_' && component.[i + 1] = '_' then last_sep (i + 1) (Some (i + 2))
-    else last_sep (i + 1) best
-  in
-  match last_sep 0 None with
-  | Some j when j < n -> String.sub component j (n - j)
-  | _ -> component
-
 let normalize_name raw =
-  let parts = String.split_on_char '.' raw |> List.map strip_wrap in
+  let parts = String.split_on_char '.' raw |> List.map Source.strip_wrap in
   let parts = match parts with "Stdlib" :: (_ :: _ as rest) -> rest | l -> l in
   String.concat "." parts
 
@@ -514,68 +427,70 @@ let check_structure ~role ~enabled ~emit str =
   let it = { super with expr; structure_item } in
   it.structure it str
 
-let check_cmt ?role ~source_root cmt_path =
-  match Cmt_format.read_cmt cmt_path with
-  | exception e -> Error (cmt_path ^ ": " ^ Printexc.to_string e)
-  | infos -> (
-    let src = match infos.Cmt_format.cmt_sourcefile with Some s -> s | None -> cmt_path in
-    if Filename.check_suffix src "-gen" then Ok [] (* dune's library alias module *)
-    else
-      match infos.Cmt_format.cmt_annots with
-      | Cmt_format.Implementation str ->
-        let role = match role with Some r -> r | None -> role_of_path src in
-        let active = rules_for_role role in
-        let source_path = Filename.concat source_root src in
-        let suppressed = suppressed_rules source_path in
-        let required =
-          (if List.mem src strict_determinism_paths then [ Strict_determinism ] else [])
-          @ required_rules source_path
-        in
-        let enabled r =
-          (List.mem r active || List.mem r required)
-          && ((not (List.mem r suppressed)) || r = Hotpath_alloc)
-        in
-        let findings = ref [] in
-        let emit rule (loc : Location.t) message =
-          let p = loc.Location.loc_start in
-          findings :=
-            {
-              rule;
-              file = (if p.Lexing.pos_fname = "" then src else p.Lexing.pos_fname);
-              line = p.Lexing.pos_lnum;
-              col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-              message;
-            }
-            :: !findings
-        in
-        check_structure ~role ~enabled ~emit str;
-        let resolved =
-          List.filter_map
-            (fun f ->
-              if f.rule <> Hotpath_alloc then Some f
-              else
-                match site_justification source_path ~line:f.line with
-                | Some (Some _) -> None (* justified per site *)
-                | Some None ->
-                  let site, what =
-                    if find_sub f.message "is a string shim" 0 <> None then ("string shim call", "copy")
-                    else if role = Data then ("payload copy", "copy")
-                    else ("Enc.create", "intermediate buffer")
-                  in
-                  Some
-                    {
-                      f with
-                      message =
-                        Printf.sprintf
-                          "%s under an 'allow hotpath-alloc' comment with no justification \
-                           string — say why the %s is needed in quotes"
-                          site what;
-                    }
-                | None -> Some f)
-            !findings
-        in
-        Ok (List.sort_uniq compare_finding resolved)
-      | _ -> Error (cmt_path ^ ": no implementation typed tree"))
+let check_unit ?role ~source_root (u : Source.unit_) =
+  let src = u.Source.src in
+  if Source.is_generated u then Ok []
+  else
+    match u.Source.annots with
+    | Cmt_format.Implementation str ->
+      let role = match role with Some r -> r | None -> role_of_path src in
+      let active = rules_for_role role in
+      let source_path = Filename.concat source_root src in
+      let suppressed = suppressed_rules source_path in
+      let required =
+        (if List.mem src strict_determinism_paths then [ Strict_determinism ] else [])
+        @ required_rules source_path
+      in
+      let enabled r =
+        (List.mem r active || List.mem r required)
+        && ((not (List.mem r suppressed)) || r = Hotpath_alloc)
+      in
+      let findings = ref [] in
+      let emit rule (loc : Location.t) message =
+        let p = loc.Location.loc_start in
+        findings :=
+          {
+            rule;
+            file = (if p.Lexing.pos_fname = "" then src else p.Lexing.pos_fname);
+            line = p.Lexing.pos_lnum;
+            col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
+            message;
+          }
+          :: !findings
+      in
+      check_structure ~role ~enabled ~emit str;
+      (* Hotpath-alloc is suppressed per *site*, never per file: the
+         point of the rule is that every intermediate buffer on the
+         wire path carries its own written-down reason. A marker with
+         no justification keeps the finding, reworded. *)
+      let resolved =
+        List.filter_map
+          (fun f ->
+            if f.rule <> Hotpath_alloc then Some f
+            else
+              match Source.site_allowance source_path ~line:f.line ~rule:"hotpath-alloc" with
+              | Some (Source.Justified _) -> None
+              | Some Source.Unjustified ->
+                let site, what =
+                  if Source.find_sub f.message "is a string shim" 0 <> None then
+                    ("string shim call", "copy")
+                  else if role = Data then ("payload copy", "copy")
+                  else ("Enc.create", "intermediate buffer")
+                in
+                Some
+                  {
+                    f with
+                    message =
+                      Printf.sprintf
+                        "%s under an 'allow hotpath-alloc' comment with no justification \
+                         string — say why the %s is needed in quotes"
+                        site what;
+                  }
+              | None -> Some f)
+          !findings
+      in
+      Ok (List.sort_uniq compare_finding resolved)
+    | _ -> Error (u.Source.cmt ^ ": no implementation typed tree")
 
 (* --- mli coverage (a source-tree rule, not a cmt rule) ----------------- *)
 
@@ -603,18 +518,3 @@ let check_mli_coverage ~source_root dir =
   in
   if Sys.file_exists (Filename.concat source_root dir) then walk dir;
   List.sort compare_finding !findings
-
-let scan_cmts root =
-  let acc = ref [] in
-  let rec walk dir =
-    match Sys.readdir dir with
-    | exception Sys_error _ -> ()
-    | entries ->
-      Array.to_list entries |> List.sort String.compare
-      |> List.iter (fun name ->
-             let full = Filename.concat dir name in
-             if Sys.is_directory full then walk full
-             else if Filename.check_suffix name ".cmt" then acc := full :: !acc)
-  in
-  walk root;
-  List.sort String.compare !acc

@@ -1,6 +1,13 @@
 (** Pass A of [discfs-lint]: invariant rules over the typed ASTs
     ([.cmt] files) that [dune build] already produces.
 
+    The typed-AST passes share one loader, {!Source}: it reads each
+    [.cmt]/[.cmti] once, caches the sources and parses the
+    [discfs-lint:] directives for all of them. [discfs_lint check]
+    hands each loaded unit to this pass, to the spawn-capture escape
+    analysis ({!Races}, Pass D) and to the list of exports that
+    nothing uses ({!Exports}, Pass E).
+
     Each rule is named and individually suppressible per file with a
     comment anywhere in the source:
 
@@ -41,7 +48,7 @@
       with a mandatory quoted justification on the line or the line
       above: [(* discfs-lint: allow hotpath-alloc "why" *)]. A
       file-level [allow] does not apply, and a marker without a
-      justification keeps the finding.
+      justification, or with an empty one, keeps the finding.
     - [c-boundary]: an [external] (a C stub) in library code lives in
       [lib/crypto] and is [[@@noalloc]]. A stub is handed raw pointers
       into OCaml strings and bytes, valid only while no GC can run;
@@ -102,8 +109,6 @@ val role_of_path : string -> role
     [Data]; [lib/crypto] is [Kernel]; everything else under [lib/] is
     [Lib]; [bin/], [bench/] and [test/] are [Exe]. *)
 
-val rules_for_role : role -> rule list
-
 type finding = {
   rule : rule;
   file : string;  (** repo-relative source path *)
@@ -118,22 +123,18 @@ val render_finding : finding -> string
 val compare_finding : finding -> finding -> int
 (** Order by file, line, column, rule — the report order. *)
 
-val check_cmt : ?role:role -> source_root:string -> string -> (finding list, string) result
-(** [check_cmt ~source_root path] loads the [.cmt] at [path] and runs
-    every typed-tree rule applicable to its role (inferred from the
-    recorded source path unless [role] is given). [source_root] is
-    where repo-relative source paths resolve, for reading suppression
-    comments. Returns [Error] if the file is unreadable or holds no
-    implementation tree. *)
+val check_unit : ?role:role -> source_root:string -> Source.unit_ -> (finding list, string) result
+(** Run every typed-tree rule applicable to the unit's role (inferred
+    from its recorded source path unless [role] is given).
+    [source_root] is where repo-relative source paths resolve, for
+    reading suppression comments. A generated alias module yields no
+    findings; a unit that holds no implementation tree is an
+    [Error]. *)
 
 val check_mli_coverage : source_root:string -> string -> finding list
 (** [check_mli_coverage ~source_root dir] walks [dir] (repo-relative)
     for [.ml] files with no matching [.mli]. Suppressible like any
     other rule. *)
-
-val scan_cmts : string -> string list
-(** Recursively collect the [.cmt] files under a directory, skipping
-    generated library alias modules; sorted. *)
 
 val suppressed_rules : string -> rule list
 (** The rules allowed by [discfs-lint: allow] comments in the given
@@ -146,8 +147,7 @@ val required_rules : string -> rule list
 
 (** {1 Shared helpers}
 
-    Used by the other typed-AST passes (the races pass in
-    {!Races}). *)
+    Used by the races pass ({!Races}). *)
 
 val normalize_name : string -> string
 (** Collapse dune wrapping and [Stdlib] prefixes in a dotted path
@@ -157,6 +157,3 @@ val normalize_name : string -> string
 val suffix_matches : string -> string -> bool
 (** [suffix_matches name suff]: [name] is [suff] or ends with
     ["." ^ suff] (module-chain suffix match on normalized names). *)
-
-val read_file : string -> string option
-(** The file's bytes, or [None] if it cannot be opened. *)

@@ -50,13 +50,15 @@ let render s =
 
 (* The knee of an offered-load sweep: the highest offered rate the
    system still sustains, defined as achieved throughput within
-   [tolerance] of offered (default 10%) with no failed ops. Past it,
+   [tolerance] (10%) of offered with no failed ops. Past it,
    an open-loop generator outruns the completion rate — queues grow
    without bound and percentile latency is set by the horizon, not
    the service. Points must be in ascending offered-rate order; the
    knee is the last sustaining point of the initial sustained run, so
    one anomalous recovery past saturation cannot fake a higher knee. *)
-let knee ?(tolerance = 0.10) points =
+let tolerance = 0.10
+
+let knee points =
   let sustains (offered, achieved, failed) =
     failed = 0 && offered > 0.0 && achieved >= (1.0 -. tolerance) *. offered
   in

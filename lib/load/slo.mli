@@ -27,10 +27,10 @@ val summary_json : summary -> string
 
 val quantile_json : Trace.Metrics.quantile_estimate -> string
 
-val knee : ?tolerance:float -> (float * float * int) list -> int option
+val knee : (float * float * int) list -> int option
 (** [knee points] over ascending [(offered_rate, achieved_throughput,
     failed_ops)] sweep points: the index of the last point of the
-    initial run whose achieved throughput stays within [tolerance]
-    (default 0.10) of offered with zero failures — the highest load
+    initial run whose achieved throughput stays within 10% of
+    offered with zero failures — the highest load
     the system demonstrably sustains.  [None] when even the first
     point does not sustain. *)

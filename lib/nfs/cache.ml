@@ -156,32 +156,12 @@ module Make (C : CLIENT) = struct
     store_attr t fh attr;
     attr
 
-  let invalidate t fh =
-    if Race.enabled t.race then Race.write t.race ~key:(akey (key fh)) ();
-    Hashtbl.remove t.attrs (key fh);
-    (* Drop any name entries resolving to this handle. *)
-    let doomed =
-      Hashtbl.fold
-        (fun k ((target, _), _) acc -> if key target = key fh then k :: acc else acc)
-        t.names []
-    in
-    List.iter
-      (fun k ->
-        if Race.enabled t.race then Race.write t.race ~key:(nkey k) ();
-        Hashtbl.remove t.names k)
-      doomed
-
   let remove t dir name =
     C.remove t.client dir name;
     if Race.enabled t.race then Race.write t.race ~key:(nkey (key dir, name)) ();
     if Race.enabled t.race then Race.write t.race ~key:(akey (key dir)) ();
     Hashtbl.remove t.names (key dir, name);
     Hashtbl.remove t.attrs (key dir)
-
-  let invalidate_all t =
-    Hashtbl.reset t.attrs;
-    Hashtbl.reset t.names;
-    Race.wipe t.race
 
   let hits t = t.hits
   let misses t = t.misses

@@ -77,13 +77,6 @@ module Make (C : CLIENT) : sig
   (** Pass-through; drops the name entry and the directory's
       attributes. *)
 
-  val invalidate : t -> Proto.fh -> unit
-  (** Drop one file's attributes and any name entries resolving to
-      it. *)
-
-  val invalidate_all : t -> unit
-  (** Drop everything (e.g. on reattach after a server restart). *)
-
   val hits : t -> int
   (** Lookups answered from cache (attribute and name combined). *)
 

@@ -64,7 +64,6 @@ let mountproc_umnt = 3
 
 (* Status codes. *)
 let nfs_ok = 0
-let nfserr_perm = 1
 let nfserr_noent = 2
 let nfserr_io = 5
 let nfserr_acces = 13

@@ -9,9 +9,6 @@ val nfs_vers : int
 val mount_prog : int
 val mount_vers : int
 
-val fh_size : int
-(** File-handle size in bytes (32, per RFC 1094). *)
-
 val max_data : int
 (** NFSv2 maximum transfer size per READ/WRITE. *)
 
@@ -69,7 +66,6 @@ val mountproc_umnt : int
 (** {1 Status codes} *)
 
 val nfs_ok : int
-val nfserr_perm : int
 val nfserr_noent : int
 val nfserr_io : int
 val nfserr_acces : int
@@ -128,11 +124,6 @@ val fh_decode : Xdr.Dec.t -> fh
 
 type ftype = NFNON | NFREG | NFDIR | NFLNK
 
-val ftype_code : ftype -> int
-
-val ftype_of_code : int -> ftype
-(** Raises [Xdr.Decode_error] on an unknown code. *)
-
 type fattr = {
   ftype : ftype;
   mode : int;
@@ -149,8 +140,6 @@ type fattr = {
   ctime : float;
 }
 
-val time_encode : Xdr.Enc.t -> float -> unit
-val time_decode : Xdr.Dec.t -> float
 val fattr_encode : Xdr.Enc.t -> fattr -> unit
 val fattr_decode : Xdr.Dec.t -> fattr
 

@@ -83,8 +83,7 @@ let no_route : route = fun ~conn:_ ~fh:_ ~op:_ -> None
 
 type t = { fs : Ffs.Fs.t; mutable hooks : hooks; mutable route : route }
 
-let create ~fs ?(hooks = no_hooks) () = { fs; hooks; route = no_route }
-let fs t = t.fs
+let create ~fs () = { fs; hooks = no_hooks; route = no_route }
 let set_hooks t hooks = t.hooks <- hooks
 let set_route t route = t.route <- route
 
@@ -133,8 +132,6 @@ let fattr_of_attr t (a : Inode.attr) : Proto.fattr =
 let fattr_of_ino t ino = fattr_of_attr t (Ffs.Fs.getattr t.fs ino)
 
 let fh_of t ino = { Proto.ino; gen = Ffs.Fs.generation t.fs ino }
-
-let root_fh t = fh_of t (Ffs.Fs.root t.fs)
 
 let check_fh t (fh : Proto.fh) =
   if not (Ffs.Fs.valid_handle t.fs ~ino:fh.Proto.ino ~gen:fh.Proto.gen) then

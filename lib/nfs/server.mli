@@ -48,19 +48,15 @@ type route = conn:Oncrpc.Rpc.conn_info -> fh:Proto.fh -> op:op -> string option
     with a signed [NFSERR_MOVED] redirect here (PROTOCOL.md §11.2).
     [None] lets the operation proceed locally. *)
 
-val no_route : route
-(** Serve everything locally — the single-server default. *)
-
 type t
 
-val create : fs:Ffs.Fs.t -> ?hooks:hooks -> unit -> t
-val fs : t -> Ffs.Fs.t
+val create : fs:Ffs.Fs.t -> unit -> t
+(** A server with {!no_hooks}; install others with {!set_hooks}. *)
+
 val set_hooks : t -> hooks -> unit
 
 val set_route : t -> route -> unit
 (** Install a shard router in front of the hooks. *)
-
-val root_fh : t -> Proto.fh
 
 val handler : t -> Oncrpc.Rpc.handler
 (** The NFS program's handler, exactly as {!attach} registers it;

@@ -2,22 +2,18 @@ type t = {
   mutable now : float;
   mutable advance_hook : (float -> unit) option;
   mutable epoch : int;
-  mutable advances : int;
 }
 
-let create () = { now = 0.0; advance_hook = None; epoch = 0; advances = 0 }
+let create () = { now = 0.0; advance_hook = None; epoch = 0 }
 let now t = t.now
 let epoch t = t.epoch
-let advances t = t.advances
 
 let advance t dt =
   if dt < 0.0 then invalid_arg "Clock.advance: negative dt";
   match t.advance_hook with
   | Some hook when dt > 0.0 ->
     (* With a scheduler attached every positive charge is a potential
-       yield point; count them so the race tooling can cross-check its
-       epoch bookkeeping against the clock's view. *)
-    t.advances <- t.advances + 1;
+       yield point. *)
     hook dt
   | _ -> t.now <- t.now +. dt
 

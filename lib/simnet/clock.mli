@@ -39,13 +39,6 @@ val epoch : t -> int
     from another — holders of cached deadlines (e.g. the link's wire
     reservations) stamp them with the epoch and discard on mismatch. *)
 
-val advances : t -> int
-(** Positive advances dispatched to the hook so far — every one a
-    potential yield point under a scheduler. The race checker uses
-    {!Sched.events_run} as its happens-before epoch; this counter is
-    the clock-side cross-check (and a cheap "how concurrent was this
-    run" signal). *)
-
 val time : t -> (unit -> 'a) -> 'a * float
 (** [time t f] runs [f] and returns its result with the simulated
     seconds it consumed. *)

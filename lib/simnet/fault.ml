@@ -80,7 +80,6 @@ type t = {
 let create ?(net = no_net) ?(seed = "fault") () =
   { rng = Rng.create ~seed; net; disk_script = []; disk_ops = 0; trace = Trace.null }
 
-let rng t = t.rng
 let set_net t net = t.net <- net
 let set_trace t trace = t.trace <- trace
 

@@ -11,7 +11,6 @@ module Rng : sig
   type t
 
   val create : seed:string -> t
-  val next : t -> int64
   val float : t -> float
   (** Uniform in [[0, 1)]. *)
 
@@ -41,7 +40,6 @@ type disk_fault = Fail_read | Fail_write | Corrupt_read
 type t
 
 val create : ?net:net -> ?seed:string -> unit -> t
-val rng : t -> Rng.t
 val set_net : t -> net -> unit
 
 val set_trace : t -> Trace.t -> unit

@@ -35,8 +35,6 @@ let set_fault t f =
   (match f with Some f -> Fault.set_trace f t.trace | None -> ());
   t.fault <- f
 
-let fault t = t.fault
-
 let busy_until t flow =
   match Hashtbl.find_opt t.busy flow with
   | Some (epoch, until) when epoch = Clock.epoch t.clock -> until
@@ -126,4 +124,3 @@ let quiesce t =
     held;
   Hashtbl.reset t.busy;
   List.length held
-

@@ -25,8 +25,6 @@ val set_fault : t -> Fault.t option -> unit
     link's tracer and records [fault.*] instant spans for each
     injected fault. *)
 
-val fault : t -> Fault.t option
-
 val transmit : t -> ?flow:int -> int -> unit
 (** [transmit t ~flow nbytes] charges one one-way message of
     [nbytes]: queueing delay (if the flow's wire is still clocking
@@ -64,4 +62,3 @@ val send : t -> ?flow:int -> string -> string list
     behind the next packet on the same flow only. Fault events are
     counted under ["link.drops"], ["link.dups"], ["link.reorders"],
     ["link.corruptions"]. *)
-

@@ -146,7 +146,6 @@ let clock t = t.clock
 let in_process t = t.in_process
 let current_pid t = t.current_pid
 let events_run t = t.events_run
-let pending t = t.size
 let set_probe t probe = t.probe <- probe
 
 (* --- cooperative processes over effects ------------------------------ *)
@@ -195,8 +194,6 @@ let suspend register = Effect.perform (Suspend register)
 let sleep t dt =
   if dt < 0.0 then invalid_arg "Sched.sleep: negative dt";
   suspend (fun resume -> ignore (schedule_after t dt resume))
-
-let yield t = suspend (fun resume -> ignore (schedule_after t 0.0 resume))
 
 (* --- the event loop -------------------------------------------------- *)
 

@@ -42,7 +42,7 @@ val cancel : handle -> unit
 
 val spawn : t -> (unit -> unit) -> unit
 (** Enqueue a cooperative process starting at the current virtual
-    time. Within it, {!sleep}/{!suspend} (and, with {!attach_clock},
+    time. Within it, {!sleep}, {!Mailbox.take} (and, with {!attach_clock},
     any [Clock.advance] underneath it) yield to other events. An
     exception escaping the process aborts {!run}. *)
 
@@ -68,16 +68,6 @@ val sleep : t -> float -> unit
 (** Suspend the calling process for [dt] virtual seconds. Must be
     called from within a process. *)
 
-val yield : t -> unit
-(** Reschedule the calling process behind every event already due at
-    the current time. *)
-
-val suspend : (('a -> unit) -> unit) -> 'a
-(** [suspend register] parks the calling process and hands [register]
-    a resume function; the process continues — with the value passed
-    to resume — when someone calls it (exactly once). The primitive
-    beneath {!sleep} and {!Mailbox.take}. *)
-
 val in_process : t -> bool
 (** True while the scheduler is executing an event — the signal used
     by layers that behave differently in-line vs. in-process (e.g.
@@ -99,10 +89,6 @@ val set_tie_seed : t -> int64 option -> unit
 
 val tie_seed : t -> int64 option
 (** The currently installed perturbation seed, if any. *)
-
-val pending : t -> int
-(** Events currently in the heap (including cancelled ones not yet
-    popped). *)
 
 val events_run : t -> int
 (** Total events executed — a cheap determinism fingerprint. *)

@@ -28,26 +28,17 @@ val create :
 (** An empty topology. [switch_latency] is added to [cost.net_latency]
     on every access link created by {!add_host}. *)
 
-val add_host : ?name:string -> t -> host
+val add_host : t -> host
 (** Provision a host with a fresh access link (inheriting the
     topology's tracer and fault injector). Counted under
     ["topo.hosts"]. *)
 
-val nhosts : t -> int
 val link : t -> host -> Link.t
 (** The host's access link. Raises [Invalid_argument] for an unknown
     host. *)
-
-val host_name : t -> host -> string
-
-val clock : t -> Clock.t
-val cost : t -> Cost.t
-val stats : t -> Stats.t
-val switch_latency : t -> float
 
 val set_trace : t -> Trace.t -> unit
 (** Adopt a tracer on every existing and future access link. *)
 
 val set_fault : t -> Fault.t option -> unit
 (** Attach (or remove) one fault injector on every access link. *)
-

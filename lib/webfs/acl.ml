@@ -23,7 +23,6 @@ let lookup t ~ino ~principal =
   match Hashtbl.find_opt t.entries (ino, norm principal) with Some b -> b | None -> 0
 
 let user_count t = Hashtbl.length t.users
-let entry_count t = Hashtbl.length t.entries
 
 let state_bytes t =
   let registry =

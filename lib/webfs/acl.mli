@@ -33,7 +33,6 @@ val lookup : t -> ino:int -> principal:string -> bits
 (** 0 when no entry applies. *)
 
 val user_count : t -> int
-val entry_count : t -> int
 
 val state_bytes : t -> int
 (** Approximate server-side bytes consumed by the registry and ACL

@@ -12,7 +12,6 @@ type t = {
 }
 
 let acl t = t.acl
-let nfs t = t.nfs
 let server_key t = t.server_key
 let admin_ops t = t.admin_ops
 

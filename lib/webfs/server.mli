@@ -14,7 +14,6 @@ type t
 val create : fs:Ffs.Fs.t -> server_key:Dcrypto.Dsa.private_key -> unit -> t
 
 val acl : t -> Acl.t
-val nfs : t -> Nfs.Server.t
 val server_key : t -> Dcrypto.Dsa.private_key
 
 val admin_register : t -> principal:string -> unit

@@ -1,0 +1,11 @@
+let unused x = x + 1
+let via_alias x = unused x
+
+module Make (X : sig
+  val base : int
+end) =
+struct
+  let via_functor () = X.base
+end
+
+let test_only x = unused (unused x)

@@ -19,9 +19,9 @@ let fixture name = "lint_fixtures/.lint_fixtures.objs/byte/lint_fixtures__" ^ na
 (* The fixtures live under test/, whose inferred role is Exe; default
    to the full Lib rule set like the golden report does. *)
 let check ?(role = Lint.Rules.Lib) name =
-  match Lint.Rules.check_cmt ~role ~source_root:".." (fixture name) with
+  match Result.bind (Lint.Source.load (fixture name)) (Lint.Rules.check_unit ~role ~source_root:"..") with
   | Ok findings -> findings
-  | Error m -> Alcotest.failf "check_cmt %s: %s" name m
+  | Error m -> Alcotest.failf "check_unit %s: %s" name m
 
 let rule_names findings =
   List.sort_uniq String.compare
@@ -318,6 +318,63 @@ let test_races_json () =
   contains "\"status\":\"missing-justification\"";
   contains "\"justification\":"
 
+let test_races_empty_justification () =
+  (* An empty quoted string is no justification: the same verdict as
+     a marker with no string at all, for races as for hotpath-alloc. *)
+  let entries, errors =
+    Lint.Races.scan ~source_root:".." [ race_fixture "Empty_justification" ]
+  in
+  List.iter (fun e -> Alcotest.failf "races scan: %s" e) errors;
+  match entries with
+  | [ { Lint.Races.e_status = Lint.Races.Missing_justification; e_value = "total"; _ } ] -> ()
+  | es ->
+    Alcotest.failf "expected one unjustified capture, got: %s"
+      (String.concat "; " (List.map Lint.Races.render_entry es))
+
+(* --- Pass E: exports nothing uses, over the export fixtures ----------- *)
+
+let export_unit ext name =
+  let path = "export_fixtures/.export_fixtures.objs/byte/export_fixtures__" ^ name ^ ext in
+  match Lint.Source.load path with Ok u -> u | Error m -> Alcotest.failf "load %s: %s" path m
+
+(* [Exported]'s interface declares; every fixture module references,
+   [Test_user] as test code. *)
+let fixture_exports =
+  lazy
+    (let t = Lint.Exports.create () in
+     Lint.Exports.declare t (export_unit ".cmti" "Exported");
+     List.iter
+       (fun name -> Lint.Exports.reference t ~test:false (export_unit ".cmt" name))
+       [ "Exported"; "Alias_user"; "Functor_user" ];
+     Lint.Exports.reference t ~test:true (export_unit ".cmt" "Test_user");
+     Lint.Exports.exports t)
+
+let test_exports_status () =
+  Alcotest.(check (list (pair string string)))
+    "each export's status, in interface order"
+    [
+      ("Export_fixtures.Exported.via_alias", "used");
+      ("Export_fixtures.Exported.Make.via_functor", "used");
+      ("Export_fixtures.Exported.test_only", "test-only");
+      ("Export_fixtures.Exported.unused", "unreferenced");
+    ]
+    (List.map
+       (fun x -> (x.Lint.Exports.x_name, Lint.Exports.status_name x.Lint.Exports.x_status))
+       (Lazy.force fixture_exports))
+
+let test_exports_report () =
+  let xs = Lazy.force fixture_exports in
+  Alcotest.(check (list string)) "only the unreferenced export is a finding"
+    [
+      "test/export_fixtures/exported.mli:16:0: [exports] Export_fixtures.Exported.unused is \
+       exported but no other compilation unit references it; delete the export, and its body \
+       unless the module uses it";
+    ]
+    (List.map Lint.Exports.render (List.filter Lint.Exports.is_finding xs));
+  Alcotest.(check string) "json lists the test-only and unreferenced entries"
+    "{\"pass\":\"exports\",\"exports\":4,\"entries\":[{\"file\":\"test/export_fixtures/exported.mli\",\"line\":13,\"col\":0,\"name\":\"Export_fixtures.Exported.test_only\",\"status\":\"test-only\"},{\"file\":\"test/export_fixtures/exported.mli\",\"line\":16,\"col\":0,\"name\":\"Export_fixtures.Exported.unused\",\"status\":\"unreferenced\"}],\"unreferenced\":1}"
+    (Lint.Exports.json_of_exports xs)
+
 (* --- Pass B: credential-graph analysis -------------------------------- *)
 
 let p name = "dsa-hex:" ^ name
@@ -592,6 +649,9 @@ let suite =
     ("pass-d: per-site suppression", `Quick, test_races_suppression);
     ("pass-d: mailbox-mediated clean", `Quick, test_races_mailbox_clean);
     ("pass-d: json inventory", `Quick, test_races_json);
+    ("pass-d: empty justification", `Quick, test_races_empty_justification);
+    ("pass-e: export statuses", `Quick, test_exports_status);
+    ("pass-e: findings and json", `Quick, test_exports_report);
     ("pass-c: library map discovery", `Quick, test_doccheck_libmap);
     ("pass-c: seeded doc findings", `Quick, test_doccheck_bad);
     ("pass-c: clean fixture and real docs", `Quick, test_doccheck_clean);
