@@ -1,28 +1,48 @@
 module Nat = Bignum.Nat
 
-type t = { mutable k : string; mutable v : string }
+(* K and V live in byte strings the generator owns, and every HMAC
+   runs in its own state and writes its tag straight over K or V. *)
+type t = { k : Bytes.t; v : Bytes.t; mac : Hmac.sha256_ctx }
+
+(* A view of K or V for the hash to read; the write that follows
+   reads nothing through it. *)
+let view = Bytes.unsafe_to_string
+
+(* V = HMAC(K, V) *)
+let step_v t =
+  Hmac.sha256_start t.mac ~key:(view t.k);
+  Hmac.sha256_add t.mac (view t.v) 0 32;
+  Hmac.sha256_finish_into t.mac t.v 0
+
+(* K = HMAC(K, V || sep || provided); V = HMAC(K, V) *)
+let rekey t sep provided =
+  Hmac.sha256_start t.mac ~key:(view t.k);
+  Hmac.sha256_add t.mac (view t.v) 0 32;
+  Hmac.sha256_add t.mac sep 0 1;
+  Hmac.sha256_add t.mac provided 0 (String.length provided);
+  Hmac.sha256_finish_into t.mac t.k 0;
+  step_v t
 
 let update t provided =
-  t.k <- Hmac.sha256 ~key:t.k (t.v ^ "\x00" ^ provided);
-  t.v <- Hmac.sha256 ~key:t.k t.v;
-  if provided <> "" then begin
-    t.k <- Hmac.sha256 ~key:t.k (t.v ^ "\x01" ^ provided);
-    t.v <- Hmac.sha256 ~key:t.k t.v
-  end
+  rekey t "\x00" provided;
+  if provided <> "" then rekey t "\x01" provided
 
 let create ~seed =
-  let t = { k = String.make 32 '\000'; v = String.make 32 '\001' } in
+  let t = { k = Bytes.make 32 '\000'; v = Bytes.make 32 '\001'; mac = Hmac.sha256_ctx () } in
   update t seed;
   t
 
 let bytes t n =
-  let buf = Buffer.create n in
-  while Buffer.length buf < n do
-    t.v <- Hmac.sha256 ~key:t.k t.v;
-    Buffer.add_string buf t.v
+  let out = Bytes.create n in
+  let pos = ref 0 in
+  while !pos < n do
+    step_v t;
+    let take = min 32 (n - !pos) in
+    Bytes.blit t.v 0 out !pos take;
+    pos := !pos + take
   done;
   update t "";
-  String.sub (Buffer.contents buf) 0 n
+  Bytes.unsafe_to_string out
 
 let rand_bits t bits =
   if bits <= 0 then Nat.zero

@@ -23,14 +23,22 @@ type ctx = {
   w : int array;
 }
 
+let reset ctx =
+  ctx.h.(0) <- 0x6a09e667;
+  ctx.h.(1) <- 0xbb67ae85;
+  ctx.h.(2) <- 0x3c6ef372;
+  ctx.h.(3) <- 0xa54ff53a;
+  ctx.h.(4) <- 0x510e527f;
+  ctx.h.(5) <- 0x9b05688c;
+  ctx.h.(6) <- 0x1f83d9ab;
+  ctx.h.(7) <- 0x5be0cd19;
+  ctx.buf_len <- 0;
+  ctx.total <- 0
+
 let init () =
-  {
-    h = [| 0x6a09e667; 0xbb67ae85; 0x3c6ef372; 0xa54ff53a; 0x510e527f; 0x9b05688c; 0x1f83d9ab; 0x5be0cd19 |];
-    buf = Bytes.make 64 '\000';
-    buf_len = 0;
-    total = 0;
-    w = Array.make 64 0;
-  }
+  let ctx = { h = Array.make 8 0; buf = Bytes.make 64 '\000'; buf_len = 0; total = 0; w = Array.make 64 0 } in
+  reset ctx;
+  ctx
 
 let compress ctx block off =
   let w = ctx.w in
@@ -75,53 +83,62 @@ let compress ctx block off =
   h.(6) <- m32 (h.(6) + !g);
   h.(7) <- m32 (h.(7) + !hh)
 
-let update ctx s =
-  let len = String.length s in
+let update_sub ctx s off len =
+  if off < 0 || len < 0 || off > String.length s - len then invalid_arg "Sha256.update_sub";
   ctx.total <- ctx.total + len;
-  let pos = ref 0 in
+  let pos = ref off and stop = off + len in
   if ctx.buf_len > 0 then begin
-    let need = 64 - ctx.buf_len in
-    let take = min need len in
-    Bytes.blit_string s 0 ctx.buf ctx.buf_len take;
+    let take = min (64 - ctx.buf_len) len in
+    Bytes.blit_string s off ctx.buf ctx.buf_len take;
     ctx.buf_len <- ctx.buf_len + take;
-    pos := take;
+    pos := off + take;
     if ctx.buf_len = 64 then begin
       compress ctx ctx.buf 0;
       ctx.buf_len <- 0
     end
   end;
-  while len - !pos >= 64 do
+  while stop - !pos >= 64 do
     Bytes.blit_string s !pos ctx.buf 0 64;
     compress ctx ctx.buf 0;
     pos := !pos + 64
   done;
-  if !pos < len then begin
-    Bytes.blit_string s !pos ctx.buf ctx.buf_len (len - !pos);
-    ctx.buf_len <- ctx.buf_len + (len - !pos)
+  if !pos < stop then begin
+    Bytes.blit_string s !pos ctx.buf ctx.buf_len (stop - !pos);
+    ctx.buf_len <- ctx.buf_len + (stop - !pos)
   end
 
-let finalize ctx =
+let update ctx s = update_sub ctx s 0 (String.length s)
+
+(* Pad in place: 0x80, zeros up to 56 mod 64 (spilling into a second
+   block when fewer than 9 bytes are left), then the 64-bit bit
+   length. *)
+let finalize_into ctx out off =
+  if off < 0 || off > Bytes.length out - 32 then invalid_arg "Sha256.finalize_into";
+  let buf = ctx.buf in
+  Bytes.set buf ctx.buf_len '\x80';
+  Bytes.fill buf (ctx.buf_len + 1) (63 - ctx.buf_len) '\000';
+  if ctx.buf_len >= 56 then begin
+    compress ctx buf 0;
+    Bytes.fill buf 0 56 '\000'
+  end;
   let bitlen = ctx.total * 8 in
-  let pad_len =
-    let rem = (ctx.total + 1) mod 64 in
-    if rem <= 56 then 56 - rem + 1 else 120 - rem + 1
-  in
-  let padding = Bytes.make (pad_len + 8) '\000' in
-  Bytes.set padding 0 '\x80';
   for i = 0 to 7 do
-    Bytes.set padding (pad_len + i) (Char.chr ((bitlen lsr ((7 - i) * 8)) land 0xff))
+    Bytes.set buf (56 + i) (Char.unsafe_chr ((bitlen lsr ((7 - i) * 8)) land 0xff))
   done;
-  update ctx (Bytes.to_string padding);
-  assert (ctx.buf_len = 0);
+  compress ctx buf 0;
+  ctx.buf_len <- 0;
+  for i = 0 to 7 do
+    let h = ctx.h.(i) and j = off + (i * 4) in
+    Bytes.set out j (Char.unsafe_chr ((h lsr 24) land 0xff));
+    Bytes.set out (j + 1) (Char.unsafe_chr ((h lsr 16) land 0xff));
+    Bytes.set out (j + 2) (Char.unsafe_chr ((h lsr 8) land 0xff));
+    Bytes.set out (j + 3) (Char.unsafe_chr (h land 0xff))
+  done
+
+let finalize ctx =
   let out = Bytes.create 32 in
-  Array.iteri
-    (fun i h ->
-      Bytes.set out (i * 4) (Char.chr ((h lsr 24) land 0xff));
-      Bytes.set out ((i * 4) + 1) (Char.chr ((h lsr 16) land 0xff));
-      Bytes.set out ((i * 4) + 2) (Char.chr ((h lsr 8) land 0xff));
-      Bytes.set out ((i * 4) + 3) (Char.chr (h land 0xff)))
-    ctx.h;
-  Bytes.to_string out
+  finalize_into ctx out 0;
+  Bytes.unsafe_to_string out
 
 let digest msg =
   let ctx = init () in

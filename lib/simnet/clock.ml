@@ -9,6 +9,7 @@ let now t = t.now
 let epoch t = t.epoch
 
 let advance t dt =
+  if Float.is_nan dt then invalid_arg "Clock.advance: NaN dt";
   if dt < 0.0 then invalid_arg "Clock.advance: negative dt";
   match t.advance_hook with
   | Some hook when dt > 0.0 ->
@@ -17,7 +18,9 @@ let advance t dt =
     hook dt
   | _ -> t.now <- t.now +. dt
 
-let set t time = if time > t.now then t.now <- time
+let set t time =
+  if Float.is_nan time then invalid_arg "Clock.set: NaN time";
+  if time > t.now then t.now <- time
 let set_advance_hook t hook = t.advance_hook <- hook
 let reset t =
   t.now <- 0.0;

@@ -11,7 +11,7 @@ val now : t -> float
 (** Seconds of simulated time elapsed. *)
 
 val advance : t -> float -> unit
-(** Add [dt] seconds. Raises [Invalid_argument] on negative [dt].
+(** Add [dt] seconds. Raises [Invalid_argument] on a negative or NaN [dt].
     When an advance hook is installed ({!set_advance_hook}) and
     [dt > 0], the hook is called instead of moving the clock — this
     is how {!Sched} turns an in-line cost charge into a cooperative
@@ -20,8 +20,10 @@ val advance : t -> float -> unit
 val set : t -> float -> unit
 (** Jump the clock forward to an absolute time. Moves only forward:
     a target in the past is ignored, so replayed or same-time events
-    cannot rewind history. Bypasses the advance hook — this is the
-    primitive the event loop itself uses. *)
+    cannot rewind history. Raises [Invalid_argument] on NaN, which
+    would stick: every later comparison with it is false. Bypasses
+    the advance hook — this is the primitive the event loop itself
+    uses. *)
 
 val set_advance_hook : t -> (float -> unit) option -> unit
 (** Install (or clear) the interception hook consulted by

@@ -92,6 +92,320 @@ let test_mailbox_delivery_and_timeout () =
         (Sched.Mailbox.take s mb ~timeout:0.5));
   Sched.run s
 
+(* A NaN compares false both ways, so one NaN key in the heap breaks
+   its invariant and other events run late, with the clock ahead of
+   them. Every entry point that takes a time or a duration refuses
+   NaN; infinity stays a legal time. *)
+let test_nan_time_rejected () =
+  let clock = Clock.create () in
+  let s = Sched.create ~clock in
+  let ran = ref [] in
+  List.iter
+    (fun time ->
+      match Sched.schedule_at s time (fun () -> ran := (time, Clock.now clock) :: !ran) with
+      | _ -> ()
+      | exception Invalid_argument _ when Float.is_nan time -> ())
+    [ 3.0; Float.nan; 1.0; 0.5; 2.0; 0.7; 4.0; 0.1 ];
+  Sched.run s;
+  Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+    "the other events run in time order, each at its own time"
+    [ (0.1, 0.1); (0.5, 0.5); (0.7, 0.7); (1.0, 1.0); (2.0, 2.0); (3.0, 3.0); (4.0, 4.0) ]
+    (List.rev !ran);
+  let nan_rejected name f =
+    match f () with
+    | _ -> Alcotest.failf "%s accepted NaN" name
+    | exception Invalid_argument _ -> ()
+  in
+  nan_rejected "Clock.advance" (fun () -> Clock.advance clock Float.nan);
+  nan_rejected "Clock.set" (fun () -> Clock.set clock Float.nan);
+  feq "the clock did not move" 4.0 (Clock.now clock);
+  nan_rejected "Sched.schedule_after" (fun () -> ignore (Sched.schedule_after s Float.nan ignore));
+  nan_rejected "Sched.spawn_at" (fun () -> ignore (Sched.spawn_at s Float.nan ignore));
+  nan_rejected "Sched.spawn_after" (fun () -> ignore (Sched.spawn_after s Float.nan ignore));
+  Sched.attach_clock s;
+  let mb = Sched.Mailbox.create () and finished = Sched.Mailbox.create () in
+  Sched.spawn s (fun () ->
+      Alcotest.check_raises "sleep" (Invalid_argument "Sched.sleep: NaN dt") (fun () ->
+          Sched.sleep s Float.nan);
+      Alcotest.check_raises "advance" (Invalid_argument "Clock.advance: NaN dt") (fun () ->
+          Clock.advance clock Float.nan);
+      Alcotest.check_raises "take" (Invalid_argument "Sched.Mailbox.take: NaN timeout") (fun () ->
+          ignore (Sched.Mailbox.take s mb ~timeout:Float.nan));
+      Sched.Mailbox.push s finished ());
+  Sched.run s;
+  Alcotest.(check (option unit)) "in-process waits refuse NaN" (Some ())
+    (Sched.Mailbox.take s finished ~timeout:0.0);
+  feq "and the clock is still finite" 4.0 (Clock.now clock);
+  let at_infinity = ref false in
+  ignore (Sched.schedule_at s Float.infinity (fun () -> at_infinity := true));
+  Sched.run s;
+  Alcotest.(check bool) "infinity is a legal time" true !at_infinity
+
+(* An exception escaping a process aborts [run]; the scheduler's
+   per-slice state is restored on the way out, so [run] can resume
+   the events still in the heap. *)
+let test_exception_aborts_run () =
+  let clock = Clock.create () in
+  let s = Sched.create ~clock in
+  Sched.attach_clock s;
+  let woke = Sched.Mailbox.create () in
+  Sched.spawn s (fun () ->
+      Sched.sleep s 1.0;
+      failwith "boom");
+  Sched.spawn s (fun () ->
+      Clock.advance clock 2.0;
+      Sched.Mailbox.push s woke ());
+  Alcotest.check_raises "the process's exception aborts run" (Failure "boom") (fun () ->
+      Sched.run s);
+  Alcotest.(check bool) "not in a process afterwards" false (Sched.in_process s);
+  Alcotest.(check int) "no current pid afterwards" 0 (Sched.current_pid s);
+  Sched.run s;
+  Alcotest.(check (option unit)) "a second run drains the rest" (Some ())
+    (Sched.Mailbox.take s woke ~timeout:0.0);
+  feq "at the survivor's wake time" 2.0 (Clock.now clock)
+
+(* --- the scheduler against a reference model -------------------------- *)
+
+(* A random program over the scheduler's surface: timed thunks (some
+   cancelled at setup or later, some scheduling a follow-up with
+   [schedule_after]), sleepers that wait with [sleep] or a hooked
+   [Clock.advance], and one mailbox with a consumer that takes with
+   timeouts and thunks that push into it; with or without a tie seed.
+   It runs on [Sched] and on a reference that keeps its events in a
+   list sorted by (time, tie, seq); the event journal and the log of
+   every wake-up, with its time, must match. *)
+type cancel = Keep | Cancel_now | Cancel_at of float
+
+type op =
+  | At of float * cancel * float option (* time, cancellation, follow-up delay *)
+  | Sleeper of float * (float * bool) list (* start, sleeps (dt, through the clock) *)
+  | Push of float
+
+type program = {
+  seed : int64 option;
+  ops : op list;
+  consumer : (float * float list) option; (* start, take timeouts *)
+}
+
+let show_program p =
+  let f = Printf.sprintf "%g" in
+  let op = function
+    | At (t, c, after) ->
+      Printf.sprintf "At %g%s%s" t
+        (match c with Keep -> "" | Cancel_now -> " cancel" | Cancel_at c -> " cancel@" ^ f c)
+        (match after with None -> "" | Some d -> " then+" ^ f d)
+    | Sleeper (t, ds) ->
+      Printf.sprintf "Sleeper %g [%s]" t
+        (String.concat ";" (List.map (fun (d, c) -> f d ^ if c then "c" else "") ds))
+    | Push t -> Printf.sprintf "Push %g" t
+  in
+  Printf.sprintf "seed=%s ops=[%s] consumer=%s"
+    (match p.seed with None -> "-" | Some s -> Int64.to_string s)
+    (String.concat "; " (List.map op p.ops))
+    (match p.consumer with
+    | None -> "-"
+    | Some (t, tos) -> Printf.sprintf "%g [%s]" t (String.concat ";" (List.map f tos)))
+
+let gen_program =
+  let open QCheck.Gen in
+  let time = oneofl [ 0.0; 0.5; 1.0; 1.5; 2.0; 3.0 ] in
+  let dt = oneofl [ 0.0; 0.5; 1.0; 2.0 ] in
+  let cancel = frequency [ (4, return Keep); (1, return Cancel_now); (1, map (fun t -> Cancel_at t) time) ] in
+  let op =
+    frequency
+      [ (3, map3 (fun t c a -> At (t, c, a)) time cancel (option dt));
+        (2, map2 (fun t ds -> Sleeper (t, ds)) time (list_size (int_range 0 4) (pair dt bool)));
+        (2, map (fun t -> Push t) time) ]
+  in
+  map3
+    (fun seed ops consumer -> { seed; ops; consumer })
+    (option (map Int64.of_int int))
+    (list_size (int_range 1 10) op)
+    (option (pair time (list_size (int_range 1 4) (oneofl [ 0.0; 0.5; 1.0; 3.0 ]))))
+
+let show_take = function None -> "none" | Some v -> string_of_int v
+
+(* The program on [Sched]: its probe journal and its wake-up log. *)
+let run_sched p =
+  let clock = Clock.create () in
+  let s = Sched.create ~clock in
+  Sched.attach_clock s;
+  Sched.set_tie_seed s p.seed;
+  let journal = ref [] and log = ref [] in
+  Sched.set_probe s (Some (fun time seq -> journal := (time, seq) :: !journal));
+  let note tag = log := (tag, Clock.now clock) :: !log in
+  let mb = Sched.Mailbox.create () in
+  let pushes = ref 0 in
+  List.iteri
+    (fun i op ->
+      match op with
+      | At (time, cancel, after) ->
+        let h =
+          Sched.schedule_at s time (fun () ->
+              note (Printf.sprintf "at%d" i);
+              Option.iter
+                (fun d -> ignore (Sched.schedule_after s d (fun () -> note (Printf.sprintf "after%d" i))))
+                after)
+        in
+        (match cancel with
+        | Keep -> ()
+        | Cancel_now -> Sched.cancel h
+        | Cancel_at c -> ignore (Sched.schedule_at s c (fun () -> Sched.cancel h)))
+      | Sleeper (start, sleeps) ->
+        ignore
+          (Sched.spawn_at s start (fun () ->
+               note (Printf.sprintf "start%d" i);
+               List.iteri
+                 (fun j (d, via_clock) ->
+                   if via_clock then Clock.advance clock d else Sched.sleep s d;
+                   note (Printf.sprintf "wake%d.%d" i j))
+                 sleeps))
+      | Push time ->
+        ignore
+          (Sched.schedule_at s time (fun () ->
+               incr pushes;
+               Sched.Mailbox.push s mb !pushes)))
+    p.ops;
+  Option.iter
+    (fun (start, timeouts) ->
+      ignore
+        (Sched.spawn_at s start (fun () ->
+             List.iter
+               (fun timeout -> note ("take:" ^ show_take (Sched.Mailbox.take s mb ~timeout)))
+               timeouts)))
+    p.consumer;
+  Sched.run s;
+  (List.rev !journal, List.rev !log, Sched.events_run s)
+
+(* The reference: the same program over a sorted list of events, with
+   processes written as callbacks and the mailbox's documented
+   semantics — a push to a waiting consumer wakes it as its own event
+   at the push's time, and that wake-up cancels the consumer's
+   timeout. *)
+module Model = struct
+  type ev = { time : float; tie : int64; seq : int; mutable cancelled : bool; act : unit -> unit }
+
+  (* splitmix64, the scheduler's documented tie hash of (seed, seq). *)
+  let mix64 z =
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 30)) 0xbf58476d1ce4e5b9L in
+    let z = Int64.mul (Int64.logxor z (Int64.shift_right_logical z 27)) 0x94d049bb133111ebL in
+    Int64.logxor z (Int64.shift_right_logical z 31)
+
+  let run p =
+    let now = ref 0.0 and next = ref 0 and pending = ref [] in
+    let journal = ref [] and log = ref [] in
+    let note tag = log := (tag, !now) :: !log in
+    let at time act =
+      let seq = !next in
+      incr next;
+      let tie =
+        match p.seed with
+        | None -> 0L
+        | Some seed -> mix64 (Int64.add seed (Int64.mul (Int64.of_int seq) 0x9e3779b97f4a7c15L))
+      in
+      let ev = { time; tie; seq; cancelled = false; act } in
+      pending := ev :: !pending;
+      ev
+    in
+    let after d act = at (!now +. d) act in
+    (* the mailbox *)
+    let items = Queue.create () and waiter = ref None and pushes = ref 0 in
+    let push x =
+      match !waiter with
+      | Some w ->
+        waiter := None;
+        ignore (after 0.0 (fun () -> w (Some x)))
+      | None -> Queue.push x items
+    in
+    let take timeout k =
+      match Queue.take_opt items with
+      | Some v -> k (Some v)
+      | None when timeout <= 0.0 -> k None
+      | None ->
+        let timer =
+          after timeout (fun () ->
+              match !waiter with
+              | Some w ->
+                waiter := None;
+                w None
+              | None -> ())
+        in
+        waiter :=
+          Some
+            (fun v ->
+              timer.cancelled <- true;
+              k v)
+    in
+    List.iteri
+      (fun i op ->
+        match op with
+        | At (time, cancel, follow) ->
+          let ev =
+            at time (fun () ->
+                note (Printf.sprintf "at%d" i);
+                Option.iter
+                  (fun d -> ignore (after d (fun () -> note (Printf.sprintf "after%d" i))))
+                  follow)
+          in
+          (match cancel with
+          | Keep -> ()
+          | Cancel_now -> ev.cancelled <- true
+          | Cancel_at c -> ignore (at c (fun () -> ev.cancelled <- true)))
+        | Sleeper (start, sleeps) ->
+          let rec go j = function
+            | [] -> ()
+            | (d, via_clock) :: rest ->
+              let wake () =
+                note (Printf.sprintf "wake%d.%d" i j);
+                go (j + 1) rest
+              in
+              (* a zero charge through the clock is no yield at all *)
+              if via_clock && d = 0.0 then wake () else ignore (after d wake)
+          in
+          ignore
+            (at start (fun () ->
+                 note (Printf.sprintf "start%d" i);
+                 go 0 sleeps))
+        | Push time ->
+          ignore
+            (at time (fun () ->
+                 incr pushes;
+                 push !pushes)))
+      p.ops;
+    Option.iter
+      (fun (start, timeouts) ->
+        let rec go = function
+          | [] -> ()
+          | timeout :: rest ->
+            take timeout (fun v ->
+                note ("take:" ^ show_take v);
+                go rest)
+        in
+        ignore (at start (fun () -> go timeouts)))
+      p.consumer;
+    let key e = (e.time, e.tie, e.seq) in
+    let rec loop () =
+      match List.sort (fun a b -> compare (key a) (key b)) !pending with
+      | [] -> ()
+      | ev :: rest ->
+        pending := rest;
+        if not ev.cancelled then begin
+          if ev.time > !now then now := ev.time;
+          journal := (ev.time, ev.seq) :: !journal;
+          ev.act ()
+        end;
+        loop ()
+    in
+    loop ();
+    (List.rev !journal, List.rev !log, List.length !journal)
+end
+
+let prop_sched_matches_model =
+  QCheck.Test.make ~name:"sched: journal and wake-ups equal the (time, tie, seq) model"
+    ~count:400
+    (QCheck.make ~print:show_program gen_program)
+    (fun p -> run_sched p = Model.run p)
+
 (* --- busy-until link serialization ------------------------------------ *)
 
 (* Default cost model: 70 us latency, 12.5 MB/s -> 12500 bytes take
@@ -354,6 +668,10 @@ let suite =
     Alcotest.test_case "clock hook turns advance into sleep" `Quick
       test_clock_hook_makes_advance_a_sleep;
     Alcotest.test_case "mailbox delivery and timeout" `Quick test_mailbox_delivery_and_timeout;
+    Alcotest.test_case "NaN times are refused; infinity is legal" `Quick test_nan_time_rejected;
+    Alcotest.test_case "an escaping exception aborts run, which resumes" `Quick
+      test_exception_aborts_run;
+    QCheck_alcotest.to_alcotest prop_sched_matches_model;
     Alcotest.test_case "busy-until serializes same-flow sends" `Quick
       test_link_busy_until_serializes_flows;
     Alcotest.test_case "serial link timings unchanged" `Quick test_link_serial_mode_unchanged;

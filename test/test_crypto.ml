@@ -206,6 +206,64 @@ let test_drbg_fork () =
   (* Parent advanced between forks, so same label still diverges. *)
   Alcotest.(check bool) "children independent" false (Drbg.bytes child1 32 = Drbg.bytes child2 32)
 
+(* The generator's stream, pinned from the string-concatenating
+   implementation it replaced: bytes of several lengths (one short of,
+   exactly and past a 32-byte block), a fork, a draw below the DSA q
+   and an int draw, and an HMAC under a short key of the empty
+   message, hashed together. *)
+let test_drbg_known_answer () =
+  let d = Drbg.create ~seed:"drbg-known-answer" in
+  let a = Drbg.bytes d 1 in
+  let b = Drbg.bytes d 32 in
+  let c = Drbg.bytes d 33 in
+  let e = Drbg.bytes d 100 in
+  let f = Drbg.bytes (Drbg.fork d ~label:"child") 48 in
+  let n = Drbg.nat_below d (Dsa.default_params ()).Dsa.q in
+  let i = Drbg.int_below d 1000 in
+  check_hex "first 66 bytes"
+    "0d96b77316963abb3f17bcf1358358a733eb6157e9c4e0fdb36601981e55342d4c2fe03e62646bcc85712ed5343826771498d453b2c8bdf10d24161f2dd003e36720"
+    (a ^ b ^ c);
+  check_hex "forked child"
+    "b5585d42383526bf260a67558712c900c241a64558afb276c8a5dce1b7901ba52fd6e62c8c948f2afdfadf2eb9e5bc79" f;
+  Alcotest.(check int) "int draw" 546 i;
+  check_hex "the whole stream"
+    "5f5b59dd0b57801d686359a3b3d1f1d1af71f337fc1052b29b3bddc72af2b4bb"
+    (Sha256.digest
+       (String.concat ""
+          [ a; b; c; e; f; Bignum.Nat.to_bytes_be n; string_of_int i; Hmac.sha256 ~key:"k" "" ]))
+
+(* Hashing in parts, into an offset, in a reused state, equals hashing
+   in one piece; HMAC in parts equals RFC 2104 spelled out with
+   concatenation. Message lengths straddle the 55/56 and 64-byte
+   padding boundaries; keys run past the 64-byte block. *)
+let prop_sha256_parts =
+  let reference ~key msg =
+    let key = if String.length key > 64 then Sha256.digest key else key in
+    let pad c = String.init 64 (fun i -> Char.chr (Char.code c lxor if i < String.length key then Char.code key.[i] else 0)) in
+    Sha256.digest (pad '\x5c' ^ Sha256.digest (pad '\x36' ^ msg))
+  in
+  let sha = Sha256.init () and mac = Hmac.sha256_ctx () in
+  QCheck.Test.make ~name:"sha256/hmac in parts == in one piece" ~count:300
+    QCheck.(triple (string_of_size Gen.(int_range 0 140)) (string_of_size Gen.(int_range 0 200)) (small_list small_nat))
+    (fun (key, msg, cuts) ->
+      let len = String.length msg in
+      let cuts = List.sort_uniq compare (List.map (fun c -> c mod (len + 1)) cuts) in
+      let feed add =
+        let last = List.fold_left (fun from cut -> add msg from (cut - from); cut) 0 cuts in
+        add msg last (len - last)
+      in
+      let out = Bytes.make 40 '\xff' and tag = Bytes.make 40 '\xff' in
+      Sha256.reset sha;
+      feed (Sha256.update_sub sha);
+      Sha256.finalize_into sha out 3;
+      Hmac.sha256_start mac ~key;
+      feed (Hmac.sha256_add mac);
+      Hmac.sha256_finish_into mac tag 8;
+      Bytes.sub_string out 3 32 = Sha256.digest msg
+      && Bytes.sub_string out 0 3 ^ Bytes.sub_string out 35 5 = String.make 8 '\xff'
+      && Bytes.sub_string tag 8 32 = reference ~key msg
+      && Hmac.sha256 ~key msg = reference ~key msg)
+
 let test_drbg_bounds () =
   let drbg = Drbg.create ~seed:"bounds" in
   for _ = 1 to 200 do
@@ -379,6 +437,8 @@ let suite =
     Alcotest.test_case "drbg determinism" `Quick test_drbg_determinism;
     Alcotest.test_case "drbg fork" `Quick test_drbg_fork;
     Alcotest.test_case "drbg bounds" `Quick test_drbg_bounds;
+    Alcotest.test_case "drbg known-answer stream" `Quick test_drbg_known_answer;
+    QCheck_alcotest.to_alcotest prop_sha256_parts;
     Alcotest.test_case "dsa sign/verify" `Quick test_dsa_roundtrip;
     Alcotest.test_case "dsa wrong key" `Quick test_dsa_wrong_key;
     Alcotest.test_case "dsa encoding" `Quick test_dsa_encoding;

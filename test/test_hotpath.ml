@@ -636,6 +636,71 @@ let test_policy_miss_scale () =
   if after > 2.0 *. before then
     Alcotest.failf "a root miss allocates %.0f words after 1,024 CREATEs, %.0f before" after before
 
+(* --- the event loop and keyed hashing --------------------------------- *)
+
+module Sched = Simnet.Sched
+
+(* Words of one event, amortised: 64 processes that sleep 32 times
+   each, so 2,112 events, their starts included (the shape of the
+   benchmark's [simnet.sched_event_us] probe). *)
+let sleep_event_words () =
+  let s = Sched.create ~clock:(Clock.create ()) in
+  for _ = 1 to 64 do
+    Sched.spawn s (fun () ->
+        for _ = 1 to 32 do
+          Sched.sleep s 0.001
+        done)
+  done;
+  let before = Gc.minor_words () in
+  Sched.run s;
+  (Gc.minor_words () -. before) /. float_of_int (Sched.events_run s)
+
+(* Words of one mailbox round trip: the producer sleeps, then pushes to
+   the parked consumer, which wakes with the value; 256 of them. *)
+let mailbox_round_trip_words () =
+  let s = Sched.create ~clock:(Clock.create ()) in
+  let mb = Sched.Mailbox.create () in
+  let n = 256 in
+  Sched.spawn s (fun () ->
+      for _ = 1 to n do
+        ignore (Sys.opaque_identity (Sched.Mailbox.take s mb ~timeout:1.0))
+      done);
+  Sched.spawn s (fun () ->
+      for i = 1 to n do
+        Sched.sleep s 0.001;
+        Sched.Mailbox.push s mb i
+      done);
+  let before = Gc.minor_words () in
+  Sched.run s;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+(* The budgets are what these measure on OCaml 5.1 plus two words:
+   7.5 for a sleep event (its continuation, one [Wake] entry and the
+   boxed time the clock keeps), 49.8 for a mailbox round trip (the
+   producer's sleep, the parked waiter, its timeout and delivery
+   entries and the [Some] the take returns), 6 for an HMAC of 32
+   bytes (only its tag: the hashing state is kept) and 27 for a draw
+   below the 160-bit DSA [q] (one byte string and the numbers built
+   from it). *)
+let test_event_and_hash_alloc () =
+  let key = String.make 32 'k' and msg = String.make 32 'm' in
+  let drbg = Dcrypto.Drbg.create ~seed:"hotpath-nat-below" in
+  let q = (Dcrypto.Dsa.default_params ()).Dcrypto.Dsa.q in
+  let sleep = sleep_event_words () and mailbox = mailbox_round_trip_words () in
+  let hmac = words_median (fun () -> Dcrypto.Hmac.sha256 ~key msg) in
+  let nat = words_median (fun () -> Dcrypto.Drbg.nat_below drbg q) in
+  let over =
+    List.filter_map
+      (fun (name, got, limit) ->
+        if got > limit then Some (Printf.sprintf "%s allocates %.1f words (limit %.0f)" name got limit)
+        else None)
+      [ ("a sleep event", sleep, 9.5);
+        ("a mailbox round trip", mailbox, 51.8);
+        ("Hmac.sha256 of 32 bytes", hmac, 8.0);
+        ("Drbg.nat_below q", nat, 29.0) ]
+  in
+  if over <> [] then Alcotest.fail (String.concat "; " over)
+
 (* --- ESP length guards ------------------------------------------------- *)
 
 let malformed_count stats = Stats.get stats "esp.drop.malformed"
@@ -878,6 +943,8 @@ let suite =
       test_untraced_rpc_alloc;
     Alcotest.test_case "alloc: policy check memo hit and walk-chain miss" `Quick
       test_policy_check_alloc;
+    Alcotest.test_case "alloc: sleep event, mailbox round trip, hmac, drbg draw" `Quick
+      test_event_and_hash_alloc;
     Alcotest.test_case "policy: a memo miss costs what its handle needs" `Quick
       test_policy_miss_scale;
     QCheck_alcotest.to_alcotest prop_gather_arena;
