@@ -911,19 +911,21 @@ type conc_row = {
 
 let conc_ops_per_client = 12
 
-(* One deployment: serial setup (attach + per-client 8 KB file), then
-   a closed loop per client — GETATTR / READ 2 KB / WRITE 1 KB mixed
-   1:2:1 — all overlapping as scheduler processes. Timeouts are
-   counted, not fatal: past the knee an undersized queue sheds load
-   and the at-least-once retry absorbs it. *)
-let conc_run ~clients ~workers ~depth =
-  let d = Discfs.Cluster.make ~workers ~queue_depth:depth ~seed:"conc-scaling" () in
-  let sched = Option.get (Discfs.Cluster.sched d) in
-  let conns =
-    List.init clients (fun i ->
-        Load.Scenario.attach_with_file d ~uid:i (Printf.sprintf "c%d.dat" i))
-  in
-  let clock = Discfs.Cluster.clock d in
+(* What one closed-loop run measured, in virtual time. *)
+type loop = {
+  lp_done : int; (* ops completed *)
+  lp_failures : int; (* ops that timed out *)
+  lp_lat_sum : float;
+  lp_lat_max : float;
+  lp_seconds : float; (* from the start of the loop to its last op *)
+}
+
+(* The closed loop both scaling sweeps run: one scheduler process per
+   connection, each issuing [ops] GETATTR / READ 2 KB / WRITE 1 KB ops
+   mixed 1:2:1 back to back, all overlapping. Timeouts are counted,
+   not fatal: past the knee an undersized queue sheds load and the
+   at-least-once retry absorbs it. *)
+let closed_loop ~sched ~clock ~ops conns =
   let t0 = Clock.now clock in
   let done_ops = ref 0 and failures = ref 0 in
   let lat_sum = ref 0.0 and lat_max = ref 0.0 in
@@ -931,7 +933,7 @@ let conc_run ~clients ~workers ~depth =
     (fun (c, fh) ->
       (* discfs-lint: allow races "each process owns its client; the shared counters and latency marks are read-modify-written inside one slice, never across a yield" *)
       Sched.spawn sched (fun () ->
-          for op = 0 to conc_ops_per_client - 1 do
+          for op = 0 to ops - 1 do
             let t = Clock.now clock in
             (try
                Load.Scenario.mixed_op c fh op;
@@ -943,7 +945,27 @@ let conc_run ~clients ~workers ~depth =
           done))
     conns;
   Sched.run sched;
-  let seconds = Clock.now clock -. t0 in
+  {
+    lp_done = !done_ops;
+    lp_failures = !failures;
+    lp_lat_sum = !lat_sum;
+    lp_lat_max = !lat_max;
+    lp_seconds = Clock.now clock -. t0;
+  }
+
+(* One deployment: serial setup (attach + per-client 8 KB file), then
+   the closed loop. *)
+let conc_run ~clients ~workers ~depth =
+  let d = Discfs.Cluster.make ~workers ~queue_depth:depth ~seed:"conc-scaling" () in
+  let sched = Option.get (Discfs.Cluster.sched d) in
+  let conns =
+    List.init clients (fun i ->
+        Load.Scenario.attach_with_file d ~uid:i (Printf.sprintf "c%d.dat" i))
+  in
+  let r =
+    closed_loop ~sched ~clock:(Discfs.Cluster.clock d) ~ops:conc_ops_per_client conns
+  in
+  let seconds = r.lp_seconds in
   let get k = Simnet.Stats.get (Discfs.Cluster.stats d) k in
   let wait = Trace.Metrics.histogram (Discfs.Cluster.metrics d) "rpc.queue.wait" in
   let wait_n = Trace.Metrics.count wait in
@@ -951,12 +973,12 @@ let conc_run ~clients ~workers ~depth =
     cn_clients = clients;
     cn_workers = workers;
     cn_depth = depth;
-    cn_done = !done_ops;
-    cn_failures = !failures;
+    cn_done = r.lp_done;
+    cn_failures = r.lp_failures;
     cn_seconds = seconds;
-    cn_throughput = (if seconds = 0.0 then 0.0 else float_of_int !done_ops /. seconds);
-    cn_mean_lat = (if !done_ops = 0 then 0.0 else !lat_sum /. float_of_int !done_ops);
-    cn_max_lat = !lat_max;
+    cn_throughput = (if seconds = 0.0 then 0.0 else float_of_int r.lp_done /. seconds);
+    cn_mean_lat = (if r.lp_done = 0 then 0.0 else r.lp_lat_sum /. float_of_int r.lp_done);
+    cn_max_lat = r.lp_lat_max;
     cn_qpeak = Oncrpc.Rpc.queue_peak (Discfs.Cluster.node_rpc d 0);
     cn_rejects = get "rpc.queue_rejects";
     cn_retrans = get "rpc.retransmits";
@@ -1061,8 +1083,8 @@ type topo_row = {
 
 (* One cluster: serial setup (bootstrap client creates one 8 KB file
    per client; each client then attaches HOMED ON ITS FILE'S OWNER
-   with an admin credential for exactly that handle), then the same
-   closed loop as conc_run, overlapped on the shared scheduler. Homing
+   with an admin credential for exactly that handle), then the
+   closed loop, overlapped on the shared scheduler. Homing
    on the owner keeps the steady state redirect-free — each frontend
    serves its own shards over its own access link and worker pool, so
    aggregate throughput scales with the server count. After the
@@ -1099,24 +1121,8 @@ let topo_run ~servers ~clients ~ops ~workers =
         | Error e -> failwith ("topology: credential refused: " ^ e));
         (cc, fh))
   in
-  let t0 = Clock.now clock in
-  let done_ops = ref 0 and failures = ref 0 in
-  let lat_sum = ref 0.0 in
-  List.iter
-    (fun (cc, fh) ->
-      (* discfs-lint: allow races "each process owns its client; the shared counters are read-modify-written inside one slice, never across a yield" *)
-      Sched.spawn sched (fun () ->
-          for op = 0 to ops - 1 do
-            let t = Clock.now clock in
-            (try
-               Load.Scenario.mixed_op cc fh op;
-               incr done_ops
-             with Oncrpc.Rpc.Rpc_timeout _ -> incr failures);
-            lat_sum := !lat_sum +. (Clock.now clock -. t)
-          done))
-    conns;
-  Sched.run sched;
-  let seconds = Clock.now clock -. t0 in
+  let r = closed_loop ~sched ~clock ~ops conns in
+  let seconds = r.lp_seconds in
   (* The redirect probe: move the first client's shard and replay
      reads against its now-stale cached map. *)
   (if servers > 1 then
@@ -1134,11 +1140,11 @@ let topo_run ~servers ~clients ~ops ~workers =
   {
     tp_servers = servers;
     tp_clients = clients;
-    tp_done = !done_ops;
-    tp_failures = !failures;
+    tp_done = r.lp_done;
+    tp_failures = r.lp_failures;
     tp_seconds = seconds;
-    tp_throughput = (if seconds = 0.0 then 0.0 else float_of_int !done_ops /. seconds);
-    tp_mean_lat = (if !done_ops = 0 then 0.0 else !lat_sum /. float_of_int !done_ops);
+    tp_throughput = (if seconds = 0.0 then 0.0 else float_of_int r.lp_done /. seconds);
+    tp_mean_lat = (if r.lp_done = 0 then 0.0 else r.lp_lat_sum /. float_of_int r.lp_done);
     tp_redirects = get "redirect.sent";
     tp_followed = get "redirect.followed";
     tp_getmaps = get "topo.getmap";

@@ -295,43 +295,8 @@ let fsck_cmd =
   let image = Arg.(required & pos 0 (some file) None & info [] ~docv:"IMAGE") in
   Cmd.v (Cmd.info "fsck" ~doc:"Check and list a volume image") Term.(const fsck $ image)
 
-(* --- credentials ------------------------------------------------------ *)
-
-(* Static health check of a credential store before deployment: the
-   operator-facing entry point to the same delegation-graph analysis
-   discfs_lint runs (cycles, unreachable and escalated credentials,
-   expiry-shadowed and revoked chains). *)
-let credentials dir now no_verify =
-  let config =
-    { Credgraph.default_config with now; verify_signatures = not no_verify }
-  in
-  match Credgraph.run_dir ~config dir with
-  | Error m ->
-    prerr_endline ("discfs_ctl: " ^ m);
-    2
-  | Ok report ->
-    print_string (Credgraph.render report);
-    if report.Credgraph.findings = [] then 0 else 1
-
-let credentials_cmd =
-  let dir = Arg.(required & pos 0 (some dir) None & info [] ~docv:"STORE") in
-  let now =
-    Arg.(
-      value
-      & opt (some float) None
-      & info [ "now" ] ~docv:"T"
-          ~doc:"Virtual time for expiry checks; omit to skip the expired rule.")
-  in
-  let no_verify =
-    Arg.(value & flag & info [ "no-verify" ] ~doc:"Skip DSA signature verification.")
-  in
-  Cmd.v
-    (Cmd.info "credentials"
-       ~doc:"Statically analyze a KeyNote credential store before deploying it")
-    Term.(const credentials $ dir $ now $ no_verify)
-
 let main_cmd =
   Cmd.group (Cmd.info "discfs_ctl" ~version:"1.0" ~doc:"DisCFS operator tool")
-    [ issue_cmd; demo_cmd; cluster_cmd; snapshot_cmd; fsck_cmd; credentials_cmd ]
+    [ issue_cmd; demo_cmd; cluster_cmd; snapshot_cmd; fsck_cmd ]
 
 let () = exit (Cmd.eval' main_cmd)

@@ -4,8 +4,9 @@
                   produced for lib/, bin/, bench/ and test/, plus the
                   mli-coverage walk over lib/ sources, the races
                   escape analysis (Pass D), the exports that nothing
-                  uses (Pass E, which also reads examples/ and
-                  perfbench/) and the markdown cross-reference pass.
+                  uses or only tests use without a stated reason
+                  (Pass E, which also reads examples/ and perfbench/)
+                  and the markdown cross-reference pass.
                   Each unit is read once. This is what `dune build
                   @lint` runs; it needs the .cmt files of `dune
                   build @check`.
@@ -73,8 +74,9 @@ let repo_doc_findings root =
 
 (* Every unit is read once and handed to each pass that wants it:
    Pass A (typed-tree rules) and Pass D (the spawn-point escape
-   analysis) over [dirs], Pass E (exports nothing uses) over the lib/
-   interfaces and every implementation under [reference_dirs]. *)
+   analysis) over [dirs], Pass E (exports nothing or only tests use)
+   over the lib/ interfaces and every implementation under
+   [reference_dirs]. *)
 let check root dirs excludes exit_zero quiet no_docs json =
   let dirs = if dirs = [] then default_scan_dirs else dirs in
   let excludes = excludes @ default_excludes in
@@ -116,8 +118,8 @@ let check root dirs excludes exit_zero quiet no_docs json =
      races --json` has the full listing. *)
   let race_entries = List.sort_uniq Lint.Races.compare_entry !race_entries in
   let race_violations = List.filter Lint.Races.is_violation race_entries in
-  let exports = Lint.Exports.exports exports in
-  let unused = List.filter Lint.Exports.is_finding exports in
+  let exports = Lint.Exports.exports exports ~source_root:root in
+  let export_findings = List.filter Lint.Exports.is_finding exports in
   let doc_findings = if no_docs then [] else repo_doc_findings root in
   if json then
     Printf.printf
@@ -130,21 +132,21 @@ let check root dirs excludes exit_zero quiet no_docs json =
   else begin
     print_findings findings;
     List.iter (fun e -> print_endline (Lint.Races.render_entry e)) race_violations;
-    List.iter (fun x -> print_endline (Lint.Exports.render x)) unused;
+    List.iter (fun x -> print_endline (Lint.Exports.render x)) export_findings;
     List.iter (fun f -> print_endline (Lint.Doccheck.render_finding f)) doc_findings
   end;
   List.iter (fun m -> prerr_endline ("discfs_lint: warning: " ^ m)) (List.rev !errors);
   let total =
-    List.length findings + List.length race_violations + List.length unused
+    List.length findings + List.length race_violations + List.length export_findings
     + List.length doc_findings
   in
   if not quiet then
     Printf.eprintf
-      "discfs_lint: %d finding(s) in %d module(s), %d race finding(s), %d unused export(s), %d \
+      "discfs_lint: %d finding(s) in %d module(s), %d race finding(s), %d export finding(s), %d \
        doc finding(s)\n%!"
       (List.length findings) !n_modules
       (List.length race_violations)
-      (List.length unused) (List.length doc_findings);
+      (List.length export_findings) (List.length doc_findings);
   finish ~exit_zero total
 
 let root_arg =

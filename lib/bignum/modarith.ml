@@ -16,8 +16,6 @@ let pow ~m b e =
     !result
   end
 
-let rec gcd a b = if Nat.is_zero b then a else gcd b (Nat.rem a b)
-
 (* Extended Euclid on preallocated limb buffers. With r0 = m, r1 = a
    and coefficients x0 = 0, x1 = 1 (r_i = x_i * a mod m), the x_i
    alternate in sign, so x_(i+1) = x_(i-1) - q_i * x_i is the

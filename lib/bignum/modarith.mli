@@ -12,8 +12,6 @@ val pow : m:Nat.t -> Nat.t -> Nat.t -> Nat.t
     [pow ~m b Nat.zero = Nat.one] for [m > 1], and [pow ~m:Nat.one]
     is [Nat.zero]. *)
 
-val gcd : Nat.t -> Nat.t -> Nat.t
-
 val inv : m:Nat.t -> Nat.t -> Nat.t
 (** [inv ~m a] is the multiplicative inverse of [a] modulo [m].
-    Raises [Not_found] if [gcd a m <> 1]. *)
+    Raises [Not_found] if [a] and [m] are not coprime. *)

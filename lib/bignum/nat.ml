@@ -274,32 +274,3 @@ let to_hex (a : t) : string =
     let n = (num_bits a + 3) / 4 in
     String.init n (fun i -> "0123456789abcdef".[digit a ~w:4 (n - 1 - i)])
   end
-
-let of_decimal (s : string) : t =
-  if String.length s = 0 then invalid_arg "Nat.of_decimal: empty";
-  let n = ref zero in
-  let ten = of_int 10 in
-  String.iter
-    (fun c ->
-      match c with
-      | '0' .. '9' -> n := add (mul !n ten) (of_int (Char.code c - Char.code '0'))
-      | _ -> invalid_arg "Nat.of_decimal: bad digit")
-    s;
-  !n
-
-let to_decimal (a : t) : string =
-  if is_zero a then "0"
-  else begin
-    let buf = Buffer.create 32 in
-    let rec go v =
-      if not (is_zero v) then begin
-        let q, r = divmod_small v 10 in
-        go q;
-        Buffer.add_char buf (Char.chr (Char.code '0' + r))
-      end
-    in
-    go a;
-    Buffer.contents buf
-  end
-
-let pp fmt a = Format.pp_print_string fmt (to_decimal a)

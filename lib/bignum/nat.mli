@@ -77,11 +77,6 @@ val of_hex : string -> t
 (** Parse a hexadecimal string (no [0x] prefix, case-insensitive).
     Raises [Invalid_argument] on non-hex input. *)
 
+(* discfs-lint: allow test-only "the inverse of of_hex, which the hex codec property and the bignum vectors print through" *)
 val to_hex : t -> string
 (** Lowercase hexadecimal, minimal length, ["0"] for zero. *)
-
-val of_decimal : string -> t
-val to_decimal : t -> string
-
-val pp : Format.formatter -> t -> unit
-(** Prints the decimal representation. *)

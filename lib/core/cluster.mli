@@ -27,9 +27,11 @@ val cluster_vers : int
 val clusterproc_getmap : int
 (** Fetch the shard map if the caller's cached version is stale. *)
 
+(* discfs-lint: allow test-only "the cluster-program fuzzer addresses each procedure by number" *)
 val clusterproc_lease : int
 (** Replica → owner: grant or renew a read lease on a shard. *)
 
+(* discfs-lint: allow test-only "the cluster-program fuzzer addresses each procedure by number" *)
 val clusterproc_invalidate : int
 (** Owner → replica: revoke the lease on a just-mutated shard. *)
 
@@ -149,6 +151,7 @@ val node_link : t -> int -> Simnet.Link.t
 val node_rpc : t -> int -> Oncrpc.Rpc.server
 val node_server : t -> int -> Server.t
 val node_restarts : t -> int -> int
+(* discfs-lint: allow test-only "the topology tests and the fuzzer call a frontend as one of its peer servers" *)
 val server_principal : t -> int -> string
 
 val admin_principal : t -> string

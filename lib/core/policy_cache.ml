@@ -7,7 +7,6 @@ type t = {
   entries : (string, int) Lru.t; (* key -> compliance level *)
   mutable hits : int;
   mutable misses : int;
-  mutable evictions : int;
   stats : Simnet.Stats.t;
   mutable race : Race.monitor;
 }
@@ -18,7 +17,6 @@ let create ~stats ~size =
     entries = Lru.create ~capacity:size;
     hits = 0;
     misses = 0;
-    evictions = 0;
     stats;
     race = Race.null;
   }
@@ -124,10 +122,8 @@ let add t ~key level =
   if Lru.capacity t.entries > 0 then begin
     if Race.enabled t.race then Race.act t.race ~value:(string_of_int level) ~key ();
     (* A fill evicts at most one entry. *)
-    if Lru.replace t.entries key level > 0 then begin
-      t.evictions <- t.evictions + 1;
+    if Lru.replace t.entries key level > 0 then
       Simnet.Stats.incr t.stats "cache.policy.evictions"
-    end
   end
 
 let flush t =
@@ -139,6 +135,5 @@ let flush t =
 
 let hits t = t.hits
 let misses t = t.misses
-let evictions t = t.evictions
 let size t = Lru.length t.entries
 let capacity t = Lru.capacity t.entries

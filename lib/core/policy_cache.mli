@@ -79,9 +79,6 @@ val flush : t -> unit
 val hits : t -> int
 val misses : t -> int
 
-val evictions : t -> int
-(** Entries displaced by capacity pressure ({!flush} and epoch
-    rotation are not evictions). *)
-
+(* discfs-lint: allow test-only "tests check that a credential change flushes the memo" *)
 val size : t -> int
 val capacity : t -> int

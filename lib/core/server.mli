@@ -114,6 +114,7 @@ val credentials_changed : t -> unit
     calls it; a caller that changes {!session} directly must call it
     too, or memoised levels go stale. *)
 
+(* discfs-lint: allow test-only "the policy-cost test grows the credential store by a thousand CREATE grants without the RPC path" *)
 val issue_create_credential : t -> peer:string -> ino:int -> name:string -> Keynote.Assertion.t
 (** The credential the create/mkdir procedures hand back: RWX on the
     new handle, licensed to the creating peer, signed by the server
@@ -125,10 +126,12 @@ val issue_create_credential : t -> peer:string -> ino:int -> name:string -> Keyn
     server restart without losing the credential store — the only
     state the paper's design keeps beyond the files themselves. *)
 
+(* discfs-lint: allow test-only "the PROTOCOL.md section 8 state format; the persistence and fuzz tests round-trip it" *)
 val save_state : t -> string
 (** Serialize the store's credentials, revoked keys and revoked
     fingerprints, and this frontend's audit trail (PROTOCOL.md §8). *)
 
+(* discfs-lint: allow test-only "the PROTOCOL.md section 8 state format; the persistence and fuzz tests round-trip it" *)
 val load_state : t -> string -> (int, string) result
 (** Restore saved state into a (freshly created) server's store and
     audit trail, all or nothing: a corrupt state, a revoked credential

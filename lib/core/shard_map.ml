@@ -46,7 +46,6 @@ let placeholder ~nservers =
   { version = 0; nservers; shards = [| { owner = 0; replicas = [] } |] }
 
 let version t = t.version
-let nservers t = t.nservers
 let nshards t = Array.length t.shards
 
 let shard_of t ~ino = mix ino mod Array.length t.shards
@@ -56,7 +55,6 @@ let shard t i =
   t.shards.(i)
 
 let owner t ~ino = (shard t (shard_of t ~ino)).owner
-let replicas t ~ino = (shard t (shard_of t ~ino)).replicas
 
 let mem_server s l = List.exists (fun x -> Int.equal x s) l
 

@@ -27,7 +27,6 @@ val placeholder : nservers:int -> t
     everything to server 0, which answers with redirects. *)
 
 val version : t -> int
-val nservers : t -> int
 val nshards : t -> int
 
 val mix : int -> int
@@ -41,7 +40,6 @@ val shard_of : t -> ino:int -> int
 
 val shard : t -> int -> shard
 val owner : t -> ino:int -> int
-val replicas : t -> ino:int -> int list
 
 val serves : t -> server:int -> ino:int -> write:bool -> bool
 (** Whether [server] may answer for this handle: the owner always

@@ -31,6 +31,7 @@ val xor_into :
     [buf.[off .. off+len)]. Raises [Invalid_argument] on a bad
     key/nonce size or an out-of-bounds range. *)
 
+(* discfs-lint: allow test-only "the RFC 8439 block-function vectors and the kernel oracle check one keystream block" *)
 val block : key:string -> nonce:string -> counter:int -> string
 (** One 64-byte keystream block (exposed for tests against the RFC
     vectors; ESP derives its Poly1305 key with {!xor_into}). *)

@@ -64,8 +64,8 @@ let pow_mod_p params b e =
   if Nat.equal params.p default.p then Mont.pow (Lazy.force default_ctx) b e
   else Modarith.pow ~m:params.p b e
 
-let generate_key ?params drbg =
-  let params = match params with Some p -> p | None -> default_params () in
+let generate_key drbg =
+  let params = default_params () in
   let x = Nat.succ (Drbg.nat_below drbg (Nat.pred params.q)) in
   let y = pow_g params x in
   { pub = { params; y }; x }
@@ -174,9 +174,5 @@ let sig_decode str =
   let s = get_component str pos in
   if !pos <> String.length str then invalid_arg "Dsa.sig_decode: trailing bytes";
   { r; s }
-
-let pub_equal a b =
-  Nat.equal a.y b.y && Nat.equal a.params.p b.params.p && Nat.equal a.params.q b.params.q
-  && Nat.equal a.params.g b.params.g
 
 let fingerprint pub = Hexcodec.encode (String.sub (Sha1.digest (pub_encode pub)) 0 8)

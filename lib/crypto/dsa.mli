@@ -9,6 +9,7 @@ type public = { params : params; y : Bignum.Nat.t }
 type private_key = { pub : public; x : Bignum.Nat.t }
 type signature = { r : Bignum.Nat.t; s : Bignum.Nat.t }
 
+(* discfs-lint: allow test-only "a test regenerates default_params from its seed, checking the committed constants" *)
 val generate_params : Drbg.t -> params
 (** Generate fresh parameters: a 512-bit [p], as fits the paper's
     2001-era prototype, and a 160-bit [q]. Costly: a prime search of
@@ -33,9 +34,8 @@ val pow_mod_p : params -> Bignum.Nat.t -> Bignum.Nat.t -> Bignum.Nat.t
     matched by [p]'s value, it reuses one Montgomery context (the one
     under {!pow_g}'s table) instead of building one per call. *)
 
-val generate_key : ?params:params -> Drbg.t -> private_key
-(** Generate a key pair in the given group (default
-    {!default_params}). *)
+val generate_key : Drbg.t -> private_key
+(** Generate a key pair in the {!default_params} group. *)
 
 val sign : ?hash:(string -> string) -> key:private_key -> Drbg.t -> string -> signature
 (** [sign ~key drbg msg] signs [hash msg] (default SHA-1, as in the
@@ -60,7 +60,6 @@ val priv_decode : string -> private_key
 val sig_encode : signature -> string
 val sig_decode : string -> signature
 
-val pub_equal : public -> public -> bool
 val fingerprint : public -> string
 (** Short hex fingerprint (first 8 bytes of SHA-1 of the encoding),
     used in logs and audit trails. *)

@@ -15,7 +15,3 @@ val of_string : string -> t
 
 val reveal : t -> string
 (** The raw key bytes, for handing to a cipher or PRF. *)
-
-val equal : t -> t -> bool
-(** Constant-time comparison (never short-circuits on an early
-    mismatch), so key comparison cannot become a timing oracle. *)

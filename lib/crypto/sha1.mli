@@ -6,10 +6,3 @@ val digest : string -> string
 
 val hex : string -> string
 (** [hex msg] is the lowercase hex encoding of [digest msg]. *)
-
-type ctx
-(** Incremental hashing context. *)
-
-val init : unit -> ctx
-val update : ctx -> string -> unit
-val finalize : ctx -> string

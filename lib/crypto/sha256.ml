@@ -107,8 +107,6 @@ let update_sub ctx s off len =
     ctx.buf_len <- ctx.buf_len + (stop - !pos)
   end
 
-let update ctx s = update_sub ctx s 0 (String.length s)
-
 (* Pad in place: 0x80, zeros up to 56 mod 64 (spilling into a second
    block when fewer than 9 bytes are left), then the 64-bit bit
    length. *)
@@ -135,14 +133,9 @@ let finalize_into ctx out off =
     Bytes.set out (j + 3) (Char.unsafe_chr (h land 0xff))
   done
 
-let finalize ctx =
+let digest msg =
+  let ctx = init () in
+  update_sub ctx msg 0 (String.length msg);
   let out = Bytes.create 32 in
   finalize_into ctx out 0;
   Bytes.unsafe_to_string out
-
-let digest msg =
-  let ctx = init () in
-  update ctx msg;
-  finalize ctx
-
-let hex msg = Hexcodec.encode (digest msg)

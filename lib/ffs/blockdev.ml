@@ -84,9 +84,7 @@ let raw_block t i =
 (* Every fill — demand, prefetch or write-through — may displace the
    LRU block; count whatever the cache evicted. *)
 let fill t ~generation i data =
-  let before = Bcache.evictions t.cache in
-  Bcache.insert_if t.cache ~generation i data;
-  let evicted = Bcache.evictions t.cache - before in
+  let evicted = Bcache.insert_if t.cache ~generation i data in
   if evicted > 0 then Stats.add t.stats "bcache.evictions" evicted
 
 (* Speculative sequential prefetch after a miss at [i]: the next

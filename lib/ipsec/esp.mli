@@ -42,6 +42,7 @@ val open_ : Sa.t -> string -> string
 (** {!open_in_place}'s checks and errors on a packet that is only
     read: the plaintext is decrypted into one fresh string. *)
 
+(* discfs-lint: allow test-only "the ESP shape tests and the reference pipeline size packets by it" *)
 val overhead : int
 (** Bytes added to each packet (header + tag) under
     [Chacha20_poly1305]; the 3DES transform adds header + CBC

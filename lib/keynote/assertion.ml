@@ -243,12 +243,6 @@ let verify t =
     try_alg sig_alg Dcrypto.Sha1.digest || try_alg sig_alg_sha256 Dcrypto.Sha256.digest
   | _ -> false
 
-let signed_by t pub =
-  (match pub_of_principal t.authorizer with
-  | Some k -> Dcrypto.Dsa.pub_equal k pub
-  | None -> false)
-  && verify t
-
 let to_text t = t.full_text
 
 let fingerprint t = t.fingerprint

@@ -80,9 +80,6 @@ val verify : t -> bool
 (** Check the signature against the authorizer key. Unsigned
     assertions and non-key authorizers verify as [false]. *)
 
-val signed_by : t -> Dcrypto.Dsa.public -> bool
-(** [verify] plus a check that the authorizer is the given key. *)
-
 val to_text : t -> string
 (** The full assertion text ([full_text]); reparsing it yields an
     equal assertion. *)

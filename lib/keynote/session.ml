@@ -15,8 +15,6 @@ let create ~values ?(policy = []) ?(trace = Trace.null) () =
   { values; index; by_fingerprint = Hashtbl.create 64; by_authorizer = Hashtbl.create 8;
     trace }
 
-let add_policy t a = ignore (Index.add t.index ~policy:true a)
-
 let add_credential t a =
   if not (Assertion.verify a) then Error "credential signature verification failed"
   else begin
@@ -37,11 +35,6 @@ let add_credential t a =
     end;
     Ok ()
   end
-
-let add_credential_text t text =
-  match Assertion.parse text with
-  | a -> add_credential t a
-  | exception Assertion.Parse_error msg -> Error ("parse error: " ^ msg)
 
 let remove_credential t ~fingerprint =
   match Hashtbl.find_opt t.by_fingerprint fingerprint with

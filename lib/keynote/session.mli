@@ -22,14 +22,9 @@ val create :
     {!query} is recorded on [trace] as a ["keynote.compliance"]
     span; on a disabled tracer no span closure is built. *)
 
-val add_policy : t -> Assertion.t -> unit
-
 val add_credential : t -> Assertion.t -> (unit, string) result
 (** Verify the signature and add; duplicates (same fingerprint) are
     accepted idempotently. *)
-
-val add_credential_text : t -> string -> (unit, string) result
-(** Parse then {!add_credential}. *)
 
 val remove_credential : t -> fingerprint:string -> bool
 (** Drop a credential by fingerprint; returns whether it was

@@ -21,15 +21,6 @@ type config = {
 
 let default_values = [ "false"; "X"; "W"; "WX"; "R"; "RX"; "RW"; "RWX" ]
 
-let default_config =
-  {
-    values = default_values;
-    now = None;
-    revoked_keys = [];
-    revoked_fingerprints = [];
-    verify_signatures = true;
-  }
-
 type kind =
   | Cycle
   | Unreachable
@@ -133,7 +124,7 @@ type info = {
   revoked_issuer : bool;
 }
 
-let analyze ?(config = default_config) ~policy ~credentials () =
+let analyze ~config ~policy ~credentials () =
   if config.values = [] then invalid_arg "Credgraph.analyze: empty value set";
   let values = config.values in
   let max_index = List.length values - 1 in
@@ -353,12 +344,6 @@ let analyze ?(config = default_config) ~policy ~credentials () =
     n_reachable = List.length (List.filter (fun p -> ceil_full p >= 0) principals);
   }
 
-let kinds r =
-  List.fold_left
-    (fun acc f -> if List.mem f.kind acc then acc else f.kind :: acc)
-    [] r.findings
-  |> List.rev
-
 let render r =
   let b = Buffer.create 256 in
   List.iter
@@ -424,7 +409,7 @@ let load_dir dir =
             } )
     with Load_error m -> Error m)
 
-let run_dir ?(config = default_config) dir =
+let run_dir ~config dir =
   match load_dir dir with
   | Error m -> Error m
   | Ok (policy, credentials, add_revocations) ->

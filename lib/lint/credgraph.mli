@@ -47,10 +47,6 @@ val default_values : string list
 (** The DisCFS compliance-value order:
     [false < X < W < WX < R < RX < RW < RWX]. *)
 
-val default_config : config
-(** {!default_values}, no [now], nothing revoked, signatures
-    verified. *)
-
 type kind =
   | Cycle
   | Unreachable
@@ -80,22 +76,19 @@ type report = {
   n_reachable : int;  (** principals reachable from [POLICY] *)
 }
 
+(* discfs-lint: allow test-only "the graph tests analyze hand-built credential sets without writing a store to disk" *)
 val analyze :
-  ?config:config ->
+  config:config ->
   policy:Keynote.Assertion.t list ->
   credentials:Keynote.Assertion.t list ->
   unit ->
   report
 
-val kinds : report -> kind list
-(** The distinct finding kinds present, in report order — convenient
-    for classification tests. *)
-
 val render : report -> string
 (** Multi-line human-readable report ending in a one-line summary;
     byte-stable for a given input. *)
 
-val run_dir : ?config:config -> string -> (report, string) result
+val run_dir : config:config -> string -> (report, string) result
 (** [run_dir dir] reads a credential store from disk and runs
     {!analyze} on it. Every regular file is parsed as a KeyNote
     assertion ([Authorizer: POLICY] means local policy), except a file

@@ -216,9 +216,94 @@ let name_in_dir ~root dir name =
            | None -> false
            | Some lines -> List.exists (contains_word ~name) lines)
 
+(* --- the names each unit declares ---------------------------------------- *)
+
+(* The top-level names of a signature: values, types with their record
+   labels and constructors, exceptions and other extension
+   constructors, submodules, module types and classes. *)
+let signature_names (sg : Types.signature) =
+  List.concat_map
+    (function
+      | Types.Sig_type (id, decl, _, _) -> (
+        Ident.name id
+        ::
+        (match decl.Types.type_kind with
+        | Types.Type_record (labels, _) -> List.map (fun l -> Ident.name l.Types.ld_id) labels
+        | Types.Type_variant (cstrs, _) -> List.map (fun c -> Ident.name c.Types.cd_id) cstrs
+        | Types.Type_abstract | Types.Type_open -> []))
+      | Types.Sig_value (id, _, _)
+      | Types.Sig_typext (id, _, _, _)
+      | Types.Sig_module (id, _, _, _, _)
+      | Types.Sig_modtype (id, _, _)
+      | Types.Sig_class (id, _, _, _)
+      | Types.Sig_class_type (id, _, _, _) ->
+        [ Ident.name id ])
+    sg
+
+(* Every compilation unit of the libraries, from the [.cmti] files
+   under each library's directory: (library, unit, names). A library's
+   main module (its unit named like the library) has the library's
+   name as its unit. Units whose interface was never compiled are
+   absent, so a span naming them is not checked. *)
+let unit_names ~root ~libmap =
+  List.concat_map
+    (fun (lib, dir) ->
+      List.filter_map
+        (fun path ->
+          match Source.load path with
+          | Error _ -> None
+          | Ok u -> (
+            match u.Source.annots with
+            | Cmt_format.Interface sg when not (Source.is_generated u) ->
+              Some (lib, Source.strip_wrap u.Source.modname, signature_names sg.Typedtree.sig_type)
+            | _ -> None))
+        (Source.scan ~ext:".cmti" (root // dir)))
+    libmap
+
+(* A code span that is a dotted path of at least two components:
+   "Expr.compare_values" -> Some ["Expr"; "compare_values"]. *)
+let dotted span =
+  let span = String.trim span in
+  if span = "" || not (String.for_all is_module_char span) then None
+  else
+    match String.split_on_char '.' span with
+    | (_ :: _ :: _ as parts) when List.for_all (fun p -> p <> "") parts -> Some parts
+    | _ -> None
+
+(* The stale-name message for a span [Lib.M.v] or [M.v] whose unit is
+   known but declares no [v]; [None] when the span names no unit of
+   the libraries, or names one that declares it. [M.v] passes when any
+   library's unit [M] declares [v]. *)
+let stale_name ~libmap ~units span =
+  let lib_unit lib m = List.filter (fun (l, u, _) -> l = lib && u = m) units in
+  let check candidates name =
+    if candidates = [] || List.exists (fun (_, _, names) -> List.mem name names) candidates
+    then None
+    else
+      let _, m, _ = List.hd candidates in
+      Some (Printf.sprintf "stale name: %s (%s declares no %s)" span m name)
+  in
+  match dotted span with
+  | Some (first :: second :: rest) -> (
+    let starts_lower s = s.[0] >= 'a' && s.[0] <= 'z' in
+    match List.assoc_opt first libmap with
+    | Some _ when starts_lower second -> check (lib_unit first first) second
+    | Some _ -> (
+      match rest with name :: _ -> check (lib_unit first second) name | [] -> None)
+    | None -> check (List.filter (fun (_, u, _) -> u = first) units) second)
+  | _ -> None
+
 (* --- the checker ------------------------------------------------------- *)
 
-let check_file ~root ~libmap file =
+(* The change log, the task description and its review name the
+   modules and values a change deletes on purpose, so only the link,
+   anchor and path checks run on them; the module and name checks run
+   on every other file. *)
+let records = [ "CHANGES.md"; "ISSUE.md"; "REVIEW.md" ]
+
+let describes_tree file = not (List.mem file records)
+
+let check_file ~root ~libmap ~units file =
   match read_lines (root // file) with
   | None -> [ { file; line = 0; message = "cannot read file" } ]
   | Some lines ->
@@ -254,8 +339,9 @@ let check_file ~root ~libmap file =
           | _ -> ()
     in
     let check_span lineno span =
+      if describes_tree file then Option.iter (add lineno) (stale_name ~libmap ~units span);
       (match module_ref span with
-      | Some (first, second) -> (
+      | Some (first, second) when describes_tree file -> (
         match List.assoc_opt first libmap with
         | None -> ()
         | Some dir ->
@@ -271,7 +357,7 @@ let check_file ~root ~libmap file =
             add lineno
               (Printf.sprintf "stale module reference: %s.%s (no %s, name absent from %s)"
                  first second impl dir))
-      | None -> ());
+      | Some _ | None -> ());
       match path_ref span with
       | Some p ->
         (* A brace group ("lib/nfs/{server,client}.ml") names one
@@ -310,7 +396,8 @@ let default_files ~root =
 
 let check ~root files =
   let libmap = lib_map ~root in
-  List.concat_map (check_file ~root ~libmap) files |> List.sort_uniq compare_finding
+  let units = unit_names ~root ~libmap in
+  List.concat_map (check_file ~root ~libmap ~units) files |> List.sort_uniq compare_finding
 
 (* --- the counter catalogue --------------------------------------------- *)
 

@@ -21,6 +21,15 @@
       of [lib/*/dune], never hand-maintained. A code span that looks
       like a source path ([`lib/core/shard_map.ml`], [`docs/X.md`])
       must exist too.
+    - {b stale names}: a code span [`M.v`] or [`Lib.M.v`] whose [M] is
+      a compilation unit of the libraries must name something that
+      unit's interface declares at top level (a value, a type or one
+      of its record labels or constructors, an exception, a submodule
+      or module type), and a span [`Lib.v`] something the library's
+      main module declares. The names come from the [.cmti] files the
+      build leaves beside each library's sources; a unit that has
+      none, and a span whose [M] is no unit of the libraries (the
+      standard library, a local alias), is not checked.
 
     Fenced code blocks are skipped entirely; links are only read
     outside inline code spans, module/path references only inside
@@ -34,22 +43,16 @@ val render_finding : finding -> string
 val compare_finding : finding -> finding -> int
 (** Order by file, line, message — the report order. *)
 
-val lib_map : root:string -> (string * string) list
-(** The discovered module-path prefix map, e.g.
-    [("Discfs", "lib/core"); ("Oncrpc", "lib/rpc"); ...]. *)
-
-val check_file :
-  root:string -> libmap:(string * string) list -> string -> finding list
-(** Check one repo-relative markdown file. A missing file yields a
-    single [cannot read file] finding. *)
-
 val default_files : root:string -> string list
-(** The files the repo-wide check covers: every [*.md] at the root
-    plus everything under [docs/]. *)
+(** The files the repo-wide check covers: every markdown file at the
+    root plus everything under [docs/]. [CHANGES.md], [ISSUE.md] and
+    [REVIEW.md] name deleted code on purpose, so their code spans are
+    checked as paths only, not as module or value names. *)
 
 val check : root:string -> string list -> finding list
 (** Check the given repo-relative files with a freshly discovered
-    library map; findings sorted and de-duplicated. *)
+    library map; findings sorted and de-duplicated. A missing file
+    yields a single [cannot read file] finding. *)
 
 val catalogue_file : string
 (** ["docs/PROTOCOL.md"], home of the repo's counter catalogue. *)

@@ -7,7 +7,7 @@
    application, so the [value_description] at each use names the
    interface line that declared it. *)
 
-type status = Used | Test_only | Unreferenced
+type status = Used | Test_only of string | Unjustified | Unreferenced
 
 type export = {
   x_file : string;
@@ -19,7 +19,8 @@ type export = {
 
 let status_name = function
   | Used -> "used"
-  | Test_only -> "test-only"
+  | Test_only _ -> "test-only"
+  | Unjustified -> "unjustified"
   | Unreferenced -> "unreferenced"
 
 type t = {
@@ -84,13 +85,23 @@ let reference t ~test (u : Source.unit_) =
   if not (Source.is_generated u) then
     match u.annots with Cmt_format.Implementation str -> it.structure it str | _ -> ()
 
-let exports t =
+(* A test-only export is a seam by intent only with a written reason:
+   a per-site [allow test-only "why"] on its [val] line or the line
+   above. *)
+let exports t ~source_root =
   Hashtbl.fold
     (fun k (name, (pos : Lexing.position)) acc ->
       let x_status =
         match Hashtbl.find_opt t.refs k with
         | Some true -> Used
-        | Some false -> Test_only
+        | Some false -> (
+          match
+            Source.site_allowance
+              (Filename.concat source_root pos.pos_fname)
+              ~line:pos.pos_lnum ~rule:"test-only"
+          with
+          | Some (Source.Justified why) -> Test_only why
+          | Some Source.Unjustified | None -> Unjustified)
         | None -> Unreferenced
       in
       {
@@ -104,24 +115,40 @@ let exports t =
     t.decls []
   |> List.sort (fun a b -> compare (a.x_file, a.x_line, a.x_col) (b.x_file, b.x_line, b.x_col))
 
-let is_finding x = x.x_status = Unreferenced
+let is_finding x =
+  match x.x_status with Unjustified | Unreferenced -> true | Used | Test_only _ -> false
 
 let render x =
-  Printf.sprintf
-    "%s:%d:%d: [exports] %s is exported but no other compilation unit references it; delete \
-     the export, and its body unless the module uses it"
-    x.x_file x.x_line x.x_col x.x_name
+  Printf.sprintf "%s:%d:%d: [exports] %s %s" x.x_file x.x_line x.x_col x.x_name
+    (match x.x_status with
+    | Unjustified ->
+      "is referenced only by tests; give the seam its reason with a \
+       (* discfs-lint: allow test-only \"why\" *) on its val line or the line above, or delete \
+       it and test the path the system runs"
+    | Used | Test_only _ | Unreferenced ->
+      "is exported but no other compilation unit references it; delete the export, and its \
+       body unless the module uses it")
 
 let json_of_exports xs =
-  let listed = List.filter (fun x -> x.x_status <> Used) xs in
-  Printf.sprintf "{\"pass\":\"exports\",\"exports\":%d,\"entries\":[%s],\"unreferenced\":%d}"
+  let count p = List.length (List.filter (fun x -> p x.x_status) xs) in
+  Printf.sprintf
+    "{\"pass\":\"exports\",\"exports\":%d,\"entries\":[%s],\"test_only\":%d,\"unjustified\":%d,\"unreferenced\":%d}"
     (List.length xs)
     (String.concat ","
-       (List.map
+       (List.filter_map
           (fun x ->
-            Printf.sprintf
-              "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"name\":\"%s\",\"status\":\"%s\"}"
-              (Source.json_escape x.x_file) x.x_line x.x_col (Source.json_escape x.x_name)
-              (status_name x.x_status))
-          listed))
-    (List.length (List.filter is_finding xs))
+            match x.x_status with
+            | Used -> None
+            | Test_only _ | Unjustified | Unreferenced ->
+              Some
+                (Printf.sprintf
+                   "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"name\":\"%s\",\"status\":\"%s\"%s}"
+                   (Source.json_escape x.x_file) x.x_line x.x_col (Source.json_escape x.x_name)
+                   (status_name x.x_status)
+                   (match x.x_status with
+                   | Test_only why -> Printf.sprintf ",\"justification\":\"%s\"" (Source.json_escape why)
+                   | Used | Unjustified | Unreferenced -> "")))
+          xs))
+    (count (function Test_only _ -> true | Used | Unjustified | Unreferenced -> false))
+    (count (function Unjustified -> true | Used | Test_only _ | Unreferenced -> false))
+    (count (function Unreferenced -> true | Used | Test_only _ | Unjustified -> false))

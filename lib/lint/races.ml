@@ -6,9 +6,8 @@
    between a check and the act that depends on it. The static half of
    the race detector inventories exactly the values that make such an
    interleaving possible: every mutable value captured by a closure
-   handed to the scheduler ([Sched.spawn]/[spawn_at]/[spawn_after],
-   or [Arrival.drive], which spawns on the caller's behalf), directly
-   or through one level of call indirection (a named local function
+   handed to the scheduler ([Sched.spawn]/[spawn_at]), directly or
+   through one level of call indirection (a named local function
    passed as the process body).
 
    Capture alone is not a verdict. The pass classifies each captured
@@ -89,12 +88,12 @@ let render_entry e =
 
 (* --- what counts as a spawn point, and what as mutable ----------------- *)
 
-let spawn_points = [ "Sched.spawn"; "Sched.spawn_at"; "Sched.spawn_after"; "Arrival.drive" ]
+let spawn_points = [ "Sched.spawn"; "Sched.spawn_at" ]
 
 (* Scheduler infrastructure threads through every process by design;
    flagging it would drown the report. The scheduler and clock are
    mutated only by the scheduler's own machinery. *)
-let infra_suffixes = [ "Sched.t"; "Clock.t"; "Sched.handle"; "Cost.t" ]
+let infra_suffixes = [ "Sched.t"; "Clock.t"; "Cost.t" ]
 
 let mailbox_suffix = "Sched.Mailbox.t"
 

@@ -2,10 +2,9 @@
     points, the static half of the race detector.
 
     Walks the typed ASTs ([.cmt] files) for closures handed to the
-    scheduler — [Sched.spawn]/[spawn_at]/[spawn_after] and
-    [Arrival.drive] — directly or through one level of call
-    indirection (a named local function passed as the process body),
-    and inventories every captured value whose type is shared mutable
+    scheduler — [Sched.spawn]/[spawn_at] — directly or through one
+    level of call indirection (a named local function passed as the
+    process body), and inventories every captured value whose type is shared mutable
     state: [ref]s, [Hashtbl]/[Queue]/[Buffer]/[Stack] values, records
     with mutable fields, and a curated list of the tree's shared
     abstract types (caches, the RPC server, stats and metrics

@@ -18,20 +18,6 @@ type rule =
   | C_boundary
   | Monitor_off
 
-let all_rules =
-  [
-    Determinism;
-    Strict_determinism;
-    Poly_compare;
-    No_print;
-    Decode_result;
-    Secret_flow;
-    Mli_coverage;
-    Hotpath_alloc;
-    C_boundary;
-    Monitor_off;
-  ]
-
 let rule_name = function
   | Determinism -> "determinism"
   | Strict_determinism -> "strict-determinism"

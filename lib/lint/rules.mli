@@ -29,8 +29,8 @@
       instantiated at bignum, crypto or KeyNote key types; structural
       comparison on crypto values is a correctness and
       timing-discipline hazard — use the modules' dedicated
-      comparisons ([Nat.equal], [Dsa.pub_equal], [Secret.equal],
-      [Ast.principal_equal], fingerprints).
+      comparisons ([Nat.equal], [Ast.principal_equal],
+      [Dsa.fingerprint] or the [Dsa.pub_encode] bytes).
     - [no-print]: no [Printf.printf]/[print_*]/stderr output in
       library code; observability goes through [Trace].
     - [decode-result]: no bare [failwith]/[assert false] in the
@@ -75,12 +75,8 @@ type rule =
   | C_boundary
   | Monitor_off
 
-val all_rules : rule list
-
 val rule_name : rule -> string
 (** The kebab-case name used in reports and suppression comments. *)
-
-val rule_of_name : string -> rule option
 
 type role =
   | Lib  (** general library code: every rule except [decode-result] *)
@@ -103,6 +99,7 @@ type role =
           [secret-flow] (printing and wall-clock use are legitimate
           there) *)
 
+(* discfs-lint: allow test-only "the role tests pin which source directories get which rule set" *)
 val role_of_path : string -> role
 (** Role from a repo-relative source path: [lib/xdr], [lib/rpc] and
     [lib/ipsec] are [Decode]; [lib/nfs/server.ml] and [lib/core] are
@@ -135,15 +132,6 @@ val check_mli_coverage : source_root:string -> string -> finding list
 (** [check_mli_coverage ~source_root dir] walks [dir] (repo-relative)
     for [.ml] files with no matching [.mli]. Suppressible like any
     other rule. *)
-
-val suppressed_rules : string -> rule list
-(** The rules allowed by [discfs-lint: allow] comments in the given
-    source file (empty if the file cannot be read). *)
-
-val required_rules : string -> rule list
-(** The rules demanded by [discfs-lint: require] comments in the given
-    source file — applied on top of the role's rule set (empty if the
-    file cannot be read). *)
 
 (** {1 Shared helpers}
 

@@ -25,8 +25,6 @@ type t = {
   mutable last_completion : float;
 }
 
-let stats_of t = (t.offered, t.completed, t.failed)
-
 let makespan t =
   if t.offered = 0 || t.last_completion <= t.first_arrival then 0.0
   else t.last_completion -. t.first_arrival
@@ -82,10 +80,9 @@ let offer ~sched ~arrivals ~ops ?(buckets = Metrics.default_buckets)
     for i = 0 to ops - 1 do
       let ti = base +. arrival_times.(i) in
       let k = i mod channels in
-      ignore
-        (Sched.spawn_at sched ti (fun () ->
-             Sched.Mailbox.push sched boxes.(k) (fun () ->
-                 complete gen clock ~started:ti (op i))))
+      Sched.spawn_at sched ti (fun () ->
+          Sched.Mailbox.push sched boxes.(k) (fun () ->
+              complete gen clock ~started:ti (op i)))
     done;
     let horizon =
       (* Generous upper bound on how long a drain may sit idle: the

@@ -51,9 +51,6 @@ val offer :
     Invariant on completion: [offered = completed + failed] and the
     histogram count equals [completed]. *)
 
-val stats_of : t -> int * int * int
-(** [(offered, completed, failed)]. *)
-
 val makespan : t -> float
 (** Virtual seconds from the first arrival to the last completion
     ([0.] before the run or when nothing was offered). *)

@@ -383,14 +383,13 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
      load balancer's backend list. *)
   for i = 0 to ops - 1 do
     let ti = base +. times.(i) in
-    ignore
-      (* discfs-lint: allow races "the membership list is read once in the arrival's own slice; routing to a just-left member is absorbed by its still-draining mailbox" *)
-      (Sched.spawn_at sched ti (fun () ->
-           match !active with
-           | [] -> Gen.complete gen clock ~started:ti false
-           | l ->
-             let m = List.nth l (i mod List.length l) in
-             Sched.Mailbox.push sched m.m_box (Some (fun () -> do_op m i ti))))
+    (* discfs-lint: allow races "the membership list is read once in the arrival's own slice; routing to a just-left member is absorbed by its still-draining mailbox" *)
+    Sched.spawn_at sched ti (fun () ->
+        match !active with
+        | [] -> Gen.complete gen clock ~started:ti false
+        | l ->
+          let m = List.nth l (i mod List.length l) in
+          Sched.Mailbox.push sched m.m_box (Some (fun () -> do_op m i ti)))
   done;
   (* Joins. A join mid-crash can time out; it is skipped, not fatal. *)
   if s.cs_join_every > 0.0 then begin
@@ -398,20 +397,19 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
     let k = ref 0 in
     while !t < s.cs_duration do
       let at = base +. !t and j = !k in
-      ignore
-        (* discfs-lint: allow races "the join counter bump and list append run in one slice after the attach's yields complete" *)
-        (Sched.spawn_at sched at (fun () ->
-             match
-               try
-                 Some
-                   (mk_member ~uid:(1000 + j) (Printf.sprintf "j%d.dat" j))
-               with Oncrpc.Rpc.Rpc_timeout _ | CC.Discfs_error _ -> None
-             with
-             | None -> ()
-             | Some m ->
-               incr joins;
-               active := !active @ [ m ];
-               spawn_drain m));
+      (* discfs-lint: allow races "the join counter bump and list append run in one slice after the attach's yields complete" *)
+      Sched.spawn_at sched at (fun () ->
+          match
+            try
+              Some
+                (mk_member ~uid:(1000 + j) (Printf.sprintf "j%d.dat" j))
+            with Oncrpc.Rpc.Rpc_timeout _ | CC.Discfs_error _ -> None
+          with
+          | None -> ()
+          | Some m ->
+            incr joins;
+            active := !active @ [ m ];
+            spawn_drain m);
       t := !t +. s.cs_join_every;
       incr k
     done
@@ -421,36 +419,32 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
     let t = ref s.cs_leave_every in
     while !t < s.cs_duration do
       let at = base +. !t in
-      ignore
-        (* discfs-lint: allow races "pop-and-signal runs in one slice; the drained member keeps consuming its own mailbox until the stop token" *)
-        (Sched.spawn_at sched at (fun () ->
-             match !active with
-             | m :: (_ :: _ as rest) ->
-               incr leaves;
-               active := rest;
-               Sched.Mailbox.push sched m.m_box None
-             | _ -> ()));
+      (* discfs-lint: allow races "pop-and-signal runs in one slice; the drained member keeps consuming its own mailbox until the stop token" *)
+      Sched.spawn_at sched at (fun () ->
+          match !active with
+          | m :: (_ :: _ as rest) ->
+            incr leaves;
+            active := rest;
+            Sched.Mailbox.push sched m.m_box None
+          | _ -> ());
       t := !t +. s.cs_leave_every
     done
   end;
   (match s.cs_crash_at with
   | None -> ()
   | Some t ->
-    ignore
-      (* discfs-lint: allow races "the crash process is the only mutator of the deployment's incarnation fields; clients observe the swap only through RPC timeouts" *)
-      (Sched.spawn_at sched (base +. t) (fun () -> Cluster.crash_and_restart d 0)));
+    (* discfs-lint: allow races "the crash process is the only mutator of the deployment's incarnation fields; clients observe the swap only through RPC timeouts" *)
+    Sched.spawn_at sched (base +. t) (fun () -> Cluster.crash_and_restart d 0));
   (* End of horizon: stop every member still active. Queued jobs sit
      ahead of the stop in each mailbox, so nothing offered is lost. *)
-  ignore
-    (* discfs-lint: allow races "horizon stop: broadcast and list clear complete in one slice" *)
-    (Sched.spawn_at sched (last_arrival +. 60.0) (fun () ->
-         List.iter (fun m -> Sched.Mailbox.push sched m.m_box None) !active;
-         active := []));
+  (* discfs-lint: allow races "horizon stop: broadcast and list clear complete in one slice" *)
+  Sched.spawn_at sched (last_arrival +. 60.0) (fun () ->
+      List.iter (fun m -> Sched.Mailbox.push sched m.m_box None) !active;
+      active := []);
   let final_active = ref 0 in
-  ignore
-    (* discfs-lint: allow races "single snapshot read one virtual second before the horizon stop" *)
-    (Sched.spawn_at sched (last_arrival +. 59.0) (fun () ->
-         final_active := List.length !active));
+  (* discfs-lint: allow races "single snapshot read one virtual second before the horizon stop" *)
+  Sched.spawn_at sched (last_arrival +. 59.0) (fun () ->
+      final_active := List.length !active);
   Sched.run sched;
   let get k = Stats.get (Cluster.stats d) k in
   let service = Metrics.histogram (Cluster.metrics d) "rpc.queue.service" in

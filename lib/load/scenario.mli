@@ -6,6 +6,7 @@
     long-horizon churn run with membership changes, a mid-run server
     crash and SA rekeys while load keeps arriving. *)
 
+(* discfs-lint: allow test-only "the race-exploration test compares end states across schedules" *)
 val fs_fingerprint : Ffs.Fs.t -> string
 (** Logical end-state digest of a filesystem: SHA-1 over the sorted
     directory tree — paths, kinds, sizes and per-file content hashes,

@@ -25,8 +25,6 @@ val summary_json : summary -> string
 (** One deterministic JSON object; saturated percentiles appear as
     the string [">=edge"], an empty histogram's as [null]. *)
 
-val quantile_json : Trace.Metrics.quantile_estimate -> string
-
 val knee : (float * float * int) list -> int option
 (** [knee points] over ascending [(offered_rate, achieved_throughput,
     failed_ops)] sweep points: the index of the last point of the

@@ -44,6 +44,7 @@ val set_capacity : ('k, 'v) t -> int -> int
 val clear : ('k, 'v) t -> unit
 (** Drop every binding. *)
 
+(* discfs-lint: allow test-only "the model test compares the recency order with an association list" *)
 val bindings : ('k, 'v) t -> ('k * 'v) list
 (** Every binding, least recently used first: the order in which
     capacity pressure would evict them. Does not touch recency. *)

@@ -28,9 +28,6 @@ module Make (C : CLIENT) = struct
     name_ttl : float;
     attrs : (entry_key, Proto.fattr * float) Hashtbl.t; (* value, expiry *)
     names : (entry_key * string, (Proto.fh * Proto.fattr) * float) Hashtbl.t;
-    mutable hits : int;
-    mutable misses : int;
-    mutable expiries : int;
     mutable race : Race.monitor;
   }
 
@@ -43,9 +40,6 @@ module Make (C : CLIENT) = struct
       name_ttl;
       attrs = Hashtbl.create 64;
       names = Hashtbl.create 64;
-      hits = 0;
-      misses = 0;
-      expiries = 0;
       race = Race.null;
     }
 
@@ -66,16 +60,6 @@ module Make (C : CLIENT) = struct
 
   let fresh t expiry = Clock.now t.clock < expiry
 
-  (* The aggregate counters (t.hits / t.misses / t.expiries) cover both
-     caches; the registry splits them by cache (cache.attr.* for
-     getattr traffic, cache.name.* for lookup traffic) so the two
-     caches' behaviour can be tuned independently. A miss is either
-     cold (never cached) or an expiry (cached but past its TTL); the
-     distinction matters when tuning TTLs, so count both. *)
-  let miss t ~expired =
-    t.misses <- t.misses + 1;
-    if expired then t.expiries <- t.expiries + 1
-
   let store_attr t fh attr =
     if Race.enabled t.race then
       Race.act t.race ~value:(attr_value attr) ~key:(akey (key fh)) ();
@@ -84,13 +68,14 @@ module Make (C : CLIENT) = struct
   let getattr t fh =
     match Hashtbl.find_opt t.attrs (key fh) with
     | Some (attr, expiry) when fresh t expiry ->
-      t.hits <- t.hits + 1;
       Stats.incr t.stats "cache.attr.hits";
       if Race.enabled t.race then Race.read t.race ~key:(akey (key fh));
       attr
     | found ->
+      (* A miss is either cold (never cached) or an expiry (cached but
+         past its TTL); the distinction matters when tuning TTLs, so
+         count both. *)
       let expired = found <> None in
-      miss t ~expired;
       Stats.incr t.stats "cache.attr.misses";
       if expired then Stats.incr t.stats "cache.attr.expiries";
       (* The GETATTR round trip yields; the window closes when
@@ -103,13 +88,11 @@ module Make (C : CLIENT) = struct
   let lookup t dir name =
     match Hashtbl.find_opt t.names (key dir, name) with
     | Some (result, expiry) when fresh t expiry ->
-      t.hits <- t.hits + 1;
       Stats.incr t.stats "cache.name.hits";
       if Race.enabled t.race then Race.read t.race ~key:(nkey (key dir, name));
       result
     | found ->
       let expired = found <> None in
-      miss t ~expired;
       Stats.incr t.stats "cache.name.misses";
       if expired then Stats.incr t.stats "cache.name.expiries";
       if Race.enabled t.race then Race.check t.race ~key:(nkey (key dir, name));
@@ -162,10 +145,4 @@ module Make (C : CLIENT) = struct
     if Race.enabled t.race then Race.write t.race ~key:(akey (key dir)) ();
     Hashtbl.remove t.names (key dir, name);
     Hashtbl.remove t.attrs (key dir)
-
-  let hits t = t.hits
-  let misses t = t.misses
-  let expiries t = t.expiries
 end
-
-include Make (Client)

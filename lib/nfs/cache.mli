@@ -14,13 +14,11 @@
     ["cache.attr.misses"] / ["cache.attr.expiries"] for {!getattr}
     traffic and
     ["cache.name.hits"] / ["cache.name.misses"] /
-    ["cache.name.expiries"] for {!lookup} traffic. The aggregate
-    accessors ({!hits}, {!misses}, {!expiries}) still cover both.
+    ["cache.name.expiries"] for {!lookup} traffic.
 
     The cache sits in front of any client with the seven calls of
-    {!CLIENT}: this module is {!Make} over the plain {!Client}, and
-    the DisCFS benchmark backend instantiates it over the cluster
-    client. *)
+    {!CLIENT}: the DisCFS benchmark backend instantiates {!Make} over
+    the cluster client, and the tests over the plain {!Client}. *)
 
 module type CLIENT = sig
   type t
@@ -50,6 +48,7 @@ module Make (C : CLIENT) : sig
       check-then-act windows spanning the RPC round trip, closed when
       the reply is installed; invalidations are writes. *)
 
+  (* discfs-lint: allow test-only "the TTL tests age the attribute cache directly; the benchmark backend reaches it through read_whole" *)
   val getattr : t -> Proto.fh -> Proto.fattr
   (** Served from cache while fresh; otherwise one GETATTR round trip
       refills the entry. *)
@@ -76,16 +75,4 @@ module Make (C : CLIENT) : sig
   val remove : t -> Proto.fh -> string -> unit
   (** Pass-through; drops the name entry and the directory's
       attributes. *)
-
-  val hits : t -> int
-  (** Lookups answered from cache (attribute and name combined). *)
-
-  val misses : t -> int
-  (** Lookups that paid a round trip (cold or expired). *)
-
-  val expiries : t -> int
-  (** The subset of {!misses} caused by a TTL running out rather than
-      a cold entry — the knob-tuning signal. *)
 end
-
-include module type of Make (Client)

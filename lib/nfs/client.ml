@@ -21,8 +21,6 @@ let mount t path =
   Xdr.Dec.expect_end d;
   fh
 
-let null t = ignore (call t Proto.nfsproc_null (fun _ -> ()))
-
 let attrstat d =
   status_check d;
   let attr = Proto.fattr_decode d in
@@ -258,10 +256,3 @@ let write_all t fh data =
     end
   in
   go 0
-
-let resolve t ~root path =
-  let parts = List.filter (fun s -> s <> "" && s <> ".") (String.split_on_char '/' path) in
-  List.fold_left
-    (fun (fh, _attr) name -> lookup t fh name)
-    (root, getattr t root)
-    parts

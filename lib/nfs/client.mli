@@ -11,7 +11,6 @@ val create : Oncrpc.Rpc.client -> t
 val mount : t -> string -> Proto.fh
 (** MOUNTPROC_MNT: path to root file handle. *)
 
-val null : t -> unit
 val getattr : t -> Proto.fh -> Proto.fattr
 val setattr : t -> Proto.fh -> Proto.sattr -> Proto.fattr
 val lookup : t -> Proto.fh -> string -> Proto.fh * Proto.fattr
@@ -62,6 +61,3 @@ val read_whole : t -> Proto.fh -> size:int -> string
 
 val write_all : t -> Proto.fh -> string -> unit
 (** Sequential 8 KB WRITEs from offset 0. *)
-
-val resolve : t -> root:Proto.fh -> string -> Proto.fh * Proto.fattr
-(** Walk a slash-separated path with LOOKUPs. *)

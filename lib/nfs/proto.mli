@@ -58,6 +58,7 @@ val access_modify : int
 val access_extend : int
 val access_delete : int
 val access_execute : int
+(* discfs-lint: allow test-only "the ACCESS tests ask for every right" *)
 val access_all : int
 
 val mountproc_mnt : int

@@ -38,9 +38,6 @@ type hooks = {
           serves the ACCESS procedure. The default grants all. *)
 }
 
-val no_hooks : hooks
-(** Allow everything, present attributes untouched. *)
-
 type route = conn:Oncrpc.Rpc.conn_info -> fh:Proto.fh -> op:op -> string option
 (** Consulted before handle validation and authorization. [Some
     reply] short-circuits the operation with those fully-encoded
@@ -51,13 +48,15 @@ type route = conn:Oncrpc.Rpc.conn_info -> fh:Proto.fh -> op:op -> string option
 type t
 
 val create : fs:Ffs.Fs.t -> unit -> t
-(** A server with {!no_hooks}; install others with {!set_hooks}. *)
+(** A server whose hooks allow everything and present attributes
+    untouched; install others with {!set_hooks}. *)
 
 val set_hooks : t -> hooks -> unit
 
 val set_route : t -> route -> unit
 (** Install a shard router in front of the hooks. *)
 
+(* discfs-lint: allow test-only "the hot-path tests serve one call into a reply arena without the RPC framing" *)
 val handler : t -> Oncrpc.Rpc.handler
 (** The NFS program's handler, exactly as {!attach} registers it;
     exposed so tests can serve one call into a reply arena without the

@@ -44,19 +44,23 @@ val create :
     counted). [annotate] is the label fallback when no {!note} named
     the current process — deployments pass [Trace.current]. *)
 
+(* discfs-lint: allow test-only "the race tests read the retained reports" *)
 val reports : ctx -> report list
 (** Retained reports in occurrence order — deterministic, since the
     schedule is. *)
 
 val total_reports : ctx -> int
+(* discfs-lint: allow test-only "the race tests check that duplicate fills were classified benign" *)
 val benign : ctx -> int
 (** Conflicts suppressed because the act re-installed the writer's
     exact value (duplicate fills). *)
 
+(* discfs-lint: allow test-only "the race tests prove the instrumentation was live in a clean run" *)
 val accesses : ctx -> int
 (** Monitored operations observed — proof the instrumentation was
     live when a clean run claims atomicity. *)
 
+(* discfs-lint: allow test-only "the race tests inspect and compare rendered reports" *)
 val render_report : report -> string
 
 type monitor

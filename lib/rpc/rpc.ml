@@ -328,11 +328,6 @@ let decode_reply_view d =
   | 4 -> (xid, Error Garbage_args)
   | n -> (xid, Error (System_err (Printf.sprintf "accept_stat %d" n)))
 
-let decode_reply data =
-  match decode_reply_view (Xdr.Dec.of_string data) with
-  | xid, Ok d -> (xid, Ok (Xdr.Dec.rest d))
-  | xid, Error fault -> (xid, Error fault)
-
 let unmarshal_charge srv nbytes =
   Clock.advance srv.clock
     (srv.cost.Cost.rpc_overhead +. (float_of_int nbytes *. srv.cost.Cost.rpc_per_byte))
@@ -412,9 +407,6 @@ let serve srv ~conn d =
   else if Trace.enabled srv.trace then
     Trace.span srv.trace "rpc.dispatch" (fun () -> serve_live srv ~conn d)
   else serve_live srv ~conn d
-
-let dispatch srv ~conn data =
-  Option.map Xdr.Enc.to_string (serve srv ~conn (Xdr.Dec.of_string data))
 
 (* --- queued dispatch (worker-pool path) ------------------------------ *)
 
@@ -524,7 +516,7 @@ let rec worker_loop srv p =
    bounded queue. A full queue drops the datagram on the floor — the
    at-least-once retry path absorbs the loss, which is exactly how a
    UDP server sheds load. *)
-let submit srv p ~conn ~reply d =
+let admit srv p ~conn ~reply d =
   if srv.dead then Stats.incr srv.stats "rpc.dropped_dead"
   else begin
     Stats.incr srv.stats "rpc.calls";
@@ -580,11 +572,10 @@ let submit srv p ~conn ~reply d =
         end)
   end
 
-let submit_datagram srv ~conn ~reply data =
+let submit srv ~conn ~reply d =
   match srv.pool with
-  | None -> invalid_arg "Rpc.submit_datagram: no pool attached"
-  | Some p ->
-    submit srv p ~conn ~reply:(fun a -> reply (Xdr.Enc.to_string a)) (Xdr.Dec.of_string data)
+  | None -> invalid_arg "Rpc.submit: no pool attached"
+  | Some p -> admit srv p ~conn ~reply d
 
 (* --- client ---------------------------------------------------------- *)
 
@@ -596,7 +587,7 @@ let flow_rep = 1
 (* How a call's requests reach the server and its replies come back.
    [Inline]: the server dispatches each request as it arrives, so the
    replies are on the wire when the request's send returns. [Queued]:
-   requests go through the pool's queue ([submit]); the reply
+   requests go through the pool's queue ([admit]); the reply
    closure seals each reply arena and clocks it back into the mailbox
    as its own process, so a slow reply transmission never blocks the
    worker. *)
@@ -616,7 +607,7 @@ let deliver t ex ~stats pkt =
   | plain -> (
     match ex with
     | Queued (p, _, reply) ->
-      submit t.srv p ~conn:t.conn ~reply plain;
+      admit t.srv p ~conn:t.conn ~reply plain;
       []
     | Inline -> (
       match serve t.srv ~conn:t.conn plain with

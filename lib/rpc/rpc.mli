@@ -96,6 +96,7 @@ val queue_peak : server -> int
 (** High-water mark of the request queue since the pool was
     attached (0 without a pool). *)
 
+(* discfs-lint: allow test-only "the duplicate-request-cache tests shrink the cache to force evictions" *)
 val set_drc_capacity : server -> int -> unit
 (** Bound the duplicate-request cache (default 512 entries),
     evicting least-recently-used entries immediately if the new
@@ -136,6 +137,7 @@ type channel = {
     both seals are [Esp.seal_arena]; on {!plaintext} they are
     [Xdr.Enc.to_string]. *)
 
+(* discfs-lint: allow test-only "the channel tests build faulty variants of the identity transforms" *)
 val plaintext : channel
 (** Identity transforms. *)
 
@@ -146,6 +148,7 @@ type retry = {
   jitter : float; (** +/- fraction of the timeout, desynchronizes retries *)
 }
 
+(* discfs-lint: allow test-only "the retry tests derive their profiles and expected backoffs from it" *)
 val default_retry : retry
 (** 0.8 s initial timeout, doubling, 6 attempts, 10% jitter — the
     classic NFS/UDP client profile. *)
@@ -159,6 +162,7 @@ val connect :
   server ->
   client
 
+(* discfs-lint: allow test-only "the regression tests pin the xid layout" *)
 val make_xid : client_id:int -> seq:int -> int
 (** The 32-bit xid layout: client id in the top 12 bits, per-client
     call sequence in the low 20. Bands are disjoint across client
@@ -202,7 +206,6 @@ val call : client -> prog:int -> vers:int -> proc:int -> (Xdr.Enc.t -> unit) -> 
     link's stats: ["rpc.retransmits"], ["rpc.server_rx_drops"],
     ["rpc.client_rx_drops"], ["rpc.stale_replies"]. *)
 
-
 (** {1 Wire level}
 
     The raw RFC 5531 framing, exposed so tests and fuzzers can build
@@ -219,30 +222,25 @@ val encode_call_into :
     {!encode_call}); {!call} frames its request arena the same way,
     with the caller's argument writer in place of the string. *)
 
+(* discfs-lint: allow test-only "the hot-path golden checks the reply framing byte for byte against the reference pipeline" *)
 val encode_reply_into : Xdr.Enc.t -> xid:int -> (string, fault) result -> unit
 (** Frame a REPLY carrying pre-marshalled results straight into an
     arena; byte-identical to the reply a handler writing the same
     results produces. *)
 
-val decode_reply : string -> int * (string, fault) result
-(** Parse a REPLY message into (xid, outcome), copying the results
-    out. Raises [Xdr.Decode_error] on garbage and {!Rpc_error} on
-    MSG_DENIED. The client's own receive path decodes the results in
-    place instead. *)
-
-val submit_datagram :
-  server -> conn:conn_info -> reply:(string -> unit) -> string -> unit
-(** Feed one raw datagram through the queued path, exactly as a
+(* discfs-lint: allow test-only "tests and the fuzzer feed the queue hand-built datagrams in hand-built interleavings" *)
+val submit : server -> conn:conn_info -> reply:(Xdr.Enc.t -> unit) -> Xdr.Dec.t -> unit
+(** Feed one opened datagram through the queued path, exactly as a
     pooled {!call} does on arrival: DRC replay, retransmit
     coalescing, bounded-queue admission (or rejection), worker
-    execution, then [reply] with the framed reply bytes (possibly
+    execution, then [reply] with the finished reply arena (possibly
     never, if the queue sheds the datagram or the server dies).
     Requires an attached pool ({!set_pool}); the scheduler must be
-    {!Simnet.Sched.run} for anything to happen. Exposed so tests can
-    drive the queue with hand-built interleavings. *)
+    {!Simnet.Sched.run} for anything to happen. *)
 
-val dispatch : server -> conn:conn_info -> string -> string option
-(** Feed one raw datagram to the server exactly as the link would:
-    charges dispatch cost, consults the duplicate-request cache, runs
-    the handler and returns the framed reply as a string ([None] when
-    the server is {!shutdown}). *)
+(* discfs-lint: allow test-only "tests and the fuzzer feed the server hand-built datagrams, garbage and retransmissions included" *)
+val serve : server -> conn:conn_info -> Xdr.Dec.t -> Xdr.Enc.t option
+(** Feed one opened datagram to the server exactly as an in-line
+    {!call} does: charges dispatch cost, consults the
+    duplicate-request cache, runs the handler and returns the
+    finished reply arena ([None] when the server is {!shutdown}). *)

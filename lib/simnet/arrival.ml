@@ -85,11 +85,3 @@ let times t ~n =
     out.(i) <- !acc
   done;
   out
-
-let drive t ~sched ~n f =
-  let at = ref (Clock.now (Sched.clock sched)) in
-  for i = 0 to n - 1 do
-    at := !at +. next t;
-    let ti = !at in
-    ignore (Sched.spawn_at sched ti (fun () -> f i ti))
-  done

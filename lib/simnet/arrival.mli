@@ -22,11 +22,13 @@ type process =
   | Poisson of { rate : float }
   | Pareto of { rate : float; alpha : float; cap : float }
 
+(* discfs-lint: allow test-only "the anchor for the arrival-process property tests" *)
 val mean : process -> float
 (** Analytic mean inter-arrival in seconds (= [1 /. rate] for both
     random laws); the anchor for the generator property tests.
     Raises [Invalid_argument] on bad parameters. *)
 
+(* discfs-lint: allow test-only "the anchor for the arrival-process property tests" *)
 val variance : process -> float
 (** Analytic inter-arrival variance ([0.] for [Fixed]). *)
 
@@ -43,10 +45,3 @@ val next : t -> float
 val times : t -> n:int -> float array
 (** The next [n] cumulative arrival offsets (strictly increasing,
     relative to 0). *)
-
-val drive : t -> sched:Sched.t -> n:int -> (int -> float -> unit) -> unit
-(** Schedule [n] arrivals on the scheduler starting from its current
-    virtual time.  Arrival [i] runs [f i t_i] as a cooperative
-    process ({!Sched.spawn_at}) at its arrival time [t_i] — the
-    callback may issue RPCs and spend virtual time without blocking
-    later arrivals, which is precisely the open-loop property. *)

@@ -14,6 +14,7 @@ module Rng : sig
   val float : t -> float
   (** Uniform in [[0, 1)]. *)
 
+  (* discfs-lint: allow test-only "the modulo-bias regression test draws from it directly" *)
   val int_below : t -> int -> int
   (** Uniform in [[0, n)] by rejection sampling (no modulo bias);
       [n] must be positive. *)
@@ -23,6 +24,7 @@ type net = { drop : float; duplicate : float; reorder : float; corrupt : float }
 (** Per-packet fault probabilities; at most one fault fires per
     packet, chosen in the field order listed. *)
 
+(* discfs-lint: allow test-only "the fault tests switch a lossy link back to clean" *)
 val no_net : net
 
 val lossy : float -> net
@@ -53,6 +55,7 @@ val net_decide : t -> net_action
 val corrupt_bytes : t -> string -> string
 (** Flip one random byte (identity on the empty string). *)
 
+(* discfs-lint: allow test-only "the disk-fault tests script a failure at a chosen operation" *)
 val script_disk : t -> (int * disk_fault) list -> unit
 (** Schedule faults by disk-operation index (0-based, counting every
     read and write on the device the fault is attached to). Each
@@ -62,4 +65,5 @@ val disk_decide : t -> disk_fault option
 (** Called by the block device per operation; advances the op
     counter and consumes any scripted fault. *)
 
+(* discfs-lint: allow test-only "the disk-fault tests script a failure at the next operation" *)
 val disk_ops : t -> int

@@ -35,6 +35,7 @@ val transmit : t -> ?flow:int -> int -> unit
     ["link.queued"]. In serial mode the wait is always zero and the
     charge is exactly latency + serialization, as before. *)
 
+(* discfs-lint: allow test-only "the link tests check per-flow wire serialization" *)
 val busy_until : t -> int -> float
 (** The absolute virtual time at which [flow]'s wire finishes its
     current transmission (0.0 if it has never sent). Reservations

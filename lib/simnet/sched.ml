@@ -30,11 +30,11 @@
 
 open Effect.Deep
 
-(* What an event does when it runs. Only [Call]s are handed out as
-   handles; the others are the scheduler's own wake-ups. *)
+(* What an event does when it runs: a scheduled thunk or one of the
+   scheduler's own wake-ups. *)
 type entry =
   | Free (* an empty heap slot *)
-  | Call of { mutable cancelled : bool; thunk : unit -> unit }
+  | Call of (unit -> unit)
   | Wake of int * (unit, unit) continuation (* a sleeper's pid and continuation *)
   | Timeout : 'a mailbox -> entry (* live while its seq is the mailbox's [timer] *)
   | Deliver : 'a mailbox -> entry (* hands the [Woken] value to the waiter *)
@@ -72,8 +72,6 @@ type t = {
   mutable tie_seed : int64 option;
   mutable probe : (float -> int -> unit) option;
 }
-
-type handle = entry
 
 (* --- binary heap keyed (time, tie, seq) ------------------------------ *)
 
@@ -210,15 +208,12 @@ let check_delay fn dt =
 
 let schedule_at t time thunk =
   check_time "Sched.schedule_at" t time;
-  let call = Call { cancelled = false; thunk } in
-  ignore (insert t time call);
-  call
+  ignore (insert t time (Call thunk))
 
 let schedule_after t dt thunk =
   check_delay "Sched.schedule_after" dt;
   schedule_at t (Clock.now t.clock +. dt) thunk
 
-let cancel = function Call c -> c.cancelled <- true | Free | Wake _ | Timeout _ | Deliver _ -> ()
 let clock t = t.clock
 let in_process t = t.in_process
 let current_pid t = t.current_pid
@@ -279,11 +274,7 @@ let spawn_at t time f =
   t.next_pid <- pid;
   schedule_at t time (fun () -> start t pid f)
 
-let spawn_after t dt f =
-  check_delay "Sched.spawn_after" dt;
-  spawn_at t (Clock.now t.clock +. dt) f
-
-let spawn t f = ignore (spawn_at t (Clock.now t.clock) f)
+let spawn t f = spawn_at t (Clock.now t.clock) f
 
 let sleep t dt =
   check_delay "Sched.sleep" dt;
@@ -294,13 +285,12 @@ let sleep t dt =
 
 let live entry seq =
   match entry with
-  | Call c -> not c.cancelled
   | Timeout mb -> mb.timer = seq
-  | Wake _ | Deliver _ -> true
+  | Call _ | Wake _ | Deliver _ -> true
   | Free -> false
 
 let dispatch t = function
-  | Call c -> c.thunk ()
+  | Call thunk -> thunk ()
   | Wake (pid, k) -> resume t pid k ()
   | Timeout mb -> (
     match mb.waiter with
@@ -318,7 +308,8 @@ let dispatch t = function
     | Idle | Parked _ -> ())
   | Free -> ()
 
-(* Pop the earliest event and run it, unless it was cancelled. *)
+(* Pop the earliest event and run it, unless it is a superseded
+   timeout. *)
 let run_next t =
   let time = Float.Array.unsafe_get t.times 0 in
   let seq = t.seqs.(0) and entry = t.entries.(0) in

@@ -19,15 +19,12 @@
     flat arrays; a sleep, its wake-up and the loop's bookkeeping
     allocate about 7.5 words per event on OCaml 5.1 (the parked
     continuation, one small heap entry and the boxed time the clock
-    keeps). Only the calls that return a {!handle} allocate one. Every
+    keeps). Every
     time and duration argument is checked: NaN raises
     [Invalid_argument], because a NaN key would break the heap's
     order; [infinity] is a legal time. *)
 
 type t
-
-type handle
-(** A scheduled event, for cancellation. *)
 
 val create : clock:Clock.t -> t
 (** A scheduler over [clock]. Does not install the clock hook;
@@ -39,20 +36,16 @@ val attach_clock : t -> unit
     process, [Clock.advance] suspends the process for [dt]; outside
     one, it advances in-line as before. *)
 
-val schedule_at : t -> float -> (unit -> unit) -> handle
+val schedule_at : t -> float -> (unit -> unit) -> unit
 (** Run a thunk at an absolute virtual time (>= now and not NaN, else
     [Invalid_argument]). The thunk is not a process: it must not
     suspend unless it wraps itself via {!spawn}. Allocates the
-    3-word handle and nothing else. *)
+    2-word heap entry and nothing else. *)
 
-val schedule_after : t -> float -> (unit -> unit) -> handle
+val schedule_after : t -> float -> (unit -> unit) -> unit
 (** [schedule_after t dt f] = [schedule_at t (now + dt) f]; a negative
-    or NaN [dt] raises [Invalid_argument]. Allocates the handle and
-    the boxed sum. *)
-
-val cancel : handle -> unit
-(** Cancelled events are skipped by the loop; cancelling an event
-    that already ran is harmless. *)
+    or NaN [dt] raises [Invalid_argument]. Allocates the heap entry
+    and the boxed sum. *)
 
 val spawn : t -> (unit -> unit) -> unit
 (** Enqueue a cooperative process starting at the current virtual
@@ -60,19 +53,15 @@ val spawn : t -> (unit -> unit) -> unit
     any [Clock.advance] underneath it) yield to other events. An
     exception escaping the process aborts {!run}. *)
 
-val spawn_at : t -> float -> (unit -> unit) -> handle
+val spawn_at : t -> float -> (unit -> unit) -> unit
 (** {!spawn} at an absolute virtual time (>= now, else
     [Invalid_argument]). The workhorse of timed workload injection —
     open-loop arrival events, churn joins/leaves, a scripted mid-run
     crash — anything that both starts later and spends virtual time
     (a bare {!schedule_at} thunk must not suspend; a spawned process
-    may). Cancellable until it runs. Allocates the handle and the
-    start closure; the process's effect handler, with its one
-    preallocated sleep handler, is built when it starts. *)
-
-val spawn_after : t -> float -> (unit -> unit) -> handle
-(** [spawn_after t dt f] = [spawn_at t (now + dt) f]; a negative or
-    NaN [dt] raises [Invalid_argument]. *)
+    may). Allocates the heap entry and the start closure; the
+    process's effect handler, with its one preallocated sleep
+    handler, is built when it starts. *)
 
 val clock : t -> Clock.t
 (** The clock this scheduler drives. *)
@@ -93,7 +82,7 @@ val sleep : t -> float -> unit
     runs it: [dt] travels to the process's handler through a cell
     that [t] owns. A negative or NaN [dt] raises [Invalid_argument].
     Performs one constant effect; the wake-up is a 3-word heap entry
-    holding the pid and the continuation, and no handle is made. *)
+    holding the pid and the continuation, and nothing else. *)
 
 val in_process : t -> bool
 (** True while the scheduler is executing an event — the signal used
@@ -114,12 +103,14 @@ val set_tie_seed : t -> int64 option -> unit
     (the default) preserves the classic [(time, seq)] order exactly.
     Affects only events scheduled while the seed is installed. *)
 
+(* discfs-lint: allow test-only "the tie-order tests check the installed seed" *)
 val tie_seed : t -> int64 option
 (** The currently installed perturbation seed, if any. *)
 
 val events_run : t -> int
 (** Total events executed — a cheap determinism fingerprint. *)
 
+(* discfs-lint: allow test-only "the scheduler model test journals the event order" *)
 val set_probe : t -> (float -> int -> unit) option -> unit
 (** Observation hook called with [(time, seq)] as each event runs;
     used by the replay-determinism tests to journal the order. *)

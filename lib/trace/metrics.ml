@@ -115,15 +115,6 @@ let cumulative h =
 let count h = h.h_count
 let sum h = h.h_sum
 
-let merge a b =
-  if a.h_bounds <> b.h_bounds then
-    invalid_arg "Metrics.merge: incompatible bucket bounds";
-  let m = make_histogram a.h_bounds in
-  Array.iteri (fun i c -> m.h_counts.(i) <- c + b.h_counts.(i)) a.h_counts;
-  m.h_count <- a.h_count + b.h_count;
-  m.h_sum <- a.h_sum +. b.h_sum;
-  m
-
 let overflow h = h.h_counts.(Array.length h.h_bounds)
 
 (* Interpolated quantiles with explicit saturation: p99 of a latency

@@ -30,6 +30,8 @@ val counters : t -> (string * int) list
 (** {1 Gauges} *)
 
 val set_gauge : t -> string -> float -> unit
+
+(* discfs-lint: allow test-only "the queue tests read the depth gauge the RPC pool sets" *)
 val gauge : t -> string -> float option
 
 (** {1 Histograms} *)
@@ -53,16 +55,12 @@ val observe : histogram -> float -> unit
 (** Record a value into the first bucket whose bound is [>=] it (the
     overflow bucket if none is). *)
 
+(* discfs-lint: allow test-only "the conservation property checks the bucket each observation lands in" *)
 val bucket_counts : histogram -> int array
 (** One cell per bucket bound plus the overflow cell, last. *)
 
-val cumulative : histogram -> int array
 val count : histogram -> int
 val sum : histogram -> float
-
-val merge : histogram -> histogram -> histogram
-(** Fresh histogram combining both operands.  Raises
-    [Invalid_argument] if the bucket bounds differ. *)
 
 val overflow : histogram -> int
 (** Observations that landed past the last bucket edge (the count in

@@ -38,7 +38,6 @@ type t = {
   mutable head : int; (* next write slot *)
   mutable len : int;
   mutable n_dropped : int;
-  mutable sink : (span -> unit) option;
 }
 
 let dummy_now () = 0.
@@ -54,7 +53,6 @@ let make ~on ?metrics ~now capacity =
     head = 0;
     len = 0;
     n_dropped = 0;
-    sink = None;
   }
 
 let null = make ~on:false ~now:dummy_now 1
@@ -86,12 +84,11 @@ let complete t frame t_end =
     }
   in
   push_ring t s;
-  (match t.mx with
+  match t.mx with
   | Some m ->
       Metrics.incr m ("span." ^ s.name);
       Metrics.observe (Metrics.histogram m ("span.self." ^ s.name)) s.self
-  | None -> ());
-  match t.sink with Some f -> f s | None -> ()
+  | None -> ()
 
 let begin_span t ?(attrs = []) name =
   if not t.on then 0
@@ -158,69 +155,6 @@ let reset t =
   t.len <- 0;
   t.n_dropped <- 0;
   t.stack <- []
-
-let set_sink t f = t.sink <- f
-
-(* -- post-processing ---------------------------------------------------- *)
-
-type tree = { node : span; children : tree list }
-
-let forest spans =
-  (* Children complete before their parent and siblings complete in
-     begin order, so one left-to-right pass with a pending-children
-     table rebuilds the forest. *)
-  let pending : (int, tree list) Hashtbl.t = Hashtbl.create 64 in
-  let ids = Hashtbl.create 64 in
-  List.iter (fun s -> Hashtbl.replace ids s.id ()) spans;
-  let add_pending parent node =
-    let l = Option.value ~default:[] (Hashtbl.find_opt pending parent) in
-    Hashtbl.replace pending parent (node :: l)
-  in
-  let roots = ref [] in
-  List.iter
-    (fun s ->
-      let children =
-        Option.value ~default:[] (Hashtbl.find_opt pending s.id) |> List.rev
-      in
-      Hashtbl.remove pending s.id;
-      let node = { node = s; children } in
-      if s.parent >= 0 && Hashtbl.mem ids s.parent then
-        add_pending s.parent node
-      else roots := node :: !roots)
-    spans;
-  (* Orphans whose parent never completed (still open / evicted). *)
-  Hashtbl.iter (fun _ l -> List.iter (fun n -> roots := n :: !roots) l) pending;
-  List.sort (fun a b -> compare a.node.id b.node.id) !roots
-
-type sh = Sh of string * sh list
-
-let rec shape t = Sh (t.node.name, List.map shape t.children)
-
-let render_forest ?(collapse = true) forest =
-  let buf = Buffer.create 256 in
-  let rec render indent nodes =
-    match nodes with
-    | [] -> ()
-    | n :: rest ->
-        let same, rest =
-          if collapse then
-            let sh = shape n in
-            let rec split acc = function
-              | m :: tl when shape m = sh -> split (acc + 1) tl
-              | tl -> (acc, tl)
-            in
-            split 1 rest
-          else (1, rest)
-        in
-        Buffer.add_string buf indent;
-        Buffer.add_string buf n.node.name;
-        if same > 1 then Buffer.add_string buf (Printf.sprintf " x%d" same);
-        Buffer.add_char buf '\n';
-        render (indent ^ "  ") n.children;
-        render indent rest
-  in
-  render "" forest;
-  Buffer.contents buf
 
 let json_escape s =
   let buf = Buffer.create (String.length s + 8) in

@@ -7,8 +7,7 @@
     deterministic.
 
     Completed spans land in a bounded ring buffer (oldest evicted
-    first) and are also delivered to an optional sink; when the
-    tracer carries a {!Metrics} registry, each completed span
+    first); when the tracer carries a {!Metrics} registry, each completed span
     increments [span.<name>] and observes its self-time into the
     histogram [span.self.<name>].
 
@@ -45,14 +44,7 @@ val span : t -> ?attrs:(string * string) list -> string -> (unit -> 'a) -> 'a
 val instant : t -> ?attrs:(string * string) list -> string -> unit
 (** Zero-duration span marking a point event. *)
 
-val begin_span : t -> ?attrs:(string * string) list -> string -> int
-(** Explicit begin; returns the span id ([0] on a disabled tracer). *)
-
-val end_span : t -> int -> unit
-(** Close the span [id], which must be the innermost open span —
-    crossing or double-ending raises [Invalid_argument].  No-op on a
-    disabled tracer. *)
-
+(* discfs-lint: allow test-only "the golden trace and the span tests check that every span closed" *)
 val depth : t -> int
 (** Number of currently-open spans. *)
 
@@ -69,24 +61,6 @@ val dropped : t -> int
 
 val reset : t -> unit
 (** Clear retained spans, the drop counter and any open spans. *)
-
-val set_sink : t -> (span -> unit) option -> unit
-(** The sink sees every completed span, including ones the ring later
-    evicts. *)
-
-(** {1 Post-processing} *)
-
-type tree = { node : span; children : tree list }
-
-val forest : span list -> tree list
-(** Rebuild the span forest from completed spans in completion order.
-    Spans whose parent was evicted from the ring become roots. *)
-
-val render_forest : ?collapse:bool -> tree list -> string
-(** Names and nesting only (two-space indent), durations omitted so
-    the output survives cost-model recalibration.  With [collapse]
-    (default [true]), consecutive structurally-identical siblings
-    render once with an [xN] count. *)
 
 val span_to_jsonl : span -> string
 (** One JSON object, no trailing newline. *)

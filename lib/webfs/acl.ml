@@ -17,12 +17,8 @@ let grant t ~ino ~principal bits =
     invalid_arg "Acl.grant: unknown user (ACL systems need accounts first)";
   Hashtbl.replace t.entries (ino, norm principal) (bits land 7)
 
-let revoke t ~ino ~principal = Hashtbl.remove t.entries (ino, norm principal)
-
 let lookup t ~ino ~principal =
   match Hashtbl.find_opt t.entries (ino, norm principal) with Some b -> b | None -> 0
-
-let user_count t = Hashtbl.length t.users
 
 let state_bytes t =
   let registry =

@@ -20,19 +20,13 @@ val register_user : t -> principal:string -> unit
 (** Add a user to the server's registry (the "account" DisCFS does
     away with). Idempotent. *)
 
-val is_registered : t -> principal:string -> bool
-
 val grant : t -> ino:int -> principal:string -> bits -> unit
 (** Install an ACL entry; requires the user to be registered
     (raises [Invalid_argument] otherwise — exactly the a-priori
     knowledge requirement). Overwrites any previous entry. *)
 
-val revoke : t -> ino:int -> principal:string -> unit
-
 val lookup : t -> ino:int -> principal:string -> bits
 (** 0 when no entry applies. *)
-
-val user_count : t -> int
 
 val state_bytes : t -> int
 (** Approximate server-side bytes consumed by the registry and ACL

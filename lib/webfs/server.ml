@@ -3,16 +3,9 @@ module Clock = Simnet.Clock
 module Cost = Simnet.Cost
 module Proto = Nfs.Proto
 
-type t = {
-  fs : Ffs.Fs.t;
-  nfs : Nfs.Server.t;
-  acl : Acl.t;
-  server_key : Dcrypto.Dsa.private_key;
-  mutable admin_ops : int;
-}
+type t = { nfs : Nfs.Server.t; acl : Acl.t; mutable admin_ops : int }
 
 let acl t = t.acl
-let server_key t = t.server_key
 let admin_ops t = t.admin_ops
 
 let admin_register t ~principal =
@@ -22,10 +15,6 @@ let admin_register t ~principal =
 let admin_grant t ~ino ~principal ~bits =
   t.admin_ops <- t.admin_ops + 1;
   Acl.grant t.acl ~ino ~principal bits
-
-let admin_revoke t ~ino ~principal =
-  t.admin_ops <- t.admin_ops + 1;
-  Acl.revoke t.acl ~ino ~principal
 
 let required_bits (op : Nfs.Server.op) =
   match op with
@@ -39,8 +28,8 @@ let required_bits (op : Nfs.Server.op) =
   | Nfs.Server.Rmdir ->
     2
 
-let create ~fs ~server_key () =
-  let t = { fs; nfs = Nfs.Server.create ~fs (); acl = Acl.create (); server_key; admin_ops = 0 } in
+let create ~fs () =
+  let t = { nfs = Nfs.Server.create ~fs (); acl = Acl.create (); admin_ops = 0 } in
   let clock = Ffs.Fs.clock fs in
   let charge () = Clock.advance clock Cost.default.Cost.keynote_cached in
   Nfs.Server.set_hooks t.nfs

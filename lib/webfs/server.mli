@@ -11,10 +11,9 @@
 
 type t
 
-val create : fs:Ffs.Fs.t -> server_key:Dcrypto.Dsa.private_key -> unit -> t
+val create : fs:Ffs.Fs.t -> unit -> t
 
 val acl : t -> Acl.t
-val server_key : t -> Dcrypto.Dsa.private_key
 
 val admin_register : t -> principal:string -> unit
 (** Administrator action: create the "account". *)
@@ -24,10 +23,8 @@ val admin_grant : t -> ino:int -> principal:string -> bits:int -> unit
     {!admin_ops}. Raises if the user is not registered. *)
 
 val admin_ops : t -> int
-(** Total administrator interventions so far (registrations +
-    grants + revocations). *)
-
-val admin_revoke : t -> ino:int -> principal:string -> unit
+(** Total administrator interventions so far (registrations and
+    grants). *)
 
 val attach_rpc : t -> Oncrpc.Rpc.server -> unit
 (** Register NFS + mount programs with ACL-enforcing hooks. The

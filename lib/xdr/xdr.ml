@@ -55,10 +55,6 @@ module Enc = struct
     set_be32 t.buf t.len v;
     t.len <- t.len + 4
 
-  let int32 t v =
-    if v < -0x80000000 || v > 0x7fffffff then invalid_arg "Xdr.Enc.int32: out of range";
-    uint32 t (v land 0xffffffff)
-
   let uint64 t v =
     ensure t 8;
     for i = 7 downto 0 do
@@ -198,10 +194,6 @@ module Dec = struct
     in
     t.pos <- t.pos + 4;
     v
-
-  let int32 t =
-    let v = uint32 t in
-    if v land 0x80000000 <> 0 then v - 0x100000000 else v
 
   let uint64 t =
     need t 8;

@@ -40,9 +40,6 @@ module Enc : sig
   val uint32 : t -> int -> unit
   (** Raises [Invalid_argument] outside [0, 2^32). *)
 
-  val int32 : t -> int -> unit
-  (** Two's complement; raises outside [-2^31, 2^31). *)
-
   val uint64 : t -> int64 -> unit
   val bool : t -> bool -> unit
   val opaque : t -> string -> unit
@@ -117,7 +114,6 @@ module Dec : sig
       range outside [s]. *)
 
   val uint32 : t -> int
-  val int32 : t -> int
   val uint64 : t -> int64
   val bool : t -> bool
   val opaque : t -> string

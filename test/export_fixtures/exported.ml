@@ -8,4 +8,6 @@ struct
   let via_functor () = X.base
 end
 
+let seam x = x - 1
 let test_only x = unused (unused x)
+let empty_reason x = x * 2

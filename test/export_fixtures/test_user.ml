@@ -1,3 +1,4 @@
-(* Scanned as test code: [Exported.test_only]'s one reference. *)
+(* Scanned as test code: the one reference to each of [Exported.seam],
+   [Exported.test_only] and [Exported.empty_reason]. *)
 
-let probe () = Exported.test_only 1
+let probe () = Exported.seam (Exported.test_only (Exported.empty_reason 1))

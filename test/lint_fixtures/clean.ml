@@ -5,7 +5,7 @@
 
 let nat_eq = Bignum.Nat.equal
 
-let keys_eq = Dcrypto.Dsa.pub_equal
+let keys_eq a b = String.equal (Dcrypto.Dsa.pub_encode a) (Dcrypto.Dsa.pub_encode b)
 
 let decode_flag = function 0 -> Ok false | 1 -> Ok true | n -> Error n
 

@@ -4,7 +4,9 @@
    the ESP packet. Every function here must produce exactly the bytes
    the arena pipeline does; the hot-path tests assert it over a call
    corpus, and the hotpath benchmark asserts it before comparing the
-   two pipelines' allocations. *)
+   two pipelines' allocations. Beside it, the string forms of the RPC
+   server's entry points, for tests that feed it hand-built
+   datagrams. *)
 
 let str_be32 v = String.init 4 (fun i -> Char.chr ((v lsr ((3 - i) * 8)) land 0xff))
 let str_be64 v = String.init 8 (fun i -> Char.chr ((v lsr ((7 - i) * 8)) land 0xff))
@@ -50,6 +52,35 @@ let encode_reply ~xid outcome =
     Buffer.add_string b results
   | Error stat -> buf_be32 b stat);
   Buffer.contents b
+
+(* The reference REPLY parser: (xid, outcome) with the results copied
+   out. Raises [Xdr.Decode_error] on garbage and [Rpc.Rpc_error] on
+   MSG_DENIED. *)
+let decode_reply datagram =
+  let d = Xdr.Dec.of_string datagram in
+  let xid = Xdr.Dec.uint32 d in
+  if Xdr.Dec.uint32 d <> 1 then raise (Xdr.Decode_error "expected REPLY");
+  if Xdr.Dec.uint32 d <> 0 then
+    raise (Oncrpc.Rpc.Rpc_error (Oncrpc.Rpc.System_err "RPC message denied"));
+  ignore (Xdr.Dec.uint32 d (* verf flavor *));
+  ignore (Xdr.Dec.opaque d (* verf body *));
+  match Xdr.Dec.uint32 d with
+  | 0 -> (xid, Ok (Xdr.Dec.rest d))
+  | 1 -> (xid, Error Oncrpc.Rpc.Prog_unavail)
+  | 3 -> (xid, Error Oncrpc.Rpc.Proc_unavail)
+  | 4 -> (xid, Error Oncrpc.Rpc.Garbage_args)
+  | n -> (xid, Error (Oncrpc.Rpc.System_err (Printf.sprintf "accept_stat %d" n)))
+
+(* The server's entry points on whole datagrams: [dispatch] as the
+   in-line path serves one, [submit_datagram] through the worker
+   queue, each handing back the framed reply as a string. *)
+let dispatch srv ~conn datagram =
+  Option.map Xdr.Enc.to_string (Oncrpc.Rpc.serve srv ~conn (Xdr.Dec.of_string datagram))
+
+let submit_datagram srv ~conn ~reply datagram =
+  Oncrpc.Rpc.submit srv ~conn
+    ~reply:(fun e -> reply (Xdr.Enc.to_string e))
+    (Xdr.Dec.of_string datagram)
 
 (* ChaCha20-Poly1305 ESP under the SA's next sequence number, built by
    concatenation. *)

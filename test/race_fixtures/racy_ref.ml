@@ -12,6 +12,6 @@ let run () =
   Sched.spawn s (fun () ->
       Sched.sleep s 1.0;
       counter := !counter + 1);
-  ignore (Sched.spawn_after s 0.5 (fun () -> counter := !counter + 1));
+  Sched.spawn_at s 0.5 (fun () -> counter := !counter + 1);
   Sched.run s;
   !counter

@@ -4,7 +4,22 @@ module Nat = Bignum.Nat
 module Modarith = Bignum.Modarith
 module Prime = Bignum.Prime
 
-let nat = Alcotest.testable Nat.pp Nat.equal
+(* Decimal text, for readable vectors and failure messages. *)
+let of_decimal s =
+  String.fold_left
+    (fun n c -> Nat.add (Nat.mul n (Nat.of_int 10)) (Nat.of_int (Char.code c - Char.code '0')))
+    Nat.zero s
+
+let rec to_decimal a =
+  if Nat.is_zero a then "0"
+  else
+    let q, r = Nat.divmod a (Nat.of_int 10) in
+    (if Nat.is_zero q then "" else to_decimal q) ^ string_of_int (Nat.to_int r)
+
+let nat = Alcotest.testable (fun fmt a -> Format.pp_print_string fmt (to_decimal a)) Nat.equal
+
+(* Euclid over [Nat], the oracle for when a modular inverse exists. *)
+let rec gcd a b = if Nat.is_zero b then a else gcd b (Nat.rem a b)
 
 (* A deterministic xorshift-based rand_bits good enough for tests. *)
 let test_rand =
@@ -45,19 +60,19 @@ let test_add_sub () =
     (fun () -> ignore (Nat.sub b a))
 
 let test_mul () =
-  let a = Nat.of_decimal "123456789012345678901234567890" in
-  let b = Nat.of_decimal "987654321098765432109876543210" in
+  let a = of_decimal "123456789012345678901234567890" in
+  let b = of_decimal "987654321098765432109876543210" in
   Alcotest.(check string) "big product"
     "121932631137021795226185032733622923332237463801111263526900"
-    (Nat.to_decimal (Nat.mul a b));
+    (to_decimal (Nat.mul a b));
   Alcotest.check nat "mul zero" Nat.zero (Nat.mul a Nat.zero);
   Alcotest.check nat "mul one" a (Nat.mul a Nat.one)
 
 let test_divmod () =
-  let a = Nat.of_decimal "121932631137021795226185032733622923332237463801111263526900" in
-  let b = Nat.of_decimal "987654321098765432109876543210" in
+  let a = of_decimal "121932631137021795226185032733622923332237463801111263526900" in
+  let b = of_decimal "987654321098765432109876543210" in
   let q, r = Nat.divmod a b in
-  Alcotest.(check string) "quotient" "123456789012345678901234567890" (Nat.to_decimal q);
+  Alcotest.(check string) "quotient" "123456789012345678901234567890" (to_decimal q);
   Alcotest.check nat "remainder" Nat.zero r;
   let q2, r2 = Nat.divmod (Nat.succ a) b in
   Alcotest.check nat "quotient+1 rem" Nat.one r2;
@@ -86,9 +101,13 @@ let test_num_bits () =
   Alcotest.(check int) "256" 9 (Nat.num_bits (Nat.of_int 256));
   Alcotest.(check int) "2^100" 101 (Nat.num_bits (Nat.shift_left Nat.one 100))
 
+(* The decimal helpers above carry every big vector in this file, so
+   they are pinned against [Nat]'s own shifts. *)
 let test_decimal_roundtrip () =
   let s = "340282366920938463463374607431768211456" in
-  Alcotest.(check string) "decimal" s (Nat.to_decimal (Nat.of_decimal s))
+  Alcotest.(check string) "decimal" s (to_decimal (of_decimal s));
+  Alcotest.check nat "2^128" (Nat.shift_left Nat.one 128) (of_decimal s);
+  Alcotest.(check string) "zero" "0" (to_decimal (of_decimal "0"))
 
 let test_modexp () =
   (* 2^10 mod 1000 = 24 *)
@@ -108,10 +127,24 @@ let test_modinv () =
   Alcotest.check_raises "no inverse" Not_found (fun () ->
       ignore (Modarith.inv ~m:(Nat.of_int 12) (Nat.of_int 8)))
 
+(* Exhaustively over small moduli: [Modarith.inv] answers exactly when
+   the operands are coprime, and its answer is the reduced inverse. *)
 let test_gcd () =
-  Alcotest.check nat "gcd(12,8)" (Nat.of_int 4)
-    (Modarith.gcd (Nat.of_int 12) (Nat.of_int 8));
-  Alcotest.check nat "gcd(n,0)" (Nat.of_int 7) (Modarith.gcd (Nat.of_int 7) Nat.zero)
+  Alcotest.check nat "gcd(12,8)" (Nat.of_int 4) (gcd (Nat.of_int 12) (Nat.of_int 8));
+  Alcotest.check nat "gcd(n,0)" (Nat.of_int 7) (gcd (Nat.of_int 7) Nat.zero);
+  for m = 2 to 60 do
+    let mn = Nat.of_int m in
+    for a = 0 to m - 1 do
+      let an = Nat.of_int a in
+      let coprime = Nat.equal Nat.one (gcd mn an) in
+      match Modarith.inv ~m:mn an with
+      | x ->
+        if not (coprime && Nat.compare x mn < 0 && Nat.equal Nat.one (Modarith.mul ~m:mn an x))
+        then Alcotest.failf "inv %d mod %d: wrong answer" a m
+      | exception Not_found ->
+        if coprime then Alcotest.failf "inv %d mod %d: coprime but no inverse" a m
+    done
+  done
 
 let test_primality () =
   let is_p n = Prime.is_probably_prime ~rand_bits:test_rand (Nat.of_int n) in
@@ -340,7 +373,7 @@ let prop_inv_multi_limb =
       let m = Nat.add m Nat.two in
       match Modarith.inv ~m a with
       | x -> Nat.compare x m < 0 && Nat.equal Nat.one (Modarith.mul ~m a x)
-      | exception Not_found -> not (Nat.equal (Modarith.gcd m (Nat.rem a m)) Nat.one))
+      | exception Not_found -> not (Nat.equal (gcd m (Nat.rem a m)) Nat.one))
 
 let prop_add_commutes =
   QCheck.Test.make ~name:"add commutes" ~count:200 arb_pair (fun (a, b) ->

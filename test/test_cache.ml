@@ -15,6 +15,7 @@ module Blockdev = Ffs.Blockdev
 module Clock = Simnet.Clock
 module Stats = Simnet.Stats
 module Fault = Simnet.Fault
+module Attr_cache = Nfs.Cache.Make (Nfs.Client)
 
 let expect_nfs_error status f =
   match f () with
@@ -41,35 +42,31 @@ let block dev c = Bytes.make (Blockdev.block_size dev) c
 
 (* --- Bcache unit behaviour ------------------------------------------- *)
 
+(* A fill into the current incarnation; the number it evicted. *)
+let insert c i s = Bcache.insert_if c ~generation:(Bcache.generation c) i (Bytes.of_string s)
+
 let test_bcache_lru () =
   let c = Bcache.create ~capacity:3 in
-  Bcache.insert c 1 (Bytes.of_string "a");
-  Bcache.insert c 2 (Bytes.of_string "b");
-  Bcache.insert c 3 (Bytes.of_string "c");
+  List.iter
+    (fun (i, s) -> Alcotest.(check int) "a fill below capacity evicts nothing" 0 (insert c i s))
+    [ (1, "a"); (2, "b"); (3, "c") ];
   (* Touch 1 so 2 becomes the LRU victim. *)
-  (match Bcache.find c 1 with
+  (match Bcache.find_shared c 1 with
   | Some b -> Alcotest.(check string) "hit returns data" "a" (Bytes.to_string b)
   | None -> Alcotest.fail "expected hit");
-  Bcache.insert c 4 (Bytes.of_string "d");
+  Alcotest.(check int) "one eviction" 1 (insert c 4 "d");
   Alcotest.(check bool) "LRU evicted" false (Bcache.mem c 2);
-  Alcotest.(check bool) "recently used kept" true (Bcache.mem c 1);
-  Alcotest.(check int) "one eviction" 1 (Bcache.evictions c);
-  Alcotest.(check int) "bounded" 3 (Bcache.size c);
-  (* The cache hands out copies: mutating a result must not poison it. *)
-  (match Bcache.find c 3 with
-  | Some b -> Bytes.set b 0 'X'
-  | None -> Alcotest.fail "expected hit");
-  (match Bcache.find c 3 with
-  | Some b -> Alcotest.(check string) "defensive copy" "c" (Bytes.to_string b)
-  | None -> Alcotest.fail "expected hit");
+  Alcotest.(check (list bool)) "bounded: the other three kept" [ true; true; true ]
+    (List.map (Bcache.mem c) [ 1; 3; 4 ]);
+  Alcotest.(check int) "an update evicts nothing" 0 (insert c 3 "C");
   Bcache.drop c;
-  Alcotest.(check int) "drop empties" 0 (Bcache.size c);
-  Alcotest.(check int) "drop keeps counters" 1 (Bcache.evictions c);
+  Alcotest.(check (list bool)) "drop empties" [ false; false; false ]
+    (List.map (Bcache.mem c) [ 1; 3; 4 ]);
   (* Capacity 0 disables caching entirely. *)
   let z = Bcache.create ~capacity:0 in
-  Bcache.insert z 1 (Bytes.of_string "x");
+  Alcotest.(check int) "disabled cache evicts nothing" 0 (insert z 1 "x");
   Alcotest.(check (option string)) "disabled cache stores nothing" None
-    (Option.map Bytes.to_string (Bcache.find z 1))
+    (Option.map Bytes.to_string (Bcache.find_shared z 1))
 
 (* --- buffer cache on the block device -------------------------------- *)
 
@@ -113,15 +110,16 @@ let test_readahead_prefetch () =
   Alcotest.(check int) "two demand reads total" 2 (phys1 - phys0)
 
 (* Regression: evictions caused by a readahead fill used to bypass the
-   registry, which then undercounted what the cache itself reported. *)
+   registry. Every demand miss and every prefetch fills a block that is
+   not cached, so once the cache is full each fill evicts one. *)
 let test_readahead_evictions_counted () =
   let dev, _clock, stats = make_dev ~cache_blocks:4 ~readahead:8 () in
   for i = 0 to 15 do
     ignore (Blockdev.read dev i)
   done;
-  let evictions = Bcache.evictions (Blockdev.bcache dev) in
-  Alcotest.(check bool) "the small cache evicted" true (evictions > 0);
-  Alcotest.(check int) "registry agrees with the cache" evictions
+  let fills = Stats.get stats "bcache.misses" + Stats.get stats "bcache.readahead_blocks" in
+  Alcotest.(check bool) "readahead filled" true (Stats.get stats "bcache.readahead_blocks" > 0);
+  Alcotest.(check int) "every fill past capacity counted as an eviction" (fills - 4)
     (Stats.get stats "bcache.evictions")
 
 let test_failed_write_not_cached () =
@@ -155,7 +153,7 @@ let test_blocks_never_alias_callers () =
     let want = String.make bs c in
     Alcotest.(check string) (label ^ ": read_shared") want
       (Bytes.to_string (Blockdev.read_shared dev i));
-    match Bcache.find (Blockdev.bcache dev) i with
+    match Bcache.find_shared (Blockdev.bcache dev) i with
     | Some b -> Alcotest.(check string) (label ^ ": cached block") want (Bytes.to_string b)
     | None -> ()
   in
@@ -210,19 +208,18 @@ let test_crash_mid_write_no_stale_blocks () =
   let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let fh, _, _ = CC.create admin ~dir:(CC.root admin) "journal.txt" () in
   CC.write_all admin fh "version-1";
-  (* Warm the buffer cache with the freshly written block. *)
+  let counter name = Stats.get (Cluster.stats d) name in
+  (* The write went through the buffer cache: reading it back hits. *)
+  let hits0 = counter "bcache.hits" in
   ignore (CC.read admin fh ~off:0 ~count:9);
-  Alcotest.(check bool) "cache warm before crash" true
-    (Bcache.size (Blockdev.bcache (Cluster.dev d)) > 0);
+  Alcotest.(check bool) "cache warm before crash" true (counter "bcache.hits" > hits0);
   Cluster.crash_and_restart d 0;
-  Alcotest.(check int) "buffer cache dropped by crash" 0
-    (Bcache.size (Blockdev.bcache (Cluster.dev d)));
   let admin2 = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let misses0 = Bcache.misses (Blockdev.bcache (Cluster.dev d)) in
+  let misses0 = counter "bcache.misses" in
   let _, data = CC.read admin2 fh ~off:0 ~count:9 in
   Alcotest.(check string) "write-through data survives the crash" "version-1" data;
   Alcotest.(check bool) "first post-crash read misses (cold cache)" true
-    (Bcache.misses (Blockdev.bcache (Cluster.dev d)) > misses0)
+    (counter "bcache.misses" > misses0)
 
 (* --- policy memo cache ----------------------------------------------- *)
 
@@ -314,12 +311,12 @@ let test_policy_memo_eviction_order () =
   Alcotest.(check (option int)) "hit returns the level" (Some 1)
     (Discfs.Policy_cache.find cache ~key:(key 1));
   Discfs.Policy_cache.add cache ~key:(key 2) 20;
-  Alcotest.(check int) "re-add is no eviction" 0 (Discfs.Policy_cache.evictions cache);
+  let evictions () = Stats.get stats "cache.policy.evictions" in
+  Alcotest.(check int) "re-add is no eviction" 0 (evictions ());
   (* Recency, stalest first: 3, 1, 2. *)
   Discfs.Policy_cache.add cache ~key:(key 4) 4;
   Discfs.Policy_cache.add cache ~key:(key 5) 5;
-  Alcotest.(check int) "two evictions" 2 (Discfs.Policy_cache.evictions cache);
-  Alcotest.(check int) "counted in the registry" 2 (Stats.get stats "cache.policy.evictions");
+  Alcotest.(check int) "two evictions" 2 (evictions ());
   Alcotest.(check int) "bounded" 3 (Discfs.Policy_cache.size cache);
   let hits0 = Discfs.Policy_cache.hits cache in
   Alcotest.(check (list bool)) "3 then 1 evicted; 2, 4, 5 kept"
@@ -333,7 +330,7 @@ let test_policy_memo_eviction_order () =
     (List.map present [ 4; 5; 2; 6 ]);
   Discfs.Policy_cache.flush cache;
   Alcotest.(check int) "flush empties" 0 (Discfs.Policy_cache.size cache);
-  Alcotest.(check int) "flush is no eviction" 3 (Discfs.Policy_cache.evictions cache);
+  Alcotest.(check int) "flush is no eviction" 3 (evictions ());
   let off = Discfs.Policy_cache.create ~stats ~size:0 in
   Discfs.Policy_cache.add off ~key:(key 1) 1;
   Alcotest.(check (option int)) "size 0 stores nothing" None
@@ -345,45 +342,45 @@ let test_attr_cache_expiry_counter () =
   let d = Cfs.Cfs_ne.deploy () in
   let client, root = Cfs.Cfs_ne.connect d () in
   let clock = d.Cfs.Cfs_ne.clock in
-  let cache = Nfs.Cache.create ~client ~clock ~stats:d.Cfs.Cfs_ne.stats () in
+  let stats = Stats.create () in
+  let cache = Attr_cache.create ~client ~clock ~stats () in
+  let c name = Stats.get stats ("cache.attr." ^ name) in
   let fh, _ = Nfs.Client.create_file client root "ttl.txt" Proto.sattr_none in
-  ignore (Nfs.Cache.getattr cache fh) (* cold miss *);
-  ignore (Nfs.Cache.getattr cache fh) (* hit *);
-  Alcotest.(check int) "cold miss is not an expiry" 0 (Nfs.Cache.expiries cache);
+  ignore (Attr_cache.getattr cache fh) (* cold miss *);
+  ignore (Attr_cache.getattr cache fh) (* hit *);
+  Alcotest.(check int) "cold miss is not an expiry" 0 (c "expiries");
   Clock.advance clock 4.0 (* past the 3 s attribute TTL *);
-  ignore (Nfs.Cache.getattr cache fh);
-  Alcotest.(check int) "TTL lapse counted as expiry" 1 (Nfs.Cache.expiries cache);
-  Alcotest.(check int) "and as a miss" 2 (Nfs.Cache.misses cache);
-  Alcotest.(check int) "one hit in between" 1 (Nfs.Cache.hits cache)
+  ignore (Attr_cache.getattr cache fh);
+  Alcotest.(check int) "TTL lapse counted as expiry" 1 (c "expiries");
+  Alcotest.(check int) "and as a miss" 2 (c "misses");
+  Alcotest.(check int) "one hit in between" 1 (c "hits")
 
 (* Regression: the attribute and name caches used to share one
    ["cache.hits"]/["cache.misses"] counter pair, so a name-cache
    pathology (e.g. churn from renames) was indistinguishable from
    attribute-TTL behaviour in any metrics dump. The counters are now
-   split per cache; the aggregates remain for the old consumers. *)
+   split per cache. *)
 let test_cache_metrics_split_by_kind () =
   let d = Cfs.Cfs_ne.deploy () in
   let client, root = Cfs.Cfs_ne.connect d () in
   let clock = d.Cfs.Cfs_ne.clock in
   let stats = Stats.create () in
-  let cache = Nfs.Cache.create ~client ~clock ~stats () in
+  let cache = Attr_cache.create ~client ~clock ~stats () in
   let _ = Nfs.Client.create_file client root "split.txt" Proto.sattr_none in
   (* one attr miss + one attr hit, one name miss + one name hit *)
-  let fh, _ = Nfs.Cache.lookup cache root "split.txt" in
-  let _ = Nfs.Cache.lookup cache root "split.txt" in
+  let fh, _ = Attr_cache.lookup cache root "split.txt" in
+  let _ = Attr_cache.lookup cache root "split.txt" in
   (* the lookup miss refilled fh's attr entry, so age it out first *)
   Clock.advance clock 4.0;
-  let _ = Nfs.Cache.getattr cache fh in
-  let _ = Nfs.Cache.getattr cache fh in
+  let _ = Attr_cache.getattr cache fh in
+  let _ = Attr_cache.getattr cache fh in
   let c name = Stats.get stats name in
   Alcotest.(check int) "attr hits" 1 (c "cache.attr.hits");
   Alcotest.(check int) "attr misses" 1 (c "cache.attr.misses");
   Alcotest.(check int) "name hits" 1 (c "cache.name.hits");
   Alcotest.(check int) "name misses" 1 (c "cache.name.misses");
   Alcotest.(check int) "attr expiry counted per-kind" 1 (c "cache.attr.expiries");
-  Alcotest.(check int) "no name expiries" 0 (c "cache.name.expiries");
-  Alcotest.(check int) "aggregate hits still cover both" 2 (Nfs.Cache.hits cache);
-  Alcotest.(check int) "aggregate misses still cover both" 2 (Nfs.Cache.misses cache)
+  Alcotest.(check int) "no name expiries" 0 (c "cache.name.expiries")
 
 (* Every cache counts into the deployment's one registry whether or
    not tracing is on. *)

@@ -1,15 +1,6 @@
-(* CFS baselines: CFS-NE (paper's base case) and the encrypting CFS
-   extension layered over NFS. *)
+(* The CFS baseline: CFS-NE, the paper's base case. *)
 
 module Proto = Nfs.Proto
-
-let deploy_crypt ?(key = Dcrypto.Sha256.digest "cfs user passphrase") () =
-  let d = Cfs.Cfs_ne.deploy () in
-  let nfs, root = Cfs.Cfs_ne.connect d () in
-  let c =
-    Cfs.Cfs_crypt.create ~nfs ~clock:d.Cfs.Cfs_ne.clock ~cost:Simnet.Cost.default ~key
-  in
-  (d, nfs, root, c)
 
 let test_cfs_ne_is_plain_nfs () =
   let d = Cfs.Cfs_ne.deploy () in
@@ -21,78 +12,7 @@ let test_cfs_ne_is_plain_nfs () =
   Alcotest.(check string) "cleartext on server" "clear text"
     (Ffs.Fs.read d.Cfs.Cfs_ne.fs ino ~off:0 ~len:10)
 
-let test_name_encryption_roundtrip () =
-  let _, _, _, c = deploy_crypt () in
-  List.iter
-    (fun name ->
-      let enc = Cfs.Cfs_crypt.encrypt_name c name in
-      Alcotest.(check bool) "name hidden" false (enc = name);
-      Alcotest.(check string) "roundtrip" name (Cfs.Cfs_crypt.decrypt_name c enc))
-    [ "a"; "paper.tex"; "very-long-file-name-with-dashes.c" ];
-  (* Deterministic: same name encrypts identically (needed for lookup). *)
-  Alcotest.(check string) "deterministic"
-    (Cfs.Cfs_crypt.encrypt_name c "f")
-    (Cfs.Cfs_crypt.encrypt_name c "f")
-
-let test_content_encryption () =
-  let d, _, root, c = deploy_crypt () in
-  let fh = Cfs.Cfs_crypt.create_file c ~dir:root "secret.txt" in
-  let plaintext = String.concat " " (List.init 3000 string_of_int) in
-  Cfs.Cfs_crypt.write_file c fh plaintext;
-  Alcotest.(check string) "decrypts" plaintext (Cfs.Cfs_crypt.read_file c fh);
-  (* The server sees ciphertext, not the plaintext. *)
-  let on_disk = Ffs.Fs.read d.Cfs.Cfs_ne.fs fh.Proto.ino ~off:0 ~len:64 in
-  Alcotest.(check bool) "ciphertext on server" false
-    (String.sub plaintext 0 64 = on_disk)
-
-let test_readdir_decrypts () =
-  let _, _, root, c = deploy_crypt () in
-  ignore (Cfs.Cfs_crypt.create_file c ~dir:root "alpha.c");
-  ignore (Cfs.Cfs_crypt.mkdir c ~dir:root "subdir");
-  let names = List.sort compare (Cfs.Cfs_crypt.readdir c root) in
-  Alcotest.(check (list string)) "plain names" [ "alpha.c"; "subdir" ] names
-
-let test_lookup_through_encryption () =
-  let _, _, root, c = deploy_crypt () in
-  let fh = Cfs.Cfs_crypt.create_file c ~dir:root "find-me" in
-  let fh2, _ = Cfs.Cfs_crypt.lookup c ~dir:root "find-me" in
-  Alcotest.(check int) "same inode" fh.Proto.ino fh2.Proto.ino;
-  Cfs.Cfs_crypt.remove c ~dir:root "find-me";
-  (match Cfs.Cfs_crypt.lookup c ~dir:root "find-me" with
-  | exception Proto.Nfs_error _ -> ()
-  | _ -> Alcotest.fail "removed file still found")
-
-let test_wrong_key_sees_garbage () =
-  let d = Cfs.Cfs_ne.deploy () in
-  let nfs, root = Cfs.Cfs_ne.connect d () in
-  let mk key = Cfs.Cfs_crypt.create ~nfs ~clock:d.Cfs.Cfs_ne.clock ~cost:Simnet.Cost.default ~key in
-  let alice = mk (Dcrypto.Sha256.digest "alice") in
-  let eve = mk (Dcrypto.Sha256.digest "eve") in
-  let fh = Cfs.Cfs_crypt.create_file alice ~dir:root "diary" in
-  Cfs.Cfs_crypt.write_file alice fh "dear diary";
-  (* Eve cannot find the name nor read the content. *)
-  (match Cfs.Cfs_crypt.lookup eve ~dir:root "diary" with
-  | exception Proto.Nfs_error _ -> ()
-  | _ -> Alcotest.fail "eve found alice's name");
-  Alcotest.(check bool) "content garbled for eve" false
-    (Cfs.Cfs_crypt.read_file eve fh = "dear diary")
-
-let prop_crypt_roundtrip =
-  QCheck.Test.make ~name:"cfs-crypt content roundtrip" ~count:25
-    (QCheck.make QCheck.Gen.(string_size (int_range 0 20000)))
-    (fun data ->
-      let _, _, root, c = deploy_crypt () in
-      let fh = Cfs.Cfs_crypt.create_file c ~dir:root "f" in
-      Cfs.Cfs_crypt.write_file c fh data;
-      Cfs.Cfs_crypt.read_file c fh = data)
-
 let suite =
   [
     Alcotest.test_case "cfs-ne stores cleartext" `Quick test_cfs_ne_is_plain_nfs;
-    Alcotest.test_case "name encryption" `Quick test_name_encryption_roundtrip;
-    Alcotest.test_case "content encryption" `Quick test_content_encryption;
-    Alcotest.test_case "readdir decrypts" `Quick test_readdir_decrypts;
-    Alcotest.test_case "lookup through encryption" `Quick test_lookup_through_encryption;
-    Alcotest.test_case "wrong key sees garbage" `Quick test_wrong_key_sees_garbage;
-    QCheck_alcotest.to_alcotest prop_crypt_roundtrip;
   ]

@@ -21,22 +21,20 @@ let test_event_order () =
   let s = Sched.create ~clock in
   let log = ref [] in
   let mark tag () = log := tag :: !log in
-  ignore (Sched.schedule_at s 2.0 (mark "last"));
-  ignore (Sched.schedule_at s 1.0 (mark "tie1"));
-  ignore (Sched.schedule_at s 1.0 (mark "tie2"));
-  let doomed = Sched.schedule_at s 1.5 (mark "cancelled") in
-  Sched.cancel doomed;
-  ignore (Sched.schedule_at s 0.5 (mark "first"));
+  Sched.schedule_at s 2.0 (mark "last");
+  Sched.schedule_at s 1.0 (mark "tie1");
+  Sched.schedule_at s 1.0 (mark "tie2");
+  Sched.schedule_at s 0.5 (mark "first");
   Sched.run s;
   Alcotest.(check (list string))
-    "time ascending, FIFO on ties, cancelled skipped"
+    "time ascending, FIFO on ties"
     [ "first"; "tie1"; "tie2"; "last" ]
     (List.rev !log);
   feq "clock follows the last event" 2.0 (Clock.now clock);
   Alcotest.(check int) "events counted" 4 (Sched.events_run s);
   Alcotest.check_raises "past scheduling rejected"
     (Invalid_argument "Sched.schedule_at: time in the past") (fun () ->
-      ignore (Sched.schedule_at s 1.0 ignore))
+      Sched.schedule_at s 1.0 ignore)
 
 let test_clock_hook_makes_advance_a_sleep () =
   let clock = Clock.create () in
@@ -119,9 +117,8 @@ let test_nan_time_rejected () =
   nan_rejected "Clock.advance" (fun () -> Clock.advance clock Float.nan);
   nan_rejected "Clock.set" (fun () -> Clock.set clock Float.nan);
   feq "the clock did not move" 4.0 (Clock.now clock);
-  nan_rejected "Sched.schedule_after" (fun () -> ignore (Sched.schedule_after s Float.nan ignore));
-  nan_rejected "Sched.spawn_at" (fun () -> ignore (Sched.spawn_at s Float.nan ignore));
-  nan_rejected "Sched.spawn_after" (fun () -> ignore (Sched.spawn_after s Float.nan ignore));
+  nan_rejected "Sched.schedule_after" (fun () -> Sched.schedule_after s Float.nan ignore);
+  nan_rejected "Sched.spawn_at" (fun () -> Sched.spawn_at s Float.nan ignore);
   Sched.attach_clock s;
   let mb = Sched.Mailbox.create () and finished = Sched.Mailbox.create () in
   Sched.spawn s (fun () ->
@@ -137,7 +134,7 @@ let test_nan_time_rejected () =
     (Sched.Mailbox.take s finished ~timeout:0.0);
   feq "and the clock is still finite" 4.0 (Clock.now clock);
   let at_infinity = ref false in
-  ignore (Sched.schedule_at s Float.infinity (fun () -> at_infinity := true));
+  Sched.schedule_at s Float.infinity (fun () -> at_infinity := true);
   Sched.run s;
   Alcotest.(check bool) "infinity is a legal time" true !at_infinity
 
@@ -167,17 +164,14 @@ let test_exception_aborts_run () =
 (* --- the scheduler against a reference model -------------------------- *)
 
 (* A random program over the scheduler's surface: timed thunks (some
-   cancelled at setup or later, some scheduling a follow-up with
-   [schedule_after]), sleepers that wait with [sleep] or a hooked
+   scheduling a follow-up with [schedule_after]), sleepers that wait with [sleep] or a hooked
    [Clock.advance], and one mailbox with a consumer that takes with
    timeouts and thunks that push into it; with or without a tie seed.
    It runs on [Sched] and on a reference that keeps its events in a
    list sorted by (time, tie, seq); the event journal and the log of
    every wake-up, with its time, must match. *)
-type cancel = Keep | Cancel_now | Cancel_at of float
-
 type op =
-  | At of float * cancel * float option (* time, cancellation, follow-up delay *)
+  | At of float * float option (* time, follow-up delay *)
   | Sleeper of float * (float * bool) list (* start, sleeps (dt, through the clock) *)
   | Push of float
 
@@ -190,10 +184,8 @@ type program = {
 let show_program p =
   let f = Printf.sprintf "%g" in
   let op = function
-    | At (t, c, after) ->
-      Printf.sprintf "At %g%s%s" t
-        (match c with Keep -> "" | Cancel_now -> " cancel" | Cancel_at c -> " cancel@" ^ f c)
-        (match after with None -> "" | Some d -> " then+" ^ f d)
+    | At (t, after) ->
+      Printf.sprintf "At %g%s" t (match after with None -> "" | Some d -> " then+" ^ f d)
     | Sleeper (t, ds) ->
       Printf.sprintf "Sleeper %g [%s]" t
         (String.concat ";" (List.map (fun (d, c) -> f d ^ if c then "c" else "") ds))
@@ -210,10 +202,9 @@ let gen_program =
   let open QCheck.Gen in
   let time = oneofl [ 0.0; 0.5; 1.0; 1.5; 2.0; 3.0 ] in
   let dt = oneofl [ 0.0; 0.5; 1.0; 2.0 ] in
-  let cancel = frequency [ (4, return Keep); (1, return Cancel_now); (1, map (fun t -> Cancel_at t) time) ] in
   let op =
     frequency
-      [ (3, map3 (fun t c a -> At (t, c, a)) time cancel (option dt));
+      [ (3, map2 (fun t a -> At (t, a)) time (option dt));
         (2, map2 (fun t ds -> Sleeper (t, ds)) time (list_size (int_range 0 4) (pair dt bool)));
         (2, map (fun t -> Push t) time) ]
   in
@@ -239,40 +230,31 @@ let run_sched p =
   List.iteri
     (fun i op ->
       match op with
-      | At (time, cancel, after) ->
-        let h =
-          Sched.schedule_at s time (fun () ->
-              note (Printf.sprintf "at%d" i);
-              Option.iter
-                (fun d -> ignore (Sched.schedule_after s d (fun () -> note (Printf.sprintf "after%d" i))))
-                after)
-        in
-        (match cancel with
-        | Keep -> ()
-        | Cancel_now -> Sched.cancel h
-        | Cancel_at c -> ignore (Sched.schedule_at s c (fun () -> Sched.cancel h)))
+      | At (time, after) ->
+        Sched.schedule_at s time (fun () ->
+            note (Printf.sprintf "at%d" i);
+            Option.iter
+              (fun d -> Sched.schedule_after s d (fun () -> note (Printf.sprintf "after%d" i)))
+              after)
       | Sleeper (start, sleeps) ->
-        ignore
-          (Sched.spawn_at s start (fun () ->
-               note (Printf.sprintf "start%d" i);
-               List.iteri
-                 (fun j (d, via_clock) ->
-                   if via_clock then Clock.advance clock d else Sched.sleep s d;
-                   note (Printf.sprintf "wake%d.%d" i j))
-                 sleeps))
+        Sched.spawn_at s start (fun () ->
+            note (Printf.sprintf "start%d" i);
+            List.iteri
+              (fun j (d, via_clock) ->
+                if via_clock then Clock.advance clock d else Sched.sleep s d;
+                note (Printf.sprintf "wake%d.%d" i j))
+              sleeps)
       | Push time ->
-        ignore
-          (Sched.schedule_at s time (fun () ->
-               incr pushes;
-               Sched.Mailbox.push s mb !pushes)))
+        Sched.schedule_at s time (fun () ->
+            incr pushes;
+            Sched.Mailbox.push s mb !pushes))
     p.ops;
   Option.iter
     (fun (start, timeouts) ->
-      ignore
-        (Sched.spawn_at s start (fun () ->
-             List.iter
-               (fun timeout -> note ("take:" ^ show_take (Sched.Mailbox.take s mb ~timeout)))
-               timeouts)))
+      Sched.spawn_at s start (fun () ->
+          List.iter
+            (fun timeout -> note ("take:" ^ show_take (Sched.Mailbox.take s mb ~timeout)))
+            timeouts))
     p.consumer;
   Sched.run s;
   (List.rev !journal, List.rev !log, Sched.events_run s)
@@ -339,18 +321,13 @@ module Model = struct
     List.iteri
       (fun i op ->
         match op with
-        | At (time, cancel, follow) ->
-          let ev =
-            at time (fun () ->
-                note (Printf.sprintf "at%d" i);
-                Option.iter
-                  (fun d -> ignore (after d (fun () -> note (Printf.sprintf "after%d" i))))
-                  follow)
-          in
-          (match cancel with
-          | Keep -> ()
-          | Cancel_now -> ev.cancelled <- true
-          | Cancel_at c -> ignore (at c (fun () -> ev.cancelled <- true)))
+        | At (time, follow) ->
+          ignore
+            (at time (fun () ->
+                 note (Printf.sprintf "at%d" i);
+                 Option.iter
+                   (fun d -> ignore (after d (fun () -> note (Printf.sprintf "after%d" i))))
+                   follow))
         | Sleeper (start, sleeps) ->
           let rec go j = function
             | [] -> ()
@@ -555,12 +532,12 @@ let test_coalescing_and_drc_under_retransmits () =
      executing (service takes 1 s) — must coalesce, not re-execute.
      t=5: late retransmission after completion — must replay from the
      DRC, again without re-executing. *)
-  ignore (Sched.schedule_at env.sched 0.0 (fun () ->
-      Rpc.submit_datagram env.srv ~conn ~reply:(reply "orig") data));
-  ignore (Sched.schedule_at env.sched 0.5 (fun () ->
-      Rpc.submit_datagram env.srv ~conn ~reply:(reply "retrans") data));
-  ignore (Sched.schedule_at env.sched 5.0 (fun () ->
-      Rpc.submit_datagram env.srv ~conn ~reply:(reply "late") data));
+  Sched.schedule_at env.sched 0.0 (fun () ->
+      Wire_oracle.submit_datagram env.srv ~conn ~reply:(reply "orig") data);
+  Sched.schedule_at env.sched 0.5 (fun () ->
+      Wire_oracle.submit_datagram env.srv ~conn ~reply:(reply "retrans") data);
+  Sched.schedule_at env.sched 5.0 (fun () ->
+      Wire_oracle.submit_datagram env.srv ~conn ~reply:(reply "late") data);
   Sched.run env.sched;
   Alcotest.(check int) "executed exactly once" 1 !(env.executions);
   Alcotest.(check int) "in-flight retransmit coalesced" 1
@@ -579,13 +556,13 @@ let test_backpressure_accounting () =
   let replies = ref 0 in
   (* Five clients' datagrams land in the same instant: 2 fit the
      queue, the worker has not yet started, 3 are shed. *)
-  ignore (Sched.schedule_at env.sched 0.0 (fun () ->
+  Sched.schedule_at env.sched 0.0 (fun () ->
       for i = 1 to 5 do
         let xid = Rpc.make_xid ~client_id:i ~seq:1 in
         let data = Rpc.encode_call ~xid ~prog:91 ~vers:1 ~proc:1 ~uid:i "" in
         let conn = { Rpc.peer = Printf.sprintf "peer-%d" i; uid = i } in
-        Rpc.submit_datagram env.srv ~conn ~reply:(fun _ -> incr replies) data
-      done));
+        Wire_oracle.submit_datagram env.srv ~conn ~reply:(fun _ -> incr replies) data
+      done);
   Sched.run env.sched;
   Alcotest.(check int) "three datagrams shed" 3 (Stats.get env.stats "rpc.queue_rejects");
   Alcotest.(check int) "queued jobs executed" 2 !(env.executions);
@@ -664,7 +641,7 @@ let test_deploy_concurrent_end_to_end () =
 
 let suite =
   [
-    Alcotest.test_case "event order: time, FIFO ties, cancel" `Quick test_event_order;
+    Alcotest.test_case "event order: time, FIFO ties" `Quick test_event_order;
     Alcotest.test_case "clock hook turns advance into sleep" `Quick
       test_clock_hook_makes_advance_a_sleep;
     Alcotest.test_case "mailbox delivery and timeout" `Quick test_mailbox_delivery_and_timeout;

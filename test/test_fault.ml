@@ -255,10 +255,10 @@ let test_drc_lru_eviction () =
       Ok ());
   let conn = { Rpc.peer = "client-1"; uid = 0 } in
   let call xid =
-    match Rpc.dispatch srv ~conn (Rpc.encode_call ~xid ~prog:7 ~vers:1 ~proc:xid ~uid:0 "x") with
+    match Wire_oracle.dispatch srv ~conn (Rpc.encode_call ~xid ~prog:7 ~vers:1 ~proc:xid ~uid:0 "x") with
     | None -> Alcotest.fail "server dropped a well-formed call"
     | Some datagram ->
-      let rxid, result = Rpc.decode_reply datagram in
+      let rxid, result = Wire_oracle.decode_reply datagram in
       Alcotest.(check int) "xid echoed" xid rxid;
       (match result with
       | Ok body -> body
@@ -338,7 +338,9 @@ let test_ike_rekey () =
   let rekey_time = Clock.now clock -. t0 in
   Alcotest.(check bool) "new tx key" true
     (not
-       (Dcrypto.Secret.equal (Ipsec.Sa.key c2.Ipsec.Ike.tx) (Ipsec.Sa.key c.Ipsec.Ike.tx)));
+       (String.equal
+          (Dcrypto.Secret.reveal (Ipsec.Sa.key c2.Ipsec.Ike.tx))
+          (Dcrypto.Secret.reveal (Ipsec.Sa.key c.Ipsec.Ike.tx))));
   Alcotest.(check string) "peer preserved" c.Ipsec.Ike.peer c2.Ipsec.Ike.peer;
   Alcotest.(check int) "lifetime carried over" 4 (Ipsec.Sa.lifetime c2.Ipsec.Ike.tx);
   let pkt = Ipsec.Esp.seal c2.Ipsec.Ike.tx "fresh keys" in

@@ -369,10 +369,10 @@ let prop_cluster_procs_answer =
           (damaged (args proc) dmg)
       in
       let conn = { Oncrpc.Rpc.peer = Discfs.Cluster.server_principal c 1; uid = 0 } in
-      match Oncrpc.Rpc.dispatch (Discfs.Cluster.node_rpc c 0) ~conn call with
+      match Wire_oracle.dispatch (Discfs.Cluster.node_rpc c 0) ~conn call with
       | None -> false
       | Some reply ->
-        let rxid, _ = Oncrpc.Rpc.decode_reply reply in
+        let rxid, _ = Wire_oracle.decode_reply reply in
         rxid = !xid)
 
 (* --- saved server state ---------------------------------------------------- *)

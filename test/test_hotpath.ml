@@ -95,7 +95,7 @@ let test_reply_bytes_golden () =
         (Printf.sprintf "encode_reply_into stat=%d" stat)
         want (Xdr.Enc.to_string e);
       (* And the receiver parses the frame back to the outcome. *)
-      match (Rpc.decode_reply want, outcome) with
+      match (Wire_oracle.decode_reply want, outcome) with
       | (xid', Ok got), Ok sent ->
         Alcotest.(check int) "reply xid" xid xid';
         Alcotest.(check string) "reply body" sent got
@@ -280,8 +280,9 @@ let test_alloc_guards () =
           alloc_median (fun _ -> Dcrypto.Chacha20.xor_into ~key ~nonce buf ~off:0 ~len:8192),
           1024.0 );
         (* Under Race.null a fill stores the block it is handed: no copy. *)
-        ( "Bcache.insert 8 KB",
-          alloc_median (fun i -> Ffs.Bcache.insert cache (i mod 8) block),
+        ( "Bcache.insert_if 8 KB",
+          alloc_median (fun i ->
+              Ffs.Bcache.insert_if cache ~generation:(Ffs.Bcache.generation cache) (i mod 8) block),
           fill_budget );
       ]
   in
@@ -487,10 +488,13 @@ let pooled_null_alloc peer =
   let sched = Simnet.Sched.create ~clock:d.Cfs.Cfs_ne.clock in
   Simnet.Sched.attach_clock sched;
   Rpc.set_pool d.Cfs.Cfs_ne.rpc ~sched ~workers:2 ~queue_depth:8;
-  let nfs = Nfs.Client.create (Rpc.connect ~link:d.Cfs.Cfs_ne.link ~peer d.Cfs.Cfs_ne.rpc) in
+  let rpc = Rpc.connect ~link:d.Cfs.Cfs_ne.link ~peer d.Cfs.Cfs_ne.rpc in
+  let null () =
+    ignore (Rpc.call rpc ~prog:Nfs.Proto.nfs_prog ~vers:Nfs.Proto.nfs_vers ~proc:Nfs.Proto.nfsproc_null ignore)
+  in
   alloc_median (fun _ ->
       (* discfs-lint: allow races "one call at a time: each sample spawns one process and runs the scheduler dry" *)
-      Simnet.Sched.spawn sched (fun () -> Nfs.Client.null nfs);
+      Simnet.Sched.spawn sched null;
       Simnet.Sched.run sched;
       Alcotest.(check bool) "the NULL call went through the pool" true
         (Rpc.queue_peak d.Cfs.Cfs_ne.rpc > 0))
@@ -530,14 +534,14 @@ let test_untraced_rpc_alloc () =
   let client = Rpc.connect ~link srv in
   let null _ = Rpc.call client ~prog:77 ~vers:1 ~proc:0 ignore in
   let msg = Rpc.encode_call ~xid:5 ~prog:77 ~vers:1 ~proc:0 ~uid:0 "" in
-  let replay _ = Rpc.dispatch srv ~conn:{ Rpc.peer = ""; uid = 0 } msg in
+  let replay _ = Wire_oracle.dispatch srv ~conn:{ Rpc.peer = ""; uid = 0 } msg in
   let over =
     List.filter_map
       (fun (name, got, limit) ->
         if got > limit then Some (Printf.sprintf "%s allocates %.0f B (limit %.0f B)" name got limit)
         else None)
       [ ("Rpc.call NULL", alloc_median null, 223.0);
-        ("Rpc.dispatch DRC replay", alloc_median replay, 46.0) ]
+        ("DRC replay of a NULL datagram", alloc_median replay, 46.0) ]
   in
   if over <> [] then Alcotest.fail (String.concat "; " over);
   Alcotest.(check int) "every measured replay was a DRC hit" 15 (Stats.get stats "rpc.drc_hits")

@@ -4,7 +4,85 @@
 module Ast = Keynote.Ast
 module Parser = Keynote.Parser
 module Expr = Keynote.Expr
-module Pp = Keynote.Pp
+
+(* Prints KeyNote syntax back to source form: the output of
+   [program_to_string] re-parses (with [Parser.conditions]) to a
+   program with identical evaluation semantics; likewise
+   [licensees_to_string] with [Parser.licensees]. *)
+module Pp = struct
+  (* Conservative printer: every sub-expression is parenthesized, so no
+     precedence reasoning is needed for the reparse guarantee. *)
+
+  let quote s =
+    let buf = Buffer.create (String.length s + 2) in
+    Buffer.add_char buf '"';
+    String.iter
+      (fun c ->
+        if c = '"' || c = '\\' then Buffer.add_char buf '\\';
+        Buffer.add_char buf c)
+      s;
+    Buffer.add_char buf '"';
+    Buffer.contents buf
+
+  let rec expr fmt (e : Ast.expr) =
+    match e with
+    | Ast.Str s -> Format.pp_print_string fmt (quote s)
+    | Ast.Num f ->
+      if Float.is_integer f && Float.abs f < 1e15 && f >= 0.0 then Format.fprintf fmt "%.0f" f
+      else if f < 0.0 then Format.fprintf fmt "(0 - %g)" (-.f)
+      else Format.fprintf fmt "%g" f
+    | Ast.Attr name -> Format.pp_print_string fmt name
+    | Ast.Deref e -> Format.fprintf fmt "$(%a)" expr e
+    | Ast.Neg e -> Format.fprintf fmt "(-%a)" expr e
+    | Ast.Add (a, b) -> binop fmt "+" a b
+    | Ast.Sub (a, b) -> binop fmt "-" a b
+    | Ast.Mul (a, b) -> binop fmt "*" a b
+    | Ast.Div (a, b) -> binop fmt "/" a b
+    | Ast.Mod (a, b) -> binop fmt "%" a b
+    | Ast.Pow (a, b) -> binop fmt "^" a b
+    | Ast.Concat (a, b) -> binop fmt "." a b
+
+  and binop fmt op a b = Format.fprintf fmt "(%a %s %a)" expr a op expr b
+
+  let rec test fmt (t : Ast.test) =
+    match t with
+    | Ast.True -> Format.pp_print_string fmt "true"
+    | Ast.False -> Format.pp_print_string fmt "false"
+    | Ast.Not t -> Format.fprintf fmt "!(%a)" test t
+    | Ast.AndT (a, b) -> Format.fprintf fmt "(%a && %a)" test a test b
+    | Ast.OrT (a, b) -> Format.fprintf fmt "(%a || %a)" test a test b
+    | Ast.Eq (a, b) -> rel fmt "==" a b
+    | Ast.Neq (a, b) -> rel fmt "!=" a b
+    | Ast.Lt (a, b) -> rel fmt "<" a b
+    | Ast.Gt (a, b) -> rel fmt ">" a b
+    | Ast.Le (a, b) -> rel fmt "<=" a b
+    | Ast.Ge (a, b) -> rel fmt ">=" a b
+    | Ast.Regex (e, pattern) -> Format.fprintf fmt "(%a ~= %s)" expr e (quote pattern)
+
+  and rel fmt op a b = Format.fprintf fmt "(%a %s %a)" expr a op expr b
+
+  let rec clause fmt (c : Ast.clause) =
+    match c.Ast.result with
+    | Ast.Max_trust -> Format.fprintf fmt "%a" test c.Ast.guard
+    | Ast.Value v -> Format.fprintf fmt "%a -> %s" test c.Ast.guard (quote v)
+    | Ast.Subprogram sub -> Format.fprintf fmt "%a -> { %a }" test c.Ast.guard program sub
+
+  and program fmt (p : Ast.program) =
+    List.iter (fun c -> Format.fprintf fmt "%a; " clause c) p
+
+  let rec licensees fmt (l : Ast.licensees) =
+    match l with
+    | Ast.Principal p -> Format.pp_print_string fmt (quote p)
+    | Ast.And (a, b) -> Format.fprintf fmt "(%a && %a)" licensees a licensees b
+    | Ast.Or (a, b) -> Format.fprintf fmt "(%a || %a)" licensees a licensees b
+    | Ast.Threshold (k, members) ->
+      Format.fprintf fmt "%d-of(%a)" k
+        (Format.pp_print_list ~pp_sep:(fun fmt () -> Format.fprintf fmt ", ") licensees)
+        members
+
+  let program_to_string p = Format.asprintf "%a" program p
+  let licensees_to_string l = Format.asprintf "%a" licensees l
+end
 
 (* --- generators ----------------------------------------------------- *)
 

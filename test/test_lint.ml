@@ -41,14 +41,7 @@ let test_strict_determinism () =
   Alcotest.(check int) "iter, fold, to_seq" 3 (List.length fs);
   (* Even the Exe role honours the in-file requirement... *)
   Alcotest.(check int) "required regardless of role" 3
-    (List.length (check ~role:Lint.Rules.Exe "Bad_sched_determinism"));
-  (* ...and plain library code may still iterate tables freely (the
-     clean fixture's role gating is covered elsewhere; here: no other
-     fixture trips the strict rule). *)
-  Alcotest.(check (list string)) "require directive parsed from source"
-    [ "strict-determinism" ]
-    (List.map Lint.Rules.rule_name
-       (Lint.Rules.required_rules "../test/lint_fixtures/bad_sched_determinism.ml"))
+    (List.length (check ~role:Lint.Rules.Exe "Bad_sched_determinism"))
 
 let test_no_print () =
   let fs = check "Bad_print" in
@@ -87,11 +80,6 @@ let test_hotpath_alloc () =
     (List.exists (starts_with "fresh Enc.create") messages);
   Alcotest.(check bool) "unjustified marker gets the reworded demand" true
     (List.exists (starts_with "Enc.create under an 'allow hotpath-alloc'") messages);
-  (* The file-level directive parses — and is ignored for this rule. *)
-  Alcotest.(check bool) "file-level allow parsed yet ineffective" true
-    (List.mem "hotpath-alloc"
-       (List.map Lint.Rules.rule_name
-          (Lint.Rules.suppressed_rules "../test/lint_fixtures/bad_hotpath_alloc.ml")));
   (* Outside the decode role the rule does not apply at all. *)
   Alcotest.(check int) "lib role unaffected" 0
     (List.length (check ~role:Lint.Rules.Lib "Bad_hotpath_alloc"))
@@ -205,25 +193,112 @@ let test_role_gating () =
 
 let test_suppression () =
   Alcotest.(check int) "allow comment silences the file" 0
-    (List.length (check "Suppressed"));
-  Alcotest.(check (list string)) "suppression parsed from source"
-    [ "mli-coverage"; "no-print" ]
-    (List.sort_uniq String.compare
-       (List.map Lint.Rules.rule_name
-          (Lint.Rules.suppressed_rules "../test/lint_fixtures/suppressed.ml")))
+    (List.length (check "Suppressed"))
 
 let test_clean () =
   Alcotest.(check int) "clean fixture is clean" 0 (List.length (check "Clean"))
 
+(* Every rule's report name is distinct kebab-case, and a directive
+   listing them all, comma- or space-separated, parses back to the
+   same names. The match makes a new rule fail to compile here until
+   it is listed. *)
 let test_rule_names_roundtrip () =
+  let rules =
+    Lint.Rules.
+      [
+        Determinism; Strict_determinism; Poly_compare; No_print; Decode_result; Secret_flow;
+        Mli_coverage; Hotpath_alloc; C_boundary; Monitor_off;
+      ]
+  in
+  let index = function
+    | Lint.Rules.Determinism -> 0
+    | Strict_determinism -> 1
+    | Poly_compare -> 2
+    | No_print -> 3
+    | Decode_result -> 4
+    | Secret_flow -> 5
+    | Mli_coverage -> 6
+    | Hotpath_alloc -> 7
+    | C_boundary -> 8
+    | Monitor_off -> 9
+  in
+  Alcotest.(check (list int)) "every rule listed once" (List.init 10 Fun.id)
+    (List.map index rules);
+  let names = List.map Lint.Rules.rule_name rules in
+  Alcotest.(check int) "names distinct" (List.length names)
+    (List.length (List.sort_uniq String.compare names));
   List.iter
-    (fun r ->
-      match Lint.Rules.rule_of_name (Lint.Rules.rule_name r) with
-      | Some r' when r' = r -> ()
-      | _ -> Alcotest.failf "rule name %s does not round-trip" (Lint.Rules.rule_name r))
-    Lint.Rules.all_rules;
-  Alcotest.(check bool) "unknown name rejected" true
-    (Lint.Rules.rule_of_name "no-such-rule" = None)
+    (fun n ->
+      if n = "" || not (String.for_all (fun c -> (c >= 'a' && c <= 'z') || c = '-') n) then
+        Alcotest.failf "rule name %S is not kebab-case" n)
+    names;
+  let path = Filename.temp_file "rule_names" ".ml" in
+  Out_channel.with_open_text path (fun oc ->
+      Printf.fprintf oc "(* discfs-lint: allow %s *)\n" (String.concat ", " names);
+      Printf.fprintf oc "(* discfs-lint: require %s *)\n" (String.concat " " names));
+  let allow = Lint.Source.directive_words path ~keyword:"allow"
+  and require = Lint.Source.directive_words path ~keyword:"require" in
+  Sys.remove path;
+  Alcotest.(check (list string)) "allow words" names allow;
+  Alcotest.(check (list string)) "require words" names require;
+  (* A directive naming a rule that does not exist suppresses nothing;
+     the real name beside it does. *)
+  let dir = "rule_names_tmp" in
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+  List.iter
+    (fun (file, word) ->
+      Out_channel.with_open_text (Filename.concat dir file) (fun oc ->
+          Printf.fprintf oc "(* discfs-lint: allow %s *)\nlet x = 1\n" word))
+    [ ("known.ml", "mli-coverage"); ("unknown.ml", "no-such-rule") ];
+  Alcotest.(check (list string)) "unknown name rejected"
+    [ Filename.concat dir "unknown.ml" ]
+    (List.map
+       (fun (f : Lint.Rules.finding) -> f.file)
+       (Lint.Rules.check_mli_coverage ~source_root:"." dir))
+
+(* The directive grammar every pass shares, read from the fixture
+   sources: file-level words (also inside a longer comment), and the
+   per-site allowance on the flagged line or the line above, whose
+   empty or missing reason counts as none. *)
+let test_directive_words () =
+  let src f = "../test/lint_fixtures/" ^ f in
+  Alcotest.(check (list string)) "suppression parsed from source"
+    [ "mli-coverage"; "no-print" ]
+    (List.sort_uniq String.compare
+       (Lint.Source.directive_words (src "suppressed.ml") ~keyword:"allow"));
+  Alcotest.(check (list string)) "require directive parsed from source"
+    [ "strict-determinism" ]
+    (Lint.Source.directive_words (src "bad_sched_determinism.ml") ~keyword:"require");
+  Alcotest.(check bool) "file-level allow parsed" true
+    (List.mem "hotpath-alloc"
+       (Lint.Source.directive_words (src "bad_hotpath_alloc.ml") ~keyword:"allow"));
+  Alcotest.(check bool) "no require in a file without one" false
+    (Lint.Source.has_directive (src "suppressed.ml") ~keyword:"require");
+  Alcotest.(check (list string)) "unreadable file has no words" []
+    (Lint.Source.directive_words (src "no_such_file.ml") ~keyword:"allow")
+
+let test_site_allowance () =
+  let site =
+    Alcotest.testable
+      (fun fmt -> function
+        | Lint.Source.Justified w -> Format.fprintf fmt "Justified %S" w
+        | Unjustified -> Format.pp_print_string fmt "Unjustified")
+      ( = )
+  in
+  let at ?(rule = "hotpath-alloc") f line =
+    Lint.Source.site_allowance ("../test/" ^ f) ~line ~rule
+  in
+  let hot = "lint_fixtures/bad_hotpath_alloc.ml" in
+  Alcotest.(check (option site)) "reason on the line above"
+    (Some (Lint.Source.Justified "fixture: the reason, written down")) (at hot 22);
+  Alcotest.(check (option site)) "reason on the line itself"
+    (Some (Lint.Source.Justified "fixture: the reason, written down")) (at hot 21);
+  Alcotest.(check (option site)) "marker without a reason" (Some Lint.Source.Unjustified)
+    (at hot 18);
+  Alcotest.(check (option site)) "no marker" None (at hot 14);
+  Alcotest.(check (option site)) "another rule's marker" None (at ~rule:"races" hot 22);
+  Alcotest.(check (option site)) "empty reason counts as none" (Some Lint.Source.Unjustified)
+    (at ~rule:"races" "race_fixtures/empty_justification.ml" 14)
 
 let test_mli_coverage () =
   Alcotest.(check int) "lib/ fully covered" 0
@@ -271,7 +346,7 @@ let test_races_escaping_ref () =
       Alcotest.(check string) "classified as a ref" "ref" e.Lint.Races.e_kind)
     es;
   Alcotest.(check (list string)) "both entry points recognized"
-    [ "Sched.spawn"; "Sched.spawn_after" ]
+    [ "Sched.spawn"; "Sched.spawn_at" ]
     (List.sort String.compare (List.map (fun e -> e.Lint.Races.e_spawn) es))
 
 let test_races_indirect () =
@@ -338,7 +413,8 @@ let export_unit ext name =
   match Lint.Source.load path with Ok u -> u | Error m -> Alcotest.failf "load %s: %s" path m
 
 (* [Exported]'s interface declares; every fixture module references,
-   [Test_user] as test code. *)
+   [Test_user] as test code. The test-only markers are read from the
+   fixture sources under the build tree's root. *)
 let fixture_exports =
   lazy
     (let t = Lint.Exports.create () in
@@ -347,7 +423,13 @@ let fixture_exports =
        (fun name -> Lint.Exports.reference t ~test:false (export_unit ".cmt" name))
        [ "Exported"; "Alias_user"; "Functor_user" ];
      Lint.Exports.reference t ~test:true (export_unit ".cmt" "Test_user");
-     Lint.Exports.exports t)
+     Lint.Exports.exports t ~source_root:"..")
+
+let status_name = function
+  | Lint.Exports.Used -> "used"
+  | Lint.Exports.Test_only why -> "test-only: " ^ why
+  | Lint.Exports.Unjustified -> "unjustified"
+  | Lint.Exports.Unreferenced -> "unreferenced"
 
 let test_exports_status () =
   Alcotest.(check (list (pair string string)))
@@ -355,25 +437,40 @@ let test_exports_status () =
     [
       ("Export_fixtures.Exported.via_alias", "used");
       ("Export_fixtures.Exported.Make.via_functor", "used");
-      ("Export_fixtures.Exported.test_only", "test-only");
+      ("Export_fixtures.Exported.seam", "test-only: a seam with its reason stated");
+      ("Export_fixtures.Exported.test_only", "unjustified");
+      ("Export_fixtures.Exported.empty_reason", "unjustified");
       ("Export_fixtures.Exported.unused", "unreferenced");
     ]
     (List.map
-       (fun x -> (x.Lint.Exports.x_name, Lint.Exports.status_name x.Lint.Exports.x_status))
+       (fun x -> (x.Lint.Exports.x_name, status_name x.Lint.Exports.x_status))
        (Lazy.force fixture_exports))
 
-let test_exports_report () =
+(* A test-only export without a stated reason fails the gate; one with
+   its reason on the line above its [val] does not, and an empty
+   reason counts as none. *)
+let test_exports_test_only_gate () =
   let xs = Lazy.force fixture_exports in
-  Alcotest.(check (list string)) "only the unreferenced export is a finding"
+  Alcotest.(check (list string)) "the unjustified seams and the unused export are findings"
     [
-      "test/export_fixtures/exported.mli:16:0: [exports] Export_fixtures.Exported.unused is \
+      "test/export_fixtures/exported.mli:17:0: [exports] Export_fixtures.Exported.test_only is \
+       referenced only by tests; give the seam its reason with a (* discfs-lint: allow \
+       test-only \"why\" *) on its val line or the line above, or delete it and test the path \
+       the system runs";
+      "test/export_fixtures/exported.mli:20:0: [exports] Export_fixtures.Exported.empty_reason \
+       is referenced only by tests; give the seam its reason with a (* discfs-lint: allow \
+       test-only \"why\" *) on its val line or the line above, or delete it and test the path \
+       the system runs";
+      "test/export_fixtures/exported.mli:23:0: [exports] Export_fixtures.Exported.unused is \
        exported but no other compilation unit references it; delete the export, and its body \
        unless the module uses it";
     ]
-    (List.map Lint.Exports.render (List.filter Lint.Exports.is_finding xs));
-  Alcotest.(check string) "json lists the test-only and unreferenced entries"
-    "{\"pass\":\"exports\",\"exports\":4,\"entries\":[{\"file\":\"test/export_fixtures/exported.mli\",\"line\":13,\"col\":0,\"name\":\"Export_fixtures.Exported.test_only\",\"status\":\"test-only\"},{\"file\":\"test/export_fixtures/exported.mli\",\"line\":16,\"col\":0,\"name\":\"Export_fixtures.Exported.unused\",\"status\":\"unreferenced\"}],\"unreferenced\":1}"
-    (Lint.Exports.json_of_exports xs)
+    (List.map Lint.Exports.render (List.filter Lint.Exports.is_finding xs))
+
+let test_exports_report () =
+  Alcotest.(check string) "json lists justified and unjustified entries apart"
+    "{\"pass\":\"exports\",\"exports\":6,\"entries\":[{\"file\":\"test/export_fixtures/exported.mli\",\"line\":14,\"col\":0,\"name\":\"Export_fixtures.Exported.seam\",\"status\":\"test-only\",\"justification\":\"a seam with its reason stated\"},{\"file\":\"test/export_fixtures/exported.mli\",\"line\":17,\"col\":0,\"name\":\"Export_fixtures.Exported.test_only\",\"status\":\"unjustified\"},{\"file\":\"test/export_fixtures/exported.mli\",\"line\":20,\"col\":0,\"name\":\"Export_fixtures.Exported.empty_reason\",\"status\":\"unjustified\"},{\"file\":\"test/export_fixtures/exported.mli\",\"line\":23,\"col\":0,\"name\":\"Export_fixtures.Exported.unused\",\"status\":\"unreferenced\"}],\"test_only\":1,\"unjustified\":2,\"unreferenced\":1}"
+    (Lint.Exports.json_of_exports (Lazy.force fixture_exports))
 
 (* --- Pass B: credential-graph analysis -------------------------------- *)
 
@@ -397,13 +494,25 @@ let policy_to principal =
     ~licensees:(Printf.sprintf "\"%s\"" principal)
     ~conditions:"app_domain == \"DisCFS\" -> \"RWX\";" ()
 
-let unsigned = { Credgraph.default_config with verify_signatures = false }
+let unsigned =
+  {
+    Credgraph.values = Credgraph.default_values;
+    now = None;
+    revoked_keys = [];
+    revoked_fingerprints = [];
+    verify_signatures = false;
+  }
 
 let analyze ?(config = unsigned) credentials =
   Credgraph.analyze ~config ~policy:[ policy_to (p "aa") ] ~credentials ()
 
+(* The distinct finding kinds, in report order. *)
 let kind_names report =
-  List.map Credgraph.kind_name (Credgraph.kinds report)
+  List.fold_left
+    (fun acc f ->
+      let k = Credgraph.kind_name f.Credgraph.kind in
+      if List.mem k acc then acc else acc @ [ k ])
+    [] report.Credgraph.findings
 
 let test_graph_clean () =
   let r =
@@ -494,7 +603,7 @@ let test_graph_bad_signature () =
   (* With verification on, an unsigned credential is inadmissible —
      reported, and excluded from the graph (so no secondary noise). *)
   let r =
-    analyze ~config:Credgraph.default_config
+    analyze ~config:{ unsigned with verify_signatures = true }
       [ cred ~auth:(p "aa") ~lic:(p "bb") ~grant:"RW" () ]
   in
   Alcotest.(check (list string)) "bad signature reported" [ "bad-signature" ]
@@ -547,16 +656,14 @@ let test_store_parse_error () =
 let doc_root = ".."
 
 let test_doccheck_libmap () =
-  let m = Lint.Doccheck.lib_map ~root:doc_root in
+  let m = Lint.Source.lib_dirs ~root:doc_root in
   let assoc k = try List.assoc k m with Not_found -> Alcotest.failf "no %s in lib map" k in
-  Alcotest.(check string) "wrapped name maps to directory" "lib/core" (assoc "Discfs");
-  Alcotest.(check string) "name differs from directory" "lib/rpc" (assoc "Oncrpc");
-  Alcotest.(check string) "crypto lib" "lib/crypto" (assoc "Dcrypto")
+  Alcotest.(check string) "wrapped name maps to directory" "lib/core" (assoc "discfs");
+  Alcotest.(check string) "name differs from directory" "lib/rpc" (assoc "oncrpc");
+  Alcotest.(check string) "crypto lib" "lib/crypto" (assoc "dcrypto")
 
 let doc_findings file =
-  Lint.Doccheck.check_file ~root:doc_root
-    ~libmap:(Lint.Doccheck.lib_map ~root:doc_root)
-    ("test/lint_fixtures/docs/" ^ file)
+  Lint.Doccheck.check ~root:doc_root [ "test/lint_fixtures/docs/" ^ file ]
 
 let test_doccheck_bad () =
   let fs = doc_findings "bad.md" in
@@ -580,6 +687,21 @@ let test_doccheck_bad () =
       Alcotest.(check string) "repo-relative path" "test/lint_fixtures/docs/bad.md"
         f.Lint.Doccheck.file)
     fs
+
+(* A code span naming a value, type, label, constructor, exception or
+   submodule is checked against the names the unit's interface
+   declares; the names come from the build's .cmti files. *)
+let test_doccheck_stale_names () =
+  Alcotest.(check (list string)) "each missing name is a finding, the rest resolve"
+    [
+      "test/lint_fixtures/docs/stale_names.md:6: [doc] stale name: Expr.compare_values (Expr \
+       declares no compare_values)";
+      "test/lint_fixtures/docs/stale_names.md:8: [doc] stale name: \
+       Keynote.Expr.compare_values (Expr declares no compare_values)";
+      "test/lint_fixtures/docs/stale_names.md:10: [doc] stale name: Trace.set_sink (Trace \
+       declares no set_sink)";
+    ]
+    (List.map Lint.Doccheck.render_finding (doc_findings "stale_names.md"))
 
 let test_doccheck_clean () =
   Alcotest.(check int) "clean fixture has no findings" 0
@@ -632,6 +754,8 @@ let suite =
     ("pass-a: monitor-off", `Quick, test_monitor_off);
     ("pass-a: clean fixture", `Quick, test_clean);
     ("pass-a: rule names round-trip", `Quick, test_rule_names_roundtrip);
+    ("source: directive words", `Quick, test_directive_words);
+    ("source: per-site allowance", `Quick, test_site_allowance);
     ("pass-a: mli coverage", `Quick, test_mli_coverage);
     ("pass-b: clean store", `Quick, test_graph_clean);
     ("pass-b: cycle", `Quick, test_graph_cycle);
@@ -651,9 +775,11 @@ let suite =
     ("pass-d: json inventory", `Quick, test_races_json);
     ("pass-d: empty justification", `Quick, test_races_empty_justification);
     ("pass-e: export statuses", `Quick, test_exports_status);
+    ("pass-e: test-only exports need a reason", `Quick, test_exports_test_only_gate);
     ("pass-e: findings and json", `Quick, test_exports_report);
     ("pass-c: library map discovery", `Quick, test_doccheck_libmap);
     ("pass-c: seeded doc findings", `Quick, test_doccheck_bad);
+    ("pass-c: stale names in code spans", `Quick, test_doccheck_stale_names);
     ("pass-c: clean fixture and real docs", `Quick, test_doccheck_clean);
     ("pass-c: counter catalogue", `Quick, test_counter_catalogue);
     ("pass-c: unreadable file", `Quick, test_doccheck_missing);

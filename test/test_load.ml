@@ -15,6 +15,11 @@ module Scenario = Load.Scenario
 
 let feq = Alcotest.(check (float 1e-9))
 
+let contains s sub =
+  let n = String.length sub in
+  let rec at i = i + n <= String.length s && (String.sub s i n = sub || at (i + 1)) in
+  at 0
+
 (* --- arrival processes ------------------------------------------------ *)
 
 let sample_moments p ~seed ~n =
@@ -56,27 +61,6 @@ let prop_equal_seeds_equal_streams =
       let b = Arrival.times (Arrival.create ~seed p) ~n:200 in
       a = b)
 
-(* Same law driven onto two fresh schedulers: the event times seen by
-   the callbacks must agree exactly, not just the drawn gaps. *)
-let test_drive_deterministic_across_scheds () =
-  let record () =
-    let clock = Clock.create () in
-    let s = Sched.create ~clock in
-    Sched.attach_clock s;
-    let seen = ref [] in
-    (* discfs-lint: allow races "arrival callbacks run one per slice; the list is read only after Sched.run returns" *)
-    Arrival.drive
-      (Arrival.create ~seed:"drive-det" (Arrival.Poisson { rate = 50.0 }))
-      ~sched:s ~n:100
-      (fun i t -> seen := (i, t, Clock.now clock) :: !seen);
-    Sched.run s;
-    List.rev !seen
-  in
-  let a = record () and b = record () in
-  Alcotest.(check int) "all arrivals fired" 100 (List.length a);
-  Alcotest.(check bool) "identical (i, t_i, clock) triples" true (a = b);
-  List.iter (fun (_, t, now) -> feq "callback runs at its arrival time" t now) a
-
 let test_arrival_validation () =
   let inv f = match f () with
     | exception Invalid_argument _ -> ()
@@ -113,16 +97,16 @@ let test_quantile_golden () =
   Alcotest.(check int) "two observations overflowed" 2 (Metrics.overflow h);
   Alcotest.(check string) "saturated rendering" ">=10"
     (Metrics.quantile_to_string (Metrics.quantile_est h 0.999));
-  Alcotest.(check string) "saturated json" "\">=10\""
-    (Slo.quantile_json (Metrics.quantile_est h 0.999))
+  Alcotest.(check bool) "saturated json" true
+    (contains (Slo.summary_json (Slo.of_histogram h)) "\"p999_s\": \">=10\"")
 
 let test_quantile_edges () =
   let empty = Metrics.make_histogram [| 1.0; 2.0 |] in
   Alcotest.check qe "empty histogram" Metrics.Q_empty (Metrics.quantile_est empty 0.5);
   Alcotest.(check string) "empty rendering" "n/a"
     (Metrics.quantile_to_string (Metrics.quantile_est empty 0.99));
-  Alcotest.(check string) "empty json" "null"
-    (Slo.quantile_json (Metrics.quantile_est empty 0.99));
+  Alcotest.(check bool) "empty json" true
+    (contains (Slo.summary_json (Slo.of_histogram empty)) "\"p99_s\": null");
   let single = Metrics.make_histogram [| 4.0 |] in
   Metrics.observe single 1.0;
   Metrics.observe single 2.0;
@@ -159,10 +143,9 @@ let test_gen_open_loop_queueing () =
       ()
   in
   Sched.run sched;
-  let offered, completed, failed = Gen.stats_of gen in
-  Alcotest.(check int) "all offered" 10 offered;
-  Alcotest.(check int) "all completed" 10 completed;
-  Alcotest.(check int) "none failed" 0 failed;
+  Alcotest.(check int) "all offered" 10 gen.Gen.offered;
+  Alcotest.(check int) "all completed" 10 gen.Gen.completed;
+  Alcotest.(check int) "none failed" 0 gen.Gen.failed;
   Alcotest.(check int) "one histogram observation per completion" 10
     (Metrics.count gen.Gen.latencies);
   (* op i arrives at 0.1*(i+1) but completes at 0.1 + 0.5*(i+1): the
@@ -186,6 +169,37 @@ let test_gen_open_loop_queueing () =
   Sched.run sched2;
   Alcotest.(check bool) "wider pool drains the same offered load sooner" true
     (Gen.makespan gen2 < Gen.makespan gen)
+
+(* The same law offered onto two fresh schedulers: with a channel per
+   op nothing queues, so each op must start exactly at its arrival
+   offset, and the (i, start) pairs must agree run to run, not just
+   the drawn gaps. *)
+let test_offer_deterministic_across_scheds () =
+  let record () =
+    let clock = Clock.create () in
+    let sched = Sched.create ~clock in
+    Sched.attach_clock sched;
+    let starts = Array.make 100 nan in
+    let gen =
+      Gen.offer ~sched
+        ~arrivals:(Arrival.create ~seed:"drive-det" (Arrival.Poisson { rate = 50.0 }))
+        ~ops:100 ~channels:100
+        ~op:(fun i ->
+          starts.(i) <- Clock.now clock;
+          Sched.sleep sched 0.01;
+          true)
+        ()
+    in
+    Sched.run sched;
+    Alcotest.(check int) "all arrivals completed" 100 gen.Gen.completed;
+    starts
+  in
+  let a = record () and b = record () in
+  Alcotest.(check bool) "identical start instants" true (a = b);
+  let expected =
+    Arrival.times (Arrival.create ~seed:"drive-det" (Arrival.Poisson { rate = 50.0 })) ~n:100
+  in
+  Array.iteri (fun i t -> feq "op starts at its arrival time" expected.(i) t) a
 
 (* --- knee ------------------------------------------------------------- *)
 
@@ -306,7 +320,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_poisson_moments;
     QCheck_alcotest.to_alcotest prop_pareto_moments;
     QCheck_alcotest.to_alcotest prop_equal_seeds_equal_streams;
-    ("drive: deterministic across schedulers", `Quick, test_drive_deterministic_across_scheds);
+    ("drive: deterministic across schedulers", `Quick, test_offer_deterministic_across_scheds);
     ("arrival validation + analytic moments", `Quick, test_arrival_validation);
     ("quantile golden", `Quick, test_quantile_golden);
     ("quantile edges", `Quick, test_quantile_edges);

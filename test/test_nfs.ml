@@ -4,6 +4,7 @@
 
 module Proto = Nfs.Proto
 module Rpc = Oncrpc.Rpc
+module Attr_cache = Nfs.Cache.Make (Nfs.Client)
 
 let deploy () =
   let d = Cfs.Cfs_ne.deploy () in
@@ -18,8 +19,9 @@ let expect_nfs_error status f =
   | _ -> Alcotest.failf "expected %s" (Proto.status_to_string status)
 
 let test_mount_and_null () =
-  let _, client, root = deploy () in
-  Nfs.Client.null client;
+  let d, client, root = deploy () in
+  let rpc = Rpc.connect ~link:d.Cfs.Cfs_ne.link d.Cfs.Cfs_ne.rpc in
+  ignore (Rpc.call rpc ~prog:Proto.nfs_prog ~vers:Proto.nfs_vers ~proc:Proto.nfsproc_null ignore);
   let attr = Nfs.Client.getattr client root in
   Alcotest.(check bool) "root is dir" true (attr.Proto.ftype = Proto.NFDIR);
   expect_nfs_error Proto.nfserr_noent (fun () -> ignore (Nfs.Client.mount client "/missing"))
@@ -49,7 +51,7 @@ let test_directories_over_wire () =
   let _ = Nfs.Client.create_file client dir "b" Proto.sattr_none in
   let names = List.map fst (Nfs.Client.readdir client dir) in
   Alcotest.(check (list string)) "entries" [ "."; ".."; "a"; "b" ] names;
-  let fh, _ = Nfs.Client.resolve client ~root "/docs/a" in
+  let fh, _ = Nfs.Client.lookup client dir "a" in
   ignore (Nfs.Client.write client fh ~off:0 "via path");
   Nfs.Client.remove client dir "a";
   expect_nfs_error Proto.nfserr_noent (fun () -> ignore (Nfs.Client.lookup client dir "a"));
@@ -176,7 +178,11 @@ let test_access_procedure () =
     (Nfs.Client.access client root Proto.access_read);
   (* With r-x rights, modify bits disappear. *)
   Nfs.Server.set_hooks d.Cfs.Cfs_ne.nfs_server
-    { Nfs.Server.no_hooks with Nfs.Server.rights = (fun ~conn:_ ~fh:_ -> 5) };
+    {
+      Nfs.Server.authorize = (fun ~conn:_ ~fh:_ ~op:_ -> Ok ());
+      present_attr = (fun ~conn:_ a -> a);
+      rights = (fun ~conn:_ ~fh:_ -> 5);
+    };
   let granted = Nfs.Client.access client root Proto.access_all in
   Alcotest.(check int) "read+lookup+execute only"
     (Proto.access_read lor Proto.access_lookup lor Proto.access_execute)
@@ -186,35 +192,35 @@ let test_client_cache () =
   let d = Cfs.Cfs_ne.deploy () in
   let client, root = Cfs.Cfs_ne.connect d () in
   let clock = d.Cfs.Cfs_ne.clock in
-  let cache = Nfs.Cache.create ~client ~clock ~stats:d.Cfs.Cfs_ne.stats () in
+  let cache = Attr_cache.create ~client ~clock ~stats:d.Cfs.Cfs_ne.stats () in
   let fh, _ = Nfs.Client.create_file client root "cached.txt" Proto.sattr_none in
   ignore (Nfs.Client.write client fh ~off:0 "v1");
   (* Repeated getattrs hit the cache and stop generating RPCs. *)
   let rpcs_before = Simnet.Stats.get d.Cfs.Cfs_ne.stats "rpc.calls" in
-  ignore (Nfs.Cache.getattr cache fh);
-  for _ = 1 to 9 do ignore (Nfs.Cache.getattr cache fh) done;
+  ignore (Attr_cache.getattr cache fh);
+  for _ = 1 to 9 do ignore (Attr_cache.getattr cache fh) done;
   Alcotest.(check int) "one RPC for ten getattrs" 1
     (Simnet.Stats.get d.Cfs.Cfs_ne.stats "rpc.calls" - rpcs_before);
-  Alcotest.(check int) "nine hits" 9 (Nfs.Cache.hits cache);
+  Alcotest.(check int) "nine hits" 9 (Simnet.Stats.get d.Cfs.Cfs_ne.stats "cache.attr.hits");
   (* TTL expiry: advance the virtual clock past 3 s. *)
   Simnet.Clock.advance clock 4.0;
   let rpcs_before = Simnet.Stats.get d.Cfs.Cfs_ne.stats "rpc.calls" in
-  ignore (Nfs.Cache.getattr cache fh);
+  ignore (Attr_cache.getattr cache fh);
   Alcotest.(check int) "expired entry refetches" 1
     (Simnet.Stats.get d.Cfs.Cfs_ne.stats "rpc.calls" - rpcs_before);
   (* Name cache. *)
   let rpcs_before = Simnet.Stats.get d.Cfs.Cfs_ne.stats "rpc.calls" in
-  ignore (Nfs.Cache.lookup cache root "cached.txt");
-  ignore (Nfs.Cache.lookup cache root "cached.txt");
+  ignore (Attr_cache.lookup cache root "cached.txt");
+  ignore (Attr_cache.lookup cache root "cached.txt");
   Alcotest.(check int) "one RPC for two lookups" 1
     (Simnet.Stats.get d.Cfs.Cfs_ne.stats "rpc.calls" - rpcs_before);
   (* Writes through the cache keep attributes current. *)
-  let attr = Nfs.Cache.write cache fh ~off:0 "longer content" in
+  let attr = Attr_cache.write cache fh ~off:0 "longer content" in
   Alcotest.(check int) "size tracked" 14 attr.Proto.size;
-  Alcotest.(check int) "cached getattr agrees" 14 (Nfs.Cache.getattr cache fh).Proto.size;
+  Alcotest.(check int) "cached getattr agrees" 14 (Attr_cache.getattr cache fh).Proto.size;
   (* Remove drops the name entry. *)
-  Nfs.Cache.remove cache root "cached.txt";
-  (match Nfs.Cache.lookup cache root "cached.txt" with
+  Attr_cache.remove cache root "cached.txt";
+  (match Attr_cache.lookup cache root "cached.txt" with
   | exception Proto.Nfs_error s -> Alcotest.(check int) "gone" Proto.nfserr_noent s
   | _ -> Alcotest.fail "removed name still resolves")
 
@@ -225,17 +231,17 @@ let test_client_cache_staleness () =
   let client_a, root = Cfs.Cfs_ne.connect d () in
   let client_b, _ = Cfs.Cfs_ne.connect d () in
   let cache =
-    Nfs.Cache.create ~client:client_a ~clock:d.Cfs.Cfs_ne.clock ~stats:d.Cfs.Cfs_ne.stats ()
+    Attr_cache.create ~client:client_a ~clock:d.Cfs.Cfs_ne.clock ~stats:d.Cfs.Cfs_ne.stats ()
   in
   let fh, _ = Nfs.Client.create_file client_a root "shared" Proto.sattr_none in
-  ignore (Nfs.Cache.getattr cache fh);
+  ignore (Attr_cache.getattr cache fh);
   ignore (Nfs.Client.write client_b fh ~off:0 "surprise");
-  Alcotest.(check int) "stale size within TTL" 0 (Nfs.Cache.getattr cache fh).Proto.size;
+  Alcotest.(check int) "stale size within TTL" 0 (Attr_cache.getattr cache fh).Proto.size;
   Simnet.Clock.advance d.Cfs.Cfs_ne.clock 4.0;
-  Alcotest.(check int) "fresh after TTL" 8 (Nfs.Cache.getattr cache fh).Proto.size
+  Alcotest.(check int) "fresh after TTL" 8 (Attr_cache.getattr cache fh).Proto.size
 
 (* A server on a device the test can fault, driven one raw datagram
-   at a time through [Rpc.dispatch] (so a datagram sent twice is a
+   at a time through [Wire_oracle.dispatch] (so a datagram sent twice is a
    retransmission, answered from the duplicate-request cache). *)
 let raw_testbed () =
   let clock = Simnet.Clock.create () and stats = Simnet.Stats.create () in
@@ -254,7 +260,7 @@ let nfs_datagram ~xid ~proc args =
     (Xdr.Enc.to_string e)
 
 let dispatch rpc datagram =
-  match Rpc.dispatch rpc ~conn:{ Rpc.peer = ""; uid = 0 } datagram with
+  match Wire_oracle.dispatch rpc ~conn:{ Rpc.peer = ""; uid = 0 } datagram with
   | Some reply -> reply
   | None -> Alcotest.fail "server down"
 
@@ -266,7 +272,7 @@ let read_datagram ~xid fh ~off ~count =
       Xdr.Enc.uint32 e count)
 
 let read_data reply =
-  match Rpc.decode_reply reply with
+  match Wire_oracle.decode_reply reply with
   | _, Error _ -> Alcotest.fail "READ faulted"
   | _, Ok results ->
     let d = Xdr.Dec.of_string results in
@@ -323,7 +329,7 @@ let test_multi_read_page_fault () =
   in
   Alcotest.(check int) "the second page failed" (errors + 1)
     (Simnet.Stats.get stats "disk.io_errors");
-  (match Rpc.decode_reply reply with
+  (match Wire_oracle.decode_reply reply with
   | _, Ok results ->
     let e = Xdr.Enc.create () in
     Xdr.Enc.uint32 e Proto.nfserr_io;

@@ -189,15 +189,14 @@ let test_deploy_atomicity_proof () =
 let test_bcache_generation_guard () =
   let b = Ffs.Bcache.create ~capacity:4 in
   let g = Ffs.Bcache.generation b in
-  Ffs.Bcache.insert_if b ~generation:g 0 (Bytes.make 4 'a');
+  ignore (Ffs.Bcache.insert_if b ~generation:g 0 (Bytes.make 4 'a'));
   Alcotest.(check bool) "fresh fill lands" true (Ffs.Bcache.mem b 0);
   Ffs.Bcache.drop b;
   (* the in-flight readahead completes against the old generation *)
-  Ffs.Bcache.insert_if b ~generation:g 1 (Bytes.make 4 'b');
+  ignore (Ffs.Bcache.insert_if b ~generation:g 1 (Bytes.make 4 'b'));
   Alcotest.(check bool) "stale fill refused" false (Ffs.Bcache.mem b 1);
   Alcotest.(check int) "stale fill counted" 1 (Ffs.Bcache.stale_fills b);
-  Ffs.Bcache.insert_if b ~generation:(Ffs.Bcache.generation b) 1
-    (Bytes.make 4 'b');
+  ignore (Ffs.Bcache.insert_if b ~generation:(Ffs.Bcache.generation b) 1 (Bytes.make 4 'b'));
   Alcotest.(check bool) "current-generation fill lands" true
     (Ffs.Bcache.mem b 1)
 
@@ -249,7 +248,7 @@ let test_tie_default_fifo () =
   Alcotest.(check bool) "tie seed off by default" true (Sched.tie_seed s = None);
   for i = 0 to 9 do
     (* discfs-lint: allow races "each process appends in its own slice; the order is read after Sched.run returns" *)
-    ignore (Sched.spawn_at s 1.0 (fun () -> order := i :: !order))
+    Sched.spawn_at s 1.0 (fun () -> order := i :: !order)
   done;
   Sched.run s;
   Alcotest.(check (list int)) "FIFO among ties" [ 0; 1; 2; 3; 4; 5; 6; 7; 8; 9 ]
@@ -262,7 +261,7 @@ let test_tie_seed_deterministic_and_perturbing () =
     Sched.set_tie_seed s seed;
     for i = 0 to 9 do
       (* discfs-lint: allow races "each process appends in its own slice; the order is read after Sched.run returns" *)
-      ignore (Sched.spawn_at s 1.0 (fun () -> order := i :: !order))
+      Sched.spawn_at s 1.0 (fun () -> order := i :: !order)
     done;
     Sched.run s;
     List.rev !order
@@ -385,23 +384,20 @@ let cluster_run ?tie_seed () =
             Sched.sleep sched 0.04
           done))
     readers;
-  ignore
-    (* discfs-lint: allow races "operator actions on the cluster under test; its shared state is exactly what the armed checker and the fingerprint observe" *)
-    (Sched.spawn_at sched (base +. 0.03) (fun () ->
-         List.iter
-           (fun shard ->
-             List.iter
-               (fun server -> ignore (Cluster.renew_lease c ~shard ~server))
-               (Shard_map.shard (Cluster.map c) shard).Shard_map.replicas)
-           shards));
+  (* discfs-lint: allow races "operator actions on the cluster under test; its shared state is exactly what the armed checker and the fingerprint observe" *)
+  Sched.spawn_at sched (base +. 0.03) (fun () ->
+      List.iter
+        (fun shard ->
+          List.iter
+            (fun server -> ignore (Cluster.renew_lease c ~shard ~server))
+            (Shard_map.shard (Cluster.map c) shard).Shard_map.replicas)
+        shards);
   let moved = shard_of (List.hd files) in
-  ignore
-    (* discfs-lint: allow races "operator actions on the cluster under test; its shared state is exactly what the armed checker and the fingerprint observe" *)
-    (Sched.spawn_at sched (base +. 0.06) (fun () ->
-         Cluster.reshard c ~shard:moved ~owner:((owner moved + 2) mod nservers)));
-  ignore
-    (* discfs-lint: allow races "operator actions on the cluster under test; its shared state is exactly what the armed checker and the fingerprint observe" *)
-    (Sched.spawn_at sched (base +. 0.08) (fun () -> Cluster.crash_and_restart c 1));
+  (* discfs-lint: allow races "operator actions on the cluster under test; its shared state is exactly what the armed checker and the fingerprint observe" *)
+  Sched.spawn_at sched (base +. 0.06) (fun () ->
+      Cluster.reshard c ~shard:moved ~owner:((owner moved + 2) mod nservers));
+  (* discfs-lint: allow races "operator actions on the cluster under test; its shared state is exactly what the armed checker and the fingerprint observe" *)
+  Sched.spawn_at sched (base +. 0.08) (fun () -> Cluster.crash_and_restart c 1);
   Sched.run sched;
   let ctx = Option.get (Cluster.race_ctx c) in
   {

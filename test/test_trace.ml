@@ -1,8 +1,8 @@
 (* The observability layer itself: metrics primitives under property
-   tests (bucket monotonicity, count/sum conservation under merge),
-   span-stack balance under randomized interleavings, ring-buffer
-   retention, sink delivery, and the end-to-end determinism the
-   golden-trace file relies on. *)
+   tests (bucket monotonicity, count/sum conservation, quantiles in
+   the true quantile's bucket), span-stack balance under randomized
+   interleavings, ring-buffer retention, and the end-to-end
+   determinism the golden-trace file relies on. *)
 
 module Metrics = Trace.Metrics
 module CC = Discfs.Cluster_client
@@ -111,35 +111,10 @@ let prop_histogram_conservation =
       && abs_float (Metrics.sum h -. List.fold_left ( +. ) 0. values) < 1e-9
       && Array.fold_left ( + ) 0 counts = Metrics.count h)
 
-let prop_histogram_merge =
-  QCheck.Test.make ~name:"merge = histogram of concatenated observations" ~count:200
-    (QCheck.make QCheck.Gen.(triple gen_bounds gen_values gen_values))
-    (fun (bounds, xs, ys) ->
-      let m = Metrics.create () in
-      let ha = Metrics.histogram m ~buckets:bounds "a" in
-      let hb = Metrics.histogram m ~buckets:bounds "b" in
-      let hc = Metrics.histogram m ~buckets:bounds "c" in
-      List.iter (Metrics.observe ha) xs;
-      List.iter (Metrics.observe hb) ys;
-      List.iter (Metrics.observe hc) (xs @ ys);
-      let hm = Metrics.merge ha hb in
-      Metrics.bucket_counts hm = Metrics.bucket_counts hc
-      && Metrics.count hm = Metrics.count hc
-      && abs_float (Metrics.sum hm -. Metrics.sum hc) < 1e-9)
-
-let test_merge_rejects_mismatch () =
-  let m = Metrics.create () in
-  let a = Metrics.histogram m ~buckets:[| 1.; 2. |] "a" in
-  let b = Metrics.histogram m ~buckets:[| 1.; 3. |] "b" in
-  Alcotest.check_raises "incompatible bounds"
-    (Invalid_argument "Metrics.merge: incompatible bucket bounds") (fun () ->
-      ignore (Metrics.merge a b))
-
-let test_cumulative_and_quantile () =
+let test_quantiles () =
   let m = Metrics.create () in
   let h = Metrics.histogram m ~buckets:[| 1.; 2.; 4. |] "h" in
   List.iter (Metrics.observe h) [ 0.5; 0.7; 1.5; 3.0; 100.0 ];
-  Alcotest.(check (array int)) "cumulative monotone" [| 2; 3; 4; 5 |] (Metrics.cumulative h);
   let q p = Metrics.quantile_to_string (Metrics.quantile_est h p) in
   Alcotest.(check string) "p20 interpolates in the first bucket" "0.5" (q 0.2);
   Alcotest.(check string) "median interpolates in its bucket" "1.5" (q 0.5);
@@ -150,28 +125,61 @@ let test_cumulative_and_quantile () =
     | Metrics.Q_at a, Metrics.Q_at b -> a <= b
     | _ -> false)
 
+(* For any quantiles, the estimate falls in the bucket that holds the
+   true order statistic of that rank (the overflow bucket reads as
+   [Q_ge] of the last edge), and it never decreases as q grows. *)
+let prop_quantile_in_true_bucket =
+  QCheck.Test.make ~name:"quantile estimate lies in the true quantile's bucket" ~count:200
+    (QCheck.make
+       QCheck.Gen.(
+         triple gen_bounds gen_values (list_size (int_range 1 10) (float_bound_inclusive 1.))))
+    (fun (bounds, values, qs) ->
+      let m = Metrics.create () in
+      let h = Metrics.histogram m ~buckets:bounds "h" in
+      List.iter (Metrics.observe h) values;
+      let n = List.length values and nb = Array.length bounds in
+      if n = 0 then List.for_all (fun q -> Metrics.quantile_est h q = Metrics.Q_empty) qs
+      else begin
+        let sorted = Array.of_list (List.sort Float.compare values) in
+        let in_true_bucket q =
+          let k = max 1 (int_of_float (Float.ceil (q *. float_of_int n))) in
+          let j = ref_index bounds sorted.(k - 1) in
+          match Metrics.quantile_est h q with
+          | Metrics.Q_empty -> false
+          | Metrics.Q_ge e -> j = nb && e = bounds.(nb - 1)
+          | Metrics.Q_at v -> j < nb && (if j = 0 then 0. else bounds.(j - 1)) <= v && v <= bounds.(j)
+        in
+        let order = function
+          | Metrics.Q_at v -> v
+          | Metrics.Q_ge _ -> infinity
+          | Metrics.Q_empty -> nan
+        in
+        let rec ascending = function
+          | a :: (b :: _ as rest) -> a <= b && ascending rest
+          | _ -> true
+        in
+        List.for_all in_true_bucket qs
+        && ascending
+             (List.map (fun q -> order (Metrics.quantile_est h q)) (List.sort Float.compare qs))
+      end)
+
 (* --- spans: balance and nesting under random interleavings ----------- *)
 
-(* Run a random well-bracketed begin/end program against the tracer,
-   with clock advances in between, then check the recorded spans are
-   balanced and properly nested. Op > 0: push a span; op = 0: pop if
-   possible. *)
+(* Run a random well-bracketed span program against the tracer, with
+   clock advances in between, then check the recorded spans are
+   balanced and properly nested. Op > 0: open a span around what
+   follows; op = 0: close the innermost span (or open one if none is
+   open). Spans still open at the end close innermost first. *)
 let run_program (t, now) ops =
-  let stack = ref [] in
-  List.iter
-    (fun op ->
-      now := !now +. 0.25;
-      if op > 0 || !stack = [] then
-        stack := Trace.begin_span t (Printf.sprintf "s%d" (op mod 5)) :: !stack
-      else begin
-        match !stack with
-        | id :: rest ->
-          Trace.end_span t id;
-          stack := rest
-        | [] -> ()
-      end)
-    ops;
-  List.iter (fun id -> now := !now +. 0.25; Trace.end_span t id) !stack
+  let rec run depth ops =
+    now := !now +. 0.25;
+    match ops with
+    | [] -> []
+    | 0 :: rest when depth > 0 -> rest
+    | op :: rest ->
+      run depth (Trace.span t (Printf.sprintf "s%d" (op mod 5)) (fun () -> run (depth + 1) rest))
+  in
+  ignore (run 0 ops)
 
 let prop_span_balance =
   QCheck.Test.make ~name:"span stack balances under random interleavings" ~count:300
@@ -231,52 +239,73 @@ let test_self_time () =
   let total = List.fold_left (fun acc (s : Trace.span) -> acc +. s.Trace.self) 0. (Trace.spans t) in
   Alcotest.(check (float 1e-9)) "self times sum to wall" 15. total
 
-let test_misuse_raises () =
-  let (t, _) = make_tracer () in
-  (try
-     Trace.end_span t 99;
-     Alcotest.fail "end without begin must raise"
-   with Invalid_argument _ -> ());
-  let a = Trace.begin_span t "a" in
-  let b = Trace.begin_span t "b" in
-  (try
-     Trace.end_span t a;
-     Alcotest.fail "crossing end must raise"
-   with Invalid_argument _ -> ());
-  Trace.end_span t b;
-  Trace.end_span t a;
-  Alcotest.(check int) "balanced after recovery" 0 (Trace.depth t)
-
 let test_span_closes_on_exception () =
   let (t, _) = make_tracer () in
   (try Trace.span t "boom" (fun () -> failwith "x") with Failure _ -> ());
   Alcotest.(check int) "stack unwound" 0 (Trace.depth t);
   Alcotest.(check int) "span recorded" 1 (List.length (Trace.spans t))
 
+(* [current] is the race checker's label for an access: the innermost
+   open span, restored to the enclosing one when a nested span closes
+   by an exception. *)
+let test_current_innermost () =
+  let (t, _) = make_tracer () in
+  Alcotest.(check (option string)) "nothing open" None (Trace.current t);
+  Trace.span t "outer" (fun () ->
+      Alcotest.(check (option string)) "outer open" (Some "outer") (Trace.current t);
+      (try
+         Trace.span t "inner" (fun () ->
+             Alcotest.(check (option string)) "inner open" (Some "inner") (Trace.current t);
+             failwith "x")
+       with Failure _ -> ());
+      Alcotest.(check (option string)) "back to outer" (Some "outer") (Trace.current t);
+      Alcotest.(check int) "one span open" 1 (Trace.depth t));
+  Alcotest.(check (option string)) "all closed" None (Trace.current t);
+  Alcotest.(check (option string)) "null tracer has none" None
+    (Trace.span Trace.null "x" (fun () -> Trace.current Trace.null))
+
+(* An instant is a zero-length span: a child of whatever span is open,
+   with its attributes kept and no self time. *)
+let test_instant_shape () =
+  let (t, now) = make_tracer () in
+  now := 1.;
+  Trace.span t "op" (fun () ->
+      now := 2.;
+      Trace.instant t ~attrs:[ ("k", "v") ] "mark";
+      now := 3.);
+  Trace.instant t "top";
+  match Trace.spans t with
+  | [ mark; op; top ] ->
+    Alcotest.(check string) "instant recorded first" "mark" mark.Trace.name;
+    Alcotest.(check int) "child of the open span" op.Trace.id mark.Trace.parent;
+    Alcotest.(check (float 0.)) "begins now" 2. mark.Trace.t_begin;
+    Alcotest.(check (float 0.)) "zero length" mark.Trace.t_begin mark.Trace.t_end;
+    Alcotest.(check (float 0.)) "no self time" 0. mark.Trace.self;
+    Alcotest.(check (list (pair string string))) "attrs kept" [ ("k", "v") ] mark.Trace.attrs;
+    Alcotest.(check (float 0.)) "parent self time unchanged" 2. op.Trace.self;
+    Alcotest.(check int) "top-level instant is a root" (-1) top.Trace.parent
+  | l -> Alcotest.failf "expected 3 spans, got %d" (List.length l)
+
 let test_null_tracer_noops () =
   let t = Trace.null in
   Alcotest.(check bool) "disabled" false (Trace.enabled t);
-  let id = Trace.begin_span t "x" in
-  Trace.end_span t id;
+  Trace.span t "x" ignore;
   Trace.instant t "y";
   Alcotest.(check int) "nothing recorded" 0 (List.length (Trace.spans t));
   Alcotest.(check int) "depth 0" 0 (Trace.depth t);
   Alcotest.(check string) "span passes value through" "v"
     (Trace.span t "z" (fun () -> "v"))
 
-(* --- ring buffer and sink -------------------------------------------- *)
+(* --- ring buffer ------------------------------------------------------ *)
 
 let test_ring_retention () =
   let (t, _) = make_tracer ~capacity:4 () in
-  let seen = ref [] in
-  Trace.set_sink t (Some (fun s -> seen := s.Trace.name :: !seen));
   for i = 1 to 10 do
     Trace.instant t (Printf.sprintf "e%d" i)
   done;
   let names = List.map (fun (s : Trace.span) -> s.Trace.name) (Trace.spans t) in
   Alcotest.(check (list string)) "last capacity spans retained" [ "e7"; "e8"; "e9"; "e10" ] names;
   Alcotest.(check int) "dropped counted" 6 (Trace.dropped t);
-  Alcotest.(check int) "sink saw everything" 10 (List.length !seen);
   Trace.reset t;
   Alcotest.(check int) "reset empties ring" 0 (List.length (Trace.spans t));
   Alcotest.(check int) "reset clears dropped" 0 (Trace.dropped t)
@@ -303,14 +332,14 @@ let test_forest_and_render () =
       Trace.span t "leaf" (fun () -> tick ());
       Trace.span t "other" (fun () -> tick ()));
   Trace.instant t "tail";
-  let forest = Trace.forest (Trace.spans t) in
+  let forest = Span_forest.forest (Trace.spans t) in
   Alcotest.(check int) "two roots" 2 (List.length forest);
   Alcotest.(check string) "collapsed rendering"
     "root\n  leaf x3\n  other\ntail\n"
-    (Trace.render_forest forest);
+    (Span_forest.render forest);
   Alcotest.(check string) "uncollapsed rendering"
     "root\n  leaf\n  leaf\n  leaf\n  other\ntail\n"
-    (Trace.render_forest ~collapse:false forest)
+    (Span_forest.render ~collapse:false forest)
 
 let test_jsonl () =
   let (t, now) = make_tracer () in
@@ -339,7 +368,7 @@ let test_traced_run_deterministic () =
     | Ok _ -> ()
     | Error e -> failwith e);
     let _ = CC.create client ~dir:(CC.root client) "f" () in
-    Trace.render_forest (Trace.forest (Trace.spans (Discfs.Cluster.trace d)))
+    Span_forest.render (Span_forest.forest (Trace.spans (Discfs.Cluster.trace d)))
   in
   let a = run () and b = run () in
   Alcotest.(check string) "identical forests" a b;
@@ -352,15 +381,15 @@ let suite =
       test_counter_increment_allocates_nothing;
     Alcotest.test_case "bucket monotonicity enforced" `Quick test_bucket_validation;
     QCheck_alcotest.to_alcotest prop_histogram_conservation;
-    QCheck_alcotest.to_alcotest prop_histogram_merge;
-    Alcotest.test_case "merge rejects mismatched buckets" `Quick test_merge_rejects_mismatch;
-    Alcotest.test_case "cumulative and quantile" `Quick test_cumulative_and_quantile;
+    Alcotest.test_case "interpolated quantiles" `Quick test_quantiles;
+    QCheck_alcotest.to_alcotest prop_quantile_in_true_bucket;
     QCheck_alcotest.to_alcotest prop_span_balance;
     Alcotest.test_case "self-time accounting" `Quick test_self_time;
-    Alcotest.test_case "unbalanced end raises" `Quick test_misuse_raises;
     Alcotest.test_case "span closes on exception" `Quick test_span_closes_on_exception;
+    Alcotest.test_case "current names the innermost span" `Quick test_current_innermost;
+    Alcotest.test_case "instant is a zero-length child" `Quick test_instant_shape;
     Alcotest.test_case "null tracer is a no-op" `Quick test_null_tracer_noops;
-    Alcotest.test_case "ring retention + sink" `Quick test_ring_retention;
+    Alcotest.test_case "ring retention" `Quick test_ring_retention;
     Alcotest.test_case "metrics hookup" `Quick test_metrics_hookup;
     Alcotest.test_case "forest and rendering" `Quick test_forest_and_render;
     Alcotest.test_case "jsonl export" `Quick test_jsonl;

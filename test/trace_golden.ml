@@ -28,7 +28,7 @@ let () =
   let _attr, data = CC.read client fh ~off:0 ~count:4096 in
   assert (data = "");
   print_string "# golden trace: attach + create + read (names and nesting only)\n";
-  print_string (Trace.render_forest (Trace.forest (Trace.spans (Discfs.Cluster.trace d))));
+  print_string (Span_forest.render (Span_forest.forest (Trace.spans (Discfs.Cluster.trace d))));
   Printf.printf "# spans: %d, open: %d, dropped: %d\n"
     (List.length (Trace.spans (Discfs.Cluster.trace d)))
     (Trace.depth (Discfs.Cluster.trace d))
