@@ -334,7 +334,7 @@ let scalability () =
       (match CC.submit_credential owner initial with
       | Ok _ -> ()
       | Error e -> failwith e);
-      let fh, _, _ = CC.create owner ~dir:root "shared.txt" () in
+      let fh, _, _ = CC.create owner ~dir:root "shared.txt" in
       let discfs_admin_ops = 1 (* the single initial delegation *) in
       let discfs_apriori_state = 0 in
       (* Users are onboarded with owner-issued credentials only; no
@@ -1095,7 +1095,7 @@ let topo_run ~servers ~clients ~ops ~workers =
   (* The sweep runs 1 to 16 servers over one switched fabric, so the
      one-server row keeps its switch hop too. *)
   let cluster =
-    Cluster.make ~servers ~workers ~queue_depth:64 ~seed:"topo-scaling"
+    Cluster.make ~servers ~workers ~seed:"topo-scaling"
       ~switch_latency:Simnet.Topo.default_switch_latency ()
   in
   let sched = Option.get (Cluster.sched cluster) in
@@ -1103,7 +1103,7 @@ let topo_run ~servers ~clients ~ops ~workers =
   let boot = CC.attach cluster ~identity:(Cluster.admin_identity cluster) ~uid:0 ~home:0 () in
   let conns =
     List.init clients (fun i ->
-        let fh, _, _ = CC.create boot ~dir:(CC.root boot) (Printf.sprintf "t%d.dat" i) () in
+        let fh, _, _ = CC.create boot ~dir:(CC.root boot) (Printf.sprintf "t%d.dat" i) in
         CC.write_all boot fh (String.make 8192 'x');
         let owner = Shard_map.owner (Cluster.map cluster) ~ino:fh.Nfs.Proto.ino in
         let identity = Cluster.new_identity cluster in
@@ -1626,7 +1626,7 @@ let micro_tests () =
   let tx =
     Ipsec.Sa.create ~clock ~cost:Simnet.Cost.default ~stats ~spi:9 ~key:(String.make 32 'k') ()
   in
-  let d = Discfs.Cluster.make ~seed:"micro-deploy" ~cache_size:128 () in
+  let d = Discfs.Cluster.make ~seed:"micro-deploy" () in
   let bob = Discfs.Cluster.new_identity d in
   let client = CC.attach d ~identity:bob () in
   let root = CC.root client in

@@ -102,7 +102,7 @@ let demo seed =
   | Ok fp -> say "5. Bob submits it over RPC; server accepts (fingerprint %s)." fp
   | Error e -> failwith e);
 
-  let fh, _, file_cred = CC.create client ~dir:root "demo.txt" () in
+  let fh, _, file_cred = CC.create client ~dir:root "demo.txt" in
   say "6. Bob creates demo.txt with the DisCFS create call; the server";
   say "   returns a fresh RWX credential (fingerprint %s)."
     (Keynote.Assertion.fingerprint file_cred);
@@ -161,7 +161,7 @@ let cluster servers seed =
     (match CC.submit_credential cc cred with
     | Ok _ -> ()
     | Error e -> failwith e);
-    let fh, _, _ = CC.create cc ~dir:root "demo.txt" () in
+    let fh, _, _ = CC.create cc ~dir:root "demo.txt" in
     CC.write_all cc fh "authority travels with the credential\n";
     let m = Discfs.Cluster.map c in
     let shard = Discfs.Shard_map.shard_of m ~ino:fh.Nfs.Proto.ino in
@@ -217,8 +217,8 @@ let snapshot seed out =
   let d = Discfs.Cluster.make ~seed () in
   let admin = CC.attach d ~identity:(Discfs.Cluster.admin_identity d) ~uid:0 () in
   let root = CC.root admin in
-  let docs, _, _ = CC.mkdir admin ~dir:root "docs" () in
-  let fh, _, _ = CC.create admin ~dir:docs "paper.tex" () in
+  let docs, _, _ = CC.mkdir admin ~dir:root "docs" in
+  let fh, _, _ = CC.create admin ~dir:docs "paper.tex" in
   CC.write_all admin fh
     "\\title{Secure and Flexible Global File Sharing}\n";
   write_file out (Ffs.Fs.save (Discfs.Cluster.fs d));

@@ -123,11 +123,12 @@ let check root dirs excludes exit_zero quiet no_docs json =
   let doc_findings = if no_docs then [] else repo_doc_findings root in
   if json then
     Printf.printf
-      "{\"pass\":\"check\",\"findings\":[%s],\"doc_findings\":[%s],\"races\":%s,\"exports\":%s,\"modules\":%d}\n"
+      "{\"pass\":\"check\",\"findings\":[%s],\"doc_findings\":[%s],\"races\":%s,\"exports\":%s,\"knobs\":%s,\"modules\":%d}\n"
       (json_of_rule_findings findings)
       (json_of_doc_findings doc_findings)
       (Lint.Races.json_of_entries race_entries)
       (Lint.Exports.json_of_exports exports)
+      (Lint.Exports.json_of_knobs exports)
       !n_modules
   else begin
     print_findings findings;

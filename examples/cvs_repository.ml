@@ -31,8 +31,8 @@ let () =
    with
   | Ok _ -> ()
   | Error e -> failwith e);
-  let repo, _, _repo_cred = CC.mkdir owner ~dir:root "cvsroot" () in
-  let paper, _, _ = CC.create owner ~dir:repo "discfs-paper.tex,v" () in
+  let repo, _, _repo_cred = CC.mkdir owner ~dir:root "cvsroot" in
+  let paper, _, _ = CC.create owner ~dir:repo "discfs-paper.tex,v" in
   CC.write_all owner paper "head 1.1;\n1.1\nlog\n@initial@\ntext\n@...@\n";
   say "miltchev created cvsroot/ and checked in discfs-paper.tex,v";
 

@@ -20,9 +20,9 @@ let () =
   let root = CC.root admin in
 
   (* Two files: one for work, one decidedly not. *)
-  let report, _, _ = CC.create admin ~dir:root "quarterly-report.txt" () in
+  let report, _, _ = CC.create admin ~dir:root "quarterly-report.txt" in
   CC.write_all admin report "Q2 numbers: up and to the right.\n";
-  let games, _, _ = CC.create admin ~dir:root "adventure-walkthrough.txt" () in
+  let games, _, _ = CC.create admin ~dir:root "adventure-walkthrough.txt" in
   CC.write_all admin games "XYZZY. Then head north.\n";
 
   let employee = CC.attach d ~identity:(Cluster.new_identity d) ~uid:300 () in

@@ -22,12 +22,12 @@ let () =
   let root = CC.root admin in
 
   (* The site content: a public area and a private area. *)
-  let pub, _, _ = CC.mkdir admin ~dir:root "public" () in
-  let index, _, _ = CC.create admin ~dir:pub "index.html" () in
+  let pub, _, _ = CC.mkdir admin ~dir:root "public" in
+  let index, _, _ = CC.create admin ~dir:pub "index.html" in
   CC.write_all admin index "<h1>Welcome to dsl.cis.upenn.edu</h1>\n";
-  let papers, _, _ = CC.create admin ~dir:pub "papers.html" () in
+  let papers, _, _ = CC.create admin ~dir:pub "papers.html" in
   CC.write_all admin papers "<a href=discfs.ps>DisCFS TR</a>\n";
-  let secret, _, _ = CC.create admin ~dir:root "grades.txt" () in
+  let secret, _, _ = CC.create admin ~dir:root "grades.txt" in
   CC.write_all admin secret "definitely not public\n";
 
   (* The published guest identity — the key pair itself is posted on
@@ -67,7 +67,7 @@ let () =
   done;
 
   (* New content is public immediately — no per-page ACL work. *)
-  let news, _, _ = CC.create admin ~dir:pub "news.html" () in
+  let news, _, _ = CC.create admin ~dir:pub "news.html" in
   CC.write_all admin news "New: USENIX camera-ready posted.\n";
   let v = CC.attach d ~identity:guest_key ~uid:60099 () in
   (match CC.submit_credential v guest_cred with Ok _ -> () | Error e -> failwith e);

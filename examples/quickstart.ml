@@ -39,7 +39,7 @@ let () =
 
   (* Bob writes his paper using the DisCFS create call, which hands
      back a credential for the new file. *)
-  let fh, _, paper_cred = CC.create bob ~dir:root "paper.tex" () in
+  let fh, _, paper_cred = CC.create bob ~dir:root "paper.tex" in
   CC.write_all bob
     fh
     "\\title{Secure and Flexible Global File Sharing}\n\\begin{abstract}...\n";

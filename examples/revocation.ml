@@ -23,7 +23,7 @@ let () =
   let d = Cluster.make ~seed:"revocation" () in
   let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = CC.root admin in
-  let plans, _, _ = CC.create admin ~dir:root "plans.txt" () in
+  let plans, _, _ = CC.create admin ~dir:root "plans.txt" in
   CC.write_all admin plans "The five-year plan.\n";
 
   (* Contractor gets RW; contractor delegates R to a subcontractor. *)
@@ -84,7 +84,7 @@ let () =
   let hour = ref 10 in
   let d2 = Cluster.make ~seed:"expiry" ~hour:(fun () -> !hour) () in
   let admin2 = CC.attach d2 ~identity:(Cluster.admin_identity d2) ~uid:0 () in
-  let f, _, _ = CC.create admin2 ~dir:(CC.root admin2) "temp.txt" () in
+  let f, _, _ = CC.create admin2 ~dir:(CC.root admin2) "temp.txt" in
   CC.write_all admin2 f "temporary";
   let visitor = CC.attach d2 ~identity:(Cluster.new_identity d2) ~uid:500 () in
   let day_pass =

@@ -32,11 +32,11 @@ let () =
   say "Administrator delegated the tree to Bob once; no further admin actions below.";
 
   (* Bob sets up the restricted product directory. *)
-  let dir_fh, _, _dir_cred = CC.mkdir bob ~dir:root "product-x" () in
-  let brochure, _, _ = CC.create bob ~dir:dir_fh "brochure.txt" () in
+  let dir_fh, _, _dir_cred = CC.mkdir bob ~dir:root "product-x" in
+  let brochure, _, _ = CC.create bob ~dir:dir_fh "brochure.txt" in
   CC.write_all bob brochure
     "PRODUCT X - CONFIDENTIAL ADVANCE INFORMATION\nShips Q3. Pricing...\n";
-  let specs, _, _ = CC.create bob ~dir:dir_fh "specs.txt" () in
+  let specs, _, _ = CC.create bob ~dir:dir_fh "specs.txt" in
   CC.write_all bob specs "Technical specifications...\n";
   say "Bob created product-x/{brochure.txt,specs.txt}";
 

@@ -36,7 +36,7 @@ let () =
   (* Each domain hosts a paper draft. *)
   let setup d name text =
     let admin = CC.attach d ~identity:(Discfs.Cluster.admin_identity d) ~uid:0 () in
-    let fh, _, _ = CC.create admin ~dir:(CC.root admin) name () in
+    let fh, _, _ = CC.create admin ~dir:(CC.root admin) name in
     CC.write_all admin fh text;
     fh
   in

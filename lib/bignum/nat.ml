@@ -242,15 +242,9 @@ let of_bytes_be (s : string) : t =
   while !first < String.length s && s.[!first] = '\000' do incr first done;
   of_digits ~w:8 ~first:!first ~last:(String.length s - 1) (fun i -> Char.code s.[i])
 
-let to_bytes_be ?len (a : t) : string =
+let to_bytes_be (a : t) : string =
   let nbytes = (num_bits a + 7) / 8 in
-  let out_len = match len with
-    | None -> max nbytes 1
-    | Some l ->
-      if l < max nbytes 1 && not (is_zero a && l >= 0) then
-        invalid_arg "Nat.to_bytes_be: length too small";
-      l
-  in
+  let out_len = max nbytes 1 in
   let b = Bytes.make out_len '\000' in
   for k = 0 to nbytes - 1 do
     Bytes.set b (out_len - 1 - k) (Char.chr (digit a ~w:8 k))

@@ -68,10 +68,8 @@ val is_odd : t -> bool
 val of_bytes_be : string -> t
 (** Interpret a big-endian byte string as a natural number. *)
 
-val to_bytes_be : ?len:int -> t -> string
-(** Big-endian byte string, minimal length unless [len] pads with
-    leading zeros. Raises [Invalid_argument] if the value needs more
-    than [len] bytes. *)
+val to_bytes_be : t -> string
+(** Big-endian byte string of minimal length (one byte for zero). *)
 
 val of_hex : string -> t
 (** Parse a hexadecimal string (no [0x] prefix, case-insensitive).

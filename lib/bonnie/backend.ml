@@ -44,12 +44,15 @@ let chunked_read_whole read h =
 
 (* --- local FFS ------------------------------------------------------ *)
 
-let ffs_local ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192) () =
+let ffs_local () =
   let clock = Clock.create () in
   let stats = Stats.create () in
   let cost = Cost.local_only in
-  let dev = Ffs.Blockdev.create ~clock ~cost ~stats ~nblocks ~block_size () in
-  let fs = Ffs.Fs.create ~dev ~ninodes in
+  let dev =
+    Ffs.Blockdev.create ~clock ~cost ~stats ~nblocks:Ffs.Testbed.nblocks
+      ~block_size:Ffs.Testbed.block_size ()
+  in
+  let fs = Ffs.Fs.create ~dev ~ninodes:Ffs.Testbed.ninodes in
   let syscall () = Clock.advance clock cost.Cost.syscall in
   let read h ~off ~len =
     syscall ();
@@ -158,9 +161,9 @@ let remote_ops (type c) ?parts (module R : REMOTE with type t = c) (client : c) 
 
 (* --- CFS-NE ----------------------------------------------------------- *)
 
-let cfs_ne ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192) () =
-  let d = Cfs.Cfs_ne.deploy ~nblocks ~block_size ~ninodes () in
-  let nfs, root = Cfs.Cfs_ne.connect d () in
+let cfs_ne () =
+  let d = Cfs.Cfs_ne.deploy () in
+  let nfs, root = Cfs.Cfs_ne.connect d in
   remote_ops (module Nfs.Client) nfs ~label:"CFS-NE" ~clock:d.Cfs.Cfs_ne.clock
     ~stats:d.Cfs.Cfs_ne.stats ~cost:Cost.default ~fs:d.Cfs.Cfs_ne.fs ~root:(Fh root)
 
@@ -179,14 +182,10 @@ module Routed = struct
   let mkdir = nfs_mkdir
 end
 
-let discfs ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192) ?(cache_size = 128)
-    ?cache_blocks ?readahead ?(attr_cache = false) ?attr_ttl ?name_ttl ?(compound = true)
-    ?(servers = 1) ?nshards ?cipher ?fault ?retry ?tracing () =
-  let d =
-    Cluster.make ~nblocks ~block_size ~ninodes ~cache_size ?cache_blocks ?readahead ?fault
-      ?tracing ?nshards ~servers ()
-  in
-  let cc = CC.attach d ~identity:(Cluster.new_identity d) ?cipher ?retry () in
+let discfs ?cache_size ?cache_blocks ?(attr_cache = false) ?attr_ttl ?name_ttl
+    ?(compound = true) ?cipher ?fault ?tracing () =
+  let d = Cluster.make ?cache_size ?cache_blocks ?fault ?tracing () in
+  let cc = CC.attach d ~identity:(Cluster.new_identity d) ?cipher () in
   (* The administrator grants the benchmark user full rights over the
      volume, as the paper's evaluation setup does implicitly. *)
   let cred =
@@ -200,7 +199,7 @@ let discfs ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192) ?(cache_siz
   let clock = Cluster.clock d in
   let ops =
     remote_ops ~parts:(d, cc) (module Routed) cc
-      ~label:(if servers = 1 then "DisCFS" else Printf.sprintf "DisCFS-%dsrv" servers)
+      ~label:"DisCFS"
       ~clock ~stats:(Cluster.stats d) ~cost:Cost.default ~fs:(Cluster.fs d)
       ~root:(Fh (CC.root cc))
   in

@@ -25,17 +25,17 @@ type t = {
   lookup : handle -> string -> handle;
   remove : handle -> string -> unit;
   parts : (Discfs.Cluster.t * Discfs.Cluster_client.t) option;
-      (** The server set and the client behind a {!discfs} backend
+      (** The server and the client behind a {!discfs} backend
           ([None] for the others): cache statistics for the ablation
-          benches, shard-map surgery in the tests. They live exactly
-          as long as the backend value. *)
+          benches. They live exactly as long as the backend value. *)
 }
 
-val ffs_local : ?nblocks:int -> ?block_size:int -> ?ninodes:int -> unit -> t
-(** Direct filesystem calls, no network (the FFS rows). Every
-    operation charges one syscall of CPU. *)
+val ffs_local : unit -> t
+(** Direct filesystem calls, no network (the FFS rows), on the
+    {!Ffs.Testbed} volume. Every operation charges one syscall of
+    CPU. *)
 
-val cfs_ne : ?nblocks:int -> ?block_size:int -> ?ninodes:int -> unit -> t
+val cfs_ne : unit -> t
 (** Plain NFS over the simulated Ethernet (the CFS-NE rows). *)
 
 module Cache : module type of Nfs.Cache.Make (Discfs.Cluster_client)
@@ -43,21 +43,14 @@ module Cache : module type of Nfs.Cache.Make (Discfs.Cluster_client)
     [attr_cache:true]: {!Nfs.Cache} over the routed cluster client. *)
 
 val discfs :
-  ?nblocks:int ->
-  ?block_size:int ->
-  ?ninodes:int ->
   ?cache_size:int ->
   ?cache_blocks:int ->
-  ?readahead:int ->
   ?attr_cache:bool ->
   ?attr_ttl:float ->
   ?name_ttl:float ->
   ?compound:bool ->
-  ?servers:int ->
-  ?nshards:int ->
   ?cipher:Ipsec.Sa.cipher ->
   ?fault:Simnet.Fault.t ->
-  ?retry:Oncrpc.Rpc.retry ->
   ?tracing:bool ->
   unit ->
   t
@@ -66,19 +59,13 @@ val discfs :
     {!Discfs.Cluster_client} holding an administrator-issued
     credential granting RWX over the volume, mirroring the paper's
     benchmark setup; workload creates and mkdirs are the plain NFS
-    procedures.
+    procedures. The server is the paper's two-host testbed,
+    {!Discfs.Cluster.make} with one frontend; every op goes through
+    the cluster client's routing, which at one frontend serves every
+    handle at home.
 
-    [servers] (default 1) sizes the server set: one is the paper's
-    two-host testbed ({!Discfs.Cluster.make}'s defaults), more is a
-    sharded {!Discfs.Cluster} of [nshards] shards whose label is
-    ["DisCFS-<n>srv"]. Every op is
-    routed by handle — mutations to the shard owner, reads to the
-    owner or a leased replica, metadata to the home frontend — with
-    signed redirects correcting a stale shard map in flight, so any
-    Bonnie/search workload runs unchanged against the server set.
-
-    [cache_size] sizes each server's policy memo cache,
-    [cache_blocks] / [readahead] the buffer cache (default off).
+    [cache_size] sizes the server's policy memo cache (default 128)
+    and [cache_blocks] the buffer cache (default off).
     [attr_cache] (default off) routes lookup / read / write / remove
     through a client-side {!Cache} with the given TTLs — repeated
     lookups within [name_ttl] then skip the wire entirely. With
@@ -88,6 +75,5 @@ val discfs :
     MULTI_READ; [compound:false] keeps the per-op NFSv2 pipeline, the
     A/B the latency-breakdown bench measures. [cipher] picks the ESP
     transform; [fault] makes the links and disk lossy (see
-    {!Simnet.Fault}); [retry] tunes the at-least-once RPC
-    retransmission profile; [tracing] turns on the per-layer
+    {!Simnet.Fault}); [tracing] turns on the per-layer
     span/metrics instrumentation (see {!Discfs.Cluster.make}). *)

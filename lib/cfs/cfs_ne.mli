@@ -14,13 +14,9 @@ type t = {
   nfs_server : Nfs.Server.t;
 }
 
-val deploy :
-  ?cost:Simnet.Cost.t ->
-  ?nblocks:int ->
-  ?block_size:int ->
-  ?ninodes:int ->
-  unit ->
-  t
+val deploy : unit -> t
+(** One server on the {!Ffs.Testbed} volume under the 2001-era cost
+    model ({!Simnet.Cost.default}). *)
 
-val connect : t -> ?uid:int -> ?path:string -> unit -> Nfs.Client.t * Nfs.Proto.fh
-(** Plaintext NFS mount. *)
+val connect : t -> Nfs.Client.t * Nfs.Proto.fh
+(** Plaintext NFS mount of ["/"] as uid 1000. *)

@@ -14,7 +14,6 @@ type t = {
   identity : Dcrypto.Dsa.private_key;
   drbg : Dcrypto.Drbg.t;
   uid : int;
-  path : string;
   cipher : Ipsec.Sa.cipher option;
   sa_lifetime : int option;
   retry : Rpc.retry option;
@@ -49,13 +48,12 @@ let establish ~link ~drbg ~identity ~server ~uid ?cipher ?sa_lifetime ?retry rpc
   let channel = Ipsec.Ike.rpc_channel ~client:client_ep ~server:server_ep in
   (Rpc.connect ~link ~channel ~peer:server_ep.Ipsec.Ike.peer ~uid ?retry rpc, client_ep, server_ep)
 
-let attach ~link ~rpc ~server ~identity ~drbg ?(uid = 1000) ?(path = "/") ?cipher ?sa_lifetime
-    ?retry () =
+let attach ~link ~rpc ~server ~identity ~drbg ?(uid = 1000) ?cipher ?sa_lifetime ?retry () =
   let rpc_client, client_ep, server_ep =
     establish ~link ~drbg ~identity ~server ~uid ?cipher ?sa_lifetime ?retry rpc
   in
   let nfs = Nfs.Client.create rpc_client in
-  let root = Nfs.Client.mount nfs path in
+  let root = Nfs.Client.mount nfs "/" in
   let t =
     {
       nfs;
@@ -66,7 +64,6 @@ let attach ~link ~rpc ~server ~identity ~drbg ?(uid = 1000) ?(path = "/") ?ciphe
       identity;
       drbg;
       uid;
-      path;
       cipher;
       sa_lifetime;
       retry;
@@ -86,7 +83,7 @@ let reattach t ~rpc ~server () =
   t.endpoints <- Some (client_ep, server_ep);
   t.server_principal <- client_ep.Ipsec.Ike.peer;
   Rpc.set_before_call rpc_client (fun () -> maybe_rekey t);
-  t.root <- Nfs.Client.mount t.nfs t.path
+  t.root <- Nfs.Client.mount t.nfs "/"
 
 (* Leaving is client-initiated and needs no server cooperation: the
    SAs are forgotten on this side, and any later use of the
@@ -112,12 +109,12 @@ let submit_credential_text t text =
   let d = discfs_call t ~proc:Server.discfsproc_submit (fun e -> Xdr.Enc.string e text) in
   if Xdr.Dec.uint32 d = 0 then Ok (Xdr.Dec.string d) else Error (Xdr.Dec.string d)
 
-let make_node proc t ~dir name ?(perms = 0o644) () =
+let make_node proc t ~dir name =
   let d =
     discfs_call t ~proc (fun e ->
         Proto.fh_encode e dir;
         Xdr.Enc.string e name;
-        Proto.sattr_encode e { Proto.sattr_none with Proto.s_mode = Some perms })
+        Proto.sattr_encode e { Proto.sattr_none with Proto.s_mode = Some 0o644 })
   in
   if Xdr.Dec.uint32 d <> 0 then raise (Discfs_error (Xdr.Dec.string d));
   let fh = Proto.fh_decode d in

@@ -19,15 +19,14 @@ val attach :
   identity:Dcrypto.Dsa.private_key ->
   drbg:Dcrypto.Drbg.t ->
   ?uid:int ->
-  ?path:string ->
   ?cipher:Ipsec.Sa.cipher ->
   ?sa_lifetime:int ->
   ?retry:Oncrpc.Rpc.retry ->
   unit ->
   t
 (** [uid] is the unix-style userid presented at attach time (no local
-    significance on the server); [path] selects the exported subtree
-    (default ["/"]). [sa_lifetime] sets the ESP soft lifetime in
+    significance on the server); the mount is the exported root
+    ["/"]. [sa_lifetime] sets the ESP soft lifetime in
     packets: when an SA reaches it, the next call transparently runs
     the abbreviated {!Ipsec.Ike.rekey} exchange first. [retry]
     overrides the at-least-once retransmission profile. *)
@@ -65,13 +64,14 @@ val call : t -> prog:int -> vers:int -> proc:int -> (Xdr.Enc.t -> unit) -> Xdr.D
 val submit_credential_text : t -> string -> (string, string) result
 (** Submit over RPC; [Ok fingerprint] on success. *)
 
-val create : t -> dir:Nfs.Proto.fh -> string -> ?perms:int ->
-  unit -> Nfs.Proto.fh * Nfs.Proto.fattr * Keynote.Assertion.t
-(** The DisCFS create procedure: makes the file and returns a fresh
-    RWX credential for it issued to this client (paper §5). *)
+val create :
+  t -> dir:Nfs.Proto.fh -> string -> Nfs.Proto.fh * Nfs.Proto.fattr * Keynote.Assertion.t
+(** The DisCFS create procedure: makes the file (mode 0644) and
+    returns a fresh RWX credential for it issued to this client
+    (paper §5). *)
 
-val mkdir : t -> dir:Nfs.Proto.fh -> string -> ?perms:int ->
-  unit -> Nfs.Proto.fh * Nfs.Proto.fattr * Keynote.Assertion.t
+val mkdir :
+  t -> dir:Nfs.Proto.fh -> string -> Nfs.Proto.fh * Nfs.Proto.fattr * Keynote.Assertion.t
 
 val revoke_credential : t -> fingerprint:string -> (unit, string) result
 val revoke_key : t -> principal:string -> (unit, string) result

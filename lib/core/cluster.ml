@@ -333,7 +333,7 @@ let note_write t ~ino =
 (* --- construction ---------------------------------------------------- *)
 
 let default_queue_depth = 64
-let default_nshards = 32
+let nshards = 32
 
 (* One incarnation of a frontend's RPC endpoint, on the shared clock
    (and worker pool, when concurrent). Construction and crash recovery
@@ -346,11 +346,10 @@ let boot_rpc t =
   | _ -> ());
   rpc
 
-let make ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192)
-    ?(cache_size = 128) ?(cache_blocks = 0) ?readahead ?hour ?strict_handles
-    ?(seed = "discfs-deploy") ?fault ?(tracing = false) ?workers
+let make ?(ninodes = Ffs.Testbed.ninodes) ?(cache_size = 128) ?(cache_blocks = 0) ?hour
+    ?strict_handles ?(seed = "discfs-deploy") ?fault ?(tracing = false) ?workers
     ?(queue_depth = default_queue_depth) ?(racecheck = false) ?tie_seed ?switch_latency
-    ?(nshards = default_nshards) ?(servers = 1) () =
+    ?(servers = 1) () =
   if servers < 1 then invalid_arg "Cluster.make: servers < 1";
   (* One host has no switch hop: the paper's two-host testbed is a
      single wire between server and client. *)
@@ -366,10 +365,11 @@ let make ?(nblocks = 16384) ?(block_size = 8192) ?(ninodes = 8192)
     if tracing then Trace.create ~metrics:stats ~now:(fun () -> Clock.now clock) ()
     else Trace.null
   in
-  let topo = Topo.create ~clock ~cost ~stats ~switch_latency () in
+  let topo = Topo.create ~clock ~cost ~stats ~switch_latency in
   Topo.set_trace topo trace;
   let dev =
-    Ffs.Blockdev.create ~cache_blocks ?readahead ~clock ~cost ~stats ~nblocks ~block_size ()
+    Ffs.Blockdev.create ~cache_blocks ~clock ~cost ~stats ~nblocks:Ffs.Testbed.nblocks
+      ~block_size:Ffs.Testbed.block_size ()
   in
   Ffs.Blockdev.set_trace dev trace;
   (* One injector for every wire and the disk: hosts added below

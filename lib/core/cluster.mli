@@ -39,13 +39,12 @@ type node
 type t
 
 val make :
-  ?nblocks:int ->
-  ?block_size:int ->
+  (* discfs-lint: allow test-only "the inode-reuse tests shrink the table so the allocator recycles a freed inode within a few creates (paper §5)" *)
   ?ninodes:int ->
   ?cache_size:int ->
   ?cache_blocks:int ->
-  ?readahead:int ->
   ?hour:(unit -> int) ->
+  (* discfs-lint: allow test-only "the inode-reuse tests show the paper's weakness (§5) and the generation-bound fix" *)
   ?strict_handles:bool ->
   ?seed:string ->
   ?fault:Simnet.Fault.t ->
@@ -55,20 +54,20 @@ val make :
   ?racecheck:bool ->
   ?tie_seed:int64 ->
   ?switch_latency:float ->
-  ?nshards:int ->
   ?servers:int ->
   unit ->
   t
 (** Build [servers] (default 1) frontends, each with its own host
     (access link), RPC endpoint and DisCFS server over the one shared
-    volume and credential store. [nshards] (default 32) sizes the shard space;
+    volume and credential store, over a space of 32 shards;
     [switch_latency] is the fabric hop added to every access link
     (see {!Simnet.Topo.create}), by default
     {!Simnet.Topo.default_switch_latency}, or [0.] at one server.
     Deterministic for a fixed [seed] (default ["discfs-deploy"]): the
     administrator key, then the host keys in index order, are drawn
-    from the DRBG. The other defaults are 8 K blocks, 16 Ki blocks (a
-    128 MB volume), 8 Ki inodes and a policy cache of 128. Every
+    from the DRBG. The volume is the {!Ffs.Testbed} geometry (8 K
+    blocks, a 128 MB volume, 8 Ki inodes unless [ninodes] shrinks the
+    table), and the policy cache holds 128 entries. Every
     cluster runs the 2001-era cost model ({!Simnet.Cost.default}) and
     grants replica leases for one virtual hour.
 
@@ -80,9 +79,13 @@ val make :
     node 0's parts are {!node_server}, {!node_rpc} and {!node_link}.
 
     [cache_blocks] (default [0] — off, the paper-faithful baseline)
-    sizes the shared volume's buffer cache in blocks and [readahead]
-    its sequential-prefetch window (see {!Ffs.Blockdev.create}); both
-    are server memory and are dropped by {!crash_and_restart}.
+    sizes the shared volume's buffer cache in blocks, with
+    {!Ffs.Blockdev.create}'s sequential prefetch; it is server memory
+    and is dropped by {!crash_and_restart}.
+
+    [strict_handles] (default off, the paper's handles) binds a
+    credential's handle to the inode's generation as well as its
+    number (see {!Server.create}).
 
     [fault] attaches one fault injector to every host's link and to
     the block device. [tracing] (default off) creates a {!Trace.t}

@@ -26,7 +26,6 @@ type t = {
   identity : Dsa.private_key;
   uid : int;
   home : int;
-  path : string;
   cipher : Ipsec.Sa.cipher option;
   sa_lifetime : int option;
   retry : Rpc.retry option;
@@ -57,7 +56,7 @@ let attach_node t i =
     ~drbg:
       (Cluster.fork_drbg t.cluster
          ~label:(Printf.sprintf "attach-%s-%d" (principal t) t.attaches))
-    ~uid:t.uid ~path:t.path ?cipher:t.cipher ?sa_lifetime:t.sa_lifetime ?retry:t.retry ()
+    ~uid:t.uid ?cipher:t.cipher ?sa_lifetime:t.sa_lifetime ?retry:t.retry ()
 
 let conn t i =
   if t.detached then raise (Discfs_error "client is detached");
@@ -216,8 +215,7 @@ let routed t ~(fh : Proto.fh) ~cls f =
 
 (* --- construction ---------------------------------------------------- *)
 
-let attach cluster ~identity ?(uid = 1000) ?(home = 0) ?(path = "/") ?cipher ?sa_lifetime
-    ?retry () =
+let attach cluster ~identity ?(uid = 1000) ?(home = 0) ?cipher ?sa_lifetime ?retry () =
   if home < 0 || home >= Cluster.nservers cluster then
     invalid_arg "Cluster_client.attach: home out of range";
   let t =
@@ -226,7 +224,6 @@ let attach cluster ~identity ?(uid = 1000) ?(home = 0) ?(path = "/") ?cipher ?sa
       identity;
       uid;
       home;
-      path;
       cipher;
       sa_lifetime;
       retry;
@@ -342,11 +339,8 @@ let link t ~target ~dir name =
 (* DisCFS create/mkdir route like any other namespace mutation — by
    the directory's shard. The issuing frontend admits the returned
    credential to the shared store. *)
-let create t ~dir name ?perms () =
-  routed t ~fh:dir ~cls:Wr (fun c -> Client.create c ~dir name ?perms ())
-
-let mkdir t ~dir name ?perms () =
-  routed t ~fh:dir ~cls:Wr (fun c -> Client.mkdir c ~dir name ?perms ())
+let create t ~dir name = routed t ~fh:dir ~cls:Wr (fun c -> Client.create c ~dir name)
+let mkdir t ~dir name = routed t ~fh:dir ~cls:Wr (fun c -> Client.mkdir c ~dir name)
 
 let resolve t path =
   let parts = List.filter (fun s -> s <> "" && s <> ".") (String.split_on_char '/' path) in

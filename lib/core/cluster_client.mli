@@ -40,7 +40,6 @@ val attach :
   identity:Dcrypto.Dsa.private_key ->
   ?uid:int ->
   ?home:int ->
-  ?path:string ->
   ?cipher:Ipsec.Sa.cipher ->
   ?sa_lifetime:int ->
   ?retry:Oncrpc.Rpc.retry ->
@@ -48,8 +47,8 @@ val attach :
   t
 (** IKE + mount against the [home] frontend (default 0), then an
     initial GETMAP (none at one frontend). [uid] (default 1000) is
-    presented at attach; [path] selects the exported subtree (default
-    ["/"]); [sa_lifetime] is the ESP soft lifetime in packets, after
+    presented at attach, and the mount is the exported root ["/"];
+    [sa_lifetime] is the ESP soft lifetime in packets, after
     which the next call first runs {!Ipsec.Ike.rekey}; [retry]
     overrides the retransmission profile. Every connection opened is
     counted under ["client.attaches"], the lazy ones also under
@@ -140,15 +139,13 @@ val nfs_mkdir :
 val link : t -> target:Nfs.Proto.fh -> dir:Nfs.Proto.fh -> string -> unit
 
 val create :
-  t -> dir:Nfs.Proto.fh -> string -> ?perms:int -> unit ->
-  Nfs.Proto.fh * Nfs.Proto.fattr * Keynote.Assertion.t
-(** DisCFS create on the directory's owner: the file plus a fresh RWX
-    credential for it, issued to this client and admitted to the
-    cluster's store. *)
+  t -> dir:Nfs.Proto.fh -> string -> Nfs.Proto.fh * Nfs.Proto.fattr * Keynote.Assertion.t
+(** DisCFS create on the directory's owner: the file (mode 0644) plus
+    a fresh RWX credential for it, issued to this client and admitted
+    to the cluster's store. *)
 
 val mkdir :
-  t -> dir:Nfs.Proto.fh -> string -> ?perms:int -> unit ->
-  Nfs.Proto.fh * Nfs.Proto.fattr * Keynote.Assertion.t
+  t -> dir:Nfs.Proto.fh -> string -> Nfs.Proto.fh * Nfs.Proto.fattr * Keynote.Assertion.t
 
 val resolve : t -> string -> Nfs.Proto.fh * Nfs.Proto.fattr
 (** Walk a slash-separated path from the root with LOOKUPs. *)

@@ -32,10 +32,10 @@ let xor_into ~key ~nonce ?(counter = 1) buf ~off ~len =
   (* Read-only view of [buf] for the source side of the same range. *)
   xor_raw key nonce counter (Bytes.unsafe_to_string buf) off buf off len
 
-let crypt ~key ~nonce ?(counter = 1) data =
+let crypt ~key ~nonce data =
   let len = String.length data in
   let out = Bytes.create len in
-  xor_from ~key ~nonce ~counter data ~src_off:0 out ~off:0 ~len;
+  xor_from ~key ~nonce data ~src_off:0 out ~off:0 ~len;
   Bytes.unsafe_to_string out
 
 let block ~key ~nonce ~counter =

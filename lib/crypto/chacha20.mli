@@ -1,9 +1,10 @@
 (** ChaCha20 stream cipher (RFC 8439). Used as the ESP transform in
     the simulated IPsec stack (stand-in for the paper's kernel ESP). *)
 
-val crypt : key:string -> nonce:string -> ?counter:int -> string -> string
-(** [crypt ~key ~nonce data] XORs [data] with the ChaCha20 keystream.
-    Encryption and decryption are the same operation. Raises
+val crypt : key:string -> nonce:string -> string -> string
+(** [crypt ~key ~nonce data] XORs [data] with the ChaCha20 keystream
+    from block 1, as RFC 8439's encryption does. Encryption and
+    decryption are the same operation. Raises
     [Invalid_argument] on wrong key or nonce size. *)
 
 val xor_from :

@@ -48,7 +48,7 @@ let mem t i =
   end
 
 let remove t i =
-  if Race.enabled t.race then Race.write t.race ~key:(string_of_int i) ();
+  if Race.enabled t.race then Race.write t.race ~key:(string_of_int i);
   Lru.remove t.blocks i
 
 (* Generation-guarded fill: a fill whose decision (miss, readahead

@@ -15,13 +15,14 @@ type t = {
   mutable fault : Simnet.Fault.t option;
   mutable trace : Trace.t;
   cache : Bcache.t;
-  readahead : int;
   mutable last_req : int; (* last explicitly requested block, for sequential detection *)
 }
 
-let create ?(cache_blocks = 0) ?(readahead = 8) ~clock ~cost ~stats ~nblocks ~block_size () =
+(* The sequential prefetch window, counting the demand block. *)
+let readahead = 8
+
+let create ?(cache_blocks = 0) ~clock ~cost ~stats ~nblocks ~block_size () =
   if nblocks <= 0 || block_size <= 0 then invalid_arg "Blockdev.create";
-  if readahead < 0 then invalid_arg "Blockdev.create: negative readahead";
   {
     clock;
     cost;
@@ -33,7 +34,6 @@ let create ?(cache_blocks = 0) ?(readahead = 8) ~clock ~cost ~stats ~nblocks ~bl
     fault = None;
     trace = Trace.null;
     cache = Bcache.create ~capacity:cache_blocks;
-    readahead;
     last_req = -2;
   }
 
@@ -94,8 +94,8 @@ let fill t ~generation i data =
    not fault-checked — a prefetch is not an acknowledged I/O, and a
    block the script would have failed is simply re-read on demand. *)
 let prefetch t i =
-  if t.readahead > 1 && Bcache.capacity t.cache > 0 then begin
-    let limit = min (t.nblocks - 1) (i + t.readahead - 1) in
+  if Bcache.capacity t.cache > 0 then begin
+    let limit = min (t.nblocks - 1) (i + readahead - 1) in
     let j = ref (i + 1) in
     let fetched = ref 0 in
     while !j <= limit do

@@ -15,8 +15,8 @@
       charges {e no} virtual time, records no ["disk.read"] span and
       does not move the simulated head;
     - a read that misses pays the full physical cost, then fills the
-      cache; if the miss extends a sequential run, up to
-      [readahead - 1] following blocks are prefetched on the same
+      cache; if the miss extends a sequential run, up to seven
+      following blocks are prefetched on the same
       request, each paying transfer time only;
     - every {!write} goes {e through} to the platter at full cost and
       updates the cache afterwards, so the cache never holds data the
@@ -36,7 +36,6 @@ type t
 
 val create :
   ?cache_blocks:int ->
-  ?readahead:int ->
   clock:Simnet.Clock.t ->
   cost:Simnet.Cost.t ->
   stats:Simnet.Stats.t ->
@@ -45,10 +44,8 @@ val create :
   unit ->
   t
 (** [cache_blocks] (default [0] — cache disabled, the seed repo's
-    behaviour) sizes the buffer cache in blocks. [readahead] (default
-    [8]) bounds the sequential prefetch window, counting the demand
-    block itself; [1] disables prefetching. Raises [Invalid_argument]
-    on non-positive geometry or negative readahead. *)
+    behaviour) sizes the buffer cache in blocks. Raises
+    [Invalid_argument] on non-positive geometry. *)
 
 val block_size : t -> int
 val nblocks : t -> int

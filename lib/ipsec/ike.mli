@@ -16,6 +16,7 @@ val establish :
   drbg:Dcrypto.Drbg.t ->
   initiator:Dcrypto.Dsa.private_key ->
   responder:Dcrypto.Dsa.private_key ->
+  (* discfs-lint: allow test-only "the tamper tests flip a byte of a numbered handshake message; only a tampered exchange shows the failure" *)
   ?mitm:(msg:int -> string -> string) ->
   ?cipher:Sa.cipher ->
   ?lifetime:int ->

@@ -200,19 +200,14 @@ let render_unsigned ?comment ?(local_constants = []) ~authorizer ~licensees ~con
   | None -> ());
   Buffer.contents buf
 
-let issue ~key ~drbg ?(alg = `Dsa_sha1) ?comment ?local_constants ~licensees ~conditions () =
+let issue ~key ~drbg ?comment ?local_constants ~licensees ~conditions () =
   let authorizer =
     Printf.sprintf "\"%s\"" (principal_of_pub key.Dcrypto.Dsa.pub)
   in
-  let alg_name, hash =
-    match alg with
-    | `Dsa_sha1 -> (sig_alg, Dcrypto.Sha1.digest)
-    | `Dsa_sha256 -> (sig_alg_sha256, Dcrypto.Sha256.digest)
-  in
   let unsigned = render_unsigned ?comment ?local_constants ~authorizer ~licensees ~conditions () in
-  let signature = Dcrypto.Dsa.sign ~hash ~key drbg (unsigned ^ alg_name) in
+  let signature = Dcrypto.Dsa.sign ~hash:Dcrypto.Sha1.digest ~key drbg (unsigned ^ sig_alg) in
   let sig_hex = Dcrypto.Hexcodec.encode (Dcrypto.Dsa.sig_encode signature) in
-  let full = unsigned ^ Printf.sprintf "Signature: \"%s%s\"\n" alg_name sig_hex in
+  let full = unsigned ^ Printf.sprintf "Signature: \"%s%s\"\n" sig_alg sig_hex in
   parse full
 
 let policy ?local_constants ~licensees ~conditions () =

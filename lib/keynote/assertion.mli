@@ -57,18 +57,20 @@ val pub_of_principal : Ast.principal -> Dcrypto.Dsa.public option
 val issue :
   key:Dcrypto.Dsa.private_key ->
   drbg:Dcrypto.Drbg.t ->
-  ?alg:[ `Dsa_sha1 | `Dsa_sha256 ] ->
   ?comment:string ->
+  (* discfs-lint: allow test-only "Local-Constants come only from credentials written elsewhere; the KeyNote tests issue them to check their resolution and shadowing" *)
   ?local_constants:(string * string) list ->
   licensees:string ->
   conditions:string ->
   unit ->
   t
-(** Build and sign a credential. [licensees] and [conditions] are raw
-    field bodies, e.g. [{|"dsa-hex:ab..." && "dsa-hex:cd..."|}] and
+(** Build and sign ([sig-dsa-sha1-hex]) a credential. [licensees]
+    and [conditions] are raw field bodies, e.g.
+    [{|"dsa-hex:ab..." && "dsa-hex:cd..."|}] and
     [{|app_domain == "DisCFS" -> "RW";|}]. *)
 
 val policy :
+  (* discfs-lint: allow test-only "the handle-guard tests check that a Local-Constant named HANDLE disables the guard" *)
   ?local_constants:(string * string) list ->
   licensees:string ->
   conditions:string ->

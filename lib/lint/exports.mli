@@ -1,4 +1,4 @@
-(** Pass E of [discfs-lint]: exports that nothing uses.
+(** Pass E of [discfs-lint]: exports and knobs that nothing uses.
 
     Lists every [val] of a library interface that no other compilation
     unit references. It reads the interfaces' typed signatures
@@ -24,7 +24,26 @@
     - [Unreferenced]: referenced by no other unit — a finding. Delete
       the export, and the body too unless the module uses it itself.
 
-    Values in module types are not exports and are not listed. *)
+    Values in module types are not exports and are not listed.
+
+    A knob is an optional parameter [?l] of a listed value. An
+    application passes it when it names [l] explicitly, as [~l:v] or
+    [?l:v]; an omitted optional argument, which the type checker
+    fills with a [None] at a ghost location, does not. The declaring
+    unit's own applications count too: they name the implementation,
+    so they are matched by unit and value name. Each knob gets one
+    status:
+
+    - [Used]: passed by a unit outside the tests;
+    - [Test_only why]: passed only by test units, and the parameter's
+      line, or the line above, carries
+      [(* discfs-lint: allow test-only "why" *)]; a knob of a
+      justified test-only value shares that value's reason;
+    - [Unjustified]: passed only by test units with no reason — a
+      finding. Give the knob its reason, or make it a constant and
+      move the tests to its default;
+    - [Unreferenced] ("unpassed"): passed by no application — a
+      finding. Make it a constant, its default. *)
 
 type status = Used | Test_only of string | Unjustified | Unreferenced
 
@@ -33,6 +52,7 @@ type export = {
   x_line : int;
   x_col : int;
   x_name : string;  (** e.g. ["Simnet.Sched.spawn"] *)
+  x_knob : string option;  (** the label of a knob; [None] for the value itself *)
   x_status : status;
 }
 
@@ -50,16 +70,18 @@ val reference : t -> test:bool -> Source.unit_ -> unit
     [test] says it is test code. Any other unit is ignored. *)
 
 val exports : t -> source_root:string -> export list
-(** Every declared value with its status, ordered by file, line and
-    column. The [test-only] markers are read from the interface
-    sources under [source_root]. *)
+(** Every declared value and every knob with its status, ordered by
+    file, line and column (a knob sits at its parameter's type). The
+    [test-only] markers are read from the interface sources under
+    [source_root]. *)
 
 val is_finding : export -> bool
-(** [Unjustified] and [Unreferenced] exports. *)
+(** [Unjustified] and [Unreferenced] exports and knobs. *)
 
 val render : export -> string
-(** The finding for an [Unjustified] or [Unreferenced] export:
-    ["file:line:col: [exports] ..."], one line. *)
+(** The finding for an [Unjustified] or [Unreferenced] export or knob:
+    ["file:line:col: [exports] ..."], one line; a knob is named
+    ["M.v ?l"]. *)
 
 val json_of_exports : export list -> string
 (** [{"pass":"exports","exports":n,"entries":[...],"test_only":n,
@@ -67,4 +89,9 @@ val json_of_exports : export list -> string
     then every entry that is not [Used] with its file, line, column,
     name and status ([test-only] entries with their justification),
     then the justified test seams, the unjustified ones and the
-    unreferenced exports counted apart. *)
+    unreferenced exports counted apart. Knobs are left out. *)
+
+val json_of_knobs : export list -> string
+(** [{"pass":"knobs","knobs":n,"entries":[...],"test_only":n,
+    "unjustified":n,"unpassed":n}]: the same inventory over the
+    knobs, each entry named ["M.v ?l"]. *)

@@ -33,10 +33,10 @@ let throughput t =
   let span = makespan t in
   if span <= 0.0 then 0.0 else float_of_int t.completed /. span
 
-let create ?(buckets = Metrics.default_buckets) ~ops () =
+let create ~ops =
   if ops < 0 then invalid_arg "Gen.create: negative ops";
   {
-    latencies = Metrics.make_histogram buckets;
+    latencies = Metrics.make_histogram Metrics.default_buckets;
     offered = ops;
     completed = 0;
     failed = 0;
@@ -61,12 +61,11 @@ let complete gen clock ~started ok =
    connection limit at this one. Each drain knows up front how many
    jobs it will ever see and retires after them, leaving the heap
    empty when the run is over. *)
-let offer ~sched ~arrivals ~ops ?(buckets = Metrics.default_buckets)
-    ?(channels = 1) ~op () =
+let offer ~sched ~arrivals ~ops ?(channels = 1) ~op () =
   if ops < 0 then invalid_arg "Gen.offer: negative ops";
   if channels <= 0 then invalid_arg "Gen.offer: channels must be positive";
   let clock = Sched.clock sched in
-  let gen = create ~buckets ~ops () in
+  let gen = create ~ops in
   if ops > 0 then begin
     let boxes = Array.init channels (fun _ -> Sched.Mailbox.create ()) in
     let pending = Array.make channels 0 in

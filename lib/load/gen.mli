@@ -18,7 +18,7 @@ type t = {
   mutable last_completion : float;
 }
 
-val create : ?buckets:float array -> ops:int -> unit -> t
+val create : ops:int -> t
 (** Bare accounting record for [ops] offered arrivals, for scenarios
     that dispatch jobs themselves (dynamic membership) but want the
     same conservation law.  Callers must invoke {!complete} exactly
@@ -34,7 +34,6 @@ val offer :
   sched:Simnet.Sched.t ->
   arrivals:Simnet.Arrival.t ->
   ops:int ->
-  ?buckets:float array ->
   ?channels:int ->
   op:(int -> bool) ->
   unit ->

@@ -59,7 +59,7 @@ let race_total d =
 
 let attach_with_file d ~uid ?sa_lifetime ?retry name =
   let c = CC.attach d ~identity:(Cluster.admin_identity d) ~uid ?sa_lifetime ?retry () in
-  let fh, _, _ = CC.create c ~dir:(CC.root c) name () in
+  let fh, _, _ = CC.create c ~dir:(CC.root c) name in
   CC.write_all c fh (String.make 8192 'x');
   (c, fh)
 
@@ -80,8 +80,9 @@ type sweep_point = {
   sp_retrans : int;
 }
 
-let sweep_one ~seed ~clients ~workers ~queue_depth ~duration rate =
-  let d = Cluster.make ~workers ~queue_depth ~seed () in
+let sweep_one ~clients ~duration rate =
+  let seed = "slo-sweep" in
+  let d = Cluster.make ~workers:4 ~seed () in
   let sched = Option.get (Cluster.sched d) in
   let conns =
     Array.init clients (fun i ->
@@ -118,11 +119,8 @@ let sweep_one ~seed ~clients ~workers ~queue_depth ~duration rate =
     sp_retrans = get "rpc.retransmits";
   }
 
-let sweep ?(seed = "slo-sweep") ?(clients = 8) ?(workers = 4)
-    ?(queue_depth = 64) ?(duration = 20.0) ~rates () =
-  let points =
-    List.map (sweep_one ~seed ~clients ~workers ~queue_depth ~duration) rates
-  in
+let sweep ?(clients = 8) ?(duration = 20.0) ~rates () =
+  let points = List.map (sweep_one ~clients ~duration) rates in
   let knee =
     Slo.knee
       (List.map (fun p -> (p.sp_rate, p.sp_throughput, p.sp_failed)) points)
@@ -161,17 +159,17 @@ let boot_storm ?(seed = "slo-storm") ?(clients = 200) ?(dirs = 4)
     ?(files_per_dir = 4) ?(workers = 4) ?(queue_depth = 64) ?tie_seed
     ?(racecheck = false) () =
   let d =
-    Cluster.make ~workers ~queue_depth ~seed ~cache_blocks:4096 ~readahead:8
-      ~cache_size:256 ?tie_seed ~racecheck ()
+    Cluster.make ~workers ~queue_depth ~seed ~cache_blocks:4096 ~cache_size:256 ?tie_seed
+      ~racecheck ()
   in
   let sched = Option.get (Cluster.sched d) in
   let clock = Cluster.clock d in
   (* The admin builds the shared tree once, serially. *)
   let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   for dir = 0 to dirs - 1 do
-    let dh, _, _ = CC.mkdir admin ~dir:(CC.root admin) (Printf.sprintf "d%d" dir) () in
+    let dh, _, _ = CC.mkdir admin ~dir:(CC.root admin) (Printf.sprintf "d%d" dir) in
     for f = 0 to files_per_dir - 1 do
-      let fh, _, _ = CC.create admin ~dir:dh (Printf.sprintf "f%d.dat" f) () in
+      let fh, _, _ = CC.create admin ~dir:dh (Printf.sprintf "f%d.dat" f) in
       CC.write_all admin fh (String.make 2048 'b')
     done
   done;
@@ -337,7 +335,7 @@ let churn ?(spec = default_churn) ?tie_seed ?(racecheck = false) () =
     Arrival.create ~seed:s.cs_seed (Arrival.Poisson { rate = s.cs_rate })
   in
   let times = Arrival.times arrivals ~n:ops in
-  let gen = Gen.create ~ops () in
+  let gen = Gen.create ~ops in
   let do_op m i started =
     let ok =
       (* A timeout against a newer incarnation re-homes the member and

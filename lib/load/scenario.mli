@@ -49,15 +49,13 @@ type sweep_point = {
 }
 
 val sweep :
-  ?seed:string ->
   ?clients:int ->
-  ?workers:int ->
-  ?queue_depth:int ->
   ?duration:float ->
   rates:float list ->
   unit ->
   sweep_point list * int option
-(** One fresh deployment per offered rate (ascending!), each driving
+(** One fresh deployment per offered rate (ascending!), each a
+    four-worker cluster seeded ["slo-sweep"] driving
     [rate * duration] Poisson arrivals through a [clients]-wide
     connection pool at the 1:2:1 GETATTR/READ/WRITE mix.  Returns the
     points and {!Slo.knee} over them. *)

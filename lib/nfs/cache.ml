@@ -141,8 +141,8 @@ module Make (C : CLIENT) = struct
 
   let remove t dir name =
     C.remove t.client dir name;
-    if Race.enabled t.race then Race.write t.race ~key:(nkey (key dir, name)) ();
-    if Race.enabled t.race then Race.write t.race ~key:(akey (key dir)) ();
+    if Race.enabled t.race then Race.write t.race ~key:(nkey (key dir, name));
+    if Race.enabled t.race then Race.write t.race ~key:(akey (key dir));
     Hashtbl.remove t.names (key dir, name);
     Hashtbl.remove t.attrs (key dir)
 end

@@ -37,25 +37,26 @@ type cell = {
   mutable pending : (int * access) list; (* checking pid -> its latest check *)
 }
 
+(* Reports retained per context; the total is still counted. *)
+let report_limit = 256
+
 type ctx = {
   pid : unit -> int;
   epoch : unit -> int;
   annotate : unit -> string option;
   labels : (int, string) Hashtbl.t;
-  limit : int;
-  mutable reports : report list; (* newest first, capped at [limit] *)
+  mutable reports : report list; (* newest first, the first [report_limit] *)
   mutable n_reports : int;
   mutable benign : int;
   mutable accesses : int;
 }
 
-let create ?(limit = 256) ?(annotate = fun () -> None) ~pid ~epoch () =
+let create ?(annotate = fun () -> None) ~pid ~epoch () =
   {
     pid;
     epoch;
     annotate;
     labels = Hashtbl.create 64;
-    limit;
     reports = [];
     n_reports = 0;
     benign = 0;
@@ -123,17 +124,17 @@ let check m ~key =
     let c = cell_of cells key in
     c.pending <- (a.a_pid, a) :: List.remove_assoc a.a_pid c.pending
 
-let write m ?value ~key () =
+let write m ~key =
   match m with
   | Noop -> ()
   | Mon { ctx; cells; _ } ->
     ctx.accesses <- ctx.accesses + 1;
     let c = cell_of cells key in
-    c.last_write <- Some (snapshot ctx, value)
+    c.last_write <- Some (snapshot ctx, None)
 
 let emit ctx r =
   ctx.n_reports <- ctx.n_reports + 1;
-  if List.length ctx.reports < ctx.limit then ctx.reports <- r :: ctx.reports
+  if ctx.n_reports <= report_limit then ctx.reports <- r :: ctx.reports
 
 (* The act closing a check window: racy iff a different process wrote
    the key strictly after the check. [window] hands the check's

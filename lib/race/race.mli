@@ -34,14 +34,13 @@ type ctx
     every monitor feeds. *)
 
 val create :
-  ?limit:int ->
   ?annotate:(unit -> string option) ->
   pid:(unit -> int) ->
   epoch:(unit -> int) ->
   unit ->
   ctx
-(** [limit] caps retained reports (default 256; the total is still
-    counted). [annotate] is the label fallback when no {!note} named
+(** The context retains the first 256 reports and counts them all.
+    [annotate] is the label fallback when no {!note} named
     the current process — deployments pass [Trace.current]. *)
 
 (* discfs-lint: allow test-only "the race tests read the retained reports" *)
@@ -87,8 +86,10 @@ val read : monitor -> key:string -> unit
 val check : monitor -> key:string -> unit
 (** Open (or refresh) the current process's check window on [key]. *)
 
-val write : monitor -> ?value:string -> key:string -> unit -> unit
-(** Record a mutation of [key] (invalidate, remove, store). *)
+val write : monitor -> key:string -> unit
+(** Record a mutation of [key] (invalidate, remove, store). It
+    records no value, so an act after it is never a benign duplicate
+    of it. *)
 
 val act : monitor -> ?value:string -> ?window:int * int -> key:string -> unit -> unit
 (** Close the check window on [key]: if another process wrote [key]

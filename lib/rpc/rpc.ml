@@ -118,7 +118,7 @@ let race_key (peer, xid, proc) = Printf.sprintf "%s/%d/%d" peer xid proc
 
 let race_read m key = if Race.enabled m then Race.read m ~key:(race_key key)
 let race_check m key = if Race.enabled m then Race.check m ~key:(race_key key)
-let race_write m key = if Race.enabled m then Race.write m ~key:(race_key key) ()
+let race_write m key = if Race.enabled m then Race.write m ~key:(race_key key)
 let race_act m key = if Race.enabled m then Race.act m ~key:(race_key key) ()
 
 let set_pool t ~sched ~workers ~queue_depth =
@@ -413,15 +413,13 @@ let serve srv ~conn d =
 (* The queue opens no spans of its own, only one-slice instants
    ([rpc.drc_hit], [rpc.queue_reject]): [execute] runs under
    [Trace.null] here, and the queue's observability rides on the
-   server registry's counters, gauges and histograms. The handler and
+   server registry's counters and histograms and on the queue's
+   high-water mark. The handler and
    ESP still trace through their own tracers (see lib/trace/trace.ml). *)
 
 let observe_metric srv name v =
   Trace.Metrics.observe (Trace.Metrics.histogram srv.stats name) v
 
-let pool_gauge srv p =
-  if p.queued > p.peak then p.peak <- p.queued;
-  Trace.Metrics.set_gauge srv.stats "rpc.queue.depth" (float_of_int p.queued)
 
 (* Answer without occupying a worker (DRC hits, wire garbage): the
    lookup path is cheap and bounded, so it is modelled as an
@@ -478,7 +476,6 @@ let rec worker_loop srv p =
   | None -> p.busy <- p.busy - 1
   | Some job ->
     p.queued <- p.queued - 1;
-    pool_gauge srv p;
     if srv.dead then drop_dead srv p job
     else begin
       let started = Clock.now srv.clock in
@@ -564,7 +561,7 @@ let admit srv p ~conn ~reply d =
               job_origin = Race.origin srv.race_drc;
               job_reply = reply;
             };
-          pool_gauge srv p;
+          if p.queued > p.peak then p.peak <- p.queued;
           if p.busy < p.workers then begin
             p.busy <- p.busy + 1;
             Sched.spawn p.sched (fun () -> worker_loop srv p)

@@ -85,9 +85,9 @@ val set_pool : server -> sched:Simnet.Sched.t -> workers:int -> queue_depth:int 
     datagram, and the client's at-least-once retransmission absorbs
     the loss (["rpc.queue_rejects"] in stats). Retransmissions of a
     request still queued or executing coalesce onto that execution
-    (["rpc.coalesced"]). The queue also records an ["rpc.queue.depth"]
-    gauge and ["rpc.queue.wait"] / ["rpc.queue.service"] histograms in
-    the server's registry. Calls made outside any process (setup code,
+    (["rpc.coalesced"]). The queue also records ["rpc.queue.wait"] /
+    ["rpc.queue.service"] histograms in the server's registry and its
+    high-water mark ({!queue_peak}). Calls made outside any process (setup code,
     serial benchmarks) keep the exact serial semantics. Raises
     [Invalid_argument] unless [workers] and [queue_depth] are
     positive. *)

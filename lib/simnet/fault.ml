@@ -77,8 +77,8 @@ type t = {
   mutable trace : Trace.t;
 }
 
-let create ?(net = no_net) ?(seed = "fault") () =
-  { rng = Rng.create ~seed; net; disk_script = []; disk_ops = 0; trace = Trace.null }
+let create ?(seed = "fault") () =
+  { rng = Rng.create ~seed; net = no_net; disk_script = []; disk_ops = 0; trace = Trace.null }
 
 let set_net t net = t.net <- net
 let set_trace t trace = t.trace <- trace

@@ -41,7 +41,10 @@ type disk_fault = Fail_read | Fail_write | Corrupt_read
 
 type t
 
-val create : ?net:net -> ?seed:string -> unit -> t
+val create : ?seed:string -> unit -> t
+(** A clean injector: no packet faults until {!set_net}, no disk
+    faults until some are scripted. *)
+
 val set_net : t -> net -> unit
 
 val set_trace : t -> Trace.t -> unit

@@ -23,7 +23,7 @@ type t = {
 
 let default_switch_latency = 0.00001 (* 10 us store-and-forward hop *)
 
-let create ~clock ~cost ~stats ?(switch_latency = default_switch_latency) () =
+let create ~clock ~cost ~stats ~switch_latency =
   {
     clock;
     cost;

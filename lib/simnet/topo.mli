@@ -23,8 +23,7 @@ type t
 val default_switch_latency : float
 (** 10 us: one 2001-era store-and-forward fabric hop. *)
 
-val create :
-  clock:Clock.t -> cost:Cost.t -> stats:Stats.t -> ?switch_latency:float -> unit -> t
+val create : clock:Clock.t -> cost:Cost.t -> stats:Stats.t -> switch_latency:float -> t
 (** An empty topology. [switch_latency] is added to [cost.net_latency]
     on every access link created by {!add_host}. *)
 

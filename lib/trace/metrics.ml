@@ -1,4 +1,4 @@
-(* discfs-lint: atomic-section — counter/gauge/histogram updates complete
+(* discfs-lint: atomic-section — counter/histogram updates complete
    inside one scheduler slice; no operation yields. *)
 
 type histogram = {
@@ -10,20 +10,17 @@ type histogram = {
 
 type t = {
   counters : (string, int ref) Hashtbl.t;
-  gauges : (string, float ref) Hashtbl.t;
   hists : (string, histogram) Hashtbl.t;
 }
 
 let create () =
   {
     counters = Hashtbl.create 32;
-    gauges = Hashtbl.create 8;
     hists = Hashtbl.create 32;
   }
 
 let reset t =
   Hashtbl.reset t.counters;
-  Hashtbl.reset t.gauges;
   Hashtbl.reset t.hists
 
 (* [find], not [find_opt]: incrementing must not allocate. *)
@@ -43,13 +40,6 @@ let sorted_bindings tbl f =
 
 let counters t = sorted_bindings t.counters (fun r -> !r)
 
-let set_gauge t name v =
-  match Hashtbl.find_opt t.gauges name with
-  | Some r -> r := v
-  | None -> Hashtbl.replace t.gauges name (ref v)
-
-let gauge t name = Option.map (fun r -> !r) (Hashtbl.find_opt t.gauges name)
-
 (* 1-2-5 per decade, 1us .. 100s: deterministic latency grid. *)
 let default_buckets =
   Array.init 25 (fun i ->
@@ -57,15 +47,15 @@ let default_buckets =
       mant *. (10. ** float_of_int ((i / 3) - 6)))
 
 let validate_bounds b =
-  if Array.length b = 0 then invalid_arg "Metrics.histogram: empty buckets";
+  if Array.length b = 0 then invalid_arg "Metrics.make_histogram: empty buckets";
   Array.iter
     (fun x ->
       if not (Float.is_finite x) then
-        invalid_arg "Metrics.histogram: non-finite bucket bound")
+        invalid_arg "Metrics.make_histogram: non-finite bucket bound")
     b;
   for i = 1 to Array.length b - 1 do
     if b.(i) <= b.(i - 1) then
-      invalid_arg "Metrics.histogram: bucket bounds not strictly increasing"
+      invalid_arg "Metrics.make_histogram: bucket bounds not strictly increasing"
   done
 
 let make_histogram bounds =
@@ -77,11 +67,11 @@ let make_histogram bounds =
     h_sum = 0.;
   }
 
-let histogram t ?(buckets = default_buckets) name =
+let histogram t name =
   match Hashtbl.find_opt t.hists name with
   | Some h -> h
   | None ->
-      let h = make_histogram buckets in
+      let h = make_histogram default_buckets in
       Hashtbl.replace t.hists name h;
       h
 

@@ -1,4 +1,4 @@
-(** Metrics registry: counters, gauges and fixed-bucket histograms.
+(** Metrics registry: counters and fixed-bucket histograms.
 
     Zero dependencies; all state is explicit so deployments can own
     independent registries ([Simnet.Stats] is this type).  Histogram
@@ -6,7 +6,7 @@
     makes aggregated output byte-reproducible across runs. *)
 
 type t
-(** A registry of named counters, gauges and histograms. *)
+(** A registry of named counters and histograms. *)
 
 type histogram
 (** Fixed-bucket histogram: [n] strictly-increasing upper bounds plus
@@ -27,13 +27,6 @@ val counter : t -> string -> int
 val counters : t -> (string * int) list
 (** Sorted by name. *)
 
-(** {1 Gauges} *)
-
-val set_gauge : t -> string -> float -> unit
-
-(* discfs-lint: allow test-only "the queue tests read the depth gauge the RPC pool sets" *)
-val gauge : t -> string -> float option
-
 (** {1 Histograms} *)
 
 val default_buckets : float array
@@ -44,12 +37,10 @@ val make_histogram : float array -> histogram
 (** A standalone (registry-less) histogram over the given upper
     bounds, for callers that own their accounting — the load
     generator's latency records.  Raises [Invalid_argument] unless
-    the bounds are finite and strictly increasing. *)
+    the bounds are non-empty, finite and strictly increasing. *)
 
-val histogram : t -> ?buckets:float array -> string -> histogram
-(** Get or create.  [buckets] must be non-empty, finite and strictly
-    increasing or [Invalid_argument] is raised; it is ignored when the
-    histogram already exists. *)
+val histogram : t -> string -> histogram
+(** Get or create, over {!default_buckets}. *)
 
 val observe : histogram -> float -> unit
 (** Record a value into the first bucket whose bound is [>=] it (the

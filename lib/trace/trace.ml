@@ -49,7 +49,7 @@ let make ~on ?metrics ~now capacity =
     mx = metrics;
     next_id = 1;
     stack = [];
-    ring = Array.make (max 1 capacity) None;
+    ring = Array.make capacity None;
     head = 0;
     len = 0;
     n_dropped = 0;
@@ -57,8 +57,9 @@ let make ~on ?metrics ~now capacity =
 
 let null = make ~on:false ~now:dummy_now 1
 
-let create ?(capacity = 65536) ?metrics ~now () =
-  make ~on:true ?metrics ~now capacity
+let capacity = 65536
+
+let create ?metrics ~now () = make ~on:true ?metrics ~now capacity
 
 let enabled t = t.on
 

@@ -32,8 +32,9 @@ type t
 val null : t
 (** The disabled tracer: every operation is a no-op. *)
 
-val create : ?capacity:int -> ?metrics:Metrics.t -> now:(unit -> float) -> unit -> t
-(** [capacity] bounds the ring buffer (default 65536, min 1). *)
+val create : ?metrics:Metrics.t -> now:(unit -> float) -> unit -> t
+(** A live tracer whose ring buffer retains the newest 65536 spans;
+    older ones are dropped and counted ({!dropped}). *)
 
 val enabled : t -> bool
 

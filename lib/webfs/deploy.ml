@@ -15,13 +15,16 @@ type t = {
   drbg : Drbg.t;
 }
 
-let make ?(cost = Simnet.Cost.default) ?(nblocks = 16384) ?(block_size = 8192)
-    ?(ninodes = 8192) ?(seed = "webfs-deploy") () =
+let make ?(seed = "webfs-deploy") () =
+  let cost = Simnet.Cost.default in
   let clock = Clock.create () in
   let stats = Stats.create () in
   let link = Link.create ~clock ~cost ~stats in
-  let dev = Ffs.Blockdev.create ~clock ~cost ~stats ~nblocks ~block_size () in
-  let fs = Ffs.Fs.create ~dev ~ninodes in
+  let dev =
+    Ffs.Blockdev.create ~clock ~cost ~stats ~nblocks:Ffs.Testbed.nblocks
+      ~block_size:Ffs.Testbed.block_size ()
+  in
+  let fs = Ffs.Fs.create ~dev ~ninodes:Ffs.Testbed.ninodes in
   let drbg = Drbg.create ~seed in
   (* Draw and drop a server key: the user keys drawn after it, and so
      the scalability figures, depend on this position in the stream. *)

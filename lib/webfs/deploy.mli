@@ -12,6 +12,5 @@ type t = {
   drbg : Dcrypto.Drbg.t;
 }
 
-val make :
-  ?cost:Simnet.Cost.t -> ?nblocks:int -> ?block_size:int -> ?ninodes:int -> ?seed:string ->
-  unit -> t
+val make : ?seed:string -> unit -> t
+(** The {!Ffs.Testbed} volume under {!Simnet.Cost.default}. *)

@@ -11,7 +11,7 @@ let fill m i data = Race.act m ~value:(Bytes.to_string data) ~key:(string_of_int
 let label m proc = Race.note m ("rpc proc=" ^ string_of_int proc)
 
 (* The else-branch of the guard runs disarmed. *)
-let wrong_branch m i = if Race.enabled m then () else Race.write m ~key:(string_of_int i) ()
+let wrong_branch m i = if Race.enabled m then () else Race.write m ~key:(string_of_int i)
 
 let traced tr n f = Trace.span tr ~attrs:[ ("n", string_of_int n) ] "op" f
 

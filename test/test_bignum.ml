@@ -89,9 +89,8 @@ let test_shift () =
 let test_bytes_roundtrip () =
   let s = "\x01\x02\x03\xff\x00\xab" in
   let n = Nat.of_bytes_be s in
-  Alcotest.(check string) "to_bytes" s (Nat.to_bytes_be ~len:6 n);
+  Alcotest.(check string) "to_bytes" s (Nat.to_bytes_be n);
   Alcotest.(check string) "hex" "10203ff00ab" (Nat.to_hex n);
-  Alcotest.(check string) "padded" ("\x00\x00" ^ s) (Nat.to_bytes_be ~len:8 n);
   Alcotest.(check string) "zero bytes" "\x00" (Nat.to_bytes_be Nat.zero)
 
 let test_num_bits () =
@@ -181,15 +180,8 @@ let of_bytes_ref s =
   String.iter (fun c -> n := Nat.add (Nat.shift_left !n 8) (Nat.of_int (Char.code c))) s;
   !n
 
-let to_bytes_ref ?len a =
-  let nbytes = max ((Nat.num_bits a + 7) / 8) 1 in
-  let out_len = match len with
-    | None -> nbytes
-    | Some l ->
-      if l < nbytes && not (Nat.is_zero a && l >= 0) then
-        invalid_arg "Nat.to_bytes_be: length too small";
-      l
-  in
+let to_bytes_ref a =
+  let out_len = max ((Nat.num_bits a + 7) / 8) 1 in
   let b = Bytes.make out_len '\000' in
   let v = ref a and i = ref (out_len - 1) in
   while not (Nat.is_zero !v) && !i >= 0 do
@@ -332,15 +324,10 @@ let test_g_table () =
 let test_codec_edges () =
   Alcotest.(check string) "zero hex" "0" (Nat.to_hex Nat.zero);
   Alcotest.(check string) "zero bytes" "\000" (Nat.to_bytes_be Nat.zero);
-  Alcotest.(check string) "zero len 0" "" (Nat.to_bytes_be ~len:0 Nat.zero);
   Alcotest.check nat "empty bytes" Nat.zero (Nat.of_bytes_be "");
   Alcotest.check nat "zero byte" Nat.zero (Nat.of_bytes_be "\000");
   Alcotest.check nat "hex 0" Nat.zero (Nat.of_hex "0");
   Alcotest.check nat "hex 000" Nat.zero (Nat.of_hex "000");
-  Alcotest.check_raises "too small" (Invalid_argument "Nat.to_bytes_be: length too small") (fun () ->
-      ignore (Nat.to_bytes_be ~len:1 (Nat.of_int 256)));
-  Alcotest.check_raises "zero, negative len" (Invalid_argument "Nat.to_bytes_be: length too small")
-    (fun () -> ignore (Nat.to_bytes_be ~len:(-1) Nat.zero));
   Alcotest.check_raises "empty hex" (Invalid_argument "Nat.of_hex: empty") (fun () ->
       ignore (Nat.of_hex ""));
   Alcotest.check_raises "bad hex" (Invalid_argument "Nat.of_hex: bad digit") (fun () ->
@@ -350,12 +337,10 @@ let test_codec_edges () =
 
 let prop_bytes_codec =
   QCheck.Test.make ~name:"byte codecs = byte-at-a-time reference" ~count:300
-    QCheck.(pair (string_gen_of_size Gen.(int_range 0 80) Gen.(frequency [ (1, return '\000'); (3, char) ])) (int_range (-2) 90))
-    (fun (s, len) ->
+    QCheck.(string_gen_of_size Gen.(int_range 0 80) Gen.(frequency [ (1, return '\000'); (3, char) ]))
+    (fun s ->
       let n = Nat.of_bytes_be s in
-      Nat.equal n (of_bytes_ref s)
-      && Nat.to_bytes_be n = to_bytes_ref n
-      && outcome (fun () -> Nat.to_bytes_be ~len n) = outcome (fun () -> to_bytes_ref ~len n))
+      Nat.equal n (of_bytes_ref s) && Nat.to_bytes_be n = to_bytes_ref n)
 
 let prop_hex_codec =
   QCheck.Test.make ~name:"hex codecs = nibble-at-a-time reference" ~count:300

@@ -95,7 +95,7 @@ let test_deploy_registry () =
 let test_backend_releases_testbed () =
   let weak = Weak.create 1 in
   let[@inline never] build () =
-    let b = Bonnie.Backend.discfs ~nblocks:256 ~ninodes:64 () in
+    let b = Bonnie.Backend.discfs () in
     Weak.set weak 0 (Option.map fst b.Bonnie.Backend.parts)
   in
   build ();

@@ -29,11 +29,11 @@ let quoted c = Printf.sprintf "\"%s\"" (CC.principal c)
 let handle_conditions fh value =
   Printf.sprintf "(app_domain == \"DisCFS\") && (HANDLE == \"%d\") -> \"%s\";" fh.Proto.ino value
 
-let make_dev ?(cache_blocks = 0) ?(readahead = 8) ?(nblocks = 64) ?(block_size = 512) () =
+let make_dev ?(cache_blocks = 0) ?(nblocks = 64) ?(block_size = 512) () =
   let clock = Clock.create () in
   let stats = Stats.create () in
   let dev =
-    Blockdev.create ~cache_blocks ~readahead ~clock ~cost:Simnet.Cost.default ~stats ~nblocks
+    Blockdev.create ~cache_blocks ~clock ~cost:Simnet.Cost.default ~stats ~nblocks
       ~block_size ()
   in
   (dev, clock, stats)
@@ -71,7 +71,7 @@ let test_bcache_lru () =
 (* --- buffer cache on the block device -------------------------------- *)
 
 let test_buffer_cache_hit_is_free () =
-  let dev, clock, stats = make_dev ~cache_blocks:16 ~readahead:1 () in
+  let dev, clock, stats = make_dev ~cache_blocks:16 () in
   Blockdev.write dev 7 (block dev 'x');
   let t0 = Clock.now clock in
   (* The write went through the cache too: this read is a hit. *)
@@ -90,7 +90,7 @@ let test_buffer_cache_hit_is_free () =
   Alcotest.(check (float 0.0)) "filled on miss" t1 (Clock.now clock)
 
 let test_readahead_prefetch () =
-  let dev, _clock, stats = make_dev ~cache_blocks:32 ~readahead:8 () in
+  let dev, _clock, stats = make_dev ~cache_blocks:32 () in
   for i = 0 to 15 do
     Blockdev.write dev i (block dev (Char.chr (Char.code 'a' + i)))
   done;
@@ -113,7 +113,7 @@ let test_readahead_prefetch () =
    registry. Every demand miss and every prefetch fills a block that is
    not cached, so once the cache is full each fill evicts one. *)
 let test_readahead_evictions_counted () =
-  let dev, _clock, stats = make_dev ~cache_blocks:4 ~readahead:8 () in
+  let dev, _clock, stats = make_dev ~cache_blocks:4 () in
   for i = 0 to 15 do
     ignore (Blockdev.read dev i)
   done;
@@ -126,7 +126,7 @@ let test_failed_write_not_cached () =
   (* A write the controller failed must leave both the platter and the
      cache on the old value — the cache may never run ahead of the
      disk. *)
-  let dev, _clock, _stats = make_dev ~cache_blocks:16 ~readahead:1 () in
+  let dev, _clock, _stats = make_dev ~cache_blocks:16 () in
   let fault = Fault.create () in
   Blockdev.set_fault dev (Some fault);
   Blockdev.write dev 3 (block dev 'o') (* disk op 0 *);
@@ -147,7 +147,7 @@ let test_failed_write_not_cached () =
    cached block. And a corrupted transfer is the caller's alone: it
    must never reach the store or the cache. *)
 let test_blocks_never_alias_callers () =
-  let dev, _clock, _stats = make_dev ~cache_blocks:16 ~readahead:4 () in
+  let dev, _clock, _stats = make_dev ~cache_blocks:16 () in
   let bs = Blockdev.block_size dev in
   let holds label i c =
     let want = String.make bs c in
@@ -167,7 +167,7 @@ let test_blocks_never_alias_callers () =
   Blockdev.drop_cache dev;
   scribble (Blockdev.read dev 1);
   holds "read miss" 1 'w';
-  (* A sequential pair prefetches 3..5 straight from the store. *)
+  (* A sequential pair prefetches 4..10 straight from the store. *)
   Blockdev.write dev 4 (block dev 'f');
   Blockdev.drop_cache dev;
   ignore (Blockdev.read dev 2);
@@ -206,7 +206,7 @@ let test_crash_mid_write_no_stale_blocks () =
      from a cold cache — never a stale or phantom cached block. *)
   let d = Cluster.make ~cache_blocks:64 ~seed:"test-cache-crash" () in
   let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let fh, _, _ = CC.create admin ~dir:(CC.root admin) "journal.txt" () in
+  let fh, _, _ = CC.create admin ~dir:(CC.root admin) "journal.txt" in
   CC.write_all admin fh "version-1";
   let counter name = Stats.get (Cluster.stats d) name in
   (* The write went through the buffer cache: reading it back hits. *)
@@ -226,7 +226,7 @@ let test_crash_mid_write_no_stale_blocks () =
 let test_revoked_credential_misses_memo_cache () =
   let d = Cluster.make ~seed:"test-cache-revoke" () in
   let admin = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let fh, _, _ = CC.create admin ~dir:(CC.root admin) "secret.txt" () in
+  let fh, _, _ = CC.create admin ~dir:(CC.root admin) "secret.txt" in
   CC.write_all admin fh "classified";
   let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   let cred =
@@ -340,7 +340,7 @@ let test_policy_memo_eviction_order () =
 
 let test_attr_cache_expiry_counter () =
   let d = Cfs.Cfs_ne.deploy () in
-  let client, root = Cfs.Cfs_ne.connect d () in
+  let client, root = Cfs.Cfs_ne.connect d in
   let clock = d.Cfs.Cfs_ne.clock in
   let stats = Stats.create () in
   let cache = Attr_cache.create ~client ~clock ~stats () in
@@ -362,7 +362,7 @@ let test_attr_cache_expiry_counter () =
    split per cache. *)
 let test_cache_metrics_split_by_kind () =
   let d = Cfs.Cfs_ne.deploy () in
-  let client, root = Cfs.Cfs_ne.connect d () in
+  let client, root = Cfs.Cfs_ne.connect d in
   let clock = d.Cfs.Cfs_ne.clock in
   let stats = Stats.create () in
   let cache = Attr_cache.create ~client ~clock ~stats () in
@@ -431,14 +431,14 @@ let show_ops ops =
 let prop_cached_fs_reads_equal_uncached =
   QCheck.Test.make ~name:"cached Fs reads == uncached (random access patterns)" ~count:60
     (QCheck.make ~print:show_ops gen_ops) (fun ops ->
-      let instance ~cache_blocks ~readahead =
-        let dev, _, _ = make_dev ~cache_blocks ~readahead ~nblocks:256 ~block_size:512 () in
+      let instance ~cache_blocks =
+        let dev, _, _ = make_dev ~cache_blocks ~nblocks:256 ~block_size:512 () in
         let fs = Ffs.Fs.create ~dev ~ninodes:16 in
         let f = Ffs.Fs.create_file fs (Ffs.Fs.root fs) "f" ~perms:0o644 ~uid:0 in
         (fs, f)
       in
-      let fs_c, f_c = instance ~cache_blocks:64 ~readahead:8 in
-      let fs_u, f_u = instance ~cache_blocks:0 ~readahead:1 in
+      let fs_c, f_c = instance ~cache_blocks:64 in
+      let fs_u, f_u = instance ~cache_blocks:0 in
       List.for_all
         (function
           | Write (off, data) ->

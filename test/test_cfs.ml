@@ -4,7 +4,7 @@ module Proto = Nfs.Proto
 
 let test_cfs_ne_is_plain_nfs () =
   let d = Cfs.Cfs_ne.deploy () in
-  let nfs, root = Cfs.Cfs_ne.connect d () in
+  let nfs, root = Cfs.Cfs_ne.connect d in
   let fh, _ = Nfs.Client.create_file nfs root "x" Proto.sattr_none in
   ignore (Nfs.Client.write nfs fh ~off:0 "clear text");
   (* On the server's disk the content is readable as-is. *)

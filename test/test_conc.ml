@@ -595,8 +595,6 @@ let test_queue_metrics_populated () =
     (Trace.Metrics.sum service >= 12.0 *. 0.02 -. 1e-9);
   Alcotest.(check bool) "some request actually waited" true
     (Trace.Metrics.sum wait > 0.0);
-  Alcotest.(check (option (float 1e-9))) "depth gauge drained to zero" (Some 0.0)
-    (Trace.Metrics.gauge env.stats "rpc.queue.depth");
   Alcotest.(check bool) "queue depth peaked above one" true (Rpc.queue_peak env.srv > 1)
 
 (* --- end to end: a concurrent DisCFS deployment ----------------------- *)
@@ -610,7 +608,7 @@ let test_deploy_concurrent_end_to_end () =
     List.init 3 (fun i ->
         let c = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:i () in
         let name = Printf.sprintf "f%d.txt" i in
-        let fh, _, _ = CC.create c ~dir:(CC.root c) name () in
+        let fh, _, _ = CC.create c ~dir:(CC.root c) name in
         (i, c, fh))
   in
   (* The workload overlaps: each client writes then reads its own

@@ -156,14 +156,14 @@ let test_chacha20_encrypt () =
     "Ladies and Gentlemen of the class of '99: If I could offer you o\
      nly one tip for the future, sunscreen would be it."
   in
-  let ct = Chacha20.crypt ~key ~nonce ~counter:1 plaintext in
+  let ct = Chacha20.crypt ~key ~nonce plaintext in
   check_hex "ciphertext"
     ("6e2e359a2568f98041ba0728dd0d6981e97e7aec1d4360c20a27afccfd9fae0b"
     ^ "f91b65c5524733ab8f593dabcd62b3571639d624e65152ab8f530c359f0861d8"
     ^ "07ca0dbf500d6a6156a38e088a22b65e52bc514d16ccf806818ce91ab7793736"
     ^ "5af90bbf74a35be6b40b8eedf2785e42874d")
     ct;
-  Alcotest.(check string) "decrypt inverts" plaintext (Chacha20.crypt ~key ~nonce ~counter:1 ct)
+  Alcotest.(check string) "decrypt inverts" plaintext (Chacha20.crypt ~key ~nonce ct)
 
 let test_poly1305 () =
   (* RFC 8439 section 2.5.2 *)
@@ -192,7 +192,7 @@ let test_chacha20_poly1305_aead () =
     "Ladies and Gentlemen of the class of '99: If I could offer you o\
      nly one tip for the future, sunscreen would be it."
   in
-  let ct = Chacha20.crypt ~key ~nonce ~counter:1 plaintext in
+  let ct = Chacha20.crypt ~key ~nonce plaintext in
   check_hex "aead ciphertext"
     ("d31a8d34648e60db7b86afbc53ef7ec2a4aded51296e08fea9e2b5a736ee62d6"
     ^ "3dbea45e8ca9671282fafb69da92728b1a71de0a9e060b2905d6a5b67ecd3b36"

@@ -20,7 +20,7 @@ let quoted c = Printf.sprintf "\"%s\"" (CC.principal c)
 let setup ?cache_size ?hour () =
   let d = Cluster.make ?cache_size ?hour ~seed:"test-discfs" () in
   let admin_client = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let file_fh, _, _ = CC.create admin_client ~dir:(CC.root admin_client) "paper.tex" () in
+  let file_fh, _, _ = CC.create admin_client ~dir:(CC.root admin_client) "paper.tex" in
   CC.write_all admin_client file_fh "Secure and Flexible Global File Sharing";
   (d, admin_client, file_fh)
 
@@ -125,7 +125,7 @@ let test_create_returns_credential () =
   expect_nfs_error Proto.nfserr_acces (fun () ->
       ignore (CC.write bob orphan_fh ~off:0 "locked out"));
   (* The DisCFS create procedure returns a fresh RWX credential. *)
-  let fh, attr, new_cred = CC.create bob ~dir:root "report.txt" () in
+  let fh, attr, new_cred = CC.create bob ~dir:root "report.txt" in
   Alcotest.(check bool) "file created" true (attr.Proto.ftype = Proto.NFREG);
   Alcotest.(check bool) "credential verifies" true (Assertion.verify new_cred);
   Alcotest.(check (option string)) "comment names the file" (Some "report.txt")
@@ -139,7 +139,7 @@ let test_create_returns_credential () =
   let bob_key_unused = () in
   ignore bob_key_unused;
   Alcotest.(check bool) "mkdir also returns credential" true
-    (let _, _, c = CC.mkdir bob ~dir:root "subdir" () in
+    (let _, _, c = CC.mkdir bob ~dir:root "subdir" in
      Assertion.verify c);
   ignore carol
 
@@ -152,7 +152,7 @@ let test_delegation_of_created_file () =
     Cluster.admin_issue d ~licensees:(quoted bob) ~conditions:(handle_conditions root "RWX") ()
   in
   (match CC.submit_credential bob cred with Ok _ -> () | Error e -> Alcotest.fail e);
-  let fh, _, _file_cred = CC.create bob ~dir:root "shared.txt" () in
+  let fh, _, _file_cred = CC.create bob ~dir:root "shared.txt" in
   CC.write_all bob fh "from bob with love";
   (* Bob delegates R on his new file to Alice by issuing a credential
      against the server-issued one. *)
@@ -392,10 +392,10 @@ let test_subtree_credential_via_path () =
      files created after the credential was issued. *)
   let d, admin_client, _ = setup () in
   let root = CC.root admin_client in
-  let docs, _, _ = CC.mkdir admin_client ~dir:root "docs" () in
-  let inside, _, _ = CC.create admin_client ~dir:docs "inside.txt" () in
+  let docs, _, _ = CC.mkdir admin_client ~dir:root "docs" in
+  let inside, _, _ = CC.create admin_client ~dir:docs "inside.txt" in
   CC.write_all admin_client inside "in the docs subtree";
-  let outside, _, _ = CC.create admin_client ~dir:root "outside.txt" () in
+  let outside, _, _ = CC.create admin_client ~dir:root "outside.txt" in
   CC.write_all admin_client outside "not shared";
   let bob = CC.attach d ~identity:(Cluster.new_identity d) ~uid:100 () in
   let cred =
@@ -412,7 +412,7 @@ let test_subtree_credential_via_path () =
   expect_nfs_error Proto.nfserr_acces (fun () ->
       ignore (CC.read bob outside ~off:0 ~count:4));
   (* A file created in the subtree *later* is covered automatically. *)
-  let later, _, _ = CC.create admin_client ~dir:docs "later.txt" () in
+  let later, _, _ = CC.create admin_client ~dir:docs "later.txt" in
   CC.write_all admin_client later "late arrival";
   let _, data = CC.read bob later ~off:0 ~count:4 in
   Alcotest.(check string) "new file covered" "late" data;
@@ -440,10 +440,10 @@ let handle_reuse ~strict () =
   | Error e -> Alcotest.fail e);
   (* Bob creates a file (getting an RWX credential for it), then the
      admin deletes it and creates a secret file reusing the inode. *)
-  let fh, _, _ = CC.create bob ~dir:root "scratch.txt" () in
+  let fh, _, _ = CC.create bob ~dir:root "scratch.txt" in
   CC.remove admin_client root "scratch.txt";
   let rec recreate () =
-    let s, _, _ = CC.create admin_client ~dir:root "secret.txt" () in
+    let s, _, _ = CC.create admin_client ~dir:root "secret.txt" in
     if s.Proto.ino = fh.Proto.ino then s
     else begin
       CC.remove admin_client root "secret.txt";

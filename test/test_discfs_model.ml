@@ -124,12 +124,12 @@ let run_scenario ~servers ~homes ~seed ops =
              users with W create through the DisCFS procedure. *)
           let root_bits = model_bits m ~peer:(peer u) ~ino:root.Proto.ino in
           if root_bits land 2 = 2 then begin
-            let fh, _, _ = CC.create users.(u) ~dir:root name () in
+            let fh, _, _ = CC.create users.(u) ~dir:root name in
             m.files.(!slot) <- (fh.Proto.ino, name);
             grant m ~peer:(peer u) ~ino:fh.Proto.ino 7
           end
           else begin
-            let fh, _, _ = CC.create admin ~dir:root name () in
+            let fh, _, _ = CC.create admin ~dir:root name in
             m.files.(!slot) <- (fh.Proto.ino, name)
           end
         end

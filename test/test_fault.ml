@@ -106,6 +106,12 @@ let prop_replay_window_model =
 
 let all_duplicates = { Fault.drop = 0.0; duplicate = 1.0; reorder = 0.0; corrupt = 0.0 }
 
+(* An injector that applies [net] to every packet from the start. *)
+let net_fault net ~seed =
+  let f = Fault.create ~seed () in
+  Fault.set_net f net;
+  f
+
 let root_listing fs =
   List.filter_map
     (fun (name, ino) ->
@@ -122,8 +128,8 @@ let test_drc_dedups_duplicates () =
      request twice and must execute it once, answering the copy from
      the duplicate-request cache. *)
   let d = Cfs.Cfs_ne.deploy () in
-  let nfs, root = Cfs.Cfs_ne.connect d () in
-  let fault = Fault.create ~net:all_duplicates ~seed:"drc-unit" () in
+  let nfs, root = Cfs.Cfs_ne.connect d in
+  let fault = net_fault all_duplicates ~seed:"drc-unit" in
   Link.set_fault d.Cfs.Cfs_ne.link (Some fault);
   let fh, _ = Nfs.Client.create_file nfs root "once" Proto.sattr_none in
   ignore (Nfs.Client.write nfs fh ~off:0 "payload");
@@ -142,7 +148,7 @@ let test_duplicates_are_distinct_buffers () =
   let clock = Clock.create () in
   let stats = Stats.create () in
   let link = Link.create ~clock ~cost:Simnet.Cost.default ~stats in
-  Link.set_fault link (Some (Fault.create ~net:all_duplicates ~seed:"dup-buffers" ()));
+  Link.set_fault link (Some (net_fault all_duplicates ~seed:"dup-buffers"));
   (match Link.send link "sent once" with
   | [ a; b ] ->
     Alcotest.(check string) "equal copies" a b;
@@ -201,11 +207,11 @@ let gen_ops =
          (pair (int_bound 3) small_string)))
 
 let apply_ops ~net ops =
-  let d = Cfs.Cfs_ne.deploy ~nblocks:512 ~ninodes:64 () in
-  let nfs, root = Cfs.Cfs_ne.connect d () in
+  let d = Cfs.Cfs_ne.deploy () in
+  let nfs, root = Cfs.Cfs_ne.connect d in
   (match net with
   | None -> ()
-  | Some net -> Link.set_fault d.Cfs.Cfs_ne.link (Some (Fault.create ~net ~seed:"drc-prop" ())));
+  | Some net -> Link.set_fault d.Cfs.Cfs_ne.link (Some (net_fault net ~seed:"drc-prop")));
   let name n = Printf.sprintf "f%d" n in
   List.iter
     (fun op ->
@@ -296,9 +302,8 @@ let test_drc_lru_eviction () =
 
 let test_esp_corruption_dropped () =
   let fault =
-    Fault.create
-      ~net:{ Fault.drop = 0.0; duplicate = 0.0; reorder = 0.0; corrupt = 0.25 }
-      ~seed:"esp-corrupt" ()
+    net_fault { Fault.drop = 0.0; duplicate = 0.0; reorder = 0.0; corrupt = 0.25 }
+      ~seed:"esp-corrupt"
   in
   let d = Cluster.make ~seed:"esp-corrupt" ~fault () in
   (* A quarter of packets corrupted means ~44% of attempts fail; give
@@ -306,7 +311,7 @@ let test_esp_corruption_dropped () =
   let retry = { Rpc.default_retry with Rpc.max_attempts = 12 } in
   let alice = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 ~retry () in
   let root = CC.root alice in
-  let fh, _, _ = CC.create alice ~dir:root "noisy.txt" () in
+  let fh, _, _ = CC.create alice ~dir:root "noisy.txt" in
   CC.write_all alice fh "intact despite the noise";
   for _ = 1 to 20 do
     let _, data = CC.read alice fh ~off:0 ~count:100 in
@@ -360,7 +365,7 @@ let test_client_auto_rekey () =
   let d = Cluster.make ~seed:"auto-rekey" () in
   let alice = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 ~sa_lifetime:6 () in
   let root = CC.root alice in
-  let fh, _, _ = CC.create alice ~dir:root "r.txt" () in
+  let fh, _, _ = CC.create alice ~dir:root "r.txt" in
   CC.write_all alice fh "rekey survives";
   for _ = 1 to 15 do
     let _, data = CC.read alice fh ~off:0 ~count:100 in
@@ -375,7 +380,7 @@ let test_disk_fault_maps_to_eio () =
   let d = Cluster.make ~seed:"disk-eio" ~fault () in
   let alice = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = CC.root alice in
-  let fh, _, _ = CC.create alice ~dir:root "frail.txt" () in
+  let fh, _, _ = CC.create alice ~dir:root "frail.txt" in
   CC.write_all alice fh "fragile data";
   Fault.script_disk fault [ (Fault.disk_ops fault, Fault.Fail_read) ];
   (match CC.read alice fh ~off:0 ~count:100 with
@@ -478,7 +483,7 @@ let test_lossy_normalized () =
   (* With p = 1.0 every packet must still draw a fault — and Corrupt
      must actually occur, which the un-normalized cascade never let
      happen. *)
-  let f = Fault.create ~net:(Fault.lossy 1.0) ~seed:"lossy-sat" () in
+  let f = net_fault (Fault.lossy 1.0) ~seed:"lossy-sat" in
   let seen = Hashtbl.create 4 in
   for _ = 1 to 500 do
     let a = Fault.net_decide f in

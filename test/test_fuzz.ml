@@ -88,7 +88,7 @@ let prop_nfs_server_survives_garbage_args =
     (QCheck.make QCheck.Gen.(pair (int_bound 17) (gen_bytes 120)))
     (fun (proc, junk) ->
       let d = Cfs.Cfs_ne.deploy () in
-      let client, root = Cfs.Cfs_ne.connect d () in
+      let client, root = Cfs.Cfs_ne.connect d in
       let rpc = Oncrpc.Rpc.connect ~link:d.Cfs.Cfs_ne.link d.Cfs.Cfs_ne.rpc in
       (match
          Oncrpc.Rpc.call rpc ~prog:Nfs.Proto.nfs_prog ~vers:Nfs.Proto.nfs_vers ~proc (fun e ->
@@ -387,7 +387,7 @@ let saved_state =
     (let module CC = Discfs.Cluster_client in
      let d = Discfs.Cluster.make ~seed:"fuzz-state" () in
      let admin = CC.attach d ~identity:(Discfs.Cluster.admin_identity d) ~uid:0 () in
-     let fh, _, _ = CC.create admin ~dir:(CC.root admin) "f" () in
+     let fh, _, _ = CC.create admin ~dir:(CC.root admin) "f" in
      let bob = CC.attach d ~identity:(Discfs.Cluster.new_identity d) ~uid:100 () in
      let issue value =
        Discfs.Cluster.admin_issue d

@@ -801,7 +801,7 @@ let prop_esp_tdes_mutations_typed_errors =
 
 let deploy () =
   let d = Cfs.Cfs_ne.deploy () in
-  let client, root = Cfs.Cfs_ne.connect d () in
+  let client, root = Cfs.Cfs_ne.connect d in
   (d, client, root)
 
 let test_readdirplus_roundtrip () =
@@ -905,11 +905,11 @@ let test_cluster_compounds_redirect () =
   in
   (match CC.submit_credential cc cred with Ok _ -> () | Error e -> Alcotest.fail e);
   let root = CC.root cc in
-  let dir, _, _ = CC.mkdir cc ~dir:root "compound" () in
+  let dir, _, _ = CC.mkdir cc ~dir:root "compound" in
   let data = String.init 20_000 (fun i -> Char.chr ((i * 7) mod 251)) in
-  let fh, _, _ = CC.create cc ~dir "big.dat" () in
+  let fh, _, _ = CC.create cc ~dir "big.dat" in
   CC.write_all cc fh data;
-  ignore (CC.create cc ~dir "small.dat" ());
+  ignore (CC.create cc ~dir "small.dat");
   (* READDIRPLUS routes like metadata: any frontend serves it. *)
   let plus = CC.readdirplus cc dir in
   Alcotest.(check (list string)) "cluster readdirplus names" [ "."; ".."; "big.dat"; "small.dat" ]

@@ -472,6 +472,49 @@ let test_exports_report () =
     "{\"pass\":\"exports\",\"exports\":6,\"entries\":[{\"file\":\"test/export_fixtures/exported.mli\",\"line\":14,\"col\":0,\"name\":\"Export_fixtures.Exported.seam\",\"status\":\"test-only\",\"justification\":\"a seam with its reason stated\"},{\"file\":\"test/export_fixtures/exported.mli\",\"line\":17,\"col\":0,\"name\":\"Export_fixtures.Exported.test_only\",\"status\":\"unjustified\"},{\"file\":\"test/export_fixtures/exported.mli\",\"line\":20,\"col\":0,\"name\":\"Export_fixtures.Exported.empty_reason\",\"status\":\"unjustified\"},{\"file\":\"test/export_fixtures/exported.mli\",\"line\":23,\"col\":0,\"name\":\"Export_fixtures.Exported.unused\",\"status\":\"unreferenced\"}],\"test_only\":1,\"unjustified\":2,\"unreferenced\":1}"
     (Lint.Exports.json_of_exports (Lazy.force fixture_exports))
 
+(* [Knobs]'s interface declares; [Knobs] and [Knob_user] pass knobs as
+   non-test code, [Test_user] as test code. *)
+let fixture_knobs =
+  lazy
+    (let t = Lint.Exports.create () in
+     Lint.Exports.declare t (export_unit ".cmti" "Knobs");
+     List.iter
+       (fun name -> Lint.Exports.reference t ~test:false (export_unit ".cmt" name))
+       [ "Knobs"; "Knob_user" ];
+     Lint.Exports.reference t ~test:true (export_unit ".cmt" "Test_user");
+     List.filter (fun x -> x.Lint.Exports.x_knob <> None) (Lint.Exports.exports t ~source_root:".."))
+
+(* A knob passed by a non-test unit, or by its own unit, is used; an
+   omitted one is not passed, even though the type checker fills it
+   in; a test-only knob needs its reason. *)
+let test_knob_statuses () =
+  let xs = Lazy.force fixture_knobs in
+  Alcotest.(check (list (pair string string)))
+    "each knob's status, in interface order"
+    [
+      ("used", "used");
+      ("own", "used");
+      ("seam", "test-only: a knob with its reason stated");
+      ("test_only", "unjustified");
+      ("unpassed", "unreferenced");
+    ]
+    (List.map
+       (fun x -> (Option.get x.Lint.Exports.x_knob, status_name x.Lint.Exports.x_status))
+       xs);
+  Alcotest.(check (list string)) "the unjustified and the unpassed knob are findings"
+    [
+      "test/export_fixtures/knobs.mli:9:13: [exports] Export_fixtures.Knobs.make ?test_only is \
+       passed only by tests; give the knob its reason with a (* discfs-lint: allow test-only \
+       \"why\" *) on its line or the line above, or make it a constant and test the value the \
+       system runs";
+      "test/export_fixtures/knobs.mli:10:12: [exports] Export_fixtures.Knobs.make ?unpassed is \
+       passed by no application; make it a constant, its default";
+    ]
+    (List.map Lint.Exports.render (List.filter Lint.Exports.is_finding xs));
+  Alcotest.(check string) "json counts the knobs and each status"
+    "{\"pass\":\"knobs\",\"knobs\":5,\"entries\":[{\"file\":\"test/export_fixtures/knobs.mli\",\"line\":8,\"col\":8,\"name\":\"Export_fixtures.Knobs.make ?seam\",\"status\":\"test-only\",\"justification\":\"a knob with its reason stated\"},{\"file\":\"test/export_fixtures/knobs.mli\",\"line\":9,\"col\":13,\"name\":\"Export_fixtures.Knobs.make ?test_only\",\"status\":\"unjustified\"},{\"file\":\"test/export_fixtures/knobs.mli\",\"line\":10,\"col\":12,\"name\":\"Export_fixtures.Knobs.make ?unpassed\",\"status\":\"unpassed\"}],\"test_only\":1,\"unjustified\":1,\"unpassed\":1}"
+    (Lint.Exports.json_of_knobs xs)
+
 (* --- Pass B: credential-graph analysis -------------------------------- *)
 
 let p name = "dsa-hex:" ^ name
@@ -777,6 +820,7 @@ let suite =
     ("pass-e: export statuses", `Quick, test_exports_status);
     ("pass-e: test-only exports need a reason", `Quick, test_exports_test_only_gate);
     ("pass-e: findings and json", `Quick, test_exports_report);
+    ("pass-e: knob statuses", `Quick, test_knob_statuses);
     ("pass-c: library map discovery", `Quick, test_doccheck_libmap);
     ("pass-c: seeded doc findings", `Quick, test_doccheck_bad);
     ("pass-c: stale names in code spans", `Quick, test_doccheck_stale_names);

@@ -220,8 +220,7 @@ let fast_retry =
 
 let test_sweep_smoke () =
   let points, knee =
-    Scenario.sweep ~seed:"test-sweep" ~clients:4 ~duration:1.5
-      ~rates:[ 30.0; 90.0 ] ()
+    Scenario.sweep ~clients:4 ~duration:1.5 ~rates:[ 30.0; 90.0 ] ()
   in
   Alcotest.(check int) "two points" 2 (List.length points);
   List.iter

@@ -8,7 +8,7 @@ module Attr_cache = Nfs.Cache.Make (Nfs.Client)
 
 let deploy () =
   let d = Cfs.Cfs_ne.deploy () in
-  let client, root = Cfs.Cfs_ne.connect d () in
+  let client, root = Cfs.Cfs_ne.connect d in
   (d, client, root)
 
 let expect_nfs_error status f =
@@ -148,7 +148,7 @@ let test_hooks_authorize () =
       present_attr = (fun ~conn:_ a -> { a with Proto.mode = a.Proto.mode land lnot 0o222 });
       rights = (fun ~conn:_ ~fh:_ -> 5 (* r-x *));
     };
-  let client, root = Cfs.Cfs_ne.connect d () in
+  let client, root = Cfs.Cfs_ne.connect d in
   expect_nfs_error Proto.nfserr_acces (fun () ->
       ignore (Nfs.Client.create_file client root "nope" Proto.sattr_none));
   let attr = Nfs.Client.getattr client root in
@@ -156,7 +156,10 @@ let test_hooks_authorize () =
 
 let test_conn_uid_reaches_fs () =
   let d = Cfs.Cfs_ne.deploy () in
-  let client, root = Cfs.Cfs_ne.connect d ~uid:4242 () in
+  let client =
+    Nfs.Client.create (Oncrpc.Rpc.connect ~link:d.Cfs.Cfs_ne.link ~uid:4242 d.Cfs.Cfs_ne.rpc)
+  in
+  let root = Nfs.Client.mount client "/" in
   let _, attr = Nfs.Client.create_file client root "mine" Proto.sattr_none in
   Alcotest.(check int) "file owned by caller uid" 4242 attr.Proto.uid
 
@@ -170,7 +173,7 @@ let test_wire_traffic_counted () =
 
 let test_access_procedure () =
   let d = Cfs.Cfs_ne.deploy () in
-  let client, root = Cfs.Cfs_ne.connect d () in
+  let client, root = Cfs.Cfs_ne.connect d in
   (* Default hooks grant everything. *)
   Alcotest.(check int) "all granted" Proto.access_all
     (Nfs.Client.access client root Proto.access_all);
@@ -190,7 +193,7 @@ let test_access_procedure () =
 
 let test_client_cache () =
   let d = Cfs.Cfs_ne.deploy () in
-  let client, root = Cfs.Cfs_ne.connect d () in
+  let client, root = Cfs.Cfs_ne.connect d in
   let clock = d.Cfs.Cfs_ne.clock in
   let cache = Attr_cache.create ~client ~clock ~stats:d.Cfs.Cfs_ne.stats () in
   let fh, _ = Nfs.Client.create_file client root "cached.txt" Proto.sattr_none in
@@ -228,8 +231,8 @@ let test_client_cache_staleness () =
   (* The documented trade-off: another client's change is invisible
      until the TTL lapses. *)
   let d = Cfs.Cfs_ne.deploy () in
-  let client_a, root = Cfs.Cfs_ne.connect d () in
-  let client_b, _ = Cfs.Cfs_ne.connect d () in
+  let client_a, root = Cfs.Cfs_ne.connect d in
+  let client_b, _ = Cfs.Cfs_ne.connect d in
   let cache =
     Attr_cache.create ~client:client_a ~clock:d.Cfs.Cfs_ne.clock ~stats:d.Cfs.Cfs_ne.stats ()
   in

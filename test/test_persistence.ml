@@ -97,7 +97,7 @@ let test_server_restart () =
   let d = Cluster.make ~seed:"restart" () in
   let admin_client = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
   let root = CC.root admin_client in
-  let fh, _, _ = CC.create admin_client ~dir:root "durable.txt" () in
+  let fh, _, _ = CC.create admin_client ~dir:root "durable.txt" in
   CC.write_all admin_client fh "survives restarts";
   let bob_key = Cluster.new_identity d in
   let bob = CC.attach d ~identity:bob_key ~uid:100 () in

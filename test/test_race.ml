@@ -59,7 +59,7 @@ let test_synthetic_check_then_act () =
   Sched.spawn s (fun () ->
       Race.note mon "writer proc";
       Sched.sleep s 0.5;
-      Race.write mon ~key:"slot" ());
+      Race.write mon ~key:"slot");
   Sched.run s;
   Alcotest.(check int) "exactly one report" 1 (Race.total_reports ctx);
   Alcotest.(check bool) "accesses counted" true (Race.accesses ctx > 0);
@@ -95,7 +95,7 @@ let test_benign_same_value () =
   (* discfs-lint: allow races "the deliberate duplicate-fill under test" *)
   Sched.spawn s (fun () ->
       Sched.sleep s 0.5;
-      Race.write mon ~value:"same-bytes" ~key:"blk" ());
+      Race.act mon ~value:"same-bytes" ~key:"blk" ());
   Sched.run s;
   Alcotest.(check int) "no report" 0 (Race.total_reports ctx);
   Alcotest.(check int) "conflict classified benign" 1 (Race.benign ctx)
@@ -113,7 +113,7 @@ let test_wipe_clears_windows () =
   Sched.spawn s (fun () ->
       Sched.sleep s 0.5;
       Race.wipe mon;
-      Race.write mon ~key:"k" ());
+      Race.write mon ~key:"k");
   Sched.run s;
   Alcotest.(check int) "window cannot span a wipe" 0 (Race.total_reports ctx)
 
@@ -129,7 +129,7 @@ let test_annotate_fallback () =
   (* discfs-lint: allow races "the deliberate race under test, unlabeled so the annotate fallback fires" *)
   Sched.spawn s (fun () ->
       Sched.sleep s 0.5;
-      Race.write mon ~key:"k" ());
+      Race.write mon ~key:"k");
   Sched.run s;
   match Race.reports ctx with
   | [ r ] ->
@@ -143,7 +143,7 @@ let test_null_monitor () =
   Race.note Race.null "x";
   Race.read Race.null ~key:"k";
   Race.check Race.null ~key:"k";
-  Race.write Race.null ~key:"k" ();
+  Race.write Race.null ~key:"k";
   Race.act Race.null ~key:"k" ();
   Race.wipe Race.null;
   Alcotest.(check (option (pair int int))) "no origin" None (Race.origin Race.null)
@@ -156,7 +156,7 @@ let test_null_monitor () =
    reports while the access counter proves the monitors saw traffic. *)
 let test_deploy_atomicity_proof () =
   let d =
-    Cluster.make ~workers:3 ~queue_depth:16 ~cache_blocks:64 ~readahead:4
+    Cluster.make ~workers:3 ~queue_depth:16 ~cache_blocks:64
       ~racecheck:true ()
   in
   let sched = Option.get (Cluster.sched d) in
@@ -165,7 +165,7 @@ let test_deploy_atomicity_proof () =
     List.init 3 (fun i ->
         let c = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:i () in
         let name = Printf.sprintf "f%d.txt" i in
-        let fh, _, _ = CC.create c ~dir:(CC.root c) name () in
+        let fh, _, _ = CC.create c ~dir:(CC.root c) name in
         (i, c, fh))
   in
   List.iter
@@ -336,7 +336,7 @@ let cluster_retry =
 let cluster_run ?tie_seed () =
   let nservers = 4 in
   let c =
-    Cluster.make ~servers:nservers ~workers:3 ~queue_depth:16 ~cache_blocks:64 ~readahead:4
+    Cluster.make ~servers:nservers ~workers:3 ~queue_depth:16 ~cache_blocks:64
       ~racecheck:true ?tie_seed ~seed:"race-cluster" ()
   in
   let sched = Option.get (Cluster.sched c) in
@@ -348,7 +348,7 @@ let cluster_run ?tie_seed () =
   let files =
     List.init 4 (fun i ->
         let fh, _, _ =
-          Cluster_client.create setup ~dir:(Cluster_client.root setup) (Printf.sprintf "f%d" i) ()
+          Cluster_client.create setup ~dir:(Cluster_client.root setup) (Printf.sprintf "f%d" i)
         in
         fh)
   in

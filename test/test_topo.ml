@@ -27,8 +27,8 @@ let root_conditions fh value =
 (* A cluster plus one cluster client granted RWX on the root
    directory, so it can create files — the cluster analogue of
    test_discfs's [setup]. *)
-let csetup ?nshards ?(servers = 3) ?(clients = 1) ~seed () =
-  let c = Cluster.make ?nshards ~servers ~seed () in
+let csetup ?(servers = 3) ?(clients = 1) ~seed () =
+  let c = Cluster.make ~servers ~seed () in
   (* Every identity is drawn before the first attach. *)
   let identities = List.init clients (fun _ -> Cluster.new_identity c) in
   let ccs =
@@ -106,7 +106,7 @@ let test_cluster_smoke () =
   let c, ccs = csetup ~seed:"topo-smoke" () in
   let cc = List.hd ccs in
   let root = CC.root cc in
-  let fh, _, _ = CC.create cc ~dir:root "paper.tex" () in
+  let fh, _, _ = CC.create cc ~dir:root "paper.tex" in
   CC.write_all cc fh "Secure and Flexible Global File Sharing";
   Alcotest.(check string) "read back" "Secure and Flexible Global File Sharing"
     (CC.read_all cc fh);
@@ -234,7 +234,7 @@ let test_reshard_redirects () =
   let c, ccs = csetup ~seed:"topo-reshard" () in
   let cc = List.hd ccs in
   let root = CC.root cc in
-  let fh, _, _ = CC.create cc ~dir:root "hot.dat" () in
+  let fh, _, _ = CC.create cc ~dir:root "hot.dat" in
   CC.write_all cc fh "v1";
   let stats = Cluster.stats c in
   let map = Cluster.map c in
@@ -263,7 +263,7 @@ let test_redirect_bad_signature () =
   let c, ccs = csetup ~servers:2 ~seed:"topo-forge" () in
   let cc = List.hd ccs in
   let root = CC.root cc in
-  let fh, _, _ = CC.create cc ~dir:root "forged.dat" () in
+  let fh, _, _ = CC.create cc ~dir:root "forged.dat" in
   CC.write_all cc fh "x";
   let victim = fh.Proto.ino in
   let target = Shard_map.owner (Cluster.map c) ~ino:victim in
@@ -302,7 +302,7 @@ let test_redirect_loop_bound () =
   let c, ccs = csetup ~servers:2 ~seed:"topo-loop" () in
   let cc = List.hd ccs in
   let root = CC.root cc in
-  let fh, _, _ = CC.create cc ~dir:root "pingpong.dat" () in
+  let fh, _, _ = CC.create cc ~dir:root "pingpong.dat" in
   CC.write_all cc fh "x";
   let victim = fh.Proto.ino in
   let drbg = Cluster.fork_drbg c ~label:"loop-sign" in
@@ -346,7 +346,7 @@ let test_replica_serves_only_reads () =
   let c, ccs = csetup ~servers:2 ~seed:"topo-replica" () in
   let cc = List.hd ccs in
   let root = CC.root cc in
-  let fh, _, _ = CC.create cc ~dir:root "shared.dat" () in
+  let fh, _, _ = CC.create cc ~dir:root "shared.dat" in
   CC.write_all cc fh "generation one";
   let stats = Cluster.stats c in
   let shard = Shard_map.shard_of (Cluster.map c) ~ino:fh.Proto.ino in
@@ -405,7 +405,7 @@ let test_stale_map_crash_recovery () =
   let rec mk i =
     if i > 64 then Alcotest.fail "no file landed on frontend 1"
     else
-      let fh, _, _ = CC.create cc ~dir:root (Printf.sprintf "f%d.dat" i) () in
+      let fh, _, _ = CC.create cc ~dir:root (Printf.sprintf "f%d.dat" i) in
       if Shard_map.owner (Cluster.map c) ~ino:fh.Proto.ino = 1 then fh else mk (i + 1)
   in
   let fh = mk 0 in
@@ -445,14 +445,14 @@ let test_stale_map_crash_recovery () =
    indirect block (whose placeholder bytes must not clobber the
    pointers the reboot flushed). *)
 let test_crash_under_survivor_write () =
-  let c = Cluster.make ~servers:2 ~workers:2 ~nblocks:1024 ~seed:"topo-crash-inflight" () in
+  let c = Cluster.make ~servers:2 ~workers:2 ~seed:"topo-crash-inflight" () in
   let sched = Option.get (Cluster.sched c) in
   let fs = Cluster.fs c and dev = Cluster.dev c in
   let cc = CC.attach c ~identity:(Cluster.admin_identity c) ~uid:0 ~home:0 () in
   let rec mk i =
     if i > 64 then Alcotest.fail "no file landed on frontend 0"
     else
-      let fh, _, _ = CC.create cc ~dir:(CC.root cc) (Printf.sprintf "g%d.dat" i) () in
+      let fh, _, _ = CC.create cc ~dir:(CC.root cc) (Printf.sprintf "g%d.dat" i) in
       if Shard_map.owner (Cluster.map c) ~ino:fh.Proto.ino = 0 then fh else mk (i + 1)
   in
   let fh = mk 0 in
@@ -497,7 +497,7 @@ let test_crash_under_survivor_write () =
   Alcotest.(check bool) "every block reads back" true (String.equal expect (CC.read_all cc fh));
   let copy =
     Ffs.Blockdev.create ~clock:(Clock.create ()) ~cost:Simnet.Cost.default
-      ~stats:(Stats.create ()) ~nblocks:1024 ~block_size:bs ()
+      ~stats:(Stats.create ()) ~nblocks:(Ffs.Blockdev.nblocks dev) ~block_size:bs ()
   in
   let fs' = Ffs.Fs.load ~dev:copy (Ffs.Fs.save fs) in
   Alcotest.(check bool) "every block survives a save" true
@@ -532,7 +532,7 @@ let world cc =
     w_create =
       (fun name ->
         nfs_result (fun () ->
-            let fh, _, _ = CC.create cc ~dir:root name () in
+            let fh, _, _ = CC.create cc ~dir:root name in
             fh));
     w_write = (fun fh data -> nfs_result (fun () -> CC.write_all cc fh data));
     w_read = (fun fh -> nfs_result (fun () -> CC.read_all cc fh));
@@ -644,7 +644,7 @@ let determinism_run () =
   let fhs =
     List.map
       (fun i ->
-        let fh, _, _ = CC.create a ~dir:(CC.root a) (Printf.sprintf "d%d" i) () in
+        let fh, _, _ = CC.create a ~dir:(CC.root a) (Printf.sprintf "d%d" i) in
         CC.write_all a fh (Printf.sprintf "body-%d" i);
         fh)
       [ 0; 1; 2; 3 ]
@@ -671,34 +671,6 @@ let test_byte_determinism () =
   let second = determinism_run () in
   Alcotest.(check string) "double run byte-identical" first second
 
-(* --- the Bonnie cluster backend --------------------------------------- *)
-
-(* The uniform benchmark surface over the server set: a workload that
-   knows nothing about shards must survive a reshard mid-stream. *)
-let test_cluster_backend () =
-  let b = Bonnie.Backend.discfs ~servers:3 () in
-  let dir = b.Bonnie.Backend.mkdir b.Bonnie.Backend.root "bench" in
-  let f = b.Bonnie.Backend.create dir "data" in
-  b.Bonnie.Backend.write f ~off:0 "cluster-backed bytes";
-  Alcotest.(check string) "read back" "cluster-backed bytes" (b.Bonnie.Backend.read f ~off:0 ~len:64);
-  Alcotest.(check (list string)) "listing" [ "data" ] (b.Bonnie.Backend.readdir dir);
-  let cluster, cc =
-    match b.Bonnie.Backend.parts with
-    | Some parts -> parts
-    | None -> Alcotest.fail "no cluster behind the backend"
-  in
-  (* Move every file's shard out from under the cached map; the
-     backend's reads must be corrected by redirects, not break. *)
-  let m = Cluster.map cluster in
-  for s = 0 to Shard_map.nshards m - 1 do
-    Cluster.reshard cluster ~shard:s ~owner:(((Shard_map.shard m s).Shard_map.owner + 1) mod 3)
-  done;
-  Alcotest.(check string) "read back after total reshard" "cluster-backed bytes"
-    (b.Bonnie.Backend.read f ~off:0 ~len:64);
-  Alcotest.(check bool) "redirects happened" true
-    (Stats.get (Cluster.stats cluster) "redirect.followed" >= 1);
-  Alcotest.(check int) "map caught up" (Shard_map.version (Cluster.map cluster)) (CC.map_version cc)
-
 (* --- one node: the cluster layer is inert ------------------------------ *)
 
 (* [Cluster.make ()] is one node with no special case: every handle is
@@ -708,7 +680,7 @@ let test_cluster_backend () =
 let test_one_node_inert () =
   let d = Cluster.make ~seed:"topo-one-node" () in
   let c = CC.attach d ~identity:(Cluster.admin_identity d) ~uid:0 () in
-  let fh, _, _ = CC.create c ~dir:(CC.root c) "solo.dat" () in
+  let fh, _, _ = CC.create c ~dir:(CC.root c) "solo.dat" in
   CC.write_all c fh "one node, no cluster traffic";
   let read () = CC.read_all c fh in
   Alcotest.(check string) "read back" "one node, no cluster traffic" (read ());
@@ -781,7 +753,6 @@ let suite =
       test_crash_under_survivor_write;
     QCheck_alcotest.to_alcotest ~long:false prop_equivalence;
     Alcotest.test_case "byte determinism across fresh runs" `Quick test_byte_determinism;
-    Alcotest.test_case "bonnie backend over the cluster" `Quick test_cluster_backend;
     Alcotest.test_case "one node: cluster layer inert through a crash" `Quick
       test_one_node_inert;
     Alcotest.test_case "credential calls recover from a home crash, once" `Quick

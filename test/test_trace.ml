@@ -8,23 +8,19 @@ module Metrics = Trace.Metrics
 module CC = Discfs.Cluster_client
 
 (* A tracer over an explicit hand-cranked clock. *)
-let make_tracer ?capacity ?metrics () =
+let make_tracer ?metrics () =
   let now = ref 0. in
-  let t = Trace.create ?capacity ?metrics ~now:(fun () -> !now) () in
+  let t = Trace.create ?metrics ~now:(fun () -> !now) () in
   (t, now)
 
-(* --- metrics: counters and gauges ----------------------------------- *)
+(* --- metrics: counters ------------------------------------------------ *)
 
-let test_counters_and_gauges () =
+let test_counters () =
   let m = Metrics.create () in
   Alcotest.(check int) "absent counter reads 0" 0 (Metrics.counter m "x");
   Metrics.incr m "x";
   Metrics.add m "x" 41;
   Alcotest.(check int) "incr accumulates" 42 (Metrics.counter m "x");
-  Alcotest.(check bool) "absent gauge" true (Metrics.gauge m "g" = None);
-  Metrics.set_gauge m "g" 1.5;
-  Metrics.set_gauge m "g" 2.5;
-  Alcotest.(check bool) "gauge keeps last" true (Metrics.gauge m "g" = Some 2.5);
   Alcotest.(check (list string)) "sorted names" [ "a"; "x" ]
     (Metrics.incr m "a";
      List.map fst (Metrics.counters m));
@@ -56,16 +52,15 @@ let test_counter_increment_allocates_nothing () =
 (* --- metrics: histogram properties ----------------------------------- *)
 
 let test_bucket_validation () =
-  let m = Metrics.create () in
-  let bad b = Alcotest.check_raises "rejected" (Invalid_argument "Metrics.histogram: bucket bounds not strictly increasing") (fun () -> ignore (Metrics.histogram m ~buckets:b "h")) in
+  let bad b = Alcotest.check_raises "rejected" (Invalid_argument "Metrics.make_histogram: bucket bounds not strictly increasing") (fun () -> ignore (Metrics.make_histogram b)) in
   bad [| 1.; 1. |];
   bad [| 2.; 1. |];
   Alcotest.check_raises "empty rejected"
-    (Invalid_argument "Metrics.histogram: empty buckets") (fun () ->
-      ignore (Metrics.histogram m ~buckets:[||] "h2"));
+    (Invalid_argument "Metrics.make_histogram: empty buckets") (fun () ->
+      ignore (Metrics.make_histogram [||]));
   Alcotest.check_raises "non-finite rejected"
-    (Invalid_argument "Metrics.histogram: non-finite bucket bound") (fun () ->
-      ignore (Metrics.histogram m ~buckets:[| 1.; infinity |] "h3"));
+    (Invalid_argument "Metrics.make_histogram: non-finite bucket bound") (fun () ->
+      ignore (Metrics.make_histogram [| 1.; infinity |]));
   (* default grid is itself strictly increasing *)
   let b = Metrics.default_buckets in
   for i = 1 to Array.length b - 1 do
@@ -99,8 +94,7 @@ let prop_histogram_conservation =
     ~count:200
     (QCheck.make QCheck.Gen.(pair gen_bounds gen_values))
     (fun (bounds, values) ->
-      let m = Metrics.create () in
-      let h = Metrics.histogram m ~buckets:bounds "h" in
+      let h = Metrics.make_histogram bounds in
       List.iter (Metrics.observe h) values;
       let counts = Metrics.bucket_counts h in
       (* every observation landed in exactly the reference bucket *)
@@ -112,8 +106,7 @@ let prop_histogram_conservation =
       && Array.fold_left ( + ) 0 counts = Metrics.count h)
 
 let test_quantiles () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m ~buckets:[| 1.; 2.; 4. |] "h" in
+  let h = Metrics.make_histogram [| 1.; 2.; 4. |] in
   List.iter (Metrics.observe h) [ 0.5; 0.7; 1.5; 3.0; 100.0 ];
   let q p = Metrics.quantile_to_string (Metrics.quantile_est h p) in
   Alcotest.(check string) "p20 interpolates in the first bucket" "0.5" (q 0.2);
@@ -134,8 +127,7 @@ let prop_quantile_in_true_bucket =
        QCheck.Gen.(
          triple gen_bounds gen_values (list_size (int_range 1 10) (float_bound_inclusive 1.))))
     (fun (bounds, values, qs) ->
-      let m = Metrics.create () in
-      let h = Metrics.histogram m ~buckets:bounds "h" in
+      let h = Metrics.make_histogram bounds in
       List.iter (Metrics.observe h) values;
       let n = List.length values and nb = Array.length bounds in
       if n = 0 then List.for_all (fun q -> Metrics.quantile_est h q = Metrics.Q_empty) qs
@@ -299,12 +291,17 @@ let test_null_tracer_noops () =
 (* --- ring buffer ------------------------------------------------------ *)
 
 let test_ring_retention () =
-  let (t, _) = make_tracer ~capacity:4 () in
-  for i = 1 to 10 do
+  let (t, _) = make_tracer () in
+  let capacity = 65536 in
+  let n = capacity + 6 in
+  for i = 1 to n do
     Trace.instant t (Printf.sprintf "e%d" i)
   done;
   let names = List.map (fun (s : Trace.span) -> s.Trace.name) (Trace.spans t) in
-  Alcotest.(check (list string)) "last capacity spans retained" [ "e7"; "e8"; "e9"; "e10" ] names;
+  Alcotest.(check int) "capacity spans retained" capacity (List.length names);
+  Alcotest.(check (list string)) "the oldest dropped, order kept" [ "e7"; "e8" ]
+    (List.filteri (fun i _ -> i < 2) names);
+  Alcotest.(check string) "the newest kept" (Printf.sprintf "e%d" n) (List.nth names (capacity - 1));
   Alcotest.(check int) "dropped counted" 6 (Trace.dropped t);
   Trace.reset t;
   Alcotest.(check int) "reset empties ring" 0 (List.length (Trace.spans t));
@@ -367,7 +364,7 @@ let test_traced_run_deterministic () =
     (match CC.submit_credential client cred with
     | Ok _ -> ()
     | Error e -> failwith e);
-    let _ = CC.create client ~dir:(CC.root client) "f" () in
+    let _ = CC.create client ~dir:(CC.root client) "f" in
     Span_forest.render (Span_forest.forest (Trace.spans (Discfs.Cluster.trace d)))
   in
   let a = run () and b = run () in
@@ -376,7 +373,7 @@ let test_traced_run_deterministic () =
 
 let suite =
   [
-    Alcotest.test_case "counters and gauges" `Quick test_counters_and_gauges;
+    Alcotest.test_case "counters" `Quick test_counters;
     Alcotest.test_case "counter increments allocate nothing" `Quick
       test_counter_increment_allocates_nothing;
     Alcotest.test_case "bucket monotonicity enforced" `Quick test_bucket_validation;

@@ -24,7 +24,7 @@ let () =
   (match CC.submit_credential client cred with
   | Ok _ -> ()
   | Error e -> failwith e);
-  let fh, _attr, _cred = CC.create client ~dir:(CC.root client) "hello.txt" () in
+  let fh, _attr, _cred = CC.create client ~dir:(CC.root client) "hello.txt" in
   let _attr, data = CC.read client fh ~off:0 ~count:4096 in
   assert (data = "");
   print_string "# golden trace: attach + create + read (names and nesting only)\n";
